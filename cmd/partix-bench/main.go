@@ -8,7 +8,6 @@
 //	partix-bench -exp all
 //	partix-bench -exp fig7a -scale 4 -repeats 10
 //	partix-bench -exp fig7d               # prints both -T and -NT views
-//	partix-bench -exp stream -json BENCH_PR3.json
 //	partix-bench -exp obs -json BENCH_PR4.json
 //	partix-bench -exp valueindex -json BENCH_PR5.json
 //	partix-bench -exp planner -json BENCH_PR6.json
@@ -17,10 +16,9 @@
 //	partix-bench -exp telemetry -json BENCH_PR9.json
 //	partix-bench -exp resultcache -json BENCH_PR10.json
 //
-// Experiments: fig7a, fig7b, fig7c, fig7d, headline, smalldb, stream,
-// obs, valueindex, planner, mixedrw, exec, telemetry, resultcache, all. The stream experiment
-// contrasts the framed wire protocol against the monolithic one over
-// real TCP node servers; obs measures the observability layer's overhead
+// Experiments: fig7a, fig7b, fig7c, fig7d, headline, smalldb, obs,
+// valueindex, planner, mixedrw, exec, telemetry, resultcache, all. obs
+// measures the observability layer's overhead
 // (metrics off vs on vs traced); valueindex sweeps a range predicate's
 // selectivity with the path/value index on vs off and checks the
 // index-only count()/exists() deciders; planner contrasts the
@@ -56,7 +54,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "fig7a | fig7b | fig7c | fig7d | headline | smalldb | stream | obs | valueindex | planner | mixedrw | exec | telemetry | resultcache | all")
+		exp        = flag.String("exp", "all", "fig7a | fig7b | fig7c | fig7d | headline | smalldb | obs | valueindex | planner | mixedrw | exec | telemetry | resultcache | all")
 		scaleF     = flag.Int("scale", 1, "multiply the default database sizes")
 		repeats    = flag.Int("repeats", 3, "timed executions per query (after one discarded warm-up)")
 		dir        = flag.String("dir", "", "working directory for node stores (default: temp)")
@@ -65,7 +63,7 @@ func main() {
 		workers    = flag.Int("decode-workers", 1, "engine decode workers per node (1 = paper-faithful sequential; 0 = GOMAXPROCS)")
 		cacheBytes = flag.Int64("tree-cache-bytes", 0, "decoded-tree cache budget per node in bytes (0 = off, paper-faithful)")
 		format     = flag.String("format", "table", "table | csv")
-		jsonPath   = flag.String("json", "", "also write the measurements to this file as JSON (e.g. BENCH_PR3.json)")
+		jsonPath   = flag.String("json", "", "also write the measurements to this file as JSON (e.g. BENCH_PR4.json)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	)
@@ -132,7 +130,6 @@ var (
 // collector gathers every panel the run produced for the JSON report.
 type collector struct {
 	panels      []*experiments.Panel
-	stream      *experiments.StreamCompare
 	obs         *experiments.ObsCompare
 	valueIndex  *experiments.ValueIndexCompare
 	planner     *experiments.PlannerCompare
@@ -147,7 +144,7 @@ func writeJSON(path string, repeats int, col *collector) error {
 	if err != nil {
 		return err
 	}
-	report := experiments.NewReport(repeats, col.panels, col.stream)
+	report := experiments.NewReport(repeats, col.panels)
 	report.Obs = col.obs
 	report.ValueIndex = col.valueIndex
 	report.Planner = col.planner
@@ -203,14 +200,6 @@ func run(exp string, scale experiments.Scale, opts experiments.Options, col *col
 		col.panels = append(col.panels, p)
 		printPanel(out, p)
 		experiments.PrintEngineStats(out, p)
-		return nil
-	case "stream":
-		c, err := experiments.RunStream(scale, opts)
-		if err != nil {
-			return err
-		}
-		col.stream = c
-		experiments.PrintStream(out, c)
 		return nil
 	case "obs":
 		c, err := experiments.RunObs(scale, opts)
@@ -269,7 +258,7 @@ func run(exp string, scale experiments.Scale, opts experiments.Options, col *col
 		experiments.PrintResultCache(out, c)
 		return nil
 	case "all":
-		for _, name := range []string{"fig7a", "fig7b", "fig7c", "fig7d", "smalldb", "stream", "obs", "valueindex", "planner", "mixedrw", "exec", "telemetry", "resultcache", "headline"} {
+		for _, name := range []string{"fig7a", "fig7b", "fig7c", "fig7d", "smalldb", "obs", "valueindex", "planner", "mixedrw", "exec", "telemetry", "resultcache", "headline"} {
 			if err := run(name, scale, opts, col); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

@@ -91,7 +91,6 @@ func main() {
 		pool       = flag.Int("pool", 0, "connections per node (0 = default of 4)")
 		batch      = flag.Int("batch-items", 0, "ask nodes to cap streamed frames at this many items (0 = node default)")
 		maxMsg     = flag.Int64("max-message-bytes", 0, "reject node messages larger than this (0 = built-in default)")
-		noStream   = flag.Bool("no-stream", false, "force monolithic responses even against streaming-capable nodes")
 		trace      = flag.Bool("trace", false, "trace the query across the deployment and print the span tree")
 		slowQuery  = flag.Duration("slow-query", 0, "log queries slower than this threshold (0 = off)")
 		tenant     = flag.String("tenant", "", "tenant tag stamped on queries and node requests for quota accounting")
@@ -103,14 +102,13 @@ func main() {
 		os.Exit(2)
 	}
 	opts := wire.ClientOptions{
-		DialTimeout:      *timeout,
-		RequestTimeout:   *reqTimeout,
-		MaxRetries:       *retries,
-		PoolSize:         *pool,
-		BatchItems:       *batch,
-		MaxMessageBytes:  *maxMsg,
-		DisableStreaming: *noStream,
-		Tenant:           *tenant,
+		DialTimeout:     *timeout,
+		RequestTimeout:  *reqTimeout,
+		MaxRetries:      *retries,
+		PoolSize:        *pool,
+		BatchItems:      *batch,
+		MaxMessageBytes: *maxMsg,
+		Tenant:          *tenant,
 	}
 	qopts := queryOptions{trace: *trace, slowQuery: *slowQuery, tenant: *tenant, resultCacheBytes: *cacheBytes}
 	if err := run(*configPath, opts, qopts, flag.Args()); err != nil {
@@ -194,9 +192,7 @@ func run(configPath string, opts wire.ClientOptions, qopts queryOptions, args []
 			fmt.Fprintf(os.Stderr, "strategy=%s fragments=%v response=%v (parallel=%v transmission=%v compose=%v)\n",
 				res.Strategy, res.Fragments, res.ResponseTime(), res.ParallelTime, res.TransmissionTime, res.ComposeTime)
 		}
-		// res.Streamed also covers incremental composition of monolithic
-		// responses; only report it when the wire protocol could stream.
-		if res.Streamed && !opts.DisableStreaming {
+		if res.Frames > 0 {
 			fmt.Fprintf(os.Stderr, "streamed: first-item=%v frames=%d bytes=%d\n",
 				res.FirstItemLatency, res.Frames, res.StreamedBytes)
 		}
@@ -276,13 +272,12 @@ func run(configPath string, opts wire.ClientOptions, qopts queryOptions, args []
 		return nil
 
 	case "top":
-		// Workload report: pull telemetry from every node (protocol v5)
-		// and rank fragments by observed load. A fresh CLI process has no
+		// Workload report: pull telemetry from every node and rank fragments by observed load. A fresh CLI process has no
 		// coordinator history of its own — everything shown here is the
 		// nodes' accumulated view.
 		ct := sys.ClusterTelemetry()
 		for _, ns := range ct.Nodes {
-			status := "no telemetry (pre-v5 peer)"
+			status := "no telemetry"
 			if ns.Supported {
 				status = "ok"
 			}

@@ -8,9 +8,7 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"partix/internal/engine"
@@ -30,8 +28,15 @@ type Driver interface {
 	CreateCollection(name string) error
 	// StoreDocument stores one document into a collection.
 	StoreDocument(collection string, doc *xmltree.Document) error
-	// ExecuteQuery runs an XQuery expression on the node.
-	ExecuteQuery(query string) (xquery.Seq, error)
+	// Query runs an XQuery expression on the node — the driver's one
+	// query method. The result is delivered incrementally: yield is called
+	// once per batch, in result order, from the calling goroutine; its
+	// error aborts the delivery (the node stops producing) and is returned.
+	// tag is a correlation identifier the node carries in its logs and
+	// error reports; it costs the node nothing. With trace set the node
+	// also times its processing steps (parse, plan, execute, …) and
+	// returns them; the delivery itself is the same either way.
+	Query(query, tag string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error)
 	// FetchCollection retrieves a whole collection (used by the
 	// coordinator for join reconstruction).
 	FetchCollection(collection string) (*xmltree.Collection, error)
@@ -49,22 +54,12 @@ type Pinger interface {
 	Ping() error
 }
 
-// TracedDriver is an optional Driver extension for distributed query
-// tracing: the node runs the query under the given trace ID and returns
-// its per-step spans (parse, plan, execute, …) alongside the result.
-// Remote drivers carry the ID in the protocol-v3 header; LocalNode
-// times the steps in-process. A driver without this extension is
-// queried via plain ExecuteQuery and contributes no spans.
-type TracedDriver interface {
-	ExecuteQueryTraced(traceID, query string) (xquery.Seq, []obs.Span, error)
-}
-
 // StatisticsProvider is an optional Driver extension for cost-based
 // planning: the node returns its index-derived statistics snapshot for a
 // collection (doc/byte counts, per-path cardinalities and value ranges,
 // and the mutation generation the snapshot describes). (nil, nil) means
-// the node cannot provide statistics — a legacy peer or one running with
-// indexes disabled — and the planner falls back to union-all planning.
+// the node cannot provide statistics — it runs with indexes disabled —
+// and the planner falls back to union-all planning.
 // A driver without this extension is treated the same way.
 type StatisticsProvider interface {
 	CollectionStatistics(collection string) (*engine.CollectionStatistics, error)
@@ -72,10 +67,9 @@ type StatisticsProvider interface {
 
 // TelemetryProvider is an optional Driver extension for cluster-wide
 // workload telemetry: the node returns a snapshot of its metric series
-// and per-fragment heat counters for the coordinator to aggregate.
-// (nil, nil) means the node cannot provide telemetry — a legacy peer —
-// and the aggregation simply reports it as unsupported. A driver
-// without this extension is treated the same way.
+// and per-fragment heat counters for the coordinator to aggregate. A
+// driver without this extension (or one returning (nil, nil)) is
+// reported as unsupported by the aggregation.
 type TelemetryProvider interface {
 	Telemetry() (*obs.TelemetrySnapshot, error)
 }
@@ -108,33 +102,62 @@ func (n *LocalNode) StoreDocument(collection string, doc *xmltree.Document) erro
 	return n.db.PutDocument(collection, doc)
 }
 
-// ExecuteQuery implements Driver.
-func (n *LocalNode) ExecuteQuery(query string) (xquery.Seq, error) {
-	return n.db.Query(query)
+// localStreamBatch is the batch granularity of LocalNode.Query,
+// matching the wire server's default frame size.
+const localStreamBatch = 256
+
+// Query implements Driver for in-process nodes. Results flow straight
+// from the engine's compiled operator pipeline in bounded chunks — the
+// node never materializes the full result, so peak memory stays flat
+// however large the sub-query's answer is. Queries outside the compiled
+// subset materialize through the interpreter and are then re-chunked,
+// preserving the same incremental composition path. A traced query
+// reports the steps a remote node does minus serialize — nothing crosses
+// a wire — so traces over mixed local/remote deployments stay uniform;
+// the time spent inside yield is the consumer's, not the node's, and is
+// left out of the execute step. The tag is unused: an in-process node
+// logs through the coordinator.
+func (n *LocalNode) Query(query, _ string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error) {
+	e, spans, err := engine.ParseTraced(query, trace)
+	if err != nil {
+		return nil, err
+	}
+	var yielding time.Duration
+	execStart := time.Now()
+	total, err := n.db.StreamQueryExpr(e, func(items xquery.Seq) error {
+		start := time.Now()
+		defer func() { yielding += time.Since(start) }()
+		for len(items) > localStreamBatch {
+			if err := yield(items[:localStreamBatch:localStreamBatch]); err != nil {
+				return err
+			}
+			items = items[localStreamBatch:]
+		}
+		if len(items) > 0 {
+			return yield(items[:len(items):len(items)])
+		}
+		return nil
+	})
+	if err != nil || !trace {
+		return nil, err
+	}
+	return append(spans, obs.Span{
+		Name: "execute", Detail: fmt.Sprintf("items=%d", total), Duration: time.Since(execStart) - yielding,
+	}), nil
 }
 
-// ExecuteQueryTraced implements TracedDriver in-process, timing the
-// same steps a remote node reports (minus serialize — nothing crosses
-// a wire) so traces over mixed local/remote deployments stay uniform.
-func (n *LocalNode) ExecuteQueryTraced(traceID, query string) (xquery.Seq, []obs.Span, error) {
-	parseSpan, endParse := obs.StartSpan("parse", "")
-	expr, err := xquery.Parse(query)
-	endParse()
+// ExecuteQuery accumulates Query's batches into one sequence, for
+// callers that want a node's whole answer at once.
+func (n *LocalNode) ExecuteQuery(query string) (xquery.Seq, error) {
+	var out xquery.Seq
+	_, err := n.Query(query, "", false, func(items xquery.Seq) error {
+		out = append(out, items...)
+		return nil
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	planSpan, endPlan := obs.StartSpan("plan", "")
-	hints := xquery.ExtractHints(expr)
-	endPlan()
-	planSpan.Detail = fmt.Sprintf("hints=%d", len(hints))
-	execSpan, endExec := obs.StartSpan("execute", "")
-	items, err := n.db.QueryExpr(expr)
-	endExec()
-	if err != nil {
-		return nil, nil, err
-	}
-	execSpan.Detail = fmt.Sprintf("items=%d", len(items))
-	return items, []obs.Span{*parseSpan, *planSpan, *execSpan}, nil
+	return out, nil
 }
 
 // FetchCollection implements Driver.
@@ -198,41 +221,36 @@ type SubQuery struct {
 	// are tried in order when the primary fails.
 	Replicas []Driver
 	Query    string
-	// TraceID, when set, asks nodes implementing TracedDriver to time
-	// the sub-query's processing steps; the spans land in
-	// SubResult.Spans.
-	TraceID string
-	// Tag is a pure correlation identifier for streamed sub-queries:
-	// nodes implementing TaggedStreamer carry it in their logs and error
-	// frames but do no extra timing. Unlike TraceID it never switches the
-	// execution onto the traced monolithic path.
+	// Tag is the correlation identifier handed to Driver.Query.
 	Tag string
+	// Trace asks the serving node for its processing-step spans; they land
+	// in SubResult.Spans.
+	Trace bool
 }
 
-// SubResult is the measured outcome of one sub-query.
+// SubResult is the measured outcome of one sub-query. The items
+// themselves went to the StreamSink.
 type SubResult struct {
 	Fragment string
 	// Node names the node that actually served the sub-query — a replica,
 	// after failover, rather than the primary.
-	Node string
-	// Items holds the materialized partial result. Streamed executions
-	// leave it nil — the StreamSink consumed the items — and report
-	// ItemCount instead.
-	Items       xquery.Seq
-	ItemCount   int           // items produced (also set when Items is nil)
-	Elapsed     time.Duration // site processing time, measured
-	ResultBytes int           // serialized size of the partial result
+	Node      string
+	ItemCount int // items produced
+	// Elapsed is the site processing time, measured around the driver
+	// call; the coordinator's own sizing of the batches (SeqBytes) is
+	// excluded.
+	Elapsed     time.Duration
+	ResultBytes int // serialized size of the partial result
 	// FirstFrame is the time from sub-query start to its first result
-	// batch; zero for monolithic executions.
+	// batch; zero for an empty result.
 	FirstFrame time.Duration
-	// Frames counts the result batches delivered; zero for monolithic.
+	// Frames counts the result batches delivered.
 	Frames int
 	// Cancelled marks a sub-query stopped early because the sink had
 	// already decided the global result (or skipped before starting).
 	Cancelled bool
 	// Spans are the node's processing-step timings for a traced
-	// sub-query (SubQuery.TraceID set and the serving node implements
-	// TracedDriver); nil otherwise.
+	// sub-query (SubQuery.Trace); nil otherwise.
 	Spans []obs.Span
 }
 
@@ -248,12 +266,8 @@ type ExecResult struct {
 	// TransmissionTime models shipping every sub-query and partial result
 	// over the coordinator's link.
 	TransmissionTime time.Duration
-	// Streamed marks an execution whose results were composed
-	// incrementally by a StreamSink (ExecuteStreamN).
-	Streamed bool
 	// FirstItem is the time from execution start until the first result
-	// item reached the sink — the streamed time-to-first-item. Zero for
-	// monolithic executions and empty results.
+	// item reached the sink. Zero for empty results.
 	FirstItem time.Duration
 	// Frames is the total number of result batches delivered.
 	Frames int
@@ -264,128 +278,6 @@ func (r *ExecResult) ResponseTime() time.Duration {
 	return r.ParallelTime + r.TransmissionTime
 }
 
-// Items concatenates the partial results in sub-query order.
-func (r *ExecResult) Items() xquery.Seq {
-	var out xquery.Seq
-	for _, s := range r.Sub {
-		out = append(out, s.Items...)
-	}
-	return out
-}
-
-// Execute runs the sub-queries one at a time, measuring each site's
-// processing time, and combines them per the cost model. Sequential
-// execution with max-site accounting is the paper's own simulation of
-// intra-query parallelism ("assuming that all fragments are placed at
-// different sites and that the sub-queries are executed in parallel").
-func Execute(subs []SubQuery, cost CostModel) (*ExecResult, error) {
-	res := &ExecResult{}
-	for _, sq := range subs {
-		sub, err := runSub(sq)
-		if err != nil {
-			return nil, err
-		}
-		res.add(sub, cost, len(sq.Query))
-	}
-	return res, nil
-}
-
-// ExecuteConcurrent runs the sub-queries in parallel goroutines — the
-// mode for real distributed deployments, where each sub-query's time
-// includes genuine network and remote processing overlap. Result order
-// matches the sub-query order regardless of completion order. Launch is
-// unbounded; deployments decomposing queries into many sub-queries should
-// use ExecuteConcurrentN.
-func ExecuteConcurrent(subs []SubQuery, cost CostModel) (*ExecResult, error) {
-	return ExecuteConcurrentN(subs, cost, 0)
-}
-
-// ExecuteConcurrentN is ExecuteConcurrent with at most maxConcurrent
-// sub-queries in flight at once (0 means unlimited). The cap is
-// independent of the CostModel: it bounds real coordinator resources
-// (goroutines, sockets, node load), not the simulated network.
-func ExecuteConcurrentN(subs []SubQuery, cost CostModel, maxConcurrent int) (*ExecResult, error) {
-	type outcome struct {
-		sub SubResult
-		err error
-	}
-	outcomes := make([]outcome, len(subs))
-	var sem chan struct{}
-	if maxConcurrent > 0 {
-		sem = make(chan struct{}, maxConcurrent)
-	}
-	var wg sync.WaitGroup
-	for i, sq := range subs {
-		wg.Add(1)
-		go func(i int, sq SubQuery) {
-			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
-			sub, err := runSub(sq)
-			outcomes[i] = outcome{sub: sub, err: err}
-		}(i, sq)
-	}
-	wg.Wait()
-	res := &ExecResult{}
-	for i, o := range outcomes {
-		if o.err != nil {
-			return nil, o.err
-		}
-		res.add(o.sub, cost, len(subs[i].Query))
-	}
-	return res, nil
-}
-
-func runSub(sq SubQuery) (SubResult, error) {
-	obs.ClusterSubQueries.Inc()
-	start := time.Now()
-	items, spans, servedBy, err := executeWithFailover(sq)
-	elapsed := time.Since(start)
-	if err != nil {
-		return SubResult{}, err
-	}
-	return SubResult{
-		Fragment:    sq.Fragment,
-		Node:        servedBy,
-		Items:       items,
-		ItemCount:   len(items),
-		Elapsed:     elapsed,
-		ResultBytes: SeqBytes(items),
-		Spans:       spans,
-	}, nil
-}
-
-// executeWithFailover tries the primary node, then each replica in turn,
-// reporting the name of the node that actually answered. When every copy
-// fails, the error names each node tried with its own failure.
-func executeWithFailover(sq SubQuery) (xquery.Seq, []obs.Span, string, error) {
-	nodes := make([]Driver, 0, 1+len(sq.Replicas))
-	nodes = append(nodes, sq.Node)
-	nodes = append(nodes, sq.Replicas...)
-	var errs []error
-	for i, node := range nodes {
-		if i > 0 {
-			obs.ClusterFailovers.Inc()
-		}
-		var items xquery.Seq
-		var spans []obs.Span
-		var err error
-		if td, ok := node.(TracedDriver); ok && sq.TraceID != "" {
-			items, spans, err = td.ExecuteQueryTraced(sq.TraceID, sq.Query)
-		} else {
-			items, err = node.ExecuteQuery(sq.Query)
-		}
-		if err == nil {
-			return items, spans, node.Name(), nil
-		}
-		errs = append(errs, fmt.Errorf("node %s: %w", node.Name(), err))
-	}
-	return nil, nil, "", fmt.Errorf("cluster: sub-query on fragment %q failed on all %d copies: %w",
-		sq.Fragment, len(nodes), errors.Join(errs...))
-}
-
 func (r *ExecResult) add(sub SubResult, cost CostModel, queryBytes int) {
 	r.Sub = append(r.Sub, sub)
 	r.TotalWork += sub.Elapsed
@@ -393,6 +285,7 @@ func (r *ExecResult) add(sub SubResult, cost CostModel, queryBytes int) {
 		r.ParallelTime = sub.Elapsed
 	}
 	r.TransmissionTime += cost.Transmission(queryBytes+sub.ResultBytes) + cost.MessageLatency
+	r.Frames += sub.Frames
 }
 
 // SeqBytes is the serialized size of a result sequence: XML text for

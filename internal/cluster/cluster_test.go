@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"partix/internal/engine"
+	"partix/internal/obs"
 	"partix/internal/storage"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
@@ -72,10 +73,11 @@ func TestExecuteMeasuresSlowestSite(t *testing.T) {
 	n0, n1 := testNode(t, "n0"), testNode(t, "n1")
 	loadDocs(t, n0, "a", 2)
 	loadDocs(t, n1, "b", 50) // heavier site
+	sink := NewBufferSink(2)
 	res, err := Execute([]SubQuery{
 		{Fragment: "fa", Node: n0, Query: `collection("a")/Item/Code`},
 		{Fragment: "fb", Node: n1, Query: `collection("b")/Item/Code`},
-	}, NoNetwork)
+	}, NoNetwork, 1, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestExecuteMeasuresSlowestSite(t *testing.T) {
 	if res.TotalWork != res.Sub[0].Elapsed+res.Sub[1].Elapsed {
 		t.Fatal("TotalWork is not the sum")
 	}
-	if got := len(res.Items()); got != 52 {
+	if got := len(sink.Concat()); got != 52 {
 		t.Fatalf("items = %d", got)
 	}
 	if res.TransmissionTime != 0 {
@@ -102,16 +104,17 @@ func TestExecuteMeasuresSlowestSite(t *testing.T) {
 func TestExecuteChargesTransmission(t *testing.T) {
 	n := testNode(t, "n0")
 	loadDocs(t, n, "c", 5)
+	sink := NewBufferSink(1)
 	res, err := Execute([]SubQuery{
 		{Fragment: "f", Node: n, Query: `collection("c")/Item`},
-	}, GigabitEthernet)
+	}, GigabitEthernet, 1, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TransmissionTime <= 0 {
 		t.Fatal("no transmission charged")
 	}
-	wantBytes := SeqBytes(res.Sub[0].Items)
+	wantBytes := SeqBytes(sink.Parts[0])
 	if res.Sub[0].ResultBytes != wantBytes {
 		t.Fatalf("result bytes %d != %d", res.Sub[0].ResultBytes, wantBytes)
 	}
@@ -121,7 +124,7 @@ func TestExecutePropagatesErrors(t *testing.T) {
 	n := testNode(t, "n0")
 	_, err := Execute([]SubQuery{
 		{Fragment: "f", Node: n, Query: `collection("ghost")/X`},
-	}, NoNetwork)
+	}, NoNetwork, 1, NewBufferSink(1))
 	if err == nil {
 		t.Fatal("error not propagated")
 	}
@@ -149,8 +152,8 @@ func TestSeqBytes(t *testing.T) {
 	}
 }
 
-// countingDriver is a stub node that records how many ExecuteQuery calls
-// run simultaneously.
+// countingDriver is a stub node that records how many Query calls run
+// simultaneously; it answers with the query text itself.
 type countingDriver struct {
 	name    string
 	inUse   atomic.Int32
@@ -167,7 +170,7 @@ func (d *countingDriver) FetchCollection(string) (*xmltree.Collection, error) {
 func (d *countingDriver) CollectionStats(string) (storage.Stats, error) {
 	return storage.Stats{}, nil
 }
-func (d *countingDriver) ExecuteQuery(query string) (xquery.Seq, error) {
+func (d *countingDriver) Query(query, _ string, _ bool, yield func(xquery.Seq) error) ([]obs.Span, error) {
 	cur := d.inUse.Add(1)
 	for {
 		seen := d.maxSeen.Load()
@@ -177,17 +180,18 @@ func (d *countingDriver) ExecuteQuery(query string) (xquery.Seq, error) {
 	}
 	time.Sleep(time.Millisecond)
 	d.inUse.Add(-1)
-	return xquery.Seq{query}, nil
+	return nil, yield(xquery.Seq{query})
 }
 
-func TestExecuteConcurrentBounded(t *testing.T) {
+func TestExecuteBoundsInFlight(t *testing.T) {
 	const subQueries, limit = 100, 8
 	d := &countingDriver{name: "n"}
 	subs := make([]SubQuery, subQueries)
 	for i := range subs {
 		subs[i] = SubQuery{Fragment: fmt.Sprintf("f%d", i), Node: d, Query: fmt.Sprintf("q%03d", i)}
 	}
-	res, err := ExecuteConcurrentN(subs, NoNetwork, limit)
+	sink := NewBufferSink(subQueries)
+	res, err := Execute(subs, NoNetwork, limit, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +199,9 @@ func TestExecuteConcurrentBounded(t *testing.T) {
 		t.Fatalf("sub results = %d, want %d", len(res.Sub), subQueries)
 	}
 	// Results stay in sub-query order regardless of completion order.
-	for i, sub := range res.Sub {
-		if want := fmt.Sprintf("q%03d", i); xquery.ItemString(sub.Items[0]) != want {
-			t.Fatalf("result %d is %v, want %s", i, sub.Items[0], want)
+	for i, part := range sink.Parts {
+		if want := fmt.Sprintf("q%03d", i); xquery.ItemString(part[0]) != want {
+			t.Fatalf("result %d is %v, want %s", i, part[0], want)
 		}
 	}
 	if seen := d.maxSeen.Load(); seen > limit {
@@ -214,7 +218,7 @@ type downDriver struct {
 	countingDriver
 }
 
-func (d *downDriver) ExecuteQuery(string) (xquery.Seq, error) {
+func (d *downDriver) Query(string, string, bool, func(xquery.Seq) error) ([]obs.Span, error) {
 	return nil, fmt.Errorf("%s is down", d.name)
 }
 
@@ -224,7 +228,7 @@ func TestFailoverErrorNamesEveryNodeTried(t *testing.T) {
 	r2 := &downDriver{countingDriver{name: "n2"}}
 	_, err := Execute([]SubQuery{{
 		Fragment: "f", Node: primary, Replicas: []Driver{r1, r2}, Query: "q",
-	}}, NoNetwork)
+	}}, NoNetwork, 1, NewBufferSink(1))
 	if err == nil {
 		t.Fatal("all-copies-down sub-query succeeded")
 	}
@@ -240,7 +244,7 @@ func TestFailoverReportsServingReplica(t *testing.T) {
 	replica := &countingDriver{name: "n1"}
 	res, err := Execute([]SubQuery{{
 		Fragment: "f", Node: primary, Replicas: []Driver{replica}, Query: "q",
-	}}, NoNetwork)
+	}}, NoNetwork, 1, NewBufferSink(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,19 +253,19 @@ func TestFailoverReportsServingReplica(t *testing.T) {
 	}
 }
 
-func TestExecuteConcurrentUnlimitedStillOrdered(t *testing.T) {
+func TestExecuteUnlimitedStillOrdered(t *testing.T) {
 	d := &countingDriver{name: "n"}
 	subs := make([]SubQuery, 20)
 	for i := range subs {
 		subs[i] = SubQuery{Fragment: fmt.Sprintf("f%d", i), Node: d, Query: fmt.Sprintf("q%02d", i)}
 	}
-	res, err := ExecuteConcurrent(subs, NoNetwork)
-	if err != nil {
+	sink := NewBufferSink(len(subs))
+	if _, err := Execute(subs, NoNetwork, 0, sink); err != nil {
 		t.Fatal(err)
 	}
-	for i, sub := range res.Sub {
-		if want := fmt.Sprintf("q%02d", i); xquery.ItemString(sub.Items[0]) != want {
-			t.Fatalf("result %d is %v, want %s", i, sub.Items[0], want)
+	for i, part := range sink.Parts {
+		if want := fmt.Sprintf("q%02d", i); xquery.ItemString(part[0]) != want {
+			t.Fatalf("result %d is %v, want %s", i, part[0], want)
 		}
 	}
 }

@@ -11,29 +11,9 @@ import (
 	"partix/internal/xquery"
 )
 
-// Streamer is an optional Driver extension: the node delivers a query's
-// result incrementally, one batch at a time, instead of as one
-// materialized sequence. Remote drivers implement it with the chunked
-// frame protocol; LocalNode implements it natively. yield is called from
-// the streaming goroutine in result order; its error aborts the stream
-// and is returned from StreamQuery (drivers may give specific errors a
-// cancellation meaning, as the wire client does with its ErrStop).
-type Streamer interface {
-	StreamQuery(query string, yield func(xquery.Seq) error) error
-}
-
-// TaggedStreamer is an optional Streamer extension: the stream carries a
-// correlation tag the node echoes in its slow-query log lines and error
-// frames, so a failed or slow sub-query joins across coordinator and
-// node logs. Tagging is free — the node times nothing extra — which is
-// what distinguishes it from tracing (TracedDriver).
-type TaggedStreamer interface {
-	StreamQueryTagged(tag, query string, yield func(xquery.Seq) error) error
-}
-
-// StreamSink consumes partial results during a streamed execution.
-// Batch is never called concurrently — the executor serializes delivery
-// across sub-queries — so implementations need no locking of their own.
+// StreamSink consumes partial results during an execution. Batch is
+// never called concurrently — the scheduler serializes delivery across
+// sub-queries — so implementations need no locking of their own.
 type StreamSink interface {
 	// Batch receives one batch of sub-query sub's result items, in the
 	// node's result order. Returning stop cancels every remaining stream
@@ -44,6 +24,40 @@ type StreamSink interface {
 	// called when a stream fails mid-flight and the executor fails over
 	// to a replica, which re-delivers the sub-query from the start.
 	Reset(sub int)
+}
+
+// BufferSink is the StreamSink that keeps everything: batches accumulate
+// per sub-query, preserving sub-query order for the ∪ reconstruction
+// regardless of arrival interleaving.
+type BufferSink struct {
+	Parts []xquery.Seq
+}
+
+// NewBufferSink returns a sink for n sub-queries.
+func NewBufferSink(n int) *BufferSink {
+	return &BufferSink{Parts: make([]xquery.Seq, n)}
+}
+
+// Batch implements StreamSink.
+func (b *BufferSink) Batch(sub int, items xquery.Seq) (bool, error) {
+	b.Parts[sub] = append(b.Parts[sub], items...)
+	return false, nil
+}
+
+// Reset implements StreamSink (replica failover re-delivery).
+func (b *BufferSink) Reset(sub int) { b.Parts[sub] = nil }
+
+// Concat returns the partial results concatenated in sub-query order.
+func (b *BufferSink) Concat() xquery.Seq {
+	n := 0
+	for _, p := range b.Parts {
+		n += len(p)
+	}
+	out := make(xquery.Seq, 0, n)
+	for _, p := range b.Parts {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // errStreamStop aborts a node stream whose output is no longer needed.
@@ -57,7 +71,7 @@ type sinkFailure struct{ cause error }
 func (e *sinkFailure) Error() string { return e.cause.Error() }
 func (e *sinkFailure) Unwrap() error { return e.cause }
 
-// streamState is the shared consumer side of one streamed execution.
+// streamState is the shared consumer side of one execution.
 type streamState struct {
 	sink    StreamSink
 	start   time.Time
@@ -86,63 +100,78 @@ func (st *streamState) reset(sub int) {
 	st.sink.Reset(sub)
 }
 
-// ExecuteStreamN is ExecuteConcurrentN with incremental composition:
-// instead of materializing every sub-result and concatenating afterwards,
-// each sub-query's batches are handed to sink as they arrive, so the
-// coordinator composes while slower nodes are still transmitting. Items
-// are not retained in the SubResults (the sink owns the data);
-// ResultBytes, ItemCount and the frame counters are still accounted.
-// When sink signals stop, in-flight streams are cancelled (streaming
-// drivers stop their node producing) and queued sub-queries are skipped,
-// their SubResults marked Cancelled.
-func ExecuteStreamN(subs []SubQuery, cost CostModel, maxConcurrent int, sink StreamSink) (*ExecResult, error) {
+// Execute is the one sub-query scheduler: it runs the sub-queries with
+// at most inflight of them in progress (0 means all at once), taking
+// them in order, and hands each sub-query's batches to sink as they
+// arrive, so the coordinator composes while slower nodes are still
+// transmitting. The in-flight limit is the whole execution policy.
+// inflight = 1 runs the sub-queries one after another on the calling
+// goroutine with slowest-site accounting — the paper's own simulation of
+// intra-query parallelism ("assuming that all fragments are placed at
+// different sites and that the sub-queries are executed in parallel").
+// A larger limit is a real deployment, where each sub-query's time
+// includes genuine network and remote processing overlap; the cap then
+// bounds coordinator resources (goroutines, sockets, node load) and is
+// independent of the CostModel. SubResults keep sub-query order whatever
+// the completion order. When sink signals stop, in-flight deliveries are
+// cancelled (the drivers stop their node producing) and sub-queries not
+// yet started are skipped, their SubResults marked Cancelled.
+func Execute(subs []SubQuery, cost CostModel, inflight int, sink StreamSink) (*ExecResult, error) {
 	type outcome struct {
 		sub SubResult
 		err error
 	}
 	outcomes := make([]outcome, len(subs))
-	var sem chan struct{}
-	if maxConcurrent > 0 {
-		sem = make(chan struct{}, maxConcurrent)
-	}
 	st := &streamState{sink: sink, start: time.Now()}
-	var wg sync.WaitGroup
-	for i, sq := range subs {
-		wg.Add(1)
-		go func(i int, sq SubQuery) {
-			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
-			if st.stopped.Load() {
-				outcomes[i] = outcome{sub: SubResult{Fragment: sq.Fragment, Cancelled: true}}
+	var next atomic.Int64
+	worker := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(subs) {
 				return
 			}
-			sub, err := runSubStream(i, sq, st)
-			outcomes[i] = outcome{sub: sub, err: err}
-		}(i, sq)
+			if st.stopped.Load() {
+				outcomes[i].sub = SubResult{Fragment: subs[i].Fragment, Cancelled: true}
+				continue
+			}
+			outcomes[i].sub, outcomes[i].err = runSub(i, subs[i], st)
+			if outcomes[i].err != nil {
+				st.stopped.Store(true) // the execution fails; stop spending on it
+			}
+		}
 	}
-	wg.Wait()
-	res := &ExecResult{Streamed: true}
+	if inflight <= 0 || inflight > len(subs) {
+		inflight = len(subs)
+	}
+	if inflight <= 1 {
+		worker()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < inflight; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				worker()
+			}()
+		}
+		wg.Wait()
+	}
+	res := &ExecResult{FirstItem: st.firstItem}
 	for i, o := range outcomes {
 		if o.err != nil {
 			return nil, o.err
 		}
 		res.add(o.sub, cost, len(subs[i].Query))
-		res.Frames += o.sub.Frames
 	}
-	st.mu.Lock()
-	res.FirstItem = st.firstItem
-	st.mu.Unlock()
 	return res, nil
 }
 
-// runSubStream streams one sub-query into the shared sink, failing over
-// to replicas like runSub. A failover after partial delivery resets the
-// sink's state for this sub-query first, so the replica's re-delivery
-// starts from a clean slate and nothing is seen twice.
-func runSubStream(i int, sq SubQuery, st *streamState) (SubResult, error) {
+// runSub delivers one sub-query into the shared sink, trying the primary
+// node, then each replica in turn. A failover after partial delivery
+// resets the sink's state for this sub-query first, so the replica's
+// re-delivery starts from a clean slate and nothing is seen twice. When
+// every copy fails, the error names each node tried with its own failure.
+func runSub(i int, sq SubQuery, st *streamState) (SubResult, error) {
 	obs.ClusterSubQueries.Inc()
 	nodes := make([]Driver, 0, 1+len(sq.Replicas))
 	nodes = append(nodes, sq.Node)
@@ -157,18 +186,20 @@ func runSubStream(i int, sq SubQuery, st *streamState) (SubResult, error) {
 			return SubResult{Fragment: sq.Fragment, Node: node.Name(), Cancelled: true}, nil
 		}
 		start := time.Now()
-		var firstFrame time.Duration
+		var firstFrame, sizing time.Duration
 		frames, bytes, count := 0, 0, 0
-		yield := func(items xquery.Seq) error {
+		spans, err := node.Query(sq.Query, sq.Tag, sq.Trace, func(items xquery.Seq) error {
 			if st.stopped.Load() {
 				return errStreamStop
 			}
+			sizeStart := time.Now()
 			if frames == 0 {
-				firstFrame = time.Since(start)
+				firstFrame = sizeStart.Sub(start)
 			}
 			frames++
 			bytes += SeqBytes(items)
 			count += len(items)
+			sizing += time.Since(sizeStart)
 			stop, err := st.deliver(i, items)
 			if err != nil {
 				return &sinkFailure{cause: err}
@@ -177,23 +208,10 @@ func runSubStream(i int, sq SubQuery, st *streamState) (SubResult, error) {
 				return errStreamStop
 			}
 			return nil
-		}
-		var err error
-		if ts, ok := node.(TaggedStreamer); ok && sq.Tag != "" {
-			err = ts.StreamQueryTagged(sq.Tag, sq.Query, yield)
-		} else if str, ok := node.(Streamer); ok {
-			err = str.StreamQuery(sq.Query, yield)
-		} else {
-			// Driver without streaming support: one monolithic batch.
-			var items xquery.Seq
-			items, err = node.ExecuteQuery(sq.Query)
-			if err == nil {
-				err = yield(items)
-			}
-		}
+		})
 		sub := SubResult{
-			Fragment: sq.Fragment, Node: node.Name(), Elapsed: time.Since(start),
-			ResultBytes: bytes, ItemCount: count, FirstFrame: firstFrame, Frames: frames,
+			Fragment: sq.Fragment, Node: node.Name(), Elapsed: time.Since(start) - sizing,
+			ResultBytes: bytes, ItemCount: count, FirstFrame: firstFrame, Frames: frames, Spans: spans,
 		}
 		if err == nil {
 			return sub, nil
@@ -216,35 +234,4 @@ func runSubStream(i int, sq SubQuery, st *streamState) (SubResult, error) {
 	}
 	return SubResult{}, fmt.Errorf("cluster: sub-query on fragment %q failed on all %d copies: %w",
 		sq.Fragment, len(nodes), errors.Join(errs...))
-}
-
-// localStreamBatch is the batch granularity of LocalNode.StreamQuery,
-// matching the wire server's default frame size.
-const localStreamBatch = 256
-
-// StreamQuery implements Streamer for in-process nodes. Results flow
-// straight from the engine's compiled operator pipeline in bounded
-// chunks — the node never materializes the full result, so peak memory
-// stays flat however large the sub-query's answer is. Queries outside
-// the compiled subset materialize through the interpreter and are then
-// re-chunked, preserving the same incremental composition path. yield's
-// error aborts the delivery and is returned.
-func (n *LocalNode) StreamQuery(query string, yield func(xquery.Seq) error) error {
-	e, err := xquery.Parse(query)
-	if err != nil {
-		return err
-	}
-	_, err = n.db.StreamQueryExpr(e, func(items xquery.Seq) error {
-		for len(items) > localStreamBatch {
-			if err := yield(items[:localStreamBatch:localStreamBatch]); err != nil {
-				return err
-			}
-			items = items[localStreamBatch:]
-		}
-		if len(items) > 0 {
-			return yield(items[:len(items):len(items)])
-		}
-		return nil
-	})
-	return err
 }

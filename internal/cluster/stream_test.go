@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"partix/internal/obs"
+	"partix/internal/xmltree"
 	"partix/internal/xquery"
 )
 
@@ -34,50 +37,68 @@ func (r *recordSink) concat() xquery.Seq {
 	return out
 }
 
-// Streamed execution composes the same items in the same order as the
-// monolithic path, with frame accounting on top.
-func TestExecuteStreamMatchesExecute(t *testing.T) {
+// Whatever the in-flight limit, the scheduler composes exactly what the
+// centralized oracle — the engine evaluating each sub-query whole —
+// returns, in sub-query order, with frame accounting on top.
+func TestExecuteMatchesOracle(t *testing.T) {
 	n0, n1 := testNode(t, "n0"), testNode(t, "n1")
-	loadDocs(t, n0, "a", 30)
+	loadDocs(t, n0, "a", localStreamBatch+30)
 	loadDocs(t, n1, "b", 7)
 	subs := []SubQuery{
 		{Fragment: "fa", Node: n0, Query: `collection("a")/Item/Code`},
 		{Fragment: "fb", Node: n1, Query: `collection("b")/Item/Code`},
 	}
-	mono, err := Execute(subs, NoNetwork)
+	oracle := make([]xquery.Seq, len(subs))
+	for i, sq := range subs {
+		var err error
+		if oracle[i], err = sq.Node.(*LocalNode).DB().Query(sq.Query); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, inflight := range []int{1, 2, 0} {
+		sink := &recordSink{parts: make([]xquery.Seq, len(subs))}
+		res, err := Execute(subs, NoNetwork, inflight, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Frames != 3 || res.FirstItem == 0 {
+			t.Fatalf("inflight=%d: frames = %d (want 2 + 1), first item %v", inflight, res.Frames, res.FirstItem)
+		}
+		for i, sub := range res.Sub {
+			want, got := oracle[i], sink.parts[i]
+			if len(want) != len(got) || sub.ItemCount != len(want) {
+				t.Fatalf("inflight=%d sub %d: %d items (count %d), oracle %d", inflight, i, len(got), sub.ItemCount, len(want))
+			}
+			for j := range want {
+				if xquery.ItemString(want[j]) != xquery.ItemString(got[j]) {
+					t.Fatalf("inflight=%d sub %d item %d differs: %v vs %v", inflight, i, j, got[j], want[j])
+				}
+			}
+			if sub.ResultBytes != SeqBytes(want) {
+				t.Fatalf("inflight=%d sub %d ResultBytes = %d, want %d", inflight, i, sub.ResultBytes, SeqBytes(want))
+			}
+		}
+	}
+}
+
+// The site clock stops while the coordinator sizes a batch: a node that
+// answers instantly with a result that is expensive to serialize must
+// not look like a slow site.
+func TestSizingStaysOutOfSiteClock(t *testing.T) {
+	root := xmltree.NewElement("big")
+	for i := 0; i < 200000; i++ {
+		root.Append(xmltree.NewElement("c", xmltree.NewText("payload")))
+	}
+	d := &batchDriver{countingDriver: countingDriver{name: "n0"}, items: xquery.Seq{root}}
+	start := time.Now()
+	res, err := Execute([]SubQuery{{Fragment: "f", Node: d, Query: "q"}}, NoNetwork, 1, NewBufferSink(1))
+	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &recordSink{parts: make([]xquery.Seq, len(subs))}
-	res, err := ExecuteStreamN(subs, NoNetwork, 0, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := mono.Items(), sink.concat()
-	if len(want) != len(got) {
-		t.Fatalf("streamed %d items, monolithic %d", len(got), len(want))
-	}
-	for i := range want {
-		if xquery.ItemString(want[i]) != xquery.ItemString(got[i]) {
-			t.Fatalf("item %d differs: %v vs %v", i, got[i], want[i])
-		}
-	}
-	if !res.Streamed {
-		t.Fatal("result not marked streamed")
-	}
-	if res.Frames < 2 {
-		t.Fatalf("frames = %d, want one per sub at least", res.Frames)
-	}
-	for i, sub := range res.Sub {
-		if sub.Items != nil {
-			t.Fatalf("sub %d retained items in streamed mode", i)
-		}
-		if sub.ItemCount != len(mono.Sub[i].Items) {
-			t.Fatalf("sub %d ItemCount = %d, want %d", i, sub.ItemCount, len(mono.Sub[i].Items))
-		}
-		if sub.ResultBytes != mono.Sub[i].ResultBytes {
-			t.Fatalf("sub %d ResultBytes = %d, want %d", i, sub.ResultBytes, mono.Sub[i].ResultBytes)
-		}
+	if res.Sub[0].ResultBytes == 0 || res.Sub[0].Elapsed > wall/2 {
+		t.Fatalf("site elapsed %v of %v wall: sizing %d bytes was charged to the site",
+			res.Sub[0].Elapsed, wall, res.Sub[0].ResultBytes)
 	}
 }
 
@@ -89,14 +110,14 @@ type batchDriver struct {
 	delivered atomic.Int32
 }
 
-func (d *batchDriver) StreamQuery(query string, yield func(xquery.Seq) error) error {
+func (d *batchDriver) Query(_, _ string, _ bool, yield func(xquery.Seq) error) ([]obs.Span, error) {
 	for _, it := range d.items {
 		if err := yield(xquery.Seq{it}); err != nil {
-			return err
+			return nil, err
 		}
 		d.delivered.Add(1)
 	}
-	return nil
+	return nil, nil
 }
 
 // A sink that stops mid-stream cancels the in-flight streams: drivers
@@ -112,7 +133,7 @@ func TestExecuteStreamEarlyStop(t *testing.T) {
 	d0 := &batchDriver{countingDriver: countingDriver{name: "n0"}, items: mkItems(100)}
 	subs := []SubQuery{{Fragment: "f0", Node: d0, Query: "q0"}}
 	sink := &recordSink{parts: make([]xquery.Seq, 1), stopAt: 3}
-	res, err := ExecuteStreamN(subs, NoNetwork, 0, sink)
+	res, err := Execute(subs, NoNetwork, 0, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +159,7 @@ func TestExecuteStreamStopSkipsQueued(t *testing.T) {
 		subs[i] = SubQuery{Fragment: fmt.Sprintf("f%d", i), Node: drivers[i], Query: "q"}
 	}
 	sink := &recordSink{parts: make([]xquery.Seq, n), stopAt: 1}
-	res, err := ExecuteStreamN(subs, NoNetwork, 1, sink)
+	res, err := Execute(subs, NoNetwork, 1, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,16 +185,16 @@ type failingStreamer struct {
 	failAfter int
 }
 
-func (d *failingStreamer) StreamQuery(query string, yield func(xquery.Seq) error) error {
+func (d *failingStreamer) Query(_, _ string, _ bool, yield func(xquery.Seq) error) ([]obs.Span, error) {
 	for i, it := range d.items {
 		if i == d.failAfter {
-			return fmt.Errorf("%s: link died mid-stream", d.name)
+			return nil, fmt.Errorf("%s: link died mid-stream", d.name)
 		}
 		if err := yield(xquery.Seq{it}); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 func TestExecuteStreamFailoverResetsPartialDelivery(t *testing.T) {
@@ -182,7 +203,7 @@ func TestExecuteStreamFailoverResetsPartialDelivery(t *testing.T) {
 	replica := &batchDriver{countingDriver: countingDriver{name: "n1"}, items: items}
 	subs := []SubQuery{{Fragment: "f", Node: primary, Replicas: []Driver{replica}, Query: "q"}}
 	sink := &recordSink{parts: make([]xquery.Seq, 1)}
-	res, err := ExecuteStreamN(subs, NoNetwork, 0, sink)
+	res, err := Execute(subs, NoNetwork, 0, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +227,7 @@ func TestExecuteStreamSinkErrorAborts(t *testing.T) {
 	primary := &batchDriver{countingDriver: countingDriver{name: "n0"}, items: xquery.Seq{"a"}}
 	replica := &batchDriver{countingDriver: countingDriver{name: "n1"}, items: xquery.Seq{"a"}}
 	subs := []SubQuery{{Fragment: "f", Node: primary, Replicas: []Driver{replica}, Query: "q"}}
-	_, err := ExecuteStreamN(subs, NoNetwork, 0, errorSink{})
+	_, err := Execute(subs, NoNetwork, 0, errorSink{})
 	if err == nil || err.Error() != "sink rejected" {
 		t.Fatalf("err = %v, want the sink's own error", err)
 	}
@@ -220,31 +241,13 @@ type errorSink struct{}
 func (errorSink) Batch(int, xquery.Seq) (bool, error) { return false, fmt.Errorf("sink rejected") }
 func (errorSink) Reset(int)                           {}
 
-// Drivers without streaming support deliver one monolithic batch, so
-// mixed fleets compose correctly.
-func TestExecuteStreamAdaptsNonStreamer(t *testing.T) {
-	d := &countingDriver{name: "n0"} // no StreamQuery method
-	subs := []SubQuery{{Fragment: "f", Node: d, Query: "the-query"}}
-	sink := &recordSink{parts: make([]xquery.Seq, 1)}
-	res, err := ExecuteStreamN(subs, NoNetwork, 0, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sink.batches != 1 || len(sink.concat()) != 1 {
-		t.Fatalf("non-streamer adapted into %d batches, want 1", sink.batches)
-	}
-	if res.Sub[0].Frames != 1 || res.Sub[0].ItemCount != 1 {
-		t.Fatalf("accounting wrong: %+v", res.Sub[0])
-	}
-}
-
 // LocalNode streams natively in bounded batches.
 func TestLocalNodeStreams(t *testing.T) {
 	n := testNode(t, "n0")
 	loadDocs(t, n, "c", localStreamBatch+10)
 	var got xquery.Seq
 	batches := 0
-	err := n.StreamQuery(`collection("c")/Item/Code`, func(s xquery.Seq) error {
+	_, err := n.Query(`collection("c")/Item/Code`, "", false, func(s xquery.Seq) error {
 		if len(s) > localStreamBatch {
 			t.Fatalf("batch of %d items exceeds %d", len(s), localStreamBatch)
 		}

@@ -460,6 +460,24 @@ func (db *DB) Query(query string) (xquery.Seq, error) {
 	return db.QueryExpr(e)
 }
 
+// ParseTraced parses a sub-query. With trace set it also returns the
+// first two processing steps a node reports for a traced sub-query:
+// parse (query text → AST) and plan (index-hint extraction — the
+// node-local planning the engine repeats inside evaluation).
+func ParseTraced(query string, trace bool) (xquery.Expr, []obs.Span, error) {
+	start := time.Now()
+	e, err := xquery.Parse(query)
+	if err != nil || !trace {
+		return e, nil, err
+	}
+	parsed := time.Now()
+	hints := xquery.ExtractHints(e)
+	return e, []obs.Span{
+		{Name: "parse", Duration: parsed.Sub(start)},
+		{Name: "plan", Detail: fmt.Sprintf("hints=%d", len(hints)), Duration: time.Since(parsed)},
+	}, nil
+}
+
 // QueryExpr executes a parsed query: through the compiled vectorized
 // pipeline when the query is inside the compiled subset (and
 // Options.DisableCompiledExec is off), through the tree-walking

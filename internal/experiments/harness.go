@@ -32,9 +32,9 @@ type Measurement struct {
 	// coordinator (the "bytes on wire" of the cost model).
 	Bytes int
 	// FirstItem is the time until the first result item reached the
-	// coordinator; zero for monolithic (non-streamed) executions.
+	// coordinator; zero for empty results and whole-fragment fetches.
 	FirstItem time.Duration
-	// Frames is the number of result batches received (streamed runs).
+	// Frames is the number of sub-query result batches received.
 	Frames int
 }
 
@@ -223,12 +223,9 @@ func MeasureQuery(sys *partix.System, query string, repeats int) (Measurement, e
 	return m, nil
 }
 
-// resultBytes is the serialized size of the partial results a query
-// shipped, whichever path produced them.
+// resultBytes is the serialized size of the partial results (or whole
+// fragments) a query shipped.
 func resultBytes(res *partix.QueryResult) int {
-	if res.StreamedBytes > 0 {
-		return res.StreamedBytes
-	}
 	total := 0
 	for _, sub := range res.Sub {
 		total += sub.ResultBytes

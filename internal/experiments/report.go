@@ -4,28 +4,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
-	"path/filepath"
 	"runtime"
 	"time"
-
-	"partix/internal/engine"
-	"partix/internal/fragmentation"
-	"partix/internal/partix"
-	"partix/internal/toxgene"
-	"partix/internal/wire"
-	"partix/internal/workload"
 )
 
 // Report is the machine-readable form of a partix-bench run, written as
 // JSON so the perf trajectory can be tracked across changes instead of
 // only in prose. Durations are nanoseconds.
 type Report struct {
-	Generated string         `json:"generated"` // RFC 3339
-	Repeats   int            `json:"repeats"`
-	Panels    []PanelReport  `json:"panels,omitempty"`
-	Stream    *StreamCompare `json:"stream,omitempty"`
-	Obs       *ObsCompare    `json:"obs,omitempty"`
+	Generated string        `json:"generated"` // RFC 3339
+	Repeats   int           `json:"repeats"`
+	Panels    []PanelReport `json:"panels,omitempty"`
+	Obs       *ObsCompare   `json:"obs,omitempty"`
 	// ValueIndex is the value-index vs text-index-only comparison
 	// (partix-bench -exp valueindex).
 	ValueIndex *ValueIndexCompare `json:"valueindex,omitempty"`
@@ -73,10 +63,9 @@ type QueryReport struct {
 	Frames         int    `json:"frames,omitempty"`
 }
 
-// NewReport converts the measured panels (and the optional streaming
-// comparison) into the JSON shape.
-func NewReport(repeats int, panels []*Panel, stream *StreamCompare) *Report {
-	r := &Report{Generated: time.Now().UTC().Format(time.RFC3339), Repeats: repeats, Stream: stream}
+// NewReport converts the measured panels into the JSON shape.
+func NewReport(repeats int, panels []*Panel) *Report {
+	r := &Report{Generated: time.Now().UTC().Format(time.RFC3339), Repeats: repeats}
 	for _, p := range panels {
 		pr := PanelReport{ID: p.ID, Title: p.Title}
 		for _, s := range p.Series {
@@ -111,191 +100,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// StreamCompare contrasts the framed wire protocol against the monolithic
-// one on a broadcast union query over real TCP node servers: same
-// deployment, same query, the only difference is DisableStreaming on the
-// coordinator's clients.
-type StreamCompare struct {
-	Query      string     `json:"query"`
-	Docs       int        `json:"docs"`
-	Fragments  int        `json:"fragments"`
-	Items      int        `json:"items"`
-	BatchItems int        `json:"batchItems"`
-	Stream     StreamSide `json:"stream"`
-	Mono       StreamSide `json:"mono"`
-}
-
-// StreamSide is one protocol path's averaged per-query measurements.
-// FirstItemNs for the monolithic path is the wall time until the single
-// response landed — the earliest any item was available. PeakHeapBytes
-// is the highest sampled live-heap growth over the pre-query baseline:
-// the monolithic path holds every fragment's full encoded response while
-// decoding it, the framed path only a batch at a time.
-type StreamSide struct {
-	ResponseNs    int64  `json:"responseNs"`
-	FirstItemNs   int64  `json:"firstItemNs"`
-	Frames        int    `json:"frames"`
-	WireBytes     int    `json:"wireBytes"`
-	AllocsPerOp   uint64 `json:"allocsPerOp"`
-	AllocBytesPer uint64 `json:"allocBytesPerOp"`
-	PeakHeapBytes uint64 `json:"peakHeapBytes"`
-}
-
-// RunStream measures the streamed-vs-monolithic comparison: k wire node
-// servers over loopback TCP, an items collection fragmented horizontally,
-// and a full-collection union query driven by two coordinators — one
-// streaming, one with streaming disabled.
-func RunStream(scale Scale, opts Options) (*StreamCompare, error) {
-	opts = opts.withDefaults()
-	const fragments = 4
-	docs := scale.LargeItems * 4
-
-	dir, rmDir, err := opts.workDir("stream")
-	if err != nil {
-		return nil, err
-	}
-	defer rmDir()
-
-	scheme, err := workload.HorizontalScheme("items", fragments)
-	if err != nil {
-		return nil, err
-	}
-	items := toxgene.GenerateItems(toxgene.ItemsConfig{Docs: docs, Seed: scale.Seed, Large: true})
-
-	// One engine + wire server per fragment.
-	var cleanup []func() error
-	defer func() {
-		for i := len(cleanup) - 1; i >= 0; i-- {
-			cleanup[i]()
-		}
-	}()
-	addrs := make([]string, fragments)
-	for i := 0; i < fragments; i++ {
-		// A warm decoded-tree cache keeps node-side evaluation cheap, so
-		// the comparison isolates the transport: this is a protocol
-		// benchmark, not a paper-fidelity series (those keep the cache off).
-		cache := opts.TreeCacheBytes
-		if cache == 0 {
-			cache = 64 << 20
-		}
-		db, err := engine.Open(filepath.Join(dir, fmt.Sprintf("node%d.db", i)), engine.Options{
-			DisableIndexes: opts.DisableIndexes,
-			DecodeWorkers:  opts.DecodeWorkers,
-			TreeCacheBytes: cache,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cleanup = append(cleanup, db.Close)
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		srv := wire.NewServerWith(db, nil, wire.ServerOptions{})
-		go srv.Serve(l)
-		cleanup = append(cleanup, srv.Close)
-		addrs[i] = l.Addr().String()
-	}
-
-	placement := map[string]string{}
-	for i, f := range scheme.Fragments {
-		placement[f.Name] = fmt.Sprintf("node%d", i)
-	}
-	connect := func(clientOpts wire.ClientOptions) (*partix.System, error) {
-		sys := partix.NewSystem(*opts.Cost)
-		sys.SetConcurrent(true)
-		for i, addr := range addrs {
-			c, err := wire.DialWith(fmt.Sprintf("node%d", i), addr, clientOpts)
-			if err != nil {
-				return nil, err
-			}
-			cleanup = append(cleanup, c.Close)
-			sys.AddNode(c)
-		}
-		return sys, nil
-	}
-	// Large (~80 KB) items: a small batch keeps the first frame early and
-	// the per-frame buffers bounded; the default batch (256) would put a
-	// whole fragment's result in one frame at this scale.
-	const batchItems = 8
-	streamSys, err := connect(wire.ClientOptions{BatchItems: batchItems})
-	if err != nil {
-		return nil, err
-	}
-	monoSys, err := connect(wire.ClientOptions{DisableStreaming: true})
-	if err != nil {
-		return nil, err
-	}
-	if err := streamSys.Publish(items, scheme, placement, partix.PublishOptions{Mode: fragmentation.FragModeSD}); err != nil {
-		return nil, err
-	}
-	// The fragments already live on the nodes; the monolithic coordinator
-	// only needs the metadata.
-	err = monoSys.Catalog().Register(&partix.CollectionMeta{
-		Name: "items", Scheme: scheme, Placement: placement, Mode: fragmentation.FragModeSD,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	cmp := &StreamCompare{
-		Query:      `for $i in collection("items")/Item return $i`,
-		Docs:       docs,
-		Fragments:  fragments,
-		BatchItems: batchItems,
-	}
-	if cmp.Stream, cmp.Items, err = measureStreamSide(streamSys, cmp.Query, opts.Repeats); err != nil {
-		return nil, err
-	}
-	if cmp.Mono, _, err = measureStreamSide(monoSys, cmp.Query, opts.Repeats); err != nil {
-		return nil, err
-	}
-	return cmp, nil
-}
-
-func measureStreamSide(sys *partix.System, query string, repeats int) (StreamSide, int, error) {
-	warm, err := sys.Query(query) // discarded warm-up, as everywhere else
-	if err != nil {
-		return StreamSide{}, 0, err
-	}
-	items := len(warm.Items)
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	var side StreamSide
-	for i := 0; i < repeats; i++ {
-		start := time.Now()
-		res, err := sys.Query(query)
-		wall := time.Since(start)
-		if err != nil {
-			return StreamSide{}, 0, err
-		}
-		first := res.FirstItemLatency
-		if first == 0 {
-			first = wall
-		}
-		side.ResponseNs += wall.Nanoseconds()
-		side.FirstItemNs += first.Nanoseconds()
-		side.Frames += res.Frames
-		side.WireBytes += resultBytes(res)
-	}
-	runtime.ReadMemStats(&after)
-	n := int64(repeats)
-	side.ResponseNs /= n
-	side.FirstItemNs /= n
-	side.Frames /= repeats
-	side.WireBytes /= repeats
-	side.AllocsPerOp = (after.Mallocs - before.Mallocs) / uint64(repeats)
-	side.AllocBytesPer = (after.TotalAlloc - before.TotalAlloc) / uint64(repeats)
-	if side.PeakHeapBytes, err = peakHeapDuring(func() error {
-		_, err := sys.Query(query)
-		return err
-	}); err != nil {
-		return StreamSide{}, 0, err
-	}
-	return side, items, nil
 }
 
 // RunResources is the process-level resource usage of one experiment run:
@@ -367,24 +171,4 @@ func peakHeapDuring(fn func() error) (uint64, error) {
 		return 0, err
 	}
 	return peak - base, nil
-}
-
-// PrintStream renders the comparison for the terminal run.
-func PrintStream(w io.Writer, c *StreamCompare) {
-	fmt.Fprintf(w, "\nStreamed vs monolithic wire protocol — %d docs, %d fragments, %d items, batch %d\n",
-		c.Docs, c.Fragments, c.Items, c.BatchItems)
-	fmt.Fprintf(w, "  query: %s\n", c.Query)
-	row := func(name string, s StreamSide) {
-		fmt.Fprintf(w, "  %-8s response=%-12v first-item=%-12v frames=%-4d wire=%.2f MB  allocs/op=%d (%.2f MB)  peak-heap=%.2f MB\n",
-			name,
-			time.Duration(s.ResponseNs), time.Duration(s.FirstItemNs), s.Frames,
-			float64(s.WireBytes)/1e6, s.AllocsPerOp, float64(s.AllocBytesPer)/1e6,
-			float64(s.PeakHeapBytes)/1e6)
-	}
-	row("stream", c.Stream)
-	row("mono", c.Mono)
-	if c.Mono.FirstItemNs > 0 && c.Stream.FirstItemNs > 0 {
-		fmt.Fprintf(w, "  time-to-first-item %.1fx lower streamed\n",
-			float64(c.Mono.FirstItemNs)/float64(c.Stream.FirstItemNs))
-	}
 }

@@ -19,12 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden report file")
 // sampleReport builds a fully populated report with fixed values, so the
 // JSON shape the BENCH files commit to is pinned by the golden file.
 func sampleReport() *Report {
-	r := NewReport(3, []*Panel{samplePanel()}, &StreamCompare{
-		Query: `for $i in collection("items")/Item return $i`, Docs: 240, Fragments: 4,
-		Items: 240, BatchItems: 8,
-		Stream: StreamSide{ResponseNs: 1500000, FirstItemNs: 200000, Frames: 30, WireBytes: 19000000, AllocsPerOp: 52000, AllocBytesPer: 21000000, PeakHeapBytes: 9000000},
-		Mono:   StreamSide{ResponseNs: 1800000, FirstItemNs: 1700000, Frames: 4, WireBytes: 19000000, AllocsPerOp: 48000, AllocBytesPer: 20000000, PeakHeapBytes: 64000000},
-	})
+	r := NewReport(3, []*Panel{samplePanel()})
 	r.Generated = "2026-01-01T00:00:00Z" // pinned: golden files cannot carry wall time
 	r.Obs = &ObsCompare{
 		Query: `count(collection("items")/Item)`, Docs: 1500, Fragments: 3, Repeats: 3,

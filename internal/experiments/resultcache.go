@@ -286,15 +286,15 @@ func RunResultCache(scale Scale, opts Options) (*ResultCacheCompare, error) {
 
 // slowNode wraps a node driver in a fixed per-query delay, standing in
 // for a node under load. Only the core Driver surface is forwarded, so
-// the wrapped node advertises no streaming or statistics extensions.
+// the wrapped node advertises no statistics extension.
 type slowNode struct {
 	cluster.Driver
 	delay time.Duration
 }
 
-func (n *slowNode) ExecuteQuery(q string) (xquery.Seq, error) {
+func (n *slowNode) Query(q, tag string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error) {
 	time.Sleep(n.delay)
-	return n.Driver.ExecuteQuery(q)
+	return n.Driver.Query(q, tag, trace, yield)
 }
 
 // runQueryMix runs every query in the mix once.

@@ -33,7 +33,6 @@ type QueryRecord struct {
 	DocsPruned  int64            `json:"docsPruned,omitempty"`
 	PlanCached  bool             `json:"planCached,omitempty"`
 	Cached      bool             `json:"cached,omitempty"` // served from the result cache
-	Streamed    bool             `json:"streamed,omitempty"`
 	Compiled    bool             `json:"compiled,omitempty"`
 	IndexOnly   bool             `json:"indexOnly,omitempty"`
 	Slow        bool             `json:"slow,omitempty"`

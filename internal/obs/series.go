@@ -146,5 +146,5 @@ var (
 	TelemetryPulls = Default.NewCounter("partix_telemetry_pulls_total",
 		"Node telemetry snapshots pulled during cluster-wide aggregation.")
 	TelemetryPullErrors = Default.NewCounter("partix_telemetry_pull_errors_total",
-		"Node telemetry pulls that failed or hit a pre-v5 peer.")
+		"Node telemetry pulls that failed.")
 )

@@ -2,7 +2,6 @@ package partix
 
 import (
 	"fmt"
-	"time"
 
 	"partix/internal/cluster"
 	"partix/internal/xquery"
@@ -16,17 +15,10 @@ type fragQuery struct {
 	expr     xquery.Expr
 }
 
-// execution wraps the measured sub-query results.
-type execution struct {
-	res *cluster.ExecResult
-}
-
-// buildSubs resolves fragment queries to cluster sub-queries. A
-// non-empty traceID rides along on every sub-query so nodes can record
-// spans against it; tag is the cheap correlation identifier streamed
-// sub-queries carry for log joining (it never switches a node onto the
-// traced path).
-func (s *System) buildSubs(fqs []fragQuery, traceID, tag string) ([]cluster.SubQuery, error) {
+// buildSubs resolves fragment queries to cluster sub-queries. tag is the
+// correlation identifier every sub-query carries for log joining; trace
+// additionally asks the nodes for their processing-step spans.
+func (s *System) buildSubs(fqs []fragQuery, tag string, trace bool) ([]cluster.SubQuery, error) {
 	subs := make([]cluster.SubQuery, 0, len(fqs))
 	for _, fq := range fqs {
 		node := s.Node(fq.node)
@@ -37,8 +29,8 @@ func (s *System) buildSubs(fqs []fragQuery, traceID, tag string) ([]cluster.SubQ
 			Fragment: fq.fragment,
 			Node:     node,
 			Query:    xquery.Format(fq.expr),
-			TraceID:  traceID,
 			Tag:      tag,
+			Trace:    trace,
 		}
 		for _, r := range fq.replicas {
 			replica := s.Node(r)
@@ -50,99 +42,6 @@ func (s *System) buildSubs(fqs []fragQuery, traceID, tag string) ([]cluster.SubQ
 		subs = append(subs, sub)
 	}
 	return subs, nil
-}
-
-// execute ships the sub-queries through the cluster layer: sequentially
-// with slowest-site accounting by default (the paper's methodology), or
-// in parallel goroutines when the system runs in concurrent mode.
-func (s *System) execute(fqs []fragQuery, traceID, tag string) (*execution, error) {
-	subs, err := s.buildSubs(fqs, traceID, tag)
-	if err != nil {
-		return nil, err
-	}
-	run := cluster.Execute
-	if s.Concurrent() {
-		run = func(subs []cluster.SubQuery, cost cluster.CostModel) (*cluster.ExecResult, error) {
-			return cluster.ExecuteConcurrentN(subs, cost, s.MaxConcurrent())
-		}
-	}
-	res, err := run(subs, s.cost)
-	if err != nil {
-		return nil, err
-	}
-	return &execution{res: res}, nil
-}
-
-func (x *execution) items() xquery.Seq { return x.res.Items() }
-
-func (x *execution) result(strategy Strategy) *QueryResult {
-	out := &QueryResult{
-		Strategy:         strategy,
-		ParallelTime:     x.res.ParallelTime,
-		TransmissionTime: x.res.TransmissionTime,
-		Streamed:         x.res.Streamed,
-		FirstItemLatency: x.res.FirstItem,
-		Frames:           x.res.Frames,
-	}
-	for _, sub := range x.res.Sub {
-		out.Fragments = append(out.Fragments, sub.Fragment)
-		if x.res.Streamed {
-			out.StreamedBytes += sub.ResultBytes
-		}
-		out.Sub = append(out.Sub, SubTiming{
-			Fragment:    sub.Fragment,
-			Node:        sub.Node,
-			Elapsed:     sub.Elapsed,
-			ResultBytes: sub.ResultBytes,
-			Items:       sub.ItemCount,
-			FirstFrame:  sub.FirstFrame,
-			Cancelled:   sub.Cancelled,
-			Spans:       sub.Spans,
-		})
-	}
-	return out
-}
-
-// compose combines partial results per the planned strategy: centralized
-// and routed plans pass through; an aggregate plan composes the
-// per-fragment values (sum for count/sum, min/max for min/max, a
-// sum-and-count division for avg, a boolean fold for exists/empty); a
-// union plan concatenates (the ∪ reconstruction).
-func (s *System) compose(e xquery.Expr, exec *execution, strategy Strategy) (*QueryResult, error) {
-	if strategy == StrategyCentralized || strategy == StrategyRouted {
-		res := exec.result(strategy)
-		res.Items = exec.items()
-		return res, nil
-	}
-	parts := make([]xquery.Seq, len(exec.res.Sub))
-	for i, sub := range exec.res.Sub {
-		parts[i] = sub.Items
-	}
-	start := time.Now()
-	if name, ok := topLevelDecider(e); ok {
-		verdict, err := composeDecider(name, parts)
-		if err != nil {
-			return nil, err
-		}
-		res := exec.result(StrategyAggregate)
-		res.Items = xquery.Seq{verdict}
-		res.ComposeTime = time.Since(start)
-		return res, nil
-	}
-	if name, ok := topLevelAggregate(e); ok {
-		items, err := composeAggregateSeqs(name, parts)
-		if err != nil {
-			return nil, err
-		}
-		res := exec.result(StrategyAggregate)
-		res.Items = items
-		res.ComposeTime = time.Since(start)
-		return res, nil
-	}
-	res := exec.result(StrategyUnion)
-	res.Items = exec.items()
-	res.ComposeTime = time.Since(start)
-	return res, nil
 }
 
 // composeAggregateSeqs folds the per-fragment partial sequences of a

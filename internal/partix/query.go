@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"partix/internal/cluster"
 	"partix/internal/fragmentation"
 	"partix/internal/obs"
 	"partix/internal/xmltree"
@@ -50,20 +49,17 @@ type QueryResult struct {
 	// ComposeTime is coordinator-side composition (union, sum, or the
 	// reconstruction join plus local evaluation).
 	ComposeTime time.Duration
-	// Streamed marks a result composed incrementally from chunked frames
-	// (concurrent mode against streaming-capable nodes).
-	Streamed bool
 	// FirstItemLatency is the time from execution start until the first
-	// result item reached the coordinator; zero when not streamed or for
-	// empty results.
+	// sub-query result item reached the coordinator; zero for empty
+	// results and for plans that fetch whole fragments instead.
 	FirstItemLatency time.Duration
-	// Frames is the total number of result batches received.
+	// Frames is the total number of sub-query result batches received.
 	Frames int
-	// StreamedBytes is the serialized size of all streamed partial
+	// StreamedBytes is the serialized size of all sub-query partial
 	// results.
 	StreamedBytes int
 	// TraceID identifies this query across the deployment when tracing
-	// is enabled; it is the ID the nodes saw in the wire header.
+	// is enabled; it is the tag the nodes saw in the wire header.
 	TraceID string
 	// Trace is the assembled span tree of a traced execution: the root
 	// "query" span with planning, per-fragment sub-query (each carrying
@@ -96,14 +92,14 @@ type SubTiming struct {
 	ResultBytes int
 	Items       int
 	// FirstFrame is the time to the site's first result batch; zero for
-	// monolithic executions.
+	// an empty result and for whole-fragment fetches.
 	FirstFrame time.Duration
 	// Cancelled marks a sub-query stopped early because the coordinator
 	// had already decided the global result.
 	Cancelled bool
 	// Spans holds the node's own execution breakdown (parse, plan,
-	// execute, serialize) when the query was traced and the node speaks
-	// protocol v3 or runs in-process; empty otherwise.
+	// execute, and serialize for a remote node) when the query was traced;
+	// empty otherwise.
 	Spans []obs.Span
 }
 
@@ -282,15 +278,16 @@ func (s *System) resultStamps(p *queryPlan) ([]genStamp, bool) {
 }
 
 // maybeCacheResult populates the result cache after a successful
-// execution, if the result is eligible: non-streamed (a streamed result
-// was never materialized and must not be just to cache it), not an
-// exists/empty decider (already index-only fast and size-trivial — not
-// worth a slot), every touched fragment verifiable by generation, and
-// the accounted size within the per-entry cap.
+// execution, if the result is eligible: not an exists/empty decider
+// (already index-only fast and size-trivial — not worth a slot), every
+// touched fragment verifiable by generation, and the accounted size
+// within the per-entry cap — the bound on what the cache may retain of
+// any one answer. Eligibility is a property of the result, never of the
+// route that produced it.
 func (s *System) maybeCacheResult(norm string, version uint64, stamps []genStamp, verifiable bool,
 	e xquery.Expr, p *queryPlan, res *QueryResult) {
 	rc := s.resultCache
-	if !rc.enabled() || !verifiable || res.Streamed || res.Trace != nil {
+	if !rc.enabled() || !verifiable || res.Trace != nil {
 		return
 	}
 	if _, decider := topLevelDecider(e); decider {
@@ -396,19 +393,16 @@ func (s *System) planValid(entry *planEntry) bool {
 // (QueryExpr callers) falls back to formatting the expression on demand.
 func (s *System) run(e xquery.Expr, p *queryPlan, planTime time.Duration, cached bool, norm string) (*QueryResult, error) {
 	start := time.Now()
-	traceID := ""
-	if s.Tracing() {
-		traceID = obs.NewTraceID()
-	}
+	trace := s.Tracing()
 	rec, prof := s.telemetrySinks()
-	// Every query gets a correlation tag when telemetry or the slow-query
-	// log is on, so flight records, log lines and node-side error frames
-	// join up even with tracing off. A traced query reuses its trace ID.
-	tag := traceID
-	if tag == "" && (rec != nil || s.SlowQueryThreshold() > 0) {
+	// Every query gets a correlation tag when tracing, telemetry or the
+	// slow-query log is on, so flight records, log lines and node-side
+	// error frames join up; a traced query's tag is its trace ID.
+	tag := ""
+	if trace || rec != nil || s.SlowQueryThreshold() > 0 {
 		tag = obs.NewTraceID()
 	}
-	res, err := s.executePlan(e, p, traceID, tag)
+	res, err := s.executePlan(e, p, tag, trace)
 	if err != nil {
 		s.recordQuery(rec, prof, p, e, norm, tag, planTime, planTime+time.Since(start), cached, nil, err)
 		return nil, err
@@ -419,8 +413,8 @@ func (s *System) run(e xquery.Expr, p *queryPlan, planTime time.Duration, cached
 	elapsed := planTime + time.Since(start)
 	obs.CoordQueries.Inc()
 	obs.CoordQuerySeconds.Observe(elapsed.Seconds())
-	if traceID != "" {
-		res.TraceID = traceID
+	if trace {
+		res.TraceID = tag
 		res.Trace = assembleTrace(res, planTime, elapsed)
 	}
 	if thr := s.SlowQueryThreshold(); thr > 0 && elapsed >= thr {
@@ -703,35 +697,20 @@ func unionOrAggregate(e xquery.Expr, fragments int) Strategy {
 	return StrategyUnion
 }
 
-// executePlan runs a plan and assembles the measured result. A non-empty
-// traceID forces the monolithic sub-query path: node spans describe a
-// whole sub-query, which framed streaming delivery would split. tag is
-// the correlation identifier telemetry stamps on sub-queries — unlike
-// traceID it never changes how the plan executes.
-func (s *System) executePlan(e xquery.Expr, p *queryPlan, traceID, tag string) (*QueryResult, error) {
+// executePlan runs a plan and assembles the measured result. tag is the
+// correlation identifier stamped on sub-queries; trace asks the nodes for
+// their processing-step spans. Neither changes how the plan executes.
+func (s *System) executePlan(e xquery.Expr, p *queryPlan, tag string, trace bool) (*QueryResult, error) {
 	switch {
 	case p.emptyRoute:
 		return s.evalLocal(e, StrategyRouted, nil,
 			map[string]*xmltree.Collection{p.meta.Name: xmltree.NewCollection(p.meta.Name)}, nil)
 	case len(p.metas) > 0:
-		return s.reconstructAndEval(e, p.metas, nil)
+		return s.reconstructAndEval(e, p.metas)
 	case len(p.reconstruct) > 0:
 		return s.reconstructFragments(e, p.meta, p.reconstruct)
 	default:
-		if s.Concurrent() && traceID == "" && len(p.subQueries) > 1 {
-			// Concurrent mode composes incrementally: batches merge into
-			// the result as frames arrive, overlapping composition with
-			// transmission. The sequential mode below stays monolithic —
-			// it is the paper's measured methodology. A single sub-query
-			// has nothing to overlap with, so it also takes the monolithic
-			// path and saves the streaming machinery.
-			return s.executeStreaming(e, p.subQueries, p.strategy, tag)
-		}
-		exec, err := s.execute(p.subQueries, traceID, tag)
-		if err != nil {
-			return nil, err
-		}
-		return s.compose(e, exec, p.strategy)
+		return s.executeSubQueries(e, p.subQueries, p.strategy, tag, trace)
 	}
 }
 
@@ -908,22 +887,11 @@ func (s *System) reconstructFragments(e xquery.Expr, meta *CollectionMeta, touch
 	res := &QueryResult{Strategy: StrategyReconstruct}
 	var parts []*xmltree.Collection
 	for _, f := range touched {
-		start := time.Now()
-		node, col, err := s.fetchWithFailover(meta, f.Name)
-		elapsed := time.Since(start)
+		col, err := s.fetchWithFailover(meta, f.Name, res)
 		if err != nil {
 			return nil, err
 		}
-		bytes := 0
-		for _, d := range col.Docs {
-			bytes += xmltree.SerializedSize(d)
-		}
 		res.Fragments = append(res.Fragments, f.Name)
-		res.Sub = append(res.Sub, SubTiming{Fragment: f.Name, Node: node.Name(), Elapsed: elapsed, ResultBytes: bytes, Items: col.Len()})
-		if elapsed > res.ParallelTime {
-			res.ParallelTime = elapsed
-		}
-		res.TransmissionTime += s.cost.Transmission(bytes) + s.cost.MessageLatency
 		parts = append(parts, col)
 	}
 	start := time.Now()
@@ -943,9 +911,11 @@ func (s *System) reconstructFragments(e xquery.Expr, meta *CollectionMeta, touch
 }
 
 // fetchWithFailover retrieves a fragment's collection from its primary
-// node, falling back to replicas when the primary fails. When every copy
-// fails, the error names each node tried with its own failure.
-func (s *System) fetchWithFailover(meta *CollectionMeta, fragment string) (cluster.Driver, *xmltree.Collection, error) {
+// node, falling back to replicas when the primary fails, and accounts the
+// fetch in res as one site: a SubTiming sized at the documents'
+// serialized bytes, slowest-site ParallelTime, modeled transmission. When
+// every copy fails, the error names each node tried with its own failure.
+func (s *System) fetchWithFailover(meta *CollectionMeta, fragment string, res *QueryResult) (*xmltree.Collection, error) {
 	names := append([]string{meta.Placement[fragment]}, meta.Replicas[fragment]...)
 	var errs []error
 	for _, name := range names {
@@ -954,35 +924,38 @@ func (s *System) fetchWithFailover(meta *CollectionMeta, fragment string) (clust
 			errs = append(errs, fmt.Errorf("unknown node %q", name))
 			continue
 		}
+		start := time.Now()
 		col, err := node.FetchCollection(meta.NodeCollection(fragment))
-		if err == nil {
-			return node, col, nil
+		elapsed := time.Since(start)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("node %s: %w", name, err))
+			continue
 		}
-		errs = append(errs, fmt.Errorf("node %s: %w", name, err))
+		bytes := 0
+		for _, d := range col.Docs {
+			bytes += xmltree.SerializedSize(d)
+		}
+		res.Sub = append(res.Sub, SubTiming{Fragment: fragment, Node: name, Elapsed: elapsed, ResultBytes: bytes, Items: col.Len()})
+		if elapsed > res.ParallelTime {
+			res.ParallelTime = elapsed
+		}
+		res.TransmissionTime += s.cost.Transmission(bytes) + s.cost.MessageLatency
+		return col, nil
 	}
-	return nil, nil, fmt.Errorf("partix: fetch of fragment %q failed on all %d copies: %w",
+	return nil, fmt.Errorf("partix: fetch of fragment %q failed on all %d copies: %w",
 		fragment, len(names), errors.Join(errs...))
 }
 
 // reconstructAndEval handles multi-collection queries: every referenced
 // collection is materialized at the coordinator and the query evaluated
 // locally.
-func (s *System) reconstructAndEval(e xquery.Expr, metas []*CollectionMeta, res *QueryResult) (*QueryResult, error) {
-	if res == nil {
-		res = &QueryResult{Strategy: StrategyReconstruct}
-	}
+func (s *System) reconstructAndEval(e xquery.Expr, metas []*CollectionMeta) (*QueryResult, error) {
+	res := &QueryResult{Strategy: StrategyReconstruct}
 	src := memSource{}
 	for _, meta := range metas {
-		col, sub, err := s.fetchWhole(meta)
+		col, err := s.fetchWhole(meta, res)
 		if err != nil {
 			return nil, err
-		}
-		for _, st := range sub {
-			res.Sub = append(res.Sub, st)
-			if st.Elapsed > res.ParallelTime {
-				res.ParallelTime = st.Elapsed
-			}
-			res.TransmissionTime += s.cost.Transmission(st.ResultBytes) + s.cost.MessageLatency
 		}
 		src[meta.Name] = col
 	}
@@ -996,44 +969,27 @@ func (s *System) reconstructAndEval(e xquery.Expr, metas []*CollectionMeta, res 
 	return res, nil
 }
 
-func (s *System) fetchWhole(meta *CollectionMeta) (*xmltree.Collection, []SubTiming, error) {
+// fetchWhole materializes one whole collection at the coordinator: the
+// single copy of an unfragmented collection, or every fragment joined
+// back together.
+func (s *System) fetchWhole(meta *CollectionMeta, res *QueryResult) (*xmltree.Collection, error) {
 	if !meta.Fragmented() {
-		node := s.Node(meta.Placement[""])
-		start := time.Now()
-		col, err := node.FetchCollection(meta.Name)
-		if err != nil {
-			return nil, nil, err
-		}
-		elapsed := time.Since(start)
-		bytes := 0
-		for _, d := range col.Docs {
-			bytes += xmltree.SerializedSize(d)
-		}
-		return col, []SubTiming{{Node: node.Name(), Elapsed: elapsed, ResultBytes: bytes, Items: col.Len()}}, nil
+		return s.fetchWithFailover(meta, "", res)
 	}
 	var parts []*xmltree.Collection
-	var subs []SubTiming
 	for _, f := range meta.Scheme.Fragments {
-		node := s.Node(meta.Placement[f.Name])
-		start := time.Now()
-		col, err := node.FetchCollection(meta.NodeCollection(f.Name))
+		col, err := s.fetchWithFailover(meta, f.Name, res)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		elapsed := time.Since(start)
-		bytes := 0
-		for _, d := range col.Docs {
-			bytes += xmltree.SerializedSize(d)
-		}
-		subs = append(subs, SubTiming{Fragment: f.Name, Node: node.Name(), Elapsed: elapsed, ResultBytes: bytes, Items: col.Len()})
 		parts = append(parts, col)
 	}
 	merged, err := meta.Scheme.Reconstruct(parts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	merged.Name = meta.Name
-	return merged, subs, nil
+	return merged, nil
 }
 
 // evalLocal evaluates the query over in-memory collections (used for the

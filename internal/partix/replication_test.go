@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"partix/internal/cluster"
+	"partix/internal/obs"
 	"partix/internal/storage"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
@@ -18,11 +19,11 @@ type failingNode struct {
 	down bool
 }
 
-func (f *failingNode) ExecuteQuery(q string) (xquery.Seq, error) {
+func (f *failingNode) Query(q, tag string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error) {
 	if f.down {
 		return nil, fmt.Errorf("node %s is down", f.Name())
 	}
-	return f.Driver.ExecuteQuery(q)
+	return f.Driver.Query(q, tag, trace, yield)
 }
 
 func (f *failingNode) FetchCollection(c string) (*xmltree.Collection, error) {
@@ -232,5 +233,44 @@ func TestReconstructionFailover(t *testing.T) {
 	root := res.Items[0].(*xmltree.Node)
 	if root.Child("prolog") == nil {
 		t.Fatal("reconstructed article lacks prolog from replica")
+	}
+}
+
+// A multi-collection query materializes whole collections at the
+// coordinator; with the primary of a fragment and of an unfragmented
+// collection dead, both fetches must come from their replicas.
+func TestMultiCollectionFetchFailsOverToReplica(t *testing.T) {
+	s, failer := replicatedSystem(t) // items: Fcd on node0, replica on node2
+	lookup := xmltree.NewCollection("sections",
+		xmltree.MustParseString("s1", `<SectionInfo><Name>CD</Name><Floor>1</Floor></SectionInfo>`),
+		xmltree.MustParseString("s2", `<SectionInfo><Name>DVD</Name><Floor>2</Floor></SectionInfo>`),
+	)
+	err := s.Publish(lookup, nil, map[string]string{"": "node0"},
+		PublishOptions{Replicas: map[string][]string{"": {"node1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := `for $i in collection("items")/Item, $s in collection("sections")/SectionInfo
+	      where $i/Section = $s/Name return <loc>{$i/Code, $s/Floor}</loc>`
+	healthy, err := s.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if healthy.Strategy != StrategyReconstruct || len(healthy.Items) == 0 {
+		t.Fatalf("healthy run: strategy %s, %d items", healthy.Strategy, len(healthy.Items))
+	}
+
+	failer.down = true
+	res, err := s.Query(q)
+	if err != nil {
+		t.Fatalf("multi-collection fetch did not fail over: %v", err)
+	}
+	if fmt.Sprint(itemsAsStrings(res.Items)) != fmt.Sprint(itemsAsStrings(healthy.Items)) {
+		t.Fatalf("failover answer differs:\n%v\n%v", itemsAsStrings(res.Items), itemsAsStrings(healthy.Items))
+	}
+	for _, st := range res.Sub {
+		if st.Node == "node0" {
+			t.Fatalf("dead node0 reported as serving %q: %+v", st.Fragment, res.Sub)
+		}
 	}
 }

@@ -137,9 +137,19 @@ func TestResultCacheInvalidatedByCatalogChange(t *testing.T) {
 // fragment writes with the query mix on two coordinators sharing the same
 // node engines — one with the cache on, one reference without — and
 // requires every cache-system answer to equal the reference's fresh
-// execution: zero stale results under writes.
+// execution: zero stale results under writes, whether the sub-queries run
+// one at a time or concurrently.
 func TestResultCacheRandomizedReadWriteDifferential(t *testing.T) {
+	for _, concurrent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("concurrent=%t", concurrent), func(t *testing.T) {
+			resultCacheDifferential(t, concurrent)
+		})
+	}
+}
+
+func resultCacheDifferential(t *testing.T, concurrent bool) {
 	s := newCachedSystem(t, 3, 1<<20)
+	s.SetConcurrent(concurrent)
 	publishHorizontal(t, s, 24)
 	ref := NewSystem(cluster.GigabitEthernet)
 	for _, name := range s.Nodes() {
@@ -315,31 +325,45 @@ func TestResultCacheSingleflightDogpile(t *testing.T) {
 	}
 }
 
-// TestStreamedQueryBypassesResultCache is the memory regression test: a
-// streamed result is never materialized into the cache, so even a query
-// whose result is 10x the cacheable ones leaves the cache byte count
-// untouched.
-func TestStreamedQueryBypassesResultCache(t *testing.T) {
-	s := newCachedSystem(t, 3, 1<<20)
-	s.SetConcurrent(true) // streaming executor
+// Cache eligibility is a property of the result, not of the route that
+// produced it. The memory guarantee: a broadcast answer over the
+// per-entry cap leaves the cache byte count untouched. The serving
+// guarantee: a small multi-fragment answer composed from concurrent
+// sub-queries is cached like any other.
+func TestResultCacheEligibilityIsPerResult(t *testing.T) {
+	s := newCachedSystem(t, 3, 1<<14) // per-entry cap = budget/16 = 1 KiB
+	s.SetConcurrent(true)
 	publishHorizontal(t, s, 120)
-	q := `collection("items")/Item` // full broadcast return, the big one
-	res, err := s.Query(q)
+
+	big := `collection("items")/Item` // full broadcast return, far over the cap
+	for i := 0; i < 2; i++ {
+		res, err := s.Query(big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached || len(res.Sub) != 3 {
+			t.Fatalf("run %d: over-cap broadcast cached=%t over %d sub-queries", i, res.Cached, len(res.Sub))
+		}
+		if n, b := s.ResultCacheSize(), s.ResultCacheBytes(); n != 0 || b != 0 {
+			t.Fatalf("over-cap result inflated the cache: %d entries, %d bytes", n, b)
+		}
+	}
+
+	small := `count(collection("items")/Item)`
+	first, err := s.Query(small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Streamed {
-		t.Skip("query did not take the streaming path")
+	if first.Cached || len(first.Sub) != 3 || first.Frames == 0 {
+		t.Fatalf("first run: cached=%t sub=%d frames=%d, want a 3-fragment execution", first.Cached, len(first.Sub), first.Frames)
 	}
-	if n, b := s.ResultCacheSize(), s.ResultCacheBytes(); n != 0 || b != 0 {
-		t.Fatalf("streamed result inflated the cache: %d entries, %d bytes", n, b)
-	}
-	again, err := s.Query(q)
+	again, err := s.Query(small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Cached {
-		t.Fatal("streamed query served from cache")
+	if !again.Cached || fmt.Sprint(again.Items) != fmt.Sprint(first.Items) {
+		t.Fatalf("repeat of a small concurrent multi-fragment result: cached=%t items=%v, want %v from the cache",
+			again.Cached, again.Items, first.Items)
 	}
 }
 

@@ -76,9 +76,9 @@ func (sc *statsCache) setTTL(d time.Duration) {
 
 // nodeStatistics resolves one node's statistics for a node-collection
 // through the cache. Unknown nodes, drivers without the
-// StatisticsProvider extension, legacy peers and fetch errors all yield
-// nil — the planner treats all of them as "no statistics" and keeps the
-// fragment.
+// StatisticsProvider extension, nodes without indexes and fetch errors
+// all yield nil — the planner treats all of them as "no statistics" and
+// keeps the fragment.
 func (s *System) nodeStatistics(nodeName, collection string) *engine.CollectionStatistics {
 	if st, ok := s.statsCache.get(nodeName, collection); ok {
 		return st

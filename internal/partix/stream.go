@@ -8,81 +8,73 @@ import (
 	"partix/internal/xquery"
 )
 
-// executeStreaming runs a sub-query plan through the streaming executor:
-// result batches merge into the composition as they arrive, so the
-// coordinator overlaps composing with the nodes' transmission instead of
-// waiting for every materialized sub-result. Early-terminating
-// compositions (exists/empty) cancel the remaining streams as soon as
-// one fragment's verdict decides the global answer. The composed items
-// are identical to the monolithic path's at every batch size.
-func (s *System) executeStreaming(e xquery.Expr, fqs []fragQuery, strategy Strategy, tag string) (*QueryResult, error) {
-	subs, err := s.buildSubs(fqs, "", tag)
+// executeSubQueries runs a sub-query plan — the one route every
+// centralized, routed, union and aggregate plan takes. Result batches
+// merge into the composition as they arrive, so the coordinator overlaps
+// composing with the nodes' transmission instead of waiting for every
+// materialized sub-result: a union concatenates in sub-query order (the ∪
+// reconstruction), an aggregate folds the per-fragment values (sum for
+// count/sum, min/max for min/max, a sum-and-count division for avg), and
+// exists/empty fold booleans and cancel the remaining sub-queries as soon
+// as one fragment's verdict decides the global answer. The composed items
+// are identical at every batch size and in-flight limit. Sequential
+// sub-queries with slowest-site accounting are the paper's methodology
+// and the default; concurrent mode runs up to MaxConcurrent at once.
+func (s *System) executeSubQueries(e xquery.Expr, fqs []fragQuery, strategy Strategy, tag string, trace bool) (*QueryResult, error) {
+	subs, err := s.buildSubs(fqs, tag, trace)
 	if err != nil {
 		return nil, err
 	}
-	multi := len(subs) > 1
-	var sink cluster.StreamSink
-	var finish func() (xquery.Seq, error)
-	if name, ok := topLevelDecider(e); ok && multi {
-		d := &deciderSink{name: name, values: make([]xquery.Seq, len(subs))}
-		sink = d
-		finish = d.finish
-	} else if name, ok := topLevelAggregate(e); ok && multi {
-		b := newBufferSink(len(subs))
-		sink = b
-		finish = func() (xquery.Seq, error) { return composeAggregateSeqs(name, b.parts) }
-	} else {
-		b := newBufferSink(len(subs))
-		sink = b
-		finish = func() (xquery.Seq, error) { return b.concat(), nil }
+	inflight := 1
+	if s.Concurrent() {
+		inflight = s.MaxConcurrent()
 	}
-	res, err := cluster.ExecuteStreamN(subs, s.cost, s.MaxConcurrent(), sink)
+	b := cluster.NewBufferSink(len(subs))
+	var sink cluster.StreamSink = b
+	finish := func() (xquery.Seq, error) { return b.Concat(), nil }
+	if strategy == StrategyAggregate {
+		if name, ok := topLevelDecider(e); ok {
+			d := &deciderSink{BufferSink: b, name: name}
+			sink, finish = d, d.finish
+		} else if name, ok := topLevelAggregate(e); ok {
+			finish = func() (xquery.Seq, error) { return composeAggregateSeqs(name, b.Parts) }
+		}
+	}
+	res, err := cluster.Execute(subs, s.cost, inflight, sink)
 	if err != nil {
 		return nil, err
 	}
 	// Only the final fold is charged as ComposeTime: the per-batch merges
-	// happened while other nodes were still transmitting, which is the
-	// point of streaming.
+	// happened while other nodes were still transmitting.
 	start := time.Now()
 	items, err := finish()
 	if err != nil {
 		return nil, err
 	}
-	out := (&execution{res: res}).result(strategy)
-	out.Items = items
+	out := &QueryResult{
+		Items:            items,
+		Strategy:         strategy,
+		ParallelTime:     res.ParallelTime,
+		TransmissionTime: res.TransmissionTime,
+		FirstItemLatency: res.FirstItem,
+		Frames:           res.Frames,
+	}
+	for _, sub := range res.Sub {
+		out.Fragments = append(out.Fragments, sub.Fragment)
+		out.StreamedBytes += sub.ResultBytes
+		out.Sub = append(out.Sub, SubTiming{
+			Fragment:    sub.Fragment,
+			Node:        sub.Node,
+			Elapsed:     sub.Elapsed,
+			ResultBytes: sub.ResultBytes,
+			Items:       sub.ItemCount,
+			FirstFrame:  sub.FirstFrame,
+			Cancelled:   sub.Cancelled,
+			Spans:       sub.Spans,
+		})
+	}
 	out.ComposeTime = time.Since(start)
 	return out, nil
-}
-
-// bufferSink accumulates batches per sub-query, preserving sub-query
-// order for the ∪ reconstruction regardless of arrival interleaving.
-type bufferSink struct {
-	parts []xquery.Seq
-}
-
-func newBufferSink(n int) *bufferSink {
-	return &bufferSink{parts: make([]xquery.Seq, n)}
-}
-
-// Batch implements cluster.StreamSink.
-func (b *bufferSink) Batch(sub int, items xquery.Seq) (bool, error) {
-	b.parts[sub] = append(b.parts[sub], items...)
-	return false, nil
-}
-
-// Reset implements cluster.StreamSink (replica failover re-delivery).
-func (b *bufferSink) Reset(sub int) { b.parts[sub] = nil }
-
-func (b *bufferSink) concat() xquery.Seq {
-	n := 0
-	for _, p := range b.parts {
-		n += len(p)
-	}
-	out := make(xquery.Seq, 0, n)
-	for _, p := range b.parts {
-		out = append(out, p...)
-	}
-	return out
 }
 
 // deciderSink composes exists()/empty() incrementally and stops the
@@ -90,13 +82,13 @@ func (b *bufferSink) concat() xquery.Seq {
 // any fragment decides exists(), a false decides empty(). Undecided
 // streams keep their per-fragment verdicts for the final fold.
 type deciderSink struct {
-	name   string
-	values []xquery.Seq
+	*cluster.BufferSink
+	name string
 }
 
 // Batch implements cluster.StreamSink.
 func (d *deciderSink) Batch(sub int, items xquery.Seq) (bool, error) {
-	d.values[sub] = append(d.values[sub], items...)
+	d.BufferSink.Batch(sub, items)
 	for _, it := range items {
 		v, ok := it.(bool)
 		if !ok {
@@ -110,11 +102,8 @@ func (d *deciderSink) Batch(sub int, items xquery.Seq) (bool, error) {
 	return false, nil
 }
 
-// Reset implements cluster.StreamSink.
-func (d *deciderSink) Reset(sub int) { d.values[sub] = nil }
-
 func (d *deciderSink) finish() (xquery.Seq, error) {
-	verdict, err := composeDecider(d.name, d.values)
+	verdict, err := composeDecider(d.name, d.Parts)
 	if err != nil {
 		return nil, err
 	}

@@ -2,28 +2,9 @@ package partix
 
 import (
 	"fmt"
+	"sort"
 	"testing"
-
-	"partix/internal/cluster"
-	"partix/internal/xquery"
 )
-
-// StreamQuery keeps failingNode honest in streaming mode: without this
-// override the embedded driver's StreamQuery would be promoted and
-// bypass the down flag entirely.
-func (f *failingNode) StreamQuery(q string, yield func(xquery.Seq) error) error {
-	if f.down {
-		return fmt.Errorf("node %s is down", f.Name())
-	}
-	if st, ok := f.Driver.(cluster.Streamer); ok {
-		return st.StreamQuery(q, yield)
-	}
-	items, err := f.Driver.ExecuteQuery(q)
-	if err != nil {
-		return err
-	}
-	return yield(items)
-}
 
 // streamedPair builds two identical fragmented deployments, one in the
 // paper's sequential mode and one in concurrent (streaming) mode.
@@ -37,9 +18,16 @@ func streamedPair(t *testing.T, docs int) (seq, stream *System) {
 	return seq, stream
 }
 
-// Streamed composition produces exactly the monolithic result — same
-// items, same order — for union and for every decomposable aggregate.
-func TestStreamedCompositionMatchesMonolithic(t *testing.T) {
+// Incremental composition produces exactly the centralized oracle's
+// answer — the same query over the unfragmented collection on one node —
+// for union and for every decomposable aggregate, under both in-flight
+// policies. (A union is compared as a multiset: ∪ keeps fragment order,
+// the oracle document order.)
+func TestCompositionMatchesCentralizedOracle(t *testing.T) {
+	central := newTestSystem(t, 1)
+	if err := central.Publish(itemsCollection(24), nil, map[string]string{"": "node0"}, PublishOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	seqSys, streamSys := streamedPair(t, 24)
 	queries := []string{
 		`for $i in collection("items")/Item where contains($i/Description, "good") return $i/Code`,
@@ -51,32 +39,33 @@ func TestStreamedCompositionMatchesMonolithic(t *testing.T) {
 		`avg(collection("items")/Item/@id)`,
 	}
 	for _, q := range queries {
-		want, err := seqSys.Query(q)
+		want, err := central.Query(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		got, err := streamSys.Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		ws, gs := itemsAsStrings(want.Items), itemsAsStrings(got.Items)
-		if fmt.Sprint(ws) != fmt.Sprint(gs) {
-			t.Fatalf("%s:\nstreamed:   %v\nmonolithic: %v", q, gs, ws)
-		}
-		if want.Strategy != got.Strategy {
-			t.Fatalf("%s: strategy %s vs %s", q, got.Strategy, want.Strategy)
-		}
-		if !got.Streamed {
-			t.Fatalf("%s: concurrent result not marked streamed", q)
-		}
-		if want.Streamed {
-			t.Fatalf("%s: sequential result marked streamed", q)
-		}
-		if len(got.Items) > 0 && got.FirstItemLatency == 0 {
-			t.Fatalf("%s: first-item latency not measured", q)
-		}
-		if got.Frames == 0 || got.StreamedBytes == 0 {
-			t.Fatalf("%s: frame accounting missing: frames=%d bytes=%d", q, got.Frames, got.StreamedBytes)
+		ws := itemsAsStrings(want.Items)
+		sort.Strings(ws)
+		var strategy Strategy
+		for name, sys := range map[string]*System{"sequential": seqSys, "concurrent": streamSys} {
+			got, err := sys.Query(q)
+			if err != nil {
+				t.Fatalf("%s (%s): %v", q, name, err)
+			}
+			gs := itemsAsStrings(got.Items)
+			sort.Strings(gs)
+			if fmt.Sprint(ws) != fmt.Sprint(gs) {
+				t.Fatalf("%s (%s):\ncomposed: %v\noracle:   %v", q, name, gs, ws)
+			}
+			if strategy != "" && strategy != got.Strategy {
+				t.Fatalf("%s: strategy %s vs %s", q, got.Strategy, strategy)
+			}
+			strategy = got.Strategy
+			if len(got.Items) > 0 && got.FirstItemLatency == 0 {
+				t.Fatalf("%s (%s): first-item latency not measured", q, name)
+			}
+			if got.Frames == 0 || got.StreamedBytes == 0 {
+				t.Fatalf("%s (%s): frame accounting missing: frames=%d bytes=%d", q, name, got.Frames, got.StreamedBytes)
+			}
 		}
 	}
 }

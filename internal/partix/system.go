@@ -41,10 +41,10 @@ type System struct {
 	profiler *obs.WorkloadProfiler
 }
 
-// SetConcurrent switches sub-query execution between the paper's
-// simulated mode (sequential with slowest-site accounting, the default)
-// and real concurrent execution, which a deployment over remote nodes
-// wants.
+// SetConcurrent switches the sub-query scheduler's in-flight limit
+// between 1 — the paper's simulated mode, sequential with slowest-site
+// accounting, the default — and MaxConcurrent, the real concurrent
+// execution a deployment over remote nodes wants.
 func (s *System) SetConcurrent(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -75,10 +75,12 @@ func (s *System) MaxConcurrent() int {
 }
 
 // SetTracing enables distributed query tracing: every query gets a trace
-// ID that is propagated to the nodes (protocol v3 peers return per-step
-// spans) and the result carries the assembled span tree. Tracing forces
-// the monolithic sub-query path — spans describe whole sub-queries, which
-// framed delivery would split.
+// ID that is propagated to the nodes, each node times its processing
+// steps and returns them with the last frame of its answer, and the
+// result carries the assembled span tree. A traced query executes exactly
+// as an untraced one does — same plan, same sub-query route, same
+// frames — it only skips the result cache, since it exists to be
+// executed.
 func (s *System) SetTracing(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -103,7 +103,6 @@ func (s *System) recordQuery(rec *obs.FlightRecorder, prof *obs.WorkloadProfiler
 	if res != nil {
 		qr.Items = len(res.Items)
 		qr.Frames = res.Frames
-		qr.Streamed = res.Streamed
 		qr.Spans = res.Trace
 		for _, st := range res.Sub {
 			qr.Bytes += st.ResultBytes
@@ -183,8 +182,8 @@ func planIndexOnly(p *queryPlan) bool {
 }
 
 // NodeTelemetryStatus is one node's standing in a cluster telemetry
-// pull: whether it supports the telemetry operation (protocol v5 or
-// in-process) and the pull error, if any.
+// pull: whether its driver supports the telemetry operation and the pull
+// error, if any.
 type NodeTelemetryStatus struct {
 	Node      string `json:"node"`
 	Supported bool   `json:"supported"`
@@ -230,7 +229,7 @@ func (s *System) ClusterTelemetry() *ClusterTelemetry {
 			continue
 		}
 		if snap == nil {
-			// The driver exists but the peer is too old to answer.
+			// The driver exists but has nothing to report.
 			out.Nodes = append(out.Nodes, NodeTelemetryStatus{Node: name})
 			continue
 		}

@@ -2,7 +2,7 @@ package partix
 
 // Coordinator-side tracing: span-tree assembly, consistency with the
 // QueryResult timings, the slow-query log, and the remote path where
-// node spans travel back in the protocol-v3 response.
+// node spans travel back in the last frame of each node's answer.
 
 import (
 	"fmt"
@@ -141,29 +141,40 @@ func TestTracedResultsMatchUntraced(t *testing.T) {
 	}
 }
 
-// A traced query over a wire-backed node carries the server's four spans
-// (parse/plan/execute/serialize) home in the v3 response.
-func TestTracedQueryOverRemoteNode(t *testing.T) {
-	db, err := engine.Open(filepath.Join(t.TempDir(), "remote.db"), engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	srv := wire.NewServerLogger(db, nil, wire.ServerOptions{})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close() })
-	client, err := wire.DialWith("node0", l.Addr().String(), wire.ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-
+// newWireSystem is newTestSystem over real wire servers on loopback TCP,
+// each with its own flight recorder.
+func newWireSystem(t *testing.T, n int) (*System, []*obs.FlightRecorder) {
+	t.Helper()
 	s := NewSystem(cluster.GigabitEthernet)
-	s.AddNode(client)
+	recs := make([]*obs.FlightRecorder, n)
+	for i := range recs {
+		db, err := engine.Open(filepath.Join(t.TempDir(), fmt.Sprintf("remote%d.db", i)), engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		recs[i] = obs.NewFlightRecorder(0)
+		srv := wire.NewServerLogger(db, nil, wire.ServerOptions{Recorder: recs[i]})
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(l)
+		t.Cleanup(func() { srv.Close() })
+		client, err := wire.DialWith(fmt.Sprintf("node%d", i), l.Addr().String(), wire.ClientOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { client.Close() })
+		s.AddNode(client)
+	}
+	return s, recs
+}
+
+// A traced query over a wire-backed node carries the server's four spans
+// (parse/plan/execute/serialize) home in the FrameEnd trailer.
+func TestTracedQueryOverRemoteNode(t *testing.T) {
+	s, _ := newWireSystem(t, 1)
 	if err := s.Publish(itemsCollection(8), nil, map[string]string{"": "node0"}, PublishOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +202,69 @@ func TestTracedQueryOverRemoteNode(t *testing.T) {
 	}
 	if sum > res.Sub[0].Elapsed {
 		t.Fatalf("node spans sum %v exceeds wire round-trip %v", sum, res.Sub[0].Elapsed)
+	}
+}
+
+// Tracing a query may not switch it onto a different execution path:
+// traced and untraced runs of a multi-fragment and a single-fragment
+// query over TCP nodes return identical items through the same streamed
+// exchange — frames and a first-item latency on both — and every node
+// that served a sub-query recorded the same thing for both runs.
+func TestTracedQueryTakesTheServingPath(t *testing.T) {
+	s, recs := newWireSystem(t, 3)
+	s.SetConcurrent(true)
+	publishHorizontal(t, s, 24)
+	nodeRecords := func() (n int, last []obs.QueryRecord) {
+		for _, rec := range recs {
+			recorded, _ := rec.Stats()
+			n += int(recorded)
+			if snap := rec.Snapshot(1); len(snap) == 1 {
+				last = append(last, obs.QueryRecord{Query: snap[0].Query, Items: snap[0].Items, Bytes: snap[0].Bytes})
+			}
+		}
+		return n, last
+	}
+	for _, q := range []string{
+		`collection("items")/Item/Code`,                                             // union over three fragments
+		`for $i in collection("items")/Item where $i/Section = "CD" return $i/Code`, // routed to one
+	} {
+		var runs [2]*QueryResult
+		var served [2]int
+		var lasts [2][]obs.QueryRecord
+		for i, traced := range []bool{false, true} {
+			s.SetTracing(traced)
+			before, _ := nodeRecords()
+			res, err := s.Query(q)
+			if err != nil {
+				t.Fatalf("%s (traced=%t): %v", q, traced, err)
+			}
+			after, last := nodeRecords()
+			runs[i], served[i], lasts[i] = res, after-before, last
+			if res.Frames == 0 || res.FirstItemLatency == 0 {
+				t.Fatalf("%s (traced=%t): frames=%d first-item=%v, want the streamed exchange",
+					q, traced, res.Frames, res.FirstItemLatency)
+			}
+			if (res.Trace != nil) != traced {
+				t.Fatalf("%s (traced=%t): trace = %v", q, traced, res.Trace)
+			}
+		}
+		plain, traced := runs[0], runs[1]
+		if fmt.Sprint(itemsAsStrings(plain.Items)) != fmt.Sprint(itemsAsStrings(traced.Items)) {
+			t.Fatalf("%s: traced items %v, untraced %v", q, itemsAsStrings(traced.Items), itemsAsStrings(plain.Items))
+		}
+		if plain.Strategy != traced.Strategy || plain.Frames != traced.Frames || len(plain.Sub) != len(traced.Sub) {
+			t.Fatalf("%s: traced %s/%d frames/%d subs, untraced %s/%d/%d", q,
+				traced.Strategy, traced.Frames, len(traced.Sub), plain.Strategy, plain.Frames, len(plain.Sub))
+		}
+		if served[0] != len(plain.Sub) || served[1] != served[0] || fmt.Sprint(lasts[0]) != fmt.Sprint(lasts[1]) {
+			t.Fatalf("%s: nodes recorded %d sub-queries %v untraced, %d %v traced, want %d identical",
+				q, served[0], lasts[0], served[1], lasts[1], len(plain.Sub))
+		}
+		for _, st := range traced.Sub {
+			if len(st.Spans) != 4 {
+				t.Fatalf("%s: node %s returned spans %v, want parse/plan/execute/serialize", q, st.Node, st.Spans)
+			}
+		}
 	}
 }
 

@@ -95,11 +95,11 @@ func TestServerMaxInflightAdmit(t *testing.T) {
 	srv := NewServerWith(db, nil, ServerOptions{MaxInflight: 1})
 	t.Cleanup(func() { srv.Close() })
 
-	release, overload := srv.admit(&Request{Op: OpQuery})
+	release, overload := srv.admit(&Request{Op: OpQueryStream})
 	if overload != "" {
 		t.Fatalf("first admit rejected: %s", overload)
 	}
-	_, overload = srv.admit(&Request{Op: OpQuery})
+	_, overload = srv.admit(&Request{Op: OpQueryStream})
 	if overload == "" {
 		t.Fatal("second admit passed a full node")
 	}
@@ -111,7 +111,7 @@ func TestServerMaxInflightAdmit(t *testing.T) {
 		t.Fatalf("ping gated: %s", o)
 	}
 	release()
-	release2, overload := srv.admit(&Request{Op: OpFetchCollection})
+	release2, overload := srv.admit(&Request{Op: OpFetchStream})
 	if overload != "" {
 		t.Fatalf("admit after release rejected: %s", overload)
 	}

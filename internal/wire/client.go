@@ -26,11 +26,11 @@ type ClientOptions struct {
 	// round trip (send + receive). 0 means no deadline — a hung node
 	// blocks the calling goroutine, as a plain TCP client would.
 	RequestTimeout time.Duration
-	// MaxRetries is how many times a retry-safe operation (OpPing,
-	// OpQuery, OpFetchCollection, OpStats, OpHasCollection) is re-issued
-	// on a fresh connection after a transport failure. 0 means 2;
-	// negative disables retries. Mutating operations never retry: a lost
-	// response leaves their outcome unknown.
+	// MaxRetries is how many times a retry-safe operation (reads and the
+	// liveness ping, see retrySafe) is re-issued on a fresh connection
+	// after a transport failure. 0 means 2; negative disables retries.
+	// Mutating operations never retry: a lost response leaves their
+	// outcome unknown.
 	MaxRetries int
 	// RetryBackoff is the wait before the first retry, doubled on each
 	// subsequent one. 0 means 50ms.
@@ -48,13 +48,9 @@ type ClientOptions struct {
 	// — never an unbounded allocation — and its connection is dropped.
 	// 0 means DefaultMaxMessageBytes (64 MiB).
 	MaxMessageBytes int64
-	// DisableStreaming forces the monolithic request/response paths even
-	// against protocol-v2 servers (ablation and paper-fidelity runs).
-	DisableStreaming bool
 	// Tenant tags every request with a tenant identity for server-side
-	// admission control (protocol version 6): nodes running per-tenant
-	// quotas debit this tenant's token bucket. Empty (the default) leaves
-	// requests untagged; against pre-v6 peers the tag is never sent.
+	// admission control: nodes running per-tenant quotas debit this
+	// tenant's token bucket. Empty (the default) leaves requests untagged.
 	Tenant string
 	// Logger receives transport events (reconnects, swallowed
 	// HasCollection failures) as leveled key=value records. nil
@@ -108,24 +104,20 @@ type ClientStats struct {
 	// consumer stopped early (early-terminating queries); each cancel
 	// closes its connection so the node stops producing frames.
 	StreamCancels int64
-	// Fallbacks counts streaming operations served via the monolithic
-	// path because the peer only speaks protocol version 1.
-	Fallbacks int64
 }
 
 // NodeError is a failure the node itself reported in a Response. The
 // connection is intact and the operation was delivered, so it is never
 // retried. TraceID carries the query's correlation tag when the node
-// echoed one (protocol v5 FrameErr), so the failure joins across
-// coordinator and node logs.
+// echoed one (FrameErr), so the failure joins across coordinator and
+// node logs.
 type NodeError struct {
 	Node    string
 	Msg     string
 	TraceID string
-	// Overloaded marks a request the node's admission control shed
-	// (protocol version 6) rather than failed: the node is healthy but at
-	// capacity, or the tenant's quota ran dry. Callers match it with
-	// errors.Is(err, ErrNodeOverloaded).
+	// Overloaded marks a request the node's admission control shed rather
+	// than failed: the node is healthy but at capacity, or the tenant's
+	// quota ran dry. Callers match it with errors.Is(err, ErrNodeOverloaded).
 	Overloaded bool
 }
 
@@ -148,9 +140,8 @@ func (e *NodeError) Is(target error) bool {
 var ErrNodeOverloaded = errors.New("wire: node overloaded")
 
 // overloadedPrefix is how a server marks a shed request in the error
-// text it sends (Response.Err or FrameErr); the client maps it back to
-// NodeError.Overloaded. Prefixing the string keeps the wire format
-// backward compatible — legacy clients just see an error message.
+// text it sends (FrameErr); the client maps it back to
+// NodeError.Overloaded.
 const overloadedPrefix = "overloaded: "
 
 // nodeError builds the NodeError for a node-reported failure, typing
@@ -161,14 +152,6 @@ func (c *Client) nodeError(msg, traceID string) *NodeError {
 		Msg:        msg,
 		TraceID:    traceID,
 		Overloaded: len(msg) >= len(overloadedPrefix) && msg[:len(overloadedPrefix)] == overloadedPrefix,
-	}
-}
-
-// stampTenant attaches the client's tenant tag to a request when the
-// peer speaks protocol v6; older peers never see the field.
-func (c *Client) stampTenant(req *Request) {
-	if c.opts.Tenant != "" && c.peer.Load() >= 6 {
-		req.Tenant = c.opts.Tenant
 	}
 }
 
@@ -242,14 +225,8 @@ type Client struct {
 	closed bool
 	idle   []*poolConn
 
-	// peer is the protocol version the server last announced in a
-	// response. Legacy servers never announce one, so it stays 0 and the
-	// client keeps to the monolithic paths; DialWith's ping performs the
-	// first exchange, completing negotiation before any user operation.
-	peer atomic.Int32
-
-	dials, retries, transportErrs, nodeErrs   atomic.Int64
-	streams, frames, streamCancels, fallbacks atomic.Int64
+	dials, retries, transportErrs, nodeErrs atomic.Int64
+	streams, frames, streamCancels          atomic.Int64
 }
 
 // Dial connects to a node server with default options; timeout bounds
@@ -258,7 +235,8 @@ func Dial(name, addr string, timeout time.Duration) (*Client, error) {
 	return DialWith(name, addr, ClientOptions{DialTimeout: timeout})
 }
 
-// DialWith connects to a node server and verifies it answers a ping.
+// DialWith connects to a node server and verifies it answers a ping in
+// this build's protocol version.
 func DialWith(name, addr string, opts ClientOptions) (*Client, error) {
 	opts = opts.withDefaults()
 	c := &Client{
@@ -287,7 +265,6 @@ func (c *Client) Stats() ClientStats {
 		Streams:         c.streams.Load(),
 		Frames:          c.frames.Load(),
 		StreamCancels:   c.streamCancels.Load(),
-		Fallbacks:       c.fallbacks.Load(),
 	}
 }
 
@@ -377,13 +354,20 @@ func (c *Client) discard(pc *poolConn) {
 	c.transportErrs.Add(1)
 }
 
-// noteProto records the protocol version a response announced.
-func (c *Client) noteProto(v uint8) { c.peer.Store(int32(v)) }
+// stamp fills in what every request carries: the protocol version the
+// server checks and the client's tenant tag.
+func (c *Client) stamp(req *Request) {
+	req.Proto = ProtocolVersion
+	req.Tenant = c.opts.Tenant
+}
 
-// peerStreams reports whether streaming operations may be issued: the
-// peer has announced protocol ≥ 2 and streaming is not disabled.
-func (c *Client) peerStreams() bool {
-	return !c.opts.DisableStreaming && c.peer.Load() >= 2
+// permanent reports whether err must not be retried on a fresh
+// connection: the node itself answered (NodeError), the peer speaks
+// another protocol, or the client is closed.
+func permanent(err error) bool {
+	var ne *NodeError
+	var pm *ErrProtocolMismatch
+	return errors.Is(err, errClientClosed) || errors.As(err, &ne) || errors.As(err, &pm)
 }
 
 // once performs a single round trip on one pooled connection.
@@ -395,8 +379,7 @@ func (c *Client) once(req *Request) (*Response, error) {
 	obs.WireClientRequests.Inc()
 	obs.WireClientInflight.Add(1)
 	defer obs.WireClientInflight.Add(-1)
-	req.Proto = ProtocolVersion
-	c.stampTenant(req)
+	c.stamp(req)
 	resp, err := pc.do(req, c.opts.RequestTimeout)
 	if err != nil {
 		var tooBig *ErrMessageTooBig
@@ -412,8 +395,11 @@ func (c *Client) once(req *Request) (*Response, error) {
 		c.discard(pc)
 		return nil, fmt.Errorf("wire: %s: %w", c.addr, err)
 	}
+	if resp.Proto != ProtocolVersion {
+		c.drop(pc)
+		return nil, &ErrProtocolMismatch{Node: c.name, Peer: resp.Proto}
+	}
 	c.put(pc)
-	c.noteProto(resp.Proto)
 	if resp.Err != "" {
 		c.nodeErrs.Add(1)
 		return nil, c.nodeError(resp.Err, "")
@@ -423,8 +409,8 @@ func (c *Client) once(req *Request) (*Response, error) {
 
 // roundTrip performs the request, transparently redialing and retrying
 // retry-safe operations (with exponential backoff) after transport
-// failures. Application errors from the node and operations on a closed
-// client are never retried.
+// failures. Application errors from the node, a protocol mismatch and
+// operations on a closed client are never retried.
 func (c *Client) roundTrip(req *Request) (*Response, error) {
 	attempts := 1
 	if retrySafe[req.Op] {
@@ -446,8 +432,7 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 		if err == nil {
 			return resp, nil
 		}
-		var ne *NodeError
-		if errors.Is(err, errClientClosed) || errors.As(err, &ne) {
+		if permanent(err) {
 			return nil, err
 		}
 		lastErr = err
@@ -461,12 +446,6 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 // reports success to the caller.
 var ErrStop = errors.New("wire: stop streaming")
 
-// errStreamDowngrade signals that a streaming request was answered with
-// a legacy monolithic Response: the peer no longer speaks protocol v2
-// (e.g. it was replaced mid-life). The caller re-learns the peer version
-// and falls back to the monolithic path.
-var errStreamDowngrade = errors.New("wire: peer downgraded to legacy protocol")
-
 // deliverError wraps an error returned by the stream consumer, so the
 // retry machinery can tell "the consumer refused the data" from "the
 // transport failed".
@@ -476,23 +455,23 @@ func (e *deliverError) Error() string { return e.cause.Error() }
 func (e *deliverError) Unwrap() error { return e.cause }
 
 // streamOnce issues one streaming request on one pooled connection and
-// feeds each payload frame to deliver in arrival order. It returns the
-// number of frames handed to the consumer — a transparent retry is only
-// safe while that is zero, unless the caller can roll its state back.
-func (c *Client) streamOnce(req *Request, deliver func(*Frame) error) (int, error) {
+// feeds each non-empty batch — FrameEnd's included — to deliver in
+// arrival order. It returns the number of batches handed to the consumer
+// (a transparent retry is only safe while that is zero, unless the
+// caller can roll its state back) and the FrameEnd trailer, if any.
+func (c *Client) streamOnce(req *Request, deliver func(*Frame) error) (int, *Trailer, error) {
 	pc, err := c.get()
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	obs.WireClientRequests.Inc()
 	obs.WireClientInflight.Add(1)
 	defer obs.WireClientInflight.Add(-1)
-	req.Proto = ProtocolVersion
+	c.stamp(req)
 	req.BatchItems = c.opts.BatchItems
-	c.stampTenant(req)
 	if err := pc.send(req, c.opts.RequestTimeout); err != nil {
 		c.discard(pc)
-		return 0, fmt.Errorf("wire: %s: %w", c.addr, err)
+		return 0, nil, fmt.Errorf("wire: %s: %w", c.addr, err)
 	}
 	c.streams.Add(1)
 	delivered, total := 0, 0
@@ -503,57 +482,58 @@ func (c *Client) streamOnce(req *Request, deliver func(*Frame) error) (int, erro
 			if errors.As(err, &tooBig) {
 				c.drop(pc)
 				c.nodeErrs.Add(1)
-				return delivered, &NodeError{Node: c.name, Msg: tooBig.Error()}
+				return delivered, nil, &NodeError{Node: c.name, Msg: tooBig.Error()}
 			}
 			c.discard(pc)
-			return delivered, fmt.Errorf("wire: %s: %w", c.addr, err)
+			return delivered, nil, fmt.Errorf("wire: %s: %w", c.addr, err)
 		}
 		c.frames.Add(1)
 		obs.WireClientFrames.Inc()
 		switch f.Kind {
-		case FrameItems, FrameDocs:
-			delivered++
-			total += len(f.Items) + len(f.Docs)
-			if err := deliver(&f); err != nil {
-				c.drop(pc)
-				c.streamCancels.Add(1)
-				return delivered, &deliverError{cause: err}
-			}
-		case FrameEnd:
-			if f.Total != total {
+		case FrameItems, FrameDocs, FrameEnd:
+			end := f.Kind == FrameEnd
+			n := len(f.Items) + len(f.Docs)
+			total += n
+			if end && f.Total != total {
 				c.discard(pc)
-				return delivered, fmt.Errorf("wire: %s: stream integrity: node sent %d items, frames carried %d",
+				return delivered, nil, fmt.Errorf("wire: %s: stream integrity: node sent %d items, frames carried %d",
 					c.addr, f.Total, total)
 			}
-			c.put(pc)
-			return delivered, nil
+			if n > 0 {
+				delivered++
+				if err := deliver(&f); err != nil {
+					if end {
+						c.put(pc) // the stream is complete; nothing left to cancel
+					} else {
+						c.drop(pc)
+						c.streamCancels.Add(1)
+					}
+					return delivered, nil, &deliverError{cause: err}
+				}
+			}
+			if end {
+				c.put(pc)
+				return delivered, f.Trailer, nil
+			}
 		case FrameErr:
 			c.put(pc)
 			c.nodeErrs.Add(1)
-			return delivered, c.nodeError(f.Err, f.TraceID)
+			return delivered, nil, c.nodeError(f.Err, f.TraceID)
 		default:
-			// Kind 0 means the message had no Kind field at all: a legacy
-			// monolithic Response decoded as a Frame. The response was
-			// consumed whole, so the stream is still in sync, but nothing
-			// framed will ever arrive — drop the connection quietly and
-			// let the caller downgrade. Mid-stream this cannot be mapped
-			// onto the monolithic path without double delivery, so it
-			// degrades to a transport error instead.
+			// Not a frame at all — a server rejecting this build's version
+			// answers with a Response, which decodes as kind 0.
 			c.drop(pc)
-			if delivered == 0 {
-				return 0, errStreamDowngrade
-			}
-			return delivered, fmt.Errorf("wire: %s: peer stopped framing mid-stream", c.addr)
+			return delivered, nil, &ErrProtocolMismatch{Node: c.name}
 		}
 	}
 }
 
 // stream runs a streaming request under the retry policy. After a
 // transport failure the operation is re-issued on a fresh connection
-// only if no frame reached the consumer yet, or if reset (rolling the
+// only if no batch reached the consumer yet, or if reset (rolling the
 // consumer's accumulated state back to empty) is provided. Node errors,
-// downgrades and consumer cancellation are never retried.
-func (c *Client) stream(req *Request, deliver func(*Frame) error, reset func()) error {
+// protocol mismatches and consumer cancellation are never retried.
+func (c *Client) stream(req *Request, deliver func(*Frame) error, reset func()) (*Trailer, error) {
 	attempts := 1 + c.opts.MaxRetries
 	backoff := c.opts.RetryBackoff
 	var lastErr error
@@ -567,30 +547,29 @@ func (c *Client) stream(req *Request, deliver func(*Frame) error, reset func()) 
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		delivered, err := c.streamOnce(req, deliver)
+		delivered, trailer, err := c.streamOnce(req, deliver)
 		if err == nil {
-			return nil
+			return trailer, nil
 		}
 		var de *deliverError
 		if errors.As(err, &de) {
 			if errors.Is(de.cause, ErrStop) {
-				return nil
+				return nil, nil
 			}
-			return de.cause
+			return nil, de.cause
 		}
-		var ne *NodeError
-		if errors.Is(err, errClientClosed) || errors.As(err, &ne) || errors.Is(err, errStreamDowngrade) {
-			return err
+		if permanent(err) {
+			return nil, err
 		}
 		if delivered > 0 {
 			if reset == nil {
-				return err
+				return nil, err
 			}
 			reset()
 		}
 		lastErr = err
 	}
-	return lastErr
+	return nil, lastErr
 }
 
 // Name implements cluster.Driver.
@@ -620,155 +599,79 @@ func (c *Client) StoreDocument(collection string, doc *xmltree.Document) error {
 	return err
 }
 
-// ExecuteQuery implements cluster.Driver. Against a protocol-v2 peer
-// the result arrives as bounded frames that are decoded and accumulated
-// incrementally (the client never holds the full wire encoding in
-// memory); against a legacy peer it is one monolithic response. The
-// returned sequence is byte-identical either way.
-func (c *Client) ExecuteQuery(query string) (xquery.Seq, error) {
-	if c.peerStreams() {
-		var out xquery.Seq
-		deliver := func(f *Frame) error {
-			for _, it := range f.Items {
-				v, err := DecodeItem(it)
-				if err != nil {
-					return err
-				}
-				out = append(out, v)
-			}
-			return nil
+// query is the one result exchange every query method goes through:
+// each received batch is decoded and handed to yield in arrival order,
+// from the calling goroutine. reset, when non-nil, lets a stream cut
+// after delivery retry from scratch (see stream).
+func (c *Client) query(req *Request, yield func(xquery.Seq) error, reset func()) ([]obs.Span, error) {
+	req.Op = OpQueryStream
+	trailer, err := c.stream(req, func(f *Frame) error {
+		seq, err := DecodeSeq(f.Items)
+		if err != nil {
+			return err
 		}
-		err := c.stream(&Request{Op: OpQueryStream, Query: query}, deliver, func() { out = nil })
-		if err == nil {
-			return out, nil
-		}
-		if !errors.Is(err, errStreamDowngrade) {
-			return nil, err
-		}
-		c.noteProto(0)
-		c.fallbacks.Add(1)
+		return yield(seq)
+	}, reset)
+	if err != nil || trailer == nil {
+		return nil, err
 	}
-	resp, err := c.roundTrip(&Request{Op: OpQuery, Query: query})
+	return trailer.Spans, nil
+}
+
+// Query implements cluster.Driver: yield is called once per received
+// batch. Returning ErrStop from yield cancels the remaining frames (the
+// node stops producing) and Query returns nil; any other error cancels
+// the stream and is returned. tag rides the request so the node's
+// flight-recorder entry and a FrameErr carry it. With trace set the node
+// also times its processing steps (parse, plan, execute, serialize) and
+// the spans come back from the FrameEnd trailer; the frames before it
+// are the same either way. A stream cut after the first batch was
+// delivered is not retried — the caller owns what it already consumed.
+func (c *Client) Query(query, tag string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error) {
+	return c.query(&Request{Query: query, TraceID: tag, Trace: trace}, yield, nil)
+}
+
+// StreamQuery is Query without a tag or tracing.
+func (c *Client) StreamQuery(query string, yield func(xquery.Seq) error) error {
+	_, err := c.query(&Request{Query: query}, yield, nil)
+	return err
+}
+
+// ExecuteQuery accumulates the streamed result into one sequence. It
+// owns the accumulated state, so unlike Query it can roll back and retry
+// a stream that was cut mid-way.
+func (c *Client) ExecuteQuery(query string) (xquery.Seq, error) {
+	var out xquery.Seq
+	_, err := c.query(&Request{Query: query}, func(s xquery.Seq) error {
+		out = append(out, s...)
+		return nil
+	}, func() { out = nil })
 	if err != nil {
 		return nil, err
 	}
-	return DecodeSeq(resp.Items)
+	return out, nil
 }
 
-// ExecuteQueryTraced runs a query with distributed tracing: the trace
-// ID travels in the protocol-v3 request header and the node returns
-// per-step spans (parse, plan, execute, serialize) with the result.
-// Tracing always uses the monolithic exchange — spans describe a whole
-// sub-query, which framed delivery would split — so the result path
-// matches ExecuteQuery against a legacy peer. A peer older than
-// protocol v3 is queried without the header and yields no spans;
-// tracing never stops a query from running.
-func (c *Client) ExecuteQueryTraced(traceID, query string) (xquery.Seq, []obs.Span, error) {
-	req := &Request{Op: OpQuery, Query: query}
-	if c.peer.Load() >= 3 {
-		req.TraceID = traceID
-	}
-	resp, err := c.roundTrip(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	seq, err := DecodeSeq(resp.Items)
-	if err != nil {
-		return nil, nil, err
-	}
-	return seq, resp.Spans, nil
-}
-
-// StreamQuery executes a query with incremental result delivery: yield
-// is called once per received frame batch, in arrival order, from the
-// calling goroutine. Returning ErrStop from yield cancels the remaining
-// frames (the node stops producing) and StreamQuery returns nil; any
-// other error cancels the stream and is returned. Against a legacy
-// (protocol v1) peer, or with DisableStreaming set, the query runs
-// monolithically and yield is called once with the full result — so
-// callers need no protocol awareness.
-func (c *Client) StreamQuery(query string, yield func(xquery.Seq) error) error {
-	return c.StreamQueryTagged("", query, yield)
-}
-
-// StreamQueryTagged is StreamQuery with a correlation tag: against a
-// protocol-v5 peer the ID rides the request so the node's log lines and
-// a FrameErr carry it; older peers never see the field. Tagging does
-// not trace — the node times nothing extra, the ID exists purely so a
-// failed or slow distributed query joins across coordinator and node
-// logs.
-func (c *Client) StreamQueryTagged(traceID, query string, yield func(xquery.Seq) error) error {
-	if c.peerStreams() {
-		deliver := func(f *Frame) error {
-			seq, err := DecodeSeq(f.Items)
+// FetchCollection implements cluster.Driver. Documents decode as frames
+// arrive, bounding transfer memory to one frame.
+func (c *Client) FetchCollection(collection string) (*xmltree.Collection, error) {
+	col := xmltree.NewCollection(collection)
+	deliver := func(f *Frame) error {
+		if len(f.DocNames) != len(f.Docs) {
+			return fmt.Errorf("wire: frame carries %d names for %d documents", len(f.DocNames), len(f.Docs))
+		}
+		for i, raw := range f.Docs {
+			doc, err := storage.DecodeDocument(f.DocNames[i], raw)
 			if err != nil {
 				return err
 			}
-			return yield(seq)
+			col.Add(doc)
 		}
-		req := &Request{Op: OpQueryStream, Query: query}
-		if traceID != "" && c.peer.Load() >= 5 {
-			req.TraceID = traceID
-		}
-		err := c.stream(req, deliver, nil)
-		if !errors.Is(err, errStreamDowngrade) {
-			return err
-		}
-		c.noteProto(0)
+		return nil
 	}
-	c.fallbacks.Add(1)
-	seq, err := c.ExecuteQuery(query)
-	if err != nil {
-		return err
-	}
-	if err := yield(seq); err != nil && !errors.Is(err, ErrStop) {
-		return err
-	}
-	return nil
-}
-
-// FetchCollection implements cluster.Driver. Like ExecuteQuery, it
-// streams from protocol-v2 peers (documents decode as frames arrive,
-// bounding transfer memory to one frame) and falls back to the
-// monolithic exchange against legacy peers.
-func (c *Client) FetchCollection(collection string) (*xmltree.Collection, error) {
-	if c.peerStreams() {
-		col := xmltree.NewCollection(collection)
-		deliver := func(f *Frame) error {
-			if len(f.DocNames) != len(f.Docs) {
-				return fmt.Errorf("wire: frame carries %d names for %d documents", len(f.DocNames), len(f.Docs))
-			}
-			for i, raw := range f.Docs {
-				doc, err := storage.DecodeDocument(f.DocNames[i], raw)
-				if err != nil {
-					return err
-				}
-				col.Add(doc)
-			}
-			return nil
-		}
-		reset := func() { col = xmltree.NewCollection(collection) }
-		err := c.stream(&Request{Op: OpFetchStream, Collection: collection}, deliver, reset)
-		if err == nil {
-			return col, nil
-		}
-		if !errors.Is(err, errStreamDowngrade) {
-			return nil, err
-		}
-		c.noteProto(0)
-		c.fallbacks.Add(1)
-	}
-	resp, err := c.roundTrip(&Request{Op: OpFetchCollection, Collection: collection})
-	if err != nil {
+	reset := func() { col = xmltree.NewCollection(collection) }
+	if _, err := c.stream(&Request{Op: OpFetchStream, Collection: collection}, deliver, reset); err != nil {
 		return nil, err
-	}
-	col := xmltree.NewCollection(collection)
-	for i, raw := range resp.Docs {
-		doc, err := storage.DecodeDocument(resp.DocNames[i], raw)
-		if err != nil {
-			return nil, err
-		}
-		col.Add(doc)
 	}
 	return col, nil
 }
@@ -783,15 +686,10 @@ func (c *Client) CollectionStats(collection string) (storage.Stats, error) {
 }
 
 // CollectionStatistics implements cluster.StatisticsProvider: the planner
-// statistics snapshot via the extended OpStats exchange. Against a peer
-// that has not announced protocol version 4 no request is issued and the
-// statistics are reported as unavailable ((nil, nil)) — the same shape a
-// v4 node with indexing disabled returns — so coordinators degrade to
+// statistics snapshot via the extended OpStats exchange. A node running
+// with indexing disabled returns (nil, nil), and coordinators degrade to
 // planning without statistics instead of erroring.
 func (c *Client) CollectionStatistics(collection string) (*engine.CollectionStatistics, error) {
-	if c.peer.Load() < 4 {
-		return nil, nil
-	}
 	resp, err := c.roundTrip(&Request{Op: OpStats, Collection: collection, WantStatistics: true})
 	if err != nil {
 		return nil, err
@@ -800,14 +698,8 @@ func (c *Client) CollectionStatistics(collection string) (*engine.CollectionStat
 }
 
 // Telemetry implements cluster.TelemetryProvider: the node's metric
-// snapshot and per-fragment heat via OpTelemetry. Against a peer that
-// has not announced protocol version 5 no request is issued and
-// (nil, nil) is returned, so coordinators aggregate the nodes they can
-// and report the rest as unsupported instead of erroring.
+// snapshot and per-fragment heat via OpTelemetry.
 func (c *Client) Telemetry() (*obs.TelemetrySnapshot, error) {
-	if c.peer.Load() < 5 {
-		return nil, nil
-	}
 	resp, err := c.roundTrip(&Request{Op: OpTelemetry})
 	if err != nil {
 		return nil, err

@@ -291,7 +291,7 @@ func TestDelayedLink(t *testing.T) {
 	}
 }
 
-// A panicking request yields an error Response while the server keeps
+// A panicking request yields an error frame while the server keeps
 // serving subsequent requests — on the same connection and on new ones.
 func TestPanickingRequestKeepsServing(t *testing.T) {
 	db := newNodeDB(t, 3)
@@ -301,7 +301,7 @@ func TestPanickingRequestKeepsServing(t *testing.T) {
 	}
 	srv := NewServerWith(db, nil, ServerOptions{})
 	srv.hook = func(req *Request) {
-		if (req.Op == OpQuery || req.Op == OpQueryStream) && req.Query == "boom" {
+		if req.Op == OpQueryStream && req.Query == "boom" {
 			panic("injected evaluator panic")
 		}
 	}
@@ -379,7 +379,7 @@ func TestClusterFailoverWhenPrimaryLinkDies(t *testing.T) {
 	subs := []cluster.SubQuery{{
 		Fragment: "f", Node: primary, Replicas: []cluster.Driver{replica}, Query: countQuery,
 	}}
-	res, err := cluster.Execute(subs, cluster.NoNetwork)
+	res, err := cluster.Execute(subs, cluster.NoNetwork, 1, cluster.NewBufferSink(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,15 +388,16 @@ func TestClusterFailoverWhenPrimaryLinkDies(t *testing.T) {
 	}
 
 	p.close() // primary unreachable: pooled conn severed, redials refused
-	res, err = cluster.Execute(subs, cluster.NoNetwork)
+	sink := cluster.NewBufferSink(1)
+	res, err = cluster.Execute(subs, cluster.NoNetwork, 1, sink)
 	if err != nil {
 		t.Fatalf("failover did not kick in: %v", err)
 	}
 	if res.Sub[0].Node != "replica" {
 		t.Fatalf("served by %q, want replica", res.Sub[0].Node)
 	}
-	if res.Sub[0].Items[0].(float64) != 3 {
-		t.Fatalf("failover answer = %v", res.Sub[0].Items)
+	if sink.Parts[0][0].(float64) != 3 {
+		t.Fatalf("failover answer = %v", sink.Parts[0])
 	}
 }
 
@@ -482,7 +483,7 @@ func TestPoolOverlapsConcurrentRequests(t *testing.T) {
 	}
 	srv := NewServerWith(db, nil, ServerOptions{})
 	srv.hook = func(req *Request) {
-		if req.Op == OpQuery || req.Op == OpQueryStream {
+		if req.Op == OpQueryStream {
 			time.Sleep(100 * time.Millisecond)
 		}
 	}

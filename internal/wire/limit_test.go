@@ -39,7 +39,7 @@ func TestLimitReaderPassesCompliantStream(t *testing.T) {
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
 	for i := 0; i < 5; i++ {
-		if err := enc.Encode(&Request{Op: OpQuery, Query: strings.Repeat("q", 100*i)}); err != nil {
+		if err := enc.Encode(&Request{Op: OpQueryStream, Query: strings.Repeat("q", 100*i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

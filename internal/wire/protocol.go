@@ -1,19 +1,36 @@
 // Package wire implements the network protocol between the PartiX
-// middleware and remote DBMS nodes: a length-free gob stream over TCP with
-// one request/response exchange at a time per connection. The remote
-// driver (Client) implements cluster.Driver over a small connection pool
-// with per-operation deadlines and automatic reconnect for retry-safe
-// operations, so a PartiX system can mix in-process and networked nodes
-// freely and survive transient link failures.
+// middleware and remote DBMS nodes: gob messages over TCP, one exchange
+// at a time per connection. The remote driver (Client) implements
+// cluster.Driver over a small connection pool with per-operation
+// deadlines and automatic reconnect for retry-safe operations, so a
+// PartiX system can mix in-process and networked nodes freely and survive
+// transient link failures.
 //
-// Protocol version 2 adds chunked result streaming: query and fetch
-// results are shipped as bounded Frames (FrameItems/FrameDocs … FrameEnd
-// or FrameErr) so the coordinator can compose partial results while the
-// node is still transmitting, and cancel a stream it no longer needs.
-// Version 3 adds the distributed-tracing header: requests may carry a
-// coordinator trace ID and query responses return per-step spans.
-// Versions are negotiated on the first exchange; legacy peers keep the
-// monolithic path on both sides.
+// There is one protocol version and it is checked, not negotiated: every
+// Request announces ProtocolVersion and every Response echoes the
+// server's. A server answers a request from any other version with an
+// error Response and closes the connection; a client that reads a
+// Response from any other version closes the connection and fails the
+// operation with *ErrProtocolMismatch, which is never retried. DialWith
+// pings, so the check has passed before the first user operation.
+//
+// Control operations (ping, create, store, stats, has-collection,
+// telemetry) are one Request answered by one Response. The two result
+// operations, OpQueryStream and OpFetchStream, are one Request answered
+// by a frame sequence:
+//
+//	FrameItems* FrameEnd   (query)      FrameDocs* FrameEnd   (fetch)
+//	... or at any point    FrameErr
+//
+// Each frame is bounded by the batch size and the server's byte budget; a
+// full batch is sent at once. FrameEnd carries the last, partial batch
+// itself, so a result smaller than one batch is a single message, plus
+// Total (the stream's item count, checked by the client) and, when the
+// request set Trace, a Trailer with the node's
+// parse/plan/execute/serialize spans. Tracing therefore changes what the
+// last frame carries, never which frames are sent. The client hands each
+// batch to its consumer as it arrives and may abandon the stream by
+// closing the connection, which stops the node producing.
 package wire
 
 import (
@@ -27,41 +44,25 @@ import (
 	"partix/internal/xquery"
 )
 
-// ProtocolVersion is the wire protocol generation this build speaks.
-// Version 1 (implicit — legacy peers never announce one) is the
-// monolithic request/response protocol; version 2 adds the chunked
-// result-frame streaming operations; version 3 adds the optional trace
-// header (Request.TraceID) and span reporting (Response.Spans). Peers
-// negotiate on the first exchange of a client: requests carry the
-// client's version, responses echo the server's, and a client only
-// issues streaming operations to a peer that has announced version 2 —
-// against anything older it falls back to the monolithic path
-// transparently. Likewise a trace ID is only sent to a peer that has
-// announced version 3; against anything older the query still runs,
-// just without node-side spans (gob drops fields a legacy decoder
-// lacks, so even an unexpectedly sent header is harmless). Version 4
-// extends OpStats with planner statistics: a client that has seen the
-// server announce version 4 may set Request.WantStatistics, and the
-// server attaches the index-derived CollectionStatistics snapshot to
-// Response.Statistics; against older peers the client never asks and
-// reports the statistics as simply unavailable. Version 5 adds
-// telemetry: OpTelemetry pulls the node's metric snapshot and
-// per-fragment heat (Response.Telemetry) for cluster-wide aggregation,
-// and streamed requests may carry Request.TraceID purely as a log/error
-// correlation tag — FrameErr echoes it back (Frame.TraceID) so a failed
-// sub-query joins across coordinator and node logs. A client never
-// issues OpTelemetry to a peer that has not announced version 5 and
-// reports that node's telemetry as unavailable instead. Version 6 adds
-// the serving tier's multi-tenancy header: requests may carry a
-// client-supplied tenant tag (Request.Tenant) that server-side admission
-// control uses for per-tenant token-bucket quotas, and a server that
-// sheds a request answers with an "overloaded: "-prefixed error that the
-// client surfaces as a NodeError matching ErrNodeOverloaded — never
-// retried, since re-offering load to an overloaded node is exactly
-// wrong. A client only stamps the tenant tag for a peer that has
-// announced version 6; against older peers the tag is dropped (gob
-// would drop it anyway) and the query runs unthrottled.
-const ProtocolVersion = 6
+// ProtocolVersion is the one wire protocol generation this build speaks.
+// Both peers check it on every Request/Response exchange; there is no
+// fallback to an older generation.
+const ProtocolVersion = 7
+
+// ErrProtocolMismatch reports a peer that speaks a different protocol
+// version, or answers a result request with something that is not a
+// frame. The connection it arrived on is closed and the operation is not
+// retried: a version disagreement does not heal on a fresh connection.
+type ErrProtocolMismatch struct {
+	Node string
+	// Peer is the version the peer announced; 0 when it announced none.
+	Peer uint8
+}
+
+func (e *ErrProtocolMismatch) Error() string {
+	return fmt.Sprintf("wire: node %s speaks protocol version %d, this build speaks %d",
+		e.Node, e.Peer, ProtocolVersion)
+}
 
 // Op identifies a request type.
 type Op uint8
@@ -71,20 +72,20 @@ const (
 	OpPing Op = iota
 	OpCreateCollection
 	OpStoreDocument
-	OpQuery
-	OpFetchCollection
 	OpStats
 	OpHasCollection
-	// OpQueryStream is OpQuery answered as a sequence of Frames instead
-	// of one Response. Protocol version 2; never sent to a legacy peer.
+	// OpQueryStream runs a query; the answer is a frame sequence.
 	OpQueryStream
-	// OpFetchStream is OpFetchCollection answered as Frames. Version 2.
+	// OpFetchStream ships a whole collection as a frame sequence.
 	OpFetchStream
 	// OpTelemetry pulls the node's telemetry snapshot (metric series and
-	// per-fragment heat) for cluster-wide aggregation. Protocol version
-	// 5; never sent to an older peer.
+	// per-fragment heat) for cluster-wide aggregation.
 	OpTelemetry
 )
+
+// streams reports whether the operation is answered by a frame sequence
+// instead of one Response.
+func (op Op) streams() bool { return op == OpQueryStream || op == OpFetchStream }
 
 // retrySafe marks the operations a client may transparently re-issue on
 // a fresh connection after a transport failure: reads plus the liveness
@@ -93,14 +94,12 @@ const (
 // Streaming ops are retry-safe only until their first frame has been
 // delivered to the consumer; the client enforces that separately.
 var retrySafe = map[Op]bool{
-	OpPing:            true,
-	OpQuery:           true,
-	OpFetchCollection: true,
-	OpStats:           true,
-	OpHasCollection:   true,
-	OpQueryStream:     true,
-	OpFetchStream:     true,
-	OpTelemetry:       true,
+	OpPing:          true,
+	OpStats:         true,
+	OpHasCollection: true,
+	OpQueryStream:   true,
+	OpFetchStream:   true,
+	OpTelemetry:     true,
 }
 
 // Request is one client → server message.
@@ -110,62 +109,50 @@ type Request struct {
 	DocName    string
 	DocData    []byte // binary-encoded document (storage format)
 	Query      string
-	// Proto announces the client's protocol version. Legacy servers
-	// ignore the field (gob skips fields the receiver lacks).
+	// Proto announces the client's protocol version; the server rejects
+	// any value other than its own ProtocolVersion.
 	Proto uint8
 	// BatchItems asks the server to cap streamed frames at this many
 	// items/documents each; 0 accepts the server's default. The server
 	// clamps it against its own limits.
 	BatchItems int
-	// TraceID is the coordinator's distributed-tracing identifier for
-	// OpQuery. When set, the node times each processing step and returns
-	// the spans in Response.Spans. Protocol version 3; empty (and so
-	// omitted from the gob stream) when the query is not traced or the
-	// peer is older. On the streaming operations (version 5) the ID is
-	// instead a pure correlation tag: the server does not trace, it only
-	// echoes the ID on FrameErr and in its slow-query log lines.
+	// TraceID is the coordinator's correlation tag for the query: the
+	// server echoes it on FrameErr and writes it into its flight-recorder
+	// entry, so a failed or slow sub-query joins across coordinator and
+	// node logs. It costs the node nothing; empty when the coordinator
+	// tags nothing.
 	TraceID string
+	// Trace asks the node to time its processing steps and return them in
+	// the FrameEnd trailer.
+	Trace bool
 	// WantStatistics asks OpStats to also return the planner statistics
-	// snapshot (Response.Statistics). Protocol version 4; never set when
-	// the peer is older.
+	// snapshot (Response.Statistics).
 	WantStatistics bool
 	// Tenant is the client-supplied tenant tag the server's admission
-	// control debits quotas against. Protocol version 6; empty when the
-	// client is untagged or the peer is older (legacy decoders drop the
-	// field entirely).
+	// control debits quotas against; empty when the client is untagged.
 	Tenant string
 }
 
-// Response is one server → client message.
+// Response is the server → client answer to a control operation.
 type Response struct {
-	Err      string
-	Items    []Item
-	DocNames []string
-	Docs     [][]byte // binary-encoded documents
-	Stats    storage.Stats
-	Bool     bool
-	// Proto announces the server's protocol version; zero on responses
-	// from legacy servers, which is how a client learns it must stay on
-	// the monolithic path.
+	Err   string
+	Stats storage.Stats
+	Bool  bool
+	// Proto announces the server's protocol version; the client rejects
+	// any value other than its own ProtocolVersion.
 	Proto uint8
-	// Spans carries the node's per-step trace spans (parse, plan,
-	// execute, serialize) for a traced OpQuery. Protocol version 3; nil
-	// otherwise.
-	Spans []obs.Span
 	// Statistics is the planner statistics snapshot, attached to an
-	// OpStats response when the client asked for it (WantStatistics) and
-	// announced protocol version 4. Nil otherwise; legacy decoders drop
-	// the field entirely.
+	// OpStats response when the client asked for it (WantStatistics).
 	Statistics *engine.CollectionStatistics
 	// Telemetry is the node's telemetry snapshot, attached to an
-	// OpTelemetry response. Protocol version 5; nil otherwise.
+	// OpTelemetry response.
 	Telemetry *obs.TelemetrySnapshot
 }
 
 // FrameKind tags one message of a streamed result. The zero value is
-// deliberately invalid: a legacy Response mis-decoded as a Frame (or any
-// stray message) yields kind 0 and is rejected instead of being
-// mistaken for an empty items frame.
+// deliberately invalid: a Response mis-decoded as a Frame (or any stray
+// message) yields kind 0 and is rejected instead of being mistaken for
+// an empty items frame.
 type FrameKind uint8
 
 // Streamed-result frame kinds.
@@ -175,8 +162,9 @@ const (
 	FrameItems
 	// FrameDocs carries one batch of documents (OpFetchStream).
 	FrameDocs
-	// FrameEnd terminates a successful stream; Total carries the item
-	// (or document) count for an end-to-end integrity check.
+	// FrameEnd terminates a successful stream. It carries the last,
+	// partial batch (possibly empty), Total for an end-to-end integrity
+	// check, and the Trailer when the request asked for one.
 	FrameEnd
 	// FrameErr terminates a failed stream with the node's error.
 	FrameErr
@@ -196,8 +184,17 @@ type Frame struct {
 	Total int
 	// TraceID echoes the request's correlation tag on FrameErr, so a
 	// failed sub-query can be joined across coordinator and node logs.
-	// Protocol version 5; empty otherwise (legacy decoders drop it).
 	TraceID string
+	// Trailer is set on the FrameEnd of a request that set Trace.
+	Trailer *Trailer
+}
+
+// Trailer is the end-of-stream summary of a traced query.
+type Trailer struct {
+	// Spans are the node's processing steps in order: parse, plan,
+	// execute, serialize. Durations are relative, so node clock skew
+	// never corrupts the coordinator's span tree.
+	Spans []obs.Span
 }
 
 // itemBatchPool recycles the []Item scratch slices the server encodes

@@ -44,9 +44,8 @@ type ServerOptions struct {
 	// disconnected before the decoder allocates for it. 0 means
 	// DefaultMaxMessageBytes (64 MiB).
 	MaxMessageBytes int64
-	// Recorder, when non-nil, receives a QueryRecord for every plain and
-	// streamed query the server serves (subject to the recorder's tail
-	// sampling). partixd feeds it to the /debug/queries endpoint.
+	// Recorder, when non-nil, receives a QueryRecord for every query the
+	// server serves (subject to the recorder's tail sampling). partixd feeds it to the /debug/queries endpoint.
 	Recorder *obs.FlightRecorder
 	// Profiler, when non-nil, is fed every served query's workload keys
 	// (paths, predicates, per node-collection). partixd feeds it to the
@@ -59,11 +58,11 @@ type ServerOptions struct {
 	// control operations are not gated. 0 disables the cap.
 	MaxInflight int
 	// TenantRate and TenantBurst install a token-bucket quota per tenant
-	// tag (Request.Tenant, protocol version 6): each tenant may issue
+	// tag (Request.Tenant): each tenant may issue
 	// TenantBurst query/fetch operations instantly and TenantRate per
 	// second sustained; beyond that requests are rejected with an
 	// overloaded error. TenantRate <= 0 disables quotas. Untagged
-	// requests (legacy peers, untagged clients) share one bucket.
+	// requests share one bucket.
 	TenantRate  float64
 	TenantBurst float64
 }
@@ -150,24 +149,15 @@ type serverBucket struct {
 	last   time.Time
 }
 
-// gatedOp reports whether an operation is subject to admission control:
-// the read paths a coordinator fans queries out over. Mutations, pings
-// and telemetry pulls always pass — shedding a health probe or a write
-// whose outcome the client cannot verify helps nobody.
-func gatedOp(op Op) bool {
-	switch op {
-	case OpQuery, OpQueryStream, OpFetchCollection, OpFetchStream:
-		return true
-	}
-	return false
-}
-
 // admit applies the node's admission policy to one request, returning
 // the release func and "" on success, or the overloaded error text. The
 // returned error always carries the overloadedPrefix so clients can type
-// it.
+// it. Only the result streams a coordinator fans queries out over are
+// gated: mutations, pings and telemetry pulls always pass — shedding a
+// health probe or a write whose outcome the client cannot verify helps
+// nobody.
 func (s *Server) admit(req *Request) (func(), string) {
-	if !gatedOp(req.Op) || (s.opts.MaxInflight <= 0 && s.opts.TenantRate <= 0) {
+	if !req.Op.streams() || (s.opts.MaxInflight <= 0 && s.opts.TenantRate <= 0) {
 		return func() {}, ""
 	}
 	s.admitMu.Lock()
@@ -332,19 +322,26 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		obs.WireServerRequests.Inc()
+		if req.Proto != ProtocolVersion {
+			// The handshake check: nothing is served to a peer of another
+			// version, and the connection does not outlive the rejection.
+			s.log.Log(obs.LevelWarn, "wire: protocol version mismatch",
+				"remote", conn.RemoteAddr(), "peer", req.Proto, "want", ProtocolVersion)
+			enc.Encode(&Response{
+				Err:   fmt.Sprintf("wire: protocol version mismatch: peer speaks %d, this node speaks %d", req.Proto, ProtocolVersion),
+				Proto: ProtocolVersion,
+			})
+			return
+		}
 		var err error
 		release, overload := s.admit(&req)
 		switch {
 		case overload != "":
-			// Shed before any work. Streamed requests expect frames, so
-			// the rejection travels as FrameErr there; either way the
-			// connection stays usable — the client just saw a typed error.
-			if req.Op == OpQueryStream || req.Op == OpFetchStream {
-				err = s.sendFrame(enc, conn, &Frame{Kind: FrameErr, Err: overload, TraceID: req.TraceID})
-			} else {
-				err = enc.Encode(&Response{Err: overload, Proto: ProtocolVersion})
-			}
-		case req.Op == OpQueryStream || req.Op == OpFetchStream:
+			// Shed before any work. Only streams are gated, so the
+			// rejection travels as FrameErr and the connection stays
+			// usable — the client just saw a typed error.
+			err = s.sendFrame(enc, conn, &Frame{Kind: FrameErr, Err: overload, TraceID: req.TraceID})
+		case req.Op.streams():
 			err = s.serveStream(enc, conn, &req)
 			release()
 		default:
@@ -404,12 +401,15 @@ type transportFailure struct{ err error }
 func (t *transportFailure) Error() string { return t.err.Error() }
 
 // streamQuery evaluates the query and ships the result sequence as
-// bounded FrameItems batches. Compiled queries stream straight out of the
-// engine's operator pipeline — items are encoded and framed as the scan
-// produces them, so the node never materializes the full result; only
-// queries outside the compiled subset still materialize first. A failure
-// after frames were already sent terminates the stream with FrameErr,
-// which clients surface as a node error at whatever point it arrives.
+// bounded FrameItems batches, the last of them inside FrameEnd. Compiled
+// queries stream straight out of the engine's operator pipeline — items
+// are encoded and framed as the scan produces them, so the node never
+// materializes the full result; only queries outside the compiled subset
+// still materialize first. A failure after frames were already sent
+// terminates the stream with FrameErr, which clients surface as a node
+// error at whatever point it arrives. A traced request (req.Trace) runs
+// exactly the same way; the step timings taken here just travel home in
+// the FrameEnd trailer.
 func (s *Server) streamQuery(enc *gob.Encoder, conn net.Conn, req *Request, batch int) error {
 	// One pooled buffer per stream, reset in place between frames: the
 	// put/get pair it replaced could double-insert the buffer into the
@@ -421,6 +421,8 @@ func (s *Server) streamQuery(enc *gob.Encoder, conn net.Conn, req *Request, batc
 	start := time.Now()
 	decodedBefore := s.decodedNow()
 	var expr xquery.Expr
+	var spans []obs.Span        // the node's processing steps, for req.Trace
+	var serialize time.Duration // time inside the yield callback: encoding and frame writes
 	total, err := func() (total int, err error) {
 		// A panic in the hook or evaluator is confined to this stream,
 		// mirroring dispatch: the client sees FrameErr, not a dead node.
@@ -435,12 +437,13 @@ func (s *Server) streamQuery(enc *gob.Encoder, conn net.Conn, req *Request, batc
 		if s.hook != nil {
 			s.hook(req)
 		}
-		e, perr := xquery.Parse(req.Query)
-		if perr != nil {
-			return 0, perr
+		if expr, spans, err = engine.ParseTraced(req.Query, req.Trace); err != nil {
+			return 0, err
 		}
-		expr = e
-		return s.db.StreamQueryExpr(e, func(items xquery.Seq) error {
+		execStart := time.Now()
+		total, err = s.db.StreamQueryExpr(expr, func(items xquery.Seq) error {
+			yieldStart := time.Now()
+			defer func() { serialize += time.Since(yieldStart) }()
 			for _, it := range items {
 				wi, encErr := EncodeItem(it)
 				if encErr != nil {
@@ -459,31 +462,32 @@ func (s *Server) streamQuery(enc *gob.Encoder, conn net.Conn, req *Request, batc
 			}
 			return nil
 		})
+		if req.Trace {
+			spans = append(spans,
+				obs.Span{Name: "execute", Detail: fmt.Sprintf("items=%d", total), Duration: time.Since(execStart) - serialize},
+				obs.Span{Name: "serialize", Duration: serialize})
+		}
+		return total, err
 	}()
-	record := func(qerr error) {
-		s.recordQuery(req, expr, time.Since(start), total, totalBytes,
-			s.decodedDelta(decodedBefore), true, qerr)
-	}
+	s.recordQuery(req, expr, time.Since(start), total, totalBytes, s.decodedDelta(decodedBefore), err)
 	if err != nil {
-		record(err)
 		var tf *transportFailure
 		if errors.As(err, &tf) {
 			return tf.err // peer gone; drop the connection, no FrameErr
 		}
 		return s.sendFrame(enc, conn, &Frame{Kind: FrameErr, Err: err.Error(), TraceID: req.TraceID})
 	}
-	record(nil)
-	if len(*buf) > 0 {
-		if err := s.sendFrame(enc, conn, &Frame{Kind: FrameItems, Items: *buf}); err != nil {
-			return err
-		}
+	end := &Frame{Kind: FrameEnd, Items: *buf, Total: total}
+	if req.Trace {
+		end.Trailer = &Trailer{Spans: spans}
 	}
-	return s.sendFrame(enc, conn, &Frame{Kind: FrameEnd, Total: total})
+	return s.sendFrame(enc, conn, end)
 }
 
 // streamFetch ships a collection's documents as bounded FrameDocs
-// batches, reading them from the store one at a time (engine.RawDocuments)
-// so the node never materializes the whole collection either.
+// batches, the last of them inside FrameEnd, reading them from the store
+// one at a time (engine.RawDocuments) so the node never materializes the
+// whole collection either.
 func (s *Server) streamFetch(enc *gob.Encoder, conn net.Conn, req *Request, batch int) error {
 	if s.hook != nil {
 		s.hook(req)
@@ -491,16 +495,6 @@ func (s *Server) streamFetch(enc *gob.Encoder, conn net.Conn, req *Request, batc
 	names := make([]string, 0, batch)
 	docs := make([][]byte, 0, batch)
 	bytes, total := 0, 0
-	flush := func() error {
-		if len(docs) == 0 {
-			return nil
-		}
-		err := s.sendFrame(enc, conn, &Frame{Kind: FrameDocs, DocNames: names, Docs: docs})
-		names = names[:0]
-		docs = docs[:0]
-		bytes = 0
-		return err
-	}
 	var sendErr error
 	err := s.db.RawDocuments(req.Collection, func(name string, raw []byte) error {
 		names = append(names, name)
@@ -508,12 +502,10 @@ func (s *Server) streamFetch(enc *gob.Encoder, conn net.Conn, req *Request, batc
 		bytes += len(raw)
 		total++
 		if len(docs) >= batch || bytes >= s.opts.MaxFrameBytes {
-			if err := flush(); err != nil {
-				sendErr = err
-				return err
-			}
+			sendErr = s.sendFrame(enc, conn, &Frame{Kind: FrameDocs, DocNames: names, Docs: docs})
+			names, docs, bytes = names[:0], docs[:0], 0
 		}
-		return nil
+		return sendErr
 	})
 	if sendErr != nil {
 		return sendErr // transport failure: drop the connection
@@ -521,10 +513,7 @@ func (s *Server) streamFetch(enc *gob.Encoder, conn net.Conn, req *Request, batc
 	if err != nil {
 		return s.sendFrame(enc, conn, &Frame{Kind: FrameErr, Err: err.Error(), TraceID: req.TraceID})
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-	return s.sendFrame(enc, conn, &Frame{Kind: FrameEnd, Total: total})
+	return s.sendFrame(enc, conn, &Frame{Kind: FrameEnd, DocNames: names, Docs: docs, Total: total})
 }
 
 // dispatch serves one request. A panic anywhere below (a malformed query
@@ -562,58 +551,13 @@ func (s *Server) dispatch(req *Request) (resp *Response) {
 		if err := s.db.PutDocument(req.Collection, doc); err != nil {
 			return fail(err)
 		}
-	case OpQuery:
-		if req.TraceID != "" {
-			return s.tracedQuery(req, resp)
-		}
-		start := time.Now()
-		decodedBefore := s.decodedNow()
-		e, perr := xquery.Parse(req.Query)
-		if perr != nil {
-			s.recordQuery(req, nil, time.Since(start), 0, 0, 0, false, perr)
-			return fail(perr)
-		}
-		items, err := s.db.QueryExpr(e)
-		if err != nil {
-			s.recordQuery(req, e, time.Since(start), 0, 0, s.decodedDelta(decodedBefore), false, err)
-			return fail(err)
-		}
-		wi, err := EncodeSeq(items)
-		if err != nil {
-			return fail(err)
-		}
-		bytes := 0
-		if s.opts.Recorder != nil {
-			for _, it := range wi {
-				bytes += it.wireBytes()
-			}
-		}
-		s.recordQuery(req, e, time.Since(start), len(items), bytes, s.decodedDelta(decodedBefore), false, nil)
-		resp.Items = wi
-	case OpFetchCollection:
-		names, err := s.db.Store().Documents(req.Collection)
-		if err != nil {
-			return fail(err)
-		}
-		resp.DocNames = names
-		resp.Docs = make([][]byte, len(names))
-		for i, name := range names {
-			raw, err := s.db.Store().GetDocumentRaw(req.Collection, name)
-			if err != nil {
-				return fail(err)
-			}
-			resp.Docs[i] = raw
-		}
 	case OpStats:
 		st, err := s.db.CollectionStats(req.Collection)
 		if err != nil {
 			return fail(err)
 		}
 		resp.Stats = st
-		// Planner statistics only travel to peers that both announced
-		// protocol version 4 and asked; the basic stats above stay exactly
-		// what legacy clients have always received.
-		if req.WantStatistics && req.Proto >= 4 {
+		if req.WantStatistics {
 			cs, err := s.db.CollectionStatistics(req.Collection)
 			if err != nil {
 				return fail(err)
@@ -623,13 +567,6 @@ func (s *Server) dispatch(req *Request) (resp *Response) {
 	case OpHasCollection:
 		resp.Bool = s.db.HasCollection(req.Collection)
 	case OpTelemetry:
-		// Telemetry only travels to peers that announced protocol
-		// version 5; an older (or misbehaving) peer gets an error, not a
-		// response shape it cannot decode.
-		if req.Proto < 5 {
-			resp.Err = "wire: telemetry requires protocol version 5"
-			break
-		}
 		resp.Telemetry = &obs.TelemetrySnapshot{
 			Metrics: obs.Default.Snapshot(),
 			Heat:    s.db.FragmentHeat(),
@@ -663,8 +600,8 @@ func (s *Server) decodedDelta(before int64) int64 {
 
 // recordQuery publishes one served query into the node's flight
 // recorder and workload profiler, when the server has them. expr may be
-// nil (parse failures); streamed marks the chunked-frame path.
-func (s *Server) recordQuery(req *Request, expr xquery.Expr, elapsed time.Duration, items, bytes int, decoded int64, streamed bool, qerr error) {
+// nil (parse failures).
+func (s *Server) recordQuery(req *Request, expr xquery.Expr, elapsed time.Duration, items, bytes int, decoded int64, qerr error) {
 	if s.opts.Profiler != nil && expr != nil {
 		for coll, k := range xquery.ExtractWorkloadKeys(expr) {
 			s.opts.Profiler.ObserveQuery(coll, k.Paths, k.Predicates)
@@ -687,7 +624,6 @@ func (s *Server) recordQuery(req *Request, expr xquery.Expr, elapsed time.Durati
 		Items:       items,
 		Bytes:       bytes,
 		DocsDecoded: decoded,
-		Streamed:    streamed,
 		Slow:        r.IsSlow(elapsed),
 	}
 	if qerr != nil {
@@ -695,43 +631,4 @@ func (s *Server) recordQuery(req *Request, expr xquery.Expr, elapsed time.Durati
 	}
 	r.Record(rec)
 	obs.TelemetryRecords.Inc()
-}
-
-// tracedQuery serves an OpQuery that carries a trace ID, timing each
-// processing step the way the coordinator's span tree expects: parse
-// (query text → AST), plan (index-hint extraction — the node-local
-// planning the engine repeats inside evaluation), execute (the
-// evaluator), serialize (result → wire items). Span durations are
-// relative, so node clock skew never corrupts the tree.
-func (s *Server) tracedQuery(req *Request, resp *Response) *Response {
-	fail := func(err error) *Response {
-		resp.Err = err.Error()
-		return resp
-	}
-	parseSpan, endParse := obs.StartSpan("parse", "")
-	expr, err := xquery.Parse(req.Query)
-	endParse()
-	if err != nil {
-		return fail(err)
-	}
-	planSpan, endPlan := obs.StartSpan("plan", "")
-	hints := xquery.ExtractHints(expr)
-	endPlan()
-	planSpan.Detail = fmt.Sprintf("hints=%d", len(hints))
-	execSpan, endExec := obs.StartSpan("execute", "")
-	items, err := s.db.QueryExpr(expr)
-	endExec()
-	if err != nil {
-		return fail(err)
-	}
-	execSpan.Detail = fmt.Sprintf("items=%d", len(items))
-	serSpan, endSer := obs.StartSpan("serialize", "")
-	wi, err := EncodeSeq(items)
-	endSer()
-	if err != nil {
-		return fail(err)
-	}
-	resp.Items = wi
-	resp.Spans = []obs.Span{*parseSpan, *planSpan, *execSpan, *serSpan}
-	return resp
 }

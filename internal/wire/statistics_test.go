@@ -1,28 +1,20 @@
 package wire
 
-import (
-	"encoding/gob"
-	"net"
-	"testing"
+import "testing"
 
-	"partix/internal/storage"
-)
-
-// A v4 client against a v4 server gets the full planner-statistics
-// snapshot piggybacked on the stats exchange.
+// The full planner-statistics snapshot rides the stats exchange when the
+// client asks for it.
 func TestStatisticsRoundTrip(t *testing.T) {
 	db := newNodeDB(t, 5)
 	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
 	c := dialStream(t, addr, ClientOptions{})
-
-	mustCount(t, c, 5) // first exchange: learn the peer's version
 
 	cs, err := c.CollectionStatistics("c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cs == nil {
-		t.Fatal("no statistics from a v4 peer")
+		t.Fatal("no statistics")
 	}
 	if cs.Docs != 5 || !cs.Complete {
 		t.Fatalf("snapshot: %+v", cs)
@@ -41,64 +33,5 @@ func TestStatisticsRoundTrip(t *testing.T) {
 	}
 	if st.Documents != 5 {
 		t.Fatalf("basic stats: %+v", st)
-	}
-}
-
-// Against a legacy peer the client never asks: statistics come back as
-// simply unavailable, with no error and no wire exchange a legacy server
-// would reject as an unknown shape.
-func TestStatisticsLegacyServer(t *testing.T) {
-	db := newNodeDB(t, 3)
-	addr := legacyServer(t, db)
-	c := dialStream(t, addr, ClientOptions{})
-
-	mustCount(t, c, 3) // peer announces no version
-
-	cs, err := c.CollectionStatistics("c")
-	if err != nil {
-		t.Fatalf("legacy peer: %v", err)
-	}
-	if cs != nil {
-		t.Fatalf("statistics from a legacy peer: %+v", cs)
-	}
-	if st := c.Stats(); st.NodeErrors != 0 || st.TransportErrors != 0 {
-		t.Fatalf("statistics probe errored against legacy peer: %+v", st)
-	}
-}
-
-// A legacy client — request struct without WantStatistics, response
-// struct without Statistics — still completes OpStats against a v4
-// server: gob drops what either side lacks.
-func TestStatisticsLegacyClient(t *testing.T) {
-	db := newNodeDB(t, 4)
-	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
-
-	type legacyRequest struct {
-		Op         Op
-		Collection string
-	}
-	type legacyResponse struct {
-		Err   string
-		Stats storage.Stats
-		Bool  bool
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := enc.Encode(&legacyRequest{Op: OpStats, Collection: "c"}); err != nil {
-		t.Fatal(err)
-	}
-	var resp legacyResponse
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("node error: %s", resp.Err)
-	}
-	if resp.Stats.Documents != 4 {
-		t.Fatalf("legacy stats: %+v", resp.Stats)
 	}
 }

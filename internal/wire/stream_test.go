@@ -1,16 +1,13 @@
 package wire
 
-// Coverage for protocol v2 result streaming: streamed results must be
-// byte-identical to monolithic ones at every batch size, legacy peers
-// must keep working over the monolithic fallback, a stream cut mid-way
+// Coverage for result streaming: streamed results must be byte-identical
+// to the engine's own answer at every batch size, a stream cut mid-way
 // must surface as an error (never as a truncated-but-successful result),
 // and an early-terminating consumer must be able to cancel the stream.
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -115,57 +112,50 @@ func dialStream(t *testing.T, addr string, opts ClientOptions) *Client {
 	return c
 }
 
-// Streamed query and fetch results are identical to the monolithic
-// path's at every batch size, including a batch far larger than the
-// result and the byte-budget flush.
-func TestStreamedResultsMatchMonolithic(t *testing.T) {
+// Streamed query and fetch results are identical to the centralized
+// oracle's — the engine evaluating the query whole, the store reading the
+// collection whole — at every batch size, including a batch far larger
+// than the result and the byte-budget flush. A result smaller than one
+// batch is one message.
+func TestStreamedResultsMatchOracle(t *testing.T) {
 	const docs = 53
 	db := newNodeDB(t, docs)
 	for _, batch := range []int{1, 7, 0, 100000} {
 		batch := batch
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{BatchItems: batch})
-			mono := dialStream(t, addr, ClientOptions{DisableStreaming: true})
-			stream := dialStream(t, addr, ClientOptions{})
+			c := dialStream(t, addr, ClientOptions{})
 
 			for _, q := range []string{allItemsQuery, countQuery, `collection("c")/Item/Code`} {
-				want, err := mono.ExecuteQuery(q)
+				want, err := db.Query(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := stream.ExecuteQuery(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wf, gf := fingerprint(t, want), fingerprint(t, got)
+				framesBefore := c.Stats().Frames
+				wf, gf := fingerprint(t, want), fingerprint(t, mustQuery(t, c, q))
 				if len(wf) != len(gf) {
-					t.Fatalf("%s: streamed %d items, monolithic %d", q, len(gf), len(wf))
+					t.Fatalf("%s: streamed %d items, oracle %d", q, len(gf), len(wf))
 				}
 				for i := range wf {
 					if wf[i] != gf[i] {
-						t.Fatalf("%s: item %d differs:\nstream: %s\nmono:   %s", q, i, gf[i], wf[i])
+						t.Fatalf("%s: item %d differs:\nstream: %s\noracle: %s", q, i, gf[i], wf[i])
 					}
+				}
+				if frames := c.Stats().Frames - framesBefore; q == countQuery && batch != 1 && frames != 1 {
+					t.Fatalf("one-item result took %d frames, want the end frame alone", frames)
 				}
 			}
 
-			wantCol, err := mono.FetchCollection("c")
+			wantCol, err := db.Store().ReadCollection("c")
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotCol, err := stream.FetchCollection("c")
+			gotCol, err := c.FetchCollection("c")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !xmltree.EqualCollections(wantCol, gotCol) {
-				t.Fatal("streamed collection differs from monolithic fetch")
-			}
-
-			st := stream.Stats()
-			if st.Streams == 0 || st.Frames == 0 {
-				t.Fatalf("streaming client did not stream: %+v", st)
-			}
-			if mst := mono.Stats(); mst.Streams != 0 || mst.Fallbacks != 0 {
-				t.Fatalf("DisableStreaming client streamed: %+v", mst)
+				t.Fatal("streamed collection differs from the store's")
 			}
 		})
 	}
@@ -288,100 +278,6 @@ func TestStreamNodeErrorKeepsConnection(t *testing.T) {
 	mustCount(t, c, 3)
 }
 
-// legacyServer is a hand-rolled protocol-v1 responder: it answers with
-// monolithic Responses that carry no Proto field and knows nothing of
-// frames, like a pre-streaming build.
-func legacyServer(t *testing.T, db interface {
-	Query(string) (xquery.Seq, error)
-}) string {
-	t.Helper()
-	type legacyRequest struct {
-		Op         Op
-		Collection string
-		DocName    string
-		DocData    []byte
-		Query      string
-	}
-	type legacyResponse struct {
-		Err   string
-		Items []Item
-		Bool  bool
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req legacyRequest
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					var resp legacyResponse
-					switch req.Op {
-					case OpPing:
-						resp.Bool = true
-					case OpQuery:
-						items, err := db.Query(req.Query)
-						if err != nil {
-							resp.Err = err.Error()
-						} else if resp.Items, err = EncodeSeq(items); err != nil {
-							resp.Err = err.Error()
-						}
-					default:
-						resp.Err = "wire: unknown operation"
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return l.Addr().String()
-}
-
-// Against a legacy peer the client negotiates down on the first exchange
-// and serves queries — including StreamQuery — over the monolithic path.
-func TestLegacyServerInterop(t *testing.T) {
-	db := newNodeDB(t, 9)
-	addr := legacyServer(t, db)
-	c := dialStream(t, addr, ClientOptions{})
-
-	mustCount(t, c, 9) // ExecuteQuery fell back transparently
-
-	var got xquery.Seq
-	calls := 0
-	err := c.StreamQuery(allItemsQuery, func(s xquery.Seq) error {
-		calls++
-		got = append(got, s...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 9 || calls != 1 {
-		t.Fatalf("legacy StreamQuery: %d items in %d calls, want 9 in 1", len(got), calls)
-	}
-	st := c.Stats()
-	if st.Streams != 0 {
-		t.Fatalf("streaming op sent to a legacy peer: %+v", st)
-	}
-	if st.Fallbacks == 0 {
-		t.Fatalf("fallbacks not counted: %+v", st)
-	}
-}
-
 // A link cut in the middle of a frame stream must never yield a
 // truncated-but-successful result: StreamQuery (which cannot retry after
 // delivery) errors, and ExecuteQuery either errors or retries into the
@@ -484,55 +380,5 @@ func TestItemBatchPoolRecycles(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("pooled batch cycle allocates %.1f objects/op", allocs)
-	}
-}
-
-// BenchmarkStreamVsMonolithic compares the full query round trip over
-// the monolithic and the streamed paths; verify.sh runs it once per
-// build to keep both paths exercised.
-func BenchmarkStreamVsMonolithic(b *testing.B) {
-	db, err := engine.Open(filepath.Join(b.TempDir(), "bench.db"), engine.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
-	db.Store().CreateCollection("c")
-	for i := 0; i < 400; i++ {
-		doc := xmltree.MustParseString(fmt.Sprintf("d%03d", i),
-			fmt.Sprintf("<Item><Code>I%d</Code><Description>bench payload %d</Description></Item>", i, i))
-		if err := db.PutDocument("c", doc); err != nil {
-			b.Fatal(err)
-		}
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := NewServerWith(db, nil, ServerOptions{})
-	go srv.Serve(l)
-	b.Cleanup(func() { srv.Close() })
-
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"stream", false}, {"mono", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c, err := DialWith("n0", l.Addr().String(), ClientOptions{DisableStreaming: mode.disable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				items, err := c.ExecuteQuery(allItemsQuery)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(items) != 400 {
-					b.Fatalf("items = %d", len(items))
-				}
-			}
-		})
 	}
 }

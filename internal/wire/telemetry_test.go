@@ -1,23 +1,18 @@
 package wire
 
-// Coverage for the protocol-v5 telemetry surface: OpTelemetry pulls a
-// node's metric snapshot and per-fragment heat, the version gate keeps
-// both directions of legacy interop safe, and the streamed-query trace
-// tag survives into FrameErr so failures correlate across machines.
+// Coverage for the telemetry surface: OpTelemetry pulls a node's metric
+// snapshot and per-fragment heat, and a query's correlation tag survives
+// into FrameErr so failures correlate across machines.
 
 import (
-	"encoding/gob"
 	"errors"
-	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"partix/internal/obs"
-	"partix/internal/xquery"
 )
 
-// A v5 client against a v5 server pulls the node's telemetry: metric
+// OpTelemetry pulls the node's telemetry: metric
 // series, per-fragment heat for the queried collection, and the
 // server-side recorder and profiler both saw the traffic.
 func TestTelemetryRoundTrip(t *testing.T) {
@@ -27,7 +22,7 @@ func TestTelemetryRoundTrip(t *testing.T) {
 	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{Recorder: rec, Profiler: prof})
 	c := dialStream(t, addr, ClientOptions{})
 
-	mustCount(t, c, 5)             // first exchange: learn the peer's version
+	mustCount(t, c, 5)
 	mustQuery(t, c, allItemsQuery) // FLWOR shape: feeds the profiler's key miner
 
 	snap, err := c.Telemetry()
@@ -35,7 +30,7 @@ func TestTelemetryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap == nil {
-		t.Fatal("no telemetry from a v5 peer")
+		t.Fatal("no telemetry")
 	}
 	if snap.Node != "n0" {
 		t.Fatalf("snapshot node = %q, want the puller's name for the peer", snap.Node)
@@ -67,56 +62,6 @@ func TestTelemetryRoundTrip(t *testing.T) {
 	}
 }
 
-// Against a legacy peer the client never issues OpTelemetry: the pull
-// reports unsupported as (nil, nil), with no error and no wire exchange
-// the old server would reject.
-func TestTelemetryLegacyServer(t *testing.T) {
-	db := newNodeDB(t, 3)
-	addr := legacyServer(t, db)
-	c := dialStream(t, addr, ClientOptions{})
-
-	mustCount(t, c, 3) // peer announces no version
-
-	snap, err := c.Telemetry()
-	if err != nil {
-		t.Fatalf("legacy peer: %v", err)
-	}
-	if snap != nil {
-		t.Fatalf("telemetry from a legacy peer: %+v", snap)
-	}
-	if st := c.Stats(); st.NodeErrors != 0 || st.TransportErrors != 0 {
-		t.Fatalf("telemetry probe errored against legacy peer: %+v", st)
-	}
-}
-
-// A pre-v5 client that somehow issues OpTelemetry gets a clean error,
-// not a response shape it cannot decode.
-func TestTelemetryLegacyClientRejected(t *testing.T) {
-	db := newNodeDB(t, 2)
-	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
-
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	// Proto left zero: a legacy build never announces a version.
-	if err := enc.Encode(&Request{Op: OpTelemetry}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resp.Err, "version 5") {
-		t.Fatalf("legacy telemetry request answered %q, want a version error", resp.Err)
-	}
-	if resp.Telemetry != nil {
-		t.Fatalf("telemetry leaked to a legacy client: %+v", resp.Telemetry)
-	}
-}
-
 // A tagged streamed query that fails on the node carries the trace ID
 // back in the FrameErr, so the coordinator's error joins with the
 // node's log line.
@@ -125,10 +70,8 @@ func TestTaggedStreamErrorCarriesTraceID(t *testing.T) {
 	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
 	c := dialStream(t, addr, ClientOptions{})
 
-	mustCount(t, c, 2) // learn the peer's version so the tag is sent
-
 	const trace = "trace-abc123"
-	err := c.StreamQueryTagged(trace, `for $i in`, func(xquery.Seq) error { return nil })
+	_, _, err := collect(c, `for $i in`, trace, false)
 	if err == nil {
 		t.Fatal("malformed query succeeded")
 	}

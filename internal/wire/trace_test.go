@@ -1,30 +1,47 @@
 package wire
 
-// Coverage for the protocol-v3 trace header: traced queries return
-// per-step spans and identical results, legacy peers interoperate in
-// both directions (a v3 client never sends the header to a pre-v3
-// server; a pre-v3 client's requests still decode on a v3 server).
+// Coverage for traced queries: the node's per-step spans ride home in
+// the FrameEnd trailer of the same stream an untraced query uses.
 
 import (
-	"encoding/gob"
-	"net"
 	"testing"
-	"time"
 
 	"partix/internal/obs"
+	"partix/internal/xquery"
 )
+
+// collect runs Query and accumulates the delivered batches.
+func collect(c *Client, q, tag string, trace bool) (xquery.Seq, []obs.Span, error) {
+	var out xquery.Seq
+	spans, err := c.Query(q, tag, trace, func(s xquery.Seq) error {
+		out = append(out, s...)
+		return nil
+	})
+	return out, spans, err
+}
 
 func TestTracedQueryReturnsSpans(t *testing.T) {
 	db := newNodeDB(t, 12)
-	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
+	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{BatchItems: 5})
 	c := dialStream(t, addr, ClientOptions{})
 
-	want := fingerprint(t, mustQuery(t, c, allItemsQuery))
-	items, spans, err := c.ExecuteQueryTraced(obs.NewTraceID(), allItemsQuery)
+	framesBefore := c.Stats().Frames
+	plain, spans, err := collect(c, allItemsQuery, "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fingerprint(t, items)
+	if spans != nil {
+		t.Fatalf("untraced query returned spans: %v", spans)
+	}
+	untracedFrames := c.Stats().Frames - framesBefore
+	items, spans, err := collect(c, allItemsQuery, obs.NewTraceID(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames := c.Stats().Frames - framesBefore - untracedFrames; frames != untracedFrames || frames != 3 {
+		t.Fatalf("traced run took %d frames, untraced %d, want 3 each", frames, untracedFrames)
+	}
+	got, want := fingerprint(t, items), fingerprint(t, plain)
 	if len(got) != len(want) {
 		t.Fatalf("traced result has %d items, untraced %d", len(got), len(want))
 	}
@@ -55,87 +72,7 @@ func TestTracedQueryNodeError(t *testing.T) {
 	db := newNodeDB(t, 3)
 	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
 	c := dialStream(t, addr, ClientOptions{})
-	if _, _, err := c.ExecuteQueryTraced(obs.NewTraceID(), `syntax error here`); err == nil {
+	if _, _, err := collect(c, `syntax error here`, obs.NewTraceID(), true); err == nil {
 		t.Fatal("traced parse error not propagated")
-	}
-}
-
-// A traced query against a legacy (pre-v3) peer must still run — just
-// without spans, and without the header the old decoder has never seen.
-func TestTracedQueryLegacyServerInterop(t *testing.T) {
-	db := newNodeDB(t, 9)
-	addr := legacyServer(t, db)
-	c := dialStream(t, addr, ClientOptions{})
-	if v := c.peer.Load(); v != 0 {
-		t.Fatalf("legacy peer announced protocol %d", v)
-	}
-	items, spans, err := c.ExecuteQueryTraced(obs.NewTraceID(), countQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) != 1 || items[0].(float64) != 9 {
-		t.Fatalf("traced count over legacy peer = %v", items)
-	}
-	if len(spans) != 0 {
-		t.Fatalf("legacy peer returned spans: %v", spans)
-	}
-}
-
-// The reverse direction: a pre-trace-header client (its Request type
-// has no TraceID field, its Response type no Spans field) against a v3
-// server. Both messages must decode cleanly on both sides.
-func TestLegacyClientInterop(t *testing.T) {
-	db := newNodeDB(t, 7)
-	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
-
-	type legacyRequest struct {
-		Op         Op
-		Collection string
-		DocName    string
-		DocData    []byte
-		Query      string
-	}
-	type legacyResponse struct {
-		Err   string
-		Items []Item
-		Bool  bool
-	}
-
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-
-	if err := enc.Encode(&legacyRequest{Op: OpQuery, Query: countQuery}); err != nil {
-		t.Fatal(err)
-	}
-	var resp legacyResponse
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("node error: %s", resp.Err)
-	}
-	seq, err := DecodeSeq(resp.Items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != 1 || seq[0].(float64) != 7 {
-		t.Fatalf("legacy client count = %v", seq)
-	}
-}
-
-// An untraced ExecuteQuery must not grow spans or change shape: the
-// TraceID field stays zero and is omitted from the gob stream entirely.
-func TestUntracedQueryHasNoSpans(t *testing.T) {
-	db := newNodeDB(t, 5)
-	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
-	c := dialStream(t, addr, ClientOptions{DisableStreaming: true})
-	out := mustQuery(t, c, countQuery)
-	if len(out) != 1 || out[0].(float64) != 5 {
-		t.Fatalf("count = %v", out)
 	}
 }

@@ -22,9 +22,11 @@ go test -race -timeout 5m -run 'TestConcurrentSameDocPutCommitOrder|TestQuerySna
 # mixed read/write panel under the race detector: snapshot reads
 # against a concurrent writer pool
 go test -race -timeout 5m -run TestRunMixedRWShape ./internal/experiments/
-# streaming smoke benchmark: one iteration proves the framed and
-# monolithic wire paths agree and the alloc assertions hold
-go test -timeout 5m -run '^$' -bench BenchmarkStreamVsMonolithic -benchtime 1x ./internal/wire/
+# the benchmark is a nested module (partix/benchmark) that compiles
+# against internal/ through a replace directive, so ./... above does not
+# reach it: vet it and run its 5 s smoke test, or an internal/ signature
+# change breaks the benchmark silently
+(cd benchmark && go vet . && go test -timeout 5m .)
 # the committed BENCH_*.json files must keep decoding: fail on golden
 # report schema drift
 go test -timeout 5m -run TestReportGoldenRoundTrip ./internal/experiments/
@@ -56,8 +58,8 @@ grep -q '"durableWAL": true' "$benchdir/mixedrw.json"
 # telemetry gates under the race detector: the flight recorder's
 # lock-free ring under concurrent writers/readers, tail sampling
 # retention of every slow/errored query at a 1-in-100 rate, the
-# profiler's concurrent sketch/heat updates, the wire v5 pull with both
-# legacy directions, and the system-level toggle/aggregation tests
+# profiler's concurrent sketch/heat updates, the wire telemetry pull and
+# error-frame tag, and the system-level toggle/aggregation tests
 go test -race -timeout 5m -run 'TestRecorder|TestProfiler|TestMergeHeat|TestPrometheus' ./internal/obs/
 go test -race -timeout 5m -run 'TestTelemetry|TestTaggedStream' ./internal/wire/
 go test -race -timeout 5m -run 'TestWorkloadProfileMatchesRouting|TestRecorderCapturesQueries|TestClusterTelemetry|TestSetTelemetry' ./internal/partix/
@@ -84,10 +86,11 @@ go test -timeout 5m -run TestAllocsScanFilterProject ./internal/xquery/exec/
 grep -q '"exec"' "$benchdir/exec.json"
 
 # result-cache gates under the race detector: the randomized read/write
-# differential (cache-served == fresh execution, zero stale), the
-# singleflight dogpile, the streamed-bypass memory regression, and the
-# admission/tenant shedding paths on both the coordinator and the wire
-go test -race -timeout 5m -run 'TestResultCache|TestStreamedQueryBypassesResultCache|TestDeciderQueriesBypassResultCache|TestAdmission|TestTenantQuota|TestCacheHitBypassesAdmission|TestPublishClearsResultCache' ./internal/partix/
+# differential (cache-served == fresh execution, zero stale, sequential
+# and concurrent sub-queries), the singleflight dogpile, the over-cap
+# memory guarantee, and the admission/tenant shedding paths on both the
+# coordinator and the wire
+go test -race -timeout 5m -run 'TestResultCache|TestDeciderQueriesBypassResultCache|TestAdmission|TestTenantQuota|TestCacheHitBypassesAdmission|TestPublishClearsResultCache' ./internal/partix/
 go test -race -timeout 5m -run 'TestServerTenantQuota|TestServerMaxInflight|TestNodeErrorOverloaded' ./internal/wire/
 
 # result-cache smoke bench: a cache hit must beat cold distributed
