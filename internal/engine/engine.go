@@ -12,6 +12,11 @@
 // not need paper fidelity can opt into a decoded-tree cache
 // (Options.TreeCacheBytes) and a parallel decode pipeline
 // (Options.DecodeWorkers).
+//
+// A compiled query carries a projection (xquery.Hint.Keep): every
+// candidate's record is still read and validated in full, but only the
+// part of the tree the query reads is built. Projected decodes never enter
+// the tree cache; with the cache on, queries decode and cache whole trees.
 package engine
 
 import (
@@ -61,7 +66,9 @@ type Options struct {
 
 	// TreeCacheBytes is the byte budget of the decoded-tree LRU cache;
 	// 0 (the default) disables caching, keeping the per-document parse
-	// cost the paper's evaluation depends on.
+	// cost the paper's evaluation depends on. The cache holds whole trees
+	// only: with it on, queries ignore their projection and decode whole
+	// documents, and projected decodes never enter it.
 	TreeCacheBytes int64
 
 	// DisableWAL turns the store's write-ahead log off: mutations become
@@ -670,7 +677,9 @@ func (db *DB) snapshotForQuery(collection string, hint *xquery.Hint) (querySnaps
 // runs over an immutable pinned snapshot, so concurrent writers neither
 // block it nor change what it sees. Candidates are fetched and decoded by
 // the worker pool (sequentially when DecodeWorkers is 1) and always
-// delivered to fn in document-name order.
+// delivered to fn in document-name order. With the tree cache off, each
+// candidate is decoded under the hint's projection (hint.Keep), building
+// only the part of the document the query reads.
 func (db *DB) Docs(collection string, hint *xquery.Hint, fn func(*xmltree.Document) error) error {
 	q, err := db.snapshotForQuery(collection, hint)
 	if err != nil {
@@ -678,15 +687,21 @@ func (db *DB) Docs(collection string, hint *xquery.Hint, fn func(*xmltree.Docume
 	}
 	defer q.snap.Close()
 
+	// The tree cache holds whole trees only: with it on, the projection
+	// hint is ignored, which the Source contract allows.
+	var keep *xmltree.Projection
+	if hint != nil && db.cache == nil {
+		keep = hint.Keep
+	}
 	workers := db.decodeWorkers()
 	if workers > len(q.refs) {
 		workers = len(q.refs)
 	}
 	var c docCounters
 	if workers <= 1 {
-		err = db.docsSequential(collection, q.refs, q.gen, fn, &c)
+		err = db.docsSequential(collection, q.refs, q.gen, keep, fn, &c)
 	} else {
-		err = db.docsPipelined(collection, q.refs, q.gen, workers, fn, &c)
+		err = db.docsPipelined(collection, q.refs, q.gen, keep, workers, fn, &c)
 	}
 	if err != nil {
 		return err

@@ -127,6 +127,11 @@ type docPrep struct {
 	contrib  *docContrib
 }
 
+// prepDoc clones every token and element name it keeps: the index outlives
+// the document, and a decoded document's strings alias one per-document
+// string (Tokenize returns already-lower-case tokens unchanged), so an
+// uncloned token would pin all of its document's text. The membership test
+// comes first because assigning an existing string key replaces the key.
 func prepDoc(doc *xmltree.Document) docPrep {
 	tokens := map[string]bool{}
 	elements := map[string]bool{}
@@ -134,10 +139,14 @@ func prepDoc(doc *xmltree.Document) docPrep {
 		switch n.Kind {
 		case xmltree.TextNode:
 			for _, tok := range xquery.Tokenize(n.Value) {
-				tokens[tok] = true
+				if !tokens[tok] {
+					tokens[strings.Clone(tok)] = true
+				}
 			}
 		case xmltree.ElementNode:
-			elements[n.Name] = true
+			if !elements[n.Name] {
+				elements[strings.Clone(n.Name)] = true
+			}
 		}
 		return true
 	})

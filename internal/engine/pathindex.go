@@ -290,7 +290,9 @@ func collectDocPaths(doc *xmltree.Document) *docContrib {
 			}
 		}
 	}
-	visit(doc.Root, doc.Root.Name)
+	// The root key is the one key not built by concatenation: clone it so
+	// the index does not pin the decoded document's name table.
+	visit(doc.Root, strings.Clone(doc.Root.Name))
 	return c
 }
 

@@ -48,8 +48,10 @@ func (c *docCounters) account(db *DB, f fetched) {
 
 // fetchDecode loads one candidate document through its snapshot ref
 // (lock-free: the query's pin keeps the record chain stable), consulting
-// the decoded-tree cache when enabled.
-func (db *DB) fetchDecode(collection string, ref storage.DocRef, gen uint64) fetched {
+// the decoded-tree cache when enabled. keep is the query's projection;
+// Docs passes nil whenever the cache is on, so only whole trees are ever
+// cached.
+func (db *DB) fetchDecode(collection string, ref storage.DocRef, gen uint64, keep *xmltree.Projection) fetched {
 	obs.EngineDecodeInflight.Add(1)
 	defer obs.EngineDecodeInflight.Add(-1)
 	key := treeKey{collection: collection, name: ref.Name, gen: gen}
@@ -62,7 +64,7 @@ func (db *DB) fetchDecode(collection string, ref storage.DocRef, gen uint64) fet
 	if err != nil {
 		return fetched{err: err}
 	}
-	doc, err := storage.DecodeDocument(ref.Name, raw)
+	doc, err := storage.DecodeProjected(ref.Name, raw, keep)
 	if err != nil {
 		return fetched{err: err}
 	}
@@ -74,10 +76,10 @@ func (db *DB) fetchDecode(collection string, ref storage.DocRef, gen uint64) fet
 
 // docsSequential is the paper-faithful path (DecodeWorkers=1): one
 // candidate at a time on the calling goroutine.
-func (db *DB) docsSequential(collection string, refs []storage.DocRef, gen uint64,
+func (db *DB) docsSequential(collection string, refs []storage.DocRef, gen uint64, keep *xmltree.Projection,
 	fn func(*xmltree.Document) error, c *docCounters) error {
 	for _, ref := range refs {
-		f := db.fetchDecode(collection, ref, gen)
+		f := db.fetchDecode(collection, ref, gen, keep)
 		if f.err != nil {
 			return f.err
 		}
@@ -94,7 +96,7 @@ func (db *DB) docsSequential(collection string, refs []storage.DocRef, gen uint6
 // in order, so fn observes the exact sequential document order. The sem
 // channel throttles decode-ahead: workers acquire a token per job, the
 // consumer releases one per delivered document.
-func (db *DB) docsPipelined(collection string, refs []storage.DocRef, gen uint64, workers int,
+func (db *DB) docsPipelined(collection string, refs []storage.DocRef, gen uint64, keep *xmltree.Projection, workers int,
 	fn func(*xmltree.Document) error, c *docCounters) error {
 	n := len(refs)
 	window := 2 * workers
@@ -125,7 +127,7 @@ func (db *DB) docsPipelined(collection string, refs []storage.DocRef, gen uint64
 				if i >= n {
 					return
 				}
-				slots[i] <- db.fetchDecode(collection, refs[i], gen)
+				slots[i] <- db.fetchDecode(collection, refs[i], gen, keep)
 			}
 		}()
 	}

@@ -23,7 +23,8 @@ type Source interface {
 	// Docs calls fn for every document of the named collection that can
 	// possibly satisfy hint (a nil hint means every document). Sources are
 	// free to ignore the hint — it only ever prunes documents that cannot
-	// contribute to the result.
+	// contribute to the result, or (hint.Keep) the parts of documents the
+	// query does not read.
 	Docs(collection string, hint *Hint, fn func(*xmltree.Document) error) error
 	// Doc resolves doc("name").
 	Doc(name string) (*xmltree.Document, error)

@@ -8,6 +8,9 @@
 // predicate's value column is gathered into reusable scratch buffers and
 // compared against a literal prepared once at compile time, through the
 // same shared comparison code (xquery/compare.go) the interpreter uses.
+// Compile also derives the part of each document the pipeline reads and
+// hands it to the scan as xquery.Hint.Keep (project.go), so the engine
+// builds only that part of every candidate it decodes.
 //
 // Compile is deliberately partial: any expression shape outside the
 // compiled subset either falls back per-tuple to the tree-walking
@@ -62,7 +65,7 @@ func (p *Program) Ordered() bool { return p.pipe != nil && len(p.pipe.orderBy) >
 // pipeline is the compiled operator chain over one collection scan.
 type pipeline struct {
 	coll         string
-	hint         *xquery.Hint // candidate pruning for the scan, from ExtractHints
+	hint         *xquery.Hint // candidate pruning (from ExtractHints) and projection for the scan
 	scanSteps    []step       // binding path of the driving for-clause
 	freshWrapper bool         // first step may select the #document wrapper itself
 	clauses      []boundClause
@@ -186,6 +189,7 @@ func Compile(e xquery.Expr) (*Program, bool) {
 		if !ok {
 			return nil, false
 		}
+		pipe.project(foldNone)
 		return &Program{fold: foldNone, pipe: pipe}, true
 	}
 	return nil, false
@@ -223,6 +227,7 @@ func compileFold(f *xquery.FuncCall, hints map[string]*xquery.Hint) (*Program, b
 	if !ok {
 		return nil, false
 	}
+	pipe.project(fold)
 	p := &Program{fold: fold, pipe: pipe}
 	switch fold {
 	case foldCount:

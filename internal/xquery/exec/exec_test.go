@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"partix/internal/storage"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
 )
@@ -48,6 +49,102 @@ func (s *memSource) Doc(name string) (*xmltree.Document, error) {
 		}
 	}
 	return nil, fmt.Errorf("no document %q", name)
+}
+
+// projSource serves a memSource's documents as stored records decoded
+// under the scan's projection (Hint.Keep), as the engine does with its
+// tree cache off. projected counts the scans that received one.
+type projSource struct {
+	recs      map[string][]record
+	projected int
+}
+
+type record struct {
+	name string
+	data []byte
+}
+
+func newProjSource(t testing.TB, src *memSource) *projSource {
+	t.Helper()
+	s := &projSource{recs: map[string][]record{}}
+	for name, c := range src.cols {
+		recs := []record{}
+		for _, d := range c.Docs {
+			data, err := storage.EncodeDocument(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, record{d.Name, data})
+		}
+		s.recs[name] = recs
+	}
+	return s
+}
+
+func (s *projSource) Docs(name string, h *xquery.Hint, fn func(*xmltree.Document) error) error {
+	recs, ok := s.recs[name]
+	if !ok {
+		return fmt.Errorf("no collection %q", name)
+	}
+	var keep *xmltree.Projection
+	if h != nil && h.Keep != nil {
+		keep = h.Keep
+		s.projected++
+	}
+	for _, r := range recs {
+		d, err := storage.DecodeProjected(r.name, r.data, keep)
+		if err != nil {
+			return err
+		}
+		if err := fn(d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *projSource) Doc(name string) (*xmltree.Document, error) {
+	for _, recs := range s.recs {
+		for _, r := range recs {
+			if r.name == name {
+				return storage.DecodeDocument(r.name, r.data)
+			}
+		}
+	}
+	return nil, fmt.Errorf("no document %q", name)
+}
+
+// runProjected runs a compiled program over the documents of src decoded
+// under its projection and requires the interpreter's result over whole
+// trees: the same error, or items whose nodes are structurally equal
+// subtrees with the same IDs.
+func runProjected(t *testing.T, src *memSource, query string, prog *Program, want xquery.Seq, wantErr error) *projSource {
+	t.Helper()
+	proj := newProjSource(t, src)
+	got, gotErr := prog.Run(proj)
+	if (wantErr != nil) != (gotErr != nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+		t.Fatalf("%s: interpreter err=%v, projected err=%v", query, wantErr, gotErr)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s:\ninterp    (%d): %s\nprojected (%d): %s", query, len(want), seqString(want), len(got), seqString(got))
+	}
+	for i := range want {
+		wn, wIsNode := want[i].(*xmltree.Node)
+		gn, gIsNode := got[i].(*xmltree.Node)
+		same := wIsNode == gIsNode && (wIsNode && wn.ID == gn.ID && xmltree.Equal(wn, gn) || !wIsNode && want[i] == got[i])
+		if !same {
+			t.Fatalf("%s: item %d: interpreter %s, projected %s", query, i, xquery.ItemString(want[i]), xquery.ItemString(got[i]))
+		}
+	}
+	return proj
+}
+
+// keepOf renders a program's scan projection ("*": whole documents).
+func keepOf(p *Program) string {
+	if p.pipe.hint == nil {
+		return "*"
+	}
+	return p.pipe.hint.Keep.String()
 }
 
 // itemsSource builds the store-catalog shape the Figure 7 workloads query.
@@ -140,6 +237,7 @@ func runBoth(t *testing.T, src *memSource, query string, mustCompile bool) {
 		if wantErr.Error() != gotErr.Error() {
 			t.Fatalf("%s: error mismatch\ninterp:   %v\ncompiled: %v", query, wantErr, gotErr)
 		}
+		runProjected(t, src, query, prog, want, wantErr)
 		return
 	}
 	if !sameSeq(want, got) {
@@ -157,6 +255,7 @@ func runBoth(t *testing.T, src *memSource, query string, mustCompile bool) {
 	if total != len(streamed) || !sameSeq(want, streamed) {
 		t.Fatalf("%s: Stream mismatch: total=%d, items (%d): %s", query, total, len(streamed), seqString(streamed))
 	}
+	runProjected(t, src, query, prog, want, wantErr)
 }
 
 // TestDifferentialFixed pins the compiled subset on hand-picked queries:
@@ -238,6 +337,48 @@ func TestDifferentialFixed(t *testing.T) {
 	}
 	for _, q := range fallback {
 		t.Run(q, func(t *testing.T) { runBoth(t, src, q, true) })
+	}
+}
+
+// TestCompileProjection pins the projection Compile derives for the
+// Figure 7 shapes, and the shapes that must read whole documents.
+func TestCompileProjection(t *testing.T) {
+	cases := []struct{ query, keep string }{
+		{`for $i in collection("items")/Item where $i/Section = "CD" return $i/Name`, "{Name*,Section*}"},
+		{`for $i in collection("items")/Item where exists($i/Characteristics) return $i/Code`, "{Characteristics*,Code*}"},
+		{`for $i in collection("items")/Item where contains($i/Description, "good") return $i/Code`, "{Code*,Description*}"},
+		{`count(for $i in collection("items")/Item where contains($i/Description, "good") return $i)`, "{Description*}"},
+		{`count(for $i in collection("items")/Item where $i/Section = "CD" return $i/Code)`, "{Code,Section*}"},
+		{`sum(for $i in collection("items")/Item return count($i/PictureList/Picture))`, "{PictureList{Picture}}"},
+		{`for $i in collection("items")/Item, $p in $i/PictureList/Picture return $p/Name`, "{PictureList{Picture{Name*}}}"},
+		{`collection("items")/Item[Section = "CD"]/PictureList/Picture[2]/Name`, "{PictureList{Picture{Name*}},Section*}"},
+		{`for $i in collection("items")/Item order by $i/Code return $i/Name`, "{Code*,Name*}"},
+		{`count(collection("items")/Item)`, "{}"},
+		{`for $i in collection("s")/Store/Items/Item where $i/Section = "Book" return $i/Code`, "{Items{Item{Code*,Section*}}}"},
+		// Whole documents: the value returned is the root, or a shape the
+		// rules do not see through.
+		{`for $i in collection("items")/Item where $i/Code = "I2" return $i`, "*"},
+		{`collection("items")`, "*"},
+		{`collection("items")//Picture/Name`, "*"},
+		{`collection("items")/Item/*`, "*"},
+		{`collection("items")/Item[Section = "DVD"]/@id`, "*"},
+		{`collection("items")/Item/Section/text()`, "*"},
+		{`for $i in collection("items")/Item let $c := $i/Code return $c`, "*"},
+		{`for $i in collection("items")/Item where count($i/PictureList/Picture) > 1 return $i/Code`, "*"},
+		{`for $i in collection("items")/Item return exists($i/PictureList)`, "*"},
+	}
+	for _, c := range cases {
+		e, err := xquery.Parse(c.query)
+		if err != nil {
+			t.Fatalf("parse %s: %v", c.query, err)
+		}
+		prog, ok := Compile(e)
+		if !ok {
+			t.Fatalf("Compile declined %s", c.query)
+		}
+		if got := keepOf(prog); got != c.keep {
+			t.Errorf("%s: projection %s, want %s", c.query, got, c.keep)
+		}
 	}
 }
 
@@ -518,13 +659,15 @@ func randFLWOR(r *rand.Rand) string {
 // TestDifferentialRandom fuzzes generated FLWOR/path queries over
 // generated documents through both the compiled pipeline and the
 // interpreter; results (and errors) must be identical. This is the
-// executor's semantic safety net — the interpreter is the oracle.
+// executor's semantic safety net — the interpreter is the oracle. Every
+// compiled query also runs over stored records decoded under its
+// projection, which must not change the result either.
 func TestDifferentialRandom(t *testing.T) {
 	iters := 400
 	if testing.Short() {
 		iters = 60
 	}
-	compiled := 0
+	compiled, projected := 0, 0
 	for seed := 0; seed < iters; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		var docs []*xmltree.Document
@@ -547,19 +690,24 @@ func TestDifferentialRandom(t *testing.T) {
 		if (wantErr != nil) != (gotErr != nil) {
 			t.Fatalf("seed %d: %s\ninterp err=%v compiled err=%v", seed, query, wantErr, gotErr)
 		}
-		if wantErr != nil {
-			continue
-		}
-		if !sameSeq(want, got) {
+		if wantErr == nil && !sameSeq(want, got) {
 			t.Fatalf("seed %d: %s\ninterp   (%d): %s\ncompiled (%d): %s",
 				seed, query, len(want), seqString(want), len(got), seqString(got))
 		}
+		if runProjected(t, src, fmt.Sprintf("seed %d: %s", seed, query), prog, want, wantErr).projected > 0 {
+			projected++
+		}
 	}
-	// The generator must keep most shapes inside the compiled subset, or
-	// this test stops testing the executor.
+	// The generator must keep most shapes inside the compiled subset, and
+	// enough of those projected, or this test stops testing the executor
+	// and the projection.
 	if compiled < iters/2 {
 		t.Fatalf("only %d/%d generated queries compiled natively", compiled, iters)
 	}
+	if projected*10 < compiled {
+		t.Fatalf("only %d/%d compiled queries projected", projected, compiled)
+	}
+	t.Logf("%d/%d queries compiled, %d of them projected", compiled, iters, projected)
 }
 
 // TestAllocsScanFilterProject is the allocation-regression gate for the

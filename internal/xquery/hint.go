@@ -1,6 +1,10 @@
 package xquery
 
-import "strings"
+import (
+	"strings"
+
+	"partix/internal/xmltree"
+)
 
 // Hint is a conjunction of constraints a document must satisfy to
 // possibly contribute to a query's result. The engine evaluates hints
@@ -10,6 +14,10 @@ import "strings"
 // never sufficient: surviving documents are still fully evaluated.
 type Hint struct {
 	Constraints []Constraint
+	// Keep, when non-nil, is the part of each document the query reads
+	// (derived by the compiled executor from its plan). A Source may
+	// ignore it: handing out whole documents is always correct.
+	Keep *xmltree.Projection
 }
 
 // Constraint is one conjunct.

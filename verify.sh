@@ -72,12 +72,14 @@ grep -q '"telemetry"' "$benchdir/telemetry.json"
 grep -q '"withinBudget": true' "$benchdir/telemetry.json"
 grep -q '"profileMatches": true' "$benchdir/telemetry.json"
 
-# compiled-executor gates: the randomized differential tests must hold
-# under the race detector, and the allocation pin for the hot
-# scan→filter→project loop must not regress (run without -race, which
-# would inflate the alloc counts)
+# compiled-executor gates: the randomized differential tests (each query
+# also run over records decoded under its projection) must hold under the
+# race detector, and the allocation pins for the hot scan→filter→project
+# loop and for the slab-building record decoder must not regress (run
+# without -race, which would inflate the alloc counts)
 go test -race -timeout 5m -run 'TestDifferential' ./internal/xquery/exec/
 go test -timeout 5m -run TestAllocsScanFilterProject ./internal/xquery/exec/
+go test -timeout 5m -run TestDecodeAllocs ./internal/storage/
 
 # executor smoke bench: compiled and interpreted executors must agree
 # on the Figure 7(a) workload (RunExec fails on any mismatch) and the
