@@ -23,7 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -636,7 +638,7 @@ func (db *DB) snapshotForQuery(collection string, hint *xquery.Hint) (querySnaps
 			}
 			continue // raced a create/drop: re-resolve
 		}
-		q := querySnapshot{snap: snap, gen: s1 >> 1}
+		q := querySnapshot{snap: snap, refs: snap.Refs, gen: s1 >> 1}
 		db.mu.RLock()
 		ix := db.idx[collection]
 		db.mu.RUnlock()
@@ -647,18 +649,12 @@ func (db *DB) snapshotForQuery(collection string, hint *xquery.Hint) (querySnaps
 				// (or, if that fails, fall back to pruning without them).
 				usePaths = db.ensurePathIndex(collection, ix)
 			}
-			set, rp := ix.candidates(hint, usePaths)
+			ids, constrained, rp := ix.candidates(hint, usePaths)
 			q.rangePruned = rp
-			q.refs = make([]storage.DocRef, 0, len(set))
-			for _, ref := range snap.Refs {
-				if set[ref.Name] {
-					q.refs = append(q.refs, ref)
-				} else {
-					q.pruned++
-				}
+			if constrained {
+				q.refs = selectRefs(snap.Refs, ix.docNames(ids))
+				q.pruned = len(snap.Refs) - len(q.refs)
 			}
-		} else {
-			q.refs = snap.Refs
 		}
 		if locked {
 			cs.writeMu.Unlock()
@@ -669,6 +665,26 @@ func (db *DB) snapshotForQuery(collection string, hint *xquery.Hint) (querySnaps
 		}
 		snap.Close() // a writer committed mid-capture; retry
 	}
+}
+
+// selectRefs picks the refs of the named documents out of a name-sorted
+// ref slice: names are sorted, then each is binary-searched in the part of
+// refs after the previous match, in O(len(names) · log len(refs)). A name
+// the refs lack is skipped.
+func selectRefs(refs []storage.DocRef, names []string) []storage.DocRef {
+	slices.Sort(names)
+	out := make([]storage.DocRef, 0, len(names))
+	for _, name := range names {
+		i, found := slices.BinarySearchFunc(refs, name, func(r storage.DocRef, n string) int {
+			return strings.Compare(r.Name, n)
+		})
+		if found {
+			out = append(out, refs[i])
+			i++
+		}
+		refs = refs[i:]
+	}
+	return out
 }
 
 // Docs implements xquery.Source with index-assisted pruning: when a hint

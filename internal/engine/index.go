@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -257,33 +258,22 @@ func (ix *docIndex) vocabulary() []string {
 	return ix.vocab
 }
 
-// intersectSorted merges two sorted posting lists into their intersection.
-func intersectSorted(a, b []docID) []docID {
-	out := a[:0:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// candidates evaluates the hint's conjunction and returns the documents
-// that may satisfy it, plus the number of documents eliminated by value
-// comparisons specifically (beyond the token/element/path-existence
-// pruning). usePaths gates the path-qualified constraints — false when
-// the path structures are unavailable (disabled, or a lazy rebuild
-// failed), in which case those constraints are simply not applied, which
-// is always sound.
-func (ix *docIndex) candidates(hint *xquery.Hint, usePaths bool) (map[string]bool, int) {
+// candidates evaluates the hint's conjunction against the indexes. It
+// returns the sorted IDs of the documents that may satisfy it, whether any
+// constraint was applied at all (constrained false means no pruning: every
+// document is a candidate, not none), and the number of documents
+// eliminated by value comparisons specifically (beyond the
+// token/element/path-existence pruning). usePaths gates the path-qualified
+// constraints — false when the path structures are unavailable (disabled,
+// or a lazy rebuild failed), in which case those constraints are simply not
+// applied, which is always sound. The returned slice belongs to the caller.
+//
+// Conjunctions intersect the smallest list first, galloping into much
+// longer ones; the unions a constraint needs (a substring's matching
+// tokens, the path keys a pattern matches, the value entries a comparison
+// selects) are merged from sorted postings. The cost follows the
+// candidates and the lists touched, not the collection.
+func (ix *docIndex) candidates(hint *xquery.Hint, usePaths bool) ([]docID, bool, int) {
 	// Substring constraints scan the whole vocabulary; do that outside the
 	// lock against the immutable vocab slice so a long scan never blocks
 	// writers. Only the token → posting lookups below need the lock.
@@ -314,61 +304,195 @@ func (ix *docIndex) candidates(hint *xquery.Hint, usePaths bool) (map[string]boo
 
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	var result []docID
-	first := true
-	intersect := func(list []docID) {
-		if first {
-			result = append(result[:0:0], list...)
-			first = false
-			return
-		}
-		result = intersectSorted(result, list)
-	}
-	union := func(set map[docID]bool) {
-		list := make([]docID, 0, len(set))
-		for id := range set {
-			list = append(list, id)
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		intersect(list)
-	}
+	// The lists gathered here alias index state, so a lone one that ends up
+	// as the result is copied before the lock is released (owned false).
+	var lists [][]docID
 	for _, c := range hint.Constraints {
 		for _, tok := range c.Tokens {
-			intersect(ix.postings[tok])
+			lists = append(lists, ix.postings[tok])
 		}
 		for _, name := range c.Elements {
-			intersect(ix.elements[name])
+			lists = append(lists, ix.elements[name])
 		}
 		if c.Substring != "" {
-			set := map[docID]bool{}
+			var union [][]docID
 			for _, tok := range subMatches[c.Substring] {
-				for _, id := range ix.postings[tok] {
-					set[id] = true
-				}
+				union = append(union, ix.postings[tok])
 			}
-			union(set)
+			lists = append(lists, unionSorted(union))
 		}
 		if usePaths && c.Path != nil && c.Path.Op == xquery.CmpExists {
-			union(ix.pathExistsLocked(c.Path.Steps))
+			lists = append(lists, unionSorted(ix.pathExistsLocked(c.Path.Steps)))
 		}
 	}
+	constrained := len(lists) > 0
+	result := intersectAll(lists)
+	owned := len(lists) > 1
 	rangePruned := 0
 	if usePaths {
 		for _, c := range hint.Constraints {
 			if c.Path == nil || c.Path.Op == xquery.CmpExists {
 				continue
 			}
-			base := len(result)
-			if first {
-				base = len(ix.ids)
+			if constrained && len(result) == 0 {
+				break // nothing left to eliminate
 			}
-			union(ix.valueMatchesLocked(c.Path))
-			rangePruned += base - len(result)
+			matches := unionSorted(ix.valueMatchesLocked(c.Path))
+			if constrained {
+				base := len(result)
+				result = intersectSorted(result, matches)
+				owned = true
+				rangePruned += base - len(result)
+			} else {
+				result = matches
+				rangePruned += len(ix.ids) - len(result)
+				constrained = true
+			}
 		}
 	}
-	out := make(map[string]bool, len(result))
-	for _, id := range result {
-		out[ix.names[id]] = true
+	if !constrained {
+		return nil, false, rangePruned
 	}
-	return out, rangePruned
+	if !owned {
+		result = slices.Clone(result)
+	}
+	return result, true, rangePruned
+}
+
+// docNames resolves candidate IDs to document names.
+func (ix *docIndex) docNames(ids []docID) []string {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	names := make([]string, len(ids))
+	for i, id := range ids {
+		names[i] = ix.names[id]
+	}
+	return names
+}
+
+// intersectAll intersects sorted lists smallest first, so every step's
+// output is bounded by the smallest list. A lone list is returned as is.
+func intersectAll(lists [][]docID) []docID {
+	if len(lists) == 0 {
+		return nil
+	}
+	slices.SortFunc(lists, func(a, b []docID) int { return len(a) - len(b) })
+	result := lists[0]
+	for _, list := range lists[1:] {
+		if len(result) == 0 {
+			break
+		}
+		result = intersectSorted(result, list)
+	}
+	return result
+}
+
+// gallopRatio is the length ratio past which intersectSorted stops merging
+// and binary-searches the longer list instead.
+const gallopRatio = 8
+
+// intersectSorted returns the intersection of two sorted lists in a fresh
+// slice. Lists of similar length are merged; when one is much longer, each
+// ID of the shorter is found in it by galloping, in O(short · log long).
+func intersectSorted(a, b []docID) []docID {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	out := make([]docID, 0, len(a))
+	if len(b) > gallopRatio*len(a) {
+		j := 0
+		for _, id := range a {
+			if j = gallop(b, j, id); j == len(b) {
+				break
+			}
+			if b[j] == id {
+				out = append(out, id)
+				j++
+			}
+		}
+		return out
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// gallop returns the first index at or after lo whose ID is >= id: it
+// probes lo, lo+1, lo+3, lo+7, … until it passes id, then binary-searches
+// the last gap.
+func gallop(list []docID, lo int, id docID) int {
+	hi, step := lo, 1
+	for hi < len(list) && list[hi] < id {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	hi = min(hi, len(list))
+	i, _ := slices.BinarySearch(list[lo:hi], id)
+	return lo + i
+}
+
+// unionSorted returns the sorted, duplicate-free union of sorted lists,
+// consuming the lists slice itself (not the lists it holds). A lone
+// non-empty list is returned as is, without a copy; several are merged
+// through a min-heap of their heads in O(total · log lists).
+func unionSorted(lists [][]docID) []docID {
+	heap := lists[:0]
+	total := 0
+	for _, list := range lists {
+		if len(list) > 0 {
+			heap = append(heap, list)
+			total += len(list)
+		}
+	}
+	switch len(heap) {
+	case 0:
+		return nil
+	case 1:
+		return heap[0]
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	out := make([]docID, 0, total)
+	for len(heap) > 0 {
+		if id := heap[0][0]; len(out) == 0 || out[len(out)-1] != id {
+			out = append(out, id)
+		}
+		if heap[0] = heap[0][1:]; len(heap[0]) == 0 {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		siftDown(heap, 0)
+	}
+	return out
+}
+
+// siftDown restores the min-heap order (by head ID) below node i.
+func siftDown(heap [][]docID, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(heap) && heap[l][0] < heap[m][0] {
+			m = l
+		}
+		if r := 2*i + 2; r < len(heap) && heap[r][0] < heap[m][0] {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		heap[i], heap[m] = heap[m], heap[i]
+		i = m
+	}
 }

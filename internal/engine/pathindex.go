@@ -495,41 +495,36 @@ func (ix *docIndex) installPaths(contribs map[string]*docContrib) {
 
 // --- queries (callers hold ix.mu) ---
 
-// pathExistsLocked returns the docs containing any node at a path
-// matching the pattern.
-func (ix *docIndex) pathExistsLocked(steps []xquery.LabelStep) map[docID]bool {
-	set := map[docID]bool{}
+// pathExistsLocked returns the posting lists of every path key matching
+// the pattern; their union is the docs containing such a node.
+func (ix *docIndex) pathExistsLocked(steps []xquery.LabelStep) [][]docID {
+	var lists [][]docID
 	for _, p := range ix.paths {
 		if matchLabelPath(steps, p.comps) {
-			for _, id := range p.ids {
-				set[id] = true
-			}
+			lists = append(lists, p.ids)
 		}
 	}
-	return set
+	return lists
 }
 
-// valueMatchesLocked returns the docs that may contain a node at the
-// constraint's path whose value satisfies the comparison: the union of
-// the matching value entries' postings plus every overflow doc of the
-// matched paths (their values were not indexed, so they might match).
-func (ix *docIndex) valueMatchesLocked(pc *xquery.PathConstraint) map[docID]bool {
-	set := map[docID]bool{}
+// valueMatchesLocked returns the posting lists whose union is the docs
+// that may contain a node at the constraint's path whose value satisfies
+// the comparison: the matching value entries' postings plus every overflow
+// list of the matched paths (their values were not indexed, so they might
+// match).
+func (ix *docIndex) valueMatchesLocked(pc *xquery.PathConstraint) [][]docID {
+	var lists [][]docID
 	for key, vl := range ix.values {
 		p := ix.paths[key]
 		if p == nil || !matchLabelPath(pc.Steps, p.comps) {
 			continue
 		}
 		vl.matchEntries(pc.Op, pc.Literal, func(e *valueEntry) {
-			for _, id := range e.ids {
-				set[id] = true
-			}
+			lists = append(lists, e.ids)
 		})
-		for _, id := range vl.overflow {
-			set[id] = true
-		}
+		lists = append(lists, vl.overflow)
 	}
-	return set
+	return lists
 }
 
 // countLocked answers a count probe: total nodes at paths matching the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -132,73 +133,138 @@ func TestIndexOnlyExists(t *testing.T) {
 	}
 }
 
-// TestValueIndexEquivalence: randomized comparison, equality and existence
-// queries must produce identical results with full indexes, with only the
-// text indexes (value index off), and with no indexes at all.
+// TestValueIndexEquivalence: randomized comparison, equality, token,
+// substring and existence queries, over Item and wildcard bindings, must
+// give the same items in the same order with full indexes, with only the
+// text indexes (value index off), with no indexes at all, and from the
+// interpreter over the in-memory collection. A second round runs after a
+// third of the documents are deleted and re-put in reverse name order, so
+// their recycled docIDs are no longer in name order.
 func TestValueIndexEquivalence(t *testing.T) {
 	const docs = 40
-	items := func() *xmltree.Collection {
-		return toxgene.GenerateItems(toxgene.ItemsConfig{Docs: docs, Seed: 11})
+	items := toxgene.GenerateItems(toxgene.ItemsConfig{Docs: docs, Seed: 11})
+	oracle := collSource{items}
+	dbs := []struct {
+		name string
+		db   *DB
+	}{
+		{"full", testDB(t, Options{})},
+		{"noValue", testDB(t, Options{DisableValueIndex: true})},
+		{"none", testDB(t, Options{DisableIndexes: true})},
 	}
-	full := testDB(t, Options{})
-	noValue := testDB(t, Options{DisableValueIndex: true})
-	none := testDB(t, Options{DisableIndexes: true})
-	for _, db := range []*DB{full, noValue, none} {
-		if err := db.LoadCollection(items()); err != nil {
+	for _, d := range dbs {
+		if err := d.db.LoadCollection(items); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	rng := rand.New(rand.NewSource(99))
+	word := func() string {
+		w := toxgene.DefaultWordPool[rng.Intn(len(toxgene.DefaultWordPool))]
+		i := rng.Intn(len(w))
+		return w[i : i+1+rng.Intn(len(w)-i)]
+	}
 	var queries []string
-	for i := 0; i < 30; i++ {
+	for i := 0; i < 60; i++ {
 		k := rng.Intn(docs + 2)
 		op := []string{"<", "<=", ">", ">=", "="}[rng.Intn(5)]
 		section := toxgene.Sections[rng.Intn(len(toxgene.Sections))]
-		switch rng.Intn(5) {
+		bind := []string{"Item", "*"}[rng.Intn(2)]
+		doc := items.Docs[rng.Intn(docs)]
+		switch rng.Intn(9) {
 		case 0:
 			queries = append(queries, fmt.Sprintf(
-				`for $i in collection("items")/Item where $i/@id %s %d return $i/Code`, op, k))
+				`for $i in collection("items")/%s where $i/@id %s %d return $i/Code`, bind, op, k))
 		case 1:
 			queries = append(queries, fmt.Sprintf(
-				`count(for $i in collection("items")/Item where $i/@id %s %d return $i)`, op, k))
+				`count(for $i in collection("items")/%s where $i/@id %s %d return $i)`, bind, op, k))
 		case 2:
 			queries = append(queries, fmt.Sprintf(
-				`exists(for $i in collection("items")/Item where $i/Section = "%s" return $i)`, section))
+				`exists(for $i in collection("items")/%s where $i/Section = "%s" return $i)`, bind, section))
 		case 3:
 			queries = append(queries, fmt.Sprintf(
-				`for $i in collection("items")/Item where $i/Section %s "%s" return $i/Code`, op, section))
+				`for $i in collection("items")/%s where $i/Section %s "%s" return $i/Code`, bind, op, section))
 		case 4:
 			queries = append(queries, fmt.Sprintf(
-				`for $i in collection("items")/Item where $i/Section = "%s" and $i/@id %s %d return $i/Code`, section, op, k))
+				`for $i in collection("items")/%s where $i/Section = "%s" and $i/@id %s %d return $i/Code`, bind, section, op, k))
+		case 5:
+			queries = append(queries, fmt.Sprintf(
+				`for $i in collection("items")/%s where contains($i/Description, "%s") return $i/Code`, bind, word()))
+		case 6:
+			queries = append(queries, fmt.Sprintf(
+				`for $i in collection("items")/%s where contains($i/Description, "%s") and $i/Section = "%s" return $i/Name`, bind, word(), section))
+		case 7: // several tokens, all required
+			queries = append(queries, fmt.Sprintf(
+				`for $i in collection("items")/%s where $i/Name = "%s" return $i/Code`, bind, doc.Root.Child("Name").Text()))
+		case 8:
+			queries = append(queries, fmt.Sprintf(
+				`for $i in collection("items")/%s where $i/Code = "%s" return $i`, bind, doc.Root.Child("Code").Text()))
 		}
 	}
 	queries = append(queries,
 		`count(collection("items")/Item)`,
+		`for $i in collection("items")/* return $i/Code`,
 		`exists(collection("items")/Item/NoSuchChild)`,
 		`for $i in collection("items")/Item where $i/@id < "not a number" return $i/Code`,
 	)
-	for _, q := range queries {
-		want, err := none.Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		for name, db := range map[string]*DB{"full": full, "noValue": noValue} {
-			got, err := db.Query(q)
+	check := func(round string) {
+		for _, q := range queries {
+			e, err := xquery.Parse(q)
 			if err != nil {
-				t.Fatalf("%s [%s]: %v", q, name, err)
+				t.Fatalf("%s: %v", q, err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s [%s]: %d items, want %d", q, name, len(got), len(want))
+			want, err := xquery.Eval(e, oracle)
+			if err != nil {
+				t.Fatalf("%s [oracle]: %v", q, err)
 			}
-			for i := range want {
-				if xquery.ItemString(got[i]) != xquery.ItemString(want[i]) {
-					t.Fatalf("%s [%s]: item %d = %s, want %s",
-						q, name, i, xquery.ItemString(got[i]), xquery.ItemString(want[i]))
+			for _, d := range dbs {
+				got, err := d.db.Query(q)
+				if err != nil {
+					t.Fatalf("%s [%s %s]: %v", q, round, d.name, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s [%s %s]: %d items, want %d", q, round, d.name, len(got), len(want))
+				}
+				for i := range want {
+					if xquery.ItemString(got[i]) != xquery.ItemString(want[i]) {
+						t.Fatalf("%s [%s %s]: item %d = %s, want %s",
+							q, round, d.name, i, xquery.ItemString(got[i]), xquery.ItemString(want[i]))
+					}
 				}
 			}
 		}
 	}
+	check("loaded")
+
+	// Delete every third document, last name first, and put them back last
+	// name first: the free list hands the lowest recycled IDs to the
+	// highest names.
+	var moved []*xmltree.Document
+	for i := 0; i < docs; i += 3 {
+		moved = append(moved, items.Docs[i])
+	}
+	slices.Reverse(moved)
+	for _, d := range dbs {
+		for _, doc := range moved {
+			if err := d.db.DeleteDocument("items", doc.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, doc := range moved {
+			if err := d.db.PutDocument("items", doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ix := dbs[0].db.indexFor("items")
+	ix.mu.Lock()
+	first, last := ix.ids[moved[len(moved)-1].Name], ix.ids[moved[0].Name]
+	ix.mu.Unlock()
+	if first < last {
+		t.Fatalf("recycled docIDs still in name order (%s=%d, %s=%d)",
+			moved[len(moved)-1].Name, first, moved[0].Name, last)
+	}
+	check("recycled")
 }
 
 // TestV2SnapshotMigratesToV3: a store carrying only the v2 (pre-path)
@@ -450,8 +516,13 @@ func TestIndexConcurrentMutationAndCandidates(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 600; i++ {
-			set, _ := ix.candidates(hint, true)
-			_ = set
+			ids, _, _ := ix.candidates(hint, true)
+			for j := 1; j < len(ids); j++ {
+				if ids[j-1] >= ids[j] {
+					t.Errorf("candidates not strictly sorted: %v", ids)
+					return
+				}
+			}
 		}
 	}()
 	wg.Wait()
@@ -465,13 +536,27 @@ func TestIndexConcurrentMutationAndCandidates(t *testing.T) {
 			Op:    xquery.CmpLt, Literal: "100000",
 		}},
 	}}
-	set, _ := ix.candidates(all, true)
+	ids, constrained, _ := ix.candidates(all, true)
 	ix.mu.Lock()
 	live := len(ix.ids)
 	ix.mu.Unlock()
-	if len(set) != live {
-		t.Fatalf("candidates = %d docs, index holds %d", len(set), live)
+	if !constrained || len(ids) != live {
+		t.Fatalf("candidates = %d docs (constrained %v), index holds %d", len(ids), constrained, live)
 	}
+}
+
+// candidateNames runs ix.candidates and returns the candidates' names; nil
+// when no constraint applied.
+func candidateNames(ix *docIndex, hint *xquery.Hint, usePaths bool) map[string]bool {
+	ids, constrained, _ := ix.candidates(hint, usePaths)
+	if !constrained {
+		return nil
+	}
+	set := map[string]bool{}
+	for _, name := range ix.docNames(ids) {
+		set[name] = true
+	}
+	return set
 }
 
 func TestDocLookupPrefersFirstCollectionAndFallsThrough(t *testing.T) {

@@ -5,7 +5,9 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,6 +87,13 @@ type Store struct {
 	mutSeq  uint64
 	pending []pendingFree
 
+	// refs holds each collection's documents as a name-sorted []DocRef,
+	// shared read-only by every snapshot taken until the collection's next
+	// mutation. Every catalog mutation of a collection deletes its entry
+	// (never edits the slice, so older snapshots keep what they saw); the
+	// next snapshot rebuilds it once. Guarded by mu.
+	refs map[string][]DocRef
+
 	pinMu sync.Mutex
 	pins  map[uint64]int // pinned mutSeq → active pin count
 
@@ -120,6 +129,7 @@ func OpenWith(path string, opts Options) (*Store, error) {
 	s := &Store{
 		pager: p, path: path, opts: opts,
 		cat:  catalog{Collections: map[string]map[string]docEntry{}},
+		refs: map[string][]DocRef{},
 		pins: map[uint64]int{},
 	}
 	if p.catalog != 0 {
@@ -229,6 +239,9 @@ func (s *Store) rebuildFreeList() error {
 // document is a no-op, so a log that survived a crash mid-truncation
 // still converges to the correct state.
 func (s *Store) applyWAL(rec walRecord) error {
+	// Dropping a collection's shared refs is always safe (the next snapshot
+	// rebuilds them), so it is done for every record, metadata included.
+	delete(s.refs, rec.Collection)
 	switch rec.Op {
 	case walOpPut:
 		old, had := s.cat.Collections[rec.Collection][rec.Doc]
@@ -577,6 +590,7 @@ func (s *Store) CreateCollection(name string) error {
 		return err
 	}
 	s.cat.Collections[name] = map[string]docEntry{}
+	delete(s.refs, name)
 	s.mu.Unlock()
 	s.maybeCheckpoint()
 	return s.WaitDurable(tok)
@@ -635,6 +649,7 @@ func (s *Store) DropCollectionNoSync(name string) (CommitToken, error) {
 		return CommitToken{}, err
 	}
 	delete(s.cat.Collections, name)
+	delete(s.refs, name)
 	s.mutSeq++
 	for _, e := range docs {
 		s.deferFreeChainLocked(e.Page)
@@ -697,6 +712,7 @@ func (s *Store) CommitStaged(st *StagedDoc) (CommitToken, error) {
 	}
 	old, had := docs[st.name]
 	docs[st.name] = docEntry{Page: st.pages[0], Size: int64(len(st.data))}
+	delete(s.refs, st.collection)
 	s.mutSeq++
 	if had {
 		s.deferFreeChainLocked(old.Page)
@@ -782,10 +798,13 @@ type DocRef struct {
 }
 
 // CollectionSnapshot is an immutable view of one collection: the document
-// set (sorted by name) exactly as it was at snapshot time, readable via
-// ReadRef regardless of concurrent replaces, deletes or drops. Close it
-// when done so the pages it pins can be recycled.
+// set exactly as it was at snapshot time, readable via ReadRef regardless
+// of concurrent replaces, deletes or drops. Close it when done so the pages
+// it pins can be recycled.
 type CollectionSnapshot struct {
+	// Refs is the document set sorted by name. It is shared, read-only, by
+	// every snapshot of the collection taken between two of its mutations:
+	// callers must not modify it.
 	Refs []DocRef
 	pin  *ReadPin
 }
@@ -798,21 +817,43 @@ func (cs *CollectionSnapshot) Close() {
 }
 
 // SnapshotCollection captures a consistent, pinned view of a collection.
+// It shares the collection's sorted refs; only the first snapshot after a
+// mutation builds them, under the write lock.
 func (s *Store) SnapshotCollection(name string) (*CollectionSnapshot, error) {
 	s.mu.RLock()
+	if refs, ok := s.refs[name]; ok {
+		pin := s.acquirePinLocked()
+		s.mu.RUnlock()
+		return &CollectionSnapshot{Refs: refs, pin: pin}, nil
+	}
+	s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	refs, err := s.sortedRefsLocked(name)
+	if err != nil {
+		return nil, err
+	}
+	return &CollectionSnapshot{Refs: refs, pin: s.acquirePinLocked()}, nil
+}
+
+// sortedRefsLocked returns the collection's shared sorted refs, building
+// them from the catalog if a mutation dropped them. Callers hold s.mu
+// exclusively.
+func (s *Store) sortedRefsLocked(name string) ([]DocRef, error) {
+	if refs, ok := s.refs[name]; ok {
+		return refs, nil
+	}
 	docs, ok := s.cat.Collections[name]
 	if !ok {
-		s.mu.RUnlock()
 		return nil, fmt.Errorf("storage: collection %q does not exist", name)
 	}
 	refs := make([]DocRef, 0, len(docs))
 	for dn, e := range docs {
 		refs = append(refs, DocRef{Name: dn, Page: e.Page, Size: e.Size})
 	}
-	pin := s.acquirePinLocked()
-	s.mu.RUnlock()
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Name < refs[j].Name })
-	return &CollectionSnapshot{Refs: refs, pin: pin}, nil
+	slices.SortFunc(refs, func(a, b DocRef) int { return strings.Compare(a.Name, b.Name) })
+	s.refs[name] = refs
+	return refs, nil
 }
 
 // ReadRef reads a snapshot document's encoded bytes. Valid only while the
@@ -846,6 +887,7 @@ func (s *Store) DeleteDocumentNoSync(collection, name string) (CommitToken, erro
 		return CommitToken{}, err
 	}
 	delete(s.cat.Collections[collection], name)
+	delete(s.refs, collection)
 	s.mutSeq++
 	s.deferFreeChainLocked(e.Page)
 	s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -372,4 +373,122 @@ func randomTree(r *rand.Rand, depth int) *xmltree.Node {
 		el.Append(randomTree(r, depth-1))
 	}
 	return el
+}
+
+// TestSnapshotRefsSharedUntilMutation: snapshots of a collection share one
+// sorted ref slice until the collection's next mutation; every mutation
+// kind makes the next snapshot see the change while earlier snapshots keep
+// exactly what they saw, and a write to one collection leaves another's
+// slice shared.
+func TestSnapshotRefsSharedUntilMutation(t *testing.T) {
+	s, path := tempStore(t)
+	put := func(st *Store, col, name, xml string) {
+		t.Helper()
+		if err := st.PutDocument(col, doc(name, xml)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type held struct {
+		step string
+		snap *CollectionSnapshot
+		refs []DocRef // copy taken when the snapshot was
+	}
+	var snaps []held
+	take := func(st *Store, col, step string) *CollectionSnapshot {
+		t.Helper()
+		snap, err := st.SnapshotCollection(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(snap.Close)
+		snaps = append(snaps, held{step, snap, slices.Clone(snap.Refs)})
+		return snap
+	}
+	check := func(step string, snap *CollectionSnapshot, want ...string) {
+		t.Helper()
+		var names []string
+		for _, r := range snap.Refs {
+			names = append(names, r.Name)
+		}
+		if !slices.Equal(names, want) {
+			t.Fatalf("%s: snapshot holds %v, want %v", step, names, want)
+		}
+		for _, h := range snaps {
+			if !slices.Equal(h.snap.Refs, h.refs) {
+				t.Fatalf("%s: the snapshot taken at %q changed: %v, was %v", step, h.step, h.snap.Refs, h.refs)
+			}
+		}
+	}
+	shared := func(a, b *CollectionSnapshot) bool {
+		return len(a.Refs) > 0 && len(a.Refs) == len(b.Refs) && &a.Refs[0] == &b.Refs[0]
+	}
+
+	put(s, "x", "d", "<a>d</a>")
+	put(s, "x", "b", "<a>b</a>")
+	put(s, "y", "k", "<a>k</a>")
+	x0, x1 := take(s, "x", "initial"), take(s, "x", "initial")
+	if !shared(x0, x1) {
+		t.Fatal("two snapshots with no write between them do not share their refs")
+	}
+	y0 := take(s, "y", "initial")
+	check("initial", x0, "b", "d")
+
+	prev := x0
+	for _, step := range []struct {
+		name   string
+		mutate func()
+		want   []string
+	}{
+		{"put new", func() { put(s, "x", "c", "<a>c</a>") }, []string{"b", "c", "d"}},
+		{"replace", func() { put(s, "x", "c", "<a>c, longer now</a>") }, []string{"b", "c", "d"}},
+		{"delete", func() {
+			if err := s.DeleteDocument("x", "b"); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"c", "d"}},
+		{"drop and re-create", func() {
+			if err := s.DropCollection("x"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.SnapshotCollection("x"); err == nil {
+				t.Fatal("snapshot of a dropped collection")
+			}
+			if err := s.CreateCollection("x"); err != nil {
+				t.Fatal(err)
+			}
+			put(s, "x", "z", "<a>z</a>")
+		}, []string{"z"}},
+	} {
+		step.mutate()
+		snap := take(s, "x", step.name)
+		check(step.name, snap, step.want...)
+		if shared(snap, prev) || slices.Equal(snap.Refs, prev.Refs) {
+			t.Fatalf("%s: the new snapshot does not reflect the change", step.name)
+		}
+		if y := take(s, "y", step.name); !shared(y, y0) {
+			t.Fatalf("%s: a write to x rebuilt y's refs", step.name)
+		}
+		prev = snap
+	}
+
+	// A crashed image replays the WAL at open: its snapshots reflect every
+	// logged mutation, and those of the live store are untouched.
+	put(s, "x", "w", "<a>w</a>")
+	crash := filepath.Join(t.TempDir(), "crash.db")
+	copyCrashImage(t, path, crash)
+	s2, err := Open(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.RecoveredMutations() == 0 {
+		t.Fatal("expected WAL replay, got a clean open")
+	}
+	r0 := take(s2, "x", "replayed")
+	check("replayed", r0, "w", "z")
+	if r1 := take(s2, "x", "replayed"); !shared(r0, r1) {
+		t.Fatal("snapshots of a replayed store do not share their refs")
+	}
+	put(s2, "x", "a", "<a>a</a>")
+	check("put after replay", take(s2, "x", "put after replay"), "a", "w", "z")
 }

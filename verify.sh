@@ -75,11 +75,14 @@ grep -q '"profileMatches": true' "$benchdir/telemetry.json"
 # compiled-executor gates: the randomized differential tests (each query
 # also run over records decoded under its projection) must hold under the
 # race detector, and the allocation pins for the hot scan→filter→project
-# loop and for the slab-building record decoder must not regress (run
-# without -race, which would inflate the alloc counts)
+# loop, for the slab-building record decoder and for a point query's
+# candidate selection (bytes per call independent of the collection's
+# size) must not regress (run without -race, which would inflate the
+# alloc counts)
 go test -race -timeout 5m -run 'TestDifferential' ./internal/xquery/exec/
 go test -timeout 5m -run TestAllocsScanFilterProject ./internal/xquery/exec/
 go test -timeout 5m -run TestDecodeAllocs ./internal/storage/
+go test -timeout 5m -run TestCandidateSelectionSizeIndependent ./internal/engine/
 
 # executor smoke bench: compiled and interpreted executors must agree
 # on the Figure 7(a) workload (RunExec fails on any mismatch) and the
