@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 
@@ -295,83 +294,6 @@ func BenchmarkAblationReconstruction(b *testing.B) {
 				if _, err := dep.System.Query(tc.query); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDecodeWorkers isolates the parallel decode pipeline:
-// a decode-bound workload (large documents, unselective query, every
-// candidate decoded) at increasing pool sizes. workers=1 is the
-// paper-faithful sequential engine; the speedup at higher counts is the
-// pipeline's contribution and needs a multi-core machine to show.
-func BenchmarkAblationDecodeWorkers(b *testing.B) {
-	items := toxgene.GenerateItems(toxgene.ItemsConfig{Docs: 48, Seed: 9, Large: true, Collection: "c"})
-	query := `count(collection("c")/Item)`
-	counts := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		counts = append(counts, p)
-	}
-	for _, w := range counts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			db, err := engine.Open(filepath.Join(b.TempDir(), "n.db"), engine.Options{DecodeWorkers: w})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { db.Close() })
-			if err := db.LoadCollection(items.Clone()); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(query); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := db.Stats()
-			b.ReportMetric(float64(st.DocsDecoded)/float64(st.Queries), "decodes/query")
-		})
-	}
-}
-
-// BenchmarkAblationTreeCache measures the decoded-tree cache on a
-// repeated full-scan workload — the access pattern the cache exists for
-// and the one the published series deliberately forgo (DESIGN.md §5a).
-func BenchmarkAblationTreeCache(b *testing.B) {
-	items := toxgene.GenerateItems(toxgene.ItemsConfig{Docs: 200, Seed: 10, Collection: "c"})
-	query := `for $i in collection("c")/Item where contains($i/Description, "good") return $i/Code`
-	cases := []struct {
-		name   string
-		budget int64
-	}{
-		{"cache=off", 0},
-		{"cache=64MB", 64 << 20},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			db, err := engine.Open(filepath.Join(b.TempDir(), "n.db"), engine.Options{TreeCacheBytes: tc.budget})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { db.Close() })
-			if err := db.LoadCollection(items.Clone()); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := db.Query(query); err != nil { // warm the cache
-				b.Fatal(err)
-			}
-			db.ResetStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(query); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := db.Stats()
-			if st.Queries > 0 {
-				b.ReportMetric(float64(st.CacheHits)/float64(st.Queries), "hits/query")
 			}
 		})
 	}

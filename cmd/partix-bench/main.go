@@ -60,8 +60,6 @@ func main() {
 		dir        = flag.String("dir", "", "working directory for node stores (default: temp)")
 		noIdx      = flag.Bool("no-indexes", false, "disable index-assisted pruning on the nodes (scan-bound baseline)")
 		noVIdx     = flag.Bool("no-value-index", false, "disable only the path/value index (text indexes stay on)")
-		workers    = flag.Int("decode-workers", 1, "engine decode workers per node (1 = paper-faithful sequential; 0 = GOMAXPROCS)")
-		cacheBytes = flag.Int64("tree-cache-bytes", 0, "decoded-tree cache budget per node in bytes (0 = off, paper-faithful)")
 		format     = flag.String("format", "table", "table | csv")
 		jsonPath   = flag.String("json", "", "also write the measurements to this file as JSON (e.g. BENCH_PR4.json)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -97,11 +95,7 @@ func main() {
 	}
 
 	scale := experiments.DefaultScale.Multiply(*scaleF)
-	opts := experiments.Options{Dir: *dir, Repeats: *repeats, DisableIndexes: *noIdx,
-		DisableValueIndex: *noVIdx, DecodeWorkers: *workers, TreeCacheBytes: *cacheBytes}
-	if *workers != 1 || *cacheBytes != 0 {
-		fmt.Println("note: decode-workers != 1 or tree-cache-bytes > 0 departs from the published paper-fidelity series (see EXPERIMENTS.md)")
-	}
+	opts := experiments.Options{Dir: *dir, Repeats: *repeats, DisableIndexes: *noIdx, DisableValueIndex: *noVIdx}
 
 	if *format == "csv" {
 		printPanel = experiments.PrintCSV

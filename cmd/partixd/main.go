@@ -38,8 +38,6 @@ func main() {
 		dbPath     = flag.String("db", "partixd.db", "path of the node's store file")
 		noIndexes  = flag.Bool("disable-indexes", false, "disable index-assisted candidate pruning")
 		noCompiled = flag.Bool("no-compiled-exec", false, "disable the compiled vectorized executor (interpret every query)")
-		workers    = flag.Int("decode-workers", 0, "decode worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		cacheBytes = flag.Int64("tree-cache-bytes", 0, "decoded-tree cache budget in bytes (0 = off)")
 		noWAL      = flag.Bool("no-wal", false, "disable the write-ahead log (commits are durable only at checkpoints)")
 		noFsync    = flag.Bool("wal-nofsync", false, "keep the WAL but skip fsync at commit (crash may lose the tail)")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "checkpoint when the WAL exceeds this size (0 = built-in default, <0 = only on demand)")
@@ -71,8 +69,6 @@ func main() {
 	db, err := engine.Open(*dbPath, engine.Options{
 		DisableIndexes:      *noIndexes,
 		DisableCompiledExec: *noCompiled,
-		DecodeWorkers:       *workers,
-		TreeCacheBytes:      *cacheBytes,
 		DisableWAL:          *noWAL,
 		WALNoFsync:          *noFsync,
 		CheckpointBytes:     *ckptBytes,

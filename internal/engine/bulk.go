@@ -51,10 +51,6 @@ func (ix *docIndex) bulkAdd(docs []*xmltree.Document) {
 			aggEl[name] = append(aggEl[name], id)
 			ix.docElements[id] = append(ix.docElements[id], name)
 		}
-		if !ix.pathsBuilt {
-			ix.pendPathLocked(p.name, p.contrib)
-			continue
-		}
 		refs := make([]docPathRef, 0, len(p.contrib.counts))
 		for key, count := range p.contrib.counts {
 			aggPathIDs[key] = append(aggPathIDs[key], id)

@@ -14,9 +14,9 @@ import (
 // Soundness contract: the statistics describe the collection exactly as of
 // Generation. Complete=true additionally promises that Paths covers every
 // label path of the collection, so a path pattern matching no key means no
-// document has such a node. When the value index is disabled, the rebuild
-// failed, or the path count exceeds statsPathCap, Complete is false and a
-// planner may use the snapshot only for estimates, never for exclusion.
+// document has such a node. When the value index is disabled or the path
+// count exceeds statsPathCap, Complete is false and a planner may use the
+// snapshot only for estimates, never for exclusion.
 
 // statsPathCap bounds the per-path table shipped to coordinators. Real
 // DataGuides are tiny (tens of paths); a collection of wildly heterogeneous
@@ -79,9 +79,6 @@ func (db *DB) CollectionStatistics(collection string) (*CollectionStatistics, er
 		Generation: gen,
 	}
 	if db.opts.DisableIndexes || db.opts.DisableValueIndex || ix == nil {
-		return cs, nil
-	}
-	if !db.ensurePathIndex(collection, ix) {
 		return cs, nil
 	}
 

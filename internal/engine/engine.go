@@ -5,18 +5,15 @@
 // "automatically created [indexes] to speed up text search operations and
 // path expressions evaluation", Section 5), and the XQuery evaluator.
 //
-// By default documents are decoded from storage on every query execution;
-// there is no parsed-tree cache. That per-tree pre-processing cost is
-// exactly the effect the paper measures when it compares many-small-
-// documents against few-large-documents databases. Deployments that do
-// not need paper fidelity can opt into a decoded-tree cache
-// (Options.TreeCacheBytes) and a parallel decode pipeline
-// (Options.DecodeWorkers).
+// Documents are decoded from storage on every query execution, one
+// candidate at a time on the querying goroutine; there is no parsed-tree
+// cache. That per-tree pre-processing cost is exactly the effect the paper
+// measures when it compares many-small-documents against
+// few-large-documents databases.
 //
 // A compiled query carries a projection (xquery.Hint.Keep): every
 // candidate's record is still read and validated in full, but only the
-// part of the tree the query reads is built. Projected decodes never enter
-// the tree cache; with the cache on, queries decode and cache whole trees.
+// part of the tree the query reads is built.
 package engine
 
 import (
@@ -51,27 +48,12 @@ type Options struct {
 	// index's contribution in ablation benchmarks.
 	DisableValueIndex bool
 
-	// DecodeWorkers bounds the worker pool that fetches and decodes
-	// candidate documents during queries. 0 defaults to GOMAXPROCS;
-	// 1 (or any negative value) preserves the paper-faithful sequential
-	// behaviour the published benchmark series pin. Results are delivered
-	// to the evaluator in stable document order at any setting, so query
-	// output is identical across worker counts.
-	DecodeWorkers int
-
 	// DisableCompiledExec turns off the compiled vectorized executor;
 	// every query then runs through the tree-walking interpreter. The
 	// compiled pipeline is observationally identical (the interpreter is
 	// its semantic oracle), so this switch exists for the executor
 	// ablation benchmarks and as an escape hatch.
 	DisableCompiledExec bool
-
-	// TreeCacheBytes is the byte budget of the decoded-tree LRU cache;
-	// 0 (the default) disables caching, keeping the per-document parse
-	// cost the paper's evaluation depends on. The cache holds whole trees
-	// only: with it on, queries ignore their projection and decode whole
-	// documents, and projected decodes never enter it.
-	TreeCacheBytes int64
 
 	// DisableWAL turns the store's write-ahead log off: mutations become
 	// durable only at Sync/Close, as in the original engine.
@@ -91,7 +73,6 @@ type Options struct {
 type DB struct {
 	opts  Options
 	store *storage.Store
-	cache *treeCache // nil when TreeCacheBytes is 0
 
 	mu      sync.RWMutex
 	idx     map[string]*docIndex       // collection → indexes
@@ -109,7 +90,7 @@ type DB struct {
 // they bump seq to odd and back to even; a query validates that seq was
 // even and unchanged across its snapshot + candidate capture, retrying (or
 // finally taking writeMu) otherwise. The collection's mutation generation
-// — the tree-cache and plan-cache key — is seq >> 1.
+// — the coordinator's plan- and statistics-cache key — is seq >> 1.
 type colState struct {
 	writeMu sync.Mutex
 	seq     atomic.Uint64
@@ -150,8 +131,7 @@ func (db *DB) indexFor(collection string) *docIndex {
 }
 
 // liveStats holds the engine counters as atomics so concurrent queries
-// (and the decode pipeline workers flushing into them) never race with
-// Stats()/ResetStats() snapshots.
+// flushing into them never race with Stats()/ResetStats() snapshots.
 type liveStats struct {
 	queries       atomic.Int64
 	compiled      atomic.Int64
@@ -160,8 +140,6 @@ type liveStats struct {
 	rangePruned   atomic.Int64
 	indexOnlyHits atomic.Int64
 	bytesDecoded  atomic.Int64
-	cacheHits     atomic.Int64
-	cacheMisses   atomic.Int64
 }
 
 // Stats counts the engine's work, for tests and ablation benchmarks.
@@ -173,8 +151,6 @@ type Stats struct {
 	RangePruned   int64 // of DocsPruned, documents eliminated by value-index comparisons
 	IndexOnlyHits int64 // count()/exists() deciders answered from indexes alone
 	BytesDecoded  int64 // encoded bytes decoded during queries
-	CacheHits     int64 // candidate documents served from the tree cache
-	CacheMisses   int64 // candidate documents decoded despite an enabled cache
 }
 
 // Add accumulates o into s (for aggregating counters across nodes).
@@ -186,8 +162,6 @@ func (s *Stats) Add(o Stats) {
 	s.RangePruned += o.RangePruned
 	s.IndexOnlyHits += o.IndexOnlyHits
 	s.BytesDecoded += o.BytesDecoded
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
 }
 
 // Open opens (creating if necessary) a database at path. Indexes are
@@ -209,9 +183,6 @@ func Open(path string, opts Options) (*DB, error) {
 		idx: map[string]*docIndex{}, cols: map[string]*colState{},
 		docCols: map[string]map[string]bool{},
 		heat:    heatState{cols: map[string]*colHeat{}},
-	}
-	if opts.TreeCacheBytes > 0 {
-		db.cache = newTreeCache(opts.TreeCacheBytes)
 	}
 	// The doc → collection map is rebuilt from the catalog on every open
 	// (names only, no document decoding).
@@ -566,8 +537,6 @@ func (db *DB) Stats() Stats {
 		RangePruned:   db.stats.rangePruned.Load(),
 		IndexOnlyHits: db.stats.indexOnlyHits.Load(),
 		BytesDecoded:  db.stats.bytesDecoded.Load(),
-		CacheHits:     db.stats.cacheHits.Load(),
-		CacheMisses:   db.stats.cacheMisses.Load(),
 	}
 }
 
@@ -580,29 +549,13 @@ func (db *DB) ResetStats() {
 	db.stats.rangePruned.Store(0)
 	db.stats.indexOnlyHits.Store(0)
 	db.stats.bytesDecoded.Store(0)
-	db.stats.cacheHits.Store(0)
-	db.stats.cacheMisses.Store(0)
-}
-
-// decodeWorkers resolves Options.DecodeWorkers to an effective pool size.
-func (db *DB) decodeWorkers() int {
-	switch {
-	case db.opts.DecodeWorkers > 0:
-		return db.opts.DecodeWorkers
-	case db.opts.DecodeWorkers < 0:
-		return 1
-	default:
-		return runtime.GOMAXPROCS(0)
-	}
 }
 
 // querySnapshot is one query's consistent view of a collection: the
-// pinned document set, the candidate refs left after index pruning, and
-// the generation the capture validated against.
+// pinned document set and the candidate refs left after index pruning.
 type querySnapshot struct {
 	snap        *storage.CollectionSnapshot
 	refs        []storage.DocRef // candidates, in document-name order
-	gen         uint64
 	pruned      int
 	rangePruned int
 }
@@ -638,17 +591,12 @@ func (db *DB) snapshotForQuery(collection string, hint *xquery.Hint) (querySnaps
 			}
 			continue // raced a create/drop: re-resolve
 		}
-		q := querySnapshot{snap: snap, refs: snap.Refs, gen: s1 >> 1}
+		q := querySnapshot{snap: snap, refs: snap.Refs}
 		db.mu.RLock()
 		ix := db.idx[collection]
 		db.mu.RUnlock()
 		if hint != nil && len(hint.Constraints) > 0 && !db.opts.DisableIndexes && ix != nil {
 			usePaths := !db.opts.DisableValueIndex && hintNeedsPaths(hint)
-			if usePaths {
-				// Pre-v3 snapshots lack the path structures; build them now
-				// (or, if that fails, fall back to pruning without them).
-				usePaths = db.ensurePathIndex(collection, ix)
-			}
 			ids, constrained, rp := ix.candidates(hint, usePaths)
 			q.rangePruned = rp
 			if constrained {
@@ -691,11 +639,10 @@ func selectRefs(refs []storage.DocRef, names []string) []storage.DocRef {
 // is present (and indexes are enabled) only candidate documents are
 // decoded; the rest are skipped without touching the store. The iteration
 // runs over an immutable pinned snapshot, so concurrent writers neither
-// block it nor change what it sees. Candidates are fetched and decoded by
-// the worker pool (sequentially when DecodeWorkers is 1) and always
-// delivered to fn in document-name order. With the tree cache off, each
-// candidate is decoded under the hint's projection (hint.Keep), building
-// only the part of the document the query reads.
+// block it nor change what it sees. Candidates are read and decoded one at
+// a time, in document-name order, each under the hint's projection
+// (hint.Keep) so only the part of the document the query reads is built.
+// The counters are flushed only when the whole iteration succeeds.
 func (db *DB) Docs(collection string, hint *xquery.Hint, fn func(*xmltree.Document) error) error {
 	q, err := db.snapshotForQuery(collection, hint)
 	if err != nil {
@@ -703,39 +650,36 @@ func (db *DB) Docs(collection string, hint *xquery.Hint, fn func(*xmltree.Docume
 	}
 	defer q.snap.Close()
 
-	// The tree cache holds whole trees only: with it on, the projection
-	// hint is ignored, which the Source contract allows.
 	var keep *xmltree.Projection
-	if hint != nil && db.cache == nil {
+	if hint != nil {
 		keep = hint.Keep
 	}
-	workers := db.decodeWorkers()
-	if workers > len(q.refs) {
-		workers = len(q.refs)
+	var decoded, bytes int64
+	for _, ref := range q.refs {
+		raw, err := db.store.ReadRef(ref)
+		if err != nil {
+			return err
+		}
+		doc, err := storage.DecodeProjected(ref.Name, raw, keep)
+		if err != nil {
+			return err
+		}
+		decoded++
+		bytes += int64(len(raw))
+		if err := fn(doc); err != nil {
+			return err
+		}
 	}
-	var c docCounters
-	if workers <= 1 {
-		err = db.docsSequential(collection, q.refs, q.gen, keep, fn, &c)
-	} else {
-		err = db.docsPipelined(collection, q.refs, q.gen, keep, workers, fn, &c)
-	}
-	if err != nil {
-		return err
-	}
-	pruned, rangePruned := q.pruned, q.rangePruned
-	db.stats.docsDecoded.Add(c.decoded)
-	db.stats.docsPruned.Add(int64(pruned))
-	db.stats.rangePruned.Add(int64(rangePruned))
-	db.stats.bytesDecoded.Add(c.bytes)
-	db.stats.cacheHits.Add(c.hits)
-	db.stats.cacheMisses.Add(c.misses)
-	obs.EngineDocsDecoded.Add(c.decoded)
-	obs.EngineDocsPruned.Add(int64(pruned))
-	obs.EngineRangePruned.Add(int64(rangePruned))
-	obs.EngineBytesDecoded.Add(c.bytes)
-	obs.EngineCacheHits.Add(c.hits)
-	obs.EngineCacheMisses.Add(c.misses)
-	db.observeDocsHeat(collection, c.decoded, c.bytes)
+	pruned, rangePruned := int64(q.pruned), int64(q.rangePruned)
+	db.stats.docsDecoded.Add(decoded)
+	db.stats.docsPruned.Add(pruned)
+	db.stats.rangePruned.Add(rangePruned)
+	db.stats.bytesDecoded.Add(bytes)
+	obs.EngineDocsDecoded.Add(decoded)
+	obs.EngineDocsPruned.Add(pruned)
+	obs.EngineRangePruned.Add(rangePruned)
+	obs.EngineBytesDecoded.Add(bytes)
+	db.observeDocsHeat(collection, decoded, bytes)
 	return nil
 }
 
@@ -749,56 +693,15 @@ func hintNeedsPaths(hint *xquery.Hint) bool {
 	return false
 }
 
-// ensurePathIndex makes the collection's path summary and value index
-// available, lazily rebuilding them by scanning the store when the index
-// was restored from a pre-v3 snapshot. Returns false when the rebuild
-// fails (queries then proceed without path constraints, which is sound).
-func (db *DB) ensurePathIndex(collection string, ix *docIndex) bool {
-	ix.mu.Lock()
-	built := ix.pathsBuilt
-	ix.mu.Unlock()
-	if built {
-		return true
-	}
-	ix.rebuildMu.Lock()
-	defer ix.rebuildMu.Unlock()
-	ix.mu.Lock()
-	built = ix.pathsBuilt
-	ix.mu.Unlock()
-	if built {
-		return true
-	}
-	names, err := db.store.Documents(collection)
-	if err != nil {
-		return false
-	}
-	contribs := make(map[string]*docContrib, len(names))
-	for _, name := range names {
-		doc, err := db.store.GetDocument(collection, name)
-		if err != nil {
-			return false
-		}
-		contribs[name] = collectDocPaths(doc)
-	}
-	// Mutations that arrived while scanning are in ix.pathPending and
-	// override the scan inside installPaths.
-	ix.installPaths(contribs)
-	return true
-}
-
 // probeIndex resolves the index a probe runs against, nil when probing is
-// unavailable (disabled, unknown collection, or failed rebuild).
+// unavailable (disabled, or unknown collection).
 func (db *DB) probeIndex(collection string) *docIndex {
 	if db.opts.DisableIndexes || db.opts.DisableValueIndex {
 		return nil
 	}
 	db.mu.RLock()
-	ix := db.idx[collection]
-	db.mu.RUnlock()
-	if ix == nil || !db.ensurePathIndex(collection, ix) {
-		return nil
-	}
-	return ix
+	defer db.mu.RUnlock()
+	return db.idx[collection]
 }
 
 // ProbeCount implements xquery.IndexProber: count()-shaped queries over
@@ -845,19 +748,22 @@ func (db *DB) noteIndexOnly() {
 // RawDocuments streams the stored (encoded) documents of a collection to
 // fn in document-name order without materializing the whole collection:
 // each record is read, handed over, and released before the next one is
-// touched. The wire server's streaming fetch path batches these into
-// bounded frames; fn returning an error stops the iteration.
+// touched. Like Docs it reads one pinned snapshot, so a write that lands
+// mid-fetch neither fails the fetch nor mixes generations into it. The
+// wire server's streaming fetch path batches these into bounded frames;
+// fn returning an error stops the iteration.
 func (db *DB) RawDocuments(collection string, fn func(name string, data []byte) error) error {
-	names, err := db.store.Documents(collection)
+	snap, err := db.store.SnapshotCollection(collection)
 	if err != nil {
 		return err
 	}
-	for _, name := range names {
-		raw, err := db.store.GetDocumentRaw(collection, name)
+	defer snap.Close()
+	for _, ref := range snap.Refs {
+		raw, err := db.store.ReadRef(ref)
 		if err != nil {
 			return err
 		}
-		if err := fn(name, raw); err != nil {
+		if err := fn(ref.Name, raw); err != nil {
 			return err
 		}
 	}

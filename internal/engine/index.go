@@ -52,17 +52,6 @@ type docIndex struct {
 	paths    map[string]*pathPosting // label path key → docs + node counts
 	values   map[string]*valueList   // label path key → value index
 	docPaths map[docID][]docPathRef  // reverse: paths/values a doc contributed
-
-	// pathsBuilt is false only for indexes restored from a pre-v3
-	// snapshot: the path structures are then rebuilt lazily on first use
-	// (engine.ensurePathIndex). Mutations arriving before that land in
-	// pathPending (nil marks a removal) and are replayed by the rebuild.
-	pathsBuilt  bool
-	pathPending map[string]*docContrib
-
-	// rebuildMu serializes the lazy path rebuild; it is never taken while
-	// holding ix.mu.
-	rebuildMu sync.Mutex
 }
 
 func newDocIndex() *docIndex {
@@ -75,7 +64,6 @@ func newDocIndex() *docIndex {
 		paths:       map[string]*pathPosting{},
 		values:      map[string]*valueList{},
 		docPaths:    map[docID][]docPathRef{},
-		pathsBuilt:  true, // a fresh index is trivially in sync
 	}
 }
 
@@ -197,11 +185,7 @@ func (ix *docIndex) addPrepLocked(p docPrep) {
 		ix.elements[name] = insertSorted(ix.elements[name], id)
 		ix.docElements[id] = append(ix.docElements[id], name)
 	}
-	if ix.pathsBuilt {
-		ix.addPathsLocked(id, p.contrib)
-	} else {
-		ix.pendPathLocked(p.name, p.contrib)
-	}
+	ix.addPathsLocked(id, p.contrib)
 }
 
 func (ix *docIndex) remove(docName string) {
@@ -211,9 +195,6 @@ func (ix *docIndex) remove(docName string) {
 }
 
 func (ix *docIndex) removeLocked(docName string) {
-	if !ix.pathsBuilt {
-		ix.pendPathLocked(docName, nil)
-	}
 	id, ok := ix.ids[docName]
 	if !ok {
 		return
@@ -233,9 +214,7 @@ func (ix *docIndex) removeLocked(docName string) {
 			ix.elements[name] = list
 		}
 	}
-	if ix.pathsBuilt {
-		ix.removePathsLocked(id)
-	}
+	ix.removePathsLocked(id)
 	delete(ix.docTokens, id)
 	delete(ix.docElements, id)
 	delete(ix.ids, docName)
@@ -264,9 +243,9 @@ func (ix *docIndex) vocabulary() []string {
 // document is a candidate, not none), and the number of documents
 // eliminated by value comparisons specifically (beyond the
 // token/element/path-existence pruning). usePaths gates the path-qualified
-// constraints — false when the path structures are unavailable (disabled,
-// or a lazy rebuild failed), in which case those constraints are simply not
-// applied, which is always sound. The returned slice belongs to the caller.
+// constraints — false when the value index is disabled, in which case those
+// constraints are simply not applied, which is always sound. The returned
+// slice belongs to the caller.
 //
 // Conjunctions intersect the smallest list first, galloping into much
 // longer ones; the unions a constraint needs (a substring's matching

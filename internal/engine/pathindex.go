@@ -457,42 +457,6 @@ func (ix *docIndex) removePathsLocked(id docID) {
 	delete(ix.docPaths, id)
 }
 
-// pendPathLocked buffers a path mutation while the structures are not yet
-// built; the lazy rebuild replays the buffer (nil contrib = removal).
-func (ix *docIndex) pendPathLocked(name string, c *docContrib) {
-	if ix.pathPending == nil {
-		ix.pathPending = map[string]*docContrib{}
-	}
-	ix.pathPending[name] = c
-}
-
-// installPaths builds the path structures from per-document contributions
-// (store scan overridden by the pending buffer) and marks them live. The
-// caller holds rebuildMu but NOT ix.mu.
-func (ix *docIndex) installPaths(contribs map[string]*docContrib) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.pathsBuilt {
-		return
-	}
-	for name, c := range ix.pathPending {
-		if c == nil {
-			delete(contribs, name)
-		} else {
-			contribs[name] = c
-		}
-	}
-	ix.pathPending = nil
-	ix.pathsBuilt = true
-	for name, c := range contribs {
-		id, ok := ix.ids[name]
-		if !ok {
-			continue // raced with a remove after the scan; nothing to index
-		}
-		ix.addPathsLocked(id, c)
-	}
-}
-
 // --- queries (callers hold ix.mu) ---
 
 // pathExistsLocked returns the posting lists of every path key matching

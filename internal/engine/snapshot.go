@@ -12,13 +12,14 @@ import (
 // describes exactly the cataloged documents — a crash between syncs loses
 // the un-synced documents and their index entries together.
 //
-// The v3 format adds the path summary and value index on top of v2's
-// interned doc-name table; v2 (docID posting lists, no paths) and the
-// original v1 (token → sorted doc-name lists) are still decoded for
-// stores written by older engines — their indexes come up with
-// pathsBuilt=false and the path structures are rebuilt lazily on first
-// use. A snapshot in no known format, or one not covering every cataloged
-// collection, triggers a rebuild scan — loading never errors.
+// Only the v3 record loads: the interned doc-name table, the token and
+// element posting lists, the path summary and the value index. Anything
+// else — no v3 record, one that fails to decode or to validate, one whose
+// path half was never built, or one not covering every cataloged
+// collection — triggers the rebuild scan, so loading never errors. Older
+// engines wrote v1 (doc-name lists) and v2 (docID lists without paths)
+// records under their own keys; nothing reads those keys, and every save
+// deletes them so upgraded stores drop the dead records.
 
 const (
 	indexMetaKeyV1 = "engine:index:v1"
@@ -26,32 +27,22 @@ const (
 	indexMetaKeyV3 = "engine:index:v3"
 )
 
-// indexSnapshotV1 is the original serialized form of one collection's
-// indexes: posting lists of document names.
-type indexSnapshotV1 struct {
-	Postings map[string][]string
-	Elements map[string][]string
-}
-
-// indexSnapshotV2 is the compact form: the doc-name table ("" marks a
-// recycled docID slot) plus posting lists of table offsets.
-type indexSnapshotV2 struct {
-	Docs     []string
-	Postings map[string][]uint32
-	Elements map[string][]uint32
-}
-
-// indexSnapshotV3 extends v2 with the path summary (per label path:
-// sorted doc list + parallel node counts) and the value index (per label
-// path: values with their doc lists, plus over-cap overflow docs).
-// PathsBuilt false records an index whose path half was never built (the
-// engine ran only pre-v3-style queries since a v1/v2 load); loading such
-// a snapshot schedules the same lazy rebuild.
+// indexSnapshotV3 is the serialized form of one collection's indexes: the
+// doc-name table ("" marks a recycled docID slot), token and element
+// posting lists of table offsets, the path summary (per label path: sorted
+// doc list + parallel node counts) and the value index (per label path:
+// values with their doc lists, plus over-cap overflow docs).
 type indexSnapshotV3 struct {
 	Docs     []string
 	Postings map[string][]uint32
 	Elements map[string][]uint32
 
+	// PathsBuilt is true in every record this engine writes. An older
+	// engine that loaded a v1/v2 record and never built the path half
+	// wrote false with empty path maps. The field must stay decoded and
+	// such a record rejected: dropped from the struct, gob would ignore it
+	// and the index would load with empty path maps that prune every path
+	// query.
 	PathsBuilt bool
 	PathDocs   map[string][]uint32
 	PathCounts map[string][]uint32
@@ -84,8 +75,7 @@ func (db *DB) saveIndexSnapshot() error {
 	if err := db.store.PutMeta(indexMetaKeyV3, buf.Bytes()); err != nil {
 		return err
 	}
-	// Drop any stale older records so a failed v3 decode can never
-	// resurrect an older index state.
+	// Drop the dead older records an upgraded store may still carry.
 	if err := db.store.PutMeta(indexMetaKeyV2, nil); err != nil {
 		return err
 	}
@@ -100,7 +90,11 @@ func (ix *docIndex) snapshot() indexSnapshotV3 {
 		Docs:       append([]string(nil), ix.names...),
 		Postings:   make(map[string][]uint32, len(ix.postings)),
 		Elements:   make(map[string][]uint32, len(ix.elements)),
-		PathsBuilt: ix.pathsBuilt,
+		PathsBuilt: true,
+		PathDocs:   make(map[string][]uint32, len(ix.paths)),
+		PathCounts: make(map[string][]uint32, len(ix.paths)),
+		Values:     make(map[string][]valueSnapV3, len(ix.values)),
+		Overflow:   map[string][]uint32{},
 	}
 	for tok, list := range ix.postings {
 		s.Postings[tok] = idsToUint32(list)
@@ -108,15 +102,6 @@ func (ix *docIndex) snapshot() indexSnapshotV3 {
 	for name, list := range ix.elements {
 		s.Elements[name] = idsToUint32(list)
 	}
-	if !ix.pathsBuilt {
-		// The path half was never built; the loader will schedule the same
-		// lazy rebuild this index is still waiting for.
-		return s
-	}
-	s.PathDocs = make(map[string][]uint32, len(ix.paths))
-	s.PathCounts = make(map[string][]uint32, len(ix.paths))
-	s.Values = make(map[string][]valueSnapV3, len(ix.values))
-	s.Overflow = map[string][]uint32{}
 	for key, p := range ix.paths {
 		s.PathDocs[key] = idsToUint32(p.ids)
 		s.PathCounts[key] = append([]uint32(nil), p.counts...)
@@ -136,66 +121,59 @@ func (ix *docIndex) snapshot() indexSnapshotV3 {
 	return s
 }
 
-// loadIndexSnapshot restores the indexes from the persisted snapshot;
-// it reports false (leaving db.idx empty) when none exists or it cannot
-// be decoded, in which case the caller rebuilds by scanning.
+// loadIndexSnapshot restores the indexes from the persisted v3 record; it
+// reports false (leaving db.idx empty) when there is none or it cannot be
+// used, in which case the caller rebuilds by scanning.
 func (db *DB) loadIndexSnapshot() bool {
-	loaded := db.loadIndexSnapshotV3()
-	if loaded == nil {
-		loaded = db.loadIndexSnapshotV2()
-	}
-	if loaded == nil {
-		loaded = db.loadIndexSnapshotV1()
-	}
-	if loaded == nil {
+	data, ok, err := db.store.GetMeta(indexMetaKeyV3)
+	if err != nil || !ok {
 		return false
 	}
-	// Every cataloged collection must be covered, or the snapshot is
-	// stale (e.g. a collection created without a later Sync).
+	var snap map[string]indexSnapshotV3
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		return false
+	}
+	// Every cataloged collection must be covered, or the snapshot is stale
+	// (e.g. a collection created without a later Sync).
 	for _, col := range db.store.Collections() {
-		if _, covered := loaded[col]; !covered {
+		if _, covered := snap[col]; !covered {
 			return false
 		}
+	}
+	loaded := make(map[string]*docIndex, len(snap))
+	for col, s := range snap {
+		if !db.store.HasCollection(col) {
+			continue // dropped after the snapshot was taken
+		}
+		ix, ok := indexFromSnapshot(s)
+		if !ok {
+			return false // corrupt references or no paths: rebuild everything
+		}
+		loaded[col] = ix
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for col, ix := range loaded {
-		if !db.store.HasCollection(col) {
-			continue // dropped after the snapshot was taken
-		}
 		db.idx[col] = ix
 	}
 	return true
 }
 
-func (db *DB) loadIndexSnapshotV3() map[string]*docIndex {
-	data, ok, err := db.store.GetMeta(indexMetaKeyV3)
-	if err != nil || !ok {
-		return nil
-	}
-	var snap map[string]indexSnapshotV3
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return nil
-	}
-	out := make(map[string]*docIndex, len(snap))
-	for col, s := range snap {
-		ix, ok := indexFromSnapshotV3(s)
-		if !ok {
-			return nil // corrupt references: rebuild everything
-		}
-		out[col] = ix
-	}
-	return out
-}
-
-func indexFromSnapshotV3(s indexSnapshotV3) (*docIndex, bool) {
-	ix, ok := indexFromSnapshotV2(indexSnapshotV2{Docs: s.Docs, Postings: s.Postings, Elements: s.Elements})
-	if !ok {
+// indexFromSnapshot rebuilds one collection's index from its record,
+// rejecting a record without paths and any reference to a doc the name
+// table does not hold.
+func indexFromSnapshot(s indexSnapshotV3) (*docIndex, bool) {
+	if !s.PathsBuilt {
 		return nil, false
 	}
-	if !s.PathsBuilt {
-		ix.pathsBuilt = false
-		return ix, true
+	ix := newDocIndex()
+	ix.names = append([]string(nil), s.Docs...)
+	for id, name := range ix.names {
+		if name == "" {
+			ix.free = append(ix.free, docID(id))
+			continue
+		}
+		ix.ids[name] = docID(id)
 	}
 	checkIDs := func(list []uint32) ([]docID, bool) {
 		ids := make([]docID, len(list))
@@ -206,6 +184,22 @@ func indexFromSnapshotV3(s indexSnapshotV3) (*docIndex, bool) {
 			ids[i] = docID(raw)
 		}
 		return ids, true
+	}
+	restore := func(src map[string][]uint32, dst map[string][]docID, reverse map[docID][]string) bool {
+		for key, list := range src {
+			ids, ok := checkIDs(list)
+			if !ok {
+				return false
+			}
+			for _, id := range ids {
+				reverse[id] = append(reverse[id], key)
+			}
+			dst[key] = ids
+		}
+		return true
+	}
+	if !restore(s.Postings, ix.postings, ix.docTokens) || !restore(s.Elements, ix.elements, ix.docElements) {
+		return nil, false
 	}
 	// refs[id][key] accumulates each doc's reverse record while the three
 	// path maps are decoded.
@@ -302,94 +296,6 @@ func indexFromSnapshotV3(s indexSnapshotV3) (*docIndex, bool) {
 		ix.docPaths[id] = list
 	}
 	return ix, true
-}
-
-func (db *DB) loadIndexSnapshotV2() map[string]*docIndex {
-	data, ok, err := db.store.GetMeta(indexMetaKeyV2)
-	if err != nil || !ok {
-		return nil
-	}
-	var snap map[string]indexSnapshotV2
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return nil
-	}
-	out := make(map[string]*docIndex, len(snap))
-	for col, s := range snap {
-		ix, ok := indexFromSnapshotV2(s)
-		if !ok {
-			return nil // corrupt references: rebuild everything
-		}
-		ix.pathsBuilt = false // pre-v3: path structures rebuilt lazily
-		out[col] = ix
-	}
-	return out
-}
-
-func indexFromSnapshotV2(s indexSnapshotV2) (*docIndex, bool) {
-	ix := newDocIndex()
-	ix.names = append([]string(nil), s.Docs...)
-	for id, name := range ix.names {
-		if name == "" {
-			ix.free = append(ix.free, docID(id))
-			continue
-		}
-		ix.ids[name] = docID(id)
-	}
-	restore := func(src map[string][]uint32, dst map[string][]docID, reverse map[docID][]string) bool {
-		for key, list := range src {
-			ids := make([]docID, len(list))
-			for i, raw := range list {
-				if int(raw) >= len(ix.names) || ix.names[raw] == "" {
-					return false
-				}
-				ids[i] = docID(raw)
-				reverse[docID(raw)] = append(reverse[docID(raw)], key)
-			}
-			dst[key] = ids
-		}
-		return true
-	}
-	if !restore(s.Postings, ix.postings, ix.docTokens) {
-		return nil, false
-	}
-	if !restore(s.Elements, ix.elements, ix.docElements) {
-		return nil, false
-	}
-	return ix, true
-}
-
-// loadIndexSnapshotV1 decodes the original name-list format written by
-// older engines into the compact representation.
-func (db *DB) loadIndexSnapshotV1() map[string]*docIndex {
-	data, ok, err := db.store.GetMeta(indexMetaKeyV1)
-	if err != nil || !ok {
-		return nil
-	}
-	var snap map[string]indexSnapshotV1
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return nil
-	}
-	out := make(map[string]*docIndex, len(snap))
-	for col, s := range snap {
-		ix := newDocIndex()
-		ix.pathsBuilt = false // pre-v3: path structures rebuilt lazily
-		for tok, names := range s.Postings {
-			for _, name := range names {
-				id := ix.intern(name)
-				ix.postings[tok] = insertSorted(ix.postings[tok], id)
-				ix.docTokens[id] = append(ix.docTokens[id], tok)
-			}
-		}
-		for el, names := range s.Elements {
-			for _, name := range names {
-				id := ix.intern(name)
-				ix.elements[el] = insertSorted(ix.elements[el], id)
-				ix.docElements[id] = append(ix.docElements[id], el)
-			}
-		}
-		out[col] = ix
-	}
-	return out
 }
 
 func idsToUint32(in []docID) []uint32 {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"partix/internal/storage"
 	"partix/internal/xmltree"
+	"partix/internal/xquery"
 )
 
 func TestIndexSnapshotRoundTrip(t *testing.T) {
@@ -130,105 +132,215 @@ func TestSnapshotRoundTripAfterDelete(t *testing.T) {
 	}
 }
 
-// TestV1SnapshotBackwardCompatible: a store written by the original
-// engine carries the v1 name-list snapshot; the compact engine must load
-// it without error and without falling back to a rebuild scan. The v1
-// record is deliberately doctored (document i3 is stripped from it): a
-// rebuild would find i3, so the query results prove which path ran.
-func TestV1SnapshotBackwardCompatible(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.db")
+// oldFormatCases are stores whose index record is not a usable v3 record:
+// only a v1-key record, only a v2-key record (nothing reads those keys any
+// more, so their payload is arbitrary), a v3 record whose path half was
+// never built — PathsBuilt=false with empty path maps, as an engine that
+// loaded a pre-v3 record wrote it — and no record at all, as a store left
+// by a crash before its first Close. The PathsBuilt=false record is
+// doctored further — i3, the only Book item, is missing from every
+// posting — so loading it instead of rebuilding would show.
+var oldFormatCases = []struct {
+	name string
+	meta func(t *testing.T, live indexSnapshotV3) map[string][]byte
+}{
+	{"v1 record only", func(*testing.T, indexSnapshotV3) map[string][]byte {
+		return map[string][]byte{indexMetaKeyV1: []byte("an old v1 record"), indexMetaKeyV3: nil}
+	}},
+	{"v2 record only", func(*testing.T, indexSnapshotV3) map[string][]byte {
+		return map[string][]byte{indexMetaKeyV2: []byte("an old v2 record"), indexMetaKeyV3: nil}
+	}},
+	{"v3 record without paths", func(t *testing.T, live indexSnapshotV3) map[string][]byte {
+		i3 := uint32(slices.Index(live.Docs, "i3"))
+		for _, lists := range []map[string][]uint32{live.Postings, live.Elements} {
+			for key, list := range lists {
+				lists[key] = slices.DeleteFunc(list, func(id uint32) bool { return id == i3 })
+			}
+		}
+		live.PathsBuilt = false
+		live.PathDocs, live.PathCounts, live.Values, live.Overflow = nil, nil, nil, nil
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(map[string]indexSnapshotV3{"items": live}); err != nil {
+			t.Fatal(err)
+		}
+		return map[string][]byte{indexMetaKeyV3: buf.Bytes()}
+	}},
+	{"no record", func(*testing.T, indexSnapshotV3) map[string][]byte {
+		return map[string][]byte{indexMetaKeyV3: nil}
+	}},
+}
+
+// oldFormatStore writes the items collection to a new store, then replaces
+// its index records with meta's, and returns the store's path.
+func oldFormatStore(t *testing.T, meta func(*testing.T, indexSnapshotV3) map[string][]byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "old.db")
 	db, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	loadItems(t, db)
-
-	// Build the v1 snapshot from the live index, omitting i3.
-	db.mu.RLock()
-	ix := db.idx["items"]
-	db.mu.RUnlock()
-	v1 := indexSnapshotV1{Postings: map[string][]string{}, Elements: map[string][]string{}}
-	ix.mu.Lock()
-	for tok, list := range ix.postings {
-		for _, id := range list {
-			if name := ix.names[id]; name != "i3" {
-				v1.Postings[tok] = append(v1.Postings[tok], name)
-			}
-		}
-	}
-	for el, list := range ix.elements {
-		for _, id := range list {
-			if name := ix.names[id]; name != "i3" {
-				v1.Elements[el] = append(v1.Elements[el], name)
-			}
-		}
-	}
-	ix.mu.Unlock()
+	live := db.indexFor("items").snapshot()
 	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewrite the store's snapshot to look like an old engine wrote it.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(map[string]indexSnapshotV1{"items": v1}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := storage.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutMeta(indexMetaKeyV1, buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutMeta(indexMetaKeyV2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutMeta(indexMetaKeyV3, nil); err != nil {
-		t.Fatal(err)
+	for key, data := range meta(t, live) {
+		if err := st.PutMeta(key, data); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
-	db2, err := Open(path, Options{})
+// queryStrings runs q and returns its items as strings.
+func queryStrings(t *testing.T, db *DB, q string) []string {
+	t.Helper()
+	res, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pruning works off the converted index...
-	res, err := db2.Query(`for $i in collection("items")/Item where $i/Section = "DVD" return $i/Code`)
-	if err != nil {
-		t.Fatal(err)
+	var out []string
+	for _, it := range res {
+		out = append(out, xquery.ItemString(it))
 	}
-	if len(res) != 1 {
-		t.Fatalf("DVD results via v1 index = %d, want 1", len(res))
-	}
-	// ...and the doctored v1 content is authoritative: the only Book item
-	// (i3) is invisible, which a rebuild scan would have restored.
-	res, err = db2.Query(`for $i in collection("items")/Item where $i/Section = "Book" return $i/Code`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 0 {
-		t.Fatalf("Book query found %d results: index was rebuilt, not loaded from v1", len(res))
-	}
-	if err := db2.Close(); err != nil { // upgrades the snapshot to v3
-		t.Fatal(err)
-	}
+	return out
+}
 
-	// The close rewrote the snapshot in v3 form and dropped the old records.
-	st, err = storage.Open(path)
-	if err != nil {
-		t.Fatal(err)
+// TestOldSnapshotFormatsRebuild: each of oldFormatCases opens by the
+// rebuild scan. It must answer the range query and an index-only count()
+// correctly from its first query, find i3, then write a v3 record at Close
+// and drop the old keys.
+func TestOldSnapshotFormatsRebuild(t *testing.T) {
+	for _, tc := range oldFormatCases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := oldFormatStore(t, tc.meta)
+
+			db2, err := Open(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			db2.ResetStats()
+			if got := queryStrings(t, db2, `for $i in collection("items")/Item where $i/@id < 2 return $i/Code`); !slices.Equal(got, []string{"I1"}) {
+				t.Fatalf("range query = %v, want [I1]", got)
+			}
+			if st := db2.Stats(); st.DocsDecoded != 1 {
+				t.Fatalf("range query decoded %d docs, want 1", st.DocsDecoded)
+			}
+			if got := queryStrings(t, db2, `count(collection("items")/Item)`); !slices.Equal(got, []string{"4"}) {
+				t.Fatalf("count = %v, want [4]", got)
+			}
+			if st := db2.Stats(); st.IndexOnlyHits != 1 || st.DocsDecoded != 1 {
+				t.Fatalf("count not answered index-only: %+v", st)
+			}
+			if got := queryStrings(t, db2, `for $i in collection("items")/Item where $i/Section = "Book" return $i/Code`); !slices.Equal(got, []string{"I3"}) {
+				t.Fatalf("Book query = %v, want [I3]: the old record was loaded, not rebuilt", got)
+			}
+			if err := db2.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			st, err := storage.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for _, key := range []string{indexMetaKeyV1, indexMetaKeyV2} {
+				if _, ok, _ := st.GetMeta(key); ok {
+					t.Fatalf("%s record survived the close", key)
+				}
+			}
+			data, ok, err := st.GetMeta(indexMetaKeyV3)
+			if err != nil || !ok {
+				t.Fatalf("no v3 record written on close: %v", err)
+			}
+			var snap map[string]indexSnapshotV3
+			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+				t.Fatal(err)
+			}
+			if s := snap["items"]; !s.PathsBuilt || len(s.PathDocs) == 0 {
+				t.Fatalf("the v3 record written on close has no paths (PathsBuilt=%v, %d paths)", s.PathsBuilt, len(s.PathDocs))
+			}
+		})
 	}
-	defer st.Close()
-	if _, ok, _ := st.GetMeta(indexMetaKeyV1); ok {
-		t.Fatal("v1 snapshot record survived the upgrade")
-	}
-	if _, ok, _ := st.GetMeta(indexMetaKeyV2); ok {
-		t.Fatal("v2 snapshot record survived the upgrade")
-	}
-	if _, ok, _ := st.GetMeta(indexMetaKeyV3); !ok {
-		t.Fatal("no v3 snapshot written on close")
+}
+
+// TestOldFormatUpgradeSurvivesReopen: mutations made on an index rebuilt
+// from one of oldFormatCases, before any query, reach the v3 record written
+// at Close; that record is one the loader accepts, and the store reopened
+// from it answers index-only count() with no decodes and prunes range
+// queries to their candidates.
+func TestOldFormatUpgradeSurvivesReopen(t *testing.T) {
+	for _, tc := range oldFormatCases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := oldFormatStore(t, tc.meta)
+
+			db, err := Open(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.DeleteDocument("items", "i1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.PutDocument("items", xmltree.MustParseString("i9",
+				`<Item id="9"><Code>I9</Code><Name>n9</Name><Description>late</Description><Section>Vinyl</Section></Item>`)); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			st, err := storage.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, ok, err := st.GetMeta(indexMetaKeyV3)
+			if err != nil || !ok {
+				t.Fatalf("no v3 record written on close: %v", err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var snap map[string]indexSnapshotV3
+			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+				t.Fatal(err)
+			}
+			s := snap["items"]
+			if !slices.Contains(s.Docs, "i9") || slices.Contains(s.Docs, "i1") {
+				t.Fatalf("v3 record docs = %q, want i9 and not i1", s.Docs)
+			}
+			if _, ok := indexFromSnapshot(s); !ok {
+				t.Fatal("the loader rejects the v3 record written on close")
+			}
+
+			db2, err := Open(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			db2.ResetStats()
+			if got := queryStrings(t, db2, `count(collection("items")/Item)`); !slices.Equal(got, []string{"4"}) { // i2..i4 plus i9
+				t.Fatalf("count = %v, want [4]", got)
+			}
+			if st := db2.Stats(); st.IndexOnlyHits != 1 || st.DocsDecoded != 0 {
+				t.Fatalf("count after reopen not index-only: %+v", st)
+			}
+			if got := queryStrings(t, db2, `for $i in collection("items")/Item where $i/@id >= 9 return $i/Code`); !slices.Equal(got, []string{"I9"}) {
+				t.Fatalf("range query = %v, want [I9]", got)
+			}
+			if got := queryStrings(t, db2, `for $i in collection("items")/Item where $i/@id < 2 return $i/Code`); len(got) != 0 {
+				t.Fatalf("deleted doc resurrected: %v", got)
+			}
+			if st := db2.Stats(); st.DocsDecoded != 1 {
+				t.Fatalf("range queries decoded %d docs, want 1", st.DocsDecoded)
+			}
+		})
 	}
 }
 

@@ -7,10 +7,9 @@ import (
 
 // TestStatsConcurrentQueries exercises the counter paths under -race:
 // parallel queries (each flushing decode counters), concurrent Stats
-// snapshots, and a ResetStats mid-flight. Before the counters became
-// atomics, the pipeline flush and the snapshot raced.
+// snapshots, and a ResetStats mid-flight.
 func TestStatsConcurrentQueries(t *testing.T) {
-	db := testDB(t, Options{DecodeWorkers: 4})
+	db := testDB(t, Options{})
 	loadItems(t, db)
 
 	const goroutines, iters = 6, 25

@@ -1,17 +1,13 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"partix/internal/storage"
 	"partix/internal/toxgene"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
@@ -265,184 +261,6 @@ func TestValueIndexEquivalence(t *testing.T) {
 			moved[len(moved)-1].Name, first, moved[0].Name, last)
 	}
 	check("recycled")
-}
-
-// TestV2SnapshotMigratesToV3: a store carrying only the v2 (pre-path)
-// snapshot must open with the token indexes live and the path structures
-// rebuilt lazily on the first path-qualified query; the next close
-// upgrades the record to v3, after which reopening serves index-only
-// answers with zero decodes and no rebuild.
-func TestV2SnapshotMigratesToV3(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "migrate.db")
-	db, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadItems(t, db)
-
-	// Capture the v2 form of the live index, then doctor the store so only
-	// the v2 record exists — exactly what a pre-path engine left behind.
-	db.mu.RLock()
-	ix := db.idx["items"]
-	db.mu.RUnlock()
-	ix.mu.Lock()
-	v2 := indexSnapshotV2{
-		Docs:     append([]string(nil), ix.names...),
-		Postings: map[string][]uint32{},
-		Elements: map[string][]uint32{},
-	}
-	for tok, list := range ix.postings {
-		v2.Postings[tok] = idsToUint32(list)
-	}
-	for el, list := range ix.elements {
-		v2.Elements[el] = idsToUint32(list)
-	}
-	ix.mu.Unlock()
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(map[string]indexSnapshotV2{"items": v2}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := storage.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutMeta(indexMetaKeyV2, buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutMeta(indexMetaKeyV3, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2.ResetStats()
-	// The first path-qualified query triggers the lazy rebuild and answers
-	// correctly; the rebuild's own decodes are not query decodes.
-	res, err := db2.Query(`for $i in collection("items")/Item where $i/@id < 2 return $i/Code`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 {
-		t.Fatalf("range query over migrated index = %d results", len(res))
-	}
-	if stt := db2.Stats(); stt.DocsDecoded != 1 {
-		t.Fatalf("decoded %d docs after lazy rebuild, want 1", stt.DocsDecoded)
-	}
-	db2.ResetStats()
-	res, err = db2.Query(`count(collection("items")/Item)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xquery.ItemString(res[0]) != "4" {
-		t.Fatalf("count = %v", res)
-	}
-	if stt := db2.Stats(); stt.DocsDecoded != 0 || stt.IndexOnlyHits != 1 {
-		t.Fatalf("count after rebuild not index-only: %+v", stt)
-	}
-	if err := db2.Close(); err != nil { // upgrades the record to v3
-		t.Fatal(err)
-	}
-
-	st, err = storage.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := st.GetMeta(indexMetaKeyV2); ok {
-		t.Fatal("v2 record survived the upgrade")
-	}
-	if _, ok, _ := st.GetMeta(indexMetaKeyV3); !ok {
-		t.Fatal("no v3 record written")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The v3 reopen needs no rebuild: index-only answers and range pruning
-	// work with zero non-candidate decodes.
-	db3, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db3.Close()
-	db3.ResetStats()
-	if _, err := db3.Query(`count(collection("items")/Item)`); err != nil {
-		t.Fatal(err)
-	}
-	if stt := db3.Stats(); stt.DocsDecoded != 0 || stt.IndexOnlyHits != 1 {
-		t.Fatalf("count from v3 snapshot not index-only: %+v", stt)
-	}
-	res, err = db3.Query(`for $i in collection("items")/Item where $i/@id < 2 return $i/Code`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 {
-		t.Fatalf("range query from v3 snapshot = %d results", len(res))
-	}
-	if stt := db3.Stats(); stt.DocsDecoded != 1 {
-		t.Fatalf("decoded %d docs from v3 snapshot, want 1", stt.DocsDecoded)
-	}
-}
-
-// TestMutationsBeforeLazyRebuild: documents put or deleted while the path
-// structures are still pending (pre-v3 snapshot loaded, no path query yet)
-// must be reflected once the rebuild runs.
-func TestMutationsBeforeLazyRebuild(t *testing.T) {
-	db := testDB(t, Options{})
-	loadItems(t, db)
-	// Force the pre-v3 state on the live index.
-	db.mu.RLock()
-	ix := db.idx["items"]
-	db.mu.RUnlock()
-	ix.mu.Lock()
-	ix.pathsBuilt = false
-	ix.paths = map[string]*pathPosting{}
-	ix.values = map[string]*valueList{}
-	ix.docPaths = map[docID][]docPathRef{}
-	ix.mu.Unlock()
-
-	// Mutate before any path-qualified query: these land in the pending
-	// buffer and must survive the rebuild.
-	if err := db.DeleteDocument("items", "i1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.PutDocument("items", xmltree.MustParseString("i9",
-		`<Item id="9"><Code>I9</Code><Name>n9</Name><Description>late</Description><Section>Vinyl</Section></Item>`)); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := db.Query(`for $i in collection("items")/Item where $i/@id >= 9 return $i/Code`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || xquery.ItemString(res[0]) != "I9" {
-		t.Fatalf("new doc invisible after rebuild: %v", res)
-	}
-	res, err = db.Query(`for $i in collection("items")/Item where $i/@id < 2 return $i/Code`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 0 {
-		t.Fatalf("deleted doc resurrected by rebuild: %v", res)
-	}
-	db.ResetStats()
-	res, err = db.Query(`count(collection("items")/Item)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xquery.ItemString(res[0]) != "4" { // 4 docs: i2..i4 plus i9
-		t.Fatalf("count after rebuild = %v", res)
-	}
-	if stt := db.Stats(); stt.IndexOnlyHits != 1 {
-		t.Fatalf("count not index-only after rebuild: %+v", stt)
-	}
 }
 
 func TestValueOverflowStaysSound(t *testing.T) {

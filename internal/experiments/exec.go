@@ -79,20 +79,14 @@ func RunExec(scale Scale, opts Options) (*ExecCompare, error) {
 	}
 	defer rmDir()
 
-	// A warm decoded-tree cache keeps document decoding out of the timed
-	// loop: this comparison is about executor CPU and allocations, not a
-	// paper-fidelity series (those keep the cache off).
-	cache := opts.TreeCacheBytes
-	if cache == 0 {
-		cache = 256 << 20
-	}
+	// The timed loop includes each candidate's decode, as every query on
+	// the serving path does: the compiled side decodes under its
+	// projection, the interpreter decodes whole documents.
 	open := func(name string, interpret bool) (*engine.DB, error) {
 		return engine.Open(filepath.Join(dir, name+".db"), engine.Options{
 			DisableIndexes:      opts.DisableIndexes,
 			DisableValueIndex:   opts.DisableValueIndex,
 			DisableCompiledExec: interpret,
-			DecodeWorkers:       opts.DecodeWorkers,
-			TreeCacheBytes:      cache,
 		})
 	}
 	items := toxgene.GenerateItems(toxgene.ItemsConfig{Docs: docs, Seed: scale.Seed})
@@ -118,8 +112,8 @@ func RunExec(scale Scale, opts Options) (*ExecCompare, error) {
 	compiledQueries := 0
 	for _, q := range workload.Horizontal("items") {
 		point := ExecQueryPoint{ID: q.ID, Query: q.Text}
-		// Warm both engines (fills the tree cache) and check the two
-		// executors agree before timing anything.
+		// Warm both engines and check the two executors agree before
+		// timing anything.
 		want, err := interp.Query(q.Text)
 		if err != nil {
 			return nil, fmt.Errorf("%s (interpreter): %w", q.ID, err)
@@ -167,9 +161,6 @@ func RunExec(scale Scale, opts Options) (*ExecCompare, error) {
 		n := docs * mult
 		db, err := engine.Open(filepath.Join(dir, fmt.Sprintf("exec-stream-%dx.db", mult)), engine.Options{
 			DisableIndexes: opts.DisableIndexes,
-			DecodeWorkers:  opts.DecodeWorkers,
-			// No tree cache here: a cache would pin the decoded trees
-			// itself and mask the retention difference being measured.
 		})
 		if err != nil {
 			return nil, err

@@ -56,7 +56,7 @@ type Panel struct {
 	Series  []Series
 	// Engine sums the node engines' counters over every deployment the
 	// panel ran (collected just before each teardown), so drivers can
-	// report decode/prune/cache work alongside the timings.
+	// report decode/prune work alongside the timings.
 	Engine engine.Stats
 }
 
@@ -103,16 +103,6 @@ type Options struct {
 	// index, keeping the text/element indexes — the baseline the
 	// valueindex experiment compares against.
 	DisableValueIndex bool
-	// DecodeWorkers sets the engine's decode worker pool on every node.
-	// It defaults to 1 — the paper-faithful sequential path — unlike the
-	// engine's own default of GOMAXPROCS, because published series must
-	// keep the per-document decode cost on the measured critical path.
-	DecodeWorkers int
-	// TreeCacheBytes enables each node's decoded-tree cache with the
-	// given byte budget; 0 keeps it off, which every published series
-	// requires (a warm cache would hide the parse cost the paper
-	// measures).
-	TreeCacheBytes int64
 }
 
 func (o Options) withDefaults() Options {
@@ -121,9 +111,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Cost == nil {
 		o.Cost = &cluster.GigabitEthernet
-	}
-	if o.DecodeWorkers == 0 {
-		o.DecodeWorkers = 1
 	}
 	return o
 }
@@ -163,8 +150,6 @@ func Deploy(label string, c *xmltree.Collection, scheme *fragmentation.Scheme,
 		db, err := engine.Open(filepath.Join(dir, fmt.Sprintf("node%d.db", i)), engine.Options{
 			DisableIndexes:    opts.DisableIndexes,
 			DisableValueIndex: opts.DisableValueIndex,
-			DecodeWorkers:     opts.DecodeWorkers,
-			TreeCacheBytes:    opts.TreeCacheBytes,
 		})
 		if err != nil {
 			d.Close()

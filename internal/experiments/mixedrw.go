@@ -143,10 +143,7 @@ func runMixedRWSide(label, name string, items *xmltree.Collection, reads int,
 		return nil, err
 	}
 	defer cleanup()
-	db, err := engine.Open(filepath.Join(dir, "node.db"), engine.Options{
-		DecodeWorkers: opts.DecodeWorkers,
-		WALNoFsync:    !durable,
-	})
+	db, err := engine.Open(filepath.Join(dir, "node.db"), engine.Options{WALNoFsync: !durable})
 	if err != nil {
 		return nil, err
 	}

@@ -66,12 +66,12 @@ func printSeries(w io.Writer, p *Panel, view func(Measurement) time.Duration) {
 }
 
 // PrintEngineStats writes the panel's aggregated engine counters — the
-// decode/prune/cache work all node engines did across every deployment
-// the panel measured.
+// decode/prune work all node engines did across every deployment the
+// panel measured.
 func PrintEngineStats(w io.Writer, p *Panel) {
 	e := p.Engine
-	fmt.Fprintf(w, "engine stats: queries=%d docs-decoded=%d docs-pruned=%d range-pruned=%d index-only=%d bytes-decoded=%d cache-hits=%d cache-misses=%d\n\n",
-		e.Queries, e.DocsDecoded, e.DocsPruned, e.RangePruned, e.IndexOnlyHits, e.BytesDecoded, e.CacheHits, e.CacheMisses)
+	fmt.Fprintf(w, "engine stats: queries=%d docs-decoded=%d docs-pruned=%d range-pruned=%d index-only=%d bytes-decoded=%d\n\n",
+		e.Queries, e.DocsDecoded, e.DocsPruned, e.RangePruned, e.IndexOnlyHits, e.BytesDecoded)
 }
 
 // PrintCSV writes a panel as machine-readable CSV: one row per (query,

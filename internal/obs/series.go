@@ -8,11 +8,11 @@ package obs
 // layers it never exercises (cluster series idle at zero on a pure
 // node, coordinator series idle on a node, and so on).
 var (
-	// engine: the sequential/pipelined decode hot path.
+	// engine: the sequential read-and-decode hot path.
 	EngineQueries = Default.NewCounter("partix_engine_queries_total",
 		"Queries evaluated by the local engine.")
 	EngineDocsDecoded = Default.NewCounter("partix_engine_docs_decoded_total",
-		"Documents decoded from storage (cache misses included).")
+		"Documents decoded from storage during queries.")
 	EngineDocsPruned = Default.NewCounter("partix_engine_docs_pruned_total",
 		"Documents skipped by index-assisted candidate pruning.")
 	EngineRangePruned = Default.NewCounter("partix_engine_range_pruned_total",
@@ -21,16 +21,10 @@ var (
 		"count()/exists() deciders answered from indexes without decoding documents.")
 	EngineBytesDecoded = Default.NewCounter("partix_engine_decode_bytes_total",
 		"Stored bytes decoded into trees.")
-	EngineCacheHits = Default.NewCounter("partix_engine_tree_cache_hits_total",
-		"Decoded-tree cache hits.")
-	EngineCacheMisses = Default.NewCounter("partix_engine_tree_cache_misses_total",
-		"Decoded-tree cache misses.")
 	EngineSnapshotRetries = Default.NewCounter("partix_engine_snapshot_retries_total",
 		"Query snapshot captures retried because a writer committed mid-capture.")
 	EngineCompiledQueries = Default.NewCounter("partix_engine_compiled_queries_total",
 		"Queries executed by the compiled vectorized pipeline (the rest interpret).")
-	EngineDecodeInflight = Default.NewGauge("partix_engine_decode_inflight",
-		"Documents currently in the decode pipeline.")
 	EngineQuerySeconds = Default.NewHistogram("partix_engine_query_seconds",
 		"Local engine query latency in seconds.",
 		[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10})

@@ -1,7 +1,7 @@
 // Package exec compiles parsed FLWOR/path queries into a push-based,
 // batch-at-a-time operator pipeline: scan → path-step → predicate-filter →
 // bind → order-by → project. The pipeline pulls documents from the
-// engine's decode worker pool (through xquery.Source) and pushes result
+// engine's document scan (through xquery.Source) and pushes result
 // items to a yield callback in bounded batches, so memory stays flat on
 // arbitrarily large results instead of materializing a full Seq. Where
 // possible, predicate evaluation is vectorized: per tuple batch the

@@ -52,8 +52,8 @@ func (s *memSource) Doc(name string) (*xmltree.Document, error) {
 }
 
 // projSource serves a memSource's documents as stored records decoded
-// under the scan's projection (Hint.Keep), as the engine does with its
-// tree cache off. projected counts the scans that received one.
+// under the scan's projection (Hint.Keep), as the engine does. projected
+// counts the scans that received one.
 type projSource struct {
 	recs      map[string][]record
 	projected int

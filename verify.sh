@@ -1,9 +1,9 @@
 #!/bin/sh
 # verify.sh — the checks a change must pass before it lands:
 # formatting, vet (the go vet gate below), build, the full test suite,
-# and the race detector over the packages with real concurrency (decode
-# pipeline, bounded sub-query execution, coordinator, wire transport,
-# telemetry sinks). Test runs carry a timeout so a hung network test
+# and the race detector over the packages with real concurrency (snapshot
+# reads against writers, bounded sub-query execution, coordinator, wire
+# transport, telemetry sinks). Test runs carry a timeout so a hung network test
 # fails fast instead of wedging CI.
 set -eux
 
@@ -75,14 +75,15 @@ grep -q '"profileMatches": true' "$benchdir/telemetry.json"
 # compiled-executor gates: the randomized differential tests (each query
 # also run over records decoded under its projection) must hold under the
 # race detector, and the allocation pins for the hot scan→filter→project
-# loop, for the slab-building record decoder and for a point query's
+# loop, for the slab-building record decoder, for a Docs scan (a record
+# read plus a decode per candidate, nothing more) and for a point query's
 # candidate selection (bytes per call independent of the collection's
 # size) must not regress (run without -race, which would inflate the
 # alloc counts)
 go test -race -timeout 5m -run 'TestDifferential' ./internal/xquery/exec/
 go test -timeout 5m -run TestAllocsScanFilterProject ./internal/xquery/exec/
 go test -timeout 5m -run TestDecodeAllocs ./internal/storage/
-go test -timeout 5m -run TestCandidateSelectionSizeIndependent ./internal/engine/
+go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent' ./internal/engine/
 
 # executor smoke bench: compiled and interpreted executors must agree
 # on the Figure 7(a) workload (RunExec fails on any mismatch) and the
