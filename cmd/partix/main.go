@@ -236,7 +236,12 @@ func run(configPath string, opts wire.ClientOptions, qopts queryOptions, args []
 			if st.Query != "" {
 				fmt.Printf("  %s @ %s [%s]: %s\n", st.Fragment, st.Node, est(st), st.Query)
 			} else {
-				fmt.Printf("  fetch %s @ %s [%s] (reconstruction)\n", st.Fragment, st.Node, est(st))
+				// keep=* ships the stored documents whole.
+				keep := st.Keep
+				if keep == "" {
+					keep = "*"
+				}
+				fmt.Printf("  fetch %s @ %s [%s] keep=%s (reconstruction)\n", st.Fragment, st.Node, est(st), keep)
 			}
 		}
 		return nil
@@ -254,7 +259,7 @@ func run(configPath string, opts wire.ClientOptions, qopts queryOptions, args []
 		var frags []*xmltree.Collection
 		for _, f := range scheme.Fragments {
 			node := sys.Node(cfg.Placement[f.Name])
-			col, err := node.FetchCollection(cfg.Collection + "::" + f.Name)
+			col, err := node.Fetch(cfg.Collection+"::"+f.Name, nil)
 			if err != nil {
 				return err
 			}

@@ -184,7 +184,8 @@ func FilterChildren(doc *xmltree.Document, anchor *xpath.Path, pred xpath.Predic
 // Union implements the reconstruction operator ∪ for horizontal
 // fragmentation: the disjoint union of the fragments' documents. A
 // document name appearing in more than one fragment is an error — that is
-// exactly a disjointness violation.
+// exactly a disjointness violation. The result holds the fragments'
+// documents themselves, not copies.
 func Union(name string, frags ...*xmltree.Collection) (*xmltree.Collection, error) {
 	out := xmltree.NewCollection(name)
 	seen := make(map[string]string)
@@ -194,7 +195,7 @@ func Union(name string, frags ...*xmltree.Collection) (*xmltree.Collection, erro
 				return nil, fmt.Errorf("algebra: document %q in fragments %q and %q", d.Name, prev, f.Name)
 			}
 			seen[d.Name] = f.Name
-			out.Add(d.Clone())
+			out.Add(d)
 		}
 	}
 	out.SortByName()
@@ -207,31 +208,39 @@ func Union(name string, frags ...*xmltree.Collection) (*xmltree.Collection, erro
 // which is original document order because IDs are assigned in preorder.
 // Nodes with equal IDs must agree on kind, name and value (they are spine
 // replicas) and are merged recursively.
+//
+// MergeByID takes ownership of docs: the merged tree is built in place
+// from their nodes, with every Parent pointer set, and the inputs must not
+// be used afterwards — not even after an error, which may leave them half
+// merged.
 func MergeByID(docs []*xmltree.Document) (*xmltree.Document, error) {
 	if len(docs) == 0 {
 		return nil, fmt.Errorf("algebra: MergeByID of zero documents")
 	}
-	merged := docs[0].Root.Clone()
-	name := docs[0].Name
+	merged, name := docs[0].Root, docs[0].Name
 	for _, d := range docs[1:] {
 		if d.Name != name {
 			return nil, fmt.Errorf("algebra: MergeByID across documents %q and %q", name, d.Name)
 		}
-		var err error
-		merged, err = mergeNodes(merged, d.Root.Clone())
-		if err != nil {
+		if err := mergeInto(merged, d.Root); err != nil {
 			return nil, fmt.Errorf("document %q: %w", name, err)
 		}
 	}
 	return &xmltree.Document{Name: name, Root: merged}, nil
 }
 
-func mergeNodes(a, b *xmltree.Node) (*xmltree.Node, error) {
+// mergeInto merges b's subtree into a, which keeps its place in its tree:
+// their children are interleaved by ID into a fresh slice (a decoded
+// node's child slice may be a window of a shared one, never written
+// through), equal IDs merge recursively, and b itself is dropped.
+func mergeInto(a, b *xmltree.Node) error {
 	if a.ID != b.ID || a.Kind != b.Kind || a.Name != b.Name || a.Value != b.Value {
-		return nil, fmt.Errorf("algebra: cannot merge node %q (ID %d) with %q (ID %d)", a.Name, a.ID, b.Name, b.ID)
+		return fmt.Errorf("algebra: cannot merge node %q (ID %d) with %q (ID %d)", a.Name, a.ID, b.Name, b.ID)
 	}
-	// Merge children sorted by ID; equal IDs merge recursively.
-	out := &xmltree.Node{Kind: a.Kind, Name: a.Name, Value: a.Value, ID: a.ID}
+	if len(b.Children) == 0 {
+		return nil
+	}
+	kids := make([]*xmltree.Node, 0, len(a.Children)+len(b.Children))
 	i, j := 0, 0
 	for i < len(a.Children) || j < len(b.Children) {
 		var pick *xmltree.Node
@@ -243,11 +252,10 @@ func mergeNodes(a, b *xmltree.Node) (*xmltree.Node, error) {
 			pick = a.Children[i]
 			i++
 		case a.Children[i].ID == b.Children[j].ID:
-			m, err := mergeNodes(a.Children[i], b.Children[j])
-			if err != nil {
-				return nil, err
+			if err := mergeInto(a.Children[i], b.Children[j]); err != nil {
+				return err
 			}
-			pick = m
+			pick = a.Children[i]
 			i++
 			j++
 		case a.Children[i].ID < b.Children[j].ID:
@@ -257,14 +265,16 @@ func mergeNodes(a, b *xmltree.Node) (*xmltree.Node, error) {
 			pick = b.Children[j]
 			j++
 		}
-		pick.Parent = out
-		out.Children = append(out.Children, pick)
+		pick.Parent = a
+		kids = append(kids, pick)
 	}
-	return out, nil
+	a.Children = kids
+	return nil
 }
 
 // Join groups the fragments' documents by name and merges each group with
-// MergeByID, yielding the reconstructed collection.
+// MergeByID, yielding the reconstructed collection. Like MergeByID it
+// takes ownership of the fragments' documents.
 func Join(name string, frags ...*xmltree.Collection) (*xmltree.Collection, error) {
 	groups := make(map[string][]*xmltree.Document)
 	var order []string

@@ -193,6 +193,55 @@ func TestThreeWayVerticalJoin(t *testing.T) {
 	}
 }
 
+// TestJoinTakesOwnership: Join builds the merged tree from the fragment
+// documents' own nodes — no copies — with every Parent pointer pointing at
+// the node's parent in the merged tree, and equals a join over copies.
+func TestJoinTakesOwnership(t *testing.T) {
+	doc := storeDoc()
+	c := xmltree.NewCollection("store", doc)
+	itemsPath := xpath.MustParsePath("/Store/Items")
+	fragments := func() []*xmltree.Collection {
+		out := []*xmltree.Collection{
+			ProjectCollection("f4", c, xpath.MustParsePath("/Store"), []*xpath.Path{itemsPath}),
+		}
+		for _, pred := range []string{`/Item/Section = "CD"`, `/Item/Section != "CD"`} {
+			out = append(out, xmltree.NewCollection(pred,
+				FilterChildren(Project(doc, itemsPath, nil), itemsPath, xpath.MustParsePredicate(pred))))
+		}
+		return out
+	}
+	copies := fragments()
+	for i, f := range copies {
+		copies[i] = f.Clone()
+	}
+	want, err := Join("store", copies...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	frags := fragments()
+	owned := map[*xmltree.Node]bool{}
+	for _, f := range frags {
+		f.Docs[0].Root.Walk(func(n *xmltree.Node) bool { owned[n] = true; return true })
+	}
+	got, err := Join("store", frags...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !xmltree.EqualCollections(got, want) || !xmltree.EqualCollections(got, c) {
+		t.Fatalf("join differs: %s", xmltree.Diff(want.Docs[0].Root, got.Docs[0].Root))
+	}
+	if err := got.Docs[0].Validate(); err != nil {
+		t.Fatalf("merged tree: %v", err)
+	}
+	got.Docs[0].Root.Walk(func(n *xmltree.Node) bool {
+		if !owned[n] {
+			t.Fatalf("merged node %s (ID %d) is not a fragment's node", n.Path(), n.ID)
+		}
+		return true
+	})
+}
+
 func TestMergeByIDErrors(t *testing.T) {
 	if _, err := MergeByID(nil); err == nil {
 		t.Fatal("empty merge accepted")

@@ -37,9 +37,11 @@ type Driver interface {
 	// also times its processing steps (parse, plan, execute, …) and
 	// returns them; the delivery itself is the same either way.
 	Query(query, tag string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error)
-	// FetchCollection retrieves a whole collection (used by the
-	// coordinator for join reconstruction).
-	FetchCollection(collection string) (*xmltree.Collection, error)
+	// Fetch retrieves a collection's documents, each cut down to what
+	// keep selects (nil fetches them whole), for the coordinator's join
+	// reconstruction. Every document is freshly decoded: the caller owns
+	// the trees and may merge them in place.
+	Fetch(collection string, keep *xmltree.Projection) (*xmltree.Collection, error)
 	// CollectionStats reports document count and stored bytes.
 	CollectionStats(collection string) (storage.Stats, error)
 	// HasCollection reports whether the node holds the collection.
@@ -160,9 +162,22 @@ func (n *LocalNode) ExecuteQuery(query string) (xquery.Seq, error) {
 	return out, nil
 }
 
-// FetchCollection implements Driver.
-func (n *LocalNode) FetchCollection(collection string) (*xmltree.Collection, error) {
-	return n.db.Store().ReadCollection(collection)
+// Fetch implements Driver: each stored record is decoded straight under
+// keep, in document-name order, from one pinned snapshot.
+func (n *LocalNode) Fetch(collection string, keep *xmltree.Projection) (*xmltree.Collection, error) {
+	col := xmltree.NewCollection(collection)
+	err := n.db.RawDocuments(collection, func(name string, raw []byte) error {
+		doc, err := storage.DecodeProjected(name, raw, keep)
+		if err != nil {
+			return err
+		}
+		col.Add(doc)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return col, nil
 }
 
 // CollectionStats implements Driver.

@@ -56,12 +56,21 @@ func TestLocalNodeDriverOperations(t *testing.T) {
 	if xquery.ItemString(items[0]) != "3" {
 		t.Fatalf("count = %v", items)
 	}
-	col, err := n.FetchCollection("c")
+	col, err := n.Fetch("c", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col.Len() != 3 {
+	if col.Len() != 3 || xmltree.SerializeString(col.Docs[1]) != "<Item><Code>I1</Code></Item>" {
 		t.Fatalf("fetched %d docs", col.Len())
+	}
+	// A projected fetch decodes each document under the trie: the zero
+	// projection keeps only the root element.
+	col, err = n.Fetch("c", &xmltree.Projection{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col.Len() != 3 || xmltree.SerializeString(col.Docs[1]) != "<Item/>" {
+		t.Fatalf("projected fetch: %d docs, %s", col.Len(), xmltree.SerializeString(col.Docs[1]))
 	}
 	st, err := n.CollectionStats("c")
 	if err != nil || st.Documents != 3 {
@@ -164,7 +173,7 @@ func (d *countingDriver) Name() string                                  { return
 func (d *countingDriver) CreateCollection(string) error                 { return nil }
 func (d *countingDriver) HasCollection(string) bool                     { return true }
 func (d *countingDriver) StoreDocument(string, *xmltree.Document) error { return nil }
-func (d *countingDriver) FetchCollection(string) (*xmltree.Collection, error) {
+func (d *countingDriver) Fetch(string, *xmltree.Projection) (*xmltree.Collection, error) {
 	return xmltree.NewCollection("c"), nil
 }
 func (d *countingDriver) CollectionStats(string) (storage.Stats, error) {

@@ -28,7 +28,9 @@ func (s *Scheme) ApplyMode(c *xmltree.Collection, mode MaterializeMode) ([]*xmlt
 
 // Reconstruct applies the reconstruction operator ∇ of Section 3.3 to
 // materialized fragments: the union ∪ for an all-horizontal scheme, the
-// ID-join ⨝ otherwise.
+// ID-join ⨝ otherwise. Reconstruct takes ownership of the fragments'
+// documents: the result is assembled from their nodes without copying
+// them, so frags must not be used afterwards.
 func (s *Scheme) Reconstruct(frags []*xmltree.Collection) (*xmltree.Collection, error) {
 	if s.AllHorizontal() {
 		return algebra.Union(s.Collection, frags...)

@@ -119,7 +119,8 @@ func TestQuickHybridStoreRules(t *testing.T) {
 }
 
 // TestQuickReconstructionIsOrderInsensitive: reconstructing from fragments
-// in any order yields the same collection.
+// in any order yields the same collection. Reconstruct consumes its
+// fragments, so each order gets a fresh Apply.
 func TestQuickReconstructionIsOrderInsensitive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -133,6 +134,9 @@ func TestQuickReconstructionIsOrderInsensitive(t *testing.T) {
 			return false
 		}
 		re1, err1 := s.Reconstruct(frags)
+		if frags, err = s.Apply(c); err != nil {
+			return false
+		}
 		re2, err2 := s.Reconstruct([]*xmltree.Collection{frags[1], frags[0]})
 		if err1 != nil || err2 != nil {
 			return false

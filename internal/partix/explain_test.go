@@ -3,6 +3,9 @@ package partix
 import (
 	"strings"
 	"testing"
+
+	"partix/internal/workload"
+	"partix/internal/xbench"
 )
 
 func TestExplainRouted(t *testing.T) {
@@ -72,6 +75,43 @@ func TestExplainReconstruct(t *testing.T) {
 	for _, st := range plan.Steps {
 		if st.Query != "" {
 			t.Fatalf("reconstruction fetch should have no sub-query: %+v", st)
+		}
+	}
+}
+
+// Explain shows what each reconstruction fetch ships: VQ4 reads the
+// prolog's genre and the body's section titles, so both fetches carry that
+// projection; VQ8 returns whole articles, so every fetch is raw.
+func TestExplainReconstructShowsFetchProjection(t *testing.T) {
+	s := newTestSystem(t, 3)
+	scheme := xbench.VerticalScheme("articles")
+	if err := s.Publish(xbench.Generate(xbench.Config{Docs: 6, Seed: 1, Sections: 2, Paragraphs: 2}),
+		scheme, placeOnePerNode(scheme), PublishOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	queries := workload.Vertical("articles")
+	plan, err := s.Explain(workload.ByID(queries, "VQ4").Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keeps := map[string]string{}
+	for _, st := range plan.Steps {
+		keeps[st.Fragment] = st.Keep
+	}
+	const want = "{body{section{title*}},prolog{genre*}}"
+	if plan.Strategy != StrategyReconstruct || len(keeps) != 2 || keeps["F2papers"] != want || keeps["F1papers"] != want {
+		t.Fatalf("VQ4: strategy %s, fetch keeps %v, want %s on the prolog and body fetches", plan.Strategy, keeps, want)
+	}
+	plan, err = s.Explain(workload.ByID(queries, "VQ8").Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Steps) != 3 {
+		t.Fatalf("VQ8: steps = %+v", plan.Steps)
+	}
+	for _, st := range plan.Steps {
+		if st.Keep != "" {
+			t.Fatalf("VQ8 fetch %s ships %s, want the stored documents whole", st.Fragment, st.Keep)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"partix/internal/obs"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
+	"partix/internal/xquery/exec"
 )
 
 // Strategy names how the query service executed a query.
@@ -484,6 +485,14 @@ type queryPlan struct {
 	// reconstruct lists the fragments to fetch and join, smallest
 	// estimated side first when statistics were available.
 	reconstruct []*fragmentation.Fragment
+	// prog, when set, composes a reconstruction: the query compiled once
+	// at plan time and run over the joined documents (shared by every
+	// execution of a cached plan; each run keeps its state to itself).
+	// keeps then holds, per reconstruct entry, the projection its fetch
+	// ships — nil for a fragment fetched whole. Without prog the
+	// fragments are fetched whole and the interpreter composes.
+	prog  *exec.Program
+	keeps []*xmltree.Projection
 	// emptyRoute marks a query contradicting every fragment.
 	emptyRoute bool
 	// skipped lists fragments statistics proved empty for this query.
@@ -556,7 +565,66 @@ func (s *System) planQuery(e xquery.Expr) (*queryPlan, error) {
 	if meta.Scheme.AllHorizontal() {
 		return s.planHorizontal(e, meta, an)
 	}
-	return s.planVertical(e, meta, an)
+	p, err := s.planVertical(e, meta, an)
+	if err == nil && len(p.reconstruct) > 0 {
+		compileReconstruct(e, p)
+	}
+	return p, err
+}
+
+// compileReconstruct compiles a reconstruction plan's query for its
+// composition and derives each fetch's projection from the program's: a
+// fragment the query reads whole is fetched as stored, any other ships
+// only what the program reads. A query outside the compiled subset keeps
+// whole fetches and the interpreter.
+func compileReconstruct(e xquery.Expr, p *queryPlan) {
+	prog, ok := exec.Compile(e)
+	if !ok {
+		return
+	}
+	p.prog = prog
+	p.keeps = make([]*xmltree.Projection, len(p.reconstruct))
+	keep := prog.Keep()
+	for i, f := range p.reconstruct {
+		p.keeps[i] = fetchProjection(keep, f)
+	}
+}
+
+// fetchProjection is the projection a fetch of fragment f ships for a
+// query reading keep: nil when the walk down f's path reaches a node kept
+// whole (the stored records go out as they are), keep itself otherwise.
+// The whole trie is sound to ship: over a fragment's documents — its
+// subtree under the replicated spine — it selects exactly the part of f
+// the query reads.
+func fetchProjection(keep *xmltree.Projection, f *fragmentation.Fragment) *xmltree.Projection {
+	labels := pathLabels(f.Path)
+	if len(labels) > 0 {
+		labels = labels[1:] // the trie is rooted at the root element
+	}
+	t := keep
+	for _, name := range labels {
+		if t.Whole() {
+			return nil
+		}
+		sub, ok := t.Child(name)
+		if !ok {
+			return keep // the query reads only the spine here
+		}
+		t = sub
+	}
+	if t.Whole() {
+		return nil
+	}
+	return keep
+}
+
+// fetchKeep is the projection the i-th reconstruction fetch ships, nil
+// for a whole fetch.
+func (p *queryPlan) fetchKeep(i int) *xmltree.Projection {
+	if p.keeps == nil {
+		return nil
+	}
+	return p.keeps[i]
 }
 
 func usesDocCall(e xquery.Expr) bool {
@@ -708,7 +776,7 @@ func (s *System) executePlan(e xquery.Expr, p *queryPlan, tag string, trace bool
 	case len(p.metas) > 0:
 		return s.reconstructAndEval(e, p.metas)
 	case len(p.reconstruct) > 0:
-		return s.reconstructFragments(e, p.meta, p.reconstruct)
+		return s.reconstructFragments(e, p)
 	default:
 		return s.executeSubQueries(e, p.subQueries, p.strategy, tag, trace)
 	}
@@ -719,8 +787,12 @@ type PlanStep struct {
 	Fragment string
 	Node     string
 	// Query is the rewritten sub-query text; empty for reconstruction
-	// fetches, which ship whole fragment collections.
+	// fetches, which ship a fragment collection's documents instead.
 	Query string
+	// Keep is the projection a reconstruction fetch cuts each document
+	// down to at the node (xmltree.Projection's text); empty when the
+	// fetch ships the stored documents whole.
+	Keep string
 	// EstDocs and EstCost are the planner's estimates for the step —
 	// documents contributing bindings and stored bytes touched — from the
 	// fragment's statistics; -1 when no statistics were available.
@@ -773,9 +845,13 @@ func (s *System) Explain(query string) (*Plan, error) {
 			}
 		}
 	case len(p.reconstruct) > 0:
-		for _, f := range p.reconstruct {
+		for i, f := range p.reconstruct {
 			docs, cost, _ := estFor(f.Name)
-			out.Steps = append(out.Steps, PlanStep{Fragment: f.Name, Node: p.meta.Placement[f.Name], EstDocs: docs, EstCost: cost})
+			step := PlanStep{Fragment: f.Name, Node: p.meta.Placement[f.Name], EstDocs: docs, EstCost: cost}
+			if keep := p.fetchKeep(i); keep != nil {
+				step.Keep = keep.String()
+			}
+			out.Steps = append(out.Steps, step)
 		}
 	default:
 		for _, fq := range p.subQueries {
@@ -878,16 +954,19 @@ func holdsAllDocuments(meta *CollectionMeta, f *fragmentation.Fragment) bool {
 	return true
 }
 
-// reconstructFragments fetches the touched fragments, joins them by ID and
-// evaluates the query at the coordinator.
-func (s *System) reconstructFragments(e xquery.Expr, meta *CollectionMeta, touched []*fragmentation.Fragment) (*QueryResult, error) {
+// reconstructFragments fetches the plan's fragments, each cut down to its
+// fetch projection at the node, joins them by ID in place and composes
+// the answer over the joined documents: through the plan's compiled
+// program when it has one, the interpreter otherwise.
+func (s *System) reconstructFragments(e xquery.Expr, p *queryPlan) (*QueryResult, error) {
+	meta := p.meta
 	if meta.Mode == fragmentation.FragModeMD {
-		return nil, fmt.Errorf("partix: query needs %d fragments of %q but FragMode1 documents cannot be joined back", len(touched), meta.Name)
+		return nil, fmt.Errorf("partix: query needs %d fragments of %q but FragMode1 documents cannot be joined back", len(p.reconstruct), meta.Name)
 	}
 	res := &QueryResult{Strategy: StrategyReconstruct}
-	var parts []*xmltree.Collection
-	for _, f := range touched {
-		col, err := s.fetchWithFailover(meta, f.Name, res)
+	parts := make([]*xmltree.Collection, 0, len(p.reconstruct))
+	for i, f := range p.reconstruct {
+		col, err := s.fetchWithFailover(meta, f.Name, p.fetchKeep(i), res)
 		if err != nil {
 			return nil, err
 		}
@@ -899,9 +978,13 @@ func (s *System) reconstructFragments(e xquery.Expr, meta *CollectionMeta, touch
 	if err != nil {
 		return nil, fmt.Errorf("partix: reconstruction of %q failed: %w", meta.Name, err)
 	}
-	merged.Name = meta.Name
 	src := memSource{meta.Name: merged}
-	items, err := xquery.Eval(e, src)
+	var items xquery.Seq
+	if p.prog != nil {
+		items, err = p.prog.Run(src)
+	} else {
+		items, err = xquery.Eval(e, src)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -910,12 +993,13 @@ func (s *System) reconstructFragments(e xquery.Expr, meta *CollectionMeta, touch
 	return res, nil
 }
 
-// fetchWithFailover retrieves a fragment's collection from its primary
-// node, falling back to replicas when the primary fails, and accounts the
-// fetch in res as one site: a SubTiming sized at the documents'
-// serialized bytes, slowest-site ParallelTime, modeled transmission. When
-// every copy fails, the error names each node tried with its own failure.
-func (s *System) fetchWithFailover(meta *CollectionMeta, fragment string, res *QueryResult) (*xmltree.Collection, error) {
+// fetchWithFailover retrieves a fragment's collection, cut down to keep,
+// from its primary node, falling back to replicas when the primary fails,
+// and accounts the fetch in res as one site: a SubTiming sized at the
+// fetched documents' XML bytes, slowest-site ParallelTime, modeled
+// transmission. When every copy fails, the error names each node tried
+// with its own failure.
+func (s *System) fetchWithFailover(meta *CollectionMeta, fragment string, keep *xmltree.Projection, res *QueryResult) (*xmltree.Collection, error) {
 	names := append([]string{meta.Placement[fragment]}, meta.Replicas[fragment]...)
 	var errs []error
 	for _, name := range names {
@@ -925,7 +1009,7 @@ func (s *System) fetchWithFailover(meta *CollectionMeta, fragment string, res *Q
 			continue
 		}
 		start := time.Now()
-		col, err := node.FetchCollection(meta.NodeCollection(fragment))
+		col, err := node.Fetch(meta.NodeCollection(fragment), keep)
 		elapsed := time.Since(start)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("node %s: %w", name, err))
@@ -974,11 +1058,11 @@ func (s *System) reconstructAndEval(e xquery.Expr, metas []*CollectionMeta) (*Qu
 // back together.
 func (s *System) fetchWhole(meta *CollectionMeta, res *QueryResult) (*xmltree.Collection, error) {
 	if !meta.Fragmented() {
-		return s.fetchWithFailover(meta, "", res)
+		return s.fetchWithFailover(meta, "", nil, res)
 	}
 	var parts []*xmltree.Collection
 	for _, f := range meta.Scheme.Fragments {
-		col, err := s.fetchWithFailover(meta, f.Name, res)
+		col, err := s.fetchWithFailover(meta, f.Name, nil, res)
 		if err != nil {
 			return nil, err
 		}

@@ -652,9 +652,19 @@ func (c *Client) ExecuteQuery(query string) (xquery.Seq, error) {
 	return out, nil
 }
 
-// FetchCollection implements cluster.Driver. Documents decode as frames
-// arrive, bounding transfer memory to one frame.
+// FetchCollection fetches a whole collection: Fetch with no projection.
 func (c *Client) FetchCollection(collection string) (*xmltree.Collection, error) {
+	return c.Fetch(collection, nil)
+}
+
+// Fetch implements cluster.Driver: the node cuts every document down to
+// keep before shipping it (Request.Keep), and documents decode as frames
+// arrive, bounding transfer memory to one frame.
+func (c *Client) Fetch(collection string, keep *xmltree.Projection) (*xmltree.Collection, error) {
+	req := &Request{Op: OpFetchStream, Collection: collection}
+	if !keep.Whole() {
+		req.Keep = keep.String()
+	}
 	col := xmltree.NewCollection(collection)
 	deliver := func(f *Frame) error {
 		if len(f.DocNames) != len(f.Docs) {
@@ -670,7 +680,7 @@ func (c *Client) FetchCollection(collection string) (*xmltree.Collection, error)
 		return nil
 	}
 	reset := func() { col = xmltree.NewCollection(collection) }
-	if _, err := c.stream(&Request{Op: OpFetchStream, Collection: collection}, deliver, reset); err != nil {
+	if _, err := c.stream(req, deliver, reset); err != nil {
 		return nil, err
 	}
 	return col, nil

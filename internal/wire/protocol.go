@@ -76,7 +76,8 @@ const (
 	OpHasCollection
 	// OpQueryStream runs a query; the answer is a frame sequence.
 	OpQueryStream
-	// OpFetchStream ships a whole collection as a frame sequence.
+	// OpFetchStream ships a collection's documents, whole or cut down to
+	// Request.Keep, as a frame sequence.
 	OpFetchStream
 	// OpTelemetry pulls the node's telemetry snapshot (metric series and
 	// per-fragment heat) for cluster-wide aggregation.
@@ -131,6 +132,12 @@ type Request struct {
 	// Tenant is the client-supplied tenant tag the server's admission
 	// control debits quotas against; empty when the client is untagged.
 	Tenant string
+	// Keep is the projection an OpFetchStream cuts every document down to
+	// (xmltree.Projection's String form); empty ships the stored records
+	// as they are. A node that ignores it ships whole documents — a
+	// superset of what was asked, which the coordinator evaluates
+	// correctly — so the field needs no protocol version of its own.
+	Keep string
 }
 
 // Response is the server → client answer to a control operation.

@@ -14,6 +14,7 @@ import (
 	"partix/internal/engine"
 	"partix/internal/obs"
 	"partix/internal/storage"
+	"partix/internal/xmltree"
 	"partix/internal/xquery"
 )
 
@@ -487,16 +488,36 @@ func (s *Server) streamQuery(enc *gob.Encoder, conn net.Conn, req *Request, batc
 // streamFetch ships a collection's documents as bounded FrameDocs
 // batches, the last of them inside FrameEnd, reading them from the store
 // one at a time (engine.RawDocuments) so the node never materializes the
-// whole collection either.
+// whole collection either. With req.Keep each record is decoded under the
+// projection — which validates every byte, as a whole decode does — and
+// re-encoded; without it the stored records ship as they are. A Keep that
+// does not parse fails the stream with FrameErr and leaves the connection
+// usable.
 func (s *Server) streamFetch(enc *gob.Encoder, conn net.Conn, req *Request, batch int) error {
 	if s.hook != nil {
 		s.hook(req)
+	}
+	var keep *xmltree.Projection
+	if req.Keep != "" {
+		var err error
+		if keep, err = xmltree.ParseProjection(req.Keep); err != nil {
+			return s.sendFrame(enc, conn, &Frame{Kind: FrameErr, Err: err.Error(), TraceID: req.TraceID})
+		}
 	}
 	names := make([]string, 0, batch)
 	docs := make([][]byte, 0, batch)
 	bytes, total := 0, 0
 	var sendErr error
 	err := s.db.RawDocuments(req.Collection, func(name string, raw []byte) error {
+		if keep != nil {
+			doc, err := storage.DecodeProjected(name, raw, keep)
+			if err != nil {
+				return err
+			}
+			if raw, err = storage.EncodeDocument(doc); err != nil {
+				return err
+			}
+		}
 		names = append(names, name)
 		docs = append(docs, raw)
 		bytes += len(raw)

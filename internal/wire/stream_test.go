@@ -157,6 +157,19 @@ func TestStreamedResultsMatchOracle(t *testing.T) {
 			if !xmltree.EqualCollections(wantCol, gotCol) {
 				t.Fatal("streamed collection differs from the store's")
 			}
+			// A projected fetch frames its re-encoded documents the same way.
+			projCol, err := c.Fetch("c", &xmltree.Projection{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if projCol.Len() != docs {
+				t.Fatalf("projected fetch: %d documents, want %d", projCol.Len(), docs)
+			}
+			for i, d := range projCol.Docs {
+				if d.Name != wantCol.Docs[i].Name || xmltree.SerializeString(d) != "<Item/>" {
+					t.Fatalf("projected document %d: %s %s", i, d.Name, xmltree.SerializeString(d))
+				}
+			}
 		})
 	}
 }

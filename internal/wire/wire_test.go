@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"errors"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -103,6 +105,55 @@ func TestRemoteFetchCollection(t *testing.T) {
 	// Node IDs survive the round trip (required for reconstruction joins).
 	if got.Doc("a").Root.ID != orig.Doc("a").Root.ID {
 		t.Fatal("IDs lost over the wire")
+	}
+}
+
+// A projected fetch ships each document cut down at the node, IDs intact.
+func TestRemoteProjectedFetch(t *testing.T) {
+	c := startServer(t)
+	if err := c.CreateCollection("col"); err != nil {
+		t.Fatal(err)
+	}
+	orig := xmltree.MustParseString("a", `<X id="1"><Y>one</Y><Z><W>w</W><V>v</V></Z></X>`)
+	if err := c.StoreDocument("col", orig); err != nil {
+		t.Fatal(err)
+	}
+	keep, err := xmltree.ParseProjection("{Z{V*}}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Fetch("col", keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := got.Doc("a")
+	if s := xmltree.SerializeString(d); s != `<X id="1"><Z><V>v</V></Z></X>` {
+		t.Fatalf("projected document = %s", s)
+	}
+	if v := d.Root.Child("Z").Child("V"); v.ID != orig.Root.Child("Z").Child("V").ID {
+		t.Fatal("IDs lost in the projected fetch")
+	}
+}
+
+// A Keep the node cannot parse fails that fetch with FrameErr — a node
+// error, not a transport failure — and the one pooled connection serves
+// the next request.
+func TestMalformedKeepAnswersFrameErr(t *testing.T) {
+	_, addr := startServerOn(t, newNodeDB(t, 3), "127.0.0.1:0", ServerOptions{})
+	c := dialStream(t, addr, ClientOptions{PoolSize: 1})
+	dials := c.Stats().Dials
+	_, err := c.stream(&Request{Op: OpFetchStream, Collection: "c", Keep: "{b,a}"},
+		func(*Frame) error { return nil }, nil)
+	var ne *NodeError
+	if !errors.As(err, &ne) || !strings.Contains(ne.Msg, "projection") {
+		t.Fatalf("malformed keep: err = %v, want a node error about the projection", err)
+	}
+	got, err := c.FetchCollection("c")
+	if err != nil || got.Len() != 3 {
+		t.Fatalf("fetch after the error: %v, %v", got, err)
+	}
+	if st := c.Stats(); st.Dials != dials || st.TransportErrors != 0 || st.NodeErrors != 1 {
+		t.Fatalf("stats = %+v, want the connection reused after one node error", st)
 	}
 }
 

@@ -1,6 +1,8 @@
 package xmltree
 
 import (
+	"io"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -127,14 +129,63 @@ func TestSerializeEmptyElement(t *testing.T) {
 	}
 }
 
+// TestSerializedSizeMatchesString: the computed sizes equal the length of
+// the text, byte for byte, over random trees whose text and attribute
+// values need escaping, at every node — and computing them allocates
+// nothing.
 func TestSerializedSizeMatchesString(t *testing.T) {
-	doc := MustParseString("store", storeXML)
-	if got, want := SerializedSize(doc), len(SerializeString(doc)); got != want {
-		t.Fatalf("SerializedSize = %d, len = %d", got, want)
+	docs := []*Document{MustParseString("store", storeXML)}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		docs = append(docs, NewDocument("q", randomTree(r, 5)))
 	}
-	sec := doc.Root.Child("Sections")
-	if got, want := NodeSerializedSize(sec), len(NodeString(sec)); got != want {
-		t.Fatalf("NodeSerializedSize = %d, len = %d", got, want)
+	for _, doc := range docs {
+		if got, want := SerializedSize(doc), len(SerializeString(doc)); got != want {
+			t.Fatalf("SerializedSize = %d, len = %d: %s", got, want, SerializeString(doc))
+		}
+		doc.Root.Walk(func(n *Node) bool {
+			if got, want := NodeSerializedSize(n), len(NodeString(n)); got != want {
+				t.Fatalf("NodeSerializedSize(%s) = %d, len = %d: %s", n.Path(), got, want, NodeString(n))
+			}
+			return true
+		})
+		if allocs := testing.AllocsPerRun(10, func() { SerializedSize(doc) }); allocs != 0 {
+			t.Fatalf("SerializedSize allocates %.0f times", allocs)
+		}
+	}
+}
+
+// sectionedArticle builds an article whose body holds n sections, each
+// with an attribute, a title and two paragraphs needing escapes.
+func sectionedArticle(n int) *Document {
+	body := NewElement("body")
+	for i := 0; i < n; i++ {
+		body.Append(NewElement("section", NewAttr("id", `s"1"`),
+			NewElement("title", NewText("a <title>")),
+			NewElement("p", NewText("one & two")),
+			NewElement("p", NewText("three"))))
+	}
+	return NewDocument("a", NewElement("article", NewAttr("id", "a1"),
+		NewElement("prolog", NewElement("title", NewText("t"))), body))
+}
+
+// TestSerializeAllocs: serializing allocates a constant number of times
+// (the bufio.Writer), not once per element or attribute. A serializer
+// that gathered each element's content into a slice and built each
+// attribute value as a string cost 82 and 715 allocations here.
+func TestSerializeAllocs(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{10, 100} {
+		doc := sectionedArticle(n)
+		counts = append(counts, testing.AllocsPerRun(20, func() {
+			if err := Serialize(doc, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	t.Logf("allocations at 10 and 100 sections: %v", counts)
+	if counts[0] != counts[1] || counts[1] > 2 {
+		t.Fatalf("Serialize allocations at 10 and 100 sections = %v, want the same constant ≤ 2", counts)
 	}
 }
 

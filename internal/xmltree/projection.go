@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 )
@@ -63,8 +64,9 @@ func (p *Projection) Child(name string) (sub *Projection, ok bool) {
 	return c, true
 }
 
-// String renders the trie for diagnostics and tests: children in name
-// order, "*" marking a whole subtree, e.g. "{Code*,Description*}".
+// String renders the trie: children in name order, "*" marking a whole
+// subtree, e.g. "{Code*,Description*}". It is the trie's wire form;
+// ParseProjection reads it back.
 func (p *Projection) String() string {
 	if p.Whole() {
 		return "*"
@@ -89,4 +91,94 @@ func (p *Projection) String() string {
 	}
 	sb.WriteByte('}')
 	return sb.String()
+}
+
+// MaxProjectionDepth bounds how many brace groups ParseProjection accepts
+// nested in one another, so text from a peer cannot drive the parser's
+// recursion arbitrarily deep.
+const MaxProjectionDepth = 1000
+
+// ParseProjection reads the text String produces back into a trie ("*"
+// is the nil Projection, which keeps everything). It is String's exact
+// inverse: it accepts only text String can produce — names in strictly
+// ascending order, no empty braces below the root — nested at most
+// MaxProjectionDepth deep, so ParseProjection(s).String() == s for every
+// accepted s.
+func ParseProjection(s string) (*Projection, error) {
+	if s == "*" {
+		return nil, nil
+	}
+	p := projectionParser{s: s}
+	root, err := p.trie(0)
+	if err == nil && p.pos != len(s) {
+		err = p.fail("trailing text")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return root, nil
+}
+
+type projectionParser struct {
+	s   string
+	pos int
+}
+
+func (p *projectionParser) fail(what string) error {
+	return fmt.Errorf("xmltree: projection %.40q: %s at offset %d", p.s, what, p.pos)
+}
+
+// trie reads one "{name…,name…}" group inside depth enclosing groups.
+func (p *projectionParser) trie(depth int) (*Projection, error) {
+	if depth >= MaxProjectionDepth {
+		return nil, p.fail(fmt.Sprintf("nesting deeper than %d", MaxProjectionDepth))
+	}
+	if !p.next('{') {
+		return nil, p.fail("want '{'")
+	}
+	t := &Projection{}
+	if p.next('}') {
+		return t, nil
+	}
+	prev := ""
+	for {
+		start := p.pos
+		for p.pos < len(p.s) && !strings.ContainsRune("{},*", rune(p.s[p.pos])) {
+			p.pos++
+		}
+		name := p.s[start:p.pos]
+		if name == "" || (prev != "" && name <= prev) {
+			return nil, p.fail("want a name after the previous one in sort order")
+		}
+		prev = name
+		c := t.Add(name)
+		switch {
+		case p.next('*'):
+			c.KeepWhole()
+		case p.pos < len(p.s) && p.s[p.pos] == '{':
+			sub, err := p.trie(depth + 1)
+			if err != nil {
+				return nil, err
+			}
+			if len(sub.kids) == 0 {
+				return nil, p.fail("empty braces")
+			}
+			c.kids = sub.kids
+		}
+		if p.next('}') {
+			return t, nil
+		}
+		if !p.next(',') {
+			return nil, p.fail("want ',' or '}'")
+		}
+	}
+}
+
+// next consumes b if it is the next byte.
+func (p *projectionParser) next(b byte) bool {
+	if p.pos < len(p.s) && p.s[p.pos] == b {
+		p.pos++
+		return true
+	}
+	return false
 }

@@ -11,7 +11,7 @@ import (
 func Serialize(d *Document, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if d.Root != nil {
-		writeNode(bw, d.Root)
+		serializeNode(bw, d.Root)
 	}
 	return bw.Flush()
 }
@@ -38,8 +38,9 @@ type stringWriter interface {
 	WriteByte(byte) error
 }
 
-func writeNode(w *bufio.Writer, n *Node) { serializeNode(w, n) }
-
+// serializeNode writes n's XML text. An element's children are walked
+// twice, attributes first and then content, so nothing is gathered on the
+// way: serializing allocates nothing beyond what w does.
 func serializeNode(w stringWriter, n *Node) {
 	switch n.Kind {
 	case TextNode:
@@ -47,31 +48,48 @@ func serializeNode(w stringWriter, n *Node) {
 	case AttributeNode:
 		w.WriteString(n.Name)
 		w.WriteString(`="`)
-		escapeAttr(w, n.Text())
+		writeAttrValue(w, n)
 		w.WriteByte('"')
 	case ElementNode:
 		w.WriteByte('<')
 		w.WriteString(n.Name)
-		var content []*Node
+		content := false
 		for _, c := range n.Children {
 			if c.Kind == AttributeNode {
 				w.WriteByte(' ')
 				serializeNode(w, c)
 			} else {
-				content = append(content, c)
+				content = true
 			}
 		}
-		if len(content) == 0 {
+		if !content {
 			w.WriteString("/>")
 			return
 		}
 		w.WriteByte('>')
-		for _, c := range content {
-			serializeNode(w, c)
+		for _, c := range n.Children {
+			if c.Kind != AttributeNode {
+				serializeNode(w, c)
+			}
 		}
 		w.WriteString("</")
 		w.WriteString(n.Name)
 		w.WriteByte('>')
+	}
+}
+
+// writeAttrValue writes the escaped string value of n (Node.Text) without
+// building it: escaping works byte by byte, so escaping the pieces in
+// order equals escaping their concatenation.
+func writeAttrValue(w stringWriter, n *Node) {
+	if n.Kind == TextNode {
+		escapeAttr(w, n.Value)
+		return
+	}
+	for _, c := range n.Children {
+		if c.Kind != AttributeNode {
+			writeAttrValue(w, c)
+		}
 	}
 }
 
@@ -109,30 +127,58 @@ func escapeAttr(w stringWriter, s string) {
 
 // SerializedSize returns the length in bytes of the document's XML text.
 // The cluster transmission-cost model (paper Section 5: result size divided
-// by Gigabit Ethernet speed) uses this as the payload size.
+// by Gigabit Ethernet speed) uses this as the payload size. The length is
+// computed, not written: it allocates nothing.
 func SerializedSize(d *Document) int {
-	var c countingWriter
-	if d.Root != nil {
-		serializeNode(&c, d.Root)
+	if d.Root == nil {
+		return 0
 	}
-	return c.n
+	return NodeSerializedSize(d.Root)
 }
 
-// NodeSerializedSize returns the length in bytes of the subtree's XML text.
+// NodeSerializedSize returns the length in bytes of the subtree's XML
+// text, exactly len(NodeString(n)), without producing the text.
 func NodeSerializedSize(n *Node) int {
-	var c countingWriter
-	serializeNode(&c, n)
-	return c.n
+	switch n.Kind {
+	case TextNode:
+		return textSize(n.Value)
+	case AttributeNode:
+		return len(n.Name) + len(`=""`) + attrValueSize(n)
+	case ElementNode:
+		size := len("<") + len(n.Name)
+		content := false
+		for _, c := range n.Children {
+			if c.Kind == AttributeNode {
+				size += len(" ") + NodeSerializedSize(c)
+			} else {
+				content = true
+				size += NodeSerializedSize(c)
+			}
+		}
+		if !content {
+			return size + len("/>")
+		}
+		return size + len(">") + len("</") + len(n.Name) + len(">")
+	}
+	return 0
 }
 
-type countingWriter struct{ n int }
-
-func (c *countingWriter) WriteString(s string) (int, error) {
-	c.n += len(s)
-	return len(s), nil
+// textSize is the length of escapeText's output for s: each escaped byte
+// grows by its entity's length minus one.
+func textSize(s string) int {
+	return len(s) + 3*strings.Count(s, "<") + 3*strings.Count(s, ">") + 4*strings.Count(s, "&")
 }
 
-func (c *countingWriter) WriteByte(byte) error {
-	c.n++
-	return nil
+// attrValueSize is the length of writeAttrValue's output for n.
+func attrValueSize(n *Node) int {
+	if n.Kind == TextNode {
+		return textSize(n.Value) + 5*strings.Count(n.Value, `"`)
+	}
+	size := 0
+	for _, c := range n.Children {
+		if c.Kind != AttributeNode {
+			size += attrValueSize(c)
+		}
+	}
+	return size
 }

@@ -22,6 +22,7 @@
 package exec
 
 import (
+	"partix/internal/xmltree"
 	"partix/internal/xquery"
 )
 
@@ -56,6 +57,16 @@ type Program struct {
 // Streams reports whether the program produces an item stream (no fold):
 // the result can be arbitrarily large and is worth delivering in frames.
 func (p *Program) Streams() bool { return p.fold == foldNone }
+
+// Keep is the projection the program hands its scan (xquery.Hint.Keep):
+// the part of each document it reads, nil when it needs whole documents.
+// The trie is shared by every run of the program and must not be changed.
+func (p *Program) Keep() *xmltree.Projection {
+	if p.pipe.hint == nil {
+		return nil
+	}
+	return p.pipe.hint.Keep
+}
 
 // Ordered reports whether the program ends in an order-by, the one
 // blocking operator: all qualifying tuples are materialized before the

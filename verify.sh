@@ -76,14 +76,16 @@ grep -q '"profileMatches": true' "$benchdir/telemetry.json"
 # also run over records decoded under its projection) must hold under the
 # race detector, and the allocation pins for the hot scan→filter→project
 # loop, for the slab-building record decoder, for a Docs scan (a record
-# read plus a decode per candidate, nothing more) and for a point query's
+# read plus a decode per candidate, nothing more), for a point query's
 # candidate selection (bytes per call independent of the collection's
-# size) must not regress (run without -race, which would inflate the
-# alloc counts)
+# size), for a reconstruction query (allocations independent of the
+# nodes per fetched document) and for serialization and its size count
+# must not regress (run without -race, which would inflate the alloc
+# counts)
 go test -race -timeout 5m -run 'TestDifferential' ./internal/xquery/exec/
 go test -timeout 5m -run TestAllocsScanFilterProject ./internal/xquery/exec/
 go test -timeout 5m -run TestDecodeAllocs ./internal/storage/
-go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent' ./internal/engine/
+go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestReconstructAllocsIndependentOfDocumentSize|TestSerializeAllocs|TestSerializedSizeMatchesString' ./internal/engine/ ./internal/partix/ ./internal/xmltree/
 
 # executor smoke bench: compiled and interpreted executors must agree
 # on the Figure 7(a) workload (RunExec fails on any mismatch) and the
