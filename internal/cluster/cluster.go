@@ -35,7 +35,9 @@ type Driver interface {
 	// tag is a correlation identifier the node carries in its logs and
 	// error reports; it costs the node nothing. With trace set the node
 	// also times its processing steps (parse, plan, execute, …) and
-	// returns them; the delivery itself is the same either way.
+	// returns them; the delivery itself is the same either way. The nodes
+	// of one batch may share their memory (a remote batch is decoded into
+	// one slab), so keeping one of them may keep its whole batch alive.
 	Query(query, tag string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error)
 	// Fetch retrieves a collection's documents, each cut down to what
 	// keep selects (nil fetches them whole), for the coordinator's join

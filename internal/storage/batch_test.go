@@ -1,0 +1,185 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime/debug"
+	"testing"
+
+	"partix/internal/toxgene"
+	"partix/internal/xmltree"
+)
+
+// itemTree builds a random element tree under root name: attributes,
+// text that needs escaping, and nesting up to depth. Names come from a
+// small alphabet, so two trees often share a name table and sometimes
+// do not.
+func itemTree(r *rand.Rand, name string, depth int) *xmltree.Node {
+	names := []string{"Item", "Code", "Name", "Description", "p", "b"}
+	texts := []string{"plain", "a < b && c > d", `"quoted" 'too'`, "ünïcödé ✓", "", "]]>"}
+	n := xmltree.NewElement(name)
+	if r.Intn(3) == 0 {
+		n.Append(xmltree.NewAttr(fmt.Sprintf("a%d", r.Intn(3)), texts[r.Intn(len(texts))]))
+	}
+	for i, kids := 0, r.Intn(4); i < kids; i++ {
+		if depth > 0 && r.Intn(3) > 0 {
+			n.Append(itemTree(r, names[r.Intn(len(names))], depth-1))
+		} else if s := texts[r.Intn(len(texts))]; s != "" {
+			n.Append(xmltree.NewText(s))
+		}
+	}
+	return n
+}
+
+// randomRecords encodes count random trees through one Encoder, the way
+// a node encodes a frame's items, and checks each against EncodeDocument.
+func randomRecords(t *testing.T, r *rand.Rand, count int) [][]byte {
+	t.Helper()
+	var enc Encoder
+	recs := make([][]byte, count)
+	for i := range recs {
+		root := itemTree(r, "Item", 1+r.Intn(6))
+		if i > 0 && r.Intn(3) == 0 {
+			root = itemTree(rand.New(rand.NewSource(int64(i))), "Item", 2) // repeat a shape: equal tables
+		}
+		d := &xmltree.Document{Name: "x", Root: root}
+		d.AssignIDs()
+		recs[i] = enc.Append(nil, root)
+		want, err := EncodeDocument(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(recs[i]) != string(want) {
+			t.Fatalf("record %d: Encoder.Append differs from EncodeDocument", i)
+		}
+	}
+	return recs
+}
+
+// Every root DecodeBatch builds is the tree DecodeDocument builds from the
+// same record: same serialization, same IDs and parent pointers.
+func TestDecodeBatchMatchesDecodeDocument(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		recs := randomRecords(t, r, 1+r.Intn(40))
+		roots, err := DecodeBatch(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(roots) != len(recs) {
+			t.Fatalf("%d roots for %d records", len(roots), len(recs))
+		}
+		for i, rec := range recs {
+			want, err := DecodeDocument("x", rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if roots[i].Parent != nil {
+				t.Fatalf("record %d: decoded root has a parent", i)
+			}
+			got := &xmltree.Document{Name: "x", Root: roots[i]}
+			if g, w := xmltree.SerializeString(got), xmltree.SerializeString(want); g != w {
+				t.Fatalf("record %d:\n got %s\nwant %s", i, g, w)
+			}
+			if d := treeDiff(roots[i], want.Root); d != "" {
+				t.Fatalf("record %d: %s", i, d)
+			}
+		}
+	}
+	if roots, err := DecodeBatch(nil); err != nil || len(roots) != 0 {
+		t.Fatalf("empty batch: %v, %v", roots, err)
+	}
+}
+
+// The first corrupt record fails the batch with the error DecodeDocument
+// reports for it, whatever follows it.
+func TestDecodeBatchReportsFirstCorruptRecord(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	corrupt := []func([]byte) []byte{
+		func(b []byte) []byte { return b[:len(b)-1] },                                // truncated
+		func(b []byte) []byte { return append(b, 0) },                                // trailing byte
+		func(b []byte) []byte { c := append([]byte(nil), b...); c[0] = 9; return c }, // version
+		func(b []byte) []byte { return hostileRecord(40) },                           // child-count overrun
+	}
+	for round := 0; round < 40; round++ {
+		recs := randomRecords(t, r, 2+r.Intn(20))
+		bad := r.Intn(len(recs))
+		recs[bad] = corrupt[r.Intn(len(corrupt))](recs[bad])
+		if later := bad + 1 + r.Intn(len(recs)); later < len(recs) {
+			recs[later] = corrupt[r.Intn(len(corrupt))](recs[later])
+		}
+		_, err := DecodeBatch(recs)
+		_, want := DecodeDocument(fmt.Sprintf("record %d", bad), recs[bad])
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("round %d: batch error %v, want %v", round, err, want)
+		}
+	}
+}
+
+// Children of a batch live in windows of one shared slab across record
+// boundaries: appending to any decoded node must leave every other node's
+// children — in its own record and in every other — intact.
+func TestDecodeBatchAppendKeepsOtherItems(t *testing.T) {
+	recs := randomRecords(t, rand.New(rand.NewSource(3)), 30)
+	got, err := DecodeBatch(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := DecodeBatch(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes, refs []*xmltree.Node
+	for i := range got {
+		got[i].Walk(func(n *xmltree.Node) bool { nodes = append(nodes, n); return true })
+		ref[i].Walk(func(n *xmltree.Node) bool { refs = append(refs, n); return true })
+	}
+	for _, n := range nodes {
+		if n.Kind == xmltree.ElementNode {
+			n.Append(xmltree.NewElement("new"))
+		}
+	}
+	for i, n := range nodes {
+		want := len(refs[i].Children)
+		if n.Kind == xmltree.ElementNode {
+			want++
+		}
+		if len(n.Children) != want {
+			t.Fatalf("node %q: %d children after append, want %d", n.Name, len(n.Children), want)
+		}
+		for j, c := range refs[i].Children {
+			if n.Children[j].ID != c.ID || n.Children[j].Parent != n {
+				t.Fatalf("node %q child %d: an append overwrote another window", n.Name, j)
+			}
+		}
+	}
+}
+
+// TestDecodeBatchAllocs pins a batch decode at a constant number of
+// allocations whatever its record count — including large Items, a third
+// of which carry a name table that differs from the previous record's.
+// The collector is off while it counts: a cycle set off by the multi-MB
+// slabs allocates objects of its own.
+func TestDecodeBatchAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := map[int]float64{}
+	for _, n := range []int{10, 100} {
+		col := toxgene.GenerateItems(toxgene.ItemsConfig{Docs: n, Seed: 1, Large: true})
+		recs := make([][]byte, n)
+		for i, d := range col.Docs {
+			var err error
+			if recs[i], err = EncodeDocument(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs[n] = testing.AllocsPerRun(3, func() {
+			if _, err := DecodeBatch(recs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[100] != allocs[10] || allocs[10] > 8 {
+		t.Fatalf("decoding 10 records takes %.0f allocations, 100 take %.0f; want the same, at most 8",
+			allocs[10], allocs[100])
+	}
+}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -23,52 +24,86 @@ import (
 // store never caches decoded trees, reproducing the per-document
 // pre-processing overhead the paper attributes to eXist (Section 5).
 //
-// Decoding takes two passes over the record. Pass 1 validates every byte
-// and counts the nodes and text bytes to keep; nothing whose size comes
-// from a count in the record is allocated before the whole record has
-// validated, so a hostile child count costs no more than the bytes that
-// carry it. Pass 2 re-reads the validated bytes and fills one
-// []xmltree.Node slab (document order) and one []*xmltree.Node slab that
-// holds every node's children as a capped window kids[a:b:b], so Append
-// on a decoded node reallocates instead of overwriting a sibling's window.
-// A decode is a constant handful of allocations whatever the node count.
+// Decoding takes two passes over the records it is given: one for
+// DecodeDocument and DecodeProjected, a frame's worth for DecodeBatch. Pass
+// 1 validates every byte of every record and counts the nodes and text
+// bytes to keep; nothing whose size comes from a count in a record is
+// allocated before all of them have validated, so a hostile child count
+// costs no more than the bytes that carry it. Pass 2 re-reads the validated
+// bytes and fills one []xmltree.Node slab (document order, record after
+// record) and one []*xmltree.Node slab that holds every node's children as
+// a capped window kids[a:b:b], so Append on a decoded node reallocates
+// instead of overwriting a sibling's window — or another record's. A
+// decode is a constant handful of allocations whatever the node or record
+// count: a record whose name table repeats the previous record's shares
+// its strings, and every other table is copied into one names arena.
 //
 // DecodeProjected keeps only what an xmltree.Projection selects. Subtrees
 // it drops are walked and validated exactly like kept ones — same bytes,
 // same error — but never built.
 //
-// Retention: every string a decoded tree hands out aliases one of two
-// per-document strings, the name table's and one holding the kept text
-// values. Anything that outlives the document (index tokens, element
-// names) must strings.Clone what it keeps, or it pins the document's text.
+// Retention: every string a decoded tree hands out aliases a name table's
+// string or the one string holding all kept text values of the records
+// decoded together. Anything that outlives the tree (index tokens, element
+// names) must strings.Clone what it keeps, or it pins that text; a tree of
+// a batch keeps the whole batch's slabs alive.
 const encVersion = 1
 
-// EncodeDocument serializes a document to the binary format.
+// Encoder writes records in the binary format. It keeps its name map and
+// table across records, so encoding a stream of trees allocates nothing
+// once they have grown to the largest tree's names. The zero value is
+// ready to use; an Encoder is not safe for concurrent use.
+type Encoder struct {
+	names map[string]uint64
+	table []string
+}
+
+// Append appends root's record to buf and returns the extended buffer.
+func (e *Encoder) Append(buf []byte, root *xmltree.Node) []byte {
+	if e.names == nil {
+		e.names = make(map[string]uint64)
+	}
+	clear(e.names)
+	e.table = collectNames(e.names, e.table[:0], root)
+	return appendRecord(buf, root, e.names, e.table)
+}
+
+// EncodeDocument serializes a document to the binary format: an Encoder's
+// one-shot use, whose name map the compiler can keep off the heap.
 func EncodeDocument(doc *xmltree.Document) ([]byte, error) {
 	if doc.Root == nil {
 		return nil, fmt.Errorf("storage: encode %q: no root", doc.Name)
 	}
-	// Collect the name table.
 	names := make(map[string]uint64)
-	var table []string
-	doc.Root.Walk(func(n *xmltree.Node) bool {
-		if n.Kind != xmltree.TextNode {
-			if _, ok := names[n.Name]; !ok {
-				names[n.Name] = uint64(len(table))
-				table = append(table, n.Name)
-			}
-		}
-		return true
-	})
+	table := collectNames(names, nil, doc.Root)
+	return appendRecord(make([]byte, 0, 256), doc.Root, names, table), nil
+}
 
-	buf := make([]byte, 0, 256)
+// collectNames numbers the element and attribute names of n's subtree in
+// document order, appending each new one to table.
+func collectNames(names map[string]uint64, table []string, n *xmltree.Node) []string {
+	if n.Kind == xmltree.TextNode {
+		return table
+	}
+	if _, ok := names[n.Name]; !ok {
+		names[n.Name] = uint64(len(table))
+		table = append(table, n.Name)
+	}
+	for _, c := range n.Children {
+		table = collectNames(names, table, c)
+	}
+	return table
+}
+
+// appendRecord appends root's record under the name table collectNames
+// built for it.
+func appendRecord(buf []byte, root *xmltree.Node, names map[string]uint64, table []string) []byte {
 	buf = append(buf, encVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
 	for _, s := range table {
 		buf = appendString(buf, s)
 	}
-	buf = appendNode(buf, doc.Root, names)
-	return buf, nil
+	return appendNode(buf, root, names)
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -100,28 +135,60 @@ func DecodeDocument(name string, data []byte) (*xmltree.Document, error) {
 // either way: a projection never changes which records decode, nor the
 // error a corrupt one reports.
 func DecodeProjected(name string, data []byte, keep *xmltree.Projection) (*xmltree.Document, error) {
+	var root [1]*xmltree.Node
+	if _, err := decodeRecords([][]byte{data}, keep, root[:]); err != nil {
+		return nil, fmt.Errorf("storage: decode %q: %w", name, err)
+	}
+	return &xmltree.Document{Name: name, Root: root[0]}, nil
+}
+
+// DecodeBatch parses many records at once into whole trees that share one
+// node slab, one child-pointer slab and one text string: the same walk as
+// DecodeDocument, run over every record in each pass. A corrupt record
+// fails the batch with the error DecodeDocument reports for it under the
+// name "record i", i its position in recs.
+func DecodeBatch(recs [][]byte) ([]*xmltree.Node, error) {
+	roots := make([]*xmltree.Node, len(recs))
+	if i, err := decodeRecords(recs, nil, roots); err != nil {
+		return nil, fmt.Errorf("storage: decode \"record %d\": %w", i, err)
+	}
+	return roots, nil
+}
+
+// decodeRecords runs the two-pass walk over recs, storing each record's
+// root (projected by keep) into roots. On failure it returns the position
+// of the first corrupt record and that record's error.
+func decodeRecords(recs [][]byte, keep *xmltree.Projection, roots []*xmltree.Node) (int, error) {
 	if keep.Whole() {
 		keep = nil
 	}
-	d := decoder{buf: data, keep: keep}
-	if err := d.readTable(); err != nil {
-		return nil, fmt.Errorf("storage: decode %q: %w", name, err)
-	}
-	body := d.pos
-	if _, err := d.walk(nil, true, 0); err != nil {
-		return nil, fmt.Errorf("storage: decode %q: %w", name, err)
-	}
-	if d.pos != len(data) {
-		return nil, fmt.Errorf("storage: decode %q: %d trailing bytes", name, len(data)-d.pos)
+	d := decoder{keep: keep}
+	d.sizeTables(recs)
+	arena := d.arena
+	for i, rec := range recs {
+		d.buf, d.pos = rec, 0
+		if err := d.readTable(); err != nil {
+			return i, err
+		}
+		if _, err := d.walk(nil, true, 0); err != nil {
+			return i, err
+		}
+		if d.pos != len(rec) {
+			return i, fmt.Errorf("%d trailing bytes", len(rec)-d.pos)
+		}
 	}
 	d.build = true
-	d.pos = body
 	d.slab = make([]xmltree.Node, d.nodes)
-	d.kids = make([]*xmltree.Node, d.nodes-1)
+	d.kids = make([]*xmltree.Node, d.nodes-len(recs)) // every kept node but the roots is a child
 	d.wp = len(d.kids)
 	d.text.Grow(d.textBytes)
-	root, _ := d.walk(nil, true, 0) // pass 1 validated these bytes
-	return &xmltree.Document{Name: name, Root: root}, nil
+	d.arena, d.tableRaw = arena, nil // replay pass 1's tables
+	for i, rec := range recs {
+		d.buf, d.pos = rec, 0
+		_ = d.readTable()                  // pass 1 validated these bytes
+		roots[i], _ = d.walk(nil, true, 0) // and these
+	}
+	return 0, nil
 }
 
 const maxDecodeDepth = 10000
@@ -130,7 +197,15 @@ type decoder struct {
 	buf   []byte
 	pos   int
 	table []string
-	keep  *xmltree.Projection // the root element's projection; nil keeps everything
+	// tableRaw is the current table's bytes, count included: a record
+	// whose table bytes equal them reuses table.
+	tableRaw []byte
+	keep     *xmltree.Projection // the root element's projection; nil keeps everything
+
+	// The names arena: every distinct table's bytes, copied once, and
+	// the strings sliced from them (sizeTables sizes both).
+	names strings.Builder
+	arena []string
 
 	// Pass 1 totals: what pass 2 builds.
 	nodes, textBytes int
@@ -148,38 +223,85 @@ type decoder struct {
 	text   strings.Builder // kept text values, grown once to their total: never reallocated
 }
 
-// readTable validates the name table, then slices every name out of one
-// string copied from the table's bytes — the names never alias (and so
-// never pin) the record itself.
-func (d *decoder) readTable() error {
+// sizeTables grows the names arena to hold every distinct name table of
+// recs — distinct meaning its bytes differ from the previous record's —
+// so readTable fills it without reallocating: a batch's tables cost two
+// allocations, whatever the number of records. It stops at the first table
+// that does not validate; pass 1 fails there and fills no later table.
+func (d *decoder) sizeTables(recs [][]byte) {
+	var prev []byte
+	size, entries := 0, 0
+	for _, rec := range recs {
+		d.buf, d.pos = rec, 0
+		raw, count, err := d.scanTable()
+		if err != nil {
+			break
+		}
+		if !bytes.Equal(raw, prev) {
+			size += len(raw)
+			entries += int(count)
+		}
+		prev = raw
+	}
+	d.names.Grow(size)
+	d.arena = make([]string, entries)
+}
+
+// scanTable validates the version byte and the name table, leaving pos at
+// the root node, and returns the table's bytes (its count included) and
+// its entry count.
+func (d *decoder) scanTable() ([]byte, uint64, error) {
 	v, err := d.byte()
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	if v != encVersion {
-		return fmt.Errorf("unsupported version %d", v)
+		return nil, 0, fmt.Errorf("unsupported version %d", v)
 	}
+	head := d.pos
 	count, err := d.uvarint()
+	if err != nil {
+		return nil, 0, err
+	}
+	if count > uint64(len(d.buf)-d.pos) {
+		return nil, 0, fmt.Errorf("name table of %d entries in %d bytes", count, len(d.buf))
+	}
+	for i := uint64(0); i < count; i++ {
+		if _, err := d.bytes(); err != nil {
+			return nil, 0, err
+		}
+	}
+	return d.buf[head:d.pos], count, nil
+}
+
+// readTable validates the record's name table and makes it d.table. A
+// table whose bytes equal the previous record's keeps its strings; any
+// other takes the next entries of the names arena — in pass 1 it copies
+// the table's bytes into the arena and slices them there, so names never
+// alias (and so never pin) the record itself; pass 2, replaying the same
+// records, finds them filled.
+func (d *decoder) readTable() error {
+	raw, count, err := d.scanTable()
 	if err != nil {
 		return err
 	}
-	if count > uint64(len(d.buf)-d.pos) {
-		return fmt.Errorf("name table of %d entries in %d bytes", count, len(d.buf))
+	if bytes.Equal(raw, d.tableRaw) {
+		return nil
 	}
-	start := d.pos
-	for i := uint64(0); i < count; i++ {
-		if _, err := d.bytes(); err != nil {
-			return err
-		}
+	d.tableRaw = raw
+	d.table, d.arena = d.arena[:count:count], d.arena[count:]
+	if d.build {
+		return nil
 	}
-	names := string(d.buf[start:d.pos])
-	d.table = make([]string, count)
-	d.pos = start
+	d.names.Write(raw)
+	names := d.names.String()
+	names = names[len(names)-len(raw):]
+	_, pos := binary.Uvarint(raw) // the count
 	for i := range d.table {
-		l, _ := d.uvarint()
-		off := d.pos - start
-		d.table[i] = names[off : off+int(l)]
-		d.pos += int(l)
+		l, n := binary.Uvarint(raw[pos:])
+		pos += n
+		d.table[i] = names[pos : pos+int(l)]
+		pos += int(l)
 	}
 	return nil
 }

@@ -215,7 +215,7 @@ func treeDiff(a, b *xmltree.Node) string {
 // trip unchanged; and under each of a few fixed projections the decoder
 // must fail on exactly the inputs the whole decode fails on, with the same
 // error, and otherwise build exactly the tree-level projection of the
-// whole decode. The seed corpus (testdata/fuzz/FuzzDecodeDocument) holds a
+// whole decode; so must a batch holding the record twice. The seed corpus (testdata/fuzz/FuzzDecodeDocument) holds a
 // small and a large Item, attributes, a truncation, an out-of-range name
 // ref, a child-count overrun, a tree past the depth limit and trailing
 // bytes.
@@ -239,8 +239,19 @@ func FuzzDecodeDocument(f *testing.F) {
 				}
 			}
 		}
+		// The same record twice as a batch: the batch walk fails where the
+		// single-record walk does, or builds the same tree twice.
+		roots, berr := DecodeBatch([][]byte{data, data})
+		if _, want := DecodeDocument("record 0", data); (want == nil) != (berr == nil) || want != nil && want.Error() != berr.Error() {
+			t.Fatalf("batch err=%v, want %v", berr, want)
+		}
 		if err != nil {
 			return
+		}
+		for _, r := range roots {
+			if d := treeDiff(r, whole.Root); d != "" {
+				t.Fatalf("batch: %s", d)
+			}
 		}
 		if whole.Root.Parent != nil {
 			t.Fatal("decoded root has a parent")

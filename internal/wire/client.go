@@ -492,14 +492,14 @@ func (c *Client) streamOnce(req *Request, deliver func(*Frame) error) (int, *Tra
 		switch f.Kind {
 		case FrameItems, FrameDocs, FrameEnd:
 			end := f.Kind == FrameEnd
-			n := len(f.Items) + len(f.Docs)
+			n := f.Count + len(f.Docs)
 			total += n
 			if end && f.Total != total {
 				c.discard(pc)
 				return delivered, nil, fmt.Errorf("wire: %s: stream integrity: node sent %d items, frames carried %d",
 					c.addr, f.Total, total)
 			}
-			if n > 0 {
+			if n != 0 {
 				delivered++
 				if err := deliver(&f); err != nil {
 					if end {
@@ -600,13 +600,18 @@ func (c *Client) StoreDocument(collection string, doc *xmltree.Document) error {
 }
 
 // query is the one result exchange every query method goes through:
-// each received batch is decoded and handed to yield in arrival order,
-// from the calling goroutine. reset, when non-nil, lets a stream cut
-// after delivery retry from scratch (see stream).
+// each received frame's payload is parsed once and its items decoded
+// together (DecodeSeq), then handed to yield in arrival order, from the
+// calling goroutine. reset, when non-nil, lets a stream cut after
+// delivery retry from scratch (see stream).
 func (c *Client) query(req *Request, yield func(xquery.Seq) error, reset func()) ([]obs.Span, error) {
 	req.Op = OpQueryStream
 	trailer, err := c.stream(req, func(f *Frame) error {
-		seq, err := DecodeSeq(f.Items)
+		items, err := parseItems(f.Count, f.Payload)
+		if err != nil {
+			return err
+		}
+		seq, err := DecodeSeq(items)
 		if err != nil {
 			return err
 		}
@@ -627,6 +632,9 @@ func (c *Client) query(req *Request, yield func(xquery.Seq) error, reset func())
 // the spans come back from the FrameEnd trailer; the frames before it
 // are the same either way. A stream cut after the first batch was
 // delivered is not retried — the caller owns what it already consumed.
+// Each batch is one frame: its nodes share one decoded slab, so a node
+// the caller keeps keeps its whole frame (at most the server's
+// MaxFrameBytes of records) alive.
 func (c *Client) Query(query, tag string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error) {
 	return c.query(&Request{Query: query, TraceID: tag, Trace: trace}, yield, nil)
 }

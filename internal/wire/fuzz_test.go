@@ -21,14 +21,15 @@ const fuzzMaxMessage = 1 << 16
 // the bytes, decoding must not panic, must not hand back a frame larger
 // than the message limit, and must not allocate in proportion to a length
 // the peer merely declared. The seed corpus (testdata/fuzz/FuzzFrameDecode)
-// holds an empty end frame, an end frame with a final batch and a span
-// trailer, a FrameErr, a truncated length header and an oversize declared
-// length.
+// holds an empty end frame, an items frame followed by an end frame whose
+// payload carries the final batch and a span trailer, a FrameErr, a
+// truncated length header and an oversize declared length. What a client
+// then does with a frame's payload is FuzzFramePayload's.
 func FuzzFrameDecode(f *testing.F) {
 	// One decoded element costs at most this many bytes of memory per byte
 	// of message, before slice growth; anything past it follows a declared
 	// length, not the data.
-	perByte := uint64(max(unsafe.Sizeof(Item{}), unsafe.Sizeof(obs.Span{})))
+	perByte := uint64(max(unsafe.Sizeof([]byte(nil)), unsafe.Sizeof(obs.Span{})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -56,10 +57,7 @@ func FuzzFrameDecode(f *testing.F) {
 
 // framePayload sums the variable-size content of a frame.
 func framePayload(f *Frame) int {
-	n := len(f.Err) + len(f.TraceID)
-	for _, it := range f.Items {
-		n += len(it.Str) + len(it.Node)
-	}
+	n := len(f.Err) + len(f.TraceID) + len(f.Payload)
 	for i := range f.Docs {
 		n += len(f.Docs[i])
 	}

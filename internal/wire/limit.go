@@ -41,6 +41,9 @@ type limitReader struct {
 	// remaining payload bytes of the current message; 0 means the next
 	// byte starts a new message header.
 	remaining int64
+	// hdr holds the header re-encoded for gob, so passing one on costs
+	// no allocation.
+	hdr [9]byte
 }
 
 // newLimitReader wraps r. max ≤ 0 applies DefaultMaxMessageBytes.
@@ -100,7 +103,7 @@ func (l *limitReader) Read(p []byte) (int, error) {
 		}
 		// Re-encode the header for gob, which parses it itself. The
 		// encoding is canonical, so round-tripping is loss-free.
-		hdr := appendGobUint(nil, uint64(n))
+		hdr := appendGobUint(l.hdr[:0], uint64(n))
 		l.remaining = n
 		copied := copy(p, hdr)
 		if copied < len(hdr) {

@@ -142,3 +142,31 @@ func TestLimitReaderTinyReads(t *testing.T) {
 		t.Fatal("tiny reads altered the stream")
 	}
 }
+
+// Passing a message header on to gob costs nothing: reading a stream of
+// small messages allocates nothing per message.
+func TestLimitReaderSmallMessagesAllocateNothing(t *testing.T) {
+	const messages = 200
+	var stream []byte
+	for i := 0; i < messages; i++ {
+		stream = appendGobUint(stream, 300) // a two-byte header...
+		stream = append(stream, bytes.Repeat([]byte{byte(i)}, 300)...)
+	}
+	lr := newLimitReader(bytes.NewReader(stream), 0)
+	p := make([]byte, 512)
+	allocs := testing.AllocsPerRun(messages-1, func() {
+		if n, err := lr.Read(p); err != nil || n != 3 {
+			t.Fatalf("header: read %d bytes (%v), want 3", n, err)
+		}
+		for got := 0; got < 300; { // ...then the payload, in as many reads as it takes
+			n, err := lr.Read(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += n
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reading a message allocates %.1f objects", allocs)
+	}
+}

@@ -31,11 +31,19 @@
 // last frame carries, never which frames are sent. The client hands each
 // batch to its consumer as it arrives and may abandon the stream by
 // closing the connection, which stops the node producing.
+//
+// A query frame is the unit of encoding: its items travel back to back in
+// one Payload (Count says how many; itemWriter gives the form), written
+// by one record encoder per stream and shipped by gob as one []byte. The
+// client parses the payload once and decodes all of its node items into
+// one slab (DecodeSeq). Fetch frames ship stored records verbatim, one
+// []byte per document.
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sync"
+	"math"
 
 	"partix/internal/engine"
 	"partix/internal/obs"
@@ -47,7 +55,7 @@ import (
 // ProtocolVersion is the one wire protocol generation this build speaks.
 // Both peers check it on every Request/Response exchange; there is no
 // fallback to an older generation.
-const ProtocolVersion = 7
+const ProtocolVersion = 8
 
 // ErrProtocolMismatch reports a peer that speaks a different protocol
 // version, or answers a result request with something that is not a
@@ -182,8 +190,12 @@ const (
 // or FrameErr; anything else (including a connection that dies first)
 // is a transport error, never a truncated-but-successful result.
 type Frame struct {
-	Kind     FrameKind
-	Items    []Item
+	Kind FrameKind
+	// Count and Payload carry a query frame's result items (FrameItems,
+	// and FrameEnd of an OpQueryStream): Count items back to back, in the
+	// form itemWriter documents.
+	Count    int
+	Payload  []byte
 	DocNames []string
 	Docs     [][]byte
 	Err      string
@@ -202,32 +214,6 @@ type Trailer struct {
 	// execute, serialize. Durations are relative, so node clock skew
 	// never corrupts the coordinator's span tree.
 	Spans []obs.Span
-}
-
-// itemBatchPool recycles the []Item scratch slices the server encodes
-// frames into (the storage page-buffer pooling pattern): a streaming
-// query emits many short-lived batches, and pooling them keeps the
-// per-frame allocation count flat. Buffers are handed to gob for
-// encoding and reused only after Encode returns, so sharing is safe.
-var itemBatchPool = sync.Pool{
-	New: func() any { b := make([]Item, 0, 256); return &b },
-}
-
-func getItemBatch() *[]Item {
-	return itemBatchPool.Get().(*[]Item)
-}
-
-func putItemBatch(b *[]Item) {
-	resetItemBatch(b)
-	itemBatchPool.Put(b)
-}
-
-// resetItemBatch empties the batch in place for the next frame.
-func resetItemBatch(b *[]Item) {
-	for i := range *b {
-		(*b)[i] = Item{} // drop references so pooled frames don't pin node data
-	}
-	*b = (*b)[:0]
 }
 
 // ItemKind tags a serialized result item.
@@ -250,74 +236,173 @@ type Item struct {
 	Node []byte // binary-encoded subtree for ItemNode
 }
 
-// EncodeItem converts one evaluation result item into wire form.
-func EncodeItem(it xquery.Item) (Item, error) {
+// itemWriter appends result items to one frame payload: one kind byte
+// each, then the value —
+//
+//	ItemString  uvarint length, the string's bytes
+//	ItemNumber  8 bytes, the float64's bits little-endian
+//	ItemBool    1 byte, 0 or 1
+//	ItemNode    uvarint length, the subtree's storage record
+//
+// One storage.Encoder writes every node item of a stream, straight into
+// the payload, and the payload is reused from frame to frame.
+type itemWriter struct {
+	payload []byte
+	count   int
+	enc     storage.Encoder
+}
+
+// add appends one evaluation result item.
+func (w *itemWriter) add(it xquery.Item) error {
 	switch v := it.(type) {
 	case *xmltree.Node:
-		data, err := storage.EncodeDocument(&xmltree.Document{Name: "item", Root: v})
-		if err != nil {
-			return Item{}, err
+		if v == nil {
+			return fmt.Errorf("wire: cannot encode a nil node")
 		}
-		return Item{Kind: ItemNode, Node: data}, nil
+		w.payload = append(w.payload, byte(ItemNode))
+		rec := len(w.payload)
+		w.payload = w.enc.Append(w.payload, v)
+		w.payload = prefixLength(w.payload, rec)
 	case string:
-		return Item{Kind: ItemString, Str: v}, nil
+		w.payload = append(w.payload, byte(ItemString))
+		w.payload = binary.AppendUvarint(w.payload, uint64(len(v)))
+		w.payload = append(w.payload, v...)
 	case float64:
-		return Item{Kind: ItemNumber, Num: v}, nil
+		w.payload = append(w.payload, byte(ItemNumber))
+		w.payload = binary.LittleEndian.AppendUint64(w.payload, math.Float64bits(v))
 	case bool:
-		return Item{Kind: ItemBool, Bool: v}, nil
-	default:
-		return Item{}, fmt.Errorf("wire: cannot encode item of type %T", it)
-	}
-}
-
-// DecodeItem converts one wire item back to an evaluation result item.
-func DecodeItem(it Item) (xquery.Item, error) {
-	switch it.Kind {
-	case ItemNode:
-		doc, err := storage.DecodeDocument("item", it.Node)
-		if err != nil {
-			return nil, err
+		b := byte(0)
+		if v {
+			b = 1
 		}
-		return doc.Root, nil
-	case ItemString:
-		return it.Str, nil
-	case ItemNumber:
-		return it.Num, nil
-	case ItemBool:
-		return it.Bool, nil
+		w.payload = append(w.payload, byte(ItemBool), b)
 	default:
-		return nil, fmt.Errorf("wire: unknown item kind %d", it.Kind)
+		return fmt.Errorf("wire: cannot encode item of type %T", it)
 	}
+	w.count++
+	return nil
 }
 
-// wireBytes approximates the item's on-wire size, used to cap frames at
-// the server's byte budget.
-func (it Item) wireBytes() int {
-	return len(it.Node) + len(it.Str) + 16
+// reset empties the payload for the next frame, keeping its capacity.
+func (w *itemWriter) reset() {
+	w.payload, w.count = w.payload[:0], 0
 }
 
-// EncodeSeq converts an evaluation result into wire items.
+// prefixLength inserts the uvarint length of buf[at:] at at, moving those
+// bytes up: a record's length is known only once it is written.
+func prefixLength(buf []byte, at int) []byte {
+	n := uint64(len(buf) - at)
+	var tmp [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(tmp[:], n)
+	buf = append(buf, tmp[:k]...)
+	copy(buf[at+k:], buf[at:len(buf)-k])
+	copy(buf[at:], tmp[:k])
+	return buf
+}
+
+// parseItems splits a frame payload into its count items. Node items alias
+// payload; nothing is allocated before count is checked against the
+// payload's length, every item taking at least two bytes.
+func parseItems(count int, payload []byte) ([]Item, error) {
+	if count < 0 || count > len(payload)/2 {
+		return nil, fmt.Errorf("wire: frame declares %d items in %d payload bytes", count, len(payload))
+	}
+	items := make([]Item, count)
+	pos := 0
+	for i := range items {
+		if pos == len(payload) {
+			return nil, fmt.Errorf("wire: frame payload ends after %d of %d items", i, count)
+		}
+		it := &items[i]
+		it.Kind = ItemKind(payload[pos])
+		pos++
+		switch it.Kind {
+		case ItemNode, ItemString:
+			l, n := binary.Uvarint(payload[pos:])
+			if n <= 0 || l > uint64(len(payload)-pos-n) {
+				return nil, fmt.Errorf("wire: item %d overruns the frame payload", i)
+			}
+			pos += n
+			b := payload[pos : pos+int(l) : pos+int(l)]
+			pos += int(l)
+			if it.Kind == ItemNode {
+				it.Node = b
+			} else {
+				it.Str = string(b)
+			}
+		case ItemNumber:
+			if len(payload)-pos < 8 {
+				return nil, fmt.Errorf("wire: item %d overruns the frame payload", i)
+			}
+			it.Num = math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
+			pos += 8
+		case ItemBool:
+			if pos == len(payload) || payload[pos] > 1 {
+				return nil, fmt.Errorf("wire: item %d is not a boolean", i)
+			}
+			it.Bool = payload[pos] == 1
+			pos++
+		default:
+			return nil, fmt.Errorf("wire: unknown item kind %d", it.Kind)
+		}
+	}
+	if pos != len(payload) {
+		return nil, fmt.Errorf("wire: %d bytes after the frame's %d items", len(payload)-pos, count)
+	}
+	return items, nil
+}
+
+// EncodeSeq converts an evaluation result into wire items: the stream's
+// own codec, run over the whole sequence as one frame. The items' Node
+// records share one buffer.
 func EncodeSeq(s xquery.Seq) ([]Item, error) {
-	out := make([]Item, 0, len(s))
+	var w itemWriter
 	for _, it := range s {
-		wi, err := EncodeItem(it)
-		if err != nil {
+		if err := w.add(it); err != nil {
 			return nil, err
 		}
-		out = append(out, wi)
 	}
-	return out, nil
+	return parseItems(w.count, w.payload)
 }
 
-// DecodeSeq converts wire items back to an evaluation result.
+// DecodeSeq converts wire items back to an evaluation result, decoding
+// every node item in one storage.DecodeBatch: the decoded nodes share one
+// node slab, one child-pointer slab and one text string, so keeping any
+// one of them keeps all of them (a frame's worth, at most MaxFrameBytes
+// of records). Nothing in the result aliases the items.
 func DecodeSeq(items []Item) (xquery.Seq, error) {
-	out := make(xquery.Seq, 0, len(items))
+	nodes := 0
 	for _, it := range items {
-		v, err := DecodeItem(it)
-		if err != nil {
-			return nil, err
+		switch it.Kind {
+		case ItemNode:
+			nodes++
+		case ItemString, ItemNumber, ItemBool:
+		default:
+			return nil, fmt.Errorf("wire: unknown item kind %d", it.Kind)
 		}
-		out = append(out, v)
+	}
+	recs := make([][]byte, 0, nodes) // nothing to allocate for a frame of atomic values
+	for _, it := range items {
+		if it.Kind == ItemNode {
+			recs = append(recs, it.Node)
+		}
+	}
+	roots, err := storage.DecodeBatch(recs)
+	if err != nil {
+		return nil, err
+	}
+	out := make(xquery.Seq, len(items))
+	for i, it := range items {
+		switch it.Kind {
+		case ItemNode:
+			out[i], roots = roots[0], roots[1:]
+		case ItemString:
+			out[i] = it.Str
+		case ItemNumber:
+			out[i] = it.Num
+		case ItemBool:
+			out[i] = it.Bool
+		}
 	}
 	return out, nil
 }

@@ -412,13 +412,12 @@ func (t *transportFailure) Error() string { return t.err.Error() }
 // exactly the same way; the step timings taken here just travel home in
 // the FrameEnd trailer.
 func (s *Server) streamQuery(enc *gob.Encoder, conn net.Conn, req *Request, batch int) error {
-	// One pooled buffer per stream, reset in place between frames: the
-	// put/get pair it replaced could double-insert the buffer into the
-	// pool (the deferred put re-pooled the pointer a concurrent stream
-	// had already drawn), corrupting frames under concurrency.
-	buf := getItemBatch()
-	defer putItemBatch(buf)
-	bytes, totalBytes := 0, 0
+	// One payload and one record encoder for the whole stream: items are
+	// appended straight into the payload, which is reset once gob has
+	// written its frame out (Encode returns only then). Starting at 1 KiB
+	// spares a small answer the payload's growth from nothing.
+	w := itemWriter{payload: make([]byte, 0, 1<<10)}
+	shipped := 0 // payload bytes in the frames sent so far
 	start := time.Now()
 	decodedBefore := s.decodedNow()
 	var expr xquery.Expr
@@ -446,19 +445,15 @@ func (s *Server) streamQuery(enc *gob.Encoder, conn net.Conn, req *Request, batc
 			yieldStart := time.Now()
 			defer func() { serialize += time.Since(yieldStart) }()
 			for _, it := range items {
-				wi, encErr := EncodeItem(it)
-				if encErr != nil {
-					return encErr
+				if err := w.add(it); err != nil {
+					return err
 				}
-				*buf = append(*buf, wi)
-				bytes += wi.wireBytes()
-				totalBytes += wi.wireBytes()
-				if len(*buf) >= batch || bytes >= s.opts.MaxFrameBytes {
-					if ferr := s.sendFrame(enc, conn, &Frame{Kind: FrameItems, Items: *buf}); ferr != nil {
+				if w.count >= batch || len(w.payload) >= s.opts.MaxFrameBytes {
+					if ferr := s.sendFrame(enc, conn, &Frame{Kind: FrameItems, Count: w.count, Payload: w.payload}); ferr != nil {
 						return &transportFailure{err: ferr}
 					}
-					resetItemBatch(buf)
-					bytes = 0
+					shipped += len(w.payload)
+					w.reset()
 				}
 			}
 			return nil
@@ -470,7 +465,10 @@ func (s *Server) streamQuery(enc *gob.Encoder, conn net.Conn, req *Request, batc
 		}
 		return total, err
 	}()
-	s.recordQuery(req, expr, time.Since(start), total, totalBytes, s.decodedDelta(decodedBefore), err)
+	if err == nil {
+		shipped += len(w.payload) // the FrameEnd batch
+	}
+	s.recordQuery(req, expr, time.Since(start), total, shipped, s.decodedDelta(decodedBefore), err)
 	if err != nil {
 		var tf *transportFailure
 		if errors.As(err, &tf) {
@@ -478,7 +476,7 @@ func (s *Server) streamQuery(enc *gob.Encoder, conn net.Conn, req *Request, batc
 		}
 		return s.sendFrame(enc, conn, &Frame{Kind: FrameErr, Err: err.Error(), TraceID: req.TraceID})
 	}
-	end := &Frame{Kind: FrameEnd, Items: *buf, Total: total}
+	end := &Frame{Kind: FrameEnd, Count: w.count, Payload: w.payload, Total: total}
 	if req.Trace {
 		end.Trailer = &Trailer{Spans: spans}
 	}

@@ -20,10 +20,11 @@ import (
 
 const allItemsQuery = `for $i in collection("c")/Item return $i`
 
-// Concurrent streams share the global frame-buffer pool; every stream
-// must still deliver its exact result. (Regression: the server once
-// double-inserted a buffer into the pool on the mid-stream flush path,
-// so two streams could scribble over the same backing array.)
+// Concurrent streams must each deliver their exact result: every stream
+// owns its frame payload and record encoder. (Regression: frame buffers
+// once came from a shared pool, and the server double-inserted one on
+// the mid-stream flush path, so two streams could scribble over the same
+// backing array.)
 func TestConcurrentStreamsShareBufferPool(t *testing.T) {
 	// Fat items and single-item batches keep many flushes in flight at
 	// once, which is what exposed the double-insert.
@@ -378,20 +379,4 @@ func TestOversizeRequestRejectedByServer(t *testing.T) {
 		t.Fatalf("err = %v, want NodeError naming the limit", err)
 	}
 	mustCount(t, c, 1) // the server survived and still answers
-}
-
-// The pooled frame buffers are actually recycled: steady-state get/put
-// cycles allocate nothing.
-func TestItemBatchPoolRecycles(t *testing.T) {
-	b := getItemBatch()
-	*b = append(*b, Item{Str: "warm"})
-	putItemBatch(b)
-	allocs := testing.AllocsPerRun(100, func() {
-		b := getItemBatch()
-		*b = append(*b, Item{Str: "x"})
-		putItemBatch(b)
-	})
-	if allocs != 0 {
-		t.Fatalf("pooled batch cycle allocates %.1f objects/op", allocs)
-	}
 }

@@ -79,13 +79,15 @@ grep -q '"profileMatches": true' "$benchdir/telemetry.json"
 # read plus a decode per candidate, nothing more), for a point query's
 # candidate selection (bytes per call independent of the collection's
 # size), for a reconstruction query (allocations independent of the
-# nodes per fetched document) and for serialization and its size count
+# nodes per fetched document), for a query frame's codec and a batch
+# decode (allocations per frame independent of its item count), for the
+# wire's message-limit reader and for serialization and its size count
 # must not regress (run without -race, which would inflate the alloc
 # counts)
 go test -race -timeout 5m -run 'TestDifferential' ./internal/xquery/exec/
 go test -timeout 5m -run TestAllocsScanFilterProject ./internal/xquery/exec/
-go test -timeout 5m -run TestDecodeAllocs ./internal/storage/
-go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestReconstructAllocsIndependentOfDocumentSize|TestSerializeAllocs|TestSerializedSizeMatchesString' ./internal/engine/ ./internal/partix/ ./internal/xmltree/
+go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs' ./internal/storage/
+go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestReconstructAllocsIndependentOfDocumentSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestFrameCodecAllocsPerFrame|TestLimitReaderSmallMessagesAllocateNothing' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/
 
 # executor smoke bench: compiled and interpreted executors must agree
 # on the Figure 7(a) workload (RunExec fails on any mismatch) and the
