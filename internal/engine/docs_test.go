@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -57,20 +59,22 @@ func TestDocsCallbackErrorStops(t *testing.T) {
 	}
 }
 
-// TestDocsAllocsPerCandidate: a Docs scan costs each candidate its record
-// read and its decode, nothing more — no per-candidate channel, goroutine
-// or reorder slot. Scans over n and 10n candidates run with two Ps, so a
-// scan that fanned candidates out to goroutines would show; the
-// allocations the extra 9n candidates add,
-// per candidate, must not exceed those of reading and decoding the same
-// records directly (one record buffer plus TestDecodeAllocs' ≤ 8).
-// Meaningful without -race (verify.sh runs it so).
+// TestDocsAllocsPerCandidate: a Docs scan reads and decodes its
+// candidates a chunk at a time, so its allocations grow per chunk, not per
+// candidate — no per-candidate record buffer, decoder, slab or Document,
+// and no channel, goroutine or reorder slot either. Scans over 0, 1, n and
+// 10n candidates run with two Ps, so a scan that fanned candidates out to
+// goroutines would show. The allocations the extra 9n candidates add must
+// stay below a quarter per candidate, and a one-candidate scan (one huge
+// document per fragment, as in the hybrid design) must cost no more than
+// reading and decoding its record directly: one record buffer plus
+// TestDecodeAllocs' ≤ 8. Meaningful without -race (verify.sh runs it so).
 func TestDocsAllocsPerCandidate(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const n = 40
 	scanAllocs := map[int]float64{}
 	var direct float64
-	for _, docs := range []int{n, 10 * n} {
+	for _, docs := range []int{0, 1, n, 10 * n} {
 		db := testDB(t, Options{WALNoFsync: true})
 		loadWide(t, db, docs)
 		scan := func() error {
@@ -79,7 +83,7 @@ func TestDocsAllocsPerCandidate(t *testing.T) {
 		if err := scan(); err != nil { // warm up: builds the shared refs
 			t.Fatal(err)
 		}
-		scanAllocs[docs] = mallocsPerRun(t, 5, scan)
+		scanAllocs[docs] = mallocsPerRun(t, 50, scan)
 		if docs != n {
 			continue
 		}
@@ -102,13 +106,86 @@ func TestDocsAllocsPerCandidate(t *testing.T) {
 		snap.Close()
 	}
 	perCandidate := (scanAllocs[10*n] - scanAllocs[n]) / (9 * n)
-	t.Logf("allocations: scan of %d docs %.1f, of %d docs %.1f; %.2f per candidate, %.2f per direct read+decode",
-		n, scanAllocs[n], 10*n, scanAllocs[10*n], perCandidate, direct)
+	one := scanAllocs[1] - scanAllocs[0]
+	t.Logf("allocations: scan of %d docs %.1f, of %d docs %.1f; %.2f per candidate, %.2f for one candidate, %.2f per direct read+decode",
+		n, scanAllocs[n], 10*n, scanAllocs[10*n], perCandidate, one, direct)
 	if direct > 9.25 {
 		t.Fatalf("reading and decoding one record takes %.2f allocations, want at most 1 + 8", direct)
 	}
-	if perCandidate > direct+0.25 {
-		t.Fatalf("a Docs scan allocates %.2f per candidate, reading and decoding alone %.2f", perCandidate, direct)
+	if perCandidate > 0.25 {
+		t.Fatalf("a Docs scan allocates %.2f per candidate, want at most 0.25 (a chunk's cost spread over its candidates)", perCandidate)
+	}
+	if one > direct+0.25 {
+		t.Fatalf("a one-candidate Docs scan allocates %.2f for its candidate, reading and decoding alone %.2f", one, direct)
+	}
+}
+
+// TestStoppedScanCountsDecoded: a scan fn stops early (an eager exists()
+// that finds its witness) still reports what it decoded, and decodes no
+// more than the first chunk: with the witness in the first candidate, one
+// document of 400.
+func TestStoppedScanCountsDecoded(t *testing.T) {
+	db := testDB(t, Options{DisableIndexes: true}) // no index-only answer
+	loadWide(t, db, 400)
+	db.ResetStats()
+	res, err := db.Query(`exists(collection("wide")/Item[Code = "W0"])`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0] != true {
+		t.Fatalf("exists = %v, want true", res)
+	}
+	if st := db.Stats(); st.DocsDecoded != 1 {
+		t.Fatalf("exists() with a witness in the first candidate decoded %d documents, want 1", st.DocsDecoded)
+	}
+}
+
+// TestDocsCorruptRecordInChunk: a corrupt record fails the scan with the
+// decoder's error under the document's name, even when it shares its chunk
+// with sound records, and fn never sees it.
+func TestDocsCorruptRecordInChunk(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.db")
+	db, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	loadWide(t, db, 10)
+	corruptRecord(t, db.Store(), path, "wide", "w002")
+	var seen []string
+	err = db.Docs("wide", nil, func(d *xmltree.Document) error {
+		seen = append(seen, d.Name)
+		return nil
+	})
+	if want := `storage: decode "w002": unsupported version 9`; err == nil || err.Error() != want {
+		t.Fatalf("scan over a corrupt record: err = %v, want %s", err, want)
+	}
+	if slices.Contains(seen, "w002") {
+		t.Fatalf("fn saw the corrupt document: %v", seen)
+	}
+}
+
+// corruptRecord overwrites the version byte of a stored document's record
+// in the store file at path with an unsupported version, 9. A record page
+// starts with an 8-byte next-page link and a 2-byte used count.
+func corruptRecord(t *testing.T, st *storage.Store, path, collection, name string) {
+	t.Helper()
+	snap, err := st.SnapshotCollection(collection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	i := slices.IndexFunc(snap.Refs, func(r storage.DocRef) bool { return r.Name == name })
+	if i < 0 {
+		t.Fatalf("no document %q in %q", name, collection)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{9}, snap.Refs[i].Page*storage.PageSize+8+2); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,10 +5,10 @@
 // "automatically created [indexes] to speed up text search operations and
 // path expressions evaluation", Section 5), and the XQuery evaluator.
 //
-// Documents are decoded from storage on every query execution, one
-// candidate at a time on the querying goroutine; there is no parsed-tree
-// cache. That per-tree pre-processing cost is exactly the effect the paper
-// measures when it compares many-small-documents against
+// Documents are decoded from storage on every query execution, a chunk
+// of candidates at a time on the querying goroutine; there is no
+// parsed-tree cache. That per-tree pre-processing cost is exactly the
+// effect the paper measures when it compares many-small-documents against
 // few-large-documents databases.
 //
 // A compiled query carries a projection (xquery.Hint.Keep): every
@@ -639,10 +639,20 @@ func selectRefs(refs []storage.DocRef, names []string) []storage.DocRef {
 // is present (and indexes are enabled) only candidate documents are
 // decoded; the rest are skipped without touching the store. The iteration
 // runs over an immutable pinned snapshot, so concurrent writers neither
-// block it nor change what it sees. Candidates are read and decoded one at
-// a time, in document-name order, each under the hint's projection
-// (hint.Keep) so only the part of the document the query reads is built.
-// The counters are flushed only when the whole iteration succeeds.
+// block it nor change what it sees.
+//
+// Candidates are read and decoded a chunk at a time: a chunk's records are
+// read back to back into one buffer the scan reuses, then decoded in one
+// storage.DecodeRecords walk under the hint's projection (hint.Keep), so
+// only the part of each document the query reads is built, and a chunk
+// costs a constant handful of allocations whatever its document count.
+// Chunk limits double from 1 up to maxChunkDocs documents, so a scan fn
+// stops after k documents (an exists() witness) has decoded fewer than 2k;
+// a chunk also ends at maxChunkBytes of records, a larger record being a
+// chunk of its own. The documents reach fn one by one in document-name
+// order; a node fn keeps pins its chunk's slabs (storage's retention
+// rule). The counters take every document decoded, the unconsumed rest of
+// the chunk fn stopped in included, whether or not the scan succeeds.
 func (db *DB) Docs(collection string, hint *xquery.Hint, fn func(*xmltree.Document) error) error {
 	q, err := db.snapshotForQuery(collection, hint)
 	if err != nil {
@@ -654,22 +664,7 @@ func (db *DB) Docs(collection string, hint *xquery.Hint, fn func(*xmltree.Docume
 	if hint != nil {
 		keep = hint.Keep
 	}
-	var decoded, bytes int64
-	for _, ref := range q.refs {
-		raw, err := db.store.ReadRef(ref)
-		if err != nil {
-			return err
-		}
-		doc, err := storage.DecodeProjected(ref.Name, raw, keep)
-		if err != nil {
-			return err
-		}
-		decoded++
-		bytes += int64(len(raw))
-		if err := fn(doc); err != nil {
-			return err
-		}
-	}
+	decoded, bytes, err := db.scanChunks(q.refs, keep, fn)
 	pruned, rangePruned := int64(q.pruned), int64(q.rangePruned)
 	db.stats.docsDecoded.Add(decoded)
 	db.stats.docsPruned.Add(pruned)
@@ -680,7 +675,60 @@ func (db *DB) Docs(collection string, hint *xquery.Hint, fn func(*xmltree.Docume
 	obs.EngineRangePruned.Add(rangePruned)
 	obs.EngineBytesDecoded.Add(bytes)
 	db.observeDocsHeat(collection, decoded, bytes)
-	return nil
+	return err
+}
+
+// The bounds of a Docs chunk.
+const (
+	maxChunkDocs  = 64
+	maxChunkBytes = 256 << 10
+)
+
+// scanChunks reads, decodes and hands to fn the documents of refs, a chunk
+// at a time, and reports how many documents and record bytes it decoded.
+// The per-chunk scratch lives on the stack, and the read buffer grows at
+// most once per chunk, to the chunk's summed record size plus the page of
+// headroom that lets AppendRef read pages straight into it: a scan with
+// one huge candidate costs what reading and decoding it alone costs.
+func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, fn func(*xmltree.Document) error) (decoded, bytes int64, err error) {
+	var (
+		buf   []byte
+		recs  [maxChunkDocs][]byte
+		roots [maxChunkDocs]*xmltree.Node
+	)
+	for limit := 1; len(refs) > 0; limit = min(2*limit, maxChunkDocs) {
+		n, size := 1, refs[0].Size
+		for n < min(limit, len(refs)) && size+refs[n].Size <= maxChunkBytes {
+			size += refs[n].Size
+			n++
+		}
+		chunk := refs[:n]
+		refs = refs[n:]
+		if need := int(size) + storage.PageSize; cap(buf) < need {
+			buf = make([]byte, 0, need)
+		}
+		buf = buf[:0]
+		for i, ref := range chunk {
+			start := len(buf)
+			if buf, err = db.store.AppendRef(buf, ref); err != nil {
+				return decoded, bytes, err
+			}
+			recs[i] = buf[start:] // valid even if the append moved buf: the old array keeps these bytes
+		}
+		if i, err := storage.DecodeRecords(recs[:n], keep, roots[:n]); err != nil {
+			return decoded, bytes, fmt.Errorf("storage: decode %q: %w", chunk[i].Name, err)
+		}
+		decoded += int64(n)
+		bytes += int64(len(buf))
+		docs := make([]xmltree.Document, n)
+		for i, ref := range chunk {
+			docs[i] = xmltree.Document{Name: ref.Name, Root: roots[i]}
+			if err := fn(&docs[i]); err != nil {
+				return decoded, bytes, err
+			}
+		}
+	}
+	return decoded, bytes, nil
 }
 
 // hintNeedsPaths reports whether any constraint is path-qualified.

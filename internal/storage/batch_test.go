@@ -91,6 +91,63 @@ func TestDecodeBatchMatchesDecodeDocument(t *testing.T) {
 	}
 }
 
+// Every root DecodeRecords builds under a projection is the tree
+// DecodeProjected builds from the same record under it: same
+// serialization, same IDs and parent pointers. Each round's projection is
+// grown from random element paths of its records' own trees, so it keeps
+// something of most records and drops something of most, across equal
+// and differing name tables and text that needs escaping.
+func TestDecodeProjectedBatchMatchesDecodeProjected(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for round := 0; round < 100; round++ {
+		recs := randomRecords(t, r, 1+r.Intn(40))
+		keep := &xmltree.Projection{}
+		for k := 1 + r.Intn(2); k > 0; k-- {
+			d, err := DecodeDocument("x", recs[r.Intn(len(recs))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			addRandomPaths(r, keep, d.Root)
+		}
+		if round%10 == 0 {
+			keep = nil // the whole-tree case
+		}
+		roots := make([]*xmltree.Node, len(recs))
+		if i, err := DecodeRecords(recs, keep, roots); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		for i, rec := range recs {
+			want, err := DecodeProjected("x", rec, keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := &xmltree.Document{Name: "x", Root: roots[i]}
+			if g, w := xmltree.SerializeString(got), xmltree.SerializeString(want); g != w {
+				t.Fatalf("round %d, record %d, projection %s:\n got %s\nwant %s", round, i, keep, g, w)
+			}
+			if d := treeDiff(roots[i], want.Root); d != "" {
+				t.Fatalf("round %d, record %d, projection %s: %s", round, i, keep, d)
+			}
+		}
+	}
+}
+
+// addRandomPaths adds to p, for some of n's element children, the child's
+// name, marking it whole or descending into its own children.
+func addRandomPaths(r *rand.Rand, p *xmltree.Projection, n *xmltree.Node) {
+	for _, c := range n.Children {
+		if c.Kind != xmltree.ElementNode || r.Intn(3) == 0 {
+			continue
+		}
+		sub := p.Add(c.Name)
+		if r.Intn(3) == 0 {
+			sub.KeepWhole()
+		} else {
+			addRandomPaths(r, sub, c)
+		}
+	}
+}
+
 // The first corrupt record fails the batch with the error DecodeDocument
 // reports for it, whatever follows it.
 func TestDecodeBatchReportsFirstCorruptRecord(t *testing.T) {
@@ -157,12 +214,15 @@ func TestDecodeBatchAppendKeepsOtherItems(t *testing.T) {
 
 // TestDecodeBatchAllocs pins a batch decode at a constant number of
 // allocations whatever its record count — including large Items, a third
-// of which carry a name table that differs from the previous record's.
-// The collector is off while it counts: a cycle set off by the multi-MB
-// slabs allocates objects of its own.
+// of which carry a name table that differs from the previous record's —
+// both whole (DecodeBatch, a query frame) and projected into caller-owned
+// roots (DecodeRecords, an engine scan's chunk). The collector is off
+// while it counts: a cycle set off by the multi-MB slabs allocates objects
+// of its own.
 func TestDecodeBatchAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := map[int]float64{}
+	keep := projection("Code*", "PictureList/Picture/Name*", "Section")
+	whole, projected := map[int]float64{}, map[int]float64{}
 	for _, n := range []int{10, 100} {
 		col := toxgene.GenerateItems(toxgene.ItemsConfig{Docs: n, Seed: 1, Large: true})
 		recs := make([][]byte, n)
@@ -172,14 +232,22 @@ func TestDecodeBatchAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		allocs[n] = testing.AllocsPerRun(3, func() {
+		whole[n] = testing.AllocsPerRun(3, func() {
 			if _, err := DecodeBatch(recs); err != nil {
 				t.Fatal(err)
 			}
 		})
+		roots := make([]*xmltree.Node, n)
+		projected[n] = testing.AllocsPerRun(3, func() {
+			if _, err := DecodeRecords(recs, keep, roots); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if allocs[100] != allocs[10] || allocs[10] > 8 {
-		t.Fatalf("decoding 10 records takes %.0f allocations, 100 take %.0f; want the same, at most 8",
-			allocs[10], allocs[100])
+	for kind, allocs := range map[string]map[int]float64{"whole": whole, "projected": projected} {
+		if allocs[100] != allocs[10] || allocs[10] > 8 {
+			t.Errorf("%s: decoding 10 records takes %.0f allocations, 100 take %.0f; want the same, at most 8",
+				kind, allocs[10], allocs[100])
+		}
 	}
 }

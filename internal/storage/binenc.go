@@ -25,7 +25,8 @@ import (
 // pre-processing overhead the paper attributes to eXist (Section 5).
 //
 // Decoding takes two passes over the records it is given: one for
-// DecodeDocument and DecodeProjected, a frame's worth for DecodeBatch. Pass
+// DecodeDocument and DecodeProjected, a frame's worth for DecodeBatch, an
+// engine scan's chunk of candidates for DecodeRecords. Pass
 // 1 validates every byte of every record and counts the nodes and text
 // bytes to keep; nothing whose size comes from a count in a record is
 // allocated before all of them have validated, so a hostile child count
@@ -44,9 +45,14 @@ import (
 //
 // Retention: every string a decoded tree hands out aliases a name table's
 // string or the one string holding all kept text values of the records
-// decoded together. Anything that outlives the tree (index tokens, element
-// names) must strings.Clone what it keeps, or it pins that text; a tree of
-// a batch keeps the whole batch's slabs alive.
+// decoded together; none aliases the input records, so a caller may reuse
+// their buffer once the decode returns. Anything that outlives the tree
+// (index tokens, element names) must strings.Clone what it keeps, or it
+// pins that text; a tree of a batch keeps the whole batch's slabs alive.
+// For an engine scan the batch is a chunk of candidates, so a node a query
+// keeps pins the slabs of at most 64 documents and 256 KiB of records, or
+// of the one larger record (engine.Docs); a node serving over TCP drops
+// them once the result frame holding the node is encoded.
 const encVersion = 1
 
 // Encoder writes records in the binary format. It keeps its name map and
@@ -136,7 +142,7 @@ func DecodeDocument(name string, data []byte) (*xmltree.Document, error) {
 // error a corrupt one reports.
 func DecodeProjected(name string, data []byte, keep *xmltree.Projection) (*xmltree.Document, error) {
 	var root [1]*xmltree.Node
-	if _, err := decodeRecords([][]byte{data}, keep, root[:]); err != nil {
+	if _, err := DecodeRecords([][]byte{data}, keep, root[:]); err != nil {
 		return nil, fmt.Errorf("storage: decode %q: %w", name, err)
 	}
 	return &xmltree.Document{Name: name, Root: root[0]}, nil
@@ -149,16 +155,20 @@ func DecodeProjected(name string, data []byte, keep *xmltree.Projection) (*xmltr
 // name "record i", i its position in recs.
 func DecodeBatch(recs [][]byte) ([]*xmltree.Node, error) {
 	roots := make([]*xmltree.Node, len(recs))
-	if i, err := decodeRecords(recs, nil, roots); err != nil {
+	if i, err := DecodeRecords(recs, nil, roots); err != nil {
 		return nil, fmt.Errorf("storage: decode \"record %d\": %w", i, err)
 	}
 	return roots, nil
 }
 
-// decodeRecords runs the two-pass walk over recs, storing each record's
-// root (projected by keep) into roots. On failure it returns the position
-// of the first corrupt record and that record's error.
-func decodeRecords(recs [][]byte, keep *xmltree.Projection, roots []*xmltree.Node) (int, error) {
+// DecodeRecords parses many records at once, each into the part keep
+// selects (nil keeps everything), storing record i's root into roots[i]
+// (len(roots) must be at least len(recs)). The trees share one node slab,
+// one child-pointer slab and one text string. On failure it returns the
+// position of the first corrupt record and that record's error, unwrapped:
+// the caller names the record. DecodeProjected and DecodeBatch are its
+// one-record and whole-tree cases.
+func DecodeRecords(recs [][]byte, keep *xmltree.Projection, roots []*xmltree.Node) (int, error) {
 	if keep.Whole() {
 		keep = nil
 	}

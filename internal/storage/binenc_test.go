@@ -215,7 +215,8 @@ func treeDiff(a, b *xmltree.Node) string {
 // trip unchanged; and under each of a few fixed projections the decoder
 // must fail on exactly the inputs the whole decode fails on, with the same
 // error, and otherwise build exactly the tree-level projection of the
-// whole decode; so must a batch holding the record twice. The seed corpus (testdata/fuzz/FuzzDecodeDocument) holds a
+// whole decode; so must a batch holding the record twice, whole and under
+// each projection. The seed corpus (testdata/fuzz/FuzzDecodeDocument) holds a
 // small and a large Item, attributes, a truncation, an out-of-range name
 // ref, a child-count overrun, a tree past the depth limit and trailing
 // bytes.
@@ -239,11 +240,27 @@ func FuzzDecodeDocument(f *testing.F) {
 				}
 			}
 		}
-		// The same record twice as a batch: the batch walk fails where the
-		// single-record walk does, or builds the same tree twice.
+		// The same record twice as a batch, whole and under each projection:
+		// the batch walk fails where the single-record walk does, at the
+		// first record, or builds the same tree twice.
 		roots, berr := DecodeBatch([][]byte{data, data})
 		if _, want := DecodeDocument("record 0", data); (want == nil) != (berr == nil) || want != nil && want.Error() != berr.Error() {
 			t.Fatalf("batch err=%v, want %v", berr, want)
+		}
+		for _, keep := range keeps {
+			var proots [2]*xmltree.Node
+			i, perr := DecodeRecords([][]byte{data, data}, keep, proots[:])
+			if (err == nil) != (perr == nil) || err != nil && (i != 0 || `storage: decode "f": `+perr.Error() != err.Error()) {
+				t.Fatalf("projection %s: batch err=%v at record %d, whole decode err=%v", keep, perr, i, err)
+			}
+			if err != nil {
+				continue
+			}
+			for _, r := range proots {
+				if d := treeDiff(r, project(whole.Root, keep)); d != "" {
+					t.Fatalf("projected batch %s: %s", keep, d)
+				}
+			}
 		}
 		if err != nil {
 			return

@@ -280,29 +280,44 @@ func (p *pager) chainPages(first int64) ([]int64, error) {
 	return pages, nil
 }
 
-// readRecord loads a full record chain.
-func (p *pager) readRecord(first int64) ([]byte, error) {
-	return p.readRecordSized(first, 0)
-}
-
 // readRecordSized loads a full record chain into an output buffer
 // presized for the expected record length (the catalog knows every
 // document's encoded size, so the hot read path never regrows).
 func (p *pager) readRecordSized(first int64, size int) ([]byte, error) {
-	bufp := pagePool.Get().(*[]byte)
-	defer pagePool.Put(bufp)
-	buf := *bufp
-	out := make([]byte, 0, size)
+	return p.appendChain(make([]byte, 0, size), first)
+}
+
+// appendChain appends a record chain's bytes to out and returns the
+// extended buffer. Each page is read straight into out's spare capacity
+// when a whole page fits there, its payload then moved down over its
+// header, and into a pooled page otherwise: out never regrows when its
+// spare capacity holds the record, and a caller that leaves one page of
+// headroom beyond the record's size reads it without touching the pool.
+func (p *pager) appendChain(out []byte, first int64) ([]byte, error) {
+	var pooled *[]byte
+	defer func() {
+		if pooled != nil {
+			pagePool.Put(pooled)
+		}
+	}()
+	start := len(out)
 	id := first
 	for id != 0 {
-		next, used, err := p.readPageHeaderInto(id, buf)
+		page := out[len(out):cap(out)]
+		if len(page) < PageSize {
+			if pooled == nil {
+				pooled = pagePool.Get().(*[]byte)
+			}
+			page = *pooled
+		}
+		next, used, err := p.readPageHeaderInto(id, page[:PageSize])
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, buf[pageHeaderSize:pageHeaderSize+used]...)
+		out = append(out, page[pageHeaderSize:pageHeaderSize+used]...)
 		id = next
 	}
-	if len(out) == 0 {
+	if len(out) == start {
 		return nil, fmt.Errorf("storage: empty record chain at page %d", first)
 	}
 	return out, nil

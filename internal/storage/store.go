@@ -133,7 +133,7 @@ func OpenWith(path string, opts Options) (*Store, error) {
 		pins: map[uint64]int{},
 	}
 	if p.catalog != 0 {
-		data, err := p.readRecord(p.catalog)
+		data, err := p.readRecordSized(p.catalog, 0)
 		if err != nil {
 			p.close()
 			return nil, fmt.Errorf("storage: load catalog: %w", err)
@@ -856,11 +856,21 @@ func (s *Store) sortedRefsLocked(name string) ([]DocRef, error) {
 	return refs, nil
 }
 
-// ReadRef reads a snapshot document's encoded bytes. Valid only while the
-// snapshot it came from is open (the pin keeps the chain stable); no
-// store lock is taken.
+// ReadRef reads a snapshot document's encoded bytes into a buffer of its
+// own: AppendRef's one-record case. Valid only while the snapshot it came
+// from is open.
 func (s *Store) ReadRef(ref DocRef) ([]byte, error) {
 	return s.pager.readRecordSized(ref.Page, int(ref.Size))
+}
+
+// AppendRef appends a snapshot document's encoded bytes to buf and returns
+// the extended buffer, which never regrows when buf's spare capacity holds
+// ref.Size bytes; with PageSize bytes of capacity to spare beyond those,
+// the pages are read straight into buf, with no scratch page. Valid only
+// while the snapshot the ref came from is open (the pin keeps the chain
+// stable); no store lock is taken.
+func (s *Store) AppendRef(buf []byte, ref DocRef) ([]byte, error) {
+	return s.pager.appendChain(buf, ref.Page)
 }
 
 // DeleteDocument removes a document, durably.

@@ -8,12 +8,14 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"partix/internal/engine"
+	"partix/internal/storage"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
 )
@@ -290,6 +292,64 @@ func TestStreamNodeErrorKeepsConnection(t *testing.T) {
 		t.Fatalf("node error not counted: %+v", st)
 	}
 	mustCount(t, c, 3)
+}
+
+// A corrupt record fails the node's scan, and with it the query: the
+// stream ends in FrameErr carrying the decoder's error under the
+// document's name, never in a truncated success, whether the client
+// collects the result or streams it. The record shares its node-side scan
+// chunk with a sound one.
+func TestCorruptRecordFailsQueryWithFrameErr(t *testing.T) {
+	const docs = 10
+	path := filepath.Join(t.TempDir(), "node.db")
+	db, err := engine.Open(path, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	db.Store().CreateCollection("c")
+	for i := 0; i < docs; i++ {
+		doc := xmltree.MustParseString(fmt.Sprintf("d%02d", i), fmt.Sprintf("<Item><Code>I%d</Code></Item>", i))
+		if err := db.PutDocument("c", doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := db.Store().SnapshotCollection("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := snap.Refs[2].Page
+	snap.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The record of d02 starts after its page's 8-byte next-page link and
+	// 2-byte used count; version 9 is unsupported.
+	if _, err := f.WriteAt([]byte{9}, page*storage.PageSize+8+2); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{BatchItems: 1})
+	c := dialStream(t, addr, ClientOptions{})
+	const want = `storage: decode "d02": unsupported version 9`
+	items, err := c.ExecuteQuery(allItemsQuery)
+	var ne *NodeError
+	if !errors.As(err, &ne) || !strings.Contains(ne.Msg, want) {
+		t.Fatalf("query over a corrupt record: %d items, err = %v, want a node error %q", len(items), err, want)
+	}
+	streamed := 0
+	err = c.StreamQuery(allItemsQuery, func(s xquery.Seq) error {
+		streamed += len(s)
+		return nil
+	})
+	if !errors.As(err, &ne) || !strings.Contains(ne.Msg, want) {
+		t.Fatalf("streamed query over a corrupt record: %d items, err = %v, want a node error %q", streamed, err, want)
+	}
+	if st := c.Stats(); st.TransportErrors != 0 {
+		t.Fatalf("FrameErr discarded the connection: %+v", st)
+	}
 }
 
 // A link cut in the middle of a frame stream must never yield a
