@@ -37,7 +37,6 @@ func main() {
 		addr       = flag.String("addr", ":7001", "listen address")
 		dbPath     = flag.String("db", "partixd.db", "path of the node's store file")
 		noIndexes  = flag.Bool("disable-indexes", false, "disable index-assisted candidate pruning")
-		noCompiled = flag.Bool("no-compiled-exec", false, "disable the compiled vectorized executor (interpret every query)")
 		noWAL      = flag.Bool("no-wal", false, "disable the write-ahead log (commits are durable only at checkpoints)")
 		noFsync    = flag.Bool("wal-nofsync", false, "keep the WAL but skip fsync at commit (crash may lose the tail)")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "checkpoint when the WAL exceeds this size (0 = built-in default, <0 = only on demand)")
@@ -67,11 +66,10 @@ func main() {
 	}
 
 	db, err := engine.Open(*dbPath, engine.Options{
-		DisableIndexes:      *noIndexes,
-		DisableCompiledExec: *noCompiled,
-		DisableWAL:          *noWAL,
-		WALNoFsync:          *noFsync,
-		CheckpointBytes:     *ckptBytes,
+		DisableIndexes:  *noIndexes,
+		DisableWAL:      *noWAL,
+		WALNoFsync:      *noFsync,
+		CheckpointBytes: *ckptBytes,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

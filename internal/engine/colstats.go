@@ -14,8 +14,8 @@ import (
 // Soundness contract: the statistics describe the collection exactly as of
 // Generation. Complete=true additionally promises that Paths covers every
 // label path of the collection, so a path pattern matching no key means no
-// document has such a node. When the value index is disabled or the path
-// count exceeds statsPathCap, Complete is false and a planner may use the
+// document has such a node. When indexes are disabled or the path count
+// exceeds statsPathCap, Complete is false and a planner may use the
 // snapshot only for estimates, never for exclusion.
 
 // statsPathCap bounds the per-path table shipped to coordinators. Real
@@ -78,7 +78,7 @@ func (db *DB) CollectionStatistics(collection string) (*CollectionStatistics, er
 		Bytes:      st.Bytes,
 		Generation: gen,
 	}
-	if db.opts.DisableIndexes || db.opts.DisableValueIndex || ix == nil {
+	if db.opts.DisableIndexes || ix == nil {
 		return cs, nil
 	}
 

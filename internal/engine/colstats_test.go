@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -94,20 +95,41 @@ func TestCollectionStatisticsGeneration(t *testing.T) {
 	}
 }
 
+// TestCollectionStatisticsIncomplete: doc and byte counts survive, but no
+// exclusion-grade path table is promised when the collection has more
+// label paths than statsPathCap, nor when indexes are disabled.
 func TestCollectionStatisticsIncomplete(t *testing.T) {
-	db := testDB(t, Options{DisableValueIndex: true})
-	loadItems(t, db)
-	cs, err := db.CollectionStatistics("items")
-	if err != nil {
-		t.Fatal(err)
+	var wide strings.Builder
+	wide.WriteString("<r>")
+	for i := 0; i <= statsPathCap; i++ {
+		fmt.Fprintf(&wide, "<p%d/>", i)
 	}
-	// Doc and byte counts survive, but without the value index no
-	// exclusion-grade path table is promised.
-	if cs.Complete || cs.Docs != 4 {
-		t.Fatalf("stats without value index: %+v", cs)
-	}
-	if _, err := db.CollectionStatistics("nope"); err == nil {
-		t.Fatal("unknown collection did not error")
+	wide.WriteString("</r>")
+	for _, tc := range []struct {
+		name string
+		opts Options
+		load func(*DB)
+		docs int64
+	}{
+		{"over path cap", Options{}, func(db *DB) {
+			if err := db.PutDocument("items", xmltree.MustParseString("wide", wide.String())); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+		{"indexes disabled", Options{DisableIndexes: true}, func(db *DB) { loadItems(t, db) }, 4},
+	} {
+		db := testDB(t, tc.opts)
+		tc.load(db)
+		cs, err := db.CollectionStatistics("items")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs.Complete || cs.Paths != nil || cs.Docs != tc.docs || cs.Bytes <= 0 {
+			t.Fatalf("%s: stats %+v", tc.name, cs)
+		}
+		if _, err := db.CollectionStatistics("nope"); err == nil {
+			t.Fatalf("%s: unknown collection did not error", tc.name)
+		}
 	}
 }
 

@@ -36,24 +36,12 @@ import (
 
 // Options configure a DB.
 type Options struct {
-	// DisableIndexes turns off index-assisted candidate pruning; every
-	// query then scans all documents of its collections. Used by the
-	// index ablation benchmarks.
+	// DisableIndexes turns off index-assisted candidate pruning,
+	// index-only answering and the planner statistics' path table; every
+	// query then scans all documents of its collections. It is the
+	// index-off reference the differential tests compare indexed answers
+	// against.
 	DisableIndexes bool
-
-	// DisableValueIndex turns off just the path summary and typed value
-	// index: path-qualified and range constraints stop pruning and
-	// exists()/count() queries are no longer answered index-only, while
-	// the token/element pruning stays on. Used to isolate the value
-	// index's contribution in ablation benchmarks.
-	DisableValueIndex bool
-
-	// DisableCompiledExec turns off the compiled vectorized executor;
-	// every query then runs through the tree-walking interpreter. The
-	// compiled pipeline is observationally identical (the interpreter is
-	// its semantic oracle), so this switch exists for the executor
-	// ablation benchmarks and as an escape hatch.
-	DisableCompiledExec bool
 
 	// DisableWAL turns the store's write-ahead log off: mutations become
 	// durable only at Sync/Close, as in the original engine.
@@ -459,9 +447,8 @@ func ParseTraced(query string, trace bool) (xquery.Expr, []obs.Span, error) {
 }
 
 // QueryExpr executes a parsed query: through the compiled vectorized
-// pipeline when the query is inside the compiled subset (and
-// Options.DisableCompiledExec is off), through the tree-walking
-// interpreter otherwise. Both paths produce identical results.
+// pipeline when the query is inside the compiled subset, through the
+// tree-walking interpreter otherwise. Both paths produce identical results.
 func (db *DB) QueryExpr(e xquery.Expr) (xquery.Seq, error) {
 	db.stats.queries.Add(1)
 	obs.EngineQueries.Inc()
@@ -482,9 +469,9 @@ func (db *DB) QueryExpr(e xquery.Expr) (xquery.Seq, error) {
 // StreamQueryExpr executes a parsed query delivering result items to
 // yield in bounded chunks, so peak memory stays flat however large the
 // result is. Each yielded Seq is owned by the consumer. Queries outside
-// the compiled subset (or with the executor disabled) fall back to the
-// interpreter, which materializes and then yields once — correctness is
-// unchanged, only the memory bound is lost. Returns the total item count.
+// the compiled subset fall back to the interpreter, which materializes
+// and then yields once — correctness is unchanged, only the memory bound
+// is lost. Returns the total item count.
 func (db *DB) StreamQueryExpr(e xquery.Expr, yield func(xquery.Seq) error) (int, error) {
 	db.stats.queries.Add(1)
 	obs.EngineQueries.Inc()
@@ -510,12 +497,8 @@ func (db *DB) StreamQueryExpr(e xquery.Expr, yield func(xquery.Seq) error) (int,
 }
 
 // compileQuery compiles e for the vectorized executor, or returns nil
-// for the interpreter path (executor disabled, or shape outside the
-// compiled subset).
+// for the interpreter path (shape outside the compiled subset).
 func (db *DB) compileQuery(e xquery.Expr) *exec.Program {
-	if db.opts.DisableCompiledExec {
-		return nil
-	}
 	prog, ok := exec.Compile(e)
 	if !ok {
 		return nil
@@ -596,8 +579,7 @@ func (db *DB) snapshotForQuery(collection string, hint *xquery.Hint) (querySnaps
 		ix := db.idx[collection]
 		db.mu.RUnlock()
 		if hint != nil && len(hint.Constraints) > 0 && !db.opts.DisableIndexes && ix != nil {
-			usePaths := !db.opts.DisableValueIndex && hintNeedsPaths(hint)
-			ids, constrained, rp := ix.candidates(hint, usePaths)
+			ids, constrained, rp := ix.candidates(hint)
 			q.rangePruned = rp
 			if constrained {
 				q.refs = selectRefs(snap.Refs, ix.docNames(ids))
@@ -731,20 +713,10 @@ func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, fn fun
 	return decoded, bytes, nil
 }
 
-// hintNeedsPaths reports whether any constraint is path-qualified.
-func hintNeedsPaths(hint *xquery.Hint) bool {
-	for _, c := range hint.Constraints {
-		if c.Path != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // probeIndex resolves the index a probe runs against, nil when probing is
 // unavailable (disabled, or unknown collection).
 func (db *DB) probeIndex(collection string) *docIndex {
-	if db.opts.DisableIndexes || db.opts.DisableValueIndex {
+	if db.opts.DisableIndexes {
 		return nil
 	}
 	db.mu.RLock()

@@ -11,8 +11,8 @@ import (
 	"partix/internal/xquery"
 )
 
-// execQueries spans the compiled subset and the interpreter-only shapes
-// through the full engine (snapshots, hints, projected decoding).
+// execQueries spans the compiled subset through the full engine
+// (snapshots, hints, projected decoding).
 var execQueries = []string{
 	`for $i in collection("items")/Item where $i/Section = "CD" return $i/Code`,
 	`for $i in collection("items")/Item where contains($i/Description, "good") return $i/Code`,
@@ -21,22 +21,33 @@ var execQueries = []string{
 	`count(collection("items")/Item)`,
 	`exists(for $i in collection("items")/Item where $i/Section = "Book" return $i)`,
 	`sum(for $i in collection("items")/Item return $i/@id)`,
-	`for $i in collection("items")/Item return ($i/Code, $i/Section)`, // interpreter fallback
+	`for $i in collection("items")/Item return ($i/Code, $i/Section)`,
 }
 
-// TestCompiledExecMatchesInterpreter runs the same queries with the
-// executor on and off; engine results must be identical.
+// TestCompiledExecMatchesInterpreter runs execQueries and every Figure
+// 7(a) horizontal query through the engine, compiled where the shape
+// allows, and checks each answer against xquery.Eval over the same DB:
+// the interpreter is the compiled pipeline's oracle.
 func TestCompiledExecMatchesInterpreter(t *testing.T) {
-	compiled := testDB(t, Options{})
-	interp := testDB(t, Options{DisableCompiledExec: true})
-	loadItems(t, compiled)
-	loadItems(t, interp)
-	for _, q := range execQueries {
-		want, err := interp.Query(q)
+	items := toxgene.GenerateItems(toxgene.ItemsConfig{Docs: 60, Seed: 7})
+	db := testDB(t, Options{})
+	if err := db.LoadCollection(items); err != nil {
+		t.Fatal(err)
+	}
+	queries := append([]string(nil), execQueries...)
+	for _, q := range workload.Horizontal(items.Name) {
+		queries = append(queries, q.Text)
+	}
+	for _, q := range queries {
+		e, err := xquery.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := xquery.Eval(e, db)
 		if err != nil {
 			t.Fatalf("%s (interpreter): %v", q, err)
 		}
-		got, err := compiled.Query(q)
+		got, err := db.QueryExpr(e)
 		if err != nil {
 			t.Fatalf("%s (compiled): %v", q, err)
 		}
@@ -44,17 +55,16 @@ func TestCompiledExecMatchesInterpreter(t *testing.T) {
 			t.Fatalf("%s: compiled %d items, interpreter %d", q, len(got), len(want))
 		}
 		for i := range want {
-			if xquery.ItemString(want[i]) != xquery.ItemString(got[i]) {
+			wn, wIsNode := want[i].(*xmltree.Node)
+			gn, gIsNode := got[i].(*xmltree.Node)
+			if wIsNode != gIsNode || wIsNode && (wn.ID != gn.ID || !xmltree.Equal(wn, gn)) || !wIsNode && want[i] != got[i] {
 				t.Fatalf("%s: item %d: compiled %q, interpreter %q",
 					q, i, xquery.ItemString(got[i]), xquery.ItemString(want[i]))
 			}
 		}
 	}
-	if st := compiled.Stats(); st.Compiled == 0 {
-		t.Fatalf("compiled engine reports no compiled queries: %+v", st)
-	}
-	if st := interp.Stats(); st.Compiled != 0 {
-		t.Fatalf("interpreter engine reports compiled queries: %+v", st)
+	if st := db.Stats(); st.Compiled == 0 {
+		t.Fatalf("engine reports no compiled queries: %+v", st)
 	}
 }
 

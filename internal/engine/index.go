@@ -242,17 +242,15 @@ func (ix *docIndex) vocabulary() []string {
 // constraint was applied at all (constrained false means no pruning: every
 // document is a candidate, not none), and the number of documents
 // eliminated by value comparisons specifically (beyond the
-// token/element/path-existence pruning). usePaths gates the path-qualified
-// constraints — false when the value index is disabled, in which case those
-// constraints are simply not applied, which is always sound. The returned
-// slice belongs to the caller.
+// token/element/path-existence pruning). The returned slice belongs to the
+// caller.
 //
 // Conjunctions intersect the smallest list first, galloping into much
 // longer ones; the unions a constraint needs (a substring's matching
 // tokens, the path keys a pattern matches, the value entries a comparison
 // selects) are merged from sorted postings. The cost follows the
 // candidates and the lists touched, not the collection.
-func (ix *docIndex) candidates(hint *xquery.Hint, usePaths bool) ([]docID, bool, int) {
+func (ix *docIndex) candidates(hint *xquery.Hint) ([]docID, bool, int) {
 	// Substring constraints scan the whole vocabulary; do that outside the
 	// lock against the immutable vocab slice so a long scan never blocks
 	// writers. Only the token → posting lookups below need the lock.
@@ -300,7 +298,7 @@ func (ix *docIndex) candidates(hint *xquery.Hint, usePaths bool) ([]docID, bool,
 			}
 			lists = append(lists, unionSorted(union))
 		}
-		if usePaths && c.Path != nil && c.Path.Op == xquery.CmpExists {
+		if c.Path != nil && c.Path.Op == xquery.CmpExists {
 			lists = append(lists, unionSorted(ix.pathExistsLocked(c.Path.Steps)))
 		}
 	}
@@ -308,25 +306,23 @@ func (ix *docIndex) candidates(hint *xquery.Hint, usePaths bool) ([]docID, bool,
 	result := intersectAll(lists)
 	owned := len(lists) > 1
 	rangePruned := 0
-	if usePaths {
-		for _, c := range hint.Constraints {
-			if c.Path == nil || c.Path.Op == xquery.CmpExists {
-				continue
-			}
-			if constrained && len(result) == 0 {
-				break // nothing left to eliminate
-			}
-			matches := unionSorted(ix.valueMatchesLocked(c.Path))
-			if constrained {
-				base := len(result)
-				result = intersectSorted(result, matches)
-				owned = true
-				rangePruned += base - len(result)
-			} else {
-				result = matches
-				rangePruned += len(ix.ids) - len(result)
-				constrained = true
-			}
+	for _, c := range hint.Constraints {
+		if c.Path == nil || c.Path.Op == xquery.CmpExists {
+			continue
+		}
+		if constrained && len(result) == 0 {
+			break // nothing left to eliminate
+		}
+		matches := unionSorted(ix.valueMatchesLocked(c.Path))
+		if constrained {
+			base := len(result)
+			result = intersectSorted(result, matches)
+			owned = true
+			rangePruned += base - len(result)
+		} else {
+			result = matches
+			rangePruned += len(ix.ids) - len(result)
+			constrained = true
 		}
 	}
 	if !constrained {

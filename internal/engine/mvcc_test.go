@@ -60,7 +60,7 @@ func TestConcurrentSameDocPutCommitOrder(t *testing.T) {
 	ix := db.idx["c"]
 	db.mu.RUnlock()
 	for _, v := range variants {
-		set := candidateNames(ix, &xquery.Hint{Constraints: []xquery.Constraint{{Tokens: []string{v}}}}, false)
+		set := candidateNames(ix, &xquery.Hint{Constraints: []xquery.Constraint{{Tokens: []string{v}}}})
 		if v == winner && !set["d"] {
 			t.Fatalf("index lost the winning version (token %q)", v)
 		}
@@ -192,7 +192,7 @@ func TestRecoveryRebuildsStaleIndexSnapshot(t *testing.T) {
 	db2.mu.RLock()
 	ix := db2.idx["c"]
 	db2.mu.RUnlock()
-	set := candidateNames(ix, &xquery.Hint{Constraints: []xquery.Constraint{{Tokens: []string{"latetok"}}}}, false)
+	set := candidateNames(ix, &xquery.Hint{Constraints: []xquery.Constraint{{Tokens: []string{"latetok"}}}})
 	if !set["late"] {
 		t.Fatal("rebuilt index does not describe the document recovered from the WAL")
 	}

@@ -33,6 +33,43 @@ func TestValueIndexRangePruning(t *testing.T) {
 	if st.RangePruned == 0 {
 		t.Fatalf("no range pruning recorded: %+v", st)
 	}
+
+	// Selectivity sweep over n documents with ids 0..n-1: @id < k matches
+	// exactly k of them, so the value index must decode exactly k, while
+	// the index-off reference decodes all n at every k.
+	const n = 400
+	c := xmltree.NewCollection("sweep")
+	for i := 0; i < n; i++ {
+		c.Add(xmltree.MustParseString(fmt.Sprintf("s%04d", i),
+			fmt.Sprintf(`<Item id="%d"><Code>C%d</Code></Item>`, i, i)))
+	}
+	indexed, scan := testDB(t, Options{}), testDB(t, Options{DisableIndexes: true})
+	for _, d := range []*DB{indexed, scan} {
+		if err := d.LoadCollection(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pct := range []int{1, 5, 25, 100} {
+		k := n * pct / 100
+		q := fmt.Sprintf(`for $i in collection("sweep")/Item where $i/@id < %d return $i/Code`, k)
+		for _, tc := range []struct {
+			name    string
+			db      *DB
+			decoded int64
+		}{{"indexed", indexed, int64(k)}, {"no indexes", scan, n}} {
+			tc.db.ResetStats()
+			res, err := tc.db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != k {
+				t.Fatalf("%d%% %s: %d results, want %d", pct, tc.name, len(res), k)
+			}
+			if st := tc.db.Stats(); st.DocsDecoded != tc.decoded {
+				t.Fatalf("%d%% %s: decoded %d docs, want %d: %+v", pct, tc.name, st.DocsDecoded, tc.decoded, st)
+			}
+		}
+	}
 }
 
 func TestValueIndexStringRange(t *testing.T) {
@@ -49,25 +86,6 @@ func TestValueIndexStringRange(t *testing.T) {
 	}
 	if st := db.Stats(); st.DocsDecoded != 1 {
 		t.Fatalf("decoded %d docs, want 1", st.DocsDecoded)
-	}
-}
-
-func TestValueIndexDisabled(t *testing.T) {
-	db := testDB(t, Options{DisableValueIndex: true})
-	loadItems(t, db)
-	db.ResetStats()
-	res, err := db.Query(`for $i in collection("items")/Item where $i/@id < 2 return $i/Code`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 {
-		t.Fatalf("results = %d", len(res))
-	}
-	st := db.Stats()
-	// Element hints still narrow to the 4 Item docs, but no range pruning
-	// and no index-only answers happen.
-	if st.DocsDecoded != 4 || st.RangePruned != 0 || st.IndexOnlyHits != 0 {
-		t.Fatalf("stats with value index disabled: %+v", st)
 	}
 }
 
@@ -131,9 +149,8 @@ func TestIndexOnlyExists(t *testing.T) {
 
 // TestValueIndexEquivalence: randomized comparison, equality, token,
 // substring and existence queries, over Item and wildcard bindings, must
-// give the same items in the same order with full indexes, with only the
-// text indexes (value index off), with no indexes at all, and from the
-// interpreter over the in-memory collection. A second round runs after a
+// give the same items in the same order with full indexes, with no
+// indexes at all, and from the interpreter over the in-memory collection. A second round runs after a
 // third of the documents are deleted and re-put in reverse name order, so
 // their recycled docIDs are no longer in name order.
 func TestValueIndexEquivalence(t *testing.T) {
@@ -145,7 +162,6 @@ func TestValueIndexEquivalence(t *testing.T) {
 		db   *DB
 	}{
 		{"full", testDB(t, Options{})},
-		{"noValue", testDB(t, Options{DisableValueIndex: true})},
 		{"none", testDB(t, Options{DisableIndexes: true})},
 	}
 	for _, d := range dbs {
@@ -334,7 +350,7 @@ func TestIndexConcurrentMutationAndCandidates(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 600; i++ {
-			ids, _, _ := ix.candidates(hint, true)
+			ids, _, _ := ix.candidates(hint)
 			for j := 1; j < len(ids); j++ {
 				if ids[j-1] >= ids[j] {
 					t.Errorf("candidates not strictly sorted: %v", ids)
@@ -354,7 +370,7 @@ func TestIndexConcurrentMutationAndCandidates(t *testing.T) {
 			Op:    xquery.CmpLt, Literal: "100000",
 		}},
 	}}
-	ids, constrained, _ := ix.candidates(all, true)
+	ids, constrained, _ := ix.candidates(all)
 	ix.mu.Lock()
 	live := len(ix.ids)
 	ix.mu.Unlock()
@@ -365,8 +381,8 @@ func TestIndexConcurrentMutationAndCandidates(t *testing.T) {
 
 // candidateNames runs ix.candidates and returns the candidates' names; nil
 // when no constraint applied.
-func candidateNames(ix *docIndex, hint *xquery.Hint, usePaths bool) map[string]bool {
-	ids, constrained, _ := ix.candidates(hint, usePaths)
+func candidateNames(ix *docIndex, hint *xquery.Hint) map[string]bool {
+	ids, constrained, _ := ix.candidates(hint)
 	if !constrained {
 		return nil
 	}

@@ -99,10 +99,6 @@ type Options struct {
 	// (the 2005-era eXist baseline benefits less from value indexes than
 	// this engine does; see EXPERIMENTS.md).
 	DisableIndexes bool
-	// DisableValueIndex turns off only the path summary and typed value
-	// index, keeping the text/element indexes — the baseline the
-	// valueindex experiment compares against.
-	DisableValueIndex bool
 }
 
 func (o Options) withDefaults() Options {
@@ -147,10 +143,7 @@ func Deploy(label string, c *xmltree.Collection, scheme *fragmentation.Scheme,
 		nodes = len(scheme.Fragments)
 	}
 	for i := 0; i < nodes; i++ {
-		db, err := engine.Open(filepath.Join(dir, fmt.Sprintf("node%d.db", i)), engine.Options{
-			DisableIndexes:    opts.DisableIndexes,
-			DisableValueIndex: opts.DisableValueIndex,
-		})
+		db, err := engine.Open(filepath.Join(dir, fmt.Sprintf("node%d.db", i)), engine.Options{DisableIndexes: opts.DisableIndexes})
 		if err != nil {
 			d.Close()
 			return nil, err

@@ -162,8 +162,12 @@ type WorkloadProfiler struct {
 	mu          sync.Mutex
 	topK        int
 	collections map[string]*collWorkload
-	fragments   map[string]*fragHeat
+	fragments   map[fragKey]*fragHeat
 }
+
+// fragKey names one fragment of one collection. A struct key keeps the
+// per-sub-query lookup allocation-free.
+type fragKey struct{ collection, fragment string }
 
 // NewWorkloadProfiler returns a profiler keeping topK keys per sketch
 // (DefaultWorkloadTopK if topK <= 0).
@@ -174,7 +178,7 @@ func NewWorkloadProfiler(topK int) *WorkloadProfiler {
 	return &WorkloadProfiler{
 		topK:        topK,
 		collections: make(map[string]*collWorkload),
-		fragments:   make(map[string]*fragHeat),
+		fragments:   make(map[fragKey]*fragHeat),
 	}
 }
 
@@ -188,7 +192,7 @@ func (p *WorkloadProfiler) coll(name string) *collWorkload {
 }
 
 func (p *WorkloadProfiler) frag(collection, fragment string) *fragHeat {
-	key := collection + "\x00" + fragment
+	key := fragKey{collection, fragment}
 	h, ok := p.fragments[key]
 	if !ok {
 		h = &fragHeat{latency: make([]int64, len(HeatLatencyBounds)+1)}
@@ -243,25 +247,23 @@ func (p *WorkloadProfiler) Profile() *WorkloadProfile {
 			Predicates: c.preds.entries(),
 		})
 	}
-	fragKeys := make([]string, 0, len(p.fragments))
+	fragKeys := make([]fragKey, 0, len(p.fragments))
 	for key := range p.fragments {
 		fragKeys = append(fragKeys, key)
 	}
-	sort.Strings(fragKeys)
+	sort.Slice(fragKeys, func(i, j int) bool {
+		if fragKeys[i].collection != fragKeys[j].collection {
+			return fragKeys[i].collection < fragKeys[j].collection
+		}
+		return fragKeys[i].fragment < fragKeys[j].fragment
+	})
 	for _, key := range fragKeys {
 		h := p.fragments[key]
-		coll, frag := key, ""
-		for i := 0; i < len(key); i++ {
-			if key[i] == 0 {
-				coll, frag = key[:i], key[i+1:]
-				break
-			}
-		}
 		buckets := make([]int64, len(h.latency))
 		copy(buckets, h.latency)
 		prof.Fragments = append(prof.Fragments, FragmentHeat{
-			Collection:     coll,
-			Fragment:       frag,
+			Collection:     key.collection,
+			Fragment:       key.fragment,
 			Queries:        h.queries,
 			DocsDecoded:    h.docsDecoded,
 			Bytes:          h.bytes,
@@ -272,12 +274,12 @@ func (p *WorkloadProfiler) Profile() *WorkloadProfile {
 	return prof
 }
 
-// Reset clears every sketch and counter, for tests and ablations.
+// Reset clears every sketch and counter.
 func (p *WorkloadProfiler) Reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.collections = make(map[string]*collWorkload)
-	p.fragments = make(map[string]*fragHeat)
+	p.fragments = make(map[fragKey]*fragHeat)
 }
 
 // heatP99 estimates the 99th-percentile latency from bucket counts: the

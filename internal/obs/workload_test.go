@@ -175,3 +175,56 @@ func TestProfilerConcurrent(t *testing.T) {
 		t.Fatalf("fragment observations = %d", frags)
 	}
 }
+
+// TestTelemetryAllocsPerQuery pins the coordinator's per-query telemetry
+// cost (a profiler query observation, one fragment observation per
+// sub-query, the recorder's sampling decision and one record) to a
+// constant number of allocations, whatever the fragment count: the
+// record's own Fragments slice is one allocation at any size, and a
+// fragment observation of a known fragment allocates nothing.
+func TestTelemetryAllocsPerQuery(t *testing.T) {
+	perQuery := map[int]float64{}
+	for _, fragments := range []int{4, 40} {
+		rec := NewFlightRecorder(0)
+		rec.SetSlowThreshold(100 * time.Millisecond)
+		prof := NewWorkloadProfiler(0)
+		paths := []string{"/Item/Section"}
+		preds := []string{`/Item/Section = "CD"`, `contains(/Item/Description, "good")`}
+		names := make([]string, fragments)
+		for i := range names {
+			names[i] = fmt.Sprintf("items_f%d", i)
+		}
+		observeFragments := func() {
+			for _, f := range names {
+				prof.ObserveFragment("items", f, 0, 4096, 0.001)
+			}
+		}
+		one := func() {
+			prof.ObserveQuery("items", paths, preds)
+			observeFragments()
+			if !rec.ShouldRecord(4*time.Millisecond, false) {
+				return
+			}
+			r := &QueryRecord{
+				UnixNano:   time.Now().UnixNano(),
+				Query:      `for $i in collection("items")/Item where $i/Section = "CD" return $i/Name`,
+				Strategy:   "parallel",
+				DurationNs: int64(4 * time.Millisecond),
+				Items:      128,
+				Fragments:  make([]FragmentTiming, 0, fragments),
+			}
+			for _, f := range names {
+				r.Fragments = append(r.Fragments, FragmentTiming{Fragment: f, ElapsedNs: int64(time.Millisecond), Items: 32})
+			}
+			rec.Record(r)
+		}
+		one() // the profiler learns the collection and its fragments
+		if a := testing.AllocsPerRun(100, observeFragments); a != 0 {
+			t.Errorf("%d fragments: ObserveFragment allocates %.1f per query, want 0", fragments, a)
+		}
+		perQuery[fragments] = testing.AllocsPerRun(100, one)
+	}
+	if perQuery[4] != perQuery[40] {
+		t.Fatalf("telemetry allocations per query: %.1f at 4 fragments, %.1f at 40; want equal", perQuery[4], perQuery[40])
+	}
+}

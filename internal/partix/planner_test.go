@@ -178,12 +178,18 @@ func TestPlanCacheHit(t *testing.T) {
 	if r1.PlanCached {
 		t.Fatal("first execution reported a cached plan")
 	}
+	// A hit reuses the cached plan outright: one hit, no miss (a miss is
+	// what parses and plans).
+	hits, misses := obs.CoordPlanCacheHits.Value(), obs.CoordPlanCacheMisses.Value()
 	r2, err := s.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r2.PlanCached {
 		t.Fatal("second execution did not hit the plan cache")
+	}
+	if dh, dm := obs.CoordPlanCacheHits.Value()-hits, obs.CoordPlanCacheMisses.Value()-misses; dh != 1 || dm != 0 {
+		t.Fatalf("second execution moved plan-cache hits by %d and misses by %d, want 1 and 0", dh, dm)
 	}
 	if a, b := itemStrings(r1.Items), itemStrings(r2.Items); !equalStrings(a, b) {
 		t.Fatalf("cached plan changed the answer: %v vs %v", a, b)

@@ -10,9 +10,8 @@ import (
 
 // SetTelemetry switches workload telemetry — the query flight recorder
 // and the workload profiler — on or off. On is the default; off reduces
-// the query path to the pre-telemetry hot path (the benchmark ablation
-// measures exactly this difference). The recorder and profiler keep
-// whatever they already hold; toggling does not clear them.
+// the query path to the pre-telemetry hot path. The recorder and
+// profiler keep whatever they already hold; toggling does not clear them.
 func (s *System) SetTelemetry(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
