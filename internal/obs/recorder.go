@@ -93,11 +93,6 @@ func (r *FlightRecorder) SetSlowThreshold(d time.Duration) {
 	r.slowNs.Store(int64(d))
 }
 
-// SlowThreshold returns the current slow threshold.
-func (r *FlightRecorder) SlowThreshold() time.Duration {
-	return time.Duration(r.slowNs.Load())
-}
-
 // ShouldRecord decides whether a query with the given duration and
 // failure state is recorded, applying tail sampling. Callers that
 // build records lazily check this first so sampled-out queries cost

@@ -1,9 +1,6 @@
 package partix
 
 import (
-	"container/list"
-	"sync"
-
 	"partix/internal/obs"
 	"partix/internal/xquery"
 )
@@ -11,136 +8,26 @@ import (
 // The plan cache memoizes compiled plans by normalized query text so
 // repeat traffic skips parsing, analysis and planning entirely. A cached
 // plan is only as good as the metadata it was built from, so each entry
-// records the catalog version and, for every fragment whose statistics
-// the planner consulted, the (node, collection, generation) stamp of the
-// snapshot it saw. On lookup the entry is revalidated against the current
-// catalog version and the statistics cache's current view; any drift
-// discards the entry (counted as an invalidation) and the query is
+// is stamped with the catalog version and, for every fragment whose
+// statistics the planner consulted, the (node, collection, generation)
+// snapshot it saw. On lookup stampsCurrent revalidates the entry; any
+// drift discards it (counted as an invalidation) and the query is
 // planned afresh. Plans that consulted no statistics carry no stamps and
 // depend only on the catalog version — planning is then a pure function
 // of the query and the catalog.
 
-// defaultPlanCacheCap bounds the cache; at ~a few KB per compiled plan
-// this keeps a busy coordinator's cache well under a MB.
+// defaultPlanCacheCap bounds the cache (each plan costs 1); at ~a few KB
+// per compiled plan this keeps a busy coordinator's cache well under a MB.
 const defaultPlanCacheCap = 128
 
-// genStamp records the statistics snapshot one plan saw for one fragment.
-type genStamp struct {
-	node       string // node name
-	collection string // node-collection name (meta.NodeCollection)
-	gen        uint64 // snapshot generation; 0 when none was available
-	has        bool   // whether a snapshot was available at all
-}
-
-// planEntry is one cached compiled plan.
+// planEntry is one cached compiled plan. Entries and the plans inside
+// them are shared and read-only after insertion.
 type planEntry struct {
-	key            string
-	expr           xquery.Expr
-	plan           *queryPlan
-	catalogVersion uint64
-	stamps         []genStamp
+	stampSet
+	expr xquery.Expr
+	plan *queryPlan
 }
 
-// planCache is an LRU of compiled plans keyed by normalized query text.
-// Entries and the plans inside them are shared and read-only after
-// insertion.
-type planCache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List // front = most recently used
-	entries map[string]*list.Element
-}
-
-func newPlanCache(cap int) *planCache {
-	return &planCache{cap: cap, ll: list.New(), entries: map[string]*list.Element{}}
-}
-
-// get returns the entry for key, promoting it to most-recently-used.
-func (pc *planCache) get(key string) *planEntry {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	el := pc.entries[key]
-	if el == nil {
-		return nil
-	}
-	pc.ll.MoveToFront(el)
-	return el.Value.(*planEntry)
-}
-
-// put inserts (or replaces) an entry, evicting from the LRU tail past the
-// cap. A non-positive cap disables the cache.
-func (pc *planCache) put(e *planEntry) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.cap <= 0 {
-		return
-	}
-	if el := pc.entries[e.key]; el != nil {
-		el.Value = e
-		pc.ll.MoveToFront(el)
-		return
-	}
-	pc.entries[e.key] = pc.ll.PushFront(e)
-	for pc.ll.Len() > pc.cap {
-		pc.evictOldestLocked()
-	}
-}
-
-func (pc *planCache) evictOldestLocked() {
-	el := pc.ll.Back()
-	if el == nil {
-		return
-	}
-	pc.ll.Remove(el)
-	delete(pc.entries, el.Value.(*planEntry).key)
-	obs.CoordPlanCacheEvictions.Inc()
-}
-
-// remove drops one entry (a lookup found it stale).
-func (pc *planCache) remove(key string) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el := pc.entries[key]; el != nil {
-		pc.ll.Remove(el)
-		delete(pc.entries, key)
-	}
-}
-
-// clear drops every entry (explicit invalidation; not counted as
-// evictions — nothing was displaced by capacity).
-func (pc *planCache) clear() {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.ll.Init()
-	pc.entries = map[string]*list.Element{}
-}
-
-// setCap resizes the cache, evicting down to the new cap; non-positive
-// disables caching and drops everything.
-func (pc *planCache) setCap(n int) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.cap = n
-	if n <= 0 {
-		pc.ll.Init()
-		pc.entries = map[string]*list.Element{}
-		return
-	}
-	for pc.ll.Len() > n {
-		pc.evictOldestLocked()
-	}
-}
-
-// size reports the number of cached plans.
-func (pc *planCache) size() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.ll.Len()
-}
-
-// enabled reports whether the cache accepts entries.
-func (pc *planCache) enabled() bool {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.cap > 0
+func newPlanCache() *lru[*planEntry] {
+	return newLRU[*planEntry](defaultPlanCacheCap, obs.CoordPlanCacheEvictions, nil)
 }

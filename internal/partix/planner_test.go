@@ -132,7 +132,6 @@ func TestPlannerRandomizedEquivalence(t *testing.T) {
 	publishQuartile(t, planned, 24)
 	naive := newTestSystem(t, 4)
 	naive.SetPlannerStats(false)
-	naive.SetPlanCacheCap(0)
 	publishQuartile(t, naive, 24)
 
 	rng := rand.New(rand.NewSource(7))
@@ -194,8 +193,29 @@ func TestPlanCacheHit(t *testing.T) {
 	if a, b := itemStrings(r1.Items), itemStrings(r2.Items); !equalStrings(a, b) {
 		t.Fatalf("cached plan changed the answer: %v vs %v", a, b)
 	}
-	if s.PlanCacheSize() == 0 {
+	if s.planCache.len() == 0 {
 		t.Fatal("cache empty after hits")
+	}
+}
+
+// A plan-cache hit — lookup plus stampsCurrent over the plan's four
+// statistics stamps — allocates nothing: it is the path every repeat
+// query takes.
+func TestPlanCacheHitAllocs(t *testing.T) {
+	s := newTestSystem(t, 4)
+	publishQuartile(t, s, 32)
+	q := `for $i in collection("pitems")/Item where $i/@id < 4 return $i/Code`
+	norm := xquery.NormalizeQueryText(q)
+	if _, p, _, err := s.cachedPlan(norm, q); err != nil || len(p.stamps) != 4 {
+		t.Fatalf("prime: err=%v", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, hit, err := s.cachedPlan(norm, q); err != nil || !hit {
+			t.Fatalf("not a plan-cache hit: err=%v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("plan-cache hit allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -278,61 +298,40 @@ func TestPlanCacheInvalidationOnRegister(t *testing.T) {
 	}
 }
 
+// The plan cache is the shared LRU core at cost 1 per plan: past the
+// budget the least recently used plan falls out and the eviction counts.
 func TestPlanCacheLRUEviction(t *testing.T) {
-	s := newTestSystem(t, 3)
-	publishHorizontal(t, s, 12)
-	s.SetPlanCacheCap(2)
+	c := newLRU[int](2, obs.CoordPlanCacheEvictions, nil)
 	evBefore := obs.CoordPlanCacheEvictions.Value()
-
-	queries := []string{
-		`count(collection("items")/Item)`,
-		`for $i in collection("items")/Item where $i/Section = "CD" return $i/Code`,
-		`for $i in collection("items")/Item where $i/Section = "DVD" return $i/Code`,
+	c.put("q0", 0, 1)
+	c.put("q1", 1, 1)
+	if _, ok := c.get("q0"); !ok { // q0 is now the most recent; q1 the victim
+		t.Fatal("q0 missing")
 	}
-	for _, q := range queries {
-		if _, err := s.Query(q); err != nil {
-			t.Fatal(err)
+	c.put("q2", 2, 1)
+	if c.len() != 2 || c.used() != 2 {
+		t.Fatalf("len=%d used=%d, want 2/2", c.len(), c.used())
+	}
+	if got := obs.CoordPlanCacheEvictions.Value() - evBefore; got != 1 {
+		t.Fatalf("evictions counted = %d, want 1", got)
+	}
+	if _, ok := c.get("q1"); ok {
+		t.Fatal("least recently used entry survived")
+	}
+	for _, k := range []string{"q0", "q2"} {
+		if _, ok := c.get(k); !ok {
+			t.Fatalf("%s evicted instead of the LRU entry", k)
 		}
 	}
-	if got := s.PlanCacheSize(); got != 2 {
-		t.Fatalf("cache size = %d, want cap 2", got)
+	// Replacing a key keeps one entry and its cost counted once.
+	c.put("q2", 22, 1)
+	if v, _ := c.get("q2"); v != 22 || c.len() != 2 || c.used() != 2 {
+		t.Fatalf("replace: v=%d len=%d used=%d", v, c.len(), c.used())
 	}
-	if obs.CoordPlanCacheEvictions.Value() == evBefore {
-		t.Fatal("eviction not counted")
-	}
-	// The oldest entry fell out; the newest survived.
-	r, err := s.Query(queries[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.PlanCached {
-		t.Fatal("most recent plan evicted")
-	}
-	r, err = s.Query(queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.PlanCached {
-		t.Fatal("evicted plan still served")
-	}
-}
-
-func TestPlanCacheDisabled(t *testing.T) {
-	s := newTestSystem(t, 3)
-	publishHorizontal(t, s, 12)
-	s.SetPlanCacheCap(0)
-	q := `count(collection("items")/Item)`
-	for i := 0; i < 2; i++ {
-		r, err := s.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.PlanCached {
-			t.Fatal("disabled cache served a plan")
-		}
-	}
-	if s.PlanCacheSize() != 0 {
-		t.Fatal("disabled cache holds entries")
+	// clear drops everything without counting evictions.
+	c.clear()
+	if c.len() != 0 || c.used() != 0 || obs.CoordPlanCacheEvictions.Value()-evBefore != 1 {
+		t.Fatalf("clear: len=%d used=%d", c.len(), c.used())
 	}
 }
 

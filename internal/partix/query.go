@@ -169,12 +169,18 @@ func (s *System) QueryAs(tenant, q string) (*QueryResult, error) {
 	// landing during execution bumps the node's generation past the
 	// stamp, so the entry dies on its first revalidation instead of
 	// serving a half-updated result as current.
-	stamps, verifiable := s.resultStamps(p)
+	var stamps stampSet
+	cacheable := s.resultCache.enabled()
+	if cacheable {
+		stamps, cacheable = s.resultStamps(version, p)
+	}
 	res, err := s.run(e, p, time.Since(planStart), cached, norm)
 	if err != nil {
 		return nil, err
 	}
-	s.maybeCacheResult(norm, version, stamps, verifiable, e, p, res)
+	if cacheable {
+		s.maybeCacheResult(norm, stamps, e, p, res)
+	}
 	return res, nil
 }
 
@@ -188,13 +194,13 @@ func (s *System) cachedResult(norm string, planStart time.Time) (*QueryResult, b
 	if !rc.enabled() || s.Tracing() {
 		return nil, false
 	}
-	entry := rc.get(norm)
-	if entry != nil && !s.resultValid(entry) {
+	entry, ok := rc.get(norm)
+	if ok && !s.stampsCurrent(entry.stampSet) {
 		rc.remove(norm)
 		obs.CoordResultCacheInvalidations.Inc()
-		entry = nil
+		ok = false
 	}
-	if entry == nil {
+	if !ok {
 		obs.CoordResultCacheMisses.Inc()
 		return nil, false
 	}
@@ -215,43 +221,21 @@ func (s *System) cachedResult(norm string, planStart time.Time) (*QueryResult, b
 	return res, true
 }
 
-// resultValid revalidates a cached result exactly like planValid does a
-// cached plan: the catalog must not have moved and every generation
-// stamp the execution captured must still hold in the statistics cache's
-// current view. Freshness is therefore bounded by the statistics TTL;
-// with a zero TTL a node-side write invalidates on the very next lookup.
-func (s *System) resultValid(entry *resultEntry) bool {
-	if entry.catalogVersion != s.catalog.Version() {
-		return false
-	}
-	for _, st := range entry.stamps {
-		cur := s.nodeStatistics(st.node, st.collection)
-		if cur == nil || !st.has || cur.Generation != st.gen {
-			return false
+// resultStamps stamps a result about to be computed: the plan's stamps —
+// every fragment whose statistics the planner consulted, the ones it
+// skipped included — plus the current generation of every fragment the
+// plan contacts or fetches. The second return is false when any stamped
+// fragment provides no statistics: without a generation to watch, a
+// mutation there would be invisible, so the result must not be cached.
+func (s *System) resultStamps(version uint64, p *queryPlan) (stampSet, bool) {
+	for _, st := range p.stamps {
+		if !st.has {
+			return stampSet{}, false
 		}
 	}
-	return true
-}
-
-// resultStamps captures the (node, collection, generation) stamp of
-// every fragment the plan will touch. The second return is false when
-// any touched fragment provides no statistics — without a generation to
-// watch, a mutation there would be invisible, so the result must not be
-// cached. An emptyRoute plan touches nothing the query result depends on
-// beyond what planning already stamped (statistics-proven-empty
-// fragments carry stamps in p.stamps; predicate-contradicted ones are
-// data-independent).
-func (s *System) resultStamps(p *queryPlan) ([]genStamp, bool) {
 	type pair struct{ node, collection string }
 	var pairs []pair
 	switch {
-	case p.emptyRoute:
-		for _, st := range p.stamps {
-			if !st.has {
-				return nil, false
-			}
-		}
-		return p.stamps, true
 	case len(p.metas) > 0:
 		for _, meta := range p.metas {
 			for frag, node := range meta.Placement {
@@ -267,48 +251,45 @@ func (s *System) resultStamps(p *queryPlan) ([]genStamp, bool) {
 			pairs = append(pairs, pair{fq.node, p.meta.NodeCollection(fq.fragment)})
 		}
 	}
-	stamps := make([]genStamp, 0, len(pairs))
+	stamps := make([]genStamp, len(p.stamps), len(p.stamps)+len(pairs))
+	copy(stamps, p.stamps)
 	for _, pr := range pairs {
 		cur := s.nodeStatistics(pr.node, pr.collection)
 		if cur == nil {
-			return nil, false
+			return stampSet{}, false
 		}
 		stamps = append(stamps, genStamp{node: pr.node, collection: pr.collection, gen: cur.Generation, has: true})
 	}
-	return stamps, true
+	return stampSet{catalogVersion: version, stamps: stamps}, true
 }
 
 // maybeCacheResult populates the result cache after a successful
 // execution, if the result is eligible: not an exists/empty decider
-// (already index-only fast and size-trivial — not worth a slot), every
-// touched fragment verifiable by generation, and the accounted size
-// within the per-entry cap — the bound on what the cache may retain of
+// (already index-only fast and size-trivial — not worth a slot), not
+// traced, and the accounted size within the per-entry cap of
+// budget/resultEntryFraction — the bound on what the cache may retain of
 // any one answer. Eligibility is a property of the result, never of the
 // route that produced it.
-func (s *System) maybeCacheResult(norm string, version uint64, stamps []genStamp, verifiable bool,
-	e xquery.Expr, p *queryPlan, res *QueryResult) {
-	rc := s.resultCache
-	if !rc.enabled() || !verifiable || res.Trace != nil {
+func (s *System) maybeCacheResult(norm string, stamps stampSet, e xquery.Expr, p *queryPlan, res *QueryResult) {
+	if res.Trace != nil {
 		return
 	}
 	if _, decider := topLevelDecider(e); decider {
 		return
 	}
+	rc := s.resultCache
 	bytes := resultEntryBytes(norm, res.Items)
-	if limit := rc.entryCap(); limit > 0 && bytes > limit {
+	if bytes > rc.budget()/resultEntryFraction {
 		return
 	}
-	rc.put(&resultEntry{
-		key:            norm,
-		items:          res.Items,
-		strategy:       res.Strategy,
-		fragments:      res.Fragments,
-		skipped:        res.SkippedFragments,
-		work:           p.work,
-		bytes:          bytes,
-		catalogVersion: version,
-		stamps:         stamps,
-	})
+	rc.put(norm, &resultEntry{
+		stampSet:  stamps,
+		items:     res.Items,
+		strategy:  res.Strategy,
+		fragments: res.Fragments,
+		skipped:   res.SkippedFragments,
+		work:      p.work,
+	}, bytes)
 }
 
 // QueryExpr executes a parsed query: it is planned first (strategy
@@ -332,18 +313,15 @@ func (s *System) QueryExpr(e xquery.Expr) (*QueryResult, error) {
 // one falls through to parse + plan, and the fresh plan is cached for
 // the next request.
 func (s *System) cachedPlan(norm, raw string) (xquery.Expr, *queryPlan, bool, error) {
-	useCache := s.planCache.enabled()
-	if useCache {
-		if entry := s.planCache.get(norm); entry != nil {
-			if s.planValid(entry) {
-				obs.CoordPlanCacheHits.Inc()
-				return entry.expr, entry.plan, true, nil
-			}
-			s.planCache.remove(norm)
-			obs.CoordPlanCacheInvalidations.Inc()
+	if entry, ok := s.planCache.get(norm); ok {
+		if s.stampsCurrent(entry.stampSet) {
+			obs.CoordPlanCacheHits.Inc()
+			return entry.expr, entry.plan, true, nil
 		}
-		obs.CoordPlanCacheMisses.Inc()
+		s.planCache.remove(norm)
+		obs.CoordPlanCacheInvalidations.Inc()
 	}
+	obs.CoordPlanCacheMisses.Inc()
 	e, err := xquery.Parse(raw)
 	if err != nil {
 		return nil, nil, false, err
@@ -360,32 +338,8 @@ func (s *System) cachedPlan(norm, raw string) (xquery.Expr, *queryPlan, bool, er
 	// plan, so a plan-cache hit feeds the profiler without re-walking
 	// the expression.
 	p.work = xquery.ExtractWorkloadKeys(e)
-	if useCache {
-		s.planCache.put(&planEntry{key: norm, expr: e, plan: p, catalogVersion: version, stamps: p.stamps})
-	}
+	s.planCache.put(norm, &planEntry{stampSet: stampSet{catalogVersion: version, stamps: p.stamps}, expr: e, plan: p}, 1)
 	return e, p, false, nil
-}
-
-// planValid revalidates a cached plan: the catalog must not have moved,
-// and every fragment-statistics snapshot the plan consulted must still
-// carry the generation the plan saw. The check goes through the
-// statistics cache, so a cached plan is exactly as fresh as the
-// statistics TTL — with a zero TTL, a node-side Put/Delete invalidates
-// the plan on the very next lookup.
-func (s *System) planValid(entry *planEntry) bool {
-	if entry.catalogVersion != s.catalog.Version() {
-		return false
-	}
-	for _, st := range entry.stamps {
-		cur := s.nodeStatistics(st.node, st.collection)
-		if (cur != nil) != st.has {
-			return false
-		}
-		if cur != nil && cur.Generation != st.gen {
-			return false
-		}
-	}
-	return true
 }
 
 // run executes a compiled plan and assembles the measured result. norm
@@ -395,17 +349,12 @@ func (s *System) planValid(entry *planEntry) bool {
 func (s *System) run(e xquery.Expr, p *queryPlan, planTime time.Duration, cached bool, norm string) (*QueryResult, error) {
 	start := time.Now()
 	trace := s.Tracing()
-	rec, prof := s.telemetrySinks()
-	// Every query gets a correlation tag when tracing, telemetry or the
-	// slow-query log is on, so flight records, log lines and node-side
-	// error frames join up; a traced query's tag is its trace ID.
-	tag := ""
-	if trace || rec != nil || s.SlowQueryThreshold() > 0 {
-		tag = obs.NewTraceID()
-	}
+	// Every query gets a correlation tag so flight records, log lines and
+	// node-side error frames join up; a traced query's tag is its trace ID.
+	tag := obs.NewTraceID()
 	res, err := s.executePlan(e, p, tag, trace)
 	if err != nil {
-		s.recordQuery(rec, prof, p, e, norm, tag, planTime, planTime+time.Since(start), cached, nil, err)
+		s.recordQuery(p, e, norm, tag, planTime, planTime+time.Since(start), cached, nil, err)
 		return nil, err
 	}
 	res.PlanTime = planTime
@@ -438,7 +387,7 @@ func (s *System) run(e xquery.Expr, p *queryPlan, planTime time.Duration, cached
 			"items", len(res.Items),
 		)
 	}
-	s.recordQuery(rec, prof, p, e, norm, tag, planTime, elapsed, cached, res, nil)
+	s.recordQuery(p, e, norm, tag, planTime, elapsed, cached, res, nil)
 	return res, nil
 }
 
@@ -498,7 +447,8 @@ type queryPlan struct {
 	// skipped lists fragments statistics proved empty for this query.
 	skipped []string
 	// stamps records the statistics snapshots planning consulted; the
-	// plan cache revalidates them before reusing the plan.
+	// plan cache revalidates them before reusing the plan, and a cached
+	// result of the plan carries them too.
 	stamps []genStamp
 	// est holds the planner's per-fragment estimates for Explain.
 	est map[string]planEstimate

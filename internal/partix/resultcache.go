@@ -1,7 +1,6 @@
 package partix
 
 import (
-	"container/list"
 	"sync"
 
 	"partix/internal/cluster"
@@ -11,40 +10,36 @@ import (
 
 // The result cache serves a repeated query's fully merged result with
 // zero node round-trips and zero plan work. Like the plan cache it is
-// keyed by normalized query text; unlike the plan cache it is
-// byte-budgeted — an entry's cost is the serialized size of its items,
-// so the budget bounds coordinator memory, not entry count. Each entry
-// records the catalog version and the (node, collection, generation)
-// stamps of every fragment the execution touched, captured before the
-// sub-queries ran; on lookup the entry is revalidated against the
-// current catalog version and the statistics cache's view of those
-// generations. Any drift discards the entry — a node-side mutation is
-// visible within the statistics TTL, immediately with a zero TTL.
-// Publish clears the cache eagerly.
+// keyed by normalized query text; unlike the plan cache its budget is
+// in bytes — an entry's cost is the serialized size of its items, so the
+// budget bounds coordinator memory, not entry count. Each entry is
+// stamped with its plan's stamps (every fragment whose statistics the
+// planner consulted, the skipped ones included) plus one stamp per
+// fragment the execution contacted, captured before the sub-queries ran;
+// on lookup stampsCurrent revalidates them. Any drift discards the entry
+// — a node-side mutation is visible within the statistics TTL,
+// immediately with a zero TTL. Publish clears the cache eagerly.
 //
 // The cache is OFF by default (budget 0): repeating a query must
 // re-execute it under the paper's measured methodology, and the
 // benchmark harness repeats queries by design. Serving deployments
 // enable it with System.SetResultCacheBytes.
 
-// defaultResultEntryFraction derives the per-entry size cap from the
-// budget when none is set explicitly: one entry may use at most 1/16 of
-// the budget, so a single huge result cannot monopolize the cache.
-const defaultResultEntryFraction = 16
+// resultEntryFraction derives the per-entry size cap from the budget:
+// one entry may use at most 1/16 of the budget, so a single huge result
+// cannot monopolize the cache.
+const resultEntryFraction = 16
 
 // resultEntry is one cached merged query result. Entries are immutable
 // after insertion: the items sequence is shared with every hit, which is
 // safe because result items are never mutated by callers of Query.
 type resultEntry struct {
-	key            string
-	items          xquery.Seq
-	strategy       Strategy
-	fragments      []string
-	skipped        []string
-	work           map[string]*xquery.WorkloadKeys // profiler keys, mined at plan time
-	bytes          int64
-	catalogVersion uint64
-	stamps         []genStamp
+	stampSet
+	items     xquery.Seq
+	strategy  Strategy
+	fragments []string
+	skipped   []string
+	work      map[string]*xquery.WorkloadKeys // profiler keys, mined at plan time
 }
 
 // resultFlight is one in-progress upstream execution of a cache key.
@@ -54,166 +49,30 @@ type resultFlight struct {
 	done chan struct{}
 }
 
-// resultCache is a byte-budgeted LRU of merged query results with
-// singleflight coordination per key.
+// resultCache is a byte-budgeted LRU of merged query results (each entry
+// costs resultEntryBytes) with singleflight coordination per key.
 type resultCache struct {
-	mu       sync.Mutex
-	budget   int64 // total byte budget; <= 0 disables the cache
-	maxEntry int64 // per-entry cap; 0 derives budget/defaultResultEntryFraction
-	bytes    int64
-	ll       *list.List // front = most recently used
-	entries  map[string]*list.Element
+	*lru[*resultEntry]
+	flightMu sync.Mutex // guards flights
 	flights  map[string]*resultFlight
 }
 
 func newResultCache() *resultCache {
 	return &resultCache{
-		ll:      list.New(),
-		entries: map[string]*list.Element{},
+		lru:     newLRU[*resultEntry](0, obs.CoordResultCacheEvictions, obs.CoordResultCacheBytes),
 		flights: map[string]*resultFlight{},
 	}
 }
 
-// get returns the entry for key, promoting it to most-recently-used.
-func (rc *resultCache) get(key string) *resultEntry {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	el := rc.entries[key]
-	if el == nil {
-		return nil
-	}
-	rc.ll.MoveToFront(el)
-	return el.Value.(*resultEntry)
-}
-
-// put inserts (or replaces) an entry and evicts from the LRU tail until
-// the byte budget holds again. Entries over the per-entry cap are the
-// caller's job to reject; put only enforces the total budget.
-func (rc *resultCache) put(e *resultEntry) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.budget <= 0 {
-		return
-	}
-	if el := rc.entries[e.key]; el != nil {
-		rc.bytes -= el.Value.(*resultEntry).bytes
-		el.Value = e
-		rc.ll.MoveToFront(el)
-	} else {
-		rc.entries[e.key] = rc.ll.PushFront(e)
-	}
-	rc.bytes += e.bytes
-	for rc.bytes > rc.budget && rc.ll.Len() > 1 {
-		rc.evictOldestLocked()
-	}
-	// A single entry over budget (possible when the per-entry cap was
-	// raised above the budget) still gets dropped.
-	if rc.bytes > rc.budget {
-		rc.evictOldestLocked()
-	}
-	obs.CoordResultCacheBytes.Set(rc.bytes)
-}
-
-func (rc *resultCache) evictOldestLocked() {
-	el := rc.ll.Back()
-	if el == nil {
-		return
-	}
-	rc.ll.Remove(el)
-	entry := el.Value.(*resultEntry)
-	delete(rc.entries, entry.key)
-	rc.bytes -= entry.bytes
-	obs.CoordResultCacheEvictions.Inc()
-}
-
-// remove drops one entry (a lookup found it stale).
-func (rc *resultCache) remove(key string) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if el := rc.entries[key]; el != nil {
-		rc.ll.Remove(el)
-		rc.bytes -= el.Value.(*resultEntry).bytes
-		delete(rc.entries, key)
-		obs.CoordResultCacheBytes.Set(rc.bytes)
-	}
-}
-
-// clear drops every entry (eager invalidation on Publish and
-// InvalidatePlans; not counted as evictions — nothing was displaced by
-// capacity).
-func (rc *resultCache) clear() {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.ll.Init()
-	rc.entries = map[string]*list.Element{}
-	rc.bytes = 0
-	obs.CoordResultCacheBytes.Set(0)
-}
-
-// setBudget resizes the byte budget, evicting down LRU-first; zero or
-// negative disables the cache and drops everything.
-func (rc *resultCache) setBudget(n int64) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.budget = n
-	if n <= 0 {
-		rc.ll.Init()
-		rc.entries = map[string]*list.Element{}
-		rc.bytes = 0
-		obs.CoordResultCacheBytes.Set(0)
-		return
-	}
-	for rc.bytes > n && rc.ll.Len() > 0 {
-		rc.evictOldestLocked()
-	}
-	obs.CoordResultCacheBytes.Set(rc.bytes)
-}
-
-// setMaxEntry overrides the per-entry size cap; zero restores the
-// budget-derived default.
-func (rc *resultCache) setMaxEntry(n int64) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.maxEntry = n
-}
-
-// entryCap is the current per-entry size cap.
-func (rc *resultCache) entryCap() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.maxEntry > 0 {
-		return rc.maxEntry
-	}
-	return rc.budget / defaultResultEntryFraction
-}
-
-// usage reports the bytes currently held.
-func (rc *resultCache) usage() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.bytes
-}
-
-// size reports the number of cached results.
-func (rc *resultCache) size() int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.ll.Len()
-}
-
 // enabled reports whether the cache accepts entries.
-func (rc *resultCache) enabled() bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.budget > 0
-}
+func (rc *resultCache) enabled() bool { return rc.budget() > 0 }
 
 // beginFlight joins the singleflight for key: the first caller becomes
 // the leader (and must call endFlight when its execution — successful or
 // not — is over); later callers get the leader's flight to wait on.
 func (rc *resultCache) beginFlight(key string) (*resultFlight, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
+	rc.flightMu.Lock()
+	defer rc.flightMu.Unlock()
 	if fl := rc.flights[key]; fl != nil {
 		return fl, false
 	}
@@ -224,10 +83,10 @@ func (rc *resultCache) beginFlight(key string) (*resultFlight, bool) {
 
 // endFlight releases the leadership for key and wakes every follower.
 func (rc *resultCache) endFlight(key string) {
-	rc.mu.Lock()
+	rc.flightMu.Lock()
 	fl := rc.flights[key]
 	delete(rc.flights, key)
-	rc.mu.Unlock()
+	rc.flightMu.Unlock()
 	if fl != nil {
 		close(fl.done)
 	}

@@ -108,6 +108,39 @@ func TestResultCacheInvalidatedByFragmentWrite(t *testing.T) {
 	}
 }
 
+// A write to a fragment statistics skipped changes the answer, so it must
+// invalidate the cached result just as a write to a contacted fragment
+// does: the entry carries the plan's stamps for the skipped fragments.
+func TestResultCacheInvalidatedBySkippedFragmentWrite(t *testing.T) {
+	s := newCachedSystem(t, 4, 1<<20)
+	publishQuartile(t, s, 32) // FS0 holds ids 0..7, FS1..FS3 ids 8..31
+	q := `for $i in collection("pitems")/Item where $i/@id < 4 return $i/Code`
+	first, err := s.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(first.SkippedFragments) != "[FS1 FS2 FS3]" || len(first.Items) != 4 {
+		t.Fatalf("skipped %v with %d items, want [FS1 FS2 FS3] and 4", first.SkippedFragments, len(first.Items))
+	}
+	if r, err := s.Query(q); err != nil || !r.Cached {
+		t.Fatalf("prime failed: cached=%v err=%v", r != nil && r.Cached, err)
+	}
+
+	err = s.Node("node2").StoreDocument("pitems::FS2", xmltree.MustParseString("low",
+		`<Item id="1"><Code>PY</Code><Section>S2</Section></Item>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cached || len(r.Items) != 5 {
+		t.Fatalf("after a write to skipped FS2: cached=%t items=%v, want a fresh 5-item answer",
+			r.Cached, itemStrings(r.Items))
+	}
+}
+
 func TestResultCacheInvalidatedByCatalogChange(t *testing.T) {
 	s := newCachedSystem(t, 3, 1<<20)
 	publishHorizontal(t, s, 12)
@@ -138,57 +171,104 @@ func TestResultCacheInvalidatedByCatalogChange(t *testing.T) {
 // node engines — one with the cache on, one reference without — and
 // requires every cache-system answer to equal the reference's fresh
 // execution: zero stale results under writes, whether the sub-queries run
-// one at a time or concurrently.
+// one at a time or concurrently. Here fragments are pruned only by their
+// fragmentation predicates, which do not depend on the data.
 func TestResultCacheRandomizedReadWriteDifferential(t *testing.T) {
+	sections := map[string]string{"Fcd": "CD", "Fdvd": "DVD", "Frest": "Book"}
+	fx := differentialFixture{
+		nodes:      3,
+		collection: "items",
+		publish:    func(t *testing.T, s *System) { publishHorizontal(t, s, 24) },
+		queries: func(rng *rand.Rand) string {
+			return []string{
+				`for $i in collection("items")/Item where $i/Section = "CD" return $i/Code`,
+				`for $i in collection("items")/Item where contains($i/Description, "good") return $i/Code`,
+				`collection("items")/Item/Code`,
+				`for $i in collection("items")/Item where $i/Section = "DVD" return $i`,
+			}[rng.Intn(4)]
+		},
+		write: func(rng *rand.Rand, frag string, op int) string {
+			return fmt.Sprintf(`<Item id="%d"><Code>W%04d</Code><Description>a good write</Description><Section>%s</Section></Item>`,
+				1000+op, op, sections[frag])
+		},
+	}
 	for _, concurrent := range []bool{false, true} {
 		t.Run(fmt.Sprintf("concurrent=%t", concurrent), func(t *testing.T) {
-			resultCacheDifferential(t, concurrent)
+			resultCacheDifferential(t, concurrent, fx)
 		})
 	}
 }
 
-func resultCacheDifferential(t *testing.T, concurrent bool) {
-	s := newCachedSystem(t, 3, 1<<20)
+// TestResultCacheStatisticsSkippingDifferential is the differential over
+// the quartile fixture, where statistics skip the fragments holding no
+// low ids: the writes put low-id documents into every fragment, skipped
+// ones included, so a cached answer that ignores a skipped fragment's
+// write is caught.
+func TestResultCacheStatisticsSkippingDifferential(t *testing.T) {
+	fx := differentialFixture{
+		nodes:      4,
+		collection: "pitems",
+		publish:    func(t *testing.T, s *System) { publishQuartile(t, s, 32) },
+		queries: func(rng *rand.Rand) string {
+			op := []string{"<", "="}[rng.Intn(2)]
+			return fmt.Sprintf(`for $i in collection("pitems")/Item where $i/@id %s %d return $i/Code`, op, 1+rng.Intn(4))
+		},
+		write: func(rng *rand.Rand, frag string, op int) string {
+			return fmt.Sprintf(`<Item id="%d"><Code>W%04d</Code><Section>S%s</Section></Item>`,
+				rng.Intn(4), op, frag[len("FS"):])
+		},
+	}
+	for _, concurrent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("concurrent=%t", concurrent), func(t *testing.T) {
+			resultCacheDifferential(t, concurrent, fx)
+		})
+	}
+}
+
+// differentialFixture is one collection the result-cache differential
+// runs over: how to publish it, how to draw a query, and the document a
+// write stores into a fragment.
+type differentialFixture struct {
+	nodes      int
+	collection string
+	publish    func(t *testing.T, s *System)
+	queries    func(rng *rand.Rand) string
+	write      func(rng *rand.Rand, frag string, op int) string
+}
+
+func resultCacheDifferential(t *testing.T, concurrent bool, fx differentialFixture) {
+	s := newCachedSystem(t, fx.nodes, 1<<20)
 	s.SetConcurrent(concurrent)
-	publishHorizontal(t, s, 24)
+	fx.publish(t, s)
 	ref := NewSystem(cluster.GigabitEthernet)
 	for _, name := range s.Nodes() {
 		ref.AddNode(s.Node(name))
 	}
-	meta := s.Catalog().Lookup("items")
+	meta := s.Catalog().Lookup(fx.collection)
 	err := ref.Catalog().Register(&CollectionMeta{
-		Name: "items", Scheme: meta.Scheme, Placement: meta.Placement, Mode: meta.Mode,
+		Name: fx.collection, Scheme: meta.Scheme, Placement: meta.Placement, Mode: meta.Mode,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref.SetStatsTTL(0)
+	var frags []string
+	for _, f := range meta.Scheme.Fragments {
+		frags = append(frags, f.Name)
+	}
 
-	queries := []string{
-		`for $i in collection("items")/Item where $i/Section = "CD" return $i/Code`,
-		`for $i in collection("items")/Item where contains($i/Description, "good") return $i/Code`,
-		`collection("items")/Item/Code`,
-		`for $i in collection("items")/Item where $i/Section = "DVD" return $i`,
-	}
-	frags := []struct{ frag, node, section string }{
-		{"Fcd", "node0", "CD"},
-		{"Fdvd", "node1", "DVD"},
-		{"Frest", "node2", "Book"},
-	}
 	rng := rand.New(rand.NewSource(42))
 	hits0 := obs.CoordResultCacheHits.Value()
 	for op := 0; op < 120; op++ {
 		if rng.Intn(4) == 0 { // ~25% writes
-			f := frags[rng.Intn(len(frags))]
-			doc := xmltree.MustParseString(fmt.Sprintf("w%04d", op), fmt.Sprintf(
-				`<Item id="%d"><Code>W%04d</Code><Description>a good write</Description><Section>%s</Section></Item>`,
-				1000+op, op, f.section))
-			if err := s.Node(f.node).StoreDocument("items::"+f.frag, doc); err != nil {
+			frag := frags[rng.Intn(len(frags))]
+			doc := xmltree.MustParseString(fmt.Sprintf("w%04d", op), fx.write(rng, frag, op))
+			if err := s.Node(meta.Placement[frag]).StoreDocument(meta.NodeCollection(frag), doc); err != nil {
 				t.Fatalf("op %d write: %v", op, err)
 			}
 			continue
 		}
-		q := queries[rng.Intn(len(queries))]
+		q := fx.queries(rng)
 		got, err := s.Query(q)
 		if err != nil {
 			t.Fatalf("op %d cached system: %v", op, err)
@@ -210,59 +290,67 @@ func resultCacheDifferential(t *testing.T, concurrent bool) {
 func TestResultCacheEvictionAndByteAccounting(t *testing.T) {
 	rc := newResultCache()
 	rc.setBudget(10_000)
-	rc.setMaxEntry(10_000) // lift the budget/16 cap; sizing is explicit here
-	entry := func(key string, n int64) *resultEntry {
-		return &resultEntry{key: key, bytes: n}
-	}
 	ev0 := obs.CoordResultCacheEvictions.Value()
-	rc.put(entry("a", 4000))
-	rc.put(entry("b", 4000))
-	if rc.usage() != 8000 || rc.size() != 2 {
-		t.Fatalf("usage=%d size=%d, want 8000/2", rc.usage(), rc.size())
+	rc.put("a", &resultEntry{}, 4000)
+	rc.put("b", &resultEntry{}, 4000)
+	if rc.used() != 8000 || rc.len() != 2 || obs.CoordResultCacheBytes.Value() != 8000 {
+		t.Fatalf("used=%d len=%d gauge=%d, want 8000/2/8000", rc.used(), rc.len(), obs.CoordResultCacheBytes.Value())
 	}
 	// Touch a so b becomes the LRU victim.
-	if rc.get("a") == nil {
+	if _, ok := rc.get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	rc.put(entry("c", 4000)) // 12000 > 10000: evict b
-	if rc.get("b") != nil {
+	rc.put("c", &resultEntry{}, 4000) // 12000 > 10000: evict b
+	if _, ok := rc.get("b"); ok {
 		t.Fatal("b not evicted (LRU order violated)")
 	}
-	if rc.get("a") == nil || rc.get("c") == nil {
+	_, okA := rc.get("a")
+	_, okC := rc.get("c")
+	if !okA || !okC {
 		t.Fatal("wrong victim evicted")
 	}
-	if rc.usage() != 8000 || rc.size() != 2 {
-		t.Fatalf("after eviction usage=%d size=%d, want 8000/2", rc.usage(), rc.size())
+	if rc.used() != 8000 || rc.len() != 2 {
+		t.Fatalf("after eviction used=%d len=%d, want 8000/2", rc.used(), rc.len())
 	}
 	if obs.CoordResultCacheEvictions.Value() != ev0+1 {
 		t.Fatalf("evictions counted = %d, want 1", obs.CoordResultCacheEvictions.Value()-ev0)
 	}
 	// Replacing a key must not double-count its bytes.
-	rc.put(entry("a", 2000))
-	if rc.usage() != 6000 || rc.size() != 2 {
-		t.Fatalf("after replace usage=%d size=%d, want 6000/2", rc.usage(), rc.size())
+	rc.put("a", &resultEntry{}, 2000)
+	if rc.used() != 6000 || rc.len() != 2 {
+		t.Fatalf("after replace used=%d len=%d, want 6000/2", rc.used(), rc.len())
+	}
+	// A single entry over the whole budget is not kept.
+	rc.put("huge", &resultEntry{}, 20_000)
+	if _, ok := rc.get("huge"); ok || rc.used() > 10_000 {
+		t.Fatalf("over-budget entry kept: used=%d", rc.used())
 	}
 	// Shrinking the budget evicts down to it.
+	rc.put("a", &resultEntry{}, 2000)
 	rc.setBudget(2500)
-	if rc.usage() > 2500 {
-		t.Fatalf("usage %d exceeds shrunk budget", rc.usage())
+	if rc.used() > 2500 || obs.CoordResultCacheBytes.Value() != rc.used() {
+		t.Fatalf("used %d (gauge %d) exceeds shrunk budget", rc.used(), obs.CoordResultCacheBytes.Value())
 	}
 	// Budget 0 disables and drops everything.
 	rc.setBudget(0)
-	if rc.usage() != 0 || rc.size() != 0 || rc.enabled() {
-		t.Fatalf("disabled cache not empty: usage=%d size=%d", rc.usage(), rc.size())
+	if rc.used() != 0 || rc.len() != 0 || rc.enabled() || obs.CoordResultCacheBytes.Value() != 0 {
+		t.Fatalf("disabled cache not empty: used=%d len=%d", rc.used(), rc.len())
+	}
+	rc.put("a", &resultEntry{}, 1)
+	if rc.len() != 0 {
+		t.Fatal("disabled cache accepted an entry")
 	}
 }
 
+// A result over budget/16 executes normally but is never cached.
 func TestResultCachePerEntryCapRejectsLargeResults(t *testing.T) {
-	s := newCachedSystem(t, 3, 1<<20)
-	s.SetResultCacheMaxEntry(64) // smaller than any real result
+	s := newCachedSystem(t, 3, 1<<10) // per-entry cap = 64 bytes, smaller than any real result
 	publishHorizontal(t, s, 12)
 	q := `for $i in collection("items")/Item where $i/Section = "CD" return $i`
 	if _, err := s.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.ResultCacheSize(); n != 0 {
+	if n := s.resultCache.len(); n != 0 {
 		t.Fatalf("oversized result cached (%d entries)", n)
 	}
 	r, err := s.Query(q)
@@ -344,7 +432,7 @@ func TestResultCacheEligibilityIsPerResult(t *testing.T) {
 		if res.Cached || len(res.Sub) != 3 {
 			t.Fatalf("run %d: over-cap broadcast cached=%t over %d sub-queries", i, res.Cached, len(res.Sub))
 		}
-		if n, b := s.ResultCacheSize(), s.ResultCacheBytes(); n != 0 || b != 0 {
+		if n, b := s.resultCache.len(), s.resultCache.used(); n != 0 || b != 0 {
 			t.Fatalf("over-cap result inflated the cache: %d entries, %d bytes", n, b)
 		}
 	}
@@ -376,7 +464,7 @@ func TestDeciderQueriesBypassResultCache(t *testing.T) {
 	if _, err := s.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.ResultCacheSize(); n != 0 {
+	if n := s.resultCache.len(); n != 0 {
 		t.Fatalf("decider cached (%d entries)", n)
 	}
 	r, err := s.Query(q)
@@ -505,15 +593,15 @@ func TestPublishClearsResultCache(t *testing.T) {
 	if _, err := s.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	if s.ResultCacheSize() != 1 {
-		t.Fatalf("entries = %d, want 1", s.ResultCacheSize())
+	if s.resultCache.len() != 1 {
+		t.Fatalf("entries = %d, want 1", s.resultCache.len())
 	}
 	other := xmltree.NewCollection("other")
 	other.Add(xmltree.MustParseString("o1", `<Item id="1"><Code>O1</Code></Item>`))
 	if err := s.Publish(other, nil, map[string]string{"": "node0"}, PublishOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if s.ResultCacheSize() != 0 {
-		t.Fatalf("publish left %d cached results", s.ResultCacheSize())
+	if s.resultCache.len() != 0 {
+		t.Fatalf("publish left %d cached results", s.resultCache.len())
 	}
 }

@@ -19,7 +19,7 @@ import (
 // as one fragment's verdict decides the global answer. The composed items
 // are identical at every batch size and in-flight limit. Sequential
 // sub-queries with slowest-site accounting are the paper's methodology
-// and the default; concurrent mode runs up to MaxConcurrent at once.
+// and the default; concurrent mode runs every sub-query at once.
 func (s *System) executeSubQueries(e xquery.Expr, fqs []fragQuery, strategy Strategy, tag string, trace bool) (*QueryResult, error) {
 	subs, err := s.buildSubs(fqs, tag, trace)
 	if err != nil {
@@ -27,7 +27,7 @@ func (s *System) executeSubQueries(e xquery.Expr, fqs []fragQuery, strategy Stra
 	}
 	inflight := 1
 	if s.Concurrent() {
-		inflight = s.MaxConcurrent()
+		inflight = 0 // all at once
 	}
 	b := cluster.NewBufferSink(len(subs))
 	var sink cluster.StreamSink = b

@@ -109,12 +109,12 @@ func TestDeciderComposition(t *testing.T) {
 	}
 }
 
-// A decisive verdict cancels the remaining sub-queries: with the
-// concurrency cap at 1, the first fragment's true decides exists() and
+// A decisive verdict cancels the remaining sub-queries: with one
+// sub-query in flight, the first fragment's true decides exists() and
 // the queued fragments never run.
 func TestDeciderEarlyTermination(t *testing.T) {
 	_, streamSys := streamedPair(t, 24)
-	streamSys.SetMaxConcurrent(1)
+	streamSys.SetConcurrent(false)
 	res, err := streamSys.Query(`exists(collection("items")/Item)`)
 	if err != nil {
 		t.Fatal(err)

@@ -17,33 +17,31 @@ import (
 // System is a running PartiX deployment: a set of DBMS nodes behind
 // drivers, the catalogs, and the query service configuration.
 type System struct {
-	mu            sync.RWMutex
-	nodes         map[string]cluster.Driver
-	catalog       *Catalog
-	cost          cluster.CostModel
-	concurrent    bool
-	maxConcurrent int
-	tracing       bool
-	slowQuery     time.Duration
-	logger        obs.Logger
-	plannerStats  bool
-	telemetry     bool
+	mu           sync.RWMutex
+	nodes        map[string]cluster.Driver
+	catalog      *Catalog
+	cost         cluster.CostModel
+	concurrent   bool
+	tracing      bool
+	slowQuery    time.Duration
+	logger       obs.Logger
+	plannerStats bool
 
-	planCache   *planCache
+	planCache   *lru[*planEntry]
 	statsCache  *statsCache
 	resultCache *resultCache
 	admission   *admission
 	tenants     *tenantQuota
 
-	// recorder and profiler are created once and never replaced; the
-	// telemetry flag (not nil-ness) gates whether queries feed them.
+	// recorder and profiler are created once and never replaced; every
+	// query feeds them.
 	recorder *obs.FlightRecorder
 	profiler *obs.WorkloadProfiler
 }
 
-// SetConcurrent switches the sub-query scheduler's in-flight limit
-// between 1 — the paper's simulated mode, sequential with slowest-site
-// accounting, the default — and MaxConcurrent, the real concurrent
+// SetConcurrent switches the sub-query scheduler between one sub-query
+// in flight — the paper's simulated mode, sequential with slowest-site
+// accounting, the default — and all of them at once, the real concurrent
 // execution a deployment over remote nodes wants.
 func (s *System) SetConcurrent(on bool) {
 	s.mu.Lock()
@@ -56,22 +54,6 @@ func (s *System) Concurrent() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.concurrent
-}
-
-// SetMaxConcurrent caps how many sub-queries run at once in concurrent
-// mode; 0 (the default) means unlimited. The cap bounds coordinator
-// resources when a query decomposes into many sub-queries.
-func (s *System) SetMaxConcurrent(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxConcurrent = n
-}
-
-// MaxConcurrent reports the concurrent sub-query cap.
-func (s *System) MaxConcurrent() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.maxConcurrent
 }
 
 // SetTracing enables distributed query tracing: every query gets a trace
@@ -153,17 +135,6 @@ func (s *System) PlannerStats() bool {
 	return s.plannerStats
 }
 
-// SetPlanCacheCap resizes the plan cache (default 128 entries),
-// evicting down LRU-first; 0 or negative disables plan caching entirely.
-func (s *System) SetPlanCacheCap(n int) {
-	s.planCache.setCap(n)
-}
-
-// PlanCacheSize reports how many compiled plans are currently cached.
-func (s *System) PlanCacheSize() int {
-	return s.planCache.size()
-}
-
 // SetStatsTTL bounds how stale cached fragment statistics — and
 // therefore plans and cached results validated against them — may be
 // (default 30s). A zero or negative TTL refetches statistics on every
@@ -177,24 +148,13 @@ func (s *System) SetStatsTTL(d time.Duration) {
 // bytes of fully merged query results (accounted at their serialized
 // size) are kept and served on repeat queries with zero node round-trips
 // and zero plan work, revalidated through the fragment-statistics
-// generations the execution touched. Zero (the default) disables the
-// cache — the paper's measured methodology re-executes every repeat.
+// generations the planner consulted and the execution contacted. A single result may use at most
+// 1/16 of the budget; larger ones execute normally but are never cached.
+// Zero (the default) disables the cache — the paper's measured
+// methodology re-executes every repeat.
 func (s *System) SetResultCacheBytes(n int64) {
 	s.resultCache.setBudget(n)
 }
-
-// SetResultCacheMaxEntry caps a single cached result's accounted size;
-// larger results execute normally but are never cached. Zero (the
-// default) derives the cap as budget/16.
-func (s *System) SetResultCacheMaxEntry(n int64) {
-	s.resultCache.setMaxEntry(n)
-}
-
-// ResultCacheSize reports how many merged results are currently cached.
-func (s *System) ResultCacheSize() int { return s.resultCache.size() }
-
-// ResultCacheBytes reports the bytes the result cache currently holds.
-func (s *System) ResultCacheBytes() int64 { return s.resultCache.usage() }
 
 // SetMaxInflight caps how many queries execute at once; the excess
 // queues (see SetMaxQueued) and is shed with ErrOverloaded when the
@@ -240,8 +200,8 @@ func (s *System) Metrics() map[string]float64 {
 }
 
 // NewSystem returns a system with the given communication cost model.
-// Statistics-driven planning and the plan cache are on by default; see
-// SetPlannerStats, SetPlanCacheCap and SetStatsTTL.
+// Statistics-driven planning and the plan cache (128 plans) are on by
+// default; see SetPlannerStats and SetStatsTTL.
 func NewSystem(cost cluster.CostModel) *System {
 	return &System{
 		nodes:        map[string]cluster.Driver{},
@@ -249,8 +209,7 @@ func NewSystem(cost cluster.CostModel) *System {
 		cost:         cost,
 		logger:       obs.Nop(),
 		plannerStats: true,
-		telemetry:    true,
-		planCache:    newPlanCache(defaultPlanCacheCap),
+		planCache:    newPlanCache(),
 		statsCache:   newStatsCache(defaultStatsTTL),
 		resultCache:  newResultCache(),
 		admission:    newAdmission(),

@@ -8,24 +8,6 @@ import (
 	"partix/internal/xquery"
 )
 
-// SetTelemetry switches workload telemetry — the query flight recorder
-// and the workload profiler — on or off. On is the default; off reduces
-// the query path to the pre-telemetry hot path. The recorder and
-// profiler keep whatever they already hold; toggling does not clear them.
-func (s *System) SetTelemetry(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.telemetry = on
-}
-
-// TelemetryEnabled reports whether queries feed the flight recorder and
-// workload profiler.
-func (s *System) TelemetryEnabled() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.telemetry
-}
-
 // Recorder exposes the query flight recorder, for configuration
 // (sampling, slow threshold) and snapshots. Never nil.
 func (s *System) Recorder() *obs.FlightRecorder { return s.recorder }
@@ -42,17 +24,6 @@ func (s *System) WorkloadProfile() *obs.WorkloadProfile {
 	return s.profiler.Profile()
 }
 
-// telemetrySinks returns the recorder and profiler the current query
-// should feed, or nils when telemetry is off.
-func (s *System) telemetrySinks() (*obs.FlightRecorder, *obs.WorkloadProfiler) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !s.telemetry {
-		return nil, nil
-	}
-	return s.recorder, s.profiler
-}
-
 // recordQuery feeds one finished (or failed) query into the profiler and
 // the flight recorder. It runs after the response is fully assembled, so
 // everything here is off the latency path the caller observes — except
@@ -61,9 +32,10 @@ func (s *System) telemetrySinks() (*obs.FlightRecorder, *obs.WorkloadProfiler) {
 // (parse or planning failure) — those still belong in the flight
 // recorder, since a query that cannot even plan is exactly what an
 // operator goes looking for.
-func (s *System) recordQuery(rec *obs.FlightRecorder, prof *obs.WorkloadProfiler, p *queryPlan, e xquery.Expr,
+func (s *System) recordQuery(p *queryPlan, e xquery.Expr,
 	norm, tag string, planTime, elapsed time.Duration, cached bool, res *QueryResult, qerr error) {
-	if prof != nil && p != nil && p.work != nil {
+	rec, prof := s.recorder, s.profiler
+	if p != nil && p.work != nil {
 		for coll, wk := range p.work {
 			prof.ObserveQuery(coll, wk.Paths, wk.Predicates)
 		}
@@ -72,9 +44,6 @@ func (s *System) recordQuery(rec *obs.FlightRecorder, prof *obs.WorkloadProfiler
 				prof.ObserveFragment(p.meta.Name, st.Fragment, 0, int64(st.ResultBytes), st.Elapsed.Seconds())
 			}
 		}
-	}
-	if rec == nil {
-		return
 	}
 	if !rec.ShouldRecord(elapsed, qerr != nil) {
 		obs.TelemetrySampledOut.Inc()
@@ -127,14 +96,9 @@ func (s *System) recordQuery(rec *obs.FlightRecorder, prof *obs.WorkloadProfiler
 // spans: replaying the original execution's measurements would describe
 // work that never happened.
 func (s *System) recordCachedHit(entry *resultEntry, norm, tag string, elapsed time.Duration) {
-	rec, prof := s.telemetrySinks()
-	if prof != nil {
-		for coll, wk := range entry.work {
-			prof.ObserveQuery(coll, wk.Paths, wk.Predicates)
-		}
-	}
-	if rec == nil {
-		return
+	rec := s.recorder
+	for coll, wk := range entry.work {
+		s.profiler.ObserveQuery(coll, wk.Paths, wk.Predicates)
 	}
 	if !rec.ShouldRecord(elapsed, false) {
 		obs.TelemetrySampledOut.Inc()
@@ -158,11 +122,7 @@ func (s *System) recordCachedHit(entry *resultEntry, norm, tag string, elapsed t
 // recorder, tagged like any other query so the record joins with log
 // lines. The profiler is not fed: there is no plan to mine keys from.
 func (s *System) recordPlanFailure(e xquery.Expr, norm string, planTime time.Duration, qerr error) {
-	rec, _ := s.telemetrySinks()
-	if rec == nil {
-		return
-	}
-	s.recordQuery(rec, nil, nil, e, norm, obs.NewTraceID(), planTime, planTime, false, nil, qerr)
+	s.recordQuery(nil, e, norm, obs.NewTraceID(), planTime, planTime, false, nil, qerr)
 }
 
 // planIndexOnly reports whether every sub-query of the plan was judged

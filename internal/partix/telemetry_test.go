@@ -142,46 +142,3 @@ func TestClusterTelemetryAggregatesNodeHeat(t *testing.T) {
 		}
 	}
 }
-
-func TestSetTelemetryStopsFeedingSinks(t *testing.T) {
-	s := newTestSystem(t, 3)
-	publishHorizontal(t, s, 16)
-	q := `for $i in collection("items")/Item where $i/Section = "CD" return $i`
-
-	mustRun(t, s, q)
-	recBefore, _ := s.Recorder().Stats()
-	profBefore := collectionQueries(s, "items")
-	if recBefore == 0 || profBefore == 0 {
-		t.Fatalf("telemetry-on query not observed: recorder %d, profiler %d", recBefore, profBefore)
-	}
-
-	s.SetTelemetry(false)
-	if s.TelemetryEnabled() {
-		t.Fatal("toggle did not latch")
-	}
-	mustRun(t, s, q)
-	if rec, _ := s.Recorder().Stats(); rec != recBefore {
-		t.Fatalf("recorder fed while telemetry off: %d -> %d", recBefore, rec)
-	}
-	if got := collectionQueries(s, "items"); got != profBefore {
-		t.Fatalf("profiler fed while telemetry off: %d -> %d", profBefore, got)
-	}
-
-	s.SetTelemetry(true)
-	mustRun(t, s, q)
-	if rec, _ := s.Recorder().Stats(); rec <= recBefore {
-		t.Fatalf("recorder not fed after re-enable: %d -> %d", recBefore, rec)
-	}
-	if got := collectionQueries(s, "items"); got <= profBefore {
-		t.Fatalf("profiler not fed after re-enable: %d -> %d", profBefore, got)
-	}
-}
-
-func collectionQueries(s *System, collection string) int64 {
-	for _, cw := range s.WorkloadProfile().Collections {
-		if cw.Collection == collection {
-			return cw.Queries
-		}
-	}
-	return 0
-}

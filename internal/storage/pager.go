@@ -323,24 +323,6 @@ func (p *pager) appendChain(out []byte, first int64) ([]byte, error) {
 	return out, nil
 }
 
-// freeRecord returns a record's chain to the free list.
-func (p *pager) freeRecord(first int64) error {
-	bufp := pagePool.Get().(*[]byte)
-	defer pagePool.Put(bufp)
-	id := first
-	for id != 0 {
-		next, _, err := p.readPageHeaderInto(id, *bufp)
-		if err != nil {
-			return err
-		}
-		if err := p.freePage(id); err != nil {
-			return err
-		}
-		id = next
-	}
-	return nil
-}
-
 func (p *pager) sync() error {
 	if err := p.writeHeader(); err != nil {
 		return err

@@ -136,8 +136,3 @@ func XBenchArticle() *Schema {
 	article.Attributes = []AttrDecl{{Name: "id", Required: true}}
 	return s
 }
-
-// CArticles returns the spec of the MD collection of XBench articles.
-func CArticles() CollectionSpec {
-	return CollectionSpec{Schema: XBenchArticle(), RootType: "article", SD: false}
-}

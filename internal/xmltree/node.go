@@ -117,9 +117,6 @@ func (n *Node) Detach() {
 	}
 }
 
-// IsLeaf reports whether n has no children.
-func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
-
 // Attributes returns the attribute children of n, in document order.
 func (n *Node) Attributes() []*Node {
 	var attrs []*Node

@@ -669,16 +669,3 @@ func EffectiveBool(s Seq) (bool, error) {
 		return false, fmt.Errorf("xquery: no effective boolean value for %T", x)
 	}
 }
-
-// SortNodesByDocOrder sorts node items by (document, node ID); used when a
-// deterministic order is needed for distributed result composition.
-func SortNodesByDocOrder(s Seq) {
-	sort.SliceStable(s, func(i, j int) bool {
-		a, aok := s[i].(*xmltree.Node)
-		b, bok := s[j].(*xmltree.Node)
-		if !aok || !bok {
-			return false
-		}
-		return a.ID < b.ID
-	})
-}

@@ -68,11 +68,6 @@ func (p *Program) Keep() *xmltree.Projection {
 	return p.pipe.hint.Keep
 }
 
-// Ordered reports whether the program ends in an order-by, the one
-// blocking operator: all qualifying tuples are materialized before the
-// sort, so memory is proportional to the result for such queries.
-func (p *Program) Ordered() bool { return p.pipe != nil && len(p.pipe.orderBy) > 0 }
-
 // pipeline is the compiled operator chain over one collection scan.
 type pipeline struct {
 	coll         string

@@ -28,11 +28,12 @@ go test -race -timeout 5m ./internal/obs/... ./internal/storage/... ./internal/e
 # query (allocations independent of the nodes per fetched document), a
 # query frame's codec and a batch decode (allocations per frame
 # independent of its item count), the wire's message-limit reader,
-# serialization and its size count, and the coordinator's per-query
-# telemetry (allocations independent of the fragment count)
+# serialization and its size count, the coordinator's per-query
+# telemetry (allocations independent of the fragment count) and its
+# plan-cache hit with revalidation (no allocations)
 go test -timeout 5m -run TestAllocsScanFilterProject ./internal/xquery/exec/
 go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs' ./internal/storage/
-go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestReconstructAllocsIndependentOfDocumentSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestFrameCodecAllocsPerFrame|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
+go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestReconstructAllocsIndependentOfDocumentSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestFrameCodecAllocsPerFrame|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
 
 # observability smoke test: a node started with -debug-addr must serve
 # valid Prometheus text carrying series from every instrumented layer,
