@@ -230,14 +230,21 @@ func (m CostModel) Transmission(n int) time.Duration {
 	return time.Duration(float64(n) / m.BytesPerSecond * float64(time.Second))
 }
 
-// SubQuery is one decomposed query destined for a fragment's node.
+// SubQuery is one step of a plan destined for a fragment's node: a
+// decomposed query, or a fetch of the fragment's documents.
 type SubQuery struct {
-	Fragment string // fragment (node collection) the query targets
+	Fragment string // fragment (node collection) the step targets
 	Node     Driver
 	// Replicas are fallback nodes holding a copy of the fragment; they
 	// are tried in order when the primary fails.
 	Replicas []Driver
 	Query    string
+	// Fetch, when set in place of Query, makes the step a fetch: the node
+	// ships the documents of its collection Fetch, each cut down to Keep
+	// (nil ships them whole), through Driver.Fetch. Nothing reaches the
+	// sink; the documents land in SubResult.Docs.
+	Fetch string
+	Keep  *xmltree.Projection
 	// Tag is the correlation identifier handed to Driver.Query.
 	Tag string
 	// Trace asks the serving node for its processing-step spans; they land
@@ -245,21 +252,21 @@ type SubQuery struct {
 	Trace bool
 }
 
-// SubResult is the measured outcome of one sub-query. The items
-// themselves went to the StreamSink.
+// SubResult is the measured outcome of one sub-query. A query's items
+// went to the StreamSink; a fetch's documents are in Docs.
 type SubResult struct {
 	Fragment string
 	// Node names the node that actually served the sub-query — a replica,
 	// after failover, rather than the primary.
 	Node      string
-	ItemCount int // items produced
+	ItemCount int // items produced (documents, for a fetch)
 	// Elapsed is the site processing time, measured around the driver
 	// call; the coordinator's own sizing of the batches (SeqBytes) is
 	// excluded.
 	Elapsed     time.Duration
 	ResultBytes int // serialized size of the partial result
 	// FirstFrame is the time from sub-query start to its first result
-	// batch; zero for an empty result.
+	// batch; zero for an empty result and for a fetch.
 	FirstFrame time.Duration
 	// Frames counts the result batches delivered.
 	Frames int
@@ -269,6 +276,9 @@ type SubResult struct {
 	// Spans are the node's processing-step timings for a traced
 	// sub-query (SubQuery.Trace); nil otherwise.
 	Spans []obs.Span
+	// Docs holds a fetch's documents, freshly decoded and owned by the
+	// caller; nil for a query.
+	Docs *xmltree.Collection
 }
 
 // ExecResult aggregates sub-query executions under the paper's
@@ -281,7 +291,7 @@ type ExecResult struct {
 	// TotalWork is the sum of all site times (the resource cost).
 	TotalWork time.Duration
 	// TransmissionTime models shipping every sub-query and partial result
-	// over the coordinator's link.
+	// (a fetch ships no query text) over the coordinator's link.
 	TransmissionTime time.Duration
 	// FirstItem is the time from execution start until the first result
 	// item reached the sink. Zero for empty results.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"partix/internal/obs"
+	"partix/internal/xmltree"
 	"partix/internal/xquery"
 )
 
@@ -100,11 +101,12 @@ func (st *streamState) reset(sub int) {
 	st.sink.Reset(sub)
 }
 
-// Execute is the one sub-query scheduler: it runs the sub-queries with
-// at most inflight of them in progress (0 means all at once), taking
-// them in order, and hands each sub-query's batches to sink as they
-// arrive, so the coordinator composes while slower nodes are still
-// transmitting. The in-flight limit is the whole execution policy.
+// Execute is the one step scheduler: it runs the steps — sub-queries and
+// fetches alike — with at most inflight of them in progress (0 means all
+// at once), taking them in order, and hands each sub-query's batches to
+// sink as they arrive, so the coordinator composes while slower nodes
+// are still transmitting. The in-flight limit is the whole execution
+// policy.
 // inflight = 1 runs the sub-queries one after another on the calling
 // goroutine with slowest-site accounting — the paper's own simulation of
 // intra-query parallelism ("assuming that all fragments are placed at
@@ -166,13 +168,16 @@ func Execute(subs []SubQuery, cost CostModel, inflight int, sink StreamSink) (*E
 	return res, nil
 }
 
-// runSub delivers one sub-query into the shared sink, trying the primary
-// node, then each replica in turn. A failover after partial delivery
-// resets the sink's state for this sub-query first, so the replica's
-// re-delivery starts from a clean slate and nothing is seen twice. When
-// every copy fails, the error names each node tried with its own failure.
+// runSub runs one step, trying the primary node, then each replica in
+// turn: a sub-query delivers into the shared sink, a fetch into its
+// SubResult. A failover after partial delivery resets the sink's state
+// for this sub-query first, so the replica's re-delivery starts from a
+// clean slate and nothing is seen twice. When every copy fails, the error
+// names each node tried with its own failure.
 func runSub(i int, sq SubQuery, st *streamState) (SubResult, error) {
-	obs.ClusterSubQueries.Inc()
+	if sq.Fetch == "" {
+		obs.ClusterSubQueries.Inc()
+	}
 	nodes := make([]Driver, 0, 1+len(sq.Replicas))
 	nodes = append(nodes, sq.Node)
 	nodes = append(nodes, sq.Replicas...)
@@ -184,6 +189,14 @@ func runSub(i int, sq SubQuery, st *streamState) (SubResult, error) {
 		if st.stopped.Load() {
 			obs.ClusterStreamCancels.Inc()
 			return SubResult{Fragment: sq.Fragment, Node: node.Name(), Cancelled: true}, nil
+		}
+		if sq.Fetch != "" {
+			sub, err := runFetch(sq, node)
+			if err == nil {
+				return sub, nil
+			}
+			errs = append(errs, fmt.Errorf("node %s: %w", node.Name(), err))
+			continue
 		}
 		start := time.Now()
 		var firstFrame, sizing time.Duration
@@ -232,6 +245,24 @@ func runSub(i int, sq SubQuery, st *streamState) (SubResult, error) {
 		}
 		errs = append(errs, fmt.Errorf("node %s: %w", node.Name(), err))
 	}
-	return SubResult{}, fmt.Errorf("cluster: sub-query on fragment %q failed on all %d copies: %w",
+	return SubResult{}, fmt.Errorf("cluster: step on fragment %q failed on all %d copies: %w",
 		sq.Fragment, len(nodes), errors.Join(errs...))
+}
+
+// runFetch runs a fetch step on one node. The documents are sized at
+// their XML text, the payload the transmission model charges for, like a
+// query's batches; the sizing stays out of Elapsed.
+func runFetch(sq SubQuery, node Driver) (SubResult, error) {
+	start := time.Now()
+	col, err := node.Fetch(sq.Fetch, sq.Keep)
+	elapsed := time.Since(start)
+	if err != nil {
+		return SubResult{}, err
+	}
+	bytes := 0
+	for _, d := range col.Docs {
+		bytes += xmltree.SerializedSize(d)
+	}
+	return SubResult{Fragment: sq.Fragment, Node: node.Name(), Elapsed: elapsed,
+		ResultBytes: bytes, ItemCount: col.Len(), Docs: col}, nil
 }

@@ -366,6 +366,9 @@ func labelsPrefix(a, b []string) bool {
 }
 
 func pathLabels(p *xpath.Path) []string {
+	if p == nil {
+		return nil // a horizontal fragment: whole documents
+	}
 	out := make([]string, 0, len(p.Steps))
 	for _, st := range p.Steps {
 		if st.Attr {

@@ -4,35 +4,62 @@ import (
 	"fmt"
 
 	"partix/internal/cluster"
+	"partix/internal/xmltree"
 	"partix/internal/xquery"
 )
 
-// fragQuery is one sub-query bound for a fragment's node.
-type fragQuery struct {
+// planStep is one request of a plan, bound for a fragment's node: a
+// sub-query when expr is set, otherwise a fetch of the fragment's
+// documents, each cut down to keep at the node (nil ships them whole).
+type planStep struct {
+	meta     *CollectionMeta
 	fragment string
 	node     string
 	replicas []string
 	expr     xquery.Expr
+	keep     *xmltree.Projection
 }
 
-// buildSubs resolves fragment queries to cluster sub-queries. tag is the
-// correlation identifier every sub-query carries for log joining; trace
-// additionally asks the nodes for their processing-step spans.
-func (s *System) buildSubs(fqs []fragQuery, tag string, trace bool) ([]cluster.SubQuery, error) {
-	subs := make([]cluster.SubQuery, 0, len(fqs))
-	for _, fq := range fqs {
-		node := s.Node(fq.node)
+// newStep targets fragment of meta at its primary node and replicas; a
+// nil expr makes the step a whole fetch.
+func newStep(meta *CollectionMeta, fragment string, expr xquery.Expr) planStep {
+	return planStep{meta: meta, fragment: fragment, node: meta.Placement[fragment],
+		replicas: meta.Replicas[fragment], expr: expr}
+}
+
+// composition is how a plan composes its answer from its steps' results.
+type composition uint8
+
+const (
+	// composeConcat concatenates the sub-query answers in step order (∪).
+	composeConcat composition = iota
+	// composeAggregate folds count/sum/min/max/avg partial values.
+	composeAggregate
+	// composeDecider folds exists/empty verdicts, stopping at the first
+	// decisive one.
+	composeDecider
+	// composeJoin joins the fetched documents back together (⨝, or ∪ for
+	// horizontal fragments) and evaluates the query over them.
+	composeJoin
+)
+
+// buildSubs resolves plan steps to cluster steps. tag is the correlation
+// identifier every sub-query carries for log joining; trace additionally
+// asks the nodes for their processing-step spans.
+func (s *System) buildSubs(steps []planStep, tag string, trace bool) ([]cluster.SubQuery, error) {
+	subs := make([]cluster.SubQuery, 0, len(steps))
+	for _, st := range steps {
+		node := s.Node(st.node)
 		if node == nil {
-			return nil, fmt.Errorf("partix: unknown node %q", fq.node)
+			return nil, fmt.Errorf("partix: unknown node %q", st.node)
 		}
-		sub := cluster.SubQuery{
-			Fragment: fq.fragment,
-			Node:     node,
-			Query:    xquery.Format(fq.expr),
-			Tag:      tag,
-			Trace:    trace,
+		sub := cluster.SubQuery{Fragment: st.fragment, Node: node, Tag: tag, Trace: trace}
+		if st.expr != nil {
+			sub.Query = xquery.Format(st.expr)
+		} else {
+			sub.Fetch, sub.Keep = st.meta.NodeCollection(st.fragment), st.keep
 		}
-		for _, r := range fq.replicas {
+		for _, r := range st.replicas {
 			replica := s.Node(r)
 			if replica == nil {
 				return nil, fmt.Errorf("partix: unknown replica node %q", r)
@@ -44,9 +71,47 @@ func (s *System) buildSubs(fqs []fragQuery, tag string, trace bool) ([]cluster.S
 	return subs, nil
 }
 
-// composeAggregateSeqs folds the per-fragment partial sequences of a
+// decomposable reports whether a query over one fragmented collection
+// composes from per-fragment answers, and with which fold. Two shapes do:
+//   - a stream: a collection-rooted path, or a FLWOR whose first clause is
+//     a for over one, with no order by and no other collection()
+//     reference. Its answer is the ∪ of the per-fragment answers.
+//   - count/sum/min/max/avg/exists/empty applied to a stream; fold names
+//     the function that folds the per-fragment values.
+//
+// Any other shape — arithmetic over an aggregate, a let over the whole
+// collection, a global order by, a constructor or quantifier around a
+// stream, a second scan — reads the collection as a whole, so it is
+// answered by join-and-evaluate over every fragment.
+func decomposable(e xquery.Expr) (fold string, ok bool) {
+	if f, isCall := e.(*xquery.FuncCall); isCall && len(f.Args) == 1 {
+		switch f.Name {
+		case "count", "sum", "min", "max", "avg", "exists", "empty":
+			fold, e = f.Name, f.Args[0]
+		}
+	}
+	src := e
+	if fl, isFLWOR := e.(*xquery.FLWOR); isFLWOR {
+		if len(fl.Clauses) == 0 || fl.Clauses[0].Let || len(fl.OrderBy) > 0 {
+			return "", false
+		}
+		src = fl.Clauses[0].In
+	}
+	if _, _, rooted := xquery.CollectionRooted(src); !rooted {
+		return "", false
+	}
+	scans := 0
+	xquery.Walk(e, func(x xquery.Expr) {
+		if _, isColl := x.(*xquery.CollectionCall); isColl {
+			scans++
+		}
+	})
+	return fold, scans == 1
+}
+
+// foldAggregate folds the per-fragment partial sequences of a
 // decomposable aggregate into the global value.
-func composeAggregateSeqs(name string, parts []xquery.Seq) (xquery.Seq, error) {
+func foldAggregate(name string, parts []xquery.Seq) (xquery.Seq, error) {
 	switch name {
 	case "count", "sum":
 		total := 0.0
@@ -105,10 +170,10 @@ func composeAggregateSeqs(name string, parts []xquery.Seq) (xquery.Seq, error) {
 	}
 }
 
-// composeDecider folds per-fragment boolean verdicts: a global exists()
+// foldDecider folds per-fragment boolean verdicts: a global exists()
 // is the OR of the fragments' exists(), a global empty() the AND of
 // their empty().
-func composeDecider(name string, parts []xquery.Seq) (bool, error) {
+func foldDecider(name string, parts []xquery.Seq) (bool, error) {
 	verdict := name == "empty" // identity element: OR starts false, AND starts true
 	for _, part := range parts {
 		for _, it := range part {
@@ -124,39 +189,6 @@ func composeDecider(name string, parts []xquery.Seq) (bool, error) {
 		}
 	}
 	return verdict, nil
-}
-
-// topLevelAggregate recognizes queries whose outermost expression is a
-// decomposable aggregate.
-func topLevelAggregate(e xquery.Expr) (string, bool) {
-	f, ok := e.(*xquery.FuncCall)
-	if !ok || len(f.Args) != 1 {
-		return "", false
-	}
-	switch f.Name {
-	case "count", "sum", "min", "max", "avg":
-		return f.Name, true
-	}
-	return "", false
-}
-
-// topLevelDecider recognizes queries whose outermost expression is a
-// boolean quantifier over one sequence. They compose by folding the
-// per-fragment verdicts — exists() is the OR of the fragments'
-// exists(), empty() the AND of their empty() — and, under streaming,
-// terminate early: the first decisive verdict cancels the remaining
-// sub-queries. (Composed as a plain union they would concatenate
-// booleans, diverging from the centralized answer.)
-func topLevelDecider(e xquery.Expr) (string, bool) {
-	f, ok := e.(*xquery.FuncCall)
-	if !ok || len(f.Args) != 1 {
-		return "", false
-	}
-	switch f.Name {
-	case "exists", "empty":
-		return f.Name, true
-	}
-	return "", false
 }
 
 // rewriteAggregateForFragments prepares the per-fragment form of a

@@ -320,13 +320,13 @@ func annotateIndexOnly(sp *statsPlan, p *queryPlan) {
 	if sp == nil {
 		return
 	}
-	for _, fq := range p.subQueries {
-		if !subIndexOnly(fq.expr) {
+	for _, st := range p.steps {
+		if !subIndexOnly(st.expr) {
 			continue
 		}
-		e := sp.est[fq.fragment]
+		e := sp.est[st.fragment]
 		e.indexOnly = true
-		sp.est[fq.fragment] = e
+		sp.est[st.fragment] = e
 	}
 }
 

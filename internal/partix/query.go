@@ -1,7 +1,6 @@
 package partix
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -28,9 +27,14 @@ const (
 	// the per-fragment values ("entirely evaluated in parallel, not
 	// requiring additional time for reconstructing the global result").
 	StrategyAggregate Strategy = "aggregate"
-	// StrategyReconstruct: the query needs several vertical fragments;
-	// their documents are fetched, joined by ID (⨝) at the coordinator,
-	// and the query is evaluated over the reconstructed collection.
+	// StrategyReconstruct: join-and-evaluate. The fragments' documents
+	// are fetched, joined back at the coordinator — by ID (⨝) for
+	// vertical and hybrid fragments, by ∪ for horizontal ones — and the
+	// query is evaluated over the reconstructed collection. It answers
+	// queries needing several vertical fragments, horizontal queries that
+	// do not decompose into per-fragment answers (arithmetic over an
+	// aggregate, a global order by, a let over the collection, …), and
+	// queries over several collections or with doc().
 	StrategyReconstruct Strategy = "reconstruct"
 )
 
@@ -57,7 +61,7 @@ type QueryResult struct {
 	// Frames is the total number of sub-query result batches received.
 	Frames int
 	// StreamedBytes is the serialized size of all sub-query partial
-	// results.
+	// results and fetched documents.
 	StreamedBytes int
 	// TraceID identifies this query across the deployment when tracing
 	// is enabled; it is the tag the nodes saw in the wire header.
@@ -233,32 +237,15 @@ func (s *System) resultStamps(version uint64, p *queryPlan) (stampSet, bool) {
 			return stampSet{}, false
 		}
 	}
-	type pair struct{ node, collection string }
-	var pairs []pair
-	switch {
-	case len(p.metas) > 0:
-		for _, meta := range p.metas {
-			for frag, node := range meta.Placement {
-				pairs = append(pairs, pair{node, meta.NodeCollection(frag)})
-			}
-		}
-	case len(p.reconstruct) > 0:
-		for _, f := range p.reconstruct {
-			pairs = append(pairs, pair{p.meta.Placement[f.Name], p.meta.NodeCollection(f.Name)})
-		}
-	default:
-		for _, fq := range p.subQueries {
-			pairs = append(pairs, pair{fq.node, p.meta.NodeCollection(fq.fragment)})
-		}
-	}
-	stamps := make([]genStamp, len(p.stamps), len(p.stamps)+len(pairs))
+	stamps := make([]genStamp, len(p.stamps), len(p.stamps)+len(p.steps))
 	copy(stamps, p.stamps)
-	for _, pr := range pairs {
-		cur := s.nodeStatistics(pr.node, pr.collection)
+	for _, st := range p.steps {
+		coll := st.meta.NodeCollection(st.fragment)
+		cur := s.nodeStatistics(st.node, coll)
 		if cur == nil {
 			return stampSet{}, false
 		}
-		stamps = append(stamps, genStamp{node: pr.node, collection: pr.collection, gen: cur.Generation, has: true})
+		stamps = append(stamps, genStamp{node: st.node, collection: coll, gen: cur.Generation, has: true})
 	}
 	return stampSet{catalogVersion: version, stamps: stamps}, true
 }
@@ -274,7 +261,7 @@ func (s *System) maybeCacheResult(norm string, stamps stampSet, e xquery.Expr, p
 	if res.Trace != nil {
 		return
 	}
-	if _, decider := topLevelDecider(e); decider {
+	if f, ok := e.(*xquery.FuncCall); ok && (f.Name == "exists" || f.Name == "empty") {
 		return
 	}
 	rc := s.resultCache
@@ -422,28 +409,25 @@ func assembleTrace(res *QueryResult, planTime, elapsed time.Duration) *obs.Span 
 	return root
 }
 
-// queryPlan is the outcome of planning: what runs where. Plans are
-// immutable once built — the plan cache hands the same plan to every
-// repeat of the query.
+// queryPlan is the outcome of planning: what runs where, and how the
+// answer is composed. Plans are immutable once built — the plan cache
+// hands the same plan to every repeat of the query.
 type queryPlan struct {
 	strategy Strategy
-	meta     *CollectionMeta // single-collection plans
-	metas    []*CollectionMeta
-	// subQueries is set for centralized/routed/union/aggregate plans.
-	subQueries []fragQuery
-	// reconstruct lists the fragments to fetch and join, smallest
-	// estimated side first when statistics were available.
-	reconstruct []*fragmentation.Fragment
-	// prog, when set, composes a reconstruction: the query compiled once
-	// at plan time and run over the joined documents (shared by every
-	// execution of a cached plan; each run keeps its state to itself).
-	// keeps then holds, per reconstruct entry, the projection its fetch
-	// ships — nil for a fragment fetched whole. Without prog the
-	// fragments are fetched whole and the interpreter composes.
-	prog  *exec.Program
-	keeps []*xmltree.Projection
-	// emptyRoute marks a query contradicting every fragment.
-	emptyRoute bool
+	// steps are the plan's sub-queries or fetches, in execution order
+	// (a join's fetches smallest estimated side first when statistics
+	// were available). Zero steps: the query contradicts every fragment.
+	steps   []planStep
+	compose composition
+	// fold names the aggregate or decider function an aggregate or
+	// decider composition folds.
+	fold string
+	// prog, when set, evaluates a join composition: the query compiled
+	// once at plan time and run over the joined documents (shared by every
+	// execution of a cached plan; each run keeps its state to itself). The
+	// fetch steps then ship only what it reads. Without prog the fragments
+	// are fetched whole and the interpreter evaluates.
+	prog *exec.Program
 	// skipped lists fragments statistics proved empty for this query.
 	skipped []string
 	// stamps records the statistics snapshots planning consulted; the
@@ -478,16 +462,25 @@ func (s *System) planQuery(e xquery.Expr) (*queryPlan, error) {
 	// queries; automatic decomposition of cross-collection joins is out
 	// of scope there too).
 	if len(colls) > 1 {
-		return &queryPlan{strategy: StrategyReconstruct, metas: metas}, nil
+		p := &queryPlan{strategy: StrategyReconstruct, compose: composeJoin}
+		for _, meta := range metas {
+			if !meta.Fragmented() {
+				p.steps = append(p.steps, newStep(meta, "", nil))
+				continue
+			}
+			if err := joinable(meta); err != nil {
+				return nil, err
+			}
+			for _, f := range meta.Scheme.Fragments {
+				p.steps = append(p.steps, newStep(meta, f.Name, nil))
+			}
+		}
+		return p, nil
 	}
 
 	meta := metas[0]
 	if !meta.Fragmented() {
-		p := &queryPlan{
-			strategy:   StrategyCentralized,
-			meta:       meta,
-			subQueries: []fragQuery{{fragment: "", node: meta.Placement[""], replicas: meta.Replicas[""], expr: e}},
-		}
+		p := &queryPlan{strategy: StrategyCentralized, steps: []planStep{newStep(meta, "", e)}}
 		if sp := s.newStatsPlan(e, meta); sp != nil {
 			st := s.fragmentStatistics(meta, "")
 			sp.stamp(meta, "", st)
@@ -503,41 +496,47 @@ func (s *System) planQuery(e xquery.Expr) (*queryPlan, error) {
 	// mixing doc() with a fragmented collection are therefore evaluated
 	// at the coordinator over the reconstructed collection.
 	if usesDocCall(e) {
-		sp := s.newStatsPlan(e, meta)
-		return sp.apply(&queryPlan{
-			strategy:    StrategyReconstruct,
-			meta:        meta,
-			reconstruct: s.orderReconstruct(sp, meta, meta.Scheme.Fragments),
-		}), nil
+		return s.joinPlan(e, meta, s.newStatsPlan(e, meta), meta.Scheme.Fragments)
 	}
 
 	an := analyzeQuery(e)
+	fold, ok := decomposable(e)
 	if meta.Scheme.AllHorizontal() {
-		return s.planHorizontal(e, meta, an)
+		return s.planHorizontal(e, meta, an, fold, ok)
 	}
-	p, err := s.planVertical(e, meta, an)
-	if err == nil && len(p.reconstruct) > 0 {
-		compileReconstruct(e, p)
-	}
-	return p, err
+	return s.planVertical(e, meta, an, fold, ok)
 }
 
-// compileReconstruct compiles a reconstruction plan's query for its
-// composition and derives each fetch's projection from the program's: a
-// fragment the query reads whole is fetched as stored, any other ships
-// only what the program reads. A query outside the compiled subset keeps
-// whole fetches and the interpreter.
-func compileReconstruct(e xquery.Expr, p *queryPlan) {
-	prog, ok := exec.Compile(e)
-	if !ok {
-		return
+// joinable rejects a join over FragMode1 hybrid fragments, whose
+// documents are the repeating children themselves.
+func joinable(meta *CollectionMeta) error {
+	if meta.Mode == fragmentation.FragModeMD {
+		return fmt.Errorf("partix: query needs a join of the fragments of %q, but FragMode1 documents cannot be joined back", meta.Name)
 	}
-	p.prog = prog
-	p.keeps = make([]*xmltree.Projection, len(p.reconstruct))
-	keep := prog.Keep()
-	for i, f := range p.reconstruct {
-		p.keeps[i] = fetchProjection(keep, f)
+	return nil
+}
+
+// joinPlan answers e by join-and-evaluate over frags of meta: one fetch
+// step per fragment, smallest first when statistics are available. When
+// e compiles (and reads no doc(), which the fetch projections would not
+// cover), the program composes and each fetch ships only what it reads:
+// a fragment the query reads whole is fetched as stored.
+func (s *System) joinPlan(e xquery.Expr, meta *CollectionMeta, sp *statsPlan, frags []*fragmentation.Fragment) (*queryPlan, error) {
+	if err := joinable(meta); err != nil {
+		return nil, err
 	}
+	p := &queryPlan{strategy: StrategyReconstruct, compose: composeJoin}
+	if !usesDocCall(e) {
+		p.prog, _ = exec.Compile(e)
+	}
+	for _, f := range s.orderReconstruct(sp, meta, frags) {
+		st := newStep(meta, f.Name, nil)
+		if p.prog != nil {
+			st.keep = fetchProjection(p.prog.Keep(), f)
+		}
+		p.steps = append(p.steps, st)
+	}
+	return sp.apply(p), nil
 }
 
 // fetchProjection is the projection a fetch of fragment f ships for a
@@ -568,15 +567,6 @@ func fetchProjection(keep *xmltree.Projection, f *fragmentation.Fragment) *xmltr
 	return keep
 }
 
-// fetchKeep is the projection the i-th reconstruction fetch ships, nil
-// for a whole fetch.
-func (p *queryPlan) fetchKeep(i int) *xmltree.Projection {
-	if p.keeps == nil {
-		return nil
-	}
-	return p.keeps[i]
-}
-
 func usesDocCall(e xquery.Expr) bool {
 	found := false
 	xquery.Walk(e, func(x xquery.Expr) {
@@ -587,11 +577,17 @@ func usesDocCall(e xquery.Expr) bool {
 	return found
 }
 
-// planHorizontal prunes fragments whose predicate contradicts the query,
+// planHorizontal answers a decomposable query from the fragments that can
+// contribute: it prunes fragments whose predicate contradicts the query,
 // skips fragments whose statistics prove them empty for the query, and
-// targets the rewritten query at the remainder.
-func (s *System) planHorizontal(e xquery.Expr, meta *CollectionMeta, an *analysis) (*queryPlan, error) {
+// targets the rewritten query at the remainder. Any other query reads
+// the collection as a whole and is joined and evaluated over every
+// fragment.
+func (s *System) planHorizontal(e xquery.Expr, meta *CollectionMeta, an *analysis, fold string, decomposes bool) (*queryPlan, error) {
 	sp := s.newStatsPlan(e, meta)
+	if !decomposes {
+		return s.joinPlan(e, meta, sp, meta.Scheme.Fragments)
+	}
 	var relevant []*fragmentation.Fragment
 	for _, f := range meta.Scheme.Fragments {
 		if len(an.constraints) > 0 && contradictsPredicate(f.Predicate, nil, an.constraints, meta.Name) {
@@ -602,34 +598,22 @@ func (s *System) planHorizontal(e xquery.Expr, meta *CollectionMeta, an *analysi
 		}
 		relevant = append(relevant, f)
 	}
-	if len(relevant) == 0 {
-		// The query contradicts (or statistics prove empty) every
-		// fragment: empty result, but an aggregate still needs its zero
-		// value, so evaluate over nothing.
-		return sp.apply(&queryPlan{strategy: StrategyRouted, meta: meta, emptyRoute: true}), nil
+	plan, err := unionPlan(e, meta, fold, relevant)
+	if err != nil {
+		return nil, err
 	}
-	plan := &queryPlan{meta: meta}
-	shipped := e
-	if len(relevant) > 1 {
-		shipped = rewriteAggregateForFragments(e)
-	}
-	for _, f := range relevant {
-		sub, err := rewriteForFragment(shipped, meta.Name, meta.NodeCollection(f.Name), nil)
-		if err != nil {
-			return nil, err
-		}
-		plan.subQueries = append(plan.subQueries, fragQuery{fragment: f.Name, node: meta.Placement[f.Name], replicas: meta.Replicas[f.Name], expr: sub})
-	}
-	plan.strategy = unionOrAggregate(e, len(relevant))
 	sp.apply(plan)
 	annotateIndexOnly(sp, plan)
 	return plan, nil
 }
 
-// planVertical routes to one fragment when possible, unions across
-// sibling hybrid fragments when the query is item-scoped, and falls back
-// to join reconstruction otherwise.
-func (s *System) planVertical(e xquery.Expr, meta *CollectionMeta, an *analysis) (*queryPlan, error) {
+// planVertical unions across sibling hybrid fragments when the query is
+// decomposable and item-scoped, routes to one fragment when only one
+// holds what the query reads, and falls back to join reconstruction
+// otherwise. Vertical and hybrid fragments hold projections whose local
+// paths diverge from the global document shape, so statistics only feed
+// the reconstruction fetch order here — never fragment skipping.
+func (s *System) planVertical(e xquery.Expr, meta *CollectionMeta, an *analysis, fold string, decomposes bool) (*queryPlan, error) {
 	sp := s.newStatsPlan(e, meta)
 	touched := s.touchedFragments(meta, an)
 	if len(touched) == 0 && !an.unresolved {
@@ -645,11 +629,23 @@ func (s *System) planVertical(e xquery.Expr, meta *CollectionMeta, an *analysis)
 	if len(touched) == 0 {
 		touched = meta.Scheme.Fragments
 	}
-	// Vertical and hybrid fragments hold projections whose local paths
-	// diverge from the global document shape, so statistics only feed the
-	// reconstruction fetch order here — never fragment skipping.
-	reconstructPlan := sp.apply(&queryPlan{strategy: StrategyReconstruct, meta: meta,
-		reconstruct: s.orderReconstruct(sp, meta, touched)})
+	// Union is sound when the query decomposes, all touched fragments are
+	// hybrid siblings (same projection path) and every query path stays
+	// strictly inside the repeating children — the query then treats the
+	// children as an MD collection partitioned by the σ predicates, so a
+	// sibling whose predicate contradicts the query contributes nothing.
+	if decomposes && s.unionable(meta, an, touched) {
+		var kept []*fragmentation.Fragment
+		for _, f := range touched {
+			if len(an.constraints) == 0 ||
+				!contradictsPredicate(f.Predicate, pathLabels(f.Path), an.constraints, meta.Name) {
+				kept = append(kept, f)
+			}
+		}
+		if plan, err := unionPlan(e, meta, fold, kept); err == nil {
+			return plan, nil
+		}
+	}
 	if len(touched) == 1 {
 		f := touched[0]
 		// Documents where the projection selects nothing are absent from
@@ -657,79 +653,50 @@ func (s *System) planVertical(e xquery.Expr, meta *CollectionMeta, an *analysis)
 		// projection root, those documents' bindings would silently
 		// disappear — unless the schema guarantees the path is mandatory.
 		if ancestorExistenceOf(an, meta.Name, f) && !holdsAllDocuments(meta, f) {
-			return reconstructPlan, nil
+			return s.joinPlan(e, meta, sp, touched)
 		}
-		strip, err := s.stripLabels(meta, f)
+		sub, err := rewriteForFragment(e, meta.Name, meta.NodeCollection(f.Name), stripLabels(meta, f))
+		if err != nil {
+			return s.joinPlan(e, meta, sp, touched)
+		}
+		return &queryPlan{strategy: StrategyRouted, steps: []planStep{newStep(meta, f.Name, sub)}}, nil
+	}
+	return s.joinPlan(e, meta, sp, touched)
+}
+
+// unionPlan ships a decomposable query, rewritten for each fragment, to
+// frags and composes their answers: one fragment's answer is the global
+// one; several concatenate (∪) for a stream and fold for an aggregate or
+// decider. With no fragment left the fold runs over nothing, giving the
+// aggregate's zero value. It fails when the query cannot be rewritten
+// for a fragment.
+func unionPlan(e xquery.Expr, meta *CollectionMeta, fold string, frags []*fragmentation.Fragment) (*queryPlan, error) {
+	plan := &queryPlan{strategy: StrategyUnion, fold: fold}
+	shipped := e
+	switch {
+	case len(frags) <= 1:
+		plan.strategy = StrategyRouted
+	case fold != "":
+		plan.strategy = StrategyAggregate
+		shipped = rewriteAggregateForFragments(e)
+	}
+	if len(frags) != 1 {
+		switch fold {
+		case "":
+		case "exists", "empty":
+			plan.compose = composeDecider
+		default:
+			plan.compose = composeAggregate
+		}
+	}
+	for _, f := range frags {
+		sub, err := rewriteForFragment(shipped, meta.Name, meta.NodeCollection(f.Name), stripLabels(meta, f))
 		if err != nil {
 			return nil, err
 		}
-		sub, err := rewriteForFragment(e, meta.Name, meta.NodeCollection(f.Name), strip)
-		if err != nil {
-			return reconstructPlan, nil
-		}
-		return &queryPlan{
-			strategy:   StrategyRouted,
-			meta:       meta,
-			subQueries: []fragQuery{{fragment: f.Name, node: meta.Placement[f.Name], replicas: meta.Replicas[f.Name], expr: sub}},
-		}, nil
+		plan.steps = append(plan.steps, newStep(meta, f.Name, sub))
 	}
-
-	// Union is sound when all touched fragments are hybrid siblings (same
-	// projection path) and every query path stays strictly inside the
-	// repeating children — the query then treats the children as an MD
-	// collection partitioned by the σ predicates.
-	if s.unionable(meta, an, touched) {
-		plan := &queryPlan{meta: meta}
-		shipped := e
-		if len(touched) > 1 {
-			shipped = rewriteAggregateForFragments(e)
-		}
-		for _, f := range touched {
-			strip, err := s.stripLabels(meta, f)
-			if err != nil {
-				return nil, err
-			}
-			sub, err := rewriteForFragment(shipped, meta.Name, meta.NodeCollection(f.Name), strip)
-			if err != nil {
-				return reconstructPlan, nil
-			}
-			plan.subQueries = append(plan.subQueries, fragQuery{fragment: f.Name, node: meta.Placement[f.Name], replicas: meta.Replicas[f.Name], expr: sub})
-		}
-		plan.strategy = unionOrAggregate(e, len(touched))
-		return plan, nil
-	}
-	return reconstructPlan, nil
-}
-
-// unionOrAggregate picks the composition for a multi-fragment broadcast.
-func unionOrAggregate(e xquery.Expr, fragments int) Strategy {
-	if fragments == 1 {
-		return StrategyRouted
-	}
-	if _, ok := topLevelAggregate(e); ok {
-		return StrategyAggregate
-	}
-	if _, ok := topLevelDecider(e); ok {
-		return StrategyAggregate
-	}
-	return StrategyUnion
-}
-
-// executePlan runs a plan and assembles the measured result. tag is the
-// correlation identifier stamped on sub-queries; trace asks the nodes for
-// their processing-step spans. Neither changes how the plan executes.
-func (s *System) executePlan(e xquery.Expr, p *queryPlan, tag string, trace bool) (*QueryResult, error) {
-	switch {
-	case p.emptyRoute:
-		return s.evalLocal(e, StrategyRouted, nil,
-			map[string]*xmltree.Collection{p.meta.Name: xmltree.NewCollection(p.meta.Name)}, nil)
-	case len(p.metas) > 0:
-		return s.reconstructAndEval(e, p.metas)
-	case len(p.reconstruct) > 0:
-		return s.reconstructFragments(e, p)
-	default:
-		return s.executeSubQueries(e, p.subQueries, p.strategy, tag, trace)
-	}
+	return plan, nil
 }
 
 // PlanStep describes one sub-query or fetch of an explained plan.
@@ -779,64 +746,35 @@ func (s *System) Explain(query string) (*Plan, error) {
 		Skipped:     p.skipped,
 		Cached:      cached,
 	}
-	estFor := func(fragment string) (int64, float64, bool) {
-		if est, ok := p.est[fragment]; ok {
-			return est.docs, est.cost, est.indexOnly
+	for _, st := range p.steps {
+		step := PlanStep{Fragment: st.fragment, Node: st.node, EstDocs: -1, EstCost: -1}
+		if est, ok := p.est[st.fragment]; ok {
+			step.EstDocs, step.EstCost, step.IndexOnly = est.docs, est.cost, est.indexOnly
 		}
-		return -1, -1, false
-	}
-	switch {
-	case p.emptyRoute:
-		// Nothing to do: the predicates contradict every fragment.
-	case len(p.metas) > 0:
-		for _, meta := range p.metas {
-			for frag, node := range meta.Placement {
-				out.Steps = append(out.Steps, PlanStep{Fragment: frag, Node: node, EstDocs: -1, EstCost: -1})
-			}
+		if st.expr != nil {
+			step.Query = xquery.Format(st.expr)
 		}
-	case len(p.reconstruct) > 0:
-		for i, f := range p.reconstruct {
-			docs, cost, _ := estFor(f.Name)
-			step := PlanStep{Fragment: f.Name, Node: p.meta.Placement[f.Name], EstDocs: docs, EstCost: cost}
-			if keep := p.fetchKeep(i); keep != nil {
-				step.Keep = keep.String()
-			}
-			out.Steps = append(out.Steps, step)
+		if st.keep != nil {
+			step.Keep = st.keep.String()
 		}
-	default:
-		for _, fq := range p.subQueries {
-			docs, cost, ixOnly := estFor(fq.fragment)
-			out.Steps = append(out.Steps, PlanStep{
-				Fragment: fq.fragment, Node: fq.node, Query: xquery.Format(fq.expr),
-				EstDocs: docs, EstCost: cost, IndexOnly: ixOnly,
-			})
-		}
+		out.Steps = append(out.Steps, step)
 	}
 	return out, nil
 }
 
-// touchedFragments returns the fragments the query's paths reach, with
-// hybrid fragments additionally pruned by predicate contradiction.
+// touchedFragments returns the fragments the query's paths reach.
 func (s *System) touchedFragments(meta *CollectionMeta, an *analysis) []*fragmentation.Fragment {
+	if an.unresolved {
+		return meta.Scheme.Fragments
+	}
 	var touched []*fragmentation.Fragment
 	for _, f := range meta.Scheme.Fragments {
-		if !an.unresolved {
-			reached := false
-			for _, qp := range an.paths {
-				if qp.collection == meta.Name && touchesFragment(f, qp) {
-					reached = true
-					break
-				}
-			}
-			if !reached {
-				continue
+		for _, qp := range an.paths {
+			if qp.collection == meta.Name && touchesFragment(f, qp) {
+				touched = append(touched, f)
+				break
 			}
 		}
-		if f.Kind == fragmentation.Hybrid && len(an.constraints) > 0 &&
-			contradictsPredicate(f.Predicate, pathLabels(f.Path), an.constraints, meta.Name) {
-			continue
-		}
-		touched = append(touched, f)
 	}
 	return touched
 }
@@ -870,11 +808,14 @@ func (s *System) unionable(meta *CollectionMeta, an *analysis, touched []*fragme
 	return true
 }
 
-func (s *System) stripLabels(meta *CollectionMeta, f *fragmentation.Fragment) ([]string, error) {
+// stripLabels is the path prefix a sub-query over fragment f drops: the
+// projection path of a hybrid fragment materialized as independent
+// documents (FragMode1), nil otherwise.
+func stripLabels(meta *CollectionMeta, f *fragmentation.Fragment) []string {
 	if f.Kind != fragmentation.Hybrid || meta.Mode != fragmentation.FragModeMD {
-		return nil, nil
+		return nil
 	}
-	return pathLabels(f.Path), nil
+	return pathLabels(f.Path)
 }
 
 // holdsAllDocuments reports whether every document of the collection is
@@ -902,142 +843,6 @@ func holdsAllDocuments(meta *CollectionMeta, f *fragmentation.Fragment) bool {
 		t = p.Type
 	}
 	return true
-}
-
-// reconstructFragments fetches the plan's fragments, each cut down to its
-// fetch projection at the node, joins them by ID in place and composes
-// the answer over the joined documents: through the plan's compiled
-// program when it has one, the interpreter otherwise.
-func (s *System) reconstructFragments(e xquery.Expr, p *queryPlan) (*QueryResult, error) {
-	meta := p.meta
-	if meta.Mode == fragmentation.FragModeMD {
-		return nil, fmt.Errorf("partix: query needs %d fragments of %q but FragMode1 documents cannot be joined back", len(p.reconstruct), meta.Name)
-	}
-	res := &QueryResult{Strategy: StrategyReconstruct}
-	parts := make([]*xmltree.Collection, 0, len(p.reconstruct))
-	for i, f := range p.reconstruct {
-		col, err := s.fetchWithFailover(meta, f.Name, p.fetchKeep(i), res)
-		if err != nil {
-			return nil, err
-		}
-		res.Fragments = append(res.Fragments, f.Name)
-		parts = append(parts, col)
-	}
-	start := time.Now()
-	merged, err := meta.Scheme.Reconstruct(parts)
-	if err != nil {
-		return nil, fmt.Errorf("partix: reconstruction of %q failed: %w", meta.Name, err)
-	}
-	src := memSource{meta.Name: merged}
-	var items xquery.Seq
-	if p.prog != nil {
-		items, err = p.prog.Run(src)
-	} else {
-		items, err = xquery.Eval(e, src)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.ComposeTime = time.Since(start)
-	res.Items = items
-	return res, nil
-}
-
-// fetchWithFailover retrieves a fragment's collection, cut down to keep,
-// from its primary node, falling back to replicas when the primary fails,
-// and accounts the fetch in res as one site: a SubTiming sized at the
-// fetched documents' XML bytes, slowest-site ParallelTime, modeled
-// transmission. When every copy fails, the error names each node tried
-// with its own failure.
-func (s *System) fetchWithFailover(meta *CollectionMeta, fragment string, keep *xmltree.Projection, res *QueryResult) (*xmltree.Collection, error) {
-	names := append([]string{meta.Placement[fragment]}, meta.Replicas[fragment]...)
-	var errs []error
-	for _, name := range names {
-		node := s.Node(name)
-		if node == nil {
-			errs = append(errs, fmt.Errorf("unknown node %q", name))
-			continue
-		}
-		start := time.Now()
-		col, err := node.Fetch(meta.NodeCollection(fragment), keep)
-		elapsed := time.Since(start)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("node %s: %w", name, err))
-			continue
-		}
-		bytes := 0
-		for _, d := range col.Docs {
-			bytes += xmltree.SerializedSize(d)
-		}
-		res.Sub = append(res.Sub, SubTiming{Fragment: fragment, Node: name, Elapsed: elapsed, ResultBytes: bytes, Items: col.Len()})
-		if elapsed > res.ParallelTime {
-			res.ParallelTime = elapsed
-		}
-		res.TransmissionTime += s.cost.Transmission(bytes) + s.cost.MessageLatency
-		return col, nil
-	}
-	return nil, fmt.Errorf("partix: fetch of fragment %q failed on all %d copies: %w",
-		fragment, len(names), errors.Join(errs...))
-}
-
-// reconstructAndEval handles multi-collection queries: every referenced
-// collection is materialized at the coordinator and the query evaluated
-// locally.
-func (s *System) reconstructAndEval(e xquery.Expr, metas []*CollectionMeta) (*QueryResult, error) {
-	res := &QueryResult{Strategy: StrategyReconstruct}
-	src := memSource{}
-	for _, meta := range metas {
-		col, err := s.fetchWhole(meta, res)
-		if err != nil {
-			return nil, err
-		}
-		src[meta.Name] = col
-	}
-	start := time.Now()
-	items, err := xquery.Eval(e, src)
-	if err != nil {
-		return nil, err
-	}
-	res.ComposeTime = time.Since(start)
-	res.Items = items
-	return res, nil
-}
-
-// fetchWhole materializes one whole collection at the coordinator: the
-// single copy of an unfragmented collection, or every fragment joined
-// back together.
-func (s *System) fetchWhole(meta *CollectionMeta, res *QueryResult) (*xmltree.Collection, error) {
-	if !meta.Fragmented() {
-		return s.fetchWithFailover(meta, "", nil, res)
-	}
-	var parts []*xmltree.Collection
-	for _, f := range meta.Scheme.Fragments {
-		col, err := s.fetchWithFailover(meta, f.Name, nil, res)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, col)
-	}
-	merged, err := meta.Scheme.Reconstruct(parts)
-	if err != nil {
-		return nil, err
-	}
-	merged.Name = meta.Name
-	return merged, nil
-}
-
-// evalLocal evaluates the query over in-memory collections (used for the
-// degenerate no-fragment case).
-func (s *System) evalLocal(e xquery.Expr, strategy Strategy, frags []string, cols map[string]*xmltree.Collection, subs []SubTiming) (*QueryResult, error) {
-	start := time.Now()
-	items, err := xquery.Eval(e, memSource(cols))
-	if err != nil {
-		return nil, err
-	}
-	return &QueryResult{
-		Items: items, Strategy: strategy, Fragments: frags, Sub: subs,
-		ComposeTime: time.Since(start),
-	}, nil
 }
 
 // memSource adapts in-memory collections to xquery.Source.

@@ -5,23 +5,25 @@ import (
 	"time"
 
 	"partix/internal/cluster"
+	"partix/internal/xmltree"
 	"partix/internal/xquery"
 )
 
-// executeSubQueries runs a sub-query plan — the one route every
-// centralized, routed, union and aggregate plan takes. Result batches
+// executePlan runs a plan's steps through cluster.Execute — the one
+// route every plan takes — and composes the answer. Sub-query batches
 // merge into the composition as they arrive, so the coordinator overlaps
 // composing with the nodes' transmission instead of waiting for every
-// materialized sub-result: a union concatenates in sub-query order (the ∪
-// reconstruction), an aggregate folds the per-fragment values (sum for
-// count/sum, min/max for min/max, a sum-and-count division for avg), and
-// exists/empty fold booleans and cancel the remaining sub-queries as soon
-// as one fragment's verdict decides the global answer. The composed items
-// are identical at every batch size and in-flight limit. Sequential
-// sub-queries with slowest-site accounting are the paper's methodology
-// and the default; concurrent mode runs every sub-query at once.
-func (s *System) executeSubQueries(e xquery.Expr, fqs []fragQuery, strategy Strategy, tag string, trace bool) (*QueryResult, error) {
-	subs, err := s.buildSubs(fqs, tag, trace)
+// materialized sub-result; exists/empty cancel the remaining steps as
+// soon as one fragment's verdict decides the global answer. Fetches get
+// the same replica failover, accounting and in-flight limit. The composed
+// items are identical at every batch size and in-flight limit.
+// Sequential steps with slowest-site accounting are the paper's
+// methodology and the default; concurrent mode runs every step at once.
+// tag is the correlation identifier stamped on sub-queries; trace asks
+// the nodes for their processing-step spans. Neither changes how the plan
+// executes.
+func (s *System) executePlan(e xquery.Expr, p *queryPlan, tag string, trace bool) (*QueryResult, error) {
+	subs, err := s.buildSubs(p.steps, tag, trace)
 	if err != nil {
 		return nil, err
 	}
@@ -31,29 +33,23 @@ func (s *System) executeSubQueries(e xquery.Expr, fqs []fragQuery, strategy Stra
 	}
 	b := cluster.NewBufferSink(len(subs))
 	var sink cluster.StreamSink = b
-	finish := func() (xquery.Seq, error) { return b.Concat(), nil }
-	if strategy == StrategyAggregate {
-		if name, ok := topLevelDecider(e); ok {
-			d := &deciderSink{BufferSink: b, name: name}
-			sink, finish = d, d.finish
-		} else if name, ok := topLevelAggregate(e); ok {
-			finish = func() (xquery.Seq, error) { return composeAggregateSeqs(name, b.Parts) }
-		}
+	if p.compose == composeDecider {
+		sink = &deciderSink{BufferSink: b, name: p.fold}
 	}
 	res, err := cluster.Execute(subs, s.cost, inflight, sink)
 	if err != nil {
 		return nil, err
 	}
-	// Only the final fold is charged as ComposeTime: the per-batch merges
-	// happened while other nodes were still transmitting.
+	// Only the final composition is charged as ComposeTime: the per-batch
+	// merges happened while other nodes were still transmitting.
 	start := time.Now()
-	items, err := finish()
+	items, err := p.composeItems(e, b, res.Sub)
 	if err != nil {
 		return nil, err
 	}
 	out := &QueryResult{
 		Items:            items,
-		Strategy:         strategy,
+		Strategy:         p.strategy,
 		ParallelTime:     res.ParallelTime,
 		TransmissionTime: res.TransmissionTime,
 		FirstItemLatency: res.FirstItem,
@@ -75,6 +71,52 @@ func (s *System) executeSubQueries(e xquery.Expr, fqs []fragQuery, strategy Stra
 	}
 	out.ComposeTime = time.Since(start)
 	return out, nil
+}
+
+// composeItems is the one place a plan's answer is composed: b holds the
+// sub-queries' answers and subs the executed steps, both in step order.
+func (p *queryPlan) composeItems(e xquery.Expr, b *cluster.BufferSink, subs []cluster.SubResult) (xquery.Seq, error) {
+	switch p.compose {
+	case composeAggregate:
+		return foldAggregate(p.fold, b.Parts)
+	case composeDecider:
+		verdict, err := foldDecider(p.fold, b.Parts)
+		if err != nil {
+			return nil, err
+		}
+		return xquery.Seq{verdict}, nil
+	case composeJoin:
+		return p.joinAndEval(e, subs)
+	}
+	return b.Concat(), nil
+}
+
+// joinAndEval joins each collection's fetched documents back together —
+// ⨝ by ID for vertical and hybrid fragments, ∪ for horizontal ones, in
+// place on the fetched trees — and evaluates the query over the result:
+// through the plan's compiled program when it has one, the interpreter
+// otherwise.
+func (p *queryPlan) joinAndEval(e xquery.Expr, subs []cluster.SubResult) (xquery.Seq, error) {
+	parts := map[*CollectionMeta][]*xmltree.Collection{}
+	for i, st := range p.steps {
+		parts[st.meta] = append(parts[st.meta], subs[i].Docs)
+	}
+	src := memSource{}
+	for meta, cols := range parts {
+		if !meta.Fragmented() {
+			src[meta.Name] = cols[0]
+			continue
+		}
+		merged, err := meta.Scheme.Reconstruct(cols)
+		if err != nil {
+			return nil, fmt.Errorf("partix: reconstruction of %q failed: %w", meta.Name, err)
+		}
+		src[meta.Name] = merged
+	}
+	if p.prog != nil {
+		return p.prog.Run(src)
+	}
+	return xquery.Eval(e, src)
 }
 
 // deciderSink composes exists()/empty() incrementally and stops the
@@ -100,12 +142,4 @@ func (d *deciderSink) Batch(sub int, items xquery.Seq) (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-func (d *deciderSink) finish() (xquery.Seq, error) {
-	verdict, err := composeDecider(d.name, d.Parts)
-	if err != nil {
-		return nil, err
-	}
-	return xquery.Seq{verdict}, nil
 }

@@ -39,9 +39,9 @@ func (s *System) recordQuery(p *queryPlan, e xquery.Expr,
 		for coll, wk := range p.work {
 			prof.ObserveQuery(coll, wk.Paths, wk.Predicates)
 		}
-		if res != nil && p.meta != nil {
-			for _, st := range res.Sub {
-				prof.ObserveFragment(p.meta.Name, st.Fragment, 0, int64(st.ResultBytes), st.Elapsed.Seconds())
+		if res != nil {
+			for i, st := range res.Sub {
+				prof.ObserveFragment(p.steps[i].meta.Name, st.Fragment, 0, int64(st.ResultBytes), st.Elapsed.Seconds())
 			}
 		}
 	}
@@ -128,12 +128,11 @@ func (s *System) recordPlanFailure(e xquery.Expr, norm string, planTime time.Dur
 // planIndexOnly reports whether every sub-query of the plan was judged
 // answerable from the node's indexes alone.
 func planIndexOnly(p *queryPlan) bool {
-	if len(p.subQueries) == 0 || len(p.est) == 0 {
+	if len(p.steps) == 0 {
 		return false
 	}
-	for _, fq := range p.subQueries {
-		est, ok := p.est[fq.fragment]
-		if !ok || !est.indexOnly {
+	for _, st := range p.steps {
+		if !p.est[st.fragment].indexOnly {
 			return false
 		}
 	}

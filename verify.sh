@@ -15,6 +15,10 @@ go vet ./...
 go build ./...
 go test -timeout 5m ./...
 go test -race -timeout 5m ./internal/obs/... ./internal/storage/... ./internal/engine/... ./internal/xquery/... ./internal/cluster/... ./internal/partix/... ./internal/wire/...
+# a plan's fetches run on goroutines like its sub-queries: the
+# composition shape table, the fetch in-flight limit and the two fetch
+# failover tests, repeated under the race detector
+go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragment|TestFetchStepsHonourInflightLimit|TestReconstructionFailover|TestMultiCollectionFetchFailsOverToReplica' ./internal/partix/
 # the benchmark is a nested module (partix/benchmark) that compiles
 # against internal/ through a replace directive, so ./... above does not
 # reach it: vet it and run its 5 s smoke test, or an internal/ signature
