@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -212,38 +213,7 @@ func run(configPath string, opts wire.ClientOptions, qopts queryOptions, args []
 		if err != nil {
 			return err
 		}
-		planState := "computed"
-		if plan.Cached {
-			planState = "cached"
-		}
-		fmt.Printf("strategy: %s\ncollections: %v\nplan: %s\n", plan.Strategy, plan.Collections, planState)
-		if len(plan.Skipped) > 0 {
-			fmt.Printf("skipped: %v (proven empty from fragment statistics)\n", plan.Skipped)
-		}
-		// est renders the planner's per-step estimate; "?" when the step
-		// had no statistics to estimate from.
-		est := func(st partix.PlanStep) string {
-			if st.EstDocs < 0 {
-				return "est ?"
-			}
-			s := fmt.Sprintf("est≈%d docs, %.0f bytes", st.EstDocs, st.EstCost)
-			if st.IndexOnly {
-				s += ", index-only"
-			}
-			return s
-		}
-		for _, st := range plan.Steps {
-			if st.Query != "" {
-				fmt.Printf("  %s @ %s [%s]: %s\n", st.Fragment, st.Node, est(st), st.Query)
-			} else {
-				// keep=* ships the stored documents whole.
-				keep := st.Keep
-				if keep == "" {
-					keep = "*"
-				}
-				fmt.Printf("  fetch %s @ %s [%s] keep=%s (reconstruction)\n", st.Fragment, st.Node, est(st), keep)
-			}
-		}
+		writePlan(os.Stdout, plan)
 		return nil
 
 	case "check":
@@ -259,7 +229,7 @@ func run(configPath string, opts wire.ClientOptions, qopts queryOptions, args []
 		var frags []*xmltree.Collection
 		for _, f := range scheme.Fragments {
 			node := sys.Node(cfg.Placement[f.Name])
-			col, err := node.Fetch(cfg.Collection+"::"+f.Name, nil)
+			col, err := node.Fetch(cfg.Collection+"::"+f.Name, cluster.FetchSpec{})
 			if err != nil {
 				return err
 			}
@@ -348,6 +318,55 @@ func run(configPath string, opts wire.ClientOptions, qopts queryOptions, args []
 
 	default:
 		return fmt.Errorf("unknown command %q", args[0])
+	}
+}
+
+// writePlan prints an explained plan: the strategy, then one line per
+// step — a sub-query with its text, or a reconstruction fetch with what it
+// ships of each document (keep=), the filter a semi-join's round-1 fetch
+// runs (where=) and, on a round-2 fetch, that it is restricted to the
+// documents round 1 returned (names←round 1).
+func writePlan(w io.Writer, plan *partix.Plan) {
+	planState := "computed"
+	if plan.Cached {
+		planState = "cached"
+	}
+	fmt.Fprintf(w, "strategy: %s\ncollections: %v\nplan: %s\n", plan.Strategy, plan.Collections, planState)
+	if len(plan.Skipped) > 0 {
+		fmt.Fprintf(w, "skipped: %v (proven empty from fragment statistics)\n", plan.Skipped)
+	}
+	// est renders the planner's per-step estimate; "?" when the step
+	// had no statistics to estimate from.
+	est := func(st partix.PlanStep) string {
+		if st.EstDocs < 0 {
+			return "est ?"
+		}
+		s := fmt.Sprintf("est≈%d docs, %.0f bytes", st.EstDocs, st.EstCost)
+		if st.IndexOnly {
+			s += ", index-only"
+		}
+		return s
+	}
+	for _, st := range plan.Steps {
+		if st.Query != "" {
+			fmt.Fprintf(w, "  %s @ %s [%s]: %s\n", st.Fragment, st.Node, est(st), st.Query)
+		} else {
+			// keep=* ships the stored documents whole; a semi-join's
+			// round-1 fetch shows its filter, a round-2 fetch the names
+			// it is restricted to.
+			keep := st.Keep
+			if keep == "" {
+				keep = "*"
+			}
+			sel := ""
+			switch {
+			case st.Where != "":
+				sel = " where=" + st.Where
+			case st.Round == 2:
+				sel = " names←round 1"
+			}
+			fmt.Fprintf(w, "  fetch %s @ %s [%s] keep=%s%s (reconstruction)\n", st.Fragment, st.Node, est(st), keep, sel)
+		}
 	}
 }
 

@@ -1,11 +1,17 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"partix/internal/cluster"
+	"partix/internal/engine"
 	"partix/internal/fragmentation"
+	"partix/internal/partix"
+	"partix/internal/xbench"
 )
 
 func writeConfig(t *testing.T, content string) string {
@@ -192,5 +198,45 @@ func TestLoadConfigWithSchema(t *testing.T) {
 	}
 	if _, _, err := cfgNR.scheme(); err == nil {
 		t.Fatal("schema without rootType accepted")
+	}
+}
+
+// explain prints a semi-join's fetches with what selects their documents:
+// the round-1 prolog fetch its filter, the round-2 body fetch the names
+// round 1 returned.
+func TestWritePlanShowsSemiJoinRounds(t *testing.T) {
+	sys := partix.NewSystem(cluster.NoNetwork)
+	placement := map[string]string{}
+	scheme := xbench.VerticalScheme("articles")
+	for i, f := range scheme.Fragments {
+		db, err := engine.Open(filepath.Join(t.TempDir(), f.Name+".db"), engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		name := fmt.Sprintf("n%d", i)
+		sys.AddNode(cluster.NewLocalNode(name, db))
+		placement[f.Name] = name
+	}
+	col := xbench.Generate(xbench.Config{Docs: 4, Seed: 1, Sections: 1, Paragraphs: 1})
+	if err := sys.Publish(col, scheme, placement, partix.PublishOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sys.Explain(`for $a in collection("articles")/article where $a/prolog/genre = "theory" return $a/body/section/title`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	writePlan(&out, plan)
+	for _, want := range []string{
+		"strategy: reconstruct\n",
+		`fetch F1papers @ n0 `,
+		` keep={body{section{title*}}} where=for $a in collection("articles::F1papers")/article where ($a/prolog/genre = "theory") return $a (reconstruction)`,
+		`fetch F2papers @ n1 `,
+		` keep={body{section{title*}}} names←round 1 (reconstruction)`,
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("explain output lacks %q:\n%s", want, out.String())
+		}
 	}
 }

@@ -39,15 +39,32 @@ type Driver interface {
 	// of one batch may share their memory (a remote batch is decoded into
 	// one slab), so keeping one of them may keep its whole batch alive.
 	Query(query, tag string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error)
-	// Fetch retrieves a collection's documents, each cut down to what
-	// keep selects (nil fetches them whole), for the coordinator's join
-	// reconstruction. Every document is freshly decoded: the caller owns
-	// the trees and may merge them in place.
-	Fetch(collection string, keep *xmltree.Projection) (*xmltree.Collection, error)
+	// Fetch retrieves the documents of a collection spec selects, in
+	// document-name order, each cut down to spec.Keep, for the
+	// coordinator's join reconstruction. Every document is freshly
+	// decoded: the caller owns the trees and may merge them in place.
+	Fetch(collection string, spec FetchSpec) (*xmltree.Collection, error)
 	// CollectionStats reports document count and stored bytes.
 	CollectionStats(collection string) (storage.Stats, error)
 	// HasCollection reports whether the node holds the collection.
 	HasCollection(collection string) bool
+}
+
+// FetchSpec says what a fetch ships of a collection. The zero value
+// ships every document whole.
+type FetchSpec struct {
+	// Keep is the projection every shipped document is cut down to; nil
+	// ships the documents whole.
+	Keep *xmltree.Projection
+	// Where, when set, is a filter over the fetched collection — the text
+	// of `for $v in collection("c")/E where … return $v`, E the root
+	// element — and only the documents it returns a binding for ship
+	// (engine.DB.Fetch).
+	Where string
+	// Names, when non-nil, restricts the fetch to the named documents:
+	// names the collection lacks are skipped, and an empty list ships
+	// nothing. Only nil means every document.
+	Names []string
 }
 
 // Pinger is an optional Driver extension for liveness checks. Remote
@@ -164,12 +181,13 @@ func (n *LocalNode) ExecuteQuery(query string) (xquery.Seq, error) {
 	return out, nil
 }
 
-// Fetch implements Driver: each stored record is decoded straight under
-// keep, in document-name order, from one pinned snapshot.
-func (n *LocalNode) Fetch(collection string, keep *xmltree.Projection) (*xmltree.Collection, error) {
+// Fetch implements Driver: each stored record the engine selects is
+// decoded straight under spec.Keep, in document-name order, from one
+// pinned snapshot.
+func (n *LocalNode) Fetch(collection string, spec FetchSpec) (*xmltree.Collection, error) {
 	col := xmltree.NewCollection(collection)
-	err := n.db.RawDocuments(collection, func(name string, raw []byte) error {
-		doc, err := storage.DecodeProjected(name, raw, keep)
+	err := n.db.Fetch(collection, spec.Names, spec.Where, func(name string, raw []byte) error {
+		doc, err := storage.DecodeProjected(name, raw, spec.Keep)
 		if err != nil {
 			return err
 		}
@@ -240,11 +258,11 @@ type SubQuery struct {
 	Replicas []Driver
 	Query    string
 	// Fetch, when set in place of Query, makes the step a fetch: the node
-	// ships the documents of its collection Fetch, each cut down to Keep
-	// (nil ships them whole), through Driver.Fetch. Nothing reaches the
-	// sink; the documents land in SubResult.Docs.
+	// ships the documents of its collection Fetch that Spec selects,
+	// through Driver.Fetch. Nothing reaches the sink; the documents land
+	// in SubResult.Docs.
 	Fetch string
-	Keep  *xmltree.Projection
+	Spec  FetchSpec
 	// Tag is the correlation identifier handed to Driver.Query.
 	Tag string
 	// Trace asks the serving node for its processing-step spans; they land
@@ -313,6 +331,18 @@ func (r *ExecResult) add(sub SubResult, cost CostModel, queryBytes int) {
 	}
 	r.TransmissionTime += cost.Transmission(queryBytes+sub.ResultBytes) + cost.MessageLatency
 	r.Frames += sub.Frames
+}
+
+// Then folds a later round's result into r: the rounds ran one after the
+// other, so their slowest-site and transmission times add, and the later
+// round's SubResults follow r's. A later round is a round of fetches,
+// which deliver no items, so FirstItem stays r's.
+func (r *ExecResult) Then(next *ExecResult) {
+	r.Sub = append(r.Sub, next.Sub...)
+	r.ParallelTime += next.ParallelTime
+	r.TotalWork += next.TotalWork
+	r.TransmissionTime += next.TransmissionTime
+	r.Frames += next.Frames
 }
 
 // SeqBytes is the serialized size of a result sequence: XML text for

@@ -56,7 +56,7 @@ func TestLocalNodeDriverOperations(t *testing.T) {
 	if xquery.ItemString(items[0]) != "3" {
 		t.Fatalf("count = %v", items)
 	}
-	col, err := n.Fetch("c", nil)
+	col, err := n.Fetch("c", FetchSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestLocalNodeDriverOperations(t *testing.T) {
 	}
 	// A projected fetch decodes each document under the trie: the zero
 	// projection keeps only the root element.
-	col, err = n.Fetch("c", &xmltree.Projection{})
+	col, err = n.Fetch("c", FetchSpec{Keep: &xmltree.Projection{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func (d *countingDriver) Name() string                                  { return
 func (d *countingDriver) CreateCollection(string) error                 { return nil }
 func (d *countingDriver) HasCollection(string) bool                     { return true }
 func (d *countingDriver) StoreDocument(string, *xmltree.Document) error { return nil }
-func (d *countingDriver) Fetch(string, *xmltree.Projection) (*xmltree.Collection, error) {
+func (d *countingDriver) Fetch(string, FetchSpec) (*xmltree.Collection, error) {
 	return xmltree.NewCollection("c"), nil
 }
 func (d *countingDriver) CollectionStats(string) (storage.Stats, error) {

@@ -254,7 +254,7 @@ func runSub(i int, sq SubQuery, st *streamState) (SubResult, error) {
 // query's batches; the sizing stays out of Elapsed.
 func runFetch(sq SubQuery, node Driver) (SubResult, error) {
 	start := time.Now()
-	col, err := node.Fetch(sq.Fetch, sq.Keep)
+	col, err := node.Fetch(sq.Fetch, sq.Spec)
 	elapsed := time.Since(start)
 	if err != nil {
 		return SubResult{}, err

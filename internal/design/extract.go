@@ -32,7 +32,7 @@ func extractSimplePredicates(e xquery.Expr, collection string) []xpath.Predicate
 			vars[cl.Var] = labels
 			for _, st := range steps {
 				for _, p := range st.Preds {
-					conjunctTerms(p, func(term xquery.Expr) {
+					xquery.Conjuncts(p, func(term xquery.Expr) {
 						if sp := simpleFromTerm(term, labels, vars); sp != nil {
 							out = append(out, sp)
 						}
@@ -43,7 +43,7 @@ func extractSimplePredicates(e xquery.Expr, collection string) []xpath.Predicate
 		if f.Where == nil {
 			return
 		}
-		conjunctTerms(f.Where, func(term xquery.Expr) {
+		xquery.Conjuncts(f.Where, func(term xquery.Expr) {
 			if sp := simpleFromTerm(term, nil, vars); sp != nil {
 				out = append(out, sp)
 			}
@@ -82,15 +82,6 @@ func bindingLabels(e xquery.Expr, collection string, vars map[string][]string) (
 		labels = append(labels, st.Name)
 	}
 	return labels, pe.Steps, true
-}
-
-func conjunctTerms(e xquery.Expr, fn func(xquery.Expr)) {
-	if b, ok := e.(*xquery.Binary); ok && b.Op == xquery.OpAnd {
-		conjunctTerms(b.Left, fn)
-		conjunctTerms(b.Right, fn)
-		return
-	}
-	fn(e)
 }
 
 // simpleFromTerm converts one conjunct into an xpath simple predicate

@@ -206,12 +206,12 @@ func mallocsPerRun(t *testing.T, runs int, f func() error) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// TestRawDocumentsIsASnapshot: a fetch reads one snapshot. Writes that land
+// TestFetchIsASnapshot: a fetch reads one snapshot. Writes that land
 // mid-fetch — the last document deleted and the second replaced from
 // inside the callback for the first — neither fail the fetch nor leak into
 // it: it delivers the snapshot's four documents with their old bytes, and
 // the next fetch sees the writes.
-func TestRawDocumentsIsASnapshot(t *testing.T) {
+func TestFetchIsASnapshot(t *testing.T) {
 	db := testDB(t, Options{})
 	loadItems(t, db)
 	names := []string{"i1", "i2", "i3", "i4"}
@@ -227,7 +227,7 @@ func TestRawDocumentsIsASnapshot(t *testing.T) {
 		t.Helper()
 		var got []string
 		data := map[string][]byte{}
-		err := db.RawDocuments("items", func(name string, raw []byte) error {
+		err := db.Fetch("items", nil, "", func(name string, raw []byte) error {
 			if len(got) == 0 && onFirst != nil {
 				if err := onFirst(); err != nil {
 					return err

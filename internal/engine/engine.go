@@ -582,7 +582,9 @@ func (db *DB) snapshotForQuery(collection string, hint *xquery.Hint) (querySnaps
 			ids, constrained, rp := ix.candidates(hint)
 			q.rangePruned = rp
 			if constrained {
-				q.refs = selectRefs(snap.Refs, ix.docNames(ids))
+				names := ix.docNames(ids)
+				slices.Sort(names)
+				q.refs = selectRefs(snap.Refs, names)
 				q.pruned = len(snap.Refs) - len(q.refs)
 			}
 		}
@@ -598,11 +600,10 @@ func (db *DB) snapshotForQuery(collection string, hint *xquery.Hint) (querySnaps
 }
 
 // selectRefs picks the refs of the named documents out of a name-sorted
-// ref slice: names are sorted, then each is binary-searched in the part of
-// refs after the previous match, in O(len(names) · log len(refs)). A name
-// the refs lack is skipped.
+// ref slice: each name of the sorted names is binary-searched in the part
+// of refs after the previous match, in O(len(names) · log len(refs)). A
+// name the refs lack is skipped.
 func selectRefs(refs []storage.DocRef, names []string) []storage.DocRef {
-	slices.Sort(names)
 	out := make([]storage.DocRef, 0, len(names))
 	for _, name := range names {
 		i, found := slices.BinarySearchFunc(refs, name, func(r storage.DocRef, n string) int {
@@ -636,17 +637,49 @@ func selectRefs(refs []storage.DocRef, names []string) []storage.DocRef {
 // rule). The counters take every document decoded, the unconsumed rest of
 // the chunk fn stopped in included, whether or not the scan succeeds.
 func (db *DB) Docs(collection string, hint *xquery.Hint, fn func(*xmltree.Document) error) error {
+	return db.scan(collection, hint, nil, scanDecode, func(d *xmltree.Document, _ []byte) error { return fn(d) })
+}
+
+// scanMode says what a scan hands its callback.
+type scanMode uint8
+
+const (
+	// scanDecode decodes every candidate under the hint's projection;
+	// the records are only valid during the callback.
+	scanDecode scanMode = iota
+	// scanRecords decodes every candidate too, and each chunk is read
+	// into a fresh buffer, so a record stays valid after the callback.
+	scanRecords
+	// scanRaw decodes nothing (the Document carries only the name) and
+	// reads every chunk into a fresh buffer.
+	scanRaw
+)
+
+// scan is the one read path over a collection's documents, behind Docs
+// and Fetch: it pins a snapshot, takes the candidates the hint leaves
+// (all of them without one), restricted to names when names is non-nil
+// (sorted), and reads them a chunk at a time (scanChunks), handing fn
+// each document with its stored record. Only decoding scans count as
+// decoded in the statistics.
+func (db *DB) scan(collection string, hint *xquery.Hint, names []string, mode scanMode, fn func(*xmltree.Document, []byte) error) error {
 	q, err := db.snapshotForQuery(collection, hint)
 	if err != nil {
 		return err
 	}
 	defer q.snap.Close()
+	refs := q.refs
+	if names != nil {
+		refs = selectRefs(refs, names)
+	}
 
 	var keep *xmltree.Projection
 	if hint != nil {
 		keep = hint.Keep
 	}
-	decoded, bytes, err := db.scanChunks(q.refs, keep, fn)
+	decoded, bytes, err := db.scanChunks(refs, keep, mode, fn)
+	if mode == scanRaw {
+		return err
+	}
 	pruned, rangePruned := int64(q.pruned), int64(q.rangePruned)
 	db.stats.docsDecoded.Add(decoded)
 	db.stats.docsPruned.Add(pruned)
@@ -666,13 +699,15 @@ const (
 	maxChunkBytes = 256 << 10
 )
 
-// scanChunks reads, decodes and hands to fn the documents of refs, a chunk
-// at a time, and reports how many documents and record bytes it decoded.
-// The per-chunk scratch lives on the stack, and the read buffer grows at
-// most once per chunk, to the chunk's summed record size plus the page of
-// headroom that lets AppendRef read pages straight into it: a scan with
-// one huge candidate costs what reading and decoding it alone costs.
-func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, fn func(*xmltree.Document) error) (decoded, bytes int64, err error) {
+// scanChunks reads, decodes (unless mode is scanRaw) and hands to fn the
+// documents of refs with their records, a chunk at a time, and reports how
+// many documents and record bytes it read. The per-chunk scratch lives on
+// the stack. Under scanDecode the read buffer is reused: it grows at most
+// once per chunk, to the chunk's summed record size plus the page of
+// headroom that lets AppendRef read pages straight into it, so a scan
+// with one huge candidate costs what reading and decoding it alone costs.
+// The other modes read every chunk into a buffer of its own.
+func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, mode scanMode, fn func(*xmltree.Document, []byte) error) (decoded, bytes int64, err error) {
 	var (
 		buf   []byte
 		recs  [maxChunkDocs][]byte
@@ -686,7 +721,7 @@ func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, fn fun
 		}
 		chunk := refs[:n]
 		refs = refs[n:]
-		if need := int(size) + storage.PageSize; cap(buf) < need {
+		if need := int(size) + storage.PageSize; mode != scanDecode || cap(buf) < need {
 			buf = make([]byte, 0, need)
 		}
 		buf = buf[:0]
@@ -697,15 +732,17 @@ func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, fn fun
 			}
 			recs[i] = buf[start:] // valid even if the append moved buf: the old array keeps these bytes
 		}
-		if i, err := storage.DecodeRecords(recs[:n], keep, roots[:n]); err != nil {
-			return decoded, bytes, fmt.Errorf("storage: decode %q: %w", chunk[i].Name, err)
+		if mode != scanRaw {
+			if i, err := storage.DecodeRecords(recs[:n], keep, roots[:n]); err != nil {
+				return decoded, bytes, fmt.Errorf("storage: decode %q: %w", chunk[i].Name, err)
+			}
 		}
 		decoded += int64(n)
 		bytes += int64(len(buf))
 		docs := make([]xmltree.Document, n)
 		for i, ref := range chunk {
 			docs[i] = xmltree.Document{Name: ref.Name, Root: roots[i]}
-			if err := fn(&docs[i]); err != nil {
+			if err := fn(&docs[i], recs[i][:len(recs[i]):len(recs[i])]); err != nil {
 				return decoded, bytes, err
 			}
 		}
@@ -765,29 +802,65 @@ func (db *DB) noteIndexOnly() {
 	obs.EngineIndexOnly.Inc()
 }
 
-// RawDocuments streams the stored (encoded) documents of a collection to
-// fn in document-name order without materializing the whole collection:
-// each record is read, handed over, and released before the next one is
-// touched. Like Docs it reads one pinned snapshot, so a write that lands
-// mid-fetch neither fails the fetch nor mixes generations into it. The
-// wire server's streaming fetch path batches these into bounded frames;
-// fn returning an error stops the iteration.
-func (db *DB) RawDocuments(collection string, fn func(name string, data []byte) error) error {
-	snap, err := db.store.SnapshotCollection(collection)
+// Fetch streams the stored records of the documents a fetch selects to
+// fn, in document-name order, for the coordinator's join reconstruction:
+// every document of the collection, or with names non-nil only the named
+// ones (an empty list selects none; names the collection lacks are
+// skipped). A non-empty where further keeps only the documents it selects:
+// it is a filter, `for $v in collection("c")/E where … return $v` over
+// this collection (E its root element), run through the compiled executor
+// (exec.Filter), so the value and text indexes prune its candidates and
+// only what its where clause reads is decoded; each matched record is
+// read once, by that scan.
+// Like Docs it reads one pinned snapshot, so a write that lands mid-fetch
+// neither fails the fetch nor mixes generations into it. A record stays
+// valid after fn returns; fn returning an error stops the iteration.
+func (db *DB) Fetch(collection string, names []string, where string, fn func(name string, raw []byte) error) error {
+	if names != nil && !slices.IsSorted(names) {
+		names = slices.Clone(names)
+		slices.Sort(names)
+	}
+	if where == "" {
+		return db.scan(collection, nil, names, scanRaw, func(d *xmltree.Document, raw []byte) error {
+			return fn(d.Name, raw)
+		})
+	}
+	e, err := xquery.Parse(where)
 	if err != nil {
-		return err
+		return fmt.Errorf("engine: fetch filter: %w", err)
 	}
-	defer snap.Close()
-	for _, ref := range snap.Refs {
-		raw, err := db.store.ReadRef(ref)
-		if err != nil {
+	filter, ok := exec.CompileFilter(e)
+	if !ok || filter.Collection() != collection || len(xquery.CollectionNames(e)) != 1 {
+		return fmt.Errorf("engine: fetch filter %q is not a compiled for-where over collection %q", where, collection)
+	}
+	src := &fetchSource{db: db, names: names, fn: fn}
+	return filter.Match(src, func() { src.matched = true })
+}
+
+// fetchSource is the xquery.Source a filtered fetch runs its filter over:
+// it scans the fetch's candidates and ships the record of every document
+// the filter matched while it was being handed out.
+type fetchSource struct {
+	db      *DB
+	names   []string
+	fn      func(name string, raw []byte) error
+	matched bool
+}
+
+// Docs implements xquery.Source.
+func (s *fetchSource) Docs(collection string, hint *xquery.Hint, fn func(*xmltree.Document) error) error {
+	return s.db.scan(collection, hint, s.names, scanRecords, func(d *xmltree.Document, raw []byte) error {
+		s.matched = false
+		if err := fn(d); err != nil || !s.matched {
 			return err
 		}
-		if err := fn(ref.Name, raw); err != nil {
-			return err
-		}
-	}
-	return nil
+		return s.fn(d.Name, raw)
+	})
+}
+
+// Doc implements xquery.Source: a fetch filter reads its collection only.
+func (s *fetchSource) Doc(name string) (*xmltree.Document, error) {
+	return nil, fmt.Errorf("engine: fetch filter cannot read doc(%q)", name)
 }
 
 // Doc implements xquery.Source for doc("name"): the document is located

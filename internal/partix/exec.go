@@ -18,13 +18,19 @@ type planStep struct {
 	replicas []string
 	expr     xquery.Expr
 	keep     *xmltree.Projection
+	// where, on a round-1 semi-join fetch, is the filter the node runs
+	// over the fragment's documents: only those it selects ship.
+	where xquery.Expr
+	// round is 1, or 2 for a semi-join fetch restricted to the documents
+	// every round-1 fetch returned.
+	round int
 }
 
-// newStep targets fragment of meta at its primary node and replicas; a
-// nil expr makes the step a whole fetch.
+// newStep targets fragment of meta at its primary node and replicas, in
+// round 1; a nil expr makes the step a whole fetch.
 func newStep(meta *CollectionMeta, fragment string, expr xquery.Expr) planStep {
 	return planStep{meta: meta, fragment: fragment, node: meta.Placement[fragment],
-		replicas: meta.Replicas[fragment], expr: expr}
+		replicas: meta.Replicas[fragment], expr: expr, round: 1}
 }
 
 // composition is how a plan composes its answer from its steps' results.
@@ -45,8 +51,9 @@ const (
 
 // buildSubs resolves plan steps to cluster steps. tag is the correlation
 // identifier every sub-query carries for log joining; trace additionally
-// asks the nodes for their processing-step spans.
-func (s *System) buildSubs(steps []planStep, tag string, trace bool) ([]cluster.SubQuery, error) {
+// asks the nodes for their processing-step spans. names, when non-nil,
+// restricts every fetch to those documents (a semi-join's round 2).
+func (s *System) buildSubs(steps []planStep, tag string, trace bool, names []string) ([]cluster.SubQuery, error) {
 	subs := make([]cluster.SubQuery, 0, len(steps))
 	for _, st := range steps {
 		node := s.Node(st.node)
@@ -57,7 +64,11 @@ func (s *System) buildSubs(steps []planStep, tag string, trace bool) ([]cluster.
 		if st.expr != nil {
 			sub.Query = xquery.Format(st.expr)
 		} else {
-			sub.Fetch, sub.Keep = st.meta.NodeCollection(st.fragment), st.keep
+			sub.Fetch = st.meta.NodeCollection(st.fragment)
+			sub.Spec = cluster.FetchSpec{Keep: st.keep, Names: names}
+			if st.where != nil {
+				sub.Spec.Where = xquery.Format(st.where)
+			}
 		}
 		for _, r := range st.replicas {
 			replica := s.Node(r)

@@ -79,9 +79,12 @@ func TestExplainReconstruct(t *testing.T) {
 	}
 }
 
-// Explain shows what each reconstruction fetch ships: VQ4 reads the
-// prolog's genre and the body's section titles, so both fetches carry that
-// projection; VQ8 returns whole articles, so every fetch is raw.
+// Explain shows what each reconstruction fetch ships. VQ4's genre test is
+// decided on the prolog fragment, so the prolog fetch runs it as a filter
+// in round 1 and the body fetch follows in round 2; both carry only what
+// the rest of the query reads, the section titles. VQ8 returns whole
+// articles, so every fetch is raw: the prolog filtered, the epilog and
+// body by name.
 func TestExplainReconstructShowsFetchProjection(t *testing.T) {
 	s := newTestSystem(t, 3)
 	scheme := xbench.VerticalScheme("articles")
@@ -94,26 +97,43 @@ func TestExplainReconstructShowsFetchProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keeps := map[string]string{}
-	for _, st := range plan.Steps {
-		keeps[st.Fragment] = st.Keep
+	const keep = "{body{section{title*}}}"
+	want := []PlanStep{
+		{Fragment: "F1papers", Keep: keep, Round: 1,
+			Where: `for $a in collection("articles::F1papers")/article where ($a/prolog/genre = "theory") return $a`},
+		{Fragment: "F2papers", Keep: keep, Round: 2},
 	}
-	const want = "{body{section{title*}},prolog{genre*}}"
-	if plan.Strategy != StrategyReconstruct || len(keeps) != 2 || keeps["F2papers"] != want || keeps["F1papers"] != want {
-		t.Fatalf("VQ4: strategy %s, fetch keeps %v, want %s on the prolog and body fetches", plan.Strategy, keeps, want)
+	if plan.Strategy != StrategyReconstruct || !sameFetches(plan.Steps, want) {
+		t.Fatalf("VQ4: strategy %s, steps %+v, want %+v", plan.Strategy, plan.Steps, want)
 	}
 	plan, err = s.Explain(workload.ByID(queries, "VQ8").Text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Steps) != 3 {
-		t.Fatalf("VQ8: steps = %+v", plan.Steps)
+	want = []PlanStep{
+		{Fragment: "F1papers", Round: 1,
+			Where: `for $a in collection("articles::F1papers")/article where ($a/prolog/genre = "security") return $a`},
+		{Fragment: "F3papers", Round: 2}, // smallest first
+		{Fragment: "F2papers", Round: 2},
 	}
-	for _, st := range plan.Steps {
-		if st.Keep != "" {
-			t.Fatalf("VQ8 fetch %s ships %s, want the stored documents whole", st.Fragment, st.Keep)
+	if !sameFetches(plan.Steps, want) {
+		t.Fatalf("VQ8: steps %+v, want %+v", plan.Steps, want)
+	}
+}
+
+// sameFetches compares the fetch steps of a plan with want on what a
+// fetch ships: fragment, keep, filter and round, in order.
+func sameFetches(got, want []PlanStep) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i, st := range got {
+		w := want[i]
+		if st.Query != "" || st.Fragment != w.Fragment || st.Keep != w.Keep || st.Where != w.Where || st.Round != w.Round {
+			return false
 		}
 	}
+	return true
 }
 
 func TestExplainDoesNotExecute(t *testing.T) {

@@ -426,7 +426,9 @@ type queryPlan struct {
 	// once at plan time and run over the joined documents (shared by every
 	// execution of a cached plan; each run keeps its state to itself). The
 	// fetch steps then ship only what it reads. Without prog the fragments
-	// are fetched whole and the interpreter evaluates.
+	// are fetched whole and the interpreter evaluates. For a semi-join
+	// (steps in round 2) prog is the residual query: the where conjuncts
+	// the round-1 fetches decide are removed from it.
 	prog *exec.Program
 	// skipped lists fragments statistics proved empty for this query.
 	skipped []string
@@ -520,22 +522,41 @@ func joinable(meta *CollectionMeta) error {
 // step per fragment, smallest first when statistics are available. When
 // e compiles (and reads no doc(), which the fetch projections would not
 // cover), the program composes and each fetch ships only what it reads:
-// a fragment the query reads whole is fetched as stored.
+// a fragment the query reads whole is fetched as stored. When some where
+// conjunct is decided by a fragment that owns it (splitWhere), the plan
+// is a semi-join in two rounds: round 1 fetches those fragments through
+// their filters, round 2 the others by the names round 1 returned, and
+// the program is the residual query.
 func (s *System) joinPlan(e xquery.Expr, meta *CollectionMeta, sp *statsPlan, frags []*fragmentation.Fragment) (*queryPlan, error) {
 	if err := joinable(meta); err != nil {
 		return nil, err
 	}
 	p := &queryPlan{strategy: StrategyReconstruct, compose: composeJoin}
+	frags = s.orderReconstruct(sp, meta, frags)
+	var split *whereSplit
 	if !usesDocCall(e) {
-		p.prog, _ = exec.Compile(e)
+		if split = splitWhere(e, meta, frags); split != nil {
+			p.prog = split.residual
+		} else {
+			p.prog, _ = exec.Compile(e)
+		}
 	}
-	for _, f := range s.orderReconstruct(sp, meta, frags) {
+	var second []planStep
+	for i, f := range frags {
 		st := newStep(meta, f.Name, nil)
 		if p.prog != nil {
 			st.keep = fetchProjection(p.prog.Keep(), f)
 		}
+		if split != nil {
+			if st.where = split.filters[i]; st.where == nil {
+				st.round = 2
+				second = append(second, st)
+				continue
+			}
+		}
 		p.steps = append(p.steps, st)
 	}
+	p.steps = append(p.steps, second...)
 	return sp.apply(p), nil
 }
 
@@ -710,6 +731,14 @@ type PlanStep struct {
 	// down to at the node (xmltree.Projection's text); empty when the
 	// fetch ships the stored documents whole.
 	Keep string
+	// Where is the filter a round-1 semi-join fetch runs at the node
+	// (xquery.Format text); only the documents it selects ship. Empty
+	// for every other step.
+	Where string
+	// Round is the step's execution round: 1 for every step of a
+	// single-round plan and for a semi-join's filtered fetches, 2 for the
+	// semi-join fetches restricted to the names round 1 returned.
+	Round int
 	// EstDocs and EstCost are the planner's estimates for the step —
 	// documents contributing bindings and stored bytes touched — from the
 	// fragment's statistics; -1 when no statistics were available.
@@ -747,7 +776,7 @@ func (s *System) Explain(query string) (*Plan, error) {
 		Cached:      cached,
 	}
 	for _, st := range p.steps {
-		step := PlanStep{Fragment: st.fragment, Node: st.node, EstDocs: -1, EstCost: -1}
+		step := PlanStep{Fragment: st.fragment, Node: st.node, EstDocs: -1, EstCost: -1, Round: st.round}
 		if est, ok := p.est[st.fragment]; ok {
 			step.EstDocs, step.EstCost, step.IndexOnly = est.docs, est.cost, est.indexOnly
 		}
@@ -756,6 +785,9 @@ func (s *System) Explain(query string) (*Plan, error) {
 		}
 		if st.keep != nil {
 			step.Keep = st.keep.String()
+		}
+		if st.where != nil {
+			step.Where = xquery.Format(st.where)
 		}
 		out.Steps = append(out.Steps, step)
 	}

@@ -183,12 +183,13 @@ func keepSections(col *xmltree.Collection, n int) {
 // with the number of nodes in each fetched document — a decode is a
 // constant handful of allocations — but at most with the answer: one
 // allocation per extra result item (VQ4 returns every section title), plus
-// a slack of one per document. VQ8 fetches all three fragments whole; VQ4
-// ships its prolog and body fetches projected. Sizing every fetched
-// document by serializing it and cloning every tree before the join cost,
-// for 6 articles cut to 3 and to 30 body sections, 1,495 → 4,267
-// allocations per VQ8 and 1,049 → 3,871 per VQ4; without them it is
-// 262 → 262 and 196 → 205.
+// a slack of one per document. Both run as semi-joins: VQ8 fetches the
+// matching articles' three fragments whole, VQ4 the matching articles'
+// prolog and body projected. Sizing every fetched document by serializing
+// it and cloning every tree before the join cost, for 6 articles cut to 3
+// and to 30 body sections, 1,495 → 4,267 allocations per VQ8 and
+// 1,049 → 3,871 per VQ4; without them it was 262 → 262 and 196 → 205,
+// and as semi-joins it is 203 → 203 and 186 → 195.
 func TestReconstructAllocsIndependentOfDocumentSize(t *testing.T) {
 	const docs = 6
 	vq4 := workload.ByID(workload.Vertical("articles"), "VQ4").Text

@@ -26,11 +26,11 @@ func (f *failingNode) Query(q, tag string, trace bool, yield func(xquery.Seq) er
 	return f.Driver.Query(q, tag, trace, yield)
 }
 
-func (f *failingNode) Fetch(c string, keep *xmltree.Projection) (*xmltree.Collection, error) {
+func (f *failingNode) Fetch(c string, spec cluster.FetchSpec) (*xmltree.Collection, error) {
 	if f.down {
 		return nil, fmt.Errorf("node %s is down", f.Name())
 	}
-	return f.Driver.Fetch(c, keep)
+	return f.Driver.Fetch(c, spec)
 }
 
 func (f *failingNode) CollectionStats(c string) (storage.Stats, error) {

@@ -284,18 +284,21 @@ type gatedNode struct {
 	gate *fetchGate
 }
 
-func (n *gatedNode) Fetch(c string, keep *xmltree.Projection) (*xmltree.Collection, error) {
+func (n *gatedNode) Fetch(c string, spec cluster.FetchSpec) (*xmltree.Collection, error) {
 	n.gate.enter()
 	defer n.gate.leave()
-	return n.Driver.Fetch(c, keep)
+	return n.Driver.Fetch(c, spec)
 }
+
+// wholeArticles reads every fragment of the XBench vertical scheme and
+// has no where clause, so its join fetches all three in one round.
+const wholeArticles = `for $a in collection("articles")/article return $a`
 
 // TestFetchStepsHonourInflightLimit: reconstruction fetches run under the
 // same in-flight limit as sub-queries — all three fragments of the XBench
 // vertical scheme at once in concurrent mode, one at a time in the
 // paper's sequential mode.
 func TestFetchStepsHonourInflightLimit(t *testing.T) {
-	vq8 := workload.ByID(workload.Vertical("articles"), "VQ8").Text
 	for _, tc := range []struct {
 		concurrent bool
 		want       int
@@ -312,12 +315,12 @@ func TestFetchStepsHonourInflightLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetConcurrent(tc.concurrent)
-		res, err := s.Query(vq8)
+		res, err := s.Query(wholeArticles)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Strategy != StrategyReconstruct || len(res.Sub) != 3 {
-			t.Fatalf("VQ8: strategy %s over %d steps, want reconstruct over 3", res.Strategy, len(res.Sub))
+			t.Fatalf("strategy %s over %d steps, want reconstruct over 3", res.Strategy, len(res.Sub))
 		}
 		if gate.peak != tc.want {
 			t.Errorf("concurrent=%v: peak of %d fetches in flight, want %d", tc.concurrent, gate.peak, tc.want)
@@ -343,20 +346,19 @@ func TestJoinRouteAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vq8 := workload.ByID(workload.Vertical("articles"), "VQ8").Text
 	meta := s.Catalog().Lookup("articles")
 	for _, down := range []bool{false, true} {
 		failer.down = down
-		res, err := s.Query(vq8)
+		res, err := s.Query(wholeArticles)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Strategy != StrategyReconstruct || len(res.Sub) != 3 || len(res.Items) == 0 {
-			t.Fatalf("VQ8: strategy %s, %d steps, %d items", res.Strategy, len(res.Sub), len(res.Items))
+			t.Fatalf("strategy %s, %d steps, %d items", res.Strategy, len(res.Sub), len(res.Items))
 		}
 		var transmission time.Duration
 		for _, st := range res.Sub {
-			fetched, err := s.Node(st.Node).Fetch(meta.NodeCollection(st.Fragment), nil)
+			fetched, err := s.Node(st.Node).Fetch(meta.NodeCollection(st.Fragment), cluster.FetchSpec{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package partix
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"partix/internal/cluster"
@@ -19,26 +20,49 @@ import (
 // items are identical at every batch size and in-flight limit.
 // Sequential steps with slowest-site accounting are the paper's
 // methodology and the default; concurrent mode runs every step at once.
+// A semi-join runs in two rounds, each through cluster.Execute: round 2
+// fetches only the documents every round-1 fetch returned, and is skipped
+// when there are none; the rounds' times add.
 // tag is the correlation identifier stamped on sub-queries; trace asks
 // the nodes for their processing-step spans. Neither changes how the plan
 // executes.
 func (s *System) executePlan(e xquery.Expr, p *queryPlan, tag string, trace bool) (*QueryResult, error) {
-	subs, err := s.buildSubs(p.steps, tag, trace)
-	if err != nil {
-		return nil, err
-	}
 	inflight := 1
 	if s.Concurrent() {
 		inflight = 0 // all at once
 	}
-	b := cluster.NewBufferSink(len(subs))
+	b := cluster.NewBufferSink(len(p.steps))
 	var sink cluster.StreamSink = b
 	if p.compose == composeDecider {
 		sink = &deciderSink{BufferSink: b, name: p.fold}
 	}
+	first := len(p.steps)
+	for i, st := range p.steps {
+		if st.round == 2 {
+			first = i
+			break
+		}
+	}
+	subs, err := s.buildSubs(p.steps[:first], tag, trace, nil)
+	if err != nil {
+		return nil, err
+	}
 	res, err := cluster.Execute(subs, s.cost, inflight, sink)
 	if err != nil {
 		return nil, err
+	}
+	if len(p.steps) > 0 && p.steps[0].where != nil { // a semi-join: its filtered fetches come first
+		if names := semiJoinNames(res.Sub); len(names) > 0 && first < len(p.steps) {
+			subs, err := s.buildSubs(p.steps[first:], tag, trace, names)
+			if err != nil {
+				return nil, err
+			}
+			next, err := cluster.Execute(subs, s.cost, inflight, sink)
+			if err != nil {
+				return nil, err
+			}
+			res.Then(next)
+		}
 	}
 	// Only the final composition is charged as ComposeTime: the per-batch
 	// merges happened while other nodes were still transmitting.
@@ -95,11 +119,13 @@ func (p *queryPlan) composeItems(e xquery.Expr, b *cluster.BufferSink, subs []cl
 // ⨝ by ID for vertical and hybrid fragments, ∪ for horizontal ones, in
 // place on the fetched trees — and evaluates the query over the result:
 // through the plan's compiled program when it has one, the interpreter
-// otherwise.
+// otherwise. subs are the executed fetches, in step order; a semi-join
+// whose round 2 was skipped has only its round-1 fetches there.
 func (p *queryPlan) joinAndEval(e xquery.Expr, subs []cluster.SubResult) (xquery.Seq, error) {
 	parts := map[*CollectionMeta][]*xmltree.Collection{}
-	for i, st := range p.steps {
-		parts[st.meta] = append(parts[st.meta], subs[i].Docs)
+	for i, sub := range subs {
+		meta := p.steps[i].meta
+		parts[meta] = append(parts[meta], sub.Docs)
 	}
 	src := memSource{}
 	for meta, cols := range parts {
@@ -117,6 +143,30 @@ func (p *queryPlan) joinAndEval(e xquery.Expr, subs []cluster.SubResult) (xquery
 		return p.prog.Run(src)
 	}
 	return xquery.Eval(e, src)
+}
+
+// semiJoinNames intersects the document names of a semi-join's round-1
+// fetches and drops, in place, every fetched document outside the
+// intersection: a document one filter rejected takes no part in the join.
+// The fetches arrive in document-name order, and so do the names.
+func semiJoinNames(subs []cluster.SubResult) []string {
+	var names []string
+	for i, sub := range subs {
+		in := make([]string, 0, sub.Docs.Len())
+		for _, d := range sub.Docs.Docs {
+			if _, found := slices.BinarySearch(names, d.Name); found || i == 0 {
+				in = append(in, d.Name)
+			}
+		}
+		names = in
+	}
+	for _, sub := range subs {
+		sub.Docs.Docs = slices.DeleteFunc(sub.Docs.Docs, func(d *xmltree.Document) bool {
+			_, found := slices.BinarySearch(names, d.Name)
+			return !found
+		})
+	}
+	return names
 }
 
 // deciderSink composes exists()/empty() incrementally and stops the

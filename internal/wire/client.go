@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"partix/internal/cluster"
 	"partix/internal/engine"
 	"partix/internal/obs"
 	"partix/internal/storage"
@@ -660,20 +661,25 @@ func (c *Client) ExecuteQuery(query string) (xquery.Seq, error) {
 	return out, nil
 }
 
-// FetchCollection fetches a whole collection: Fetch with no projection.
+// FetchCollection fetches a whole collection: Fetch with the zero spec.
 func (c *Client) FetchCollection(collection string) (*xmltree.Collection, error) {
-	return c.Fetch(collection, nil)
+	return c.Fetch(collection, cluster.FetchSpec{})
 }
 
-// Fetch implements cluster.Driver: the node cuts every document down to
-// keep before shipping it (Request.Keep), and documents decode as frames
-// arrive, bounding transfer memory to one frame.
-func (c *Client) Fetch(collection string, keep *xmltree.Projection) (*xmltree.Collection, error) {
-	req := &Request{Op: OpFetchStream, Collection: collection}
-	if !keep.Whole() {
-		req.Keep = keep.String()
-	}
+// Fetch implements cluster.Driver: the node selects the documents by
+// spec.Names and spec.Where (Request.Names, Request.Where) and cuts every
+// one down to spec.Keep before shipping it (Request.Keep), and documents
+// decode as frames arrive, bounding transfer memory to one frame. A fetch
+// of an empty name list ships nothing and needs no request.
+func (c *Client) Fetch(collection string, spec cluster.FetchSpec) (*xmltree.Collection, error) {
 	col := xmltree.NewCollection(collection)
+	if spec.Names != nil && len(spec.Names) == 0 {
+		return col, nil
+	}
+	req := &Request{Op: OpFetchStream, Collection: collection, Where: spec.Where, Names: spec.Names}
+	if !spec.Keep.Whole() {
+		req.Keep = spec.Keep.String()
+	}
 	deliver := func(f *Frame) error {
 		if len(f.DocNames) != len(f.Docs) {
 			return fmt.Errorf("wire: frame carries %d names for %d documents", len(f.DocNames), len(f.Docs))

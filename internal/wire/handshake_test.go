@@ -16,18 +16,24 @@ import (
 )
 
 // An old client's request is answered with one version-mismatch Response
-// and the server hangs up.
+// and the server hangs up. That covers a filtered fetch from a protocol-8
+// peer too: Request.Where is part of protocol 9.
 func TestOldClientRejectedByServer(t *testing.T) {
 	db := newNodeDB(t, 2)
 	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
-	for _, op := range []Op{OpPing, OpQueryStream} {
+	if ProtocolVersion != 9 {
+		t.Fatalf("protocol version %d, want 9: a fetch carries Where and Names", ProtocolVersion)
+	}
+	for _, op := range []Op{OpPing, OpQueryStream, OpFetchStream} {
 		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
 		enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-		if err := enc.Encode(&Request{Op: op, Query: countQuery, Proto: ProtocolVersion - 1}); err != nil {
+		req := &Request{Op: op, Query: countQuery, Collection: "c", Proto: ProtocolVersion - 1,
+			Where: `for $i in collection("c")/Item where $i/Code = "I1" return $i`}
+		if err := enc.Encode(req); err != nil {
 			t.Fatal(err)
 		}
 		var resp Response

@@ -55,7 +55,7 @@ import (
 // ProtocolVersion is the one wire protocol generation this build speaks.
 // Both peers check it on every Request/Response exchange; there is no
 // fallback to an older generation.
-const ProtocolVersion = 8
+const ProtocolVersion = 9
 
 // ErrProtocolMismatch reports a peer that speaks a different protocol
 // version, or answers a result request with something that is not a
@@ -84,7 +84,8 @@ const (
 	OpHasCollection
 	// OpQueryStream runs a query; the answer is a frame sequence.
 	OpQueryStream
-	// OpFetchStream ships a collection's documents, whole or cut down to
+	// OpFetchStream ships a collection's documents — all of them, or the
+	// ones Request.Names and Request.Where select — whole or cut down to
 	// Request.Keep, as a frame sequence.
 	OpFetchStream
 	// OpTelemetry pulls the node's telemetry snapshot (metric series and
@@ -146,6 +147,17 @@ type Request struct {
 	// superset of what was asked, which the coordinator evaluates
 	// correctly — so the field needs no protocol version of its own.
 	Keep string
+	// Where, when set, restricts an OpFetchStream to the documents a
+	// filter selects: the xquery.Format text of `for $v in
+	// collection("c")/E where … return $v` (E the root element) over the
+	// fetched collection. A node that ignored it would ship documents the
+	// coordinator then joins as matches, so it is part of protocol 9.
+	Where string
+	// Names, when non-empty, restricts an OpFetchStream to the named
+	// documents; names the collection lacks are skipped. gob sends an
+	// empty list as none, so the client answers a fetch of no names
+	// itself, without a request.
+	Names []string
 }
 
 // Response is the server → client answer to a control operation.

@@ -483,14 +483,14 @@ func (s *Server) streamQuery(enc *gob.Encoder, conn net.Conn, req *Request, batc
 	return s.sendFrame(enc, conn, end)
 }
 
-// streamFetch ships a collection's documents as bounded FrameDocs
-// batches, the last of them inside FrameEnd, reading them from the store
-// one at a time (engine.RawDocuments) so the node never materializes the
-// whole collection either. With req.Keep each record is decoded under the
-// projection — which validates every byte, as a whole decode does — and
-// re-encoded; without it the stored records ship as they are. A Keep that
-// does not parse fails the stream with FrameErr and leaves the connection
-// usable.
+// streamFetch ships the documents a fetch selects as bounded FrameDocs
+// batches, the last of them inside FrameEnd, reading them from the store a
+// chunk at a time (engine.DB.Fetch, which applies req.Names and req.Where)
+// so the node never materializes the whole collection either. With
+// req.Keep each record is decoded under the projection — which validates
+// every byte, as a whole decode does — and re-encoded; without it the
+// stored records ship as they are. A Keep or Where that does not parse
+// fails the stream with FrameErr and leaves the connection usable.
 func (s *Server) streamFetch(enc *gob.Encoder, conn net.Conn, req *Request, batch int) error {
 	if s.hook != nil {
 		s.hook(req)
@@ -506,7 +506,7 @@ func (s *Server) streamFetch(enc *gob.Encoder, conn net.Conn, req *Request, batc
 	docs := make([][]byte, 0, batch)
 	bytes, total := 0, 0
 	var sendErr error
-	err := s.db.RawDocuments(req.Collection, func(name string, raw []byte) error {
+	err := s.db.Fetch(req.Collection, req.Names, req.Where, func(name string, raw []byte) error {
 		if keep != nil {
 			doc, err := storage.DecodeProjected(name, raw, keep)
 			if err != nil {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"partix/internal/cluster"
 	"partix/internal/engine"
 	"partix/internal/storage"
 	"partix/internal/xmltree"
@@ -161,7 +162,7 @@ func TestStreamedResultsMatchOracle(t *testing.T) {
 				t.Fatal("streamed collection differs from the store's")
 			}
 			// A projected fetch frames its re-encoded documents the same way.
-			projCol, err := c.Fetch("c", &xmltree.Projection{})
+			projCol, err := c.Fetch("c", cluster.FetchSpec{Keep: &xmltree.Projection{}})
 			if err != nil {
 				t.Fatal(err)
 			}

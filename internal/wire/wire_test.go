@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -122,7 +123,7 @@ func TestRemoteProjectedFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Fetch("col", keep)
+	got, err := c.Fetch("col", cluster.FetchSpec{Keep: keep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +148,73 @@ func TestMalformedKeepAnswersFrameErr(t *testing.T) {
 	var ne *NodeError
 	if !errors.As(err, &ne) || !strings.Contains(ne.Msg, "projection") {
 		t.Fatalf("malformed keep: err = %v, want a node error about the projection", err)
+	}
+	got, err := c.FetchCollection("c")
+	if err != nil || got.Len() != 3 {
+		t.Fatalf("fetch after the error: %v, %v", got, err)
+	}
+	if st := c.Stats(); st.Dials != dials || st.TransportErrors != 0 || st.NodeErrors != 1 {
+		t.Fatalf("stats = %+v, want the connection reused after one node error", st)
+	}
+}
+
+// Both drivers honour a fetch spec alike: names select exactly those
+// documents, in name order, skipping unknown ones; an empty list selects
+// none and only nil selects all; a filter keeps the documents it matches,
+// combined with names and a projection; a filter over another collection
+// fails the fetch.
+func TestFetchSpecSelectsDocuments(t *testing.T) {
+	db := newNodeDB(t, 6)
+	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
+	drivers := []cluster.Driver{cluster.NewLocalNode("local", db), dialStream(t, addr, ClientOptions{})}
+	const odd = `for $i in collection("c")/Item where $i/Code = "I3" or $i/Code = "I5" return $i`
+	cases := []struct {
+		name string
+		spec cluster.FetchSpec
+		want []string // document names, in order
+		doc  string   // the first document's XML, when set
+	}{
+		{"all", cluster.FetchSpec{}, []string{"d00", "d01", "d02", "d03", "d04", "d05"}, ""},
+		{"names", cluster.FetchSpec{Names: []string{"d04", "zz", "d01", "d02"}}, []string{"d01", "d02", "d04"}, ""},
+		{"no names", cluster.FetchSpec{Names: []string{}}, nil, ""},
+		{"filter", cluster.FetchSpec{Where: odd}, []string{"d03", "d05"}, "<Item><Code>I3</Code></Item>"},
+		{"filter and names", cluster.FetchSpec{Where: odd, Names: []string{"d03", "d04"}}, []string{"d03"}, ""},
+		{"filter and keep", cluster.FetchSpec{Where: odd, Keep: &xmltree.Projection{}}, []string{"d03", "d05"}, "<Item/>"},
+	}
+	for _, d := range drivers {
+		for _, tc := range cases {
+			col, err := d.Fetch("c", tc.spec)
+			if err != nil {
+				t.Fatalf("%s %s: %v", d.Name(), tc.name, err)
+			}
+			var got []string
+			for _, doc := range col.Docs {
+				got = append(got, doc.Name)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("%s %s: fetched %v, want %v", d.Name(), tc.name, got, tc.want)
+			}
+			if tc.doc != "" && len(col.Docs) > 0 && xmltree.SerializeString(col.Docs[0]) != tc.doc {
+				t.Errorf("%s %s: first document %s, want %s", d.Name(), tc.name, xmltree.SerializeString(col.Docs[0]), tc.doc)
+			}
+		}
+		other := `for $i in collection("elsewhere")/Item where $i/Code = "I3" return $i`
+		if _, err := d.Fetch("c", cluster.FetchSpec{Where: other}); err == nil {
+			t.Errorf("%s: a filter over another collection fetched", d.Name())
+		}
+	}
+}
+
+// A Where the node cannot parse fails that fetch with FrameErr, like a
+// malformed Keep, and the one pooled connection serves the next request.
+func TestMalformedWhereAnswersFrameErr(t *testing.T) {
+	_, addr := startServerOn(t, newNodeDB(t, 3), "127.0.0.1:0", ServerOptions{})
+	c := dialStream(t, addr, ClientOptions{PoolSize: 1})
+	dials := c.Stats().Dials
+	_, err := c.Fetch("c", cluster.FetchSpec{Where: `for $i in collection("c")/Item where`})
+	var ne *NodeError
+	if !errors.As(err, &ne) || !strings.Contains(ne.Msg, "fetch filter") {
+		t.Fatalf("malformed where: err = %v, want a node error about the fetch filter", err)
 	}
 	got, err := c.FetchCollection("c")
 	if err != nil || got.Len() != 3 {

@@ -201,6 +201,46 @@ func Compile(e xquery.Expr) (*Program, bool) {
 	return nil, false
 }
 
+// Filter is a compiled document filter: a FLWOR over one collection
+// scan, asked only which documents produce a binding. Its return value
+// merely has to exist, as under count(), so the scan decodes just what the
+// clauses and the where clause read.
+type Filter struct {
+	pipe *pipeline
+}
+
+// CompileFilter compiles a FLWOR as a document filter, or reports
+// ok=false when it is outside the compiled subset.
+func CompileFilter(e xquery.Expr) (*Filter, bool) {
+	f, ok := e.(*xquery.FLWOR)
+	if !ok {
+		return nil, false
+	}
+	pipe, ok := compileFLWOR(f, xquery.ExtractHints(e))
+	if !ok {
+		return nil, false
+	}
+	pipe.project(foldExists)
+	return &Filter{pipe: pipe}, true
+}
+
+// Collection names the collection the filter scans.
+func (f *Filter) Collection() string { return f.pipe.coll }
+
+// Match runs the filter over src one document at a time: a document's
+// bindings are evaluated before the scan moves on, and matched is called
+// (once per binding batch) while src is still handing that document out.
+// A Source that tracks the document it hands out therefore knows, when
+// the callback for it returns, whether it matched.
+func (f *Filter) Match(src xquery.Source, matched func()) error {
+	return f.pipe.runEager(src, func(items xquery.Seq) error {
+		if len(items) > 0 {
+			matched()
+		}
+		return nil
+	})
+}
+
 // compileFold handles the aggregate/decider wrappers around a stream:
 // count, sum, avg, min, max, exists, empty. The index-only probes the
 // interpreter short-circuits with are extracted here and tried first at
@@ -321,7 +361,7 @@ func compileFLWOR(f *xquery.FLWOR, hints map[string]*xquery.Hint) (*pipeline, bo
 		p.clauses = append(p.clauses, boundClause{let: cl.Let, slot: slot, src: src})
 	}
 	if f.Where != nil {
-		conjuncts(f.Where, func(t xquery.Expr) {
+		xquery.Conjuncts(f.Where, func(t xquery.Expr) {
 			if nt, ok := c.compileTerm(t); ok {
 				p.filter = append(p.filter, filterTerm{native: nt})
 			} else {
@@ -337,18 +377,6 @@ func compileFLWOR(f *xquery.FLWOR, hints map[string]*xquery.Hint) (*pipeline, bo
 	p.varNames = c.varNames
 	p.letSlot = c.letSlot
 	return p, true
-}
-
-// conjuncts calls fn for every term of the top-level AND tree, mirroring
-// the hint extractor's decomposition (evaluation order is preserved:
-// left-to-right, which matters only for which error surfaces first).
-func conjuncts(e xquery.Expr, fn func(xquery.Expr)) {
-	if b, ok := e.(*xquery.Binary); ok && b.Op == xquery.OpAnd {
-		conjuncts(b.Left, fn)
-		conjuncts(b.Right, fn)
-		return
-	}
-	fn(e)
 }
 
 // compileSteps converts location steps, compiling each step predicate.

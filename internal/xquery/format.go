@@ -14,28 +14,43 @@ func Format(e Expr) string {
 	return sb.String()
 }
 
+// writeQuoted writes s as a string literal the lexer reads back verbatim:
+// in double quotes, or in single quotes when s holds a double quote. The
+// lexer has no escapes, so no literal it produced holds both.
+func writeQuoted(sb *strings.Builder, s string) {
+	q := byte('"')
+	if strings.IndexByte(s, '"') >= 0 {
+		q = '\''
+	}
+	sb.WriteByte(q)
+	sb.WriteString(s)
+	sb.WriteByte(q)
+}
+
 func formatExpr(sb *strings.Builder, e Expr, parens bool) {
 	switch x := e.(type) {
 	case nil:
 	case *StringLit:
-		sb.WriteByte('"')
-		sb.WriteString(x.Value)
-		sb.WriteByte('"')
+		writeQuoted(sb, x.Value)
 	case *TextLit:
 		sb.WriteByte('"')
 		sb.WriteString(x.Value)
 		sb.WriteByte('"')
 	case *NumberLit:
-		sb.WriteString(strconv.FormatFloat(x.Value, 'g', -1, 64))
+		sb.WriteString(strconv.FormatFloat(x.Value, 'f', -1, 64)) // the lexer reads no exponent
 	case *VarRef:
 		sb.WriteByte('$')
 		sb.WriteString(x.Name)
 	case *ContextItem:
 		sb.WriteByte('.')
 	case *CollectionCall:
-		fmt.Fprintf(sb, "collection(%q)", x.Name)
+		sb.WriteString("collection(")
+		writeQuoted(sb, x.Name)
+		sb.WriteByte(')')
 	case *DocCall:
-		fmt.Fprintf(sb, "doc(%q)", x.Name)
+		sb.WriteString("doc(")
+		writeQuoted(sb, x.Name)
+		sb.WriteByte(')')
 	case *FLWOR:
 		if parens {
 			sb.WriteByte('(')

@@ -196,7 +196,7 @@ func collectFLWORs(e Expr, hints map[string]*Hint) {
 				ctxSteps, ctxOK := toLabelSteps(steps[: si+1 : si+1])
 				ctx := predCtx{steps: ctxSteps, ok: ctxOK}
 				for _, p := range st.Preds {
-					addConjuncts(p, func(term Expr) {
+					Conjuncts(p, func(term Expr) {
 						if c, ok := constraintFromTerm(term, nil, varColl, ctx); ok {
 							appendConstraint(hints, coll, c)
 						}
@@ -207,7 +207,7 @@ func collectFLWORs(e Expr, hints map[string]*Hint) {
 		if f.Where == nil || len(varColl) == 0 {
 			return
 		}
-		addConjuncts(f.Where, func(term Expr) {
+		Conjuncts(f.Where, func(term Expr) {
 			coll, c, ok := constraintWithVar(term, varColl)
 			if ok {
 				appendConstraint(hints, coll, c)
@@ -225,11 +225,12 @@ func appendConstraint(hints map[string]*Hint, coll string, c Constraint) {
 	h.Constraints = append(h.Constraints, c)
 }
 
-// addConjuncts calls fn for every term of the top-level AND tree.
-func addConjuncts(e Expr, fn func(Expr)) {
+// Conjuncts calls fn for every term of e's top-level AND tree, left to
+// right.
+func Conjuncts(e Expr, fn func(Expr)) {
 	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
-		addConjuncts(b.Left, fn)
-		addConjuncts(b.Right, fn)
+		Conjuncts(b.Left, fn)
+		Conjuncts(b.Right, fn)
 		return
 	}
 	fn(e)

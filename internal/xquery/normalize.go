@@ -15,10 +15,12 @@ import "strings"
 // lexer), where whitespace is semantic and "(:" is literal content. When a
 // '<' immediately followed by a name-start character appears outside a
 // string literal — the only way a constructor can begin — normalization
-// falls back to strings.TrimSpace of the input, as it does on any lexing
-// error. The fallback is conservative in the safe direction: equivalent
-// spellings may normalize differently (a cache miss), but two queries
-// with the same normal form always tokenize identically.
+// falls back to the input with the lexer's whitespace trimmed off its
+// ends, as it does on any lexing error; the trimmed text fails the same
+// way, so normalizing is idempotent. The fallback is conservative in the
+// safe direction: equivalent spellings may normalize differently (a cache
+// miss), but two queries with the same normal form always tokenize
+// identically.
 func NormalizeQueryText(q string) string {
 	l := newLexer(q)
 	var sb strings.Builder
@@ -26,14 +28,14 @@ func NormalizeQueryText(q string) string {
 	first := true
 	for {
 		if err := l.skipSpaceAndComments(); err != nil {
-			return strings.TrimSpace(q)
+			return strings.Trim(q, lexSpace)
 		}
 		if l.pos+1 < len(l.in) && l.in[l.pos] == '<' && isNameStart(l.in[l.pos+1]) {
-			return strings.TrimSpace(q) // potential element constructor
+			return strings.Trim(q, lexSpace) // potential element constructor
 		}
 		t, err := l.next()
 		if err != nil {
-			return strings.TrimSpace(q)
+			return strings.Trim(q, lexSpace)
 		}
 		if t.kind == tokEOF {
 			break
@@ -47,19 +49,16 @@ func NormalizeQueryText(q string) string {
 	return sb.String()
 }
 
+// lexSpace is the whitespace the lexer skips between tokens.
+const lexSpace = " \t\n\r"
+
 func writeToken(sb *strings.Builder, t token) {
 	switch t.kind {
 	case tokVar:
 		sb.WriteByte('$')
 		sb.WriteString(t.text)
 	case tokString:
-		q := byte('"')
-		if strings.IndexByte(t.text, '"') >= 0 {
-			q = '\''
-		}
-		sb.WriteByte(q)
-		sb.WriteString(t.text)
-		sb.WriteByte(q)
+		writeQuoted(sb, t.text)
 	default:
 		sb.WriteString(t.text)
 	}

@@ -116,7 +116,7 @@ func collectContainsKeys(e Expr, fn func(coll, path, needle string)) {
 				ctxSteps, ctxOK := toLabelSteps(steps[: si+1 : si+1])
 				ctx := predCtx{steps: ctxSteps, ok: ctxOK}
 				for _, p := range st.Preds {
-					addConjuncts(p, func(term Expr) {
+					Conjuncts(p, func(term Expr) {
 						containsKeyFromTerm(term, coll, varColl, ctx, fn)
 					})
 				}
@@ -125,7 +125,7 @@ func collectContainsKeys(e Expr, fn func(coll, path, needle string)) {
 		if f.Where == nil || len(varColl) == 0 {
 			return
 		}
-		addConjuncts(f.Where, func(term Expr) {
+		Conjuncts(f.Where, func(term Expr) {
 			containsKeyFromTerm(term, "", varColl, predCtx{}, fn)
 		})
 	})

@@ -16,9 +16,10 @@ go build ./...
 go test -timeout 5m ./...
 go test -race -timeout 5m ./internal/obs/... ./internal/storage/... ./internal/engine/... ./internal/xquery/... ./internal/cluster/... ./internal/partix/... ./internal/wire/...
 # a plan's fetches run on goroutines like its sub-queries: the
-# composition shape table, the fetch in-flight limit and the two fetch
-# failover tests, repeated under the race detector
-go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragment|TestFetchStepsHonourInflightLimit|TestReconstructionFailover|TestMultiCollectionFetchFailsOverToReplica' ./internal/partix/
+# composition shape table, the fetch in-flight limit, the two fetch
+# failover tests, the semi-join differential and the semi-join round-2
+# failover, repeated under the race detector
+go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragment|TestFetchStepsHonourInflightLimit|TestReconstructionFailover|TestMultiCollectionFetchFailsOverToReplica|TestSemiJoinMatchesCentralized|TestSemiJoinRoundTwoFailsOverToReplica' ./internal/partix/
 # the benchmark is a nested module (partix/benchmark) that compiles
 # against internal/ through a replace directive, so ./... above does not
 # reach it: vet it and run its 5 s smoke test, or an internal/ signature
@@ -30,14 +31,15 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # decoder, a Docs scan per candidate, a point query's candidate selection
 # (bytes per call independent of the collection's size), a reconstruction
 # query (allocations independent of the nodes per fetched document), a
-# query frame's codec and a batch decode (allocations per frame
+# semi-join's body fetch (bytes independent of the collection's size at a
+# fixed answer), a query frame's codec and a batch decode (allocations per frame
 # independent of its item count), the wire's message-limit reader,
 # serialization and its size count, the coordinator's per-query
 # telemetry (allocations independent of the fragment count) and its
 # plan-cache hit with revalidation (no allocations)
 go test -timeout 5m -run TestAllocsScanFilterProject ./internal/xquery/exec/
 go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs' ./internal/storage/
-go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestReconstructAllocsIndependentOfDocumentSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestFrameCodecAllocsPerFrame|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
+go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestFrameCodecAllocsPerFrame|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
 
 # observability smoke test: a node started with -debug-addr must serve
 # valid Prometheus text carrying series from every instrumented layer,
