@@ -90,12 +90,10 @@ func main() {
 		reqTimeout = flag.Duration("request-timeout", 0, "per-operation deadline on node requests (0 = none)")
 		retries    = flag.Int("retries", 0, "reconnect retries for retry-safe node operations (0 = default of 2, negative = off)")
 		pool       = flag.Int("pool", 0, "connections per node (0 = default of 4)")
-		batch      = flag.Int("batch-items", 0, "ask nodes to cap streamed frames at this many items (0 = node default)")
 		maxMsg     = flag.Int64("max-message-bytes", 0, "reject node messages larger than this (0 = built-in default)")
 		trace      = flag.Bool("trace", false, "trace the query across the deployment and print the span tree")
 		slowQuery  = flag.Duration("slow-query", 0, "log queries slower than this threshold (0 = off)")
-		tenant     = flag.String("tenant", "", "tenant tag stamped on queries and node requests for quota accounting")
-		cacheBytes = flag.Int64("result-cache-bytes", 0, "coordinator result cache budget in bytes (0 = off)")
+		tenant     = flag.String("tenant", "", "tenant tag stamped on node requests for the nodes' quota accounting")
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -107,24 +105,20 @@ func main() {
 		RequestTimeout:  *reqTimeout,
 		MaxRetries:      *retries,
 		PoolSize:        *pool,
-		BatchItems:      *batch,
 		MaxMessageBytes: *maxMsg,
 		Tenant:          *tenant,
 	}
-	qopts := queryOptions{trace: *trace, slowQuery: *slowQuery, tenant: *tenant, resultCacheBytes: *cacheBytes}
+	qopts := queryOptions{trace: *trace, slowQuery: *slowQuery}
 	if err := run(*configPath, opts, qopts, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "partix:", err)
 		os.Exit(1)
 	}
 }
 
-// queryOptions are the coordinator-side observability and serving-tier
-// switches.
+// queryOptions are the coordinator-side observability switches.
 type queryOptions struct {
-	trace            bool
-	slowQuery        time.Duration
-	tenant           string
-	resultCacheBytes int64
+	trace     bool
+	slowQuery time.Duration
 }
 
 func run(configPath string, opts wire.ClientOptions, qopts queryOptions, args []string) error {
@@ -138,9 +132,6 @@ func run(configPath string, opts wire.ClientOptions, qopts queryOptions, args []
 	}
 	defer closeAll()
 	sys.SetTracing(qopts.trace)
-	if qopts.resultCacheBytes > 0 {
-		sys.SetResultCacheBytes(qopts.resultCacheBytes)
-	}
 	if qopts.slowQuery > 0 {
 		sys.SetSlowQueryThreshold(qopts.slowQuery)
 		sys.SetLogger(obs.NewTextLogger(os.Stderr, obs.LevelInfo))
@@ -175,7 +166,7 @@ func run(configPath string, opts wire.ClientOptions, qopts queryOptions, args []
 		if err := register(sys, cfg, scheme, mode); err != nil {
 			return err
 		}
-		res, err := sys.QueryAs(qopts.tenant, args[1])
+		res, err := sys.Query(args[1])
 		if err != nil {
 			return err
 		}
@@ -186,13 +177,8 @@ func run(configPath string, opts wire.ClientOptions, qopts queryOptions, args []
 				fmt.Println(xquery.ItemString(it))
 			}
 		}
-		if res.Cached {
-			fmt.Fprintf(os.Stderr, "strategy=%s fragments=%v served from result cache in %v (zero node round-trips)\n",
-				res.Strategy, res.Fragments, res.PlanTime)
-		} else {
-			fmt.Fprintf(os.Stderr, "strategy=%s fragments=%v response=%v (parallel=%v transmission=%v compose=%v)\n",
-				res.Strategy, res.Fragments, res.ResponseTime(), res.ParallelTime, res.TransmissionTime, res.ComposeTime)
-		}
+		fmt.Fprintf(os.Stderr, "strategy=%s fragments=%v response=%v (parallel=%v transmission=%v compose=%v)\n",
+			res.Strategy, res.Fragments, res.ResponseTime(), res.ParallelTime, res.TransmissionTime, res.ComposeTime)
 		if res.Frames > 0 {
 			fmt.Fprintf(os.Stderr, "streamed: first-item=%v frames=%d bytes=%d\n",
 				res.FirstItemLatency, res.Frames, res.StreamedBytes)

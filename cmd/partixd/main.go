@@ -34,19 +34,17 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":7001", "listen address")
-		dbPath     = flag.String("db", "partixd.db", "path of the node's store file")
-		noIndexes  = flag.Bool("disable-indexes", false, "disable index-assisted candidate pruning")
-		noWAL      = flag.Bool("no-wal", false, "disable the write-ahead log (commits are durable only at checkpoints)")
-		noFsync    = flag.Bool("wal-nofsync", false, "keep the WAL but skip fsync at commit (crash may lose the tail)")
-		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "checkpoint when the WAL exceeds this size (0 = built-in default, <0 = only on demand)")
-		idle       = flag.Duration("idle-timeout", 5*time.Minute, "close connections idle for this long (0 = never)")
-		drain      = flag.Duration("drain-timeout", 5*time.Second, "how long shutdown waits for in-flight requests")
-		batch      = flag.Int("batch-items", 0, "default items/documents per streamed result frame (0 = built-in default)")
-		frameBytes = flag.Int("max-frame-bytes", 0, "flush a streamed frame once it holds this many payload bytes (0 = built-in default)")
-		maxMsg     = flag.Int64("max-message-bytes", 0, "reject incoming messages larger than this (0 = built-in default)")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /healthz, /debug/queries, /debug/workload, /debug/vars and /debug/pprof on this address (empty = off)")
-		quiet      = flag.Bool("quiet", false, "suppress request logging")
+		addr      = flag.String("addr", ":7001", "listen address")
+		dbPath    = flag.String("db", "partixd.db", "path of the node's store file")
+		noIndexes = flag.Bool("disable-indexes", false, "disable index-assisted candidate pruning")
+		noWAL     = flag.Bool("no-wal", false, "disable the write-ahead log (commits are durable only at checkpoints)")
+		noFsync   = flag.Bool("wal-nofsync", false, "keep the WAL but skip fsync at commit (crash may lose the tail)")
+		ckptBytes = flag.Int64("checkpoint-bytes", 0, "checkpoint when the WAL exceeds this size (0 = built-in default, <0 = only on demand)")
+		idle      = flag.Duration("idle-timeout", 5*time.Minute, "close connections idle for this long (0 = never)")
+		drain     = flag.Duration("drain-timeout", 5*time.Second, "how long shutdown waits for in-flight requests")
+		maxMsg    = flag.Int64("max-message-bytes", 0, "reject incoming messages larger than this (0 = built-in default)")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics, /healthz, /debug/queries, /debug/workload, /debug/vars and /debug/pprof on this address (empty = off)")
+		quiet     = flag.Bool("quiet", false, "suppress request logging")
 
 		maxInflight = flag.Int("max-inflight", 0, "cap concurrently served query/fetch operations; excess is shed with an overloaded error (0 = unlimited)")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant sustained query/fetch operations per second (0 = quotas off)")
@@ -90,8 +88,6 @@ func main() {
 	srv := wire.NewServerWith(db, logger, wire.ServerOptions{
 		IdleTimeout:     *idle,
 		DrainTimeout:    *drain,
-		BatchItems:      *batch,
-		MaxFrameBytes:   *frameBytes,
 		MaxMessageBytes: *maxMsg,
 		Recorder:        recorder,
 		Profiler:        profiler,

@@ -113,7 +113,7 @@ var (
 	CoordStatsFetches = Default.NewCounter("partix_coord_stats_fetches_total",
 		"Fragment statistics fetches issued to nodes (statistics-cache misses).")
 
-	// serving tier: the coordinator result cache and admission control.
+	// serving tier: the coordinator result cache.
 	CoordResultCacheHits = Default.NewCounter("partix_coord_result_cache_hits_total",
 		"Queries answered from the result cache (zero node round-trips, zero plan work).")
 	CoordResultCacheMisses = Default.NewCounter("partix_coord_result_cache_misses_total",
@@ -124,12 +124,6 @@ var (
 		"Cached results discarded as stale (catalog or generation change).")
 	CoordResultCacheBytes = Default.NewGauge("partix_coord_result_cache_bytes",
 		"Serialized bytes currently held by the result cache.")
-	CoordQueued = Default.NewCounter("partix_coord_queued_total",
-		"Queries that waited in the admission queue before executing.")
-	CoordShed = Default.NewCounter("partix_coord_shed_total",
-		"Queries rejected by admission control (queue full or wait too long).")
-	CoordQuotaRejections = Default.NewCounter("partix_coord_quota_rejections_total",
-		"Queries rejected by a per-tenant token-bucket quota.")
 
 	// telemetry: the flight recorder, workload profiler, and
 	// cluster-wide aggregation pulls.

@@ -123,18 +123,7 @@ func (r *QueryResult) ResponseTime() time.Duration {
 // (SetResultCacheBytes), a repeat whose touched generations also still
 // hold skips execution too and is answered from memory.
 func (s *System) Query(q string) (*QueryResult, error) {
-	return s.QueryAs("", q)
-}
-
-// QueryAs is Query on behalf of a tenant: the tag selects the token
-// bucket a SetTenantQuota policy debits. An empty tenant is its own
-// bucket. Beyond quotas the serving path is identical to Query's —
-// result cache first, then singleflight, then admission, then execution.
-func (s *System) QueryAs(tenant, q string) (*QueryResult, error) {
 	planStart := time.Now()
-	if err := s.admitTenant(tenant); err != nil {
-		return nil, err
-	}
 	norm := xquery.NormalizeQueryText(q)
 	if res, ok := s.cachedResult(norm, planStart); ok {
 		return res, nil
@@ -154,11 +143,6 @@ func (s *System) QueryAs(tenant, q string) (*QueryResult, error) {
 			}
 		}
 	}
-	release, err := s.admission.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
 	// The catalog version is read before plan resolution: a registration
 	// racing with the execution leaves the cached result stamped with the
 	// older version, so the next lookup discards it — stale in the safe

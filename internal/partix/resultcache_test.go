@@ -1,13 +1,11 @@
 package partix
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"partix/internal/cluster"
 	"partix/internal/obs"
@@ -473,116 +471,6 @@ func TestDeciderQueriesBypassResultCache(t *testing.T) {
 	}
 	if r.Cached {
 		t.Fatal("decider served from cache")
-	}
-}
-
-func TestAdmissionQueueShedsWithTypedError(t *testing.T) {
-	s := newTestSystem(t, 3)
-	publishHorizontal(t, s, 24)
-	s.SetMaxInflight(1)
-	s.SetMaxQueued(1)
-	s.SetQueueTimeout(10 * time.Millisecond)
-
-	q := `for $i in collection("items")/Item where contains($i/Description, "good") return $i/Code`
-	// Hold the only execution slot so the burst deterministically
-	// overloads the coordinator: one query can queue (and times out), the
-	// rest find the queue full and shed immediately.
-	release, err := s.admission.acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const burst = 5
-	var wg sync.WaitGroup
-	var shed, untyped atomic.Int64
-	for g := 0; g < burst; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := s.Query(q)
-			switch {
-			case errors.Is(err, ErrOverloaded):
-				shed.Add(1)
-			case err != nil:
-				untyped.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if untyped.Load() != 0 {
-		t.Fatalf("%d rejections were not typed ErrOverloaded", untyped.Load())
-	}
-	if shed.Load() != burst {
-		t.Fatalf("shed %d of %d while the slot was held", shed.Load(), burst)
-	}
-	if s.QueuedQueries() != 0 {
-		t.Fatalf("queue not drained: %d waiters", s.QueuedQueries())
-	}
-	// Releasing the slot readmits queries.
-	release()
-	if _, err := s.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	// With admission off everything is served without queuing.
-	s.SetMaxInflight(0)
-	if _, err := s.Query(q); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTenantQuotaSheds(t *testing.T) {
-	s := newTestSystem(t, 3)
-	publishHorizontal(t, s, 12)
-	s.SetTenantQuota(0.001, 2) // 2-query burst, effectively no refill
-	q := `for $i in collection("items")/Item where $i/Section = "CD" return $i/Code`
-
-	for i := 0; i < 2; i++ {
-		if _, err := s.QueryAs("alice", q); err != nil {
-			t.Fatalf("query %d within burst: %v", i, err)
-		}
-	}
-	_, err := s.QueryAs("alice", q)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("exhausted tenant not shed with ErrOverloaded: %v", err)
-	}
-	// Another tenant has its own bucket.
-	if _, err := s.QueryAs("bob", q); err != nil {
-		t.Fatalf("unrelated tenant shed: %v", err)
-	}
-	// Disabling the policy readmits everyone.
-	s.SetTenantQuota(0, 0)
-	if _, err := s.QueryAs("alice", q); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Cache hits bypass the admission queue: with zero execution slots a
-// primed query is still answered.
-func TestCacheHitBypassesAdmission(t *testing.T) {
-	s := newCachedSystem(t, 3, 1<<20)
-	publishHorizontal(t, s, 12)
-	q := `for $i in collection("items")/Item where $i/Section = "CD" return $i/Code`
-	if _, err := s.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	s.SetMaxInflight(1)
-	s.SetMaxQueued(0)
-	// Saturate the only slot.
-	release, err := s.admission.acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	res, err := s.Query(q)
-	if err != nil {
-		t.Fatalf("cache hit was throttled: %v", err)
-	}
-	if !res.Cached {
-		t.Fatal("expected a cache hit")
-	}
-	// The same query uncached is shed.
-	s.InvalidatePlans()
-	if _, err := s.Query(q); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("uncached query under a saturated slot: %v", err)
 	}
 }
 

@@ -30,8 +30,6 @@ type System struct {
 	planCache   *lru[*planEntry]
 	statsCache  *statsCache
 	resultCache *resultCache
-	admission   *admission
-	tenants     *tenantQuota
 
 	// recorder and profiler are created once and never replaced; every
 	// query feeds them.
@@ -156,32 +154,6 @@ func (s *System) SetResultCacheBytes(n int64) {
 	s.resultCache.setBudget(n)
 }
 
-// SetMaxInflight caps how many queries execute at once; the excess
-// queues (see SetMaxQueued) and is shed with ErrOverloaded when the
-// queue is full or the wait exceeds the queue timeout. Zero (the
-// default) disables admission control. Result-cache hits bypass the
-// gate — they cost no node work.
-func (s *System) SetMaxInflight(n int) { s.admission.setMaxInflight(n) }
-
-// SetMaxQueued bounds the admission queue: queries arriving beyond
-// MaxInflight wait here for a slot; past this bound they are shed
-// immediately with ErrOverloaded. Zero allows no queueing.
-func (s *System) SetMaxQueued(n int) { s.admission.setMaxQueued(n) }
-
-// SetQueueTimeout bounds how long a queued query waits for an execution
-// slot before it is shed with ErrOverloaded (default 1s).
-func (s *System) SetQueueTimeout(d time.Duration) { s.admission.setQueueWait(d) }
-
-// QueuedQueries reports how many queries are waiting for an execution
-// slot right now.
-func (s *System) QueuedQueries() int { return s.admission.queued() }
-
-// SetTenantQuota installs a token-bucket quota applied per tenant tag
-// (see QueryAs): each tenant may issue `burst` queries instantly and
-// `rate` queries per second sustained; beyond that QueryAs fails with
-// ErrOverloaded. rate <= 0 (the default) disables quotas.
-func (s *System) SetTenantQuota(rate, burst float64) { s.tenants.set(rate, burst) }
-
 // InvalidatePlans drops every cached plan, cached result and
 // fragment-statistics snapshot. Callers mutating node data behind the
 // coordinator's back (outside Publish) use it to make the changes
@@ -212,8 +184,6 @@ func NewSystem(cost cluster.CostModel) *System {
 		planCache:    newPlanCache(),
 		statsCache:   newStatsCache(defaultStatsTTL),
 		resultCache:  newResultCache(),
-		admission:    newAdmission(),
-		tenants:      newTenantQuota(),
 		recorder:     obs.NewFlightRecorder(0),
 		profiler:     obs.NewWorkloadProfiler(0),
 	}

@@ -40,10 +40,6 @@ type ClientOptions struct {
 	// sub-queries no longer serialize behind a single gob stream.
 	// 0 means 4.
 	PoolSize int
-	// BatchItems asks servers to cap streamed frames at this many items
-	// or documents each; 0 accepts the server's default batch size. The
-	// server clamps requests against its own limits.
-	BatchItems int
 	// MaxMessageBytes bounds one incoming gob message (response or
 	// frame). A peer declaring a larger message surfaces as a NodeError
 	// — never an unbounded allocation — and its connection is dropped.
@@ -469,7 +465,6 @@ func (c *Client) streamOnce(req *Request, deliver func(*Frame) error) (int, *Tra
 	obs.WireClientInflight.Add(1)
 	defer obs.WireClientInflight.Add(-1)
 	c.stamp(req)
-	req.BatchItems = c.opts.BatchItems
 	if err := pc.send(req, c.opts.RequestTimeout); err != nil {
 		c.discard(pc)
 		return 0, nil, fmt.Errorf("wire: %s: %w", c.addr, err)

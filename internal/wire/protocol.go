@@ -122,10 +122,6 @@ type Request struct {
 	// Proto announces the client's protocol version; the server rejects
 	// any value other than its own ProtocolVersion.
 	Proto uint8
-	// BatchItems asks the server to cap streamed frames at this many
-	// items/documents each; 0 accepts the server's default. The server
-	// clamps it against its own limits.
-	BatchItems int
 	// TraceID is the coordinator's correlation tag for the query: the
 	// server echoes it on FrameErr and writes it into its flight-recorder
 	// entry, so a failed or slow sub-query joins across coordinator and

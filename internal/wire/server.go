@@ -33,8 +33,7 @@ type ServerOptions struct {
 	// negative closes immediately.
 	DrainTimeout time.Duration
 	// BatchItems caps how many items (or documents) one streamed frame
-	// carries when the client does not ask for a smaller batch. 0 means
-	// 256.
+	// carries. 0 means 256.
 	BatchItems int
 	// MaxFrameBytes flushes a streamed frame early once its payload
 	// reaches this many bytes, bounding per-frame memory on both peers
@@ -79,20 +78,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 		o.MaxFrameBytes = 1 << 20
 	}
 	return o
-}
-
-// batchFor resolves the effective frame batch size for one request: the
-// client may ask for a smaller batch than the server default, never a
-// larger one than 4× it (a huge request would defeat frame bounding).
-func (o ServerOptions) batchFor(req *Request) int {
-	b := o.BatchItems
-	if req.BatchItems > 0 {
-		b = req.BatchItems
-		if max := o.BatchItems * 4; b > max {
-			b = max
-		}
-	}
-	return b
 }
 
 // Server exposes one engine.DB over the wire protocol. A panic while
@@ -385,7 +370,7 @@ func (s *Server) sendFrame(enc *gob.Encoder, conn net.Conn, f *Frame) error {
 // connection, which surfaces here as a frame write error — the node
 // stops producing frames nobody will read.
 func (s *Server) serveStream(enc *gob.Encoder, conn net.Conn, req *Request) error {
-	batch := s.opts.batchFor(req)
+	batch := s.opts.BatchItems
 	switch req.Op {
 	case OpQueryStream:
 		return s.streamQuery(enc, conn, req, batch)

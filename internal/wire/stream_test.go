@@ -197,13 +197,13 @@ func TestMaxFrameBytesBoundsFrames(t *testing.T) {
 	}
 }
 
-// StreamQuery delivers bounded batches in order, and the client clamps
-// nothing the server's batch honors.
+// StreamQuery delivers batches bounded by the server's BatchItems, in
+// order.
 func TestStreamQueryDeliversBatches(t *testing.T) {
 	const docs = 25
 	db := newNodeDB(t, docs)
-	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{BatchItems: 64})
-	c := dialStream(t, addr, ClientOptions{BatchItems: 7})
+	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{BatchItems: 7})
+	c := dialStream(t, addr, ClientOptions{})
 	var got xquery.Seq
 	batches := 0
 	err := c.StreamQuery(allItemsQuery, func(s xquery.Seq) error {

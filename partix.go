@@ -142,21 +142,12 @@ const (
 	LogError = iobs.LevelError
 )
 
-// Serving tier (result cache and admission control).
-var (
-	// ErrOverloaded is returned (wrapped) by System.Query/QueryAs when
-	// coordinator admission control sheds the query: the admission queue
-	// is full, the queue wait exceeded its deadline, or the tenant's
-	// token-bucket quota ran dry. Match with errors.Is. See
-	// System.SetMaxInflight, SetMaxQueued, SetQueueTimeout,
-	// SetTenantQuota; the result cache is budgeted with
-	// System.SetResultCacheBytes.
-	ErrOverloaded = ipartix.ErrOverloaded
-	// ErrNodeOverloaded matches NodeErrors raised by a remote node's own
-	// admission control (partixd -max-inflight / -tenant-rate); such
-	// requests are delivered, shed by the node, and never retried.
-	ErrNodeOverloaded = iwire.ErrNodeOverloaded
-)
+// ErrOverloaded matches a query a node shed rather than served: its
+// in-flight cap was reached or the tenant's token-bucket quota ran dry
+// (partixd -max-inflight / -tenant-rate). The coordinator tries every
+// replica of a fragment first, so System.Query returns it (wrapped) only
+// once every copy refused or failed. Match with errors.Is.
+var ErrOverloaded = iwire.ErrNodeOverloaded
 
 // NopLogger returns the default do-nothing logger.
 func NopLogger() Logger { return iobs.Nop() }

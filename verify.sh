@@ -3,7 +3,8 @@
 # formatting, vet (the go vet gate below), build, the full test suite,
 # and the race detector over the packages with real concurrency (snapshot
 # reads against writers, WAL crash recovery, bounded sub-query execution,
-# coordinator caches and admission, wire transport, telemetry sinks).
+# coordinator caches, wire transport and node admission, telemetry
+# sinks).
 # Test runs carry a timeout so a hung network test fails fast instead of
 # wedging CI.
 set -eux
@@ -17,9 +18,10 @@ go test -timeout 5m ./...
 go test -race -timeout 5m ./internal/obs/... ./internal/storage/... ./internal/engine/... ./internal/xquery/... ./internal/cluster/... ./internal/partix/... ./internal/wire/...
 # a plan's fetches run on goroutines like its sub-queries: the
 # composition shape table, the fetch in-flight limit, the two fetch
-# failover tests, the semi-join differential and the semi-join round-2
-# failover, repeated under the race detector
-go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragment|TestFetchStepsHonourInflightLimit|TestReconstructionFailover|TestMultiCollectionFetchFailsOverToReplica|TestSemiJoinMatchesCentralized|TestSemiJoinRoundTwoFailsOverToReplica' ./internal/partix/
+# failover tests, the semi-join differential, the semi-join round-2
+# failover and the two node-shedding tests (shed = ErrOverloaded, shed
+# primary fails over), repeated under the race detector
+go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragment|TestFetchStepsHonourInflightLimit|TestReconstructionFailover|TestMultiCollectionFetchFailsOverToReplica|TestSemiJoinMatchesCentralized|TestSemiJoinRoundTwoFailsOverToReplica|TestNodeOverloadIsErrOverloaded|TestOverloadedPrimaryFailsOverToReplica' ./internal/partix/
 # the benchmark is a nested module (partix/benchmark) that compiles
 # against internal/ through a replace directive, so ./... above does not
 # reach it: vet it and run its 5 s smoke test, or an internal/ signature
