@@ -306,28 +306,16 @@ func (c *docContrib) addValue(key, val string) {
 }
 
 // textCapped computes a node's XPath string value exactly as
-// xmltree.Node.Text does (text values in document order, attribute
-// subtrees excluded), bailing out once the value exceeds valueCap.
+// xmltree.Node.Text does, bailing out once the value exceeds valueCap.
+// The value is always a copy, so the index never pins a decoded
+// document's text.
 func textCapped(n *xmltree.Node) (string, bool) {
 	var sb strings.Builder
-	over := appendTextCapped(n, &sb)
+	over := !n.EachText(func(s string) bool {
+		sb.WriteString(s)
+		return sb.Len() <= valueCap
+	})
 	return sb.String(), over
-}
-
-func appendTextCapped(n *xmltree.Node, sb *strings.Builder) bool {
-	if n.Kind == xmltree.TextNode {
-		sb.WriteString(n.Value)
-		return sb.Len() > valueCap
-	}
-	for _, c := range n.Children {
-		if c.Kind == xmltree.AttributeNode {
-			continue // attribute values are not part of element content
-		}
-		if appendTextCapped(c, sb) {
-			return true
-		}
-	}
-	return false
 }
 
 // parsePathKey splits a stored key back into components ("/" join, "@"

@@ -174,27 +174,41 @@ func (n *Node) Attr(name string) (string, bool) {
 
 // Text returns the concatenation of all text values in the subtree rooted
 // at n, in document order. For a text node it is the node's value; for an
-// element or attribute it is the string value in the XPath sense.
+// element or attribute it is the string value in the XPath sense. A text
+// node, and an element or attribute whose only child is a text node,
+// return that node's value without copying it.
 func (n *Node) Text() string {
 	if n.Kind == TextNode {
 		return n.Value
 	}
+	if len(n.Children) == 1 && n.Children[0].Kind == TextNode {
+		return n.Children[0].Value
+	}
 	var sb strings.Builder
-	n.appendText(&sb)
+	n.EachText(func(s string) bool {
+		sb.WriteString(s)
+		return true
+	})
 	return sb.String()
 }
 
-func (n *Node) appendText(sb *strings.Builder) {
+// EachText calls fn with the value of every text node that Text
+// concatenates, in document order: attribute subtrees below n are
+// skipped, since attribute values are not part of element content. It
+// stops as soon as fn returns false, and then returns false itself.
+func (n *Node) EachText(fn func(string) bool) bool {
 	if n.Kind == TextNode {
-		sb.WriteString(n.Value)
-		return
+		return fn(n.Value)
 	}
 	for _, c := range n.Children {
 		if c.Kind == AttributeNode {
-			continue // attribute values are not part of element content
+			continue
 		}
-		c.appendText(sb)
+		if !c.EachText(fn) {
+			return false
+		}
 	}
+	return true
 }
 
 // Clone returns a deep copy of the subtree rooted at n. Node IDs are

@@ -72,6 +72,45 @@ func TestTextConcatenatesContentOnly(t *testing.T) {
 	}
 }
 
+// TestTextLeafAllocs: the string value of a text node, and of an element
+// or attribute whose only child is a text node, is that text's value,
+// returned without a copy. Every ItemString, Attr and order-by key over
+// a leaf goes through it.
+func TestTextLeafAllocs(t *testing.T) {
+	text := NewText("CD")
+	elem := NewElement("Section", NewText("CD"))
+	attr := NewAttr("id", "CD")
+	for name, n := range map[string]*Node{"text": text, "element": elem, "attribute": attr} {
+		var got string
+		if allocs := testing.AllocsPerRun(100, func() { got = n.Text() }); allocs != 0 {
+			t.Errorf("%s: Text() allocates %.0f times, want 0", name, allocs)
+		}
+		if got != "CD" {
+			t.Errorf("%s: Text() = %q, want CD", name, got)
+		}
+	}
+}
+
+func TestEachTextStopsEarly(t *testing.T) {
+	n := NewElement("a",
+		NewAttr("x", "attrval"),
+		NewElement("b", NewText("one")),
+		NewElement("c", NewText("two"), NewElement("d", NewText("three"))),
+	)
+	var seen []string
+	complete := n.EachText(func(s string) bool {
+		seen = append(seen, s)
+		return s != "two"
+	})
+	if complete || strings.Join(seen, ",") != "one,two" {
+		t.Fatalf("EachText stopping at two: complete=%v, visited %q; want false, [one two]", complete, seen)
+	}
+	seen = seen[:0]
+	if !n.EachText(func(s string) bool { seen = append(seen, s); return true }) || len(seen) != 3 {
+		t.Fatalf("EachText to the end visited %q, want one, two, three", seen)
+	}
+}
+
 func TestCloneIsDeepAndPreservesIDs(t *testing.T) {
 	doc := NewDocument("d1", sampleItem())
 	cp := doc.Root.Clone()

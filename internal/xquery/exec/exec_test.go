@@ -481,33 +481,51 @@ func TestExistsStopsScan(t *testing.T) {
 var elemNames = []string{"a", "b", "c", "d"}
 var leafValues = []string{"1", "2", "10", "-3", "2.5", "x", "y", "good stuff", "", "CD"}
 
+// splitValues are leaf values stored as two adjacent text nodes, split
+// inside a word or inside a multi-byte UTF-8 character. The parser never
+// builds them; string terms must match across the split.
+var splitValues = [][2]string{{"de", "fective"}, {"caf\xc3", "\xa9"}, {"goo", "d stuff"}}
+
+// needles adds to leafValues strings that span text nodes: across the
+// splitValues splits, and across adjacent leaves such as <a>x</a><b>y</b>.
+var needles = append([]string{"defective", "efe", "é", "fé", "od s", "xy", "1x", "CDg"}, leafValues...)
+
+// randDoc builds the document tree directly rather than parsing it, so it
+// can hold mixed content and split text the parser never produces.
 func randDoc(r *rand.Rand, name string) *xmltree.Document {
-	var sb strings.Builder
-	sb.WriteString("<r")
+	root := xmltree.NewElement("r")
 	if r.Intn(2) == 0 {
-		fmt.Fprintf(&sb, ` id="%d"`, r.Intn(20))
+		root.Append(xmltree.NewAttr("id", fmt.Sprint(r.Intn(20))))
 	}
-	sb.WriteString(">")
-	randChildren(r, &sb, 0)
-	sb.WriteString("</r>")
-	return xmltree.MustParseString(name, sb.String())
+	randChildren(r, root, 0)
+	return xmltree.NewDocument(name, root)
 }
 
-func randChildren(r *rand.Rand, sb *strings.Builder, depth int) {
+// randChildren appends up to three random elements to parent, some of
+// them after a text node (mixed content).
+func randChildren(r *rand.Rand, parent *xmltree.Node, depth int) {
 	n := r.Intn(4)
 	for i := 0; i < n; i++ {
-		name := elemNames[r.Intn(len(elemNames))]
-		fmt.Fprintf(sb, "<%s", name)
+		if v := leafValues[r.Intn(len(leafValues))]; v != "" && r.Intn(6) == 0 {
+			parent.Append(xmltree.NewText(v))
+		}
+		el := xmltree.NewElement(elemNames[r.Intn(len(elemNames))])
 		if r.Intn(4) == 0 {
-			fmt.Fprintf(sb, ` id="%d"`, r.Intn(20))
+			el.Append(xmltree.NewAttr("id", fmt.Sprint(r.Intn(20))))
 		}
-		sb.WriteString(">")
-		if depth < 2 && r.Intn(3) == 0 {
-			randChildren(r, sb, depth+1)
-		} else {
-			sb.WriteString(leafValues[r.Intn(len(leafValues))])
+		switch {
+		case depth < 2 && r.Intn(3) == 0:
+			randChildren(r, el, depth+1)
+		case r.Intn(5) == 0:
+			sv := splitValues[r.Intn(len(splitValues))]
+			el.Append(xmltree.NewText(sv[0]))
+			el.Append(xmltree.NewText(sv[1]))
+		default:
+			if v := leafValues[r.Intn(len(leafValues))]; v != "" {
+				el.Append(xmltree.NewText(v))
+			}
 		}
-		fmt.Fprintf(sb, "</%s>", name)
+		parent.Append(el)
 	}
 }
 
@@ -547,10 +565,19 @@ func randRel(r *rand.Rand) string {
 	return strings.Join(parts, "")
 }
 
-func randPath(r *rand.Rand) string {
+// randStrTerm builds a string term over base with a needle that may span
+// text nodes.
+func randStrTerm(r *rand.Rand, base string) string {
+	fn := []string{"contains", "starts-with", "ends-with"}[r.Intn(3)]
+	return fmt.Sprintf("%s(%s, %q)", fn, base, needles[r.Intn(len(needles))])
+}
+
+// randPath returns a path and, when it carries a string-term predicate,
+// a probe: the path whose nodes that term tests.
+func randPath(r *rand.Rand) (path, probe string) {
 	p := `collection("c")`
 	if r.Intn(8) == 0 {
-		return p // bare collection: wrapper escape
+		return p, "" // bare collection: wrapper escape
 	}
 	if r.Intn(4) == 0 {
 		p += "//" + randStepName(r)
@@ -562,37 +589,55 @@ func randPath(r *rand.Rand) string {
 		p += "/" + randStepName(r)
 	}
 	if r.Intn(3) == 0 {
-		switch r.Intn(4) {
+		switch r.Intn(5) {
 		case 0:
 			p += fmt.Sprintf("[%d]", r.Intn(3)+1)
 		case 1:
 			p += fmt.Sprintf("[%s %s %s]", randRel(r), randOp(r), randLit(r))
 		case 2:
 			p += fmt.Sprintf("[%s]", randRel(r))
+		case 3:
+			base := "."
+			probe = p
+			if r.Intn(2) == 0 {
+				base = randRel(r)
+				probe = p + "/" + base
+			}
+			p += "[" + randStrTerm(r, base) + "]"
 		default:
 			p += fmt.Sprintf("[not(%s)]", randRel(r))
 		}
 	}
-	return p
+	return p, probe
 }
 
-func randWhereTerm(r *rand.Rand, v string) string {
-	switch r.Intn(7) {
+// randWhereTerm returns a where-conjunct over $v and, for a string term,
+// the path whose nodes it tests.
+func randWhereTerm(r *rand.Rand, v string) (term, strBase string) {
+	switch r.Intn(10) {
 	case 0:
-		return fmt.Sprintf("$%s/%s %s %s", v, randRel(r), randOp(r), randLit(r))
+		return fmt.Sprintf("$%s/%s %s %s", v, randRel(r), randOp(r), randLit(r)), ""
 	case 1:
-		return fmt.Sprintf("%s %s $%s/%s", randLit(r), randOp(r), v, randRel(r))
-	case 2:
-		return fmt.Sprintf("contains($%s/%s, %q)", v, randRel(r), leafValues[r.Intn(len(leafValues))])
-	case 3:
-		return fmt.Sprintf("exists($%s/%s)", v, randRel(r))
-	case 4:
-		return fmt.Sprintf("empty($%s/%s)", v, randRel(r))
-	case 5:
-		return fmt.Sprintf("$%s/%s", v, randRel(r))
+		return fmt.Sprintf("%s %s $%s/%s", randLit(r), randOp(r), v, randRel(r)), ""
+	case 2, 3, 4, 5: // string terms, the most frequent: few bases select a subtree
+		strBase = "$" + v
+		if r.Intn(2) == 0 {
+			strBase += "/" + randRel(r)
+		}
+		term = randStrTerm(r, strBase)
+		if r.Intn(4) == 0 {
+			term = "not(" + term + ")"
+		}
+		return term, strBase
+	case 6:
+		return fmt.Sprintf("exists($%s/%s)", v, randRel(r)), ""
+	case 7:
+		return fmt.Sprintf("empty($%s/%s)", v, randRel(r)), ""
+	case 8:
+		return fmt.Sprintf("$%s/%s", v, randRel(r)), ""
 	default:
 		// Interpreter-fallback shape: count comparison.
-		return fmt.Sprintf("count($%s/%s) %s %d", v, randRel(r), randOp(r), r.Intn(3))
+		return fmt.Sprintf("count($%s/%s) %s %d", v, randRel(r), randOp(r), r.Intn(3)), ""
 	}
 }
 
@@ -611,37 +656,59 @@ func randReturn(r *rand.Rand, v string) string {
 	}
 }
 
-func randQuery(r *rand.Rand) string {
+// randQuery returns a query and the probes of its string terms: for
+// each, a query whose result is the nodes that term tests.
+func randQuery(r *rand.Rand) (string, []string) {
 	switch r.Intn(4) {
 	case 0: // bare path
-		return randPath(r)
+		p, probe := randPath(r)
+		return p, probesOf(probe)
 	case 1: // fold over a path or FLWOR
 		fold := []string{"count", "exists", "empty", "sum", "min", "max", "avg"}[r.Intn(7)]
 		if r.Intn(2) == 0 {
-			return fmt.Sprintf("%s(%s)", fold, randPath(r))
+			p, probe := randPath(r)
+			return fmt.Sprintf("%s(%s)", fold, p), probesOf(probe)
 		}
-		return fmt.Sprintf("%s(%s)", fold, randFLWOR(r))
+		q, probes := randFLWOR(r)
+		return fmt.Sprintf("%s(%s)", fold, q), probes
 	default:
 		return randFLWOR(r)
 	}
 }
 
-func randFLWOR(r *rand.Rand) string {
+func probesOf(probe string) []string {
+	if probe == "" {
+		return nil
+	}
+	return []string{probe}
+}
+
+func randFLWOR(r *rand.Rand) (string, []string) {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "for $x in %s", randPath(r))
+	p, probe := randPath(r)
+	probes := probesOf(probe)
+	fmt.Fprintf(&sb, "for $x in %s", p)
 	vars := []string{"x"}
 	if r.Intn(4) == 0 {
 		fmt.Fprintf(&sb, ", $y in $x/%s", randRel(r))
 		vars = append(vars, "y")
 	}
+	// A where-term's probe is the for clauses returning its base.
+	forClauses := sb.String()
 	if r.Intn(5) == 0 {
 		fmt.Fprintf(&sb, " let $l := $x/%s", randRel(r))
 	}
 	if r.Intn(2) == 0 {
-		v := vars[r.Intn(len(vars))]
-		fmt.Fprintf(&sb, " where %s", randWhereTerm(r, v))
-		if r.Intn(3) == 0 {
-			fmt.Fprintf(&sb, " and %s", randWhereTerm(r, vars[r.Intn(len(vars))]))
+		for i, n := 0, 1+r.Intn(3)/2; i < n; i++ {
+			term, strBase := randWhereTerm(r, vars[r.Intn(len(vars))])
+			if i == 0 {
+				sb.WriteString(" where " + term)
+			} else {
+				sb.WriteString(" and " + term)
+			}
+			if strBase != "" {
+				probes = append(probes, forClauses+" return "+strBase)
+			}
 		}
 	}
 	if r.Intn(3) == 0 {
@@ -653,7 +720,31 @@ func randFLWOR(r *rand.Rand) string {
 		fmt.Fprintf(&sb, " order by $%s/%s%s", v, randRel(r), desc)
 	}
 	fmt.Fprintf(&sb, " return %s", randReturn(r, vars[r.Intn(len(vars))]))
-	return sb.String()
+	return sb.String(), probes
+}
+
+// subtreeStringTerms counts the probes that select a node with a subtree
+// below it (an element child, or several children): a string term whose
+// base is such a node must stream over more than one text node.
+func subtreeStringTerms(src *memSource, probes []string) int {
+	count := 0
+	for _, probe := range probes {
+		e, err := xquery.Parse(probe)
+		if err != nil {
+			continue
+		}
+		items, err := xquery.Eval(e, src)
+		if err != nil {
+			continue
+		}
+		for _, it := range items {
+			if n, ok := it.(*xmltree.Node); ok && (len(n.Children) > 1 || len(n.Children) == 1 && n.Children[0].Kind == xmltree.ElementNode) {
+				count++
+				break
+			}
+		}
+	}
+	return count
 }
 
 // TestDifferentialRandom fuzzes generated FLWOR/path queries over
@@ -667,7 +758,7 @@ func TestDifferentialRandom(t *testing.T) {
 	if testing.Short() {
 		iters = 60
 	}
-	compiled, projected := 0, 0
+	compiled, projected, subtreeTerms := 0, 0, 0
 	for seed := 0; seed < iters; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		var docs []*xmltree.Document
@@ -675,7 +766,7 @@ func TestDifferentialRandom(t *testing.T) {
 			docs = append(docs, randDoc(r, fmt.Sprintf("d%d", i)))
 		}
 		src := newMemSource(xmltree.NewCollection("c", docs...))
-		query := randQuery(r)
+		query, probes := randQuery(r)
 		e, err := xquery.Parse(query)
 		if err != nil {
 			t.Fatalf("seed %d: generated unparsable query %s: %v", seed, query, err)
@@ -685,6 +776,7 @@ func TestDifferentialRandom(t *testing.T) {
 			continue
 		}
 		compiled++
+		subtreeTerms += subtreeStringTerms(src, probes)
 		want, wantErr := xquery.Eval(e, src)
 		got, gotErr := prog.Run(src)
 		if (wantErr != nil) != (gotErr != nil) {
@@ -707,7 +799,13 @@ func TestDifferentialRandom(t *testing.T) {
 	if projected*10 < compiled {
 		t.Fatalf("only %d/%d compiled queries projected", projected, compiled)
 	}
-	t.Logf("%d/%d queries compiled, %d of them projected", compiled, iters, projected)
+	// String terms over subtrees are the case the text-node matcher
+	// exists for; leaves alone would not test it.
+	if subtreeTerms*40 < iters {
+		t.Fatalf("only %d/%d generated queries apply a string term to a subtree", subtreeTerms, iters)
+	}
+	t.Logf("%d/%d queries compiled, %d of them projected, %d string terms over subtrees",
+		compiled, iters, projected, subtreeTerms)
 }
 
 // TestAllocsScanFilterProject is the allocation-regression gate for the

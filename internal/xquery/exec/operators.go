@@ -176,9 +176,11 @@ type executor struct {
 	wa, wb    []*xmltree.Node
 	matchBuf  []*xmltree.Node
 	ta, tb    []*xmltree.Node // term-walk scratch (pred-free, may nest inside wa/wb walks)
-	vals      []string        // gathered predicate value column
+	vals      []string        // gathered comparison value column
 	valOff    []int32         // per-gathered-tuple segment starts
 	valIdx    []int32         // batch indexes of gathered tuples
+	strWin    []byte          // string-term window across text nodes
+	atom      xmltree.Node    // text node holding an atomic term base
 	vars      map[string]xquery.Seq
 }
 
@@ -462,33 +464,45 @@ func (x *executor) processBatch() error {
 	return nil
 }
 
-// evalTermBatch evaluates one native term across the batch. For value
-// terms the predicate's column — every candidate node value of every
-// live tuple — is gathered into a shared scratch buffer first, then a
-// single comparison loop tests the column against the literal prepared
-// at compile time (existential within each tuple's segment). Tuples
-// bound through the same clause share their binding's path shape, which
-// is what makes one flat column per term meaningful.
+// evalTermBatch evaluates one native term across the batch. Existence
+// and string terms test each live tuple's nodes directly and stop at the
+// first hit; comparison terms run evalCmpBatch.
 func (x *executor) evalTermBatch(t *term, keep []bool) error {
+	if t.kind == termCmp {
+		return x.evalCmpBatch(t, keep)
+	}
 	stride := x.p.stride
-	if t.kind == termExists {
-		for i := range keep {
-			if !keep[i] {
+	for i := range keep {
+		if !keep[i] {
+			continue
+		}
+		row := x.batch[i*stride : (i+1)*stride]
+		base, err := x.baseNode(row, t.slot, t.rel)
+		if err != nil {
+			return err
+		}
+		if base == nil { // atomic slot value, empty rel
+			if t.kind == termExists {
+				keep[i] = t.negate
 				continue
 			}
-			row := x.batch[i*stride : (i+1)*stride]
-			base, err := x.baseNode(row, t.slot, t.rel)
-			if err != nil {
-				return err
-			}
-			hit := base != nil && stepsExist(base, t.rel, 0)
-			if hit == t.negate {
-				keep[i] = false
-			}
+			x.atom = xmltree.Node{Kind: xmltree.TextNode, Value: xquery.ItemString(row[t.slot])}
+			base = &x.atom
 		}
-		return nil
+		keep[i] = x.evalTermNode(t, base)
 	}
-	// Gather phase: one value column for the whole batch.
+	return nil
+}
+
+// evalCmpBatch evaluates a comparison term across the batch. The
+// predicate's column — every candidate node value of every live tuple —
+// is gathered into a shared scratch buffer first, then a single
+// comparison loop tests the column against the literal prepared at
+// compile time (existential within each tuple's segment). Tuples bound
+// through the same clause share their binding's path shape, which is
+// what makes one flat column per term meaningful.
+func (x *executor) evalCmpBatch(t *term, keep []bool) error {
+	stride := x.p.stride
 	vals := x.vals[:0]
 	offs := x.valOff[:0]
 	idx := x.valIdx[:0]
@@ -509,51 +523,26 @@ func (x *executor) evalTermBatch(t *term, keep []bool) error {
 			continue
 		}
 		if len(t.rel) == 0 {
-			vals = append(vals, nodeText(base))
+			vals = append(vals, base.Text())
 			continue
 		}
 		nodes := x.termWalk(base, t.rel)
 		for _, n := range nodes {
-			vals = append(vals, nodeText(n))
+			vals = append(vals, n.Text())
 		}
 	}
 	offs = append(offs, int32(len(vals)))
-	// Compare phase: one tight loop over the column.
-	if t.kind == termCmp {
-		lit := t.lit
-		for k, ti := range idx {
-			hit := false
-			for _, v := range vals[offs[k]:offs[k+1]] {
-				if xquery.CompareValue(t.op, v, lit) {
-					hit = true
-					break
-				}
-			}
-			if hit == t.negate {
-				keep[ti] = false
+	lit := t.lit
+	for k, ti := range idx {
+		hit := false
+		for _, v := range vals[offs[k]:offs[k+1]] {
+			if xquery.CompareValue(t.op, v, lit) {
+				hit = true
+				break
 			}
 		}
-	} else {
-		for k, ti := range idx {
-			hit := false
-			for _, v := range vals[offs[k]:offs[k+1]] {
-				var ok bool
-				switch t.fn {
-				case fnContains:
-					ok = strings.Contains(v, t.needle)
-				case fnStartsWith:
-					ok = strings.HasPrefix(v, t.needle)
-				default:
-					ok = strings.HasSuffix(v, t.needle)
-				}
-				if ok {
-					hit = true
-					break
-				}
-			}
-			if hit == t.negate {
-				keep[ti] = false
-			}
+		if hit == t.negate {
+			keep[ti] = false
 		}
 	}
 	x.vals, x.valOff, x.valIdx = vals, offs, idx
@@ -746,21 +735,6 @@ func (x *executor) fallbackVars(row []any, nslots int) map[string]xquery.Seq {
 	return x.vars
 }
 
-// nodeText is Node.Text with a zero-allocation fast path for the common
-// leaf shapes: text nodes, and elements/attributes whose only child is a
-// text node. Anything deeper concatenates through the builder as usual.
-func nodeText(n *xmltree.Node) string {
-	if n.Kind == xmltree.TextNode {
-		return n.Value
-	}
-	if len(n.Children) == 1 {
-		if c := n.Children[0]; c.Kind == xmltree.TextNode {
-			return c.Value
-		}
-	}
-	return n.Text()
-}
-
 // --- path-step evaluation ---
 
 // walkSteps applies compiled steps to cur, mirroring the interpreter's
@@ -842,11 +816,7 @@ func (x *executor) applyPreds(nodes []*xmltree.Node, preds []pred) ([]*xmltree.N
 		case predTerm:
 			kept := cur[:0]
 			for _, n := range cur {
-				ok, err := x.evalTermNode(pd.term, n)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
+				if x.evalTermNode(pd.term, n) {
 					kept = append(kept, n)
 				}
 			}
@@ -872,48 +842,107 @@ func (x *executor) applyPreds(nodes []*xmltree.Node, preds []pred) ([]*xmltree.N
 	return cur, nil
 }
 
-// evalTermNode evaluates a native term against a single context node
-// (the scalar form used by step predicates; where-terms run the batched
-// form).
-func (x *executor) evalTermNode(t *term, base *xmltree.Node) (bool, error) {
+// evalTermNode evaluates a native term against a single base node: the
+// context node of a step predicate, or a where-term's tuple binding.
+func (x *executor) evalTermNode(t *term, base *xmltree.Node) bool {
 	var hit bool
 	switch t.kind {
 	case termExists:
 		hit = stepsExist(base, t.rel, 0)
 	case termCmp:
 		if len(t.rel) == 0 {
-			hit = xquery.CompareValue(t.op, nodeText(base), t.lit)
+			hit = xquery.CompareValue(t.op, base.Text(), t.lit)
 		} else {
 			for _, n := range x.termWalk(base, t.rel) {
-				if xquery.CompareValue(t.op, nodeText(n), t.lit) {
+				if xquery.CompareValue(t.op, n.Text(), t.lit) {
 					hit = true
 					break
 				}
 			}
 		}
 	default: // termString
-		check := func(v string) bool {
-			switch t.fn {
-			case fnContains:
-				return strings.Contains(v, t.needle)
-			case fnStartsWith:
-				return strings.HasPrefix(v, t.needle)
-			default:
-				return strings.HasSuffix(v, t.needle)
-			}
-		}
 		if len(t.rel) == 0 {
-			hit = check(nodeText(base))
+			hit = x.stringTermHit(t, base)
 		} else {
 			for _, n := range x.termWalk(base, t.rel) {
-				if check(nodeText(n)) {
+				if x.stringTermHit(t, n) {
 					hit = true
 					break
 				}
 			}
 		}
 	}
-	return hit != t.negate, nil
+	return hit != t.negate
+}
+
+// stringTermHit reports whether n's string value (n.Text()) satisfies
+// the string term t, without building that value: it streams over n's
+// text nodes in document order and stops as soon as the answer is known.
+// contains carries the last len(needle)-1 bytes across text-node
+// boundaries, starts-with stops after len(needle) bytes, and ends-with
+// keeps a len(needle)-byte suffix window. The windows live in executor
+// scratch, so a test allocates nothing in the steady state.
+func (x *executor) stringTermHit(t *term, n *xmltree.Node) bool {
+	needle := t.needle
+	if needle == "" {
+		return true
+	}
+	win := x.strWin[:0]
+	var hit bool
+	switch t.fn {
+	case fnContains:
+		k := len(needle) - 1
+		n.EachText(func(s string) bool {
+			// A match that starts in the window and ends in s.
+			nw := len(win)
+			if nw > 0 {
+				win = append(win, s[:min(len(s), k)]...)
+				for i := 0; i < nw && i+len(needle) <= len(win); i++ {
+					if string(win[i:i+len(needle)]) == needle {
+						hit = true
+						return false
+					}
+				}
+			}
+			if strings.Contains(s, needle) {
+				hit = true
+				return false
+			}
+			win = keepTail(win[:nw], s, k)
+			return true
+		})
+	case fnStartsWith:
+		rest := needle
+		n.EachText(func(s string) bool {
+			m := min(len(s), len(rest))
+			if s[:m] != rest[:m] {
+				return false
+			}
+			rest = rest[m:]
+			return rest != ""
+		})
+		hit = rest == ""
+	default: // fnEndsWith
+		n.EachText(func(s string) bool {
+			win = keepTail(win, s, len(needle))
+			return true
+		})
+		hit = string(win) == needle
+	}
+	x.strWin = win[:0]
+	return hit
+}
+
+// keepTail appends s to the window w and keeps only its last k bytes.
+func keepTail(w []byte, s string, k int) []byte {
+	if len(s) >= k {
+		return append(w[:0], s[len(s)-k:]...)
+	}
+	w = append(w, s...)
+	if over := len(w) - k; over > 0 {
+		w = w[:copy(w, w[over:])]
+	}
+	return w
 }
 
 // termWalk applies a pred-free relative path from one base node using

@@ -29,19 +29,22 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 (cd benchmark && go vet . && go test -timeout 5m .)
 
 # cost-class gates, run without -race (which would inflate the alloc
-# counts): the hot scan→filter→project loop, the slab-building record
-# decoder, a Docs scan per candidate, a point query's candidate selection
-# (bytes per call independent of the collection's size), a reconstruction
+# counts): the hot scan→filter→project loop, a string term over a large
+# element (allocations and bytes per candidate independent of the
+# subtree's size), the slab-building record decoder, a Docs scan per
+# candidate, a point query's candidate selection (bytes per call
+# independent of the collection's size), a reconstruction
 # query (allocations independent of the nodes per fetched document), a
 # semi-join's body fetch (bytes independent of the collection's size at a
 # fixed answer), a query frame's codec and a batch decode (allocations per frame
 # independent of its item count), the wire's message-limit reader,
-# serialization and its size count, the coordinator's per-query
+# serialization and its size count, a leaf's string value (no
+# allocation), the coordinator's per-query
 # telemetry (allocations independent of the fragment count) and its
 # plan-cache hit with revalidation (no allocations)
-go test -timeout 5m -run TestAllocsScanFilterProject ./internal/xquery/exec/
+go test -timeout 5m -run 'TestAllocsScanFilterProject|TestStringTermAllocsIndependentOfSubtreeSize' ./internal/xquery/exec/
 go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs' ./internal/storage/
-go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestFrameCodecAllocsPerFrame|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
+go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestFrameCodecAllocsPerFrame|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
 
 # observability smoke test: a node started with -debug-addr must serve
 # valid Prometheus text carrying series from every instrumented layer,
