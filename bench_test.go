@@ -187,36 +187,7 @@ func BenchmarkHeadlineTextSearch(b *testing.B) {
 	}
 }
 
-// --- ablations (DESIGN.md §6) ---
-
-// BenchmarkAblationIndexes measures index-assisted candidate pruning
-// against full scans for a selective predicate.
-func BenchmarkAblationIndexes(b *testing.B) {
-	items := toxgene.GenerateItems(toxgene.ItemsConfig{Docs: benchScale.SmallItems, Seed: 1})
-	query := `for $i in collection("items")/Item where $i/Section = "Garden" return $i/Code`
-	for _, disabled := range []bool{false, true} {
-		name := "indexed"
-		if disabled {
-			name = "scan"
-		}
-		b.Run(name, func(b *testing.B) {
-			db, err := engine.Open(filepath.Join(b.TempDir(), "n.db"), engine.Options{DisableIndexes: disabled})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { db.Close() })
-			if err := db.LoadCollection(items.Clone()); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// --- ablations (DESIGN.md §12) ---
 
 // BenchmarkAblationDocGranularity isolates the per-document decode
 // overhead the FragMode1/FragMode2 comparison rests on: the same items
@@ -246,26 +217,6 @@ func BenchmarkAblationDocGranularity(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := db.Query(tc.query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPruning compares a query whose predicate matches the
-// fragmentation (routed to one fragment) against the same shape over a
-// non-fragmentation value (broadcast to all fragments).
-func BenchmarkAblationPruning(b *testing.B) {
-	dep := deployItems(b, false, benchScale.SmallItems, 8)
-	cases := []struct{ name, query string }{
-		{"routed", `for $i in collection("items")/Item where $i/Section = "CD" return $i/Name`},
-		{"broadcast", `for $i in collection("items")/Item where contains($i/Name, "zzz-none") return $i/Name`},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dep.System.Query(tc.query); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -253,7 +253,7 @@ func relevantPredicates(collection string, queries []WorkloadQuery, limit int) [
 		if err != nil {
 			continue
 		}
-		for _, p := range extractSimplePredicates(e, collection) {
+		for _, p := range simplePredicates(e, collection) {
 			key := p.String()
 			counts[key] += wq.weight()
 			byKey[key] = p

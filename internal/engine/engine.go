@@ -439,7 +439,7 @@ func ParseTraced(query string, trace bool) (xquery.Expr, []obs.Span, error) {
 		return e, nil, err
 	}
 	parsed := time.Now()
-	hints := xquery.ExtractHints(e)
+	hints := xquery.ExtractScanHints(e)
 	return e, []obs.Span{
 		{Name: "parse", Duration: parsed.Sub(start)},
 		{Name: "plan", Detail: fmt.Sprintf("hints=%d", len(hints)), Duration: time.Since(parsed)},

@@ -148,9 +148,10 @@ func TestIndexOnlyExists(t *testing.T) {
 }
 
 // TestValueIndexEquivalence: randomized comparison, equality, token,
-// substring and existence queries, over Item and wildcard bindings, must
-// give the same items in the same order with full indexes, with no
-// indexes at all, and from the interpreter over the in-memory collection. A second round runs after a
+// substring and existence queries, over Item and wildcard bindings and
+// over two scans of the collection, must give the same items in the same
+// order with full indexes, with no indexes at all, and from the
+// interpreter over the in-memory collection. A second round runs after a
 // third of the documents are deleted and re-put in reverse name order, so
 // their recycled docIDs are no longer in name order.
 func TestValueIndexEquivalence(t *testing.T) {
@@ -211,6 +212,28 @@ func TestValueIndexEquivalence(t *testing.T) {
 		case 8:
 			queries = append(queries, fmt.Sprintf(
 				`for $i in collection("items")/%s where $i/Code = "%s" return $i`, bind, doc.Root.Child("Code").Text()))
+		}
+	}
+	// Several scans of one collection, each pruned by its own constraints
+	// only, and numeric-looking string literals, which compare
+	// numerically ("5.0" equals @id 5) and so are no token witness.
+	for i := 0; i < 12; i++ {
+		bind := []string{"Item", "*"}[rng.Intn(2)]
+		s1 := toxgene.Sections[rng.Intn(len(toxgene.Sections))]
+		s2 := toxgene.Sections[rng.Intn(len(toxgene.Sections))]
+		switch i % 4 {
+		case 0:
+			queries = append(queries, fmt.Sprintf(
+				`(for $i in collection("items")/%s where $i/Section = "%s" return $i/Code, for $j in collection("items")/%s return $j/Code)`, bind, s1, bind))
+		case 1:
+			queries = append(queries, fmt.Sprintf(
+				`for $j in collection("items")/%s return <r>{$j/Code}{for $i in collection("items")/%s where $i/Section = "%s" return $i/Code}</r>`, bind, bind, s1))
+		case 2:
+			queries = append(queries, fmt.Sprintf(
+				`count(for $i in collection("items")/%s, $j in collection("items")/%s where $i/Section = "%s" and $j/Section = "%s" return $j)`, bind, bind, s1, s2))
+		case 3:
+			queries = append(queries, fmt.Sprintf(
+				`for $i in collection("items")/%s where $i/@id = "%d.0" return $i/Code`, bind, rng.Intn(docs)))
 		}
 	}
 	queries = append(queries,

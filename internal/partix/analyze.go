@@ -1,6 +1,7 @@
 package partix
 
 import (
+	"slices"
 	"strings"
 
 	"partix/internal/fragmentation"
@@ -22,33 +23,21 @@ type queryPath struct {
 	existence bool
 }
 
-// constraint is a conjunctive condition the query imposes on documents of
-// a collection, used to prune horizontal fragments ("when the query
-// predicates match the fragmentation predicates, the sub-queries are
-// issued only to the corresponding fragments").
-type constraint struct {
-	collection string
-	labels     []string
-	attr       string
-	eq         bool // true: path = value must hold; false: contains(path, value)
-	value      string
-}
-
-// analysis is everything the query service needs to know about a query.
+// analysis is the label paths a query navigates: what vertical
+// relevance and the semi-join need to know about a query. The
+// constraints fragment pruning reads come from xquery.ExtractScanHints.
 type analysis struct {
-	paths       []queryPath
-	constraints []constraint
+	paths []queryPath
 	// unresolved is set when some path expression's source could not be
 	// traced back to a collection. Fragment relevance must then be
 	// conservative: every fragment is considered touched.
 	unresolved bool
 }
 
-// analyzeQuery extracts the label paths and conjunctive constraints of a
-// query. Variables bound (directly or transitively) to collection-rooted
-// paths are resolved to absolute label paths; anything it cannot resolve
-// is recorded conservatively (a descendant-marked path over the
-// collection).
+// analyzeQuery extracts the label paths of a query. Variables bound
+// (directly or transitively) to collection-rooted paths are resolved to
+// absolute label paths; anything it cannot resolve is recorded
+// conservatively (a descendant-marked path over the collection).
 func analyzeQuery(e xquery.Expr) *analysis {
 	a := &analysis{}
 	vars := map[string]queryPath{}
@@ -71,16 +60,16 @@ func (a *analysis) walk(e xquery.Expr, vars map[string]queryPath, ctxPath *query
 				bind := qp
 				bind.existence = true
 				a.record(bind)
-				a.constraintsFromBinding(cl.In, scope, ctxPath)
+				if pe, isPath := cl.In.(*xquery.PathExpr); isPath {
+					a.predsOf(pe, scope, ctxPath)
+				}
 				scope[cl.Var] = qp
 			} else {
 				a.walk(cl.In, scope, ctxPath)
 				delete(scope, cl.Var)
 			}
 		}
-		if x.Where != nil {
-			a.conjuncts(x.Where, scope, ctxPath)
-		}
+		a.walk(x.Where, scope, ctxPath)
 		for _, o := range x.OrderBy {
 			a.walk(o.Key, scope, ctxPath)
 		}
@@ -150,84 +139,6 @@ func (a *analysis) walk(e xquery.Expr, vars map[string]queryPath, ctxPath *query
 	}
 }
 
-// conjuncts walks the top-level AND tree of a where clause, extracting
-// constraints from each term and analyzing all of them for paths.
-func (a *analysis) conjuncts(e xquery.Expr, vars map[string]queryPath, ctxPath *queryPath) {
-	if b, ok := e.(*xquery.Binary); ok && b.Op == xquery.OpAnd {
-		a.conjuncts(b.Left, vars, ctxPath)
-		a.conjuncts(b.Right, vars, ctxPath)
-		return
-	}
-	a.constraintFromTerm(e, vars, ctxPath)
-	a.walk(e, vars, ctxPath)
-}
-
-// constraintFromTerm recognizes `path = "lit"` and contains(path, "lit").
-func (a *analysis) constraintFromTerm(e xquery.Expr, vars map[string]queryPath, ctxPath *queryPath) {
-	switch x := e.(type) {
-	case *xquery.Binary:
-		if x.Op != xquery.OpEq {
-			return
-		}
-		pe, lit := splitPathLiteral(x.Left, x.Right)
-		if pe == nil {
-			return
-		}
-		if qp, ok := a.resolvePath(pe, vars, ctxPath); ok && !qp.descendant && noPreds(pe) {
-			a.constraints = append(a.constraints, constraint{
-				collection: qp.collection, labels: qp.labels, attr: qp.attr, eq: true, value: lit,
-			})
-		}
-	case *xquery.FuncCall:
-		if x.Name != "contains" || len(x.Args) != 2 {
-			return
-		}
-		lit, ok := x.Args[1].(*xquery.StringLit)
-		if !ok {
-			return
-		}
-		pe, isPath := x.Args[0].(*xquery.PathExpr)
-		var qp queryPath
-		var resolved bool
-		if isPath {
-			if !noPreds(pe) {
-				return
-			}
-			qp, resolved = a.resolvePath(pe, vars, ctxPath)
-		} else if v, isVar := x.Args[0].(*xquery.VarRef); isVar {
-			qp, resolved = vars[v.Name], true
-			if _, known := vars[v.Name]; !known {
-				resolved = false
-			}
-		}
-		if resolved && !qp.descendant {
-			a.constraints = append(a.constraints, constraint{
-				collection: qp.collection, labels: qp.labels, attr: qp.attr, eq: false, value: lit.Value,
-			})
-		}
-	}
-}
-
-// constraintsFromBinding extracts constraints from step predicates of a
-// binding path: collection("c")/Item[Section = "CD"].
-func (a *analysis) constraintsFromBinding(e xquery.Expr, vars map[string]queryPath, ctxPath *queryPath) {
-	pe, ok := e.(*xquery.PathExpr)
-	if !ok {
-		return
-	}
-	base, ok := a.resolveSource(pe.Source, vars, ctxPath)
-	if !ok {
-		return
-	}
-	cur := base
-	for _, st := range pe.Steps {
-		cur = extendPath(cur, st)
-		for _, p := range st.Preds {
-			a.conjuncts(p, vars, &cur)
-		}
-	}
-}
-
 // resolvePath turns a path expression into an absolute queryPath when its
 // source is a collection, a resolvable variable, or the predicate context.
 func (a *analysis) resolvePath(e xquery.Expr, vars map[string]queryPath, ctxPath *queryPath) (queryPath, bool) {
@@ -288,7 +199,7 @@ func (a *analysis) predsOf(pe *xquery.PathExpr, vars map[string]queryPath, ctxPa
 	for _, st := range pe.Steps {
 		cur = extendPath(cur, st)
 		for _, p := range st.Preds {
-			a.conjuncts(p, vars, &cur)
+			a.walk(p, vars, &cur)
 		}
 	}
 }
@@ -316,29 +227,6 @@ func extendPath(base queryPath, st xquery.PathStep) queryPath {
 		out.labels = append(out.labels, st.Name)
 	}
 	return out
-}
-
-func splitPathLiteral(l, r xquery.Expr) (*xquery.PathExpr, string) {
-	if lit, ok := r.(*xquery.StringLit); ok {
-		if pe, ok := l.(*xquery.PathExpr); ok {
-			return pe, lit.Value
-		}
-	}
-	if lit, ok := l.(*xquery.StringLit); ok {
-		if pe, ok := r.(*xquery.PathExpr); ok {
-			return pe, lit.Value
-		}
-	}
-	return nil, ""
-}
-
-func noPreds(pe *xquery.PathExpr) bool {
-	for _, st := range pe.Steps {
-		if len(st.Preds) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func copyVars(in map[string]queryPath) map[string]queryPath {
@@ -427,20 +315,24 @@ func ancestorExistenceOf(an *analysis, collection string, f *fragmentation.Fragm
 	return false
 }
 
-// contradictsPredicate reports whether a query constraint makes a
-// fragment's selection predicate unsatisfiable, so the fragment can be
-// skipped. Only document-level predicates built from conjunctions of
-// comparisons and (negated) contains over the same path are analyzed;
-// anything else keeps the fragment.
+// contradictsPredicate reports whether the hint of the query's scan makes
+// a fragment's selection predicate unsatisfiable, so the fragment can be
+// skipped. Only document-level predicates built from conjunctions and
+// disjunctions of = and != comparisons and negated contains() are
+// analyzed, and only over paths with no wildcard, // or attribute step on
+// either side; anything else keeps the fragment.
 //
 // absBase is prepended to the fragment predicate's paths: for a hybrid
 // fragment π(P) • σ(μ) the predicate is evaluated on P's children, so its
 // absolute path is P's labels plus the predicate path's labels.
-func contradictsPredicate(pred xpath.Predicate, absBase []string, cons []constraint, collection string) bool {
+func contradictsPredicate(pred xpath.Predicate, absBase []string, hint *xquery.Hint) bool {
+	if hint == nil {
+		return false
+	}
 	switch p := pred.(type) {
 	case *xpath.And:
 		for _, t := range p.Terms {
-			if contradictsPredicate(t, absBase, cons, collection) {
+			if contradictsPredicate(t, absBase, hint) {
 				return true
 			}
 		}
@@ -451,31 +343,29 @@ func contradictsPredicate(pred xpath.Predicate, absBase []string, cons []constra
 			return false
 		}
 		for _, t := range p.Terms {
-			if !contradictsPredicate(t, absBase, cons, collection) {
+			if !contradictsPredicate(t, absBase, hint) {
 				return false
 			}
 		}
 		return true
 	case *xpath.Comparison:
-		if p.Path.IsAttribute() || p.Path.HasDescendant() {
+		fp, ok := plainPredicatePath(absBase, p.Path)
+		if !ok || (p.Op != xpath.OpEq && p.Op != xpath.OpNe) {
 			return false
 		}
-		fp := append(append([]string(nil), absBase...), pathLabels(p.Path)...)
-		for _, c := range cons {
-			if c.collection != collection || !c.eq || c.attr != "" {
+		v := xquery.PrepOperand(p.Value)
+		for _, c := range hint.Constraints {
+			if c.Path == nil || c.Path.Op != xquery.CmpEq || !labelsEqual(fp, c.Path.Steps) {
 				continue
 			}
-			if !sameLabels(fp, c.labels) {
-				continue
-			}
-			// The query requires some node on this path to equal c.value.
-			// Assuming the fragmentation path is single-valued (which the
-			// scheme's schema check enforces for fragment paths), a
-			// fragment requiring = other / != c.value cannot hold.
-			if p.Op == xpath.OpEq && p.Value != c.value {
-				return true
-			}
-			if p.Op == xpath.OpNe && p.Value == c.value {
+			// The query requires some node on this path to equal the
+			// literal under the evaluator's comparison. The fragmentation
+			// path is single-valued (the scheme's schema check enforces it),
+			// so that node's value is the one σ tests: a fragment needing
+			// it = V contradicts a literal unequal to V, one needing != V a
+			// literal equal to V.
+			eq := xquery.CompareOperands(xquery.OpEq, v, xquery.PrepOperand(c.Path.Literal))
+			if eq == (p.Op == xpath.OpNe) {
 				return true
 			}
 		}
@@ -488,12 +378,13 @@ func contradictsPredicate(pred xpath.Predicate, absBase []string, cons []constra
 		if !ok {
 			return false
 		}
-		fp := append(append([]string(nil), absBase...), pathLabels(inner.Path)...)
-		for _, c := range cons {
-			if c.collection != collection || c.eq || c.attr != "" {
-				continue
-			}
-			if matchableLabels(fp, c.labels) && strings.Contains(c.value, inner.Needle) {
+		fp, ok := plainPredicatePath(absBase, inner.Path)
+		if !ok {
+			return false
+		}
+		for _, c := range hint.Constraints {
+			if c.Contains != nil && labelsEqual(fp, c.Contains.Steps) &&
+				strings.Contains(c.Contains.Needle, inner.Needle) {
 				return true
 			}
 		}
@@ -503,13 +394,32 @@ func contradictsPredicate(pred xpath.Predicate, absBase []string, cons []constra
 	}
 }
 
-func sameLabels(a, b []string) bool {
-	return len(a) == len(b) && labelsPrefix(a, b)
+// plainPredicatePath is the absolute element labels of a fragment
+// predicate's path, when neither absBase nor the path has a wildcard, //
+// or attribute step.
+func plainPredicatePath(absBase []string, p *xpath.Path) ([]string, bool) {
+	out := append([]string(nil), absBase...)
+	for _, st := range p.Steps {
+		if st.Axis != xpath.Child || st.Attr {
+			return nil, false
+		}
+		out = append(out, st.Name)
+	}
+	for _, l := range out {
+		if l == "*" {
+			return nil, false
+		}
+	}
+	return out, true
 }
 
-// matchableLabels compares a fragment predicate path against a constraint
-// path, tolerating the fragment's use of // (which pathLabels cannot
-// express): it requires the non-descendant case to match exactly.
-func matchableLabels(fragPath, consPath []string) bool {
-	return sameLabels(fragPath, consPath)
+// labelsEqual reports whether a query constraint's label path is exactly
+// the given element labels.
+func labelsEqual(labels []string, steps []xquery.LabelStep) bool {
+	plain, ok := xquery.PlainLabels(steps)
+	return ok && slices.Equal(labels, plain)
+}
+
+func sameLabels(a, b []string) bool {
+	return len(a) == len(b) && labelsPrefix(a, b)
 }

@@ -136,11 +136,26 @@ func TestHorizontalAggregateComposition(t *testing.T) {
 	}
 }
 
+// itemsWithCDBook is itemsCollection(n) plus a Book item named "CD": a
+// document of Frest that a query reading "CD" through any element other
+// than Section must still reach.
+func itemsWithCDBook(n int) *xmltree.Collection {
+	c := itemsCollection(n)
+	c.Add(xmltree.MustParseString("book-cd",
+		`<Item id="99"><Code>B001</Code><Name>CD</Name><Description>plain thing</Description><Section>Book</Section></Item>`))
+	return c
+}
+
 func TestHorizontalResultsMatchCentralized(t *testing.T) {
 	frag := newTestSystem(t, 3)
-	publishHorizontal(t, frag, 16)
+	err := frag.Publish(itemsWithCDBook(16), horizontalScheme(), map[string]string{
+		"Fcd": "node0", "Fdvd": "node1", "Frest": "node2",
+	}, PublishOptions{CheckCorrectness: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	central := newTestSystem(t, 1)
-	if err := central.Publish(itemsCollection(16), nil, map[string]string{"": "node0"}, PublishOptions{}); err != nil {
+	if err := central.Publish(itemsWithCDBook(16), nil, map[string]string{"": "node0"}, PublishOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	queries := []string{
@@ -149,6 +164,14 @@ func TestHorizontalResultsMatchCentralized(t *testing.T) {
 		`count(for $i in collection("items")/Item return $i)`,
 		`for $i in collection("items")/Item where $i/Section = "Game" and contains($i/Description, "plain") return $i/Name`,
 		`for $i in collection("items")/Item where $i/Code = "I005" return <r>{$i/Section}</r>`,
+		// Step predicates outside a binding path or a where conjunct are
+		// no necessary condition: under not(), in a return clause, or
+		// under a nested count(), documents failing them still answer.
+		`for $i in collection("items") where not($i/Item[Section = "CD"]) return $i/Item/Code`,
+		`for $i in collection("items") return <r>{$i/Item[Section = "CD"]/Code}</r>`,
+		`for $d in collection("items") return <r>{count($d/Item[Section = "CD"])}</r>`,
+		// A wildcard step matches Name too: the Book named "CD" answers.
+		`for $i in collection("items")/Item where $i/* = "CD" return $i/Code`,
 	}
 	for _, q := range queries {
 		a, err := frag.Query(q)

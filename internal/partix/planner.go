@@ -52,15 +52,13 @@ type statsPlan struct {
 }
 
 // newStatsPlan starts statistics-driven planning for a single-collection
-// query, or returns nil when the system has it disabled.
-func (s *System) newStatsPlan(e xquery.Expr, meta *CollectionMeta) *statsPlan {
+// query whose scan of the collection carries hint (nil: none, or several
+// scans), or returns nil when the system has it disabled.
+func (s *System) newStatsPlan(hint *xquery.Hint) *statsPlan {
 	if !s.PlannerStats() {
 		return nil
 	}
-	return &statsPlan{
-		hint: xquery.ExtractHints(e)[meta.Name],
-		est:  map[string]planEstimate{},
-	}
+	return &statsPlan{hint: hint, est: map[string]planEstimate{}}
 }
 
 // stamp records the snapshot consulted for one fragment.

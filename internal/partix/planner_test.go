@@ -108,19 +108,32 @@ func TestPlannerSkipsAggregateIdentity(t *testing.T) {
 	s := newTestSystem(t, 4)
 	publishQuartile(t, s, 32)
 	// A skipped fragment must contribute the identity of each
-	// composition: count 0, empty sum, false exists, true empty.
-	cases := map[string]string{
-		`count(collection("pitems")/Item[@id < 4])`:  "4",
-		`exists(collection("pitems")/Item[@id < 4])`: "true",
-		`empty(collection("pitems")/Item[@id < 4])`:  "false",
+	// composition: count 0, empty sum, false exists, true empty. The path
+	// form's step predicate is the hint statistics prune with: @id < 4
+	// leaves FS0 alone, @id < 0 no fragment at all, so the answer is the
+	// identity composed over nothing.
+	cases := []struct {
+		query, want string
+		skipped     int
+	}{
+		{`count(collection("pitems")/Item[@id < 4])`, "4", 3},
+		{`exists(collection("pitems")/Item[@id < 4])`, "true", 3},
+		{`empty(collection("pitems")/Item[@id < 4])`, "false", 3},
+		{`count(collection("pitems")/Item[@id < 0])`, "0", 4},
+		{`exists(collection("pitems")/Item[@id < 0])`, "false", 4},
+		{`empty(collection("pitems")/Item[@id < 0])`, "true", 4},
 	}
-	for q, want := range cases {
-		res, err := s.Query(q)
+	for _, tc := range cases {
+		res, err := s.Query(tc.query)
 		if err != nil {
-			t.Fatalf("%s: %v", q, err)
+			t.Fatalf("%s: %v", tc.query, err)
 		}
-		if len(res.Items) != 1 || xquery.ItemString(res.Items[0]) != want {
-			t.Fatalf("%s = %v, want %s", q, res.Items, want)
+		if len(res.Items) != 1 || xquery.ItemString(res.Items[0]) != tc.want {
+			t.Fatalf("%s = %v, want %s", tc.query, res.Items, tc.want)
+		}
+		if len(res.SkippedFragments) != tc.skipped || len(res.Sub) != 4-tc.skipped {
+			t.Fatalf("%s: skipped %v and contacted %d fragments, want %d skipped",
+				tc.query, res.SkippedFragments, len(res.Sub), tc.skipped)
 		}
 	}
 }

@@ -275,7 +275,6 @@ func (s *System) QueryExpr(e xquery.Expr) (*QueryResult, error) {
 		s.recordPlanFailure(e, "", time.Since(planStart), err)
 		return nil, err
 	}
-	p.work = xquery.ExtractWorkloadKeys(e)
 	return s.run(e, p, time.Since(planStart), false, "")
 }
 
@@ -305,10 +304,6 @@ func (s *System) cachedPlan(norm, raw string) (xquery.Expr, *queryPlan, bool, er
 	if err != nil {
 		return nil, nil, false, err
 	}
-	// Workload keys are mined at plan time and live on the immutable
-	// plan, so a plan-cache hit feeds the profiler without re-walking
-	// the expression.
-	p.work = xquery.ExtractWorkloadKeys(e)
 	s.planCache.put(norm, &planEntry{stampSet: stampSet{catalogVersion: version, stamps: p.stamps}, expr: e, plan: p}, 1)
 	return e, p, false, nil
 }
@@ -423,13 +418,27 @@ type queryPlan struct {
 	// est holds the planner's per-fragment estimates for Explain.
 	est map[string]planEstimate
 	// work holds the query's canonical workload keys (paths and
-	// predicates per collection), mined once at plan time for the
-	// workload profiler.
+	// predicates per collection), mined at plan time from the hints the
+	// plan was made with, so a plan-cache hit feeds the workload profiler
+	// without re-walking the expression.
 	work map[string]*xquery.WorkloadKeys
 }
 
-// planQuery analyzes the query and decides the execution strategy.
+// planQuery analyzes the query and decides the execution strategy. The
+// query's hints are extracted once: fragment pruning, statistics-driven
+// skipping and the workload keys all read them.
 func (s *System) planQuery(e xquery.Expr) (*queryPlan, error) {
+	hints := xquery.ExtractScanHints(e)
+	p, err := s.plan(e, hints)
+	if err != nil {
+		return nil, err
+	}
+	p.work = hints.WorkloadKeys()
+	return p, nil
+}
+
+// plan chooses the strategy for e, pruning fragments with its hints.
+func (s *System) plan(e xquery.Expr, hints xquery.Hints) (*queryPlan, error) {
 	colls := xquery.CollectionNames(e)
 	if len(colls) == 0 {
 		return nil, fmt.Errorf("partix: query references no collection")
@@ -465,9 +474,10 @@ func (s *System) planQuery(e xquery.Expr) (*queryPlan, error) {
 	}
 
 	meta := metas[0]
+	hint := hints.Collection(meta.Name)
 	if !meta.Fragmented() {
 		p := &queryPlan{strategy: StrategyCentralized, steps: []planStep{newStep(meta, "", e)}}
-		if sp := s.newStatsPlan(e, meta); sp != nil {
+		if sp := s.newStatsPlan(hint); sp != nil {
 			st := s.fragmentStatistics(meta, "")
 			sp.stamp(meta, "", st)
 			sp.est[""] = estimateFragment(st, sp.hint)
@@ -482,15 +492,14 @@ func (s *System) planQuery(e xquery.Expr) (*queryPlan, error) {
 	// mixing doc() with a fragmented collection are therefore evaluated
 	// at the coordinator over the reconstructed collection.
 	if usesDocCall(e) {
-		return s.joinPlan(e, meta, s.newStatsPlan(e, meta), meta.Scheme.Fragments)
+		return s.joinPlan(e, meta, s.newStatsPlan(hint), meta.Scheme.Fragments)
 	}
 
-	an := analyzeQuery(e)
 	fold, ok := decomposable(e)
 	if meta.Scheme.AllHorizontal() {
-		return s.planHorizontal(e, meta, an, fold, ok)
+		return s.planHorizontal(e, meta, hint, fold, ok)
 	}
-	return s.planVertical(e, meta, an, fold, ok)
+	return s.planVertical(e, meta, analyzeQuery(e), hint, fold, ok)
 }
 
 // joinable rejects a join over FragMode1 hybrid fragments, whose
@@ -588,14 +597,14 @@ func usesDocCall(e xquery.Expr) bool {
 // targets the rewritten query at the remainder. Any other query reads
 // the collection as a whole and is joined and evaluated over every
 // fragment.
-func (s *System) planHorizontal(e xquery.Expr, meta *CollectionMeta, an *analysis, fold string, decomposes bool) (*queryPlan, error) {
-	sp := s.newStatsPlan(e, meta)
+func (s *System) planHorizontal(e xquery.Expr, meta *CollectionMeta, hint *xquery.Hint, fold string, decomposes bool) (*queryPlan, error) {
+	sp := s.newStatsPlan(hint)
 	if !decomposes {
 		return s.joinPlan(e, meta, sp, meta.Scheme.Fragments)
 	}
 	var relevant []*fragmentation.Fragment
 	for _, f := range meta.Scheme.Fragments {
-		if len(an.constraints) > 0 && contradictsPredicate(f.Predicate, nil, an.constraints, meta.Name) {
+		if contradictsPredicate(f.Predicate, nil, hint) {
 			continue
 		}
 		if sp != nil && s.skipFragment(sp, meta, f) {
@@ -618,8 +627,8 @@ func (s *System) planHorizontal(e xquery.Expr, meta *CollectionMeta, an *analysi
 // otherwise. Vertical and hybrid fragments hold projections whose local
 // paths diverge from the global document shape, so statistics only feed
 // the reconstruction fetch order here — never fragment skipping.
-func (s *System) planVertical(e xquery.Expr, meta *CollectionMeta, an *analysis, fold string, decomposes bool) (*queryPlan, error) {
-	sp := s.newStatsPlan(e, meta)
+func (s *System) planVertical(e xquery.Expr, meta *CollectionMeta, an *analysis, hint *xquery.Hint, fold string, decomposes bool) (*queryPlan, error) {
+	sp := s.newStatsPlan(hint)
 	touched := s.touchedFragments(meta, an)
 	if len(touched) == 0 && !an.unresolved {
 		// Spine-only query: any fragment guaranteed to hold every
@@ -642,8 +651,7 @@ func (s *System) planVertical(e xquery.Expr, meta *CollectionMeta, an *analysis,
 	if decomposes && s.unionable(meta, an, touched) {
 		var kept []*fragmentation.Fragment
 		for _, f := range touched {
-			if len(an.constraints) == 0 ||
-				!contradictsPredicate(f.Predicate, pathLabels(f.Path), an.constraints, meta.Name) {
+			if !contradictsPredicate(f.Predicate, pathLabels(f.Path), hint) {
 				kept = append(kept, f)
 			}
 		}

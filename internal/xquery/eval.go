@@ -32,8 +32,7 @@ type Source interface {
 
 // Eval compiles nothing further — it evaluates a parsed query against src.
 func Eval(e Expr, src Source) (Seq, error) {
-	hints := ExtractHints(e)
-	ctx := &context{src: src, hints: hints, vars: map[string]Seq{}}
+	ctx := &context{src: src, hints: ExtractScanHints(e), vars: map[string]Seq{}}
 	return ctx.eval(e)
 }
 
@@ -61,16 +60,9 @@ func EvalWith(e Expr, src Source, vars map[string]Seq, ctxItem Item) (Seq, error
 
 type context struct {
 	src     Source
-	hints   map[string]*Hint // collection name → hint
+	hints   Hints // per-scan pruning hints; nil evaluates unpruned
 	vars    map[string]Seq
 	ctxItem Item // context item for relative paths; nil outside predicates
-}
-
-func (c *context) lookupHint(collection string) *Hint {
-	if c.hints == nil {
-		return nil
-	}
-	return c.hints[collection]
 }
 
 func (c *context) eval(e Expr) (Seq, error) {
@@ -94,7 +86,7 @@ func (c *context) eval(e Expr) (Seq, error) {
 		return Seq{c.ctxItem}, nil
 	case *CollectionCall:
 		var out Seq
-		err := c.src.Docs(x.Name, c.lookupHint(x.Name), func(d *xmltree.Document) error {
+		err := c.src.Docs(x.Name, c.hints[x], func(d *xmltree.Document) error {
 			out = append(out, docNode(d))
 			return nil
 		})
@@ -401,7 +393,7 @@ func (c *context) evalClauses(run *flworRun, i int) error {
 	// A for-clause over a collection-rooted path streams document by
 	// document instead of materializing the whole collection.
 	if coll, steps, ok := collectionRooted(cl.In); ok {
-		return c.src.Docs(coll, c.lookupHint(coll), func(d *xmltree.Document) error {
+		return c.src.Docs(coll, c.hints.Scan(cl.In), func(d *xmltree.Document) error {
 			items, err := c.stepsFrom(Seq{docNode(d)}, steps)
 			if err != nil {
 				return err

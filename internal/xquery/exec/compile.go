@@ -71,7 +71,7 @@ func (p *Program) Keep() *xmltree.Projection {
 // pipeline is the compiled operator chain over one collection scan.
 type pipeline struct {
 	coll         string
-	hint         *xquery.Hint // candidate pruning (from ExtractHints) and projection for the scan
+	hint         *xquery.Hint // candidate pruning (the scan's ExtractScanHints entry) and projection
 	scanSteps    []step       // binding path of the driving for-clause
 	freshWrapper bool         // first step may select the #document wrapper itself
 	clauses      []boundClause
@@ -186,7 +186,7 @@ type boundClause struct {
 // when the top-level shape is outside the compiled subset (the caller
 // then evaluates with the interpreter).
 func Compile(e xquery.Expr) (*Program, bool) {
-	hints := xquery.ExtractHints(e)
+	hints := xquery.ExtractScanHints(e)
 	switch x := e.(type) {
 	case *xquery.FuncCall:
 		return compileFold(x, hints)
@@ -216,7 +216,7 @@ func CompileFilter(e xquery.Expr) (*Filter, bool) {
 	if !ok {
 		return nil, false
 	}
-	pipe, ok := compileFLWOR(f, xquery.ExtractHints(e))
+	pipe, ok := compileFLWOR(f, xquery.ExtractScanHints(e))
 	if !ok {
 		return nil, false
 	}
@@ -246,7 +246,7 @@ func (f *Filter) Match(src xquery.Source, matched func()) error {
 // interpreter short-circuits with are extracted here and tried first at
 // run time, so the compiled path never decodes documents the interpreter
 // would have answered from the path summary.
-func compileFold(f *xquery.FuncCall, hints map[string]*xquery.Hint) (*Program, bool) {
+func compileFold(f *xquery.FuncCall, hints xquery.Hints) (*Program, bool) {
 	if len(f.Args) != 1 {
 		return nil, false
 	}
@@ -286,7 +286,7 @@ func compileFold(f *xquery.FuncCall, hints map[string]*xquery.Hint) (*Program, b
 
 // compileStream compiles an item-producing expression: a FLWOR whose
 // driving clause scans a collection, or a collection-rooted path.
-func compileStream(e xquery.Expr, hints map[string]*xquery.Hint) (*pipeline, bool) {
+func compileStream(e xquery.Expr, hints xquery.Hints) (*pipeline, bool) {
 	if f, isFLWOR := e.(*xquery.FLWOR); isFLWOR {
 		return compileFLWOR(f, hints)
 	}
@@ -301,7 +301,7 @@ func compileStream(e xquery.Expr, hints map[string]*xquery.Hint) (*pipeline, boo
 	}
 	return &pipeline{
 		coll:         coll,
-		hint:         hints[coll],
+		hint:         hints.Scan(e),
 		scanSteps:    scan,
 		freshWrapper: wrapperReachable(scan),
 		ret:          valueExpr{kind: veSlot, slot: 0},
@@ -330,7 +330,7 @@ func (c *compiler) addSlot(name string, let bool) (int, bool) {
 	return len(c.varNames) - 1, true
 }
 
-func compileFLWOR(f *xquery.FLWOR, hints map[string]*xquery.Hint) (*pipeline, bool) {
+func compileFLWOR(f *xquery.FLWOR, hints xquery.Hints) (*pipeline, bool) {
 	if len(f.Clauses) == 0 || f.Clauses[0].Let {
 		return nil, false
 	}
@@ -348,7 +348,7 @@ func compileFLWOR(f *xquery.FLWOR, hints map[string]*xquery.Hint) (*pipeline, bo
 	}
 	p := &pipeline{
 		coll:         coll,
-		hint:         hints[coll],
+		hint:         hints.Scan(f.Clauses[0].In),
 		scanSteps:    scan,
 		freshWrapper: wrapperReachable(scan),
 	}

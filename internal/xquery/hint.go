@@ -23,8 +23,9 @@ type Hint struct {
 // Constraint is one conjunct.
 type Constraint struct {
 	// Tokens non-empty: the document must contain every listed token
-	// (derived from `path = "literal"`: a node value equal to the literal
-	// necessarily contributes all the literal's tokens).
+	// (derived from `path = "literal"` with a string literal that is no
+	// number: a node value equal to the literal necessarily contributes
+	// all the literal's tokens).
 	Tokens []string
 	// Substring non-empty: the document must contain some token having
 	// this substring (derived from contains(path, "literal") with a purely
@@ -32,18 +33,32 @@ type Constraint struct {
 	// inside a single token then).
 	Substring string
 	// Elements non-empty: the document must contain an element with every
-	// listed name (derived from for-binding paths and positive existence
-	// tests — a document lacking the element yields no bindings and so no
-	// output). This is the structural-index counterpart of eXist's
-	// "indexes … to speed up path expressions evaluation".
+	// listed name (derived from scan-rooted and binding paths and positive
+	// existence tests — a document lacking the element yields no nodes or
+	// bindings and so no output). This is the structural-index
+	// counterpart of eXist's "indexes … to speed up path expressions
+	// evaluation".
 	Elements []string
 	// Path non-nil: the document must contain a node whose root-to-node
 	// label path matches Path.Steps and — for the comparison ops — whose
 	// string value compares true against Path.Literal under the
-	// evaluator's general-comparison semantics. Derived from binding
-	// paths (CmpExists) and from equality/range terms; evaluated against
-	// the engine's path summary and typed value index.
+	// evaluator's general-comparison semantics. Derived from scan-rooted
+	// and binding paths (CmpExists) and from equality/range terms;
+	// evaluated against the engine's path summary and typed value index.
 	Path *PathConstraint
+	// Contains non-nil: the document must contain a node at
+	// Contains.Steps whose string value contains Contains.Needle (case
+	// kept). Derived from contains(path, "literal"); fragment pruning, the
+	// workload profiler and the design advisor read it, the engine's
+	// indexes do not (Substring is their form of the same term).
+	Contains *ContainsConstraint
+}
+
+// ContainsConstraint is a contains(path, "needle") term over a
+// root-anchored label path.
+type ContainsConstraint struct {
+	Steps  []LabelStep
+	Needle string
 }
 
 // CmpOp is the comparison a PathConstraint (or ValueProbe) carries.
@@ -87,6 +102,7 @@ type PathConstraint struct {
 	Steps   []LabelStep
 	Op      CmpOp
 	Literal string // comparison operand; unused for CmpExists
+	Numeric bool   // Literal was written as a number, not a string
 }
 
 // Tokenize splits text into lowercase alphanumeric tokens — the exact
@@ -128,101 +144,187 @@ func isAlphanumeric(s string) bool {
 	return true
 }
 
-// ExtractHints analyzes a query and derives, per collection, a sound
-// document-pruning hint. Constraints are only taken from positions that
-// are necessary conditions for a document to contribute:
+// Hints is a query's pruning analysis: one hint per collection scan,
+// keyed by the collection() call the scan starts from. Every scan of the
+// query has an entry, possibly with no constraints.
+type Hints map[*CollectionCall]*Hint
+
+// ExtractScanHints derives a sound document-pruning hint for every
+// collection scan of a query. A scan's documents reach the result only
+// through the expression that reads the scan, so constraints are taken
+// from the positions that are necessary there:
 //
-//   - conjunctive terms of a FLWOR where-clause comparing a path rooted at
-//     a for-variable bound to the collection against a literal (equality
-//     produces token + path constraints, the range operators <, <=, >, >=
-//     produce path constraints), and
-//   - the same shapes inside step predicates of the binding path itself
-//     (collection("c")/Item[Section = "CD"]).
+//   - the steps and step predicates of a path rooted at the scan
+//     (collection("c")/Item[Section = "CD"]), wherever the path sits;
+//   - the where-clause conjuncts of a FLWOR over a for-variable bound to
+//     the scan, directly or through an earlier for-variable of the same
+//     FLWOR ($j in $i/Sub), and the steps and step predicates of such a
+//     nested binding path.
 //
-// Terms under not(), or, !=, and any other function are ignored.
+// A conjunct yields a constraint when it compares a path against a
+// literal (equality gives token and path constraints, <, <=, >, >= give
+// path constraints), calls contains(path, "literal") or tests a path's
+// existence. Terms under not(), or, !=, any other function, and paths
+// carrying step predicates of their own are ignored.
+func ExtractScanHints(e Expr) Hints {
+	h := Hints{}
+	Walk(e, func(x Expr) {
+		switch x := x.(type) {
+		case *CollectionCall:
+			h.add(x, nil)
+		case *PathExpr:
+			if cc, ok := x.Source.(*CollectionCall); ok {
+				h.addPath(anchor{scan: cc, ok: true}, x.Steps)
+			}
+		}
+	})
+	// A second walk adds the where clauses and nested bindings, so a
+	// scan's hint lists its binding path's constraints first.
+	Walk(e, func(x Expr) {
+		if f, ok := x.(*FLWOR); ok {
+			h.addFLWOR(f)
+		}
+	})
+	return h
+}
+
+// ExtractHints is ExtractScanHints by collection name: each collection
+// the query scans once gets that scan's hint. A collection scanned more
+// than once gets none, as one scan's constraints say nothing about the
+// documents another scan needs.
 func ExtractHints(e Expr) map[string]*Hint {
-	hints := map[string]*Hint{}
-	collectFLWORs(e, hints)
-	return hints
+	h := ExtractScanHints(e)
+	out := map[string]*Hint{}
+	for cc := range h {
+		if hint := h.Collection(cc.Name); hint != nil {
+			out[cc.Name] = hint
+		}
+	}
+	return out
 }
 
-// varBinding records what a for-variable ranges over: its collection and
-// the label-path pattern of the binding path (pathOK false when the path
-// contains a step — text() — that has no label).
-type varBinding struct {
-	coll   string
-	steps  []LabelStep
-	pathOK bool
+// Scan returns the hint of the scan e starts from: e is a collection()
+// call or a path rooted at one. It is nil for any other expression.
+func (h Hints) Scan(e Expr) *Hint {
+	if p, ok := e.(*PathExpr); ok {
+		e = p.Source
+	}
+	cc, _ := e.(*CollectionCall)
+	return h[cc]
 }
 
-// predCtx is the label-path prefix a step predicate's relative paths
-// extend: the path up to and including the step the predicate hangs off.
-type predCtx struct {
+// Collection returns the hint of the named collection's only scan; nil
+// when the query scans it more than once or not at all.
+func (h Hints) Collection(name string) *Hint {
+	var only *Hint
+	for cc, hint := range h {
+		if cc.Name != name {
+			continue
+		}
+		if only != nil {
+			return nil
+		}
+		only = hint
+	}
+	return only
+}
+
+func (h Hints) add(scan *CollectionCall, c *Constraint) {
+	hint := h[scan]
+	if hint == nil {
+		hint = &Hint{}
+		h[scan] = hint
+	}
+	if c != nil {
+		hint.Constraints = append(hint.Constraints, *c)
+	}
+}
+
+// anchor is a node set the relative paths of a term extend: the scan it
+// reads and its root-anchored label path (ok false when some step, such
+// as text(), has no label).
+type anchor struct {
+	scan  *CollectionCall
 	steps []LabelStep
 	ok    bool
 }
 
-func collectFLWORs(e Expr, hints map[string]*Hint) {
-	Walk(e, func(x Expr) {
-		f, ok := x.(*FLWOR)
-		if !ok {
-			return
+func (a anchor) extend(steps []PathStep) anchor {
+	ls, ok := toLabelSteps(steps)
+	if len(a.steps) > 0 {
+		ls = append(a.steps[:len(a.steps):len(a.steps)], ls...)
+	}
+	return anchor{scan: a.scan, steps: ls, ok: a.ok && ok}
+}
+
+// addPath records what a path from a requires of a's scan: its element
+// names and label path, and the conjuncts of each step predicate, whose
+// relative paths extend the path up to and including that step.
+func (h Hints) addPath(a anchor, steps []PathStep) {
+	if c, ok := existence(a.extend(steps), steps); ok {
+		h.add(a.scan, &c)
+	}
+	for si, st := range steps {
+		if len(st.Preds) == 0 {
+			continue
 		}
-		// Map for-variables to their source collections and binding paths.
-		varColl := map[string]varBinding{}
-		for _, cl := range f.Clauses {
-			if cl.Let {
-				continue
-			}
-			coll, steps, ok := collectionRooted(cl.In)
-			if !ok {
-				continue
-			}
-			ls, lsOK := toLabelSteps(steps)
-			varColl[cl.Var] = varBinding{coll: coll, steps: ls, pathOK: lsOK}
-			// The binding path must select something for the document to
-			// produce any output: its element names (and label path) are
-			// required.
-			c := Constraint{Elements: stepElements(steps)}
-			if lsOK && len(ls) > 0 {
-				c.Path = &PathConstraint{Steps: ls, Op: CmpExists}
-			}
-			if len(c.Elements) > 0 || c.Path != nil {
-				appendConstraint(hints, coll, c)
-			}
-			// Step predicates of the binding path are conjunctive for this
-			// collection's documents.
-			for si, st := range steps {
-				ctxSteps, ctxOK := toLabelSteps(steps[: si+1 : si+1])
-				ctx := predCtx{steps: ctxSteps, ok: ctxOK}
-				for _, p := range st.Preds {
-					Conjuncts(p, func(term Expr) {
-						if c, ok := constraintFromTerm(term, nil, varColl, ctx); ok {
-							appendConstraint(hints, coll, c)
-						}
-					})
+		ctx := a.extend(steps[:si+1])
+		for _, p := range st.Preds {
+			Conjuncts(p, func(term Expr) {
+				if _, c, ok := constraintFromTerm(term, nil, &ctx); ok {
+					h.add(a.scan, &c)
 				}
-			}
+			})
 		}
-		if f.Where == nil || len(varColl) == 0 {
-			return
+	}
+}
+
+// addFLWOR binds the FLWOR's for-variables to scans and records its
+// where-clause conjuncts on the scans they read.
+func (h Hints) addFLWOR(f *FLWOR) {
+	vars := map[string]anchor{}
+	for _, cl := range f.Clauses {
+		if a, ok := h.bind(cl, vars); ok {
+			vars[cl.Var] = a
+		} else {
+			delete(vars, cl.Var) // a let or an unresolved for shadows it
 		}
-		Conjuncts(f.Where, func(term Expr) {
-			coll, c, ok := constraintWithVar(term, varColl)
-			if ok {
-				appendConstraint(hints, coll, c)
-			}
-		})
+	}
+	if f.Where == nil {
+		return
+	}
+	Conjuncts(f.Where, func(term Expr) {
+		if a, c, ok := constraintFromTerm(term, vars, nil); ok {
+			h.add(a.scan, &c)
+		}
 	})
 }
 
-func appendConstraint(hints map[string]*Hint, coll string, c Constraint) {
-	h := hints[coll]
-	if h == nil {
-		h = &Hint{}
-		hints[coll] = h
+// bind resolves a for-clause to the scan and label path its variable
+// ranges over. A binding path over an earlier for-variable contributes
+// its own steps and step predicates to that variable's scan (a
+// collection-rooted one was recorded with every other such path).
+func (h Hints) bind(cl Clause, vars map[string]anchor) (anchor, bool) {
+	if cl.Let {
+		return anchor{}, false
 	}
-	h.Constraints = append(h.Constraints, c)
+	switch x := cl.In.(type) {
+	case *CollectionCall:
+		return anchor{scan: x, ok: true}, true
+	case *PathExpr:
+		switch src := x.Source.(type) {
+		case *CollectionCall:
+			return anchor{scan: src, ok: true}.extend(x.Steps), true
+		case *VarRef:
+			base, ok := vars[src.Name]
+			if !ok {
+				return anchor{}, false
+			}
+			h.addPath(base, x.Steps)
+			return base.extend(x.Steps), true
+		}
+	}
+	return anchor{}, false
 }
 
 // Conjuncts calls fn for every term of e's top-level AND tree, left to
@@ -236,101 +338,124 @@ func Conjuncts(e Expr, fn func(Expr)) {
 	fn(e)
 }
 
-// constraintWithVar recognizes a term touching exactly one for-variable
-// and returns the constraint plus its collection.
-func constraintWithVar(term Expr, varColl map[string]varBinding) (string, Constraint, bool) {
-	var coll string
-	c, ok := constraintFromTerm(term, &coll, varColl, predCtx{})
-	if !ok || coll == "" {
-		return "", Constraint{}, false
+// resolve anchors the path side of a term. In a where clause (vars set,
+// ctx nil) the path must root at a for-variable; in a step predicate
+// (vars nil, ctx set) it is a relative path or the context item. A path
+// with step predicates of its own is not resolved.
+func resolve(e Expr, vars map[string]anchor, ctx *anchor) (anchor, bool) {
+	switch x := e.(type) {
+	case *VarRef:
+		a, ok := vars[x.Name]
+		return a, ok
+	case *ContextItem:
+		if ctx != nil {
+			return *ctx, true
+		}
+	case *PathExpr:
+		for _, st := range x.Steps {
+			if len(st.Preds) > 0 {
+				return anchor{}, false
+			}
+		}
+		switch src := x.Source.(type) {
+		case *VarRef:
+			if a, ok := vars[src.Name]; ok {
+				return a.extend(x.Steps), true
+			}
+		case nil:
+			if ctx != nil {
+				return ctx.extend(x.Steps), true
+			}
+		}
 	}
-	return coll, c, true
+	return anchor{}, false
 }
 
-// constraintFromTerm extracts a constraint from one conjunctive term. When
-// collOut is non-nil the term must reference a for-variable (whose
-// collection is reported through collOut); when nil the term is a step
-// predicate whose context is already scoped to the collection, so relative
-// paths (and the context item) are accepted and extend ctx.
-func constraintFromTerm(term Expr, collOut *string, varColl map[string]varBinding, ctx predCtx) (Constraint, bool) {
+// constraintFromTerm extracts a constraint from one conjunctive term and
+// reports the anchor of the path it constrains.
+func constraintFromTerm(term Expr, vars map[string]anchor, ctx *anchor) (anchor, Constraint, bool) {
+	var c Constraint
+	var a anchor
 	switch x := term.(type) {
 	case *Binary:
 		cmp, isCmp := cmpOpFor(x.Op)
 		if !isCmp {
-			return Constraint{}, false
+			return a, c, false
 		}
 		path, lit, flipped, ok := pathAndLiteral(x.Left, x.Right)
 		if !ok {
-			return Constraint{}, false
+			return a, c, false
 		}
-		if !sourceMatches(path, collOut, varColl) {
-			return Constraint{}, false
+		if a, ok = resolve(path, vars, ctx); !ok {
+			return a, c, false
 		}
 		if flipped {
 			cmp = flipCmp(cmp)
 		}
-		var c Constraint
-		// Token witnesses only hold for string-literal equality: a numeric
-		// literal compares numerically, so "100" also matches "100.0" or
-		// "1e2", whose tokens differ.
-		if s, isStr := lit.(*StringLit); isStr && cmp == CmpEq {
-			c.Tokens = Tokenize(s.Value)
+		// Token witnesses only hold for equality with a string that is no
+		// number: a number, or a string that parses as one, compares
+		// numerically, so "100" also matches "100.0" or "1e2", whose
+		// tokens differ.
+		_, numeric := lit.(*NumberLit)
+		if _, parses := ParseNumber(litString(lit)); !parses && cmp == CmpEq {
+			c.Tokens = Tokenize(litString(lit))
 		}
-		if ls, ok := termLabelSteps(path, varColl, ctx); ok && len(ls) > 0 {
-			c.Path = &PathConstraint{Steps: ls, Op: cmp, Literal: litString(lit)}
+		if a.ok && len(a.steps) > 0 {
+			c.Path = &PathConstraint{Steps: a.steps, Op: cmp, Literal: litString(lit), Numeric: numeric}
 		}
-		if len(c.Tokens) == 0 && c.Path == nil {
-			return Constraint{}, false
-		}
-		return c, true
 	case *FuncCall:
-		switch x.Name {
-		case "contains":
-			if len(x.Args) != 2 {
-				return Constraint{}, false
-			}
+		switch {
+		case x.Name == "contains" && len(x.Args) == 2:
 			lit, ok := x.Args[1].(*StringLit)
-			if !ok || !isAlphanumeric(lit.Value) {
-				return Constraint{}, false
+			if !ok {
+				return a, c, false
 			}
-			if !sourceMatches(x.Args[0], collOut, varColl) {
-				return Constraint{}, false
+			if a, ok = resolve(x.Args[0], vars, ctx); !ok {
+				return a, c, false
 			}
-			return Constraint{Substring: strings.ToLower(lit.Value)}, true
-		case "exists":
-			if len(x.Args) != 1 {
-				return Constraint{}, false
+			if isAlphanumeric(lit.Value) {
+				c.Substring = strings.ToLower(lit.Value)
 			}
-			return existenceConstraint(x.Args[0], collOut, varColl, ctx)
+			if a.ok && len(a.steps) > 0 {
+				c.Contains = &ContainsConstraint{Steps: a.steps, Needle: lit.Value}
+			}
+		case x.Name == "exists" && len(x.Args) == 1:
+			return existenceTerm(x.Args[0], vars, ctx)
 		default:
-			return Constraint{}, false
+			return a, c, false
 		}
 	case *PathExpr:
 		// A bare path as a conjunct is an existence test.
-		return existenceConstraint(x, collOut, varColl, ctx)
+		return existenceTerm(x, vars, ctx)
 	default:
-		return Constraint{}, false
+		return a, c, false
 	}
+	return a, c, len(c.Tokens) > 0 || c.Substring != "" || c.Path != nil || c.Contains != nil
 }
 
-// existenceConstraint derives a required-elements (and required-path)
+// existenceTerm derives a required-elements (and required-path)
 // constraint from a positive existence test over a path.
-func existenceConstraint(e Expr, collOut *string, varColl map[string]varBinding, ctx predCtx) (Constraint, bool) {
+func existenceTerm(e Expr, vars map[string]anchor, ctx *anchor) (anchor, Constraint, bool) {
 	pe, ok := e.(*PathExpr)
 	if !ok {
-		return Constraint{}, false
+		return anchor{}, Constraint{}, false
 	}
-	if !sourceMatches(pe, collOut, varColl) {
-		return Constraint{}, false
+	a, ok := resolve(pe, vars, ctx)
+	if !ok {
+		return a, Constraint{}, false
 	}
-	c := Constraint{Elements: stepElements(pe.Steps)}
-	if ls, ok := termLabelSteps(pe, varColl, ctx); ok && len(ls) > 0 {
-		c.Path = &PathConstraint{Steps: ls, Op: CmpExists}
+	c, ok := existence(a, pe.Steps)
+	return a, c, ok
+}
+
+// existence is what a path with the given steps, ending at a, needs to
+// select anything: the element names of its steps and a's label path.
+func existence(a anchor, steps []PathStep) (Constraint, bool) {
+	c := Constraint{Elements: stepElements(steps)}
+	if a.ok && len(a.steps) > 0 {
+		c.Path = &PathConstraint{Steps: a.steps, Op: CmpExists}
 	}
-	if len(c.Elements) == 0 && c.Path == nil {
-		return Constraint{}, false
-	}
-	return c, true
+	return c, len(c.Elements) > 0 || c.Path != nil
 }
 
 // stepElements returns the concrete element names a path requires.
@@ -360,47 +485,18 @@ func toLabelSteps(steps []PathStep) ([]LabelStep, bool) {
 	return out, true
 }
 
-// termLabelSteps resolves the full root-anchored label path of the path
-// side of a term: the binding path of its for-variable (or the predicate
-// context) plus the term's own steps. Step predicates on the term side
-// were already rejected by sourceMatches.
-func termLabelSteps(e Expr, varColl map[string]varBinding, ctx predCtx) ([]LabelStep, bool) {
-	switch x := e.(type) {
-	case *VarRef:
-		vb, known := varColl[x.Name]
-		if !known || !vb.pathOK {
+// PlainLabels returns the element labels of a label path with no
+// wildcard, // or attribute step: the only paths whose constraints can be
+// matched label for label against a fragmentation predicate's path.
+func PlainLabels(steps []LabelStep) ([]string, bool) {
+	out := make([]string, len(steps))
+	for i, st := range steps {
+		if st.Descendant || st.Attr || st.Name == "*" {
 			return nil, false
 		}
-		return vb.steps, true
-	case *ContextItem:
-		if !ctx.ok {
-			return nil, false
-		}
-		return ctx.steps, true
-	case *PathExpr:
-		rel, ok := toLabelSteps(x.Steps)
-		if !ok {
-			return nil, false
-		}
-		var base []LabelStep
-		switch src := x.Source.(type) {
-		case *VarRef:
-			vb, known := varColl[src.Name]
-			if !known || !vb.pathOK {
-				return nil, false
-			}
-			base = vb.steps
-		case nil:
-			if !ctx.ok {
-				return nil, false
-			}
-			base = ctx.steps
-		default:
-			return nil, false
-		}
-		return append(append([]LabelStep(nil), base...), rel...), true
+		out[i] = st.Name
 	}
-	return nil, false
+	return out, true
 }
 
 // cmpOpFor maps a general-comparison operator to its constraint form.
@@ -462,43 +558,4 @@ func litString(e Expr) string {
 		return formatNumber(x.Value)
 	}
 	return ""
-}
-
-// sourceMatches checks the path side of a term: with collOut it must be a
-// path rooted at a known for-variable with no further step predicates (a
-// predicate could invert the match); without collOut, a relative path or
-// the context item inside a step predicate.
-func sourceMatches(e Expr, collOut *string, varColl map[string]varBinding) bool {
-	p, ok := e.(*PathExpr)
-	if !ok {
-		if v, isVar := e.(*VarRef); isVar && collOut != nil {
-			coll, known := varColl[v.Name]
-			if known {
-				*collOut = coll.coll
-				return true
-			}
-		}
-		if _, isCtx := e.(*ContextItem); isCtx && collOut == nil {
-			return true
-		}
-		return false
-	}
-	for _, st := range p.Steps {
-		if len(st.Preds) > 0 {
-			return false
-		}
-	}
-	if collOut == nil {
-		return p.Source == nil // relative path inside a step predicate
-	}
-	v, isVar := p.Source.(*VarRef)
-	if !isVar {
-		return false
-	}
-	vb, known := varColl[v.Name]
-	if !known {
-		return false
-	}
-	*collOut = vb.coll
-	return true
 }

@@ -46,20 +46,116 @@ func TestExtractHintsEqualityAndContains(t *testing.T) {
 }
 
 func TestExtractHintsStepPredicates(t *testing.T) {
-	e := MustParse(`collection("items")/Item[Section = "CD"]/Name`)
-	// Path expressions outside a FLWOR do not produce hints (nothing
-	// guarantees document pruning is observable there), but the same path
-	// inside a for-binding does.
-	f := MustParse(`for $i in collection("items")/Item[Section = "CD"] return $i/Name`)
-	_ = e
-	hints := ExtractHints(f)
-	h := hints["items"]
-	if h == nil {
+	// A path's step predicates constrain the scan it starts from, in a
+	// for-binding and in a path-form query alike.
+	for _, q := range []string{
+		`for $i in collection("items")/Item[Section = "CD"] return $i/Name`,
+		`collection("items")/Item[Section = "CD"]/Name`,
+	} {
+		hints := ExtractHints(MustParse(q))
+		h := hints["items"]
+		if h == nil {
+			t.Fatalf("%s: hints = %+v", q, hints)
+		}
+		text := textConstraints(h)
+		if len(text) != 1 || !reflect.DeepEqual(text[0].Tokens, []string{"cd"}) {
+			t.Fatalf("%s: hints = %+v", q, text)
+		}
+	}
+}
+
+func TestExtractScanHintsKeyedByScan(t *testing.T) {
+	// Two scans of one collection: the where clause over $i narrows $i's
+	// scan only, and the by-name view gives the collection no hint.
+	e := MustParse(`(for $i in collection("items")/Item where $i/Section = "CD" return $i/Code,
+	  for $j in collection("items")/Item return $j/Code)`)
+	hints := ExtractScanHints(e)
+	seq := e.(*Sequence)
+	first := hints.Scan(seq.Items[0].(*FLWOR).Clauses[0].In)
+	second := hints.Scan(seq.Items[1].(*FLWOR).Clauses[0].In)
+	if first == nil || second == nil || len(hints) != 2 {
 		t.Fatalf("hints = %+v", hints)
 	}
-	text := textConstraints(h)
-	if len(text) != 1 || !reflect.DeepEqual(text[0].Tokens, []string{"cd"}) {
-		t.Fatalf("hints = %+v", text)
+	if text := textConstraints(first); len(text) != 1 || !reflect.DeepEqual(text[0].Tokens, []string{"cd"}) {
+		t.Fatalf("first scan = %+v", first.Constraints)
+	}
+	if text := textConstraints(second); len(text) != 0 || len(pathConstraints(second)) != 0 {
+		t.Fatalf("second scan borrowed the first's constraints: %+v", second.Constraints)
+	}
+	if h := ExtractHints(e)["items"]; h != nil {
+		t.Fatalf("a collection scanned twice got a by-name hint: %+v", h)
+	}
+}
+
+func TestExtractScanHintsNestedBinding(t *testing.T) {
+	// $p ranges over $i's documents: its binding path and its where
+	// conjunct constrain $i's scan.
+	h := ExtractHints(MustParse(`for $i in collection("items")/Item, $p in $i/PictureList[Picture]
+	  where $p/Name = "x" return $p`))["items"]
+	pcs := pathConstraints(h)
+	want := []LabelStep{{Name: "Item"}, {Name: "PictureList"}, {Name: "Name"}}
+	if len(pcs) != 1 || pcs[0].Op != CmpEq || !reflect.DeepEqual(pcs[0].Steps, want) {
+		t.Fatalf("path constraints = %+v", pcs)
+	}
+	var elems [][]string
+	for _, c := range h.Constraints {
+		if len(c.Elements) > 0 {
+			elems = append(elems, c.Elements)
+		}
+	}
+	wantElems := [][]string{{"Item"}, {"PictureList"}, {"Picture"}}
+	if !reflect.DeepEqual(elems, wantElems) {
+		t.Fatalf("element constraints = %v, want %v", elems, wantElems)
+	}
+}
+
+func TestExtractHintsContainsCarriesPath(t *testing.T) {
+	// The needle keeps its case and spaces on Contains; only an
+	// alphanumeric needle also gives the index's Substring form.
+	h := ExtractHints(MustParse(`for $i in collection("items")/Item
+	  where contains($i/Description, "Good Disc") and contains($i/Name, "Ab") return $i`))["items"]
+	var got []ContainsConstraint
+	for _, c := range h.Constraints {
+		if c.Contains != nil {
+			got = append(got, *c.Contains)
+			if want := map[string]string{"Good Disc": "", "Ab": "ab"}[c.Contains.Needle]; c.Substring != want {
+				t.Errorf("%q: substring = %q, want %q", c.Contains.Needle, c.Substring, want)
+			}
+		}
+	}
+	want := []ContainsConstraint{
+		{Steps: []LabelStep{{Name: "Item"}, {Name: "Description"}}, Needle: "Good Disc"},
+		{Steps: []LabelStep{{Name: "Item"}, {Name: "Name"}}, Needle: "Ab"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("contains constraints = %+v, want %+v", got, want)
+	}
+}
+
+func TestExtractHintsLiteralKind(t *testing.T) {
+	// A string that parses as a number compares numerically ("1.0" equals
+	// "1"), so it gives no token witness either; the literal's written
+	// kind is kept.
+	cases := []struct {
+		cond    string
+		numeric bool
+		tokens  bool
+	}{
+		{`$i/Section = "CD"`, false, true},
+		{`$i/Section = "1.0"`, false, false},
+		{`$i/@id = " 5"`, false, false},
+		{`$i/@id = 5`, true, false},
+	}
+	for _, tc := range cases {
+		q := `for $i in collection("items")/Item where ` + tc.cond + ` return $i`
+		h := ExtractHints(MustParse(q))["items"]
+		pcs := pathConstraints(h)
+		if len(pcs) != 1 || pcs[0].Numeric != tc.numeric {
+			t.Errorf("%s: path constraints = %+v", q, pcs)
+		}
+		if got := len(textConstraints(h)) > 0; got != tc.tokens {
+			t.Errorf("%s: token witness = %v, want %v", q, got, tc.tokens)
+		}
 	}
 }
 
@@ -77,6 +173,13 @@ func TestExtractHintsIgnoresUnsafePositions(t *testing.T) {
 		`for $i in collection("items")/Item where $i/Section != "CD" return $i`,
 		// Path with an inner predicate could invert the match.
 		`for $i in collection("items")/Item where $i/PictureList[empty(Picture)]/Name = "CD" return $i`,
+		// Step predicates of a path over a for-variable are necessary
+		// neither under not() nor in a return clause.
+		`for $i in collection("items") where not($i/Item[Section = "CD"]) return $i/Item/Code`,
+		`for $i in collection("items") return <r>{$i/Item[Section = "CD"]/Code}</r>`,
+		`for $d in collection("items") return <r>{count($d/Item[Section = "CD"])}</r>`,
+		// A let rebinds $i: the where clause no longer reads the scan.
+		`for $i in collection("items")/Item let $i := $i/Code where $i = "CD" return $i`,
 	}
 	for _, q := range queries {
 		hints := ExtractHints(MustParse(q))
@@ -359,6 +462,10 @@ func TestHintsAreSound(t *testing.T) {
 		`for $i in collection("items")/Item where $i/Section = "CD" return $i/Code`,
 		`for $i in collection("items")/Item where contains($i/Description, "good") return $i/Code`,
 		`for $i in collection("items")/Item where $i/Section = "CD" and contains($i/Description, "disc") return $i/Code`,
+		`(for $i in collection("items")/Item where $i/Section = "CD" return $i/Code, for $j in collection("items")/Item return $j/Code)`,
+		`for $j in collection("items")/Item return <r>{for $i in collection("items")/Item where $i/Section = "CD" return $i/Code}</r>`,
+		`count(for $i in collection("items")/Item, $j in collection("items")/Item where $i/Section = "CD" and $j/Section = "DVD" return $j)`,
+		`count(collection("items")/Item[Section = "CD"])`,
 	}
 	for _, q := range queries {
 		e := MustParse(q)
@@ -370,10 +477,18 @@ func TestHintsAreSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(full) != len(pruned) {
-			t.Errorf("%s: %d results full, %d pruned", q, len(full), len(pruned))
+		if a, b := seqStrings(full), seqStrings(pruned); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: %v full, %v pruned", q, a, b)
 		}
 	}
+}
+
+func seqStrings(s Seq) []string {
+	out := make([]string, len(s))
+	for i, it := range s {
+		out[i] = ItemString(it)
+	}
+	return out
 }
 
 // pruningSource simulates index-based candidate pruning by evaluating the

@@ -40,40 +40,43 @@ func FormatLabelSteps(steps []LabelStep) string {
 }
 
 // ExtractWorkloadKeys derives, per collection, the canonical path and
-// predicate keys of a query for workload profiling. It reuses the hint
-// extractor's analysis (binding paths become path keys, comparison
-// terms become predicate keys) and adds the path side of contains()
-// terms, which hints deliberately drop (a substring constraint needs no
-// path to prune, but the profiler wants to know which path is probed).
+// predicate keys of a query for workload profiling (ExtractScanHints
+// followed by Hints.WorkloadKeys).
 func ExtractWorkloadKeys(e Expr) map[string]*WorkloadKeys {
+	return ExtractScanHints(e).WorkloadKeys()
+}
+
+// WorkloadKeys renders the hints' constraints as workload keys, merged
+// per collection: existence constraints become path keys, comparison and
+// contains() constraints predicate keys — the constraints fragment
+// pruning reads, so the profile counts what routing acts on.
+func (h Hints) WorkloadKeys() map[string]*WorkloadKeys {
 	out := map[string]*WorkloadKeys{}
-	get := func(coll string) *WorkloadKeys {
-		k := out[coll]
+	for scan, hint := range h {
+		k := out[scan.Name]
 		if k == nil {
 			k = &WorkloadKeys{}
-			out[coll] = k
+			out[scan.Name] = k
 		}
-		return k
-	}
-	for coll, h := range ExtractHints(e) {
-		for _, c := range h.Constraints {
-			if c.Path == nil {
-				continue
+		for _, c := range hint.Constraints {
+			switch {
+			case c.Path != nil && c.Path.Op == CmpExists:
+				k.Paths = append(k.Paths, FormatLabelSteps(c.Path.Steps))
+			case c.Path != nil:
+				k.Predicates = append(k.Predicates,
+					fmt.Sprintf("%s %s %q", FormatLabelSteps(c.Path.Steps), c.Path.Op, c.Path.Literal))
 			}
-			ps := FormatLabelSteps(c.Path.Steps)
-			if c.Path.Op == CmpExists {
-				get(coll).Paths = append(get(coll).Paths, ps)
-			} else {
-				get(coll).Predicates = append(get(coll).Predicates,
-					fmt.Sprintf("%s %s %q", ps, c.Path.Op, c.Path.Literal))
+			if c.Contains != nil {
+				k.Predicates = append(k.Predicates,
+					fmt.Sprintf("contains(%s, %q)", FormatLabelSteps(c.Contains.Steps), c.Contains.Needle))
 			}
 		}
 	}
-	collectContainsKeys(e, func(coll, path, needle string) {
-		get(coll).Predicates = append(get(coll).Predicates,
-			fmt.Sprintf("contains(%s, %q)", path, needle))
-	})
-	for _, k := range out {
+	for coll, k := range out {
+		if len(k.Paths) == 0 && len(k.Predicates) == 0 {
+			delete(out, coll)
+			continue
+		}
 		k.Paths = dedupeSorted(k.Paths)
 		k.Predicates = dedupeSorted(k.Predicates)
 	}
@@ -89,85 +92,4 @@ func dedupeSorted(in []string) []string {
 		}
 	}
 	return out
-}
-
-// collectContainsKeys walks every FLWOR for conjunctive contains()
-// terms whose path side roots at a collection-bound for-variable (or at
-// a binding-path step predicate's context) and reports the resolved
-// root-anchored path plus the needle.
-func collectContainsKeys(e Expr, fn func(coll, path, needle string)) {
-	Walk(e, func(x Expr) {
-		f, ok := x.(*FLWOR)
-		if !ok {
-			return
-		}
-		varColl := map[string]varBinding{}
-		for _, cl := range f.Clauses {
-			if cl.Let {
-				continue
-			}
-			coll, steps, ok := collectionRooted(cl.In)
-			if !ok {
-				continue
-			}
-			ls, lsOK := toLabelSteps(steps)
-			varColl[cl.Var] = varBinding{coll: coll, steps: ls, pathOK: lsOK}
-			for si, st := range steps {
-				ctxSteps, ctxOK := toLabelSteps(steps[: si+1 : si+1])
-				ctx := predCtx{steps: ctxSteps, ok: ctxOK}
-				for _, p := range st.Preds {
-					Conjuncts(p, func(term Expr) {
-						containsKeyFromTerm(term, coll, varColl, ctx, fn)
-					})
-				}
-			}
-		}
-		if f.Where == nil || len(varColl) == 0 {
-			return
-		}
-		Conjuncts(f.Where, func(term Expr) {
-			containsKeyFromTerm(term, "", varColl, predCtx{}, fn)
-		})
-	})
-}
-
-// containsKeyFromTerm matches contains(<path>, "lit"). predColl names
-// the collection when the term sits inside a binding-path step
-// predicate; empty means a where-clause term, whose collection resolves
-// through the for-variable the path roots at.
-func containsKeyFromTerm(term Expr, predColl string, varColl map[string]varBinding, ctx predCtx, fn func(coll, path, needle string)) {
-	fc, ok := term.(*FuncCall)
-	if !ok || fc.Name != "contains" || len(fc.Args) != 2 {
-		return
-	}
-	lit, ok := fc.Args[1].(*StringLit)
-	if !ok {
-		return
-	}
-	coll := predColl
-	if coll == "" {
-		var name string
-		switch src := fc.Args[0].(type) {
-		case *VarRef:
-			name = src.Name
-		case *PathExpr:
-			v, isVar := src.Source.(*VarRef)
-			if !isVar {
-				return
-			}
-			name = v.Name
-		default:
-			return
-		}
-		vb, known := varColl[name]
-		if !known {
-			return
-		}
-		coll = vb.coll
-	}
-	ls, ok := termLabelSteps(fc.Args[0], varColl, ctx)
-	if !ok || len(ls) == 0 {
-		return
-	}
-	fn(coll, FormatLabelSteps(ls), lit.Value)
 }
