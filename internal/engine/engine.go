@@ -138,7 +138,7 @@ type Stats struct {
 	DocsPruned    int64 // documents skipped thanks to index hints
 	RangePruned   int64 // of DocsPruned, documents eliminated by value-index comparisons
 	IndexOnlyHits int64 // count()/exists() deciders answered from indexes alone
-	BytesDecoded  int64 // encoded bytes decoded during queries
+	BytesDecoded  int64 // record bytes the decoder walked during queries, skipped subtrees excluded
 }
 
 // Add accumulates o into s (for aggregating counters across nodes).
@@ -676,7 +676,7 @@ func (db *DB) scan(collection string, hint *xquery.Hint, names []string, mode sc
 	if hint != nil {
 		keep = hint.Keep
 	}
-	decoded, bytes, err := db.scanChunks(refs, keep, mode, fn)
+	decoded, read, walked, err := db.scanChunks(refs, keep, mode, fn)
 	if mode == scanRaw {
 		return err
 	}
@@ -684,12 +684,12 @@ func (db *DB) scan(collection string, hint *xquery.Hint, names []string, mode sc
 	db.stats.docsDecoded.Add(decoded)
 	db.stats.docsPruned.Add(pruned)
 	db.stats.rangePruned.Add(rangePruned)
-	db.stats.bytesDecoded.Add(bytes)
+	db.stats.bytesDecoded.Add(walked)
 	obs.EngineDocsDecoded.Add(decoded)
 	obs.EngineDocsPruned.Add(pruned)
 	obs.EngineRangePruned.Add(rangePruned)
-	obs.EngineBytesDecoded.Add(bytes)
-	db.observeDocsHeat(collection, decoded, bytes)
+	obs.EngineBytesDecoded.Add(walked)
+	db.observeDocsHeat(collection, decoded, read)
 	return err
 }
 
@@ -701,13 +701,15 @@ const (
 
 // scanChunks reads, decodes (unless mode is scanRaw) and hands to fn the
 // documents of refs with their records, a chunk at a time, and reports how
-// many documents and record bytes it read. The per-chunk scratch lives on
-// the stack. Under scanDecode the read buffer is reused: it grows at most
-// once per chunk, to the chunk's summed record size plus the page of
-// headroom that lets AppendRef read pages straight into it, so a scan
-// with one huge candidate costs what reading and decoding it alone costs.
-// The other modes read every chunk into a buffer of its own.
-func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, mode scanMode, fn func(*xmltree.Document, []byte) error) (decoded, bytes int64, err error) {
+// many documents and record bytes it read, and how many of those bytes
+// the decoder walked: a projected decode skips the subtrees it drops. The
+// per-chunk scratch lives on the stack. Under scanDecode the read buffer
+// is reused: it grows at most once per chunk, to the chunk's summed record
+// size plus the page of headroom that lets AppendRef read pages straight
+// into it, so a scan with one huge candidate costs what reading and
+// decoding it alone costs. The other modes read every chunk into a buffer
+// of its own.
+func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, mode scanMode, fn func(*xmltree.Document, []byte) error) (decoded, read, walked int64, err error) {
 	var (
 		buf   []byte
 		recs  [maxChunkDocs][]byte
@@ -728,26 +730,28 @@ func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, mode s
 		for i, ref := range chunk {
 			start := len(buf)
 			if buf, err = db.store.AppendRef(buf, ref); err != nil {
-				return decoded, bytes, err
+				return decoded, read, walked, err
 			}
 			recs[i] = buf[start:] // valid even if the append moved buf: the old array keeps these bytes
 		}
 		if mode != scanRaw {
-			if i, err := storage.DecodeRecords(recs[:n], keep, roots[:n]); err != nil {
-				return decoded, bytes, fmt.Errorf("storage: decode %q: %w", chunk[i].Name, err)
+			w, i, err := storage.DecodeRecords(recs[:n], keep, roots[:n])
+			if err != nil {
+				return decoded, read, walked, fmt.Errorf("storage: decode %q: %w", chunk[i].Name, err)
 			}
+			walked += w
 		}
 		decoded += int64(n)
-		bytes += int64(len(buf))
+		read += int64(len(buf))
 		docs := make([]xmltree.Document, n)
 		for i, ref := range chunk {
 			docs[i] = xmltree.Document{Name: ref.Name, Root: roots[i]}
 			if err := fn(&docs[i], recs[i][:len(recs[i]):len(recs[i])]); err != nil {
-				return decoded, bytes, err
+				return decoded, read, walked, err
 			}
 		}
 	}
-	return decoded, bytes, nil
+	return decoded, read, walked, nil
 }
 
 // probeIndex resolves the index a probe runs against, nil when probing is

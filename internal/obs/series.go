@@ -20,7 +20,7 @@ var (
 	EngineIndexOnly = Default.NewCounter("partix_engine_index_only_total",
 		"count()/exists() deciders answered from indexes without decoding documents.")
 	EngineBytesDecoded = Default.NewCounter("partix_engine_decode_bytes_total",
-		"Stored bytes decoded into trees.")
+		"Stored record bytes the decoder walked; the subtrees a projected decode skips are not counted.")
 	EngineSnapshotRetries = Default.NewCounter("partix_engine_snapshot_retries_total",
 		"Query snapshot captures retried because a writer committed mid-capture.")
 	EngineCompiledQueries = Default.NewCounter("partix_engine_compiled_queries_total",

@@ -32,7 +32,8 @@ func itemTree(r *rand.Rand, name string, depth int) *xmltree.Node {
 }
 
 // randomRecords encodes count random trees through one Encoder, the way
-// a node encodes a frame's items, and checks each against EncodeDocument.
+// a node encodes a frame's items, and checks each against EncodeDocument:
+// the same record, but for the seal. About half the records are sealed.
 func randomRecords(t *testing.T, r *rand.Rand, count int) [][]byte {
 	t.Helper()
 	var enc Encoder
@@ -49,8 +50,12 @@ func randomRecords(t *testing.T, r *rand.Rand, count int) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(recs[i]) != string(want) {
-			t.Fatalf("record %d: Encoder.Append differs from EncodeDocument", i)
+		if unsealed := want[:len(want)-trailerSize]; want[0] != encVersion|sealedFlag ||
+			string(recs[i][1:]) != string(unsealed[1:]) || recs[i][0] != encVersion {
+			t.Fatalf("record %d: Encoder.Append differs from EncodeDocument but for the seal", i)
+		}
+		if r.Intn(2) == 0 {
+			recs[i] = want
 		}
 	}
 	return recs
@@ -113,7 +118,7 @@ func TestDecodeProjectedBatchMatchesDecodeProjected(t *testing.T) {
 			keep = nil // the whole-tree case
 		}
 		roots := make([]*xmltree.Node, len(recs))
-		if i, err := DecodeRecords(recs, keep, roots); err != nil {
+		if _, i, err := DecodeRecords(recs, keep, roots); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		for i, rec := range recs {
@@ -239,7 +244,7 @@ func TestDecodeBatchAllocs(t *testing.T) {
 		})
 		roots := make([]*xmltree.Node, n)
 		projected[n] = testing.AllocsPerRun(3, func() {
-			if _, err := DecodeRecords(recs, keep, roots); err != nil {
+			if _, _, err := DecodeRecords(recs, keep, roots); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -3,7 +3,9 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"strings"
 
 	"partix/internal/xmltree"
@@ -12,13 +14,29 @@ import (
 // Binary document encoding. The format keeps node IDs (the reconstruction
 // join key) and compresses repeated element names through a string table:
 //
-//	[version byte = 1]
-//	[name table: varint count, then varint-length strings]
-//	[node]
+//	record := [version byte = 2, | sealedFlag when sealed]
+//	          [name table: uvarint count, then uvarint-length strings]
+//	          [node]
+//	          [crc32c: 4 bytes little-endian, Castagnoli, of every byte before it]?
 //
 //	node := [kind byte][id uvarint][nameRef uvarint]      (element/attribute)
-//	        [childCount uvarint][children ...]
+//	        [childCount uvarint][extent uvarint]?
+//	        [children ...]
 //	node := [kind byte][id uvarint][value string]          (text)
+//
+// A non-root element whose children encode to at least minExtent bytes
+// sets extentFlag in its kind byte and carries an extent: the byte length
+// of its children. Nothing else carries one: a small document has none.
+//
+// A sealed record ends with the checksum trailer. Every record the store
+// keeps is sealed (EncodeDocument). A result frame's node items are not
+// (Encoder.Append): they are built for one transfer and read once, and
+// on frames of small items (horiz_small_point's) the trailer added 7 % to
+// the wire bytes.
+//
+// Version 1 records have neither extents nor the trailer; they decode
+// through the same walk and are rewritten as version 2 when their
+// document is next put.
 //
 // Decoding a document is the per-tree "parse" cost of the engine: the
 // store never caches decoded trees, reproducing the per-document
@@ -26,22 +44,30 @@ import (
 //
 // Decoding takes two passes over the records it is given: one for
 // DecodeDocument and DecodeProjected, a frame's worth for DecodeBatch, an
-// engine scan's chunk of candidates for DecodeRecords. Pass
-// 1 validates every byte of every record and counts the nodes and text
-// bytes to keep; nothing whose size comes from a count in a record is
-// allocated before all of them have validated, so a hostile child count
-// costs no more than the bytes that carry it. Pass 2 re-reads the validated
-// bytes and fills one []xmltree.Node slab (document order, record after
-// record) and one []*xmltree.Node slab that holds every node's children as
-// a capped window kids[a:b:b], so Append on a decoded node reallocates
-// instead of overwriting a sibling's window — or another record's. A
-// decode is a constant handful of allocations whatever the node or record
-// count: a record whose name table repeats the previous record's shares
-// its strings, and every other table is copied into one names arena.
+// engine scan's chunk of candidates for DecodeRecords. A sealed record's
+// checksum is checked first, so corruption anywhere in it, a text value
+// included, fails the decode with ErrChecksum whatever the projection.
+// Pass 1 then validates the structure of every record and counts the
+// nodes and text bytes to keep; nothing whose size comes from a count in a
+// record is allocated before all of them have validated, so a hostile
+// child count costs no more than the bytes that carry it. Pass 2
+// re-reads the validated bytes and fills one []xmltree.Node slab (document
+// order, record after record) and one []*xmltree.Node slab that holds
+// every node's children as a capped window kids[a:b:b], so Append on a
+// decoded node reallocates instead of overwriting a sibling's window — or
+// another record's. A decode is a constant handful of allocations whatever
+// the node or record count: a record whose name table repeats the previous
+// record's shares its strings, and every other table is copied into one
+// names arena.
 //
-// DecodeProjected keeps only what an xmltree.Projection selects. Subtrees
-// it drops are walked and validated exactly like kept ones — same bytes,
-// same error — but never built.
+// DecodeProjected keeps only what an xmltree.Projection selects. A dropped
+// element with an extent is skipped in both passes, after checking that
+// the extent stays inside its parent's bytes; its children are never
+// read. Every other dropped subtree is walked and validated like a kept
+// one, but never built. An element the walk does descend into must have
+// children that fill its extent exactly, so a whole decode still rejects
+// every wrong extent, and a projected decode succeeds wherever the whole
+// decode does, building the projection of the whole tree.
 //
 // Retention: every string a decoded tree hands out aliases a name table's
 // string or the one string holding all kept text values of the records
@@ -53,7 +79,30 @@ import (
 // keeps pins the slabs of at most 64 documents and 256 KiB of records, or
 // of the one larger record (engine.Docs); a node serving over TCP drops
 // them once the result frame holding the node is encoded.
-const encVersion = 1
+const encVersion = 2
+
+const (
+	// sealedFlag marks, in the version byte, a record that ends with the
+	// checksum trailer.
+	sealedFlag = 0x80
+	// extentFlag marks, in a version 2 element's kind byte, an element
+	// that carries an extent.
+	extentFlag = 0x80
+	// minExtent is the children size from which an element carries an
+	// extent. Below it a subtree is a handful of nodes, walked about as
+	// fast as skipped, and the extent's bytes would be waste. It gives
+	// the large Items' PictureList and PricesHistory and the articles'
+	// body and sections an extent, and no small Item one.
+	minExtent = 1 << 10
+	// trailerSize is the checksum trailer of a sealed record.
+	trailerSize = 4
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrChecksum reports a sealed record whose bytes do not match its
+// checksum trailer.
+var ErrChecksum = errors.New("storage: record checksum mismatch")
 
 // Encoder writes records in the binary format. It keeps its name map and
 // table across records, so encoding a stream of trees allocates nothing
@@ -64,25 +113,27 @@ type Encoder struct {
 	table []string
 }
 
-// Append appends root's record to buf and returns the extended buffer.
+// Append appends root's unsealed record to buf and returns the extended
+// buffer: a result frame's item.
 func (e *Encoder) Append(buf []byte, root *xmltree.Node) []byte {
 	if e.names == nil {
 		e.names = make(map[string]uint64)
 	}
 	clear(e.names)
 	e.table = collectNames(e.names, e.table[:0], root)
-	return appendRecord(buf, root, e.names, e.table)
+	return appendRecord(buf, root, e.names, e.table, false)
 }
 
-// EncodeDocument serializes a document to the binary format: an Encoder's
-// one-shot use, whose name map the compiler can keep off the heap.
+// EncodeDocument serializes a document to a sealed record, the form the
+// store keeps: an Encoder's one-shot use, whose name map the compiler can
+// keep off the heap.
 func EncodeDocument(doc *xmltree.Document) ([]byte, error) {
 	if doc.Root == nil {
 		return nil, fmt.Errorf("storage: encode %q: no root", doc.Name)
 	}
 	names := make(map[string]uint64)
 	table := collectNames(names, nil, doc.Root)
-	return appendRecord(make([]byte, 0, 256), doc.Root, names, table), nil
+	return appendRecord(make([]byte, 0, 256), doc.Root, names, table, true), nil
 }
 
 // collectNames numbers the element and attribute names of n's subtree in
@@ -102,14 +153,23 @@ func collectNames(names map[string]uint64, table []string, n *xmltree.Node) []st
 }
 
 // appendRecord appends root's record under the name table collectNames
-// built for it.
-func appendRecord(buf []byte, root *xmltree.Node, names map[string]uint64, table []string) []byte {
-	buf = append(buf, encVersion)
+// built for it, sealed or not.
+func appendRecord(buf []byte, root *xmltree.Node, names map[string]uint64, table []string, sealed bool) []byte {
+	start := len(buf)
+	if sealed {
+		buf = append(buf, encVersion|sealedFlag)
+	} else {
+		buf = append(buf, encVersion)
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
 	for _, s := range table {
 		buf = appendString(buf, s)
 	}
-	return appendNode(buf, root, names)
+	buf = appendNode(buf, root, names, false)
+	if !sealed {
+		return buf
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -117,7 +177,10 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func appendNode(buf []byte, n *xmltree.Node, names map[string]uint64) []byte {
+// appendNode appends n's subtree; skippable says whether n may carry an
+// extent (the root never does: it is never skipped).
+func appendNode(buf []byte, n *xmltree.Node, names map[string]uint64, skippable bool) []byte {
+	at := len(buf)
 	buf = append(buf, byte(n.Kind))
 	buf = binary.AppendUvarint(buf, uint64(n.ID))
 	if n.Kind == xmltree.TextNode {
@@ -125,9 +188,26 @@ func appendNode(buf []byte, n *xmltree.Node, names map[string]uint64) []byte {
 	}
 	buf = binary.AppendUvarint(buf, names[n.Name])
 	buf = binary.AppendUvarint(buf, uint64(len(n.Children)))
+	kids := len(buf)
 	for _, c := range n.Children {
-		buf = appendNode(buf, c, names)
+		buf = appendNode(buf, c, names, true)
 	}
+	if skippable && n.Kind == xmltree.ElementNode && len(buf)-kids >= minExtent {
+		buf[at] |= extentFlag
+		buf = PrefixLength(buf, kids)
+	}
+	return buf
+}
+
+// PrefixLength inserts the uvarint length of buf[at:] at at, moving those
+// bytes up: a length written in front of what it measures (an extent, a
+// frame item's record) is known only once that is written.
+func PrefixLength(buf []byte, at int) []byte {
+	var tmp [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(tmp[:], uint64(len(buf)-at))
+	buf = append(buf, tmp[:k]...)
+	copy(buf[at+k:], buf[at:len(buf)-k])
+	copy(buf[at:], tmp[:k])
 	return buf
 }
 
@@ -137,12 +217,14 @@ func DecodeDocument(name string, data []byte) (*xmltree.Document, error) {
 }
 
 // DecodeProjected parses the binary format into the part of the document
-// keep selects (nil keeps everything). The record is validated in full
-// either way: a projection never changes which records decode, nor the
-// error a corrupt one reports.
+// keep selects (nil keeps everything). A projection never makes a record
+// fail that the whole decode accepts, and never changes the tree it
+// builds from one: it is the projection of the whole tree. It may accept a
+// record whose corruption lies wholly inside a subtree it skips; a
+// checksum mismatch fails under every projection.
 func DecodeProjected(name string, data []byte, keep *xmltree.Projection) (*xmltree.Document, error) {
 	var root [1]*xmltree.Node
-	if _, err := DecodeRecords([][]byte{data}, keep, root[:]); err != nil {
+	if _, _, err := DecodeRecords([][]byte{data}, keep, root[:]); err != nil {
 		return nil, fmt.Errorf("storage: decode %q: %w", name, err)
 	}
 	return &xmltree.Document{Name: name, Root: root[0]}, nil
@@ -155,7 +237,7 @@ func DecodeProjected(name string, data []byte, keep *xmltree.Projection) (*xmltr
 // name "record i", i its position in recs.
 func DecodeBatch(recs [][]byte) ([]*xmltree.Node, error) {
 	roots := make([]*xmltree.Node, len(recs))
-	if i, err := DecodeRecords(recs, nil, roots); err != nil {
+	if _, i, err := DecodeRecords(recs, nil, roots); err != nil {
 		return nil, fmt.Errorf("storage: decode \"record %d\": %w", i, err)
 	}
 	return roots, nil
@@ -164,11 +246,13 @@ func DecodeBatch(recs [][]byte) ([]*xmltree.Node, error) {
 // DecodeRecords parses many records at once, each into the part keep
 // selects (nil keeps everything), storing record i's root into roots[i]
 // (len(roots) must be at least len(recs)). The trees share one node slab,
-// one child-pointer slab and one text string. On failure it returns the
-// position of the first corrupt record and that record's error, unwrapped:
-// the caller names the record. DecodeProjected and DecodeBatch are its
-// one-record and whole-tree cases.
-func DecodeRecords(recs [][]byte, keep *xmltree.Projection, roots []*xmltree.Node) (int, error) {
+// one child-pointer slab and one text string. It returns the record bytes
+// it walked: all of them but those of the subtrees it skipped, whose
+// headers count as skipped too — their cost does not grow with them. On
+// failure it returns the position of the first corrupt record and that
+// record's error, unwrapped: the caller names the record. DecodeProjected
+// and DecodeBatch are its one-record and whole-tree cases.
+func DecodeRecords(recs [][]byte, keep *xmltree.Projection, roots []*xmltree.Node) (walked int64, bad int, err error) {
 	if keep.Whole() {
 		keep = nil
 	}
@@ -176,17 +260,21 @@ func DecodeRecords(recs [][]byte, keep *xmltree.Projection, roots []*xmltree.Nod
 	d.sizeTables(recs)
 	arena := d.arena
 	for i, rec := range recs {
-		d.buf, d.pos = rec, 0
+		if err := d.open(rec, true); err != nil {
+			return 0, i, err
+		}
 		if err := d.readTable(); err != nil {
-			return i, err
+			return 0, i, err
 		}
 		if _, err := d.walk(nil, true, 0); err != nil {
-			return i, err
+			return 0, i, err
 		}
-		if d.pos != len(rec) {
-			return i, fmt.Errorf("%d trailing bytes", len(rec)-d.pos)
+		if d.pos != len(d.buf) {
+			return 0, i, fmt.Errorf("%d trailing bytes", len(d.buf)-d.pos)
 		}
+		walked += int64(len(rec))
 	}
+	walked -= d.skipped
 	d.build = true
 	d.slab = make([]xmltree.Node, d.nodes)
 	d.kids = make([]*xmltree.Node, d.nodes-len(recs)) // every kept node but the roots is a child
@@ -194,18 +282,19 @@ func DecodeRecords(recs [][]byte, keep *xmltree.Projection, roots []*xmltree.Nod
 	d.text.Grow(d.textBytes)
 	d.arena, d.tableRaw = arena, nil // replay pass 1's tables
 	for i, rec := range recs {
-		d.buf, d.pos = rec, 0
-		_ = d.readTable()                  // pass 1 validated these bytes
+		_ = d.open(rec, false)             // pass 1 validated these bytes
+		_ = d.readTable()                  // and these
 		roots[i], _ = d.walk(nil, true, 0) // and these
 	}
-	return 0, nil
+	return walked, 0, nil
 }
 
 const maxDecodeDepth = 10000
 
 type decoder struct {
-	buf   []byte
+	buf   []byte // the record being read, or the extent being walked; never the trailer
 	pos   int
+	v2    bool // the record is version 2: elements may carry extents
 	table []string
 	// tableRaw is the current table's bytes, count included: a record
 	// whose table bytes equal them reuses table.
@@ -217,8 +306,10 @@ type decoder struct {
 	names strings.Builder
 	arena []string
 
-	// Pass 1 totals: what pass 2 builds.
+	// Pass 1 totals: what pass 2 builds, and the bytes of the subtrees
+	// skipped.
 	nodes, textBytes int
+	skipped          int64
 
 	// Pass 2 state. kids is used from both ends: completed children wait
 	// on a stack growing up from kids[0] (sp) until their parent
@@ -242,7 +333,9 @@ func (d *decoder) sizeTables(recs [][]byte) {
 	var prev []byte
 	size, entries := 0, 0
 	for _, rec := range recs {
-		d.buf, d.pos = rec, 0
+		if d.open(rec, false) != nil {
+			break
+		}
 		raw, count, err := d.scanTable()
 		if err != nil {
 			break
@@ -257,17 +350,41 @@ func (d *decoder) sizeTables(recs [][]byte) {
 	d.arena = make([]string, entries)
 }
 
-// scanTable validates the version byte and the name table, leaving pos at
-// the root node, and returns the table's bytes (its count included) and
-// its entry count.
-func (d *decoder) scanTable() ([]byte, uint64, error) {
+// open starts reading rec at its name table. It checks the version byte
+// and sets a sealed record's trailer aside, checking the checksum first
+// when verify is set: before any other byte is trusted.
+func (d *decoder) open(rec []byte, verify bool) error {
+	d.buf, d.pos = rec, 0
 	v, err := d.byte()
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	if v != encVersion {
-		return nil, 0, fmt.Errorf("unsupported version %d", v)
+	switch v {
+	case 1: // no extents, no trailer
+		d.v2 = false
+	case encVersion:
+		d.v2 = true
+	case encVersion | sealedFlag:
+		body := len(rec) - trailerSize
+		if body < 1 {
+			return fmt.Errorf("storage: truncated record")
+		}
+		if verify {
+			stored, sum := binary.LittleEndian.Uint32(rec[body:]), crc32.Checksum(rec[:body], castagnoli)
+			if stored != sum {
+				return fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, stored, sum)
+			}
+		}
+		d.buf, d.v2 = rec[:body], true
+	default:
+		return fmt.Errorf("unsupported version %d", v)
 	}
+	return nil
+}
+
+// scanTable validates the name table, leaving pos at the root node, and
+// returns the table's bytes (its count included) and its entry count.
+func (d *decoder) scanTable() ([]byte, uint64, error) {
 	head := d.pos
 	count, err := d.uvarint()
 	if err != nil {
@@ -352,16 +469,24 @@ func (d *decoder) bytes() ([]byte, error) {
 // node's parent (nil: kept whole) and parentKept whether the parent is
 // kept at all; the root is always kept under d.keep. Pass 1 validates and
 // counts what to keep; pass 2 builds it and returns the node, nil when the
-// projection drops it.
+// projection drops it. Both passes skip a dropped element's extent and
+// walk a descended one's within it.
 func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (*xmltree.Node, error) {
 	if depth > maxDecodeDepth {
 		return nil, fmt.Errorf("storage: tree deeper than %d", maxDecodeDepth)
 	}
+	start := d.pos
 	b, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
-	kind := xmltree.Kind(b)
+	kind, hasExtent := xmltree.Kind(b), false
+	if d.v2 && b&extentFlag != 0 {
+		if kind = xmltree.Kind(b &^ extentFlag); kind != xmltree.ElementNode {
+			return nil, fmt.Errorf("storage: extent flag on node kind %d", kind)
+		}
+		hasExtent = true
+	}
 	id, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -398,6 +523,18 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 		if count > uint64(len(d.buf)-d.pos) {
 			return nil, fmt.Errorf("storage: child count %d overruns record", count)
 		}
+		var extent uint64
+		if hasExtent {
+			if extent, err = d.uvarint(); err != nil {
+				return nil, err
+			}
+			if extent > uint64(len(d.buf)-d.pos) {
+				return nil, fmt.Errorf("storage: extent of %d bytes at offset %d overruns its parent", extent, d.pos)
+			}
+			if count > extent {
+				return nil, fmt.Errorf("storage: child count %d overruns its %d-byte extent", count, extent)
+			}
+		}
 		var keep *xmltree.Projection // attributes are always kept whole
 		kept := parentKept
 		switch {
@@ -405,6 +542,17 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 			keep = d.keep
 		case kept && kind == xmltree.ElementNode:
 			keep, kept = parent.Child(name)
+		}
+		outer := len(d.buf) // restored by reslicing: the extent keeps the capacity
+		if hasExtent {
+			if !kept {
+				d.pos += int(extent)
+				if !d.build {
+					d.skipped += int64(d.pos - start)
+				}
+				return nil, nil
+			}
+			d.buf = d.buf[:d.pos+int(extent)] // the children may not read past it
 		}
 		var n *xmltree.Node
 		if kept {
@@ -426,6 +574,12 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 				d.kids[d.sp] = c
 				d.sp++
 			}
+		}
+		if hasExtent {
+			if d.pos != len(d.buf) {
+				return nil, fmt.Errorf("storage: children end %d bytes before their extent", len(d.buf)-d.pos)
+			}
+			d.buf = d.buf[:outer]
 		}
 		if m := d.sp - top; m > 0 {
 			lo := d.wp - m

@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,7 +16,8 @@ import (
 
 // hostileRecord builds an invalid record of depth nested elements, each
 // declaring every byte after its own header as its child count. The
-// innermost element is empty, so its parent then runs off the end.
+// innermost element is empty, so its parent then runs off the end. Its
+// checksum is valid, so only the walk can reject it.
 func hostileRecord(depth int) []byte {
 	headers := make([][]byte, depth)
 	remaining := 0
@@ -25,12 +29,17 @@ func hostileRecord(depth int) []byte {
 		headers[i] = h
 		remaining += len(h)
 	}
-	rec := []byte{encVersion, 1}
+	rec := []byte{encVersion | sealedFlag, 1}
 	rec = appendString(rec, "a")
 	for _, h := range headers {
 		rec = append(rec, h...)
 	}
-	return rec
+	return sealed(rec)
+}
+
+// sealed appends rec's checksum trailer.
+func sealed(rec []byte) []byte {
+	return binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, castagnoli))
 }
 
 // TestDecodeHostileChildCounts: a child count is checked only against the
@@ -211,15 +220,26 @@ func treeDiff(a, b *xmltree.Node) string {
 }
 
 // FuzzDecodeDocument feeds arbitrary bytes to the record decoder. It must
-// never panic; a record that decodes must survive an encode/decode round
-// trip unchanged; and under each of a few fixed projections the decoder
-// must fail on exactly the inputs the whole decode fails on, with the same
-// error, and otherwise build exactly the tree-level projection of the
-// whole decode; so must a batch holding the record twice, whole and under
-// each projection. The seed corpus (testdata/fuzz/FuzzDecodeDocument) holds a
-// small and a large Item, attributes, a truncation, an out-of-range name
-// ref, a child-count overrun, a tree past the depth limit and trailing
-// bytes.
+// never panic, and under each of a few fixed projections:
+//   - a checksum mismatch fails the projected decode with the whole
+//     decode's error;
+//   - a whole decode that succeeds implies a projected decode that succeeds
+//     and builds exactly the tree-level projection of the whole tree;
+//   - a projected decode that fails implies a whole decode that fails (a
+//     projected decode may accept corruption inside a subtree it skips);
+//   - a batch holding the record twice decodes like the record alone,
+//     whole (DecodeBatch) and under the projection (DecodeRecords), and
+//     walks no more than its bytes, all of them when whole;
+//
+// and a record that decodes must survive an encode/decode round trip
+// unchanged. The seed corpus (testdata/fuzz/FuzzDecodeDocument) holds
+// version 1 records — a small and a large Item, attributes, a truncation,
+// an out-of-range name ref, a child-count overrun, a tree past the depth
+// limit and trailing bytes — and sealed version 2 ones: a large Item,
+// valid small extents, extents past the record's end, past their parent,
+// ending inside a sibling, of zero bytes with children, the extent flag on
+// a text and on an attribute node, checksum-valid garbage in a skipped
+// subtree, and a checksum mismatch.
 func FuzzDecodeDocument(f *testing.F) {
 	keeps := []*xmltree.Projection{
 		projection(),
@@ -227,40 +247,44 @@ func FuzzDecodeDocument(f *testing.F) {
 		projection("PictureList/Picture/Name*", "Section"),
 		projection("a/b*", "c"),
 	}
+	same := func(a, b error) bool { return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error()) }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		whole, err := DecodeDocument("f", data)
 		for _, keep := range keeps {
 			got, perr := DecodeProjected("f", data, keep)
-			if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+			switch {
+			case errors.Is(err, ErrChecksum) && !same(err, perr):
 				t.Fatalf("projection %s: whole decode err=%v, projected err=%v", keep, err, perr)
-			}
-			if err == nil {
+			case err == nil && perr != nil:
+				t.Fatalf("projection %s: whole decode succeeds, projected err=%v", keep, perr)
+			case err == nil:
 				if d := treeDiff(got.Root, project(whole.Root, keep)); d != "" {
 					t.Fatalf("projection %s: %s", keep, d)
 				}
 			}
-		}
-		// The same record twice as a batch, whole and under each projection:
-		// the batch walk fails where the single-record walk does, at the
-		// first record, or builds the same tree twice.
-		roots, berr := DecodeBatch([][]byte{data, data})
-		if _, want := DecodeDocument("record 0", data); (want == nil) != (berr == nil) || want != nil && want.Error() != berr.Error() {
-			t.Fatalf("batch err=%v, want %v", berr, want)
-		}
-		for _, keep := range keeps {
+			// The same record twice as a batch under the projection: the
+			// batch walk fails where the single-record walk does, at the
+			// first record, or builds the same tree twice.
 			var proots [2]*xmltree.Node
-			i, perr := DecodeRecords([][]byte{data, data}, keep, proots[:])
-			if (err == nil) != (perr == nil) || err != nil && (i != 0 || `storage: decode "f": `+perr.Error() != err.Error()) {
-				t.Fatalf("projection %s: batch err=%v at record %d, whole decode err=%v", keep, perr, i, err)
+			walked, i, berr := DecodeRecords([][]byte{data, data}, keep, proots[:])
+			if (perr == nil) != (berr == nil) || perr != nil && (i != 0 || `storage: decode "f": `+berr.Error() != perr.Error()) {
+				t.Fatalf("projection %s: batch err=%v at record %d, projected err=%v", keep, berr, i, perr)
 			}
-			if err != nil {
+			if perr != nil {
 				continue
 			}
+			if walked > int64(2*len(data)) {
+				t.Fatalf("projection %s: walked %d bytes of %d", keep, walked, 2*len(data))
+			}
 			for _, r := range proots {
-				if d := treeDiff(r, project(whole.Root, keep)); d != "" {
+				if d := treeDiff(r, got.Root); d != "" {
 					t.Fatalf("projected batch %s: %s", keep, d)
 				}
 			}
+		}
+		roots, berr := DecodeBatch([][]byte{data, data})
+		if _, want := DecodeDocument("record 0", data); !same(want, berr) {
+			t.Fatalf("batch err=%v, want %v", berr, want)
 		}
 		if err != nil {
 			return
@@ -269,6 +293,9 @@ func FuzzDecodeDocument(f *testing.F) {
 			if d := treeDiff(r, whole.Root); d != "" {
 				t.Fatalf("batch: %s", d)
 			}
+		}
+		if walked, _, _ := DecodeRecords([][]byte{data, data}, nil, roots); walked != int64(2*len(data)) {
+			t.Fatalf("whole batch walked %d bytes of %d", walked, 2*len(data))
 		}
 		if whole.Root.Parent != nil {
 			t.Fatal("decoded root has a parent")
@@ -285,4 +312,111 @@ func FuzzDecodeDocument(f *testing.F) {
 			t.Fatalf("round trip: %s", d)
 		}
 	})
+}
+
+// pictureItem builds an Item whose PictureList, its last child, holds n
+// Pictures shaped like ItemsLHor's.
+func pictureItem(n int) *xmltree.Document {
+	var b strings.Builder
+	b.WriteString(`<Item id="1"><Code>I000001</Code><Name>boxed set</Name>` +
+		`<Description>a good boxed set of classic recordings</Description><Section>CD</Section><PictureList>`)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `<Picture><Name>front cover</Name><Description>the front of the box in colour</Description>`+
+			`<ModificationDate>2004-05-%02d</ModificationDate><OriginalPath>/img/orig/%d.png</OriginalPath>`+
+			`<ThumbPath>/img/thumb/%d.png</ThumbPath></Picture>`, 1+i%28, i, i)
+	}
+	b.WriteString(`</PictureList></Item>`)
+	return doc("item", b.String())
+}
+
+// TestProjectedDecodeIndependentOfDroppedSubtrees is a cost-class gate: a
+// projected decode that drops a subtree carrying an extent walks the same
+// bytes and makes the same allocations whatever the subtree's size. Items
+// with 10 and with 1,000 Pictures walk 200 bytes each under
+// {Code*,Description*}, in 5 allocations. Format version 1 had no extents,
+// and its decoder walked every byte of their records: 1,410 and 135,866.
+func TestProjectedDecodeIndependentOfDroppedSubtrees(t *testing.T) {
+	keep := projection("Code*", "Description*")
+	const want = `<Item id="1"><Code>I000001</Code><Description>a good boxed set of classic recordings</Description></Item>`
+	walked, allocs := map[int]int64{}, map[int]float64{}
+	for _, n := range []int{10, 1000} {
+		data, err := EncodeDocument(pictureItem(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots := make([]*xmltree.Node, 1)
+		w, _, err := DecodeRecords([][]byte{data}, keep, roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := xmltree.SerializeString(&xmltree.Document{Root: roots[0]}); s != want {
+			t.Fatalf("%d pictures: got %s, want %s", n, s, want)
+		}
+		if whole, _, err := DecodeRecords([][]byte{data}, nil, roots); err != nil || whole != int64(len(data)) {
+			t.Fatalf("%d pictures: a whole decode walked %d of %d bytes (%v)", n, whole, len(data), err)
+		}
+		walked[n] = w
+		allocs[n] = testing.AllocsPerRun(20, func() {
+			if _, _, err := DecodeRecords([][]byte{data}, keep, roots); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if walked[10] != walked[1000] || allocs[10] != allocs[1000] {
+		t.Errorf("projected decode walks %d bytes in %.0f allocations at 10 pictures, %d in %.0f at 1000; want them equal",
+			walked[10], allocs[10], walked[1000], allocs[1000])
+	}
+	t.Logf("walked %d bytes in %.0f allocations", walked[10], allocs[10])
+}
+
+// A sealed record whose PictureList holds garbage decodes under a
+// projection that skips the PictureList, and fails a whole decode: the
+// skipped bytes are never read.
+func TestProjectedDecodeSkipsGarbageInDroppedSubtree(t *testing.T) {
+	data, err := EncodeDocument(pictureItem(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte("/img/orig/5.png"))
+	if at < 0 {
+		t.Fatal("picture path not found in the record")
+	}
+	for i := at - 8; i < at+8; i++ {
+		data[i] = 0xff
+	}
+	body := data[:len(data)-trailerSize]
+	data = sealed(body)
+	got, err := DecodeProjected("x", data, projection("Code*", "Description*"))
+	if err != nil {
+		t.Fatalf("projected decode: %v", err)
+	}
+	if s := xmltree.SerializeString(got); !strings.Contains(s, "<Code>I000001</Code>") {
+		t.Fatalf("projected decode built %s", s)
+	}
+	if _, err := DecodeDocument("x", data); err == nil {
+		t.Fatal("whole decode accepted garbage inside the PictureList")
+	}
+}
+
+// A checksum mismatch fails every decode with ErrChecksum, under every
+// projection, even when the corrupt byte is inside a text value.
+func TestChecksumMismatchFailsEveryProjection(t *testing.T) {
+	data, err := EncodeDocument(pictureItem(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte("boxed set"))
+	data[at] = 'B'
+	var first string
+	for _, keep := range []*xmltree.Projection{nil, projection(), projection("Code*", "Description*")} {
+		_, err := DecodeProjected("x", data, keep)
+		if !errors.Is(err, ErrChecksum) {
+			t.Fatalf("projection %s: err = %v, want ErrChecksum", keep, err)
+		}
+		if first == "" {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("projection %s: err = %v, want %s", keep, err, first)
+		}
+	}
 }

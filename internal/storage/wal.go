@@ -134,8 +134,9 @@ func openWAL(path string, nofsync bool) (*wal, []walRecord, error) {
 
 // scanWAL reads frames from after the header until the first torn or
 // corrupt one, returning the decoded records and the offset of the last
-// good frame's end.
-func scanWAL(f *os.File, size int64) ([]walRecord, int64) {
+// good frame's end. A payload is allocated only once its length fits in
+// the size bytes, so a corrupt length costs nothing.
+func scanWAL(f io.ReaderAt, size int64) ([]walRecord, int64) {
 	var records []walRecord
 	off := int64(walHeaderSize)
 	frame := make([]byte, walFrameSize)

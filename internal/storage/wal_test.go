@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -153,4 +154,48 @@ func TestWALGroupCommit(t *testing.T) {
 	if synced != w.lastSeq() {
 		t.Fatalf("synced %d of %d appended records", synced, w.lastSeq())
 	}
+}
+
+// FuzzWALRecord feeds arbitrary bytes to the log's two readers: to
+// decodeWALRecord as one frame payload, and to scanWAL as the tail of a
+// log after a valid header. Neither may panic. A payload that decodes must
+// re-encode to the same bytes. A scan allocates in proportion to the log's
+// bytes, never to what a length field claims (up to walMaxRecord), and
+// stops at the first torn or corrupt frame: the records it replays
+// re-encode to exactly the bytes before the offset it returns, and a log
+// holding only what follows that offset replays nothing. The seed corpus
+// (testdata/fuzz/FuzzWALRecord) holds a log of every operation, a torn
+// tail, a checksum mismatch before a good frame, a length past
+// walMaxRecord, a zero length, an unknown operation and a payload with
+// bytes after its data.
+func FuzzWALRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		if rec, ok := decodeWALRecord(tail); ok {
+			if frame := encodeWALRecord(nil, rec); !bytes.Equal(frame[walFrameSize:], tail) {
+				t.Fatalf("payload %q decodes to %+v, which encodes to %q", tail, rec, frame[walFrameSize:])
+			}
+		}
+		log := append([]byte(walMagic), tail...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		records, good := scanWAL(bytes.NewReader(log), int64(len(log)))
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32*uint64(len(log))+64<<10 {
+			t.Fatalf("scanning a %d-byte log allocated %d bytes", len(log), alloc)
+		}
+		if good < walHeaderSize || good > int64(len(log)) {
+			t.Fatalf("scan of a %d-byte log ends at %d", len(log), good)
+		}
+		var replayed []byte
+		for _, rec := range records {
+			replayed = encodeWALRecord(replayed, rec)
+		}
+		if !bytes.Equal(replayed, log[walHeaderSize:good]) {
+			t.Fatalf("%d replayed records re-encode to %d bytes, the scan kept %d", len(records), len(replayed), good-walHeaderSize)
+		}
+		rest := append([]byte(walMagic), log[good:]...)
+		if more, _ := scanWAL(bytes.NewReader(rest), int64(len(rest))); len(more) != 0 {
+			t.Fatalf("the scan stopped at %d before %d good records", good, len(more))
+		}
+	})
 }

@@ -54,8 +54,10 @@ import (
 
 // ProtocolVersion is the one wire protocol generation this build speaks.
 // Both peers check it on every Request/Response exchange; there is no
-// fallback to an older generation.
-const ProtocolVersion = 9
+// fallback to an older generation. Protocol 10 frames carry version 2
+// storage records (subtree extents and a checksum trailer), which a
+// protocol 9 peer cannot decode.
+const ProtocolVersion = 10
 
 // ErrProtocolMismatch reports a peer that speaks a different protocol
 // version, or answers a result request with something that is not a
@@ -270,7 +272,7 @@ func (w *itemWriter) add(it xquery.Item) error {
 		w.payload = append(w.payload, byte(ItemNode))
 		rec := len(w.payload)
 		w.payload = w.enc.Append(w.payload, v)
-		w.payload = prefixLength(w.payload, rec)
+		w.payload = storage.PrefixLength(w.payload, rec)
 	case string:
 		w.payload = append(w.payload, byte(ItemString))
 		w.payload = binary.AppendUvarint(w.payload, uint64(len(v)))
@@ -294,18 +296,6 @@ func (w *itemWriter) add(it xquery.Item) error {
 // reset empties the payload for the next frame, keeping its capacity.
 func (w *itemWriter) reset() {
 	w.payload, w.count = w.payload[:0], 0
-}
-
-// prefixLength inserts the uvarint length of buf[at:] at at, moving those
-// bytes up: a record's length is known only once it is written.
-func prefixLength(buf []byte, at int) []byte {
-	n := uint64(len(buf) - at)
-	var tmp [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(tmp[:], n)
-	buf = append(buf, tmp[:k]...)
-	copy(buf[at+k:], buf[at:len(buf)-k])
-	copy(buf[at:], tmp[:k])
-	return buf
 }
 
 // parseItems splits a frame payload into its count items. Node items alias

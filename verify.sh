@@ -31,7 +31,8 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # cost-class gates, run without -race (which would inflate the alloc
 # counts): the hot scan→filter→project loop, a string term over a large
 # element (allocations and bytes per candidate independent of the
-# subtree's size), the slab-building record decoder, a Docs scan per
+# subtree's size), the slab-building record decoder, a projected decode
+# (bytes walked and allocations independent of the subtrees it drops), a Docs scan per
 # candidate, a point query's candidate selection (bytes per call
 # independent of the collection's size), a reconstruction
 # query (allocations independent of the nodes per fetched document), a
@@ -43,7 +44,7 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # telemetry (allocations independent of the fragment count) and its
 # plan-cache hit with revalidation (no allocations)
 go test -timeout 5m -run 'TestAllocsScanFilterProject|TestStringTermAllocsIndependentOfSubtreeSize' ./internal/xquery/exec/
-go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs' ./internal/storage/
+go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs|TestProjectedDecodeIndependentOfDroppedSubtrees' ./internal/storage/
 go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestFrameCodecAllocsPerFrame|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
 
 # observability smoke test: a node started with -debug-addr must serve
