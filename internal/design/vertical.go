@@ -193,98 +193,41 @@ func clusterUsage(cluster []string, usage map[string]int) int {
 	return total
 }
 
-// usedChildren reports which top-level children a query touches. Queries
-// with descendant steps or unresolvable paths conservatively use all.
+// usedChildren reports which top-level children a query reads, from its
+// read set. A // or * step, a whole document or root element read, or an
+// unresolved path uses all of them.
 func usedChildren(query, collection, root string, children []string) []string {
 	e, err := xquery.Parse(query)
 	if err != nil {
 		return nil
 	}
+	reads := xquery.ExtractReads(e)
+	if reads.Unresolved {
+		return children
+	}
 	used := map[string]bool{}
-	all := false
-	vars := map[string][]string{}
-	var visit func(xquery.Expr)
-	record := func(labels []string, steps []xquery.PathStep) []string {
-		out := append([]string{}, labels...)
-		for _, st := range steps {
+	for _, r := range reads.Paths {
+		if r.Scan.Name != collection {
+			continue
+		}
+		var labels []string
+		attr := false
+		for _, st := range r.Steps {
 			if st.Descendant || st.Name == "*" {
-				all = true
-				return out
+				return children
 			}
-			if st.Attr || st.Text {
+			if attr = st.Attr; attr {
 				break
 			}
-			out = append(out, st.Name)
+			labels = append(labels, st.Name)
 		}
-		if len(out) >= 2 && out[0] == root {
-			used[out[1]] = true
+		switch {
+		case len(labels) > 0 && labels[0] != root:
+		case len(labels) >= 2:
+			used[labels[1]] = true
+		case !r.Existence && !attr:
+			return children // the whole document or root element is read
 		}
-		return out
-	}
-	visit = func(x xquery.Expr) {
-		switch n := x.(type) {
-		case *xquery.FLWOR:
-			for _, cl := range n.Clauses {
-				if pe, ok := cl.In.(*xquery.PathExpr); ok {
-					switch src := pe.Source.(type) {
-					case *xquery.CollectionCall:
-						if src.Name == collection {
-							vars[cl.Var] = record(nil, pe.Steps)
-							continue
-						}
-					case *xquery.VarRef:
-						if base, known := vars[src.Name]; known {
-							vars[cl.Var] = record(base, pe.Steps)
-							continue
-						}
-					}
-				}
-				visit(cl.In)
-			}
-			visit(n.Where)
-			visit(n.Return)
-		case *xquery.PathExpr:
-			if v, ok := n.Source.(*xquery.VarRef); ok {
-				if base, known := vars[v.Name]; known {
-					record(base, n.Steps)
-				}
-			} else {
-				visit(n.Source)
-			}
-			for _, st := range n.Steps {
-				for _, p := range st.Preds {
-					visit(p)
-				}
-			}
-		case *xquery.Binary:
-			visit(n.Left)
-			visit(n.Right)
-		case *xquery.FuncCall:
-			for _, a := range n.Args {
-				visit(a)
-			}
-		case *xquery.Sequence:
-			for _, it := range n.Items {
-				visit(it)
-			}
-		case *xquery.ElementCtor:
-			for _, a := range n.Attrs {
-				visit(a.Value)
-			}
-			for _, c := range n.Children {
-				visit(c)
-			}
-		case *xquery.VarRef:
-			if labels, known := vars[n.Name]; known && len(labels) >= 2 && labels[0] == root {
-				used[labels[1]] = true
-			} else if known := vars[n.Name]; len(known) == 1 {
-				all = true // whole document consumed
-			}
-		}
-	}
-	visit(e)
-	if all {
-		return children
 	}
 	out := make([]string, 0, len(used))
 	for _, ch := range children {

@@ -19,7 +19,8 @@ type pruningFixture struct {
 	scheme    *fragmentation.Scheme
 	placement map[string]string
 	mode      fragmentation.MaterializeMode
-	item      string // root-to-item element path, e.g. "Store/Items/Item"
+	item      string   // root-to-item element path, e.g. "Store/Items/Item"
+	fixed     []string // queries run before the drawn ones
 }
 
 // numericSections holds Items whose Section values are "0", "1" and
@@ -57,6 +58,16 @@ func pruningFixtures() []pruningFixture {
 			placement: map[string]string{"Fcd": "node0", "Fdvd": "node1", "Frest": "node2", "Fstore": "node3"},
 			mode:      fragmentation.FragModeSD,
 			item:      "Store/Items/Item",
+			// Filters evaluated at or above /Store/Items see every item of
+			// the store: no hybrid sibling alone can answer them.
+			fixed: []string{
+				`for $i in collection("store")/Store[Items/Item/Section = "DVD"]/Items/Item return $i/Code`,
+				`for $i in collection("store")/Store/Items[Item/Section = "DVD"]/Item return $i/Code`,
+				`count(collection("store")/Store/Items[Item/Section = "DVD"]/Item)`,
+				`for $i in collection("store")/Store/Items/Item[1] return $i/Code`,
+				`for $i in collection("store")/Store/Items/Item[2] return $i/Code`,
+				`exists(collection("store")/Store[Items/Item/Section = "DVD"]/Items/Item[Section = "CD"])`,
+			},
 		},
 	}
 }
@@ -65,7 +76,10 @@ func pruningFixtures() []pruningFixture {
 // compare Item children against σ-like literals, in every position a
 // constraint may or may not be taken from: where conjuncts, binding and
 // path-form step predicates, predicates under not(), in a return clause
-// or a nested count(), disjunctions, nested and descendant bindings.
+// or a nested count(), disjunctions, nested and descendant bindings —
+// and predicates whose context is not the item: step predicates on an
+// ancestor step of the item path and positional filters, which count the
+// items under their parent.
 func pruningQueries(coll, item string, rng *rand.Rand, n int) []string {
 	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
 	// term compares a child of the item ctx names ("$i/", or "" for a
@@ -87,10 +101,23 @@ func pruningQueries(coll, item string, rng *rand.Rand, n int) []string {
 	}
 	c := fmt.Sprintf(`collection(%q)`, coll)
 	last := item[strings.LastIndex(item, "/")+1:]
+	// ancestor splits the item path at a random step above the item: a
+	// predicate on that step reads the items through the rest of the
+	// path, so its context holds every item of the document. With a
+	// one-step item path the predicate sits on the item step itself.
+	ancestor := func() (anc, rest, rel string) {
+		steps := strings.Split(item, "/")
+		if len(steps) == 1 {
+			return item, "", ""
+		}
+		k := rng.Intn(len(steps) - 1)
+		rest = strings.Join(steps[k+1:], "/")
+		return strings.Join(steps[:k+1], "/"), "/" + rest, rest + "/"
+	}
 	var out []string
 	for len(out) < n {
 		var q string
-		switch rng.Intn(10) {
+		switch rng.Intn(14) {
 		case 0:
 			q = fmt.Sprintf(`for $i in %s/%s where %s return $i/Code`, c, item, term("$i/"))
 		case 1:
@@ -111,6 +138,21 @@ func pruningQueries(coll, item string, rng *rand.Rand, n int) []string {
 			q = fmt.Sprintf(`for $d in %s, $i in $d/%s where %s return $i/Code`, c, item, term("$i/"))
 		case 9:
 			q = fmt.Sprintf(`for $i in %s//%s where %s return $i/Code`, c, last, term("$i/"))
+		case 10:
+			anc, rest, rel := ancestor()
+			q = fmt.Sprintf(`for $i in %s/%s[%s]%s return $i/Code`, c, anc, term(rel), rest)
+		case 11:
+			anc, rest, rel := ancestor()
+			q = fmt.Sprintf(`%s(%s/%s[%s]%s)`, pick("count", "exists", "empty"), c, anc, term(rel), rest)
+		case 12:
+			pos := pick("[1]", "[2]")
+			if rng.Intn(2) == 0 {
+				pos = "[" + term("") + "]" + pos
+			}
+			q = fmt.Sprintf(`for $i in %s/%s%s return $i/Code`, c, item, pos)
+		case 13:
+			anc, rest, rel := ancestor()
+			q = fmt.Sprintf(`exists(%s/%s[%s]%s[%s])`, c, anc, term(rel), rest, term(""))
 		}
 		out = append(out, q)
 	}
@@ -133,7 +175,8 @@ func TestPruningMatchesCentralized(t *testing.T) {
 			if err := central.Publish(fx.coll(), nil, map[string]string{"": "node0"}, PublishOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			for _, q := range pruningQueries(fx.scheme.Collection, fx.item, rand.New(rand.NewSource(38)), 300) {
+			drawn := pruningQueries(fx.scheme.Collection, fx.item, rand.New(rand.NewSource(38)), 300)
+			for _, q := range append(fx.fixed, drawn...) {
 				a, err := frag.Query(q)
 				if err != nil {
 					t.Fatalf("%s: %v", q, err)

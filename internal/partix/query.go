@@ -492,14 +492,14 @@ func (s *System) plan(e xquery.Expr, hints xquery.Hints) (*queryPlan, error) {
 	// mixing doc() with a fragmented collection are therefore evaluated
 	// at the coordinator over the reconstructed collection.
 	if usesDocCall(e) {
-		return s.joinPlan(e, meta, s.newStatsPlan(hint), meta.Scheme.Fragments)
+		return s.joinPlan(e, meta, s.newStatsPlan(hint), meta.Scheme.Fragments, xquery.Reads{})
 	}
 
 	fold, ok := decomposable(e)
 	if meta.Scheme.AllHorizontal() {
 		return s.planHorizontal(e, meta, hint, fold, ok)
 	}
-	return s.planVertical(e, meta, analyzeQuery(e), hint, fold, ok)
+	return s.planVertical(e, meta, xquery.ExtractReads(e), hint, fold, ok)
 }
 
 // joinable rejects a join over FragMode1 hybrid fragments, whose
@@ -516,11 +516,12 @@ func joinable(meta *CollectionMeta) error {
 // e compiles (and reads no doc(), which the fetch projections would not
 // cover), the program composes and each fetch ships only what it reads:
 // a fragment the query reads whole is fetched as stored. When some where
-// conjunct is decided by a fragment that owns it (splitWhere), the plan
-// is a semi-join in two rounds: round 1 fetches those fragments through
-// their filters, round 2 the others by the names round 1 returned, and
-// the program is the residual query.
-func (s *System) joinPlan(e xquery.Expr, meta *CollectionMeta, sp *statsPlan, frags []*fragmentation.Fragment) (*queryPlan, error) {
+// conjunct is decided by a fragment that owns it (splitWhere, from e's
+// read set; the zero Reads plans no semi-join), the plan is a semi-join
+// in two rounds: round 1 fetches those fragments through their filters,
+// round 2 the others by the names round 1 returned, and the program is
+// the residual query.
+func (s *System) joinPlan(e xquery.Expr, meta *CollectionMeta, sp *statsPlan, frags []*fragmentation.Fragment, reads xquery.Reads) (*queryPlan, error) {
 	if err := joinable(meta); err != nil {
 		return nil, err
 	}
@@ -528,7 +529,7 @@ func (s *System) joinPlan(e xquery.Expr, meta *CollectionMeta, sp *statsPlan, fr
 	frags = s.orderReconstruct(sp, meta, frags)
 	var split *whereSplit
 	if !usesDocCall(e) {
-		if split = splitWhere(e, meta, frags); split != nil {
+		if split = splitWhere(e, meta, reads, frags); split != nil {
 			p.prog = split.residual
 		} else {
 			p.prog, _ = exec.Compile(e)
@@ -600,7 +601,7 @@ func usesDocCall(e xquery.Expr) bool {
 func (s *System) planHorizontal(e xquery.Expr, meta *CollectionMeta, hint *xquery.Hint, fold string, decomposes bool) (*queryPlan, error) {
 	sp := s.newStatsPlan(hint)
 	if !decomposes {
-		return s.joinPlan(e, meta, sp, meta.Scheme.Fragments)
+		return s.joinPlan(e, meta, sp, meta.Scheme.Fragments, xquery.Reads{})
 	}
 	var relevant []*fragmentation.Fragment
 	for _, f := range meta.Scheme.Fragments {
@@ -627,10 +628,10 @@ func (s *System) planHorizontal(e xquery.Expr, meta *CollectionMeta, hint *xquer
 // otherwise. Vertical and hybrid fragments hold projections whose local
 // paths diverge from the global document shape, so statistics only feed
 // the reconstruction fetch order here — never fragment skipping.
-func (s *System) planVertical(e xquery.Expr, meta *CollectionMeta, an *analysis, hint *xquery.Hint, fold string, decomposes bool) (*queryPlan, error) {
+func (s *System) planVertical(e xquery.Expr, meta *CollectionMeta, reads xquery.Reads, hint *xquery.Hint, fold string, decomposes bool) (*queryPlan, error) {
 	sp := s.newStatsPlan(hint)
-	touched := s.touchedFragments(meta, an)
-	if len(touched) == 0 && !an.unresolved {
+	touched := touchedFragments(meta, reads)
+	if len(touched) == 0 && !reads.Unresolved {
 		// Spine-only query: any fragment guaranteed to hold every
 		// document answers it from its spine.
 		for _, f := range meta.Scheme.Fragments {
@@ -644,11 +645,11 @@ func (s *System) planVertical(e xquery.Expr, meta *CollectionMeta, an *analysis,
 		touched = meta.Scheme.Fragments
 	}
 	// Union is sound when the query decomposes, all touched fragments are
-	// hybrid siblings (same projection path) and every query path stays
-	// strictly inside the repeating children — the query then treats the
-	// children as an MD collection partitioned by the σ predicates, so a
-	// sibling whose predicate contradicts the query contributes nothing.
-	if decomposes && s.unionable(meta, an, touched) {
+	// hybrid siblings (same projection path) and the query reads inside
+	// one repeating child at a time — it then treats the children as an
+	// MD collection partitioned by the σ predicates, so a sibling whose
+	// predicate contradicts the query contributes nothing.
+	if decomposes && unionable(meta, reads, touched) {
 		var kept []*fragmentation.Fragment
 		for _, f := range touched {
 			if !contradictsPredicate(f.Predicate, pathLabels(f.Path), hint) {
@@ -665,16 +666,16 @@ func (s *System) planVertical(e xquery.Expr, meta *CollectionMeta, an *analysis,
 		// the fragment; if the query iterates an ancestor of the
 		// projection root, those documents' bindings would silently
 		// disappear — unless the schema guarantees the path is mandatory.
-		if ancestorExistenceOf(an, meta.Name, f) && !holdsAllDocuments(meta, f) {
-			return s.joinPlan(e, meta, sp, touched)
+		if ancestorExistenceOf(reads.Paths, meta.Name, f) && !holdsAllDocuments(meta, f) {
+			return s.joinPlan(e, meta, sp, touched, reads)
 		}
 		sub, err := rewriteForFragment(e, meta.Name, meta.NodeCollection(f.Name), stripLabels(meta, f))
 		if err != nil {
-			return s.joinPlan(e, meta, sp, touched)
+			return s.joinPlan(e, meta, sp, touched, reads)
 		}
 		return &queryPlan{strategy: StrategyRouted, steps: []planStep{newStep(meta, f.Name, sub)}}, nil
 	}
-	return s.joinPlan(e, meta, sp, touched)
+	return s.joinPlan(e, meta, sp, touched, reads)
 }
 
 // unionPlan ships a decomposable query, rewritten for each fragment, to
@@ -786,15 +787,15 @@ func (s *System) Explain(query string) (*Plan, error) {
 	return out, nil
 }
 
-// touchedFragments returns the fragments the query's paths reach.
-func (s *System) touchedFragments(meta *CollectionMeta, an *analysis) []*fragmentation.Fragment {
-	if an.unresolved {
+// touchedFragments returns the fragments the query's reads reach.
+func touchedFragments(meta *CollectionMeta, reads xquery.Reads) []*fragmentation.Fragment {
+	if reads.Unresolved {
 		return meta.Scheme.Fragments
 	}
 	var touched []*fragmentation.Fragment
 	for _, f := range meta.Scheme.Fragments {
-		for _, qp := range an.paths {
-			if qp.collection == meta.Name && touchesFragment(f, qp) {
+		for _, r := range reads.Paths {
+			if r.Scan.Name == meta.Name && touchesFragment(f, r) {
 				touched = append(touched, f)
 				break
 			}
@@ -804,9 +805,13 @@ func (s *System) touchedFragments(meta *CollectionMeta, an *analysis) []*fragmen
 }
 
 // unionable reports whether the touched fragments partition a repeating
-// child and the query stays inside those children.
-func (s *System) unionable(meta *CollectionMeta, an *analysis, touched []*fragmentation.Fragment) bool {
-	if an.unresolved {
+// child and the query reads inside one child at a time: every read lies
+// strictly below the siblings' projection path, and no filter is
+// evaluated at or above it. A filter there — a predicate on an ancestor
+// step, a positional filter counting the children, a where conjunct over
+// an ancestor binding — would see only one sibling's children.
+func unionable(meta *CollectionMeta, reads xquery.Reads, touched []*fragmentation.Fragment) bool {
+	if reads.Unresolved {
 		return false
 	}
 	var base []string
@@ -821,11 +826,15 @@ func (s *System) unionable(meta *CollectionMeta, an *analysis, touched []*fragme
 			return false
 		}
 	}
-	for _, qp := range an.paths {
-		if qp.collection != meta.Name {
+	for _, r := range reads.Paths {
+		if r.Scan.Name != meta.Name {
 			continue
 		}
-		if qp.descendant || len(qp.labels) <= len(base) || !labelsPrefix(base, qp.labels) {
+		q, _, descendant := readLabels(r.Steps)
+		if descendant || len(q) <= len(base) || !labelsPrefix(base, q) {
+			return false
+		}
+		if ctx, _, _ := readLabels(r.Context); r.Filtered && len(ctx) <= len(base) && labelsPrefix(ctx, base) {
 			return false
 		}
 	}

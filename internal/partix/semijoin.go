@@ -40,10 +40,11 @@ type whereSplit struct {
 }
 
 // splitWhere divides e's where conjuncts between frags, the fragments of
-// a join over meta. It returns nil when e is not a decomposable FLWOR
+// a join over meta, reading which paths each conjunct reads from reads,
+// e's read set. It returns nil when e is not a decomposable FLWOR
 // binding meta's document roots, when no fragment decides any conjunct,
 // or when a filter or the residual query is outside the compiled subset.
-func splitWhere(e xquery.Expr, meta *CollectionMeta, frags []*fragmentation.Fragment) *whereSplit {
+func splitWhere(e xquery.Expr, meta *CollectionMeta, reads xquery.Reads, frags []*fragmentation.Fragment) *whereSplit {
 	fold, ok := decomposable(e)
 	if !ok || meta.Scheme.AllHorizontal() {
 		return nil
@@ -71,7 +72,7 @@ func splitWhere(e xquery.Expr, meta *CollectionMeta, frags []*fragmentation.Frag
 	pushed := make([][]xquery.Expr, len(frags))
 	var rest []xquery.Expr
 	for _, c := range conjuncts {
-		i := deciderOf(c, v, root, meta, frags)
+		i := deciderOf(c, v, meta, reads, frags)
 		if i < 0 {
 			rest = append(rest, c)
 			continue
@@ -125,19 +126,24 @@ func conjoin(terms []xquery.Expr) xquery.Expr {
 }
 
 // deciderOf returns the index of the fragment of frags that decides
-// conjunct c of a query binding $v to the document roots (element root)
-// of meta's collection, or -1 when none does.
-func deciderOf(c xquery.Expr, v, root string, meta *CollectionMeta, frags []*fragmentation.Fragment) int {
-	if !readsOnlyVar(c, v) {
+// conjunct c of a query binding $v to the document roots of meta's
+// collection, or -1 when none does. The paths c reads are the reads of
+// the query's read set that lie in c.
+func deciderOf(c xquery.Expr, v string, meta *CollectionMeta, reads xquery.Reads, frags []*fragmentation.Fragment) int {
+	if reads.Unresolved || !readsOnlyVar(c, v) {
 		return -1
 	}
-	an := &analysis{}
-	an.walk(c, map[string]queryPath{v: {collection: meta.Name, labels: []string{root}}}, nil)
-	if an.unresolved || len(an.paths) == 0 {
+	var paths []xquery.Read
+	for _, r := range reads.Paths {
+		if r.Conjunct == c {
+			paths = append(paths, r)
+		}
+	}
+	if len(paths) == 0 {
 		return -1
 	}
 	for i, f := range frags {
-		if f.Kind == fragmentation.Vertical && ownsPaths(f, an.paths) &&
+		if f.Kind == fragmentation.Vertical && ownsPaths(f, paths) &&
 			(falseWithoutPart(c) || holdsAllDocuments(meta, f)) {
 			return i
 		}
@@ -145,18 +151,19 @@ func deciderOf(c xquery.Expr, v, root string, meta *CollectionMeta, frags []*fra
 	return -1
 }
 
-// ownsPaths reports whether every path lies under f's projection path,
+// ownsPaths reports whether every read lies under f's projection path,
 // clear of its prune paths: neither inside one nor above one (a value read
 // there would miss the pruned content), and without a // step.
-func ownsPaths(f *fragmentation.Fragment, paths []queryPath) bool {
+func ownsPaths(f *fragmentation.Fragment, reads []xquery.Read) bool {
 	base := pathLabels(f.Path)
-	for _, qp := range paths {
-		if qp.descendant || !labelsPrefix(base, qp.labels) {
+	for _, r := range reads {
+		q, _, descendant := readLabels(r.Steps)
+		if descendant || !labelsPrefix(base, q) {
 			return false
 		}
 		for _, g := range f.Prune {
 			pl := pathLabels(g)
-			if labelsPrefix(pl, qp.labels) || labelsPrefix(qp.labels, pl) {
+			if labelsPrefix(pl, q) || labelsPrefix(q, pl) {
 				return false
 			}
 		}

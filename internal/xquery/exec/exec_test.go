@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,6 +140,84 @@ func runProjected(t *testing.T, src *memSource, query string, prog *Program, wan
 	return proj
 }
 
+// keepInReads fails when the program's scan projection keeps an element
+// no read of the query's read set (xquery.ExtractReads) reaches: every
+// trie node's path must be a prefix of some read's path.
+func keepInReads(t *testing.T, query string, e xquery.Expr, prog *Program) {
+	t.Helper()
+	keep := prog.Keep()
+	if keep == nil {
+		return
+	}
+	reads := xquery.ExtractReads(e)
+	for _, path := range triePaths(keep.String()) {
+		if !onSomeRead(path, reads) {
+			t.Fatalf("%s: keep %s holds %v, which no read reaches (%+v)", query, keep, path, reads.Paths)
+		}
+	}
+}
+
+// triePaths lists the element path, below the root element, of every node
+// of a projection trie in its String form.
+func triePaths(s string) [][]string {
+	var paths [][]string
+	var stack []string
+	name, depth := "", 0
+	flush := func() {
+		if name != "" {
+			paths = append(paths, append(slices.Clone(stack), name))
+		}
+	}
+	for _, c := range s {
+		switch c {
+		case '{':
+			if depth > 0 {
+				flush()
+				stack = append(stack, name)
+			}
+			name = ""
+			depth++
+		case ',', '*':
+			flush()
+			name = ""
+		case '}':
+			flush()
+			name = ""
+			if depth--; depth > 0 {
+				stack = stack[:len(stack)-1]
+			}
+		default:
+			name += string(c)
+		}
+	}
+	return paths
+}
+
+// onSomeRead reports whether path, below the root element, is a prefix of
+// some read's element labels ("*" matches any label; a // step could
+// reach anything).
+func onSomeRead(path []string, reads xquery.Reads) bool {
+	for _, r := range reads.Paths {
+		if len(r.Steps) == 0 {
+			return true // whole documents
+		}
+		i := 0
+		for _, st := range r.Steps[1:] {
+			if st.Descendant {
+				return true
+			}
+			if i == len(path) || st.Attr || (st.Name != "*" && st.Name != path[i]) {
+				break
+			}
+			i++
+		}
+		if i == len(path) {
+			return true
+		}
+	}
+	return false
+}
+
 // keepOf renders a program's scan projection ("*": whole documents).
 func keepOf(p *Program) string {
 	if p.pipe.hint == nil {
@@ -228,6 +307,7 @@ func runBoth(t *testing.T, src *memSource, query string, mustCompile bool) {
 		}
 		return
 	}
+	keepInReads(t, query, e, prog)
 	want, wantErr := xquery.Eval(e, src)
 	got, gotErr := prog.Run(src)
 	if (wantErr != nil) != (gotErr != nil) {
@@ -776,6 +856,7 @@ func TestDifferentialRandom(t *testing.T) {
 			continue
 		}
 		compiled++
+		keepInReads(t, fmt.Sprintf("seed %d: %s", seed, query), e, prog)
 		subtreeTerms += subtreeStringTerms(src, probes)
 		want, wantErr := xquery.Eval(e, src)
 		got, gotErr := prog.Run(src)

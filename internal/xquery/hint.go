@@ -242,7 +242,7 @@ func (h Hints) add(scan *CollectionCall, c *Constraint) {
 
 // anchor is a node set the relative paths of a term extend: the scan it
 // reads and its root-anchored label path (ok false when some step, such
-// as text(), has no label).
+// as text(), has no label; steps then leaves that step out).
 type anchor struct {
 	scan  *CollectionCall
 	steps []LabelStep
@@ -472,17 +472,19 @@ func stepElements(steps []PathStep) []string {
 
 // toLabelSteps converts location steps to a label-path pattern. Step
 // predicates are dropped — they only narrow the selected nodes, so the
-// labels stay necessary — but a text() step has no label and fails the
-// conversion.
-func toLabelSteps(steps []PathStep) ([]LabelStep, bool) {
-	out := make([]LabelStep, 0, len(steps))
+// labels stay necessary. A text() step has no label: it is left out, and
+// ok reports false, as the pattern then names the text's element rather
+// than the nodes the path selects.
+func toLabelSteps(steps []PathStep) (out []LabelStep, ok bool) {
+	out, ok = make([]LabelStep, 0, len(steps)), true
 	for _, st := range steps {
-		if st.Text || st.Name == "" {
-			return nil, false
+		if st.Text {
+			ok = false
+			continue
 		}
 		out = append(out, LabelStep{Descendant: st.Descendant, Name: st.Name, Attr: st.Attr})
 	}
-	return out, true
+	return out, ok
 }
 
 // PlainLabels returns the element labels of a label path with no
