@@ -145,7 +145,7 @@ func (n *LocalNode) Query(query, _ string, trace bool, yield func(xquery.Seq) er
 	}
 	var yielding time.Duration
 	execStart := time.Now()
-	total, err := n.db.StreamQueryExpr(e, func(items xquery.Seq) error {
+	total, err := n.db.StreamQueryExpr(e, nil, func(items xquery.Seq) error {
 		start := time.Now()
 		defer func() { yielding += time.Since(start) }()
 		for len(items) > localStreamBatch {

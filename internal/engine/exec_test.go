@@ -91,7 +91,7 @@ func TestStreamQueryExpr(t *testing.T) {
 	}
 	var got xquery.Seq
 	chunks := 0
-	total, err := db.StreamQueryExpr(e, func(items xquery.Seq) error {
+	total, err := db.StreamQueryExpr(e, nil, func(items xquery.Seq) error {
 		chunks++
 		got = append(got, items...)
 		return nil

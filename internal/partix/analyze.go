@@ -57,14 +57,16 @@ func readLabels(steps []xquery.LabelStep) (labels []string, attr string, descend
 
 // touchesFragment reports whether a read needs content owned by a
 // vertical/hybrid fragment. Spine-only reads — an ancestor's attribute, or
-// the mere existence of an ancestor element (a for-binding) — do not
-// count: the fragment's replicated spine answers them.
+// the mere existence of an ancestor element (a for-binding), the document
+// node's included — do not count: the fragment's replicated spine answers
+// them, and ancestorExistenceOf decides whether routing past such a
+// binding is sound.
 func touchesFragment(f *fragmentation.Fragment, r xquery.Read) bool {
 	q, attr, descendant := readLabels(r.Steps)
 	if descendant {
 		return true // cannot bound a // path statically
 	}
-	if len(q) == 0 && attr == "" {
+	if len(q) == 0 && attr == "" && !r.Existence {
 		return true // whole documents
 	}
 	p := pathLabels(f.Path)

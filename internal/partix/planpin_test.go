@@ -156,3 +156,27 @@ F3items r1
 F4items r1
 F5items r1`},
 }
+
+// A for-binding over the document node reads no content: a query that
+// then reads only the epilog is routed to F3papers (the XBench schema
+// makes epilog mandatory, so every document is there), not answered by
+// reconstructing whole documents from all three fragments.
+func TestDocumentBindingIsAnExistenceRead(t *testing.T) {
+	scheme := xbench.VerticalScheme("articles")
+	s := newTestSystem(t, len(scheme.Fragments))
+	if err := s.Publish(xbench.Generate(xbench.Config{Docs: 12, Seed: 1}), scheme, placeOnePerNode(scheme), PublishOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []planPin{
+		{"epilog", `for $d in collection("articles") return $d/article/epilog/country`, "routed\nF3papers r1"},
+		{"whole", `for $d in collection("articles") return $d`, "reconstruct\nF1papers r1\nF3papers r1\nF2papers r1"},
+	} {
+		p, err := s.Explain(pin.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderPlan(p); got != pin.plan {
+			t.Errorf("%s: plan\n%s\nwant\n%s", pin.id, got, pin.plan)
+		}
+	}
+}

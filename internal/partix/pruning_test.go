@@ -79,7 +79,8 @@ func pruningFixtures() []pruningFixture {
 // or a nested count(), disjunctions, nested and descendant bindings —
 // and predicates whose context is not the item: step predicates on an
 // ancestor step of the item path and positional filters, which count the
-// items under their parent.
+// items under their parent. A for-binding over the document node itself
+// reads only its existence.
 func pruningQueries(coll, item string, rng *rand.Rand, n int) []string {
 	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
 	// term compares a child of the item ctx names ("$i/", or "" for a
@@ -117,7 +118,7 @@ func pruningQueries(coll, item string, rng *rand.Rand, n int) []string {
 	var out []string
 	for len(out) < n {
 		var q string
-		switch rng.Intn(14) {
+		switch rng.Intn(15) {
 		case 0:
 			q = fmt.Sprintf(`for $i in %s/%s where %s return $i/Code`, c, item, term("$i/"))
 		case 1:
@@ -153,6 +154,9 @@ func pruningQueries(coll, item string, rng *rand.Rand, n int) []string {
 		case 13:
 			anc, rest, rel := ancestor()
 			q = fmt.Sprintf(`exists(%s/%s[%s]%s[%s])`, c, anc, term(rel), rest, term(""))
+		case 14:
+			// The binding reads nothing but the document node's existence.
+			q = fmt.Sprintf(`for $d in %s return $d/%s[%s]/Code`, c, item, term(""))
 		}
 		out = append(out, q)
 	}

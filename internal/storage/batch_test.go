@@ -67,7 +67,7 @@ func TestDecodeBatchMatchesDecodeDocument(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for round := 0; round < 50; round++ {
 		recs := randomRecords(t, r, 1+r.Intn(40))
-		roots, err := DecodeBatch(recs)
+		roots, err := DecodeBatch(recs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestDecodeBatchMatchesDecodeDocument(t *testing.T) {
 			}
 		}
 	}
-	if roots, err := DecodeBatch(nil); err != nil || len(roots) != 0 {
+	if roots, err := DecodeBatch(nil, nil); err != nil || len(roots) != 0 {
 		t.Fatalf("empty batch: %v, %v", roots, err)
 	}
 }
@@ -170,7 +170,7 @@ func TestDecodeBatchReportsFirstCorruptRecord(t *testing.T) {
 		if later := bad + 1 + r.Intn(len(recs)); later < len(recs) {
 			recs[later] = corrupt[r.Intn(len(corrupt))](recs[later])
 		}
-		_, err := DecodeBatch(recs)
+		_, err := DecodeBatch(recs, nil)
 		_, want := DecodeDocument(fmt.Sprintf("record %d", bad), recs[bad])
 		if err == nil || want == nil || err.Error() != want.Error() {
 			t.Fatalf("round %d: batch error %v, want %v", round, err, want)
@@ -183,11 +183,11 @@ func TestDecodeBatchReportsFirstCorruptRecord(t *testing.T) {
 // children — in its own record and in every other — intact.
 func TestDecodeBatchAppendKeepsOtherItems(t *testing.T) {
 	recs := randomRecords(t, rand.New(rand.NewSource(3)), 30)
-	got, err := DecodeBatch(recs)
+	got, err := DecodeBatch(recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := DecodeBatch(recs)
+	ref, err := DecodeBatch(recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestDecodeBatchAllocs(t *testing.T) {
 			}
 		}
 		whole[n] = testing.AllocsPerRun(3, func() {
-			if _, err := DecodeBatch(recs); err != nil {
+			if _, err := DecodeBatch(recs, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

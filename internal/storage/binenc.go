@@ -235,12 +235,32 @@ func DecodeProjected(name string, data []byte, keep *xmltree.Projection) (*xmltr
 // DecodeDocument, run over every record in each pass. A corrupt record
 // fails the batch with the error DecodeDocument reports for it under the
 // name "record i", i its position in recs.
-func DecodeBatch(recs [][]byte) ([]*xmltree.Node, error) {
+//
+// borrow, when non-nil, lets a record borrow another's name table: with
+// borrow[i] = j ≥ 0, recs[i] is not a record but the bytes of one node of
+// a record whose version byte and name table are recs[j]'s (a frame item
+// shipped as its record's byte range); j must be below i and recs[j] a
+// record of its own (borrow[j] < 0). A borrowed table is decoded once,
+// however many nodes borrow it.
+func DecodeBatch(recs [][]byte, borrow []int) ([]*xmltree.Node, error) {
 	roots := make([]*xmltree.Node, len(recs))
-	if _, i, err := DecodeRecords(recs, nil, roots); err != nil {
+	if _, i, err := decodeRecords(recs, borrow, nil, roots); err != nil {
 		return nil, fmt.Errorf("storage: decode \"record %d\": %w", i, err)
 	}
 	return roots, nil
+}
+
+// RecordHead returns what a frame item copied out of rec begins with: its
+// version byte as an unsealed record carries it, and its name table (the
+// count included), which aliases rec. The node bytes of rec start right
+// after the table.
+func RecordHead(rec []byte) (version byte, table []byte, err error) {
+	var d decoder
+	if err := d.open(rec, false); err != nil {
+		return 0, nil, err
+	}
+	table, _, err = d.scanTable()
+	return rec[0] &^ sealedFlag, table, err
 }
 
 // DecodeRecords parses many records at once, each into the part keep
@@ -252,18 +272,31 @@ func DecodeBatch(recs [][]byte) ([]*xmltree.Node, error) {
 // failure it returns the position of the first corrupt record and that
 // record's error, unwrapped: the caller names the record. DecodeProjected
 // and DecodeBatch are its one-record and whole-tree cases.
+//
+// Pass 2 records, on every node it builds whole (every node of a whole
+// decode; under a projection, the subtrees it keeps without cutting into
+// them), the node's byte range in its record (xmltree.Node's
+// SetRecordRange): such a node can be shipped by copying those bytes.
 func DecodeRecords(recs [][]byte, keep *xmltree.Projection, roots []*xmltree.Node) (walked int64, bad int, err error) {
+	return decodeRecords(recs, nil, keep, roots)
+}
+
+// decodeRecords is DecodeRecords with DecodeBatch's borrowed tables.
+func decodeRecords(recs [][]byte, borrow []int, keep *xmltree.Projection, roots []*xmltree.Node) (walked int64, bad int, err error) {
 	if keep.Whole() {
 		keep = nil
 	}
-	d := decoder{keep: keep}
+	d := decoder{keep: keep, borrow: borrow}
+	if borrow != nil {
+		if len(borrow) != len(recs) {
+			return 0, 0, fmt.Errorf("%d borrowed tables for %d records", len(borrow), len(recs))
+		}
+		d.lent = make([]lentTable, len(recs))
+	}
 	d.sizeTables(recs)
 	arena := d.arena
 	for i, rec := range recs {
-		if err := d.open(rec, true); err != nil {
-			return 0, i, err
-		}
-		if err := d.readTable(); err != nil {
+		if err := d.start(recs, i, true); err != nil {
 			return 0, i, err
 		}
 		if _, err := d.walk(nil, true, 0); err != nil {
@@ -281,12 +314,39 @@ func DecodeRecords(recs [][]byte, keep *xmltree.Projection, roots []*xmltree.Nod
 	d.wp = len(d.kids)
 	d.text.Grow(d.textBytes)
 	d.arena, d.tableRaw = arena, nil // replay pass 1's tables
-	for i, rec := range recs {
-		_ = d.open(rec, false)             // pass 1 validated these bytes
-		_ = d.readTable()                  // and these
+	for i := range recs {
+		_ = d.start(recs, i, false)        // pass 1 validated these bytes
 		roots[i], _ = d.walk(nil, true, 0) // and these
 	}
 	return walked, 0, nil
+}
+
+// start opens record i at its root node, under its own name table or the
+// one it borrows. A checksum is verified (verify) on a record's own bytes
+// only: a lender is verified as the record it is.
+func (d *decoder) start(recs [][]byte, i int, verify bool) error {
+	j := -1
+	if d.borrow != nil {
+		j = d.borrow[i]
+	}
+	if j < 0 {
+		if err := d.open(recs[i], verify); err != nil {
+			return err
+		}
+		if err := d.readTable(); err != nil {
+			return err
+		}
+		if d.lent != nil {
+			d.lent[i] = lentTable{table: d.table, v2: d.v2, ok: true}
+		}
+		return nil
+	}
+	if j >= i || !d.lent[j].ok {
+		return fmt.Errorf("storage: borrows the table of record %d, which is not an earlier record of its own", j)
+	}
+	d.buf, d.pos = recs[i], 0
+	d.table, d.v2 = d.lent[j].table, d.lent[j].v2
+	return nil
 }
 
 const maxDecodeDepth = 10000
@@ -300,6 +360,14 @@ type decoder struct {
 	// whose table bytes equal them reuses table.
 	tableRaw []byte
 	keep     *xmltree.Projection // the root element's projection; nil keeps everything
+	// ownTable is the table tableRaw holds the bytes of: the last one a
+	// record read as its own.
+	ownTable []string
+
+	// borrow is DecodeBatch's borrowed tables (nil: none); lent holds,
+	// per record of its own, the table it lends.
+	borrow []int
+	lent   []lentTable
 
 	// The names arena: every distinct table's bytes, copied once, and
 	// the strings sliced from them (sizeTables sizes both).
@@ -324,6 +392,12 @@ type decoder struct {
 	text   strings.Builder // kept text values, grown once to their total: never reallocated
 }
 
+// lentTable is the name table and format version a record lends.
+type lentTable struct {
+	table  []string
+	v2, ok bool
+}
+
 // sizeTables grows the names arena to hold every distinct name table of
 // recs — distinct meaning its bytes differ from the previous record's —
 // so readTable fills it without reallocating: a batch's tables cost two
@@ -332,7 +406,10 @@ type decoder struct {
 func (d *decoder) sizeTables(recs [][]byte) {
 	var prev []byte
 	size, entries := 0, 0
-	for _, rec := range recs {
+	for i, rec := range recs {
+		if d.borrow != nil && d.borrow[i] >= 0 {
+			continue // reads no table of its own
+		}
 		if d.open(rec, false) != nil {
 			break
 		}
@@ -413,10 +490,12 @@ func (d *decoder) readTable() error {
 		return err
 	}
 	if bytes.Equal(raw, d.tableRaw) {
+		d.table = d.ownTable
 		return nil
 	}
 	d.tableRaw = raw
 	d.table, d.arena = d.arena[:count:count], d.arena[count:]
+	d.ownTable = d.table
 	if d.build {
 		return nil
 	}
@@ -506,6 +585,7 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 		d.text.Write(raw)
 		s := d.text.String()
 		n.Value = s[len(s)-len(raw):]
+		n.SetRecordRange(start, d.pos)
 		return n, nil
 	case xmltree.ElementNode, xmltree.AttributeNode:
 		ref, err := d.uvarint()
@@ -586,6 +666,9 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 			copy(d.kids[lo:d.wp], d.kids[top:d.sp])
 			n.Children = d.kids[lo:d.wp:d.wp]
 			d.wp, d.sp = lo, top
+		}
+		if n != nil && keep == nil {
+			n.SetRecordRange(start, d.pos)
 		}
 		return n, nil
 	default:

@@ -282,7 +282,7 @@ func FuzzDecodeDocument(f *testing.F) {
 				}
 			}
 		}
-		roots, berr := DecodeBatch([][]byte{data, data})
+		roots, berr := DecodeBatch([][]byte{data, data}, nil)
 		if _, want := DecodeDocument("record 0", data); !same(want, berr) {
 			t.Fatalf("batch err=%v, want %v", berr, want)
 		}

@@ -6,13 +6,16 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"partix/internal/engine"
 	"partix/internal/obs"
+	"partix/internal/storage"
 	"partix/internal/toxgene"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
@@ -153,7 +156,8 @@ func sameItems(a, b []Item) bool {
 	}
 	for i := range a {
 		if a[i].Kind != b[i].Kind || a[i].Str != b[i].Str || a[i].Bool != b[i].Bool ||
-			math.Float64bits(a[i].Num) != math.Float64bits(b[i].Num) || !bytes.Equal(a[i].Node, b[i].Node) {
+			math.Float64bits(a[i].Num) != math.Float64bits(b[i].Num) || !bytes.Equal(a[i].Node, b[i].Node) ||
+			a[i].Table != b[i].Table {
 			return false
 		}
 	}
@@ -187,20 +191,81 @@ func TestFlightRecordBytesArePayloadBytes(t *testing.T) {
 	rec := obs.NewFlightRecorder(0)
 	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{Recorder: rec, BatchItems: 7})
 	c := dialStream(t, addr, ClientOptions{})
-	got := mustQuery(t, c, allItemsQuery)
-	var w itemWriter
-	for _, it := range got {
-		if err := w.add(it); err != nil {
-			t.Fatal(err)
-		}
+	mustQuery(t, c, allItemsQuery)
+	// The server's framing, replayed: 7 items a frame, stored nodes
+	// shipped from their records.
+	w := itemWriter{origins: new(engine.Origins)}
+	shipped := 0
+	e, err := xquery.Parse(allItemsQuery)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := db.StreamQueryExpr(e, w.origins, func(items xquery.Seq) error {
+		for _, it := range items {
+			if err := w.add(it); err != nil {
+				return err
+			}
+			if w.count == 7 {
+				shipped += len(w.payload)
+				w.reset()
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	shipped += len(w.payload)
 	snap := rec.Snapshot(1)
 	if len(snap) != 1 {
 		t.Fatalf("recorder holds %d entries", len(snap))
 	}
-	if snap[0].Items != 30 || snap[0].Bytes != len(w.payload) {
+	if snap[0].Items != 30 || snap[0].Bytes != shipped {
 		t.Fatalf("record says %d items, %d bytes; the stream shipped 30 items, %d payload bytes",
-			snap[0].Items, snap[0].Bytes, len(w.payload))
+			snap[0].Items, snap[0].Bytes, shipped)
+	}
+}
+
+// rangeSeeds are frames with ItemRange items: a valid copy-then-range
+// frame, and each way a range can be wrong — before any table, borrowing
+// a later item's table or its own, naming past its table, under a
+// version 1 table, and after a truncated table entry.
+func rangeSeeds(f testing.TB) []struct {
+	count   int
+	payload []byte
+} {
+	tree := xmltree.MustParseString("x", `<Item id="7"><Code>I7</Code><Name>n</Name></Item>`).Root
+	var enc storage.Encoder
+	rec := enc.Append(nil, tree)
+	roots, err := storage.DecodeBatch([][]byte{rec}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	start, end, ok := roots[0].Child("Code").RecordRange()
+	if !ok {
+		f.Fatal("a decoded node has no record range")
+	}
+	code := rec[start:end]
+	node := func(r []byte) []byte {
+		return append(binary.AppendUvarint([]byte{byte(ItemNode)}, uint64(len(r))), r...)
+	}
+	rangeOf := func(table int, b []byte) []byte {
+		out := binary.AppendUvarint([]byte{byte(ItemRange)}, uint64(table))
+		return append(binary.AppendUvarint(out, uint64(len(b))), b...)
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	v1 := append([]byte{1}, rec[1:]...) // no element of the tree carries an extent
+	badName := []byte{byte(xmltree.ElementNode), 1, 99, 0}
+	return []struct {
+		count   int
+		payload []byte
+	}{
+		{2, cat(node(rec), rangeOf(0, code))},
+		{2, cat(rangeOf(0, code), node(rec))},
+		{3, cat(node(rec), rangeOf(2, code), node(rec))},
+		{2, cat(node(rec), rangeOf(1, code))},
+		{2, cat(node(rec), rangeOf(0, badName))},
+		{2, cat(node(v1), rangeOf(0, code))},
+		{2, cat(node(rec[:4]), rangeOf(0, code))},
 	}
 }
 
@@ -226,6 +291,9 @@ func FuzzFramePayload(f *testing.F) {
 		f.Add(w.count+1, w.payload)                                          // one item short
 		f.Add(1<<40, w.payload)                                              // hostile count
 		f.Add(w.count, append(w.payload[:len(w.payload):len(w.payload)], 0)) // trailing byte
+	}
+	for _, seed := range rangeSeeds(f) {
+		f.Add(seed.count, seed.payload)
 	}
 	f.Fuzz(func(t *testing.T, count int, payload []byte) {
 		var before, after runtime.MemStats

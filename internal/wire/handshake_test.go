@@ -16,13 +16,13 @@ import (
 )
 
 // An old client's request is answered with one version-mismatch Response
-// and the server hangs up. That covers a protocol-9 peer too, which
-// cannot read the version 2 records protocol 10 frames carry.
+// and the server hangs up. That covers a protocol-10 peer too, which
+// cannot parse the ItemRange items protocol 11 frames carry.
 func TestOldClientRejectedByServer(t *testing.T) {
 	db := newNodeDB(t, 2)
 	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
-	if ProtocolVersion != 10 {
-		t.Fatalf("protocol version %d, want 10: frames carry version 2 records", ProtocolVersion)
+	if ProtocolVersion != 11 {
+		t.Fatalf("protocol version %d, want 11: frames carry ItemRange items", ProtocolVersion)
 	}
 	for _, op := range []Op{OpPing, OpQueryStream, OpFetchStream} {
 		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)

@@ -33,14 +33,20 @@
 // closing the connection, which stops the node producing.
 //
 // A query frame is the unit of encoding: its items travel back to back in
-// one Payload (Count says how many; itemWriter gives the form), written
-// by one record encoder per stream and shipped by gob as one []byte. The
+// one Payload (Count says how many; itemWriter gives the form), shipped
+// by gob as one []byte. A result node the node's engine decoded whole
+// from a stored record leaves as that record's bytes: the first one from
+// a record in a frame as a copy of the record's version byte, name table
+// and the node's byte range, every later one as its byte range alone,
+// which borrows that earlier item's name table (ItemRange). Any other
+// node is encoded from its tree by one record encoder per stream. The
 // client parses the payload once and decodes all of its node items into
 // one slab (DecodeSeq). Fetch frames ship stored records verbatim, one
 // []byte per document.
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -56,8 +62,9 @@ import (
 // Both peers check it on every Request/Response exchange; there is no
 // fallback to an older generation. Protocol 10 frames carry version 2
 // storage records (subtree extents and a checksum trailer), which a
-// protocol 9 peer cannot decode.
-const ProtocolVersion = 10
+// protocol 9 peer cannot decode; protocol 11 frames carry ItemRange
+// items, which a protocol 10 peer cannot parse.
+const ProtocolVersion = 11
 
 // ErrProtocolMismatch reports a peer that speaks a different protocol
 // version, or answers a result request with something that is not a
@@ -235,6 +242,10 @@ const (
 	ItemString
 	ItemNumber
 	ItemBool
+	// ItemRange is a node item that is not a record of its own but one
+	// node's bytes of a record whose name table an earlier ItemNode of
+	// the same frame carries.
+	ItemRange
 )
 
 // Item is one result-sequence element in wire form.
@@ -243,7 +254,13 @@ type Item struct {
 	Str  string
 	Num  float64
 	Bool bool
-	Node []byte // binary-encoded subtree for ItemNode
+	// Node is the binary-encoded subtree of an ItemNode (a storage
+	// record) or an ItemRange (one node's bytes of a record).
+	Node []byte
+	// Table is, for an ItemRange, the position among the frame's node
+	// items (ItemNode and ItemRange, counted from 0) of the ItemNode
+	// whose version byte and name table Node's names refer to.
+	Table int
 }
 
 // itemWriter appends result items to one frame payload: one kind byte
@@ -253,14 +270,43 @@ type Item struct {
 //	ItemNumber  8 bytes, the float64's bits little-endian
 //	ItemBool    1 byte, 0 or 1
 //	ItemNode    uvarint length, the subtree's storage record
+//	ItemRange   uvarint table (Item.Table), uvarint length, the node's
+//	            bytes in its record
 //
-// One storage.Encoder writes every node item of a stream, straight into
-// the payload, and the payload is reused from frame to frame.
+// A node the engine decoded whole from a record origins still holds is
+// written from that record's bytes, with no tree walk: the first one
+// from a record in a frame as an ItemNode that copies the record's
+// version byte and name table and then the node's byte range (the frame's
+// copy of that table, its table entry), every later one whose record's
+// head equals an entry as an ItemRange borrowing it. A copy of a table
+// is made only for a node at least as large as the table; a smaller node
+// with no entry for its table, and every node without a held origin, is
+// encoded from its tree. One storage.Encoder writes those items of a
+// stream, straight into the payload, and the payload is reused from frame
+// to frame.
 type itemWriter struct {
 	payload []byte
 	count   int
+	nodes   int // node items in the payload: the next one's Table position
 	enc     storage.Encoder
+	// origins, when non-nil, says where the nodes handed to add were
+	// decoded from.
+	origins *engine.Origins
+	// tables are the frame's table entries, newest last.
+	tables []tableEntry
 }
+
+// tableEntry is a record head copied into the payload by an ItemNode:
+// payload[head:head+size] is its version byte and name table.
+type tableEntry struct {
+	node, head, size int
+}
+
+// maxTableSearch bounds how many of a frame's table entries, newest
+// first, a stored node's head is compared with: a frame's nodes come from
+// a scan in document order, so a record's entry is one of the newest,
+// and a frame of nodes from many records does not compare each with all.
+const maxTableSearch = 8
 
 // add appends one evaluation result item.
 func (w *itemWriter) add(it xquery.Item) error {
@@ -269,10 +315,13 @@ func (w *itemWriter) add(it xquery.Item) error {
 		if v == nil {
 			return fmt.Errorf("wire: cannot encode a nil node")
 		}
-		w.payload = append(w.payload, byte(ItemNode))
-		rec := len(w.payload)
-		w.payload = w.enc.Append(w.payload, v)
-		w.payload = storage.PrefixLength(w.payload, rec)
+		if !w.addStored(v) {
+			w.payload = append(w.payload, byte(ItemNode))
+			rec := len(w.payload)
+			w.payload = w.enc.Append(w.payload, v)
+			w.payload = storage.PrefixLength(w.payload, rec)
+		}
+		w.nodes++
 	case string:
 		w.payload = append(w.payload, byte(ItemString))
 		w.payload = binary.AppendUvarint(w.payload, uint64(len(v)))
@@ -293,9 +342,41 @@ func (w *itemWriter) add(it xquery.Item) error {
 	return nil
 }
 
+// addStored appends n from its record's bytes, when origins holds them
+// and the rules above allow, and reports whether it did.
+func (w *itemWriter) addStored(n *xmltree.Node) bool {
+	if w.origins == nil {
+		return false
+	}
+	version, table, node, ok := w.origins.Stored(n)
+	if !ok {
+		return false
+	}
+	for i := len(w.tables) - 1; i >= max(0, len(w.tables)-maxTableSearch); i-- {
+		e := w.tables[i]
+		if e.size == 1+len(table) && w.payload[e.head] == version && bytes.Equal(w.payload[e.head+1:e.head+e.size], table) {
+			w.payload = append(w.payload, byte(ItemRange))
+			w.payload = binary.AppendUvarint(w.payload, uint64(e.node))
+			w.payload = binary.AppendUvarint(w.payload, uint64(len(node)))
+			w.payload = append(w.payload, node...)
+			return true
+		}
+	}
+	if len(node) < len(table) {
+		return false
+	}
+	w.payload = append(w.payload, byte(ItemNode))
+	w.payload = binary.AppendUvarint(w.payload, uint64(1+len(table)+len(node)))
+	w.tables = append(w.tables, tableEntry{node: w.nodes, head: len(w.payload), size: 1 + len(table)})
+	w.payload = append(w.payload, version)
+	w.payload = append(w.payload, table...)
+	w.payload = append(w.payload, node...)
+	return true
+}
+
 // reset empties the payload for the next frame, keeping its capacity.
 func (w *itemWriter) reset() {
-	w.payload, w.count = w.payload[:0], 0
+	w.payload, w.count, w.nodes, w.tables = w.payload[:0], 0, 0, w.tables[:0]
 }
 
 // parseItems splits a frame payload into its count items. Node items alias
@@ -314,8 +395,16 @@ func parseItems(count int, payload []byte) ([]Item, error) {
 		it := &items[i]
 		it.Kind = ItemKind(payload[pos])
 		pos++
+		if it.Kind == ItemRange {
+			t, n := binary.Uvarint(payload[pos:])
+			if n <= 0 || t > uint64(len(payload)) {
+				return nil, fmt.Errorf("wire: item %d has no table position", i)
+			}
+			pos += n
+			it.Table = int(t)
+		}
 		switch it.Kind {
-		case ItemNode, ItemString:
+		case ItemNode, ItemRange, ItemString:
 			l, n := binary.Uvarint(payload[pos:])
 			if n <= 0 || l > uint64(len(payload)-pos-n) {
 				return nil, fmt.Errorf("wire: item %d overruns the frame payload", i)
@@ -323,7 +412,7 @@ func parseItems(count int, payload []byte) ([]Item, error) {
 			pos += n
 			b := payload[pos : pos+int(l) : pos+int(l)]
 			pos += int(l)
-			if it.Kind == ItemNode {
+			if it.Kind != ItemString {
 				it.Node = b
 			} else {
 				it.Str = string(b)
@@ -364,35 +453,50 @@ func EncodeSeq(s xquery.Seq) ([]Item, error) {
 }
 
 // DecodeSeq converts wire items back to an evaluation result, decoding
-// every node item in one storage.DecodeBatch: the decoded nodes share one
-// node slab, one child-pointer slab and one text string, so keeping any
-// one of them keeps all of them (a frame's worth, at most MaxFrameBytes
-// of records). Nothing in the result aliases the items.
+// every node item in one storage.DecodeBatch, an ItemRange under the name
+// table it borrows: the decoded nodes share one node slab, one
+// child-pointer slab and one text string, so keeping any one of them
+// keeps all of them (a frame's worth, at most MaxFrameBytes of records).
+// Nothing in the result aliases the items.
 func DecodeSeq(items []Item) (xquery.Seq, error) {
-	nodes := 0
+	nodes, ranges := 0, 0
 	for _, it := range items {
 		switch it.Kind {
 		case ItemNode:
 			nodes++
+		case ItemRange:
+			nodes++
+			ranges++
 		case ItemString, ItemNumber, ItemBool:
 		default:
 			return nil, fmt.Errorf("wire: unknown item kind %d", it.Kind)
 		}
 	}
 	recs := make([][]byte, 0, nodes) // nothing to allocate for a frame of atomic values
+	var borrow []int
+	if ranges > 0 {
+		borrow = make([]int, 0, nodes)
+	}
 	for _, it := range items {
-		if it.Kind == ItemNode {
+		switch it.Kind {
+		case ItemNode:
 			recs = append(recs, it.Node)
+			if borrow != nil {
+				borrow = append(borrow, -1)
+			}
+		case ItemRange:
+			recs = append(recs, it.Node)
+			borrow = append(borrow, it.Table)
 		}
 	}
-	roots, err := storage.DecodeBatch(recs)
+	roots, err := storage.DecodeBatch(recs, borrow)
 	if err != nil {
 		return nil, err
 	}
 	out := make(xquery.Seq, len(items))
 	for i, it := range items {
 		switch it.Kind {
-		case ItemNode:
+		case ItemNode, ItemRange:
 			out[i], roots = roots[0], roots[1:]
 		case ItemString:
 			out[i] = it.Str

@@ -14,6 +14,7 @@ package xmltree
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -53,11 +54,35 @@ type NodeID uint32
 // Node is a single node of an XML data tree.
 type Node struct {
 	Kind     Kind
+	ID       NodeID
 	Name     string // element or attribute name; empty for text nodes
 	Value    string // data value; set for text nodes only
 	Parent   *Node
 	Children []*Node
-	ID       NodeID
+	// recStart and recEnd are the byte range of the node's subtree in the
+	// stored record it was decoded from, set only when the decode built
+	// that subtree whole; recEnd is 0 otherwise. They sit where the
+	// fields above leave padding, so a Node stays 80 bytes. Clone does
+	// not copy them: a copy has no stored origin.
+	recStart, recEnd uint32
+}
+
+// SetRecordRange records that n's subtree was decoded whole from bytes
+// [start,end) of a stored record, 0 ≤ start < end. A range that does not
+// fit 32 bits is not recorded.
+func (n *Node) SetRecordRange(start, end int) {
+	if end <= math.MaxUint32 {
+		n.recStart, n.recEnd = uint32(start), uint32(end)
+	}
+}
+
+// RecordRange returns the byte range SetRecordRange recorded: ok is false
+// when n has none. The range means something only together with the
+// record it indexes, which the node does not know: whoever decoded the
+// tree does. Code that edits a decoded tree in place must not then ship
+// its nodes by their ranges.
+func (n *Node) RecordRange() (start, end int, ok bool) {
+	return int(n.recStart), int(n.recEnd), n.recEnd != 0
 }
 
 // NewElement returns a new element node with the given children attached.

@@ -3,6 +3,7 @@ package xmltree
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func sampleItem() *Node {
@@ -238,5 +239,13 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9).String() == "" {
 		t.Fatal("unknown kind has empty string")
+	}
+}
+
+// A Node stays 80 bytes: the record range a decoded node carries sits in
+// the padding the other fields leave, so decode slabs do not grow with it.
+func TestNodeSize(t *testing.T) {
+	if size := unsafe.Sizeof(Node{}); size != 80 {
+		t.Fatalf("a Node is %d bytes, want 80", size)
 	}
 }
