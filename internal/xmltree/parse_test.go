@@ -134,7 +134,14 @@ func TestSerializeEmptyElement(t *testing.T) {
 // values need escaping, at every node — and computing them allocates
 // nothing.
 func TestSerializedSizeMatchesString(t *testing.T) {
-	docs := []*Document{MustParseString("store", storeXML)}
+	// Values of every length up to past longValue, holding every byte an
+	// entity replaces, so both ways of counting escapes are checked.
+	long := NewElement("long")
+	for n := 1; n < 3*longValue; n += 7 {
+		v := strings.Repeat("a<b>c&d\"e\r", n)[:n]
+		long.Append(NewElement("v", NewAttr("a", v), NewText(v)))
+	}
+	docs := []*Document{MustParseString("store", storeXML), NewDocument("long", long)}
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		docs = append(docs, NewDocument("q", randomTree(r, 5)))
