@@ -720,8 +720,9 @@ const (
 // size plus the page of headroom that lets AppendRef read pages straight
 // into it, so a scan with one huge candidate costs what reading and
 // decoding it alone costs. The other modes read every chunk into a buffer
-// of its own. origins, when non-nil, is dropped before the buffer is
-// overwritten and holds each chunk once it has decoded.
+// of its own. origins, when non-nil, is released (flushing the pipeline
+// that may hold shells) before the buffer is overwritten and holds each
+// chunk once it has decoded.
 func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, mode scanMode, origins *Origins, fn func(*xmltree.Document, []byte) error) (decoded, read, walked int64, err error) {
 	var (
 		buf   []byte
@@ -741,7 +742,9 @@ func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, mode s
 		}
 		buf = buf[:0]
 		if origins != nil {
-			origins.drop()
+			if err := origins.release(); err != nil {
+				return decoded, read, walked, err
+			}
 		}
 		for i, ref := range chunk {
 			start := len(buf)

@@ -4,6 +4,7 @@ import (
 	"partix/internal/storage"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
+	"partix/internal/xquery/exec"
 )
 
 // Origins tells a streaming query's consumer where the nodes it is handed
@@ -14,6 +15,15 @@ import (
 // dropped here before its bytes can change. A node decoded from an
 // earlier chunk, or by a scan that has since decoded another, has no
 // origin (Stored reports none) and is encoded from its tree.
+//
+// A compiled pipeline scanning through Origins (exec.Shipper) may have
+// its returned nodes built as shells (xmltree.Node.Partial), which exist
+// whole only as their bytes. Its scan therefore flushes the pipeline
+// before dropping a chunk, so every shell reaches the consumer while its
+// record is held; a shell with no origin is a fault, never a tree to
+// encode. An order by, a fold, a let clause, the interpreter (whose
+// fallback may scan a second collection) and a query without Origins get
+// no shells.
 //
 // Holding the latest chunk keeps its records (at most maxChunkBytes, or
 // one larger record) alive until the stream ends, beside the slabs of the
@@ -29,6 +39,9 @@ type Origins struct {
 	// src is the source the stream runs over, kept here so handing it
 	// out allocates nothing.
 	src streamSource
+	// pending, while a pipeline that may hold shells scans, is its
+	// output to flush (exec.Shipper).
+	pending exec.Flusher
 }
 
 // recordHead is a record's version byte and name table; table is nil
@@ -65,13 +78,25 @@ func (o *Origins) Stored(n *xmltree.Node) (version byte, table, node []byte, ok 
 	return 0, nil, nil, false
 }
 
-// drop forgets every record: before a scan overwrites a buffer, and when
-// the stream ends.
+// drop forgets every record, when the stream ends and (release) before
+// a scan overwrites a buffer.
 func (o *Origins) drop() {
 	clear(o.roots[:o.n])
 	clear(o.recs[:o.n])
 	clear(o.heads[:o.n])
 	o.n = 0
+}
+
+// release flushes the pipeline scanning, if it may hold shells, and then
+// forgets every record: before a scan overwrites a buffer.
+func (o *Origins) release() error {
+	if o.pending != nil && o.n > 0 {
+		if err := o.pending.Flush(); err != nil {
+			return err
+		}
+	}
+	o.drop()
+	return nil
 }
 
 // hold makes a freshly decoded chunk the records Origins holds.
@@ -91,4 +116,12 @@ type streamSource struct {
 // Docs implements xquery.Source.
 func (s *streamSource) Docs(collection string, hint *xquery.Hint, fn func(*xmltree.Document) error) error {
 	return s.scan(collection, hint, nil, scanDecode, s.origins, func(d *xmltree.Document, _ []byte) error { return fn(d) })
+}
+
+// ShipDocs implements exec.Shipper: Docs, flushing the pipeline before
+// each chunk after the first drops the one before it.
+func (s *streamSource) ShipDocs(collection string, hint *xquery.Hint, fn func(*xmltree.Document) error, pending exec.Flusher) error {
+	s.origins.pending = pending
+	defer func() { s.origins.pending = nil }()
+	return s.Docs(collection, hint, fn)
 }

@@ -129,8 +129,8 @@ func (db *DB) loadIndexSnapshot() bool {
 	if err != nil || !ok {
 		return false
 	}
-	var snap map[string]indexSnapshotV3
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+	snap, err := decodeIndexSnapshot(data)
+	if err != nil {
 		return false
 	}
 	// Every cataloged collection must be covered, or the snapshot is stale
@@ -157,6 +157,14 @@ func (db *DB) loadIndexSnapshot() bool {
 		db.idx[col] = ix
 	}
 	return true
+}
+
+// decodeIndexSnapshot decodes the v3 record's bytes: one snapshot per
+// collection.
+func decodeIndexSnapshot(data []byte) (map[string]indexSnapshotV3, error) {
+	var snap map[string]indexSnapshotV3
+	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap)
+	return snap, err
 }
 
 // indexFromSnapshot rebuilds one collection's index from its record,

@@ -69,6 +69,17 @@ import (
 // every wrong extent, and a projected decode succeeds wherever the whole
 // decode does, building the projection of the whole tree.
 //
+// Under a projection read WithShells (a stream whose consumer ships the
+// nodes it returns as their stored bytes), an element the trie marks
+// shipped is built as a shell: the element with its byte range and
+// Node.Partial set, holding only the element children its trie names,
+// none of its text or attributes; its other children are walked and
+// validated in pass 1, skipped in pass 2 and never built. A shipped
+// element smaller than its record's name table is built whole instead,
+// as its consumer would encode it from its tree rather than copy the
+// table: pass 1 walks it as a shell, measures it, counts it whole if it
+// is too small, and records the outcome for pass 2.
+//
 // Retention: every string a decoded tree hands out aliases a name table's
 // string or the one string holding all kept text values of the records
 // decoded together; none aliases the input records, so a caller may reuse
@@ -275,18 +286,19 @@ func RecordHead(rec []byte) (version byte, table []byte, err error) {
 //
 // Pass 2 records, on every node it builds whole (every node of a whole
 // decode; under a projection, the subtrees it keeps without cutting into
-// them), the node's byte range in its record (xmltree.Node's
-// SetRecordRange): such a node can be shipped by copying those bytes.
+// them) and on every shell, the node's byte range in its record
+// (xmltree.Node's SetRecordRange): such a node can be shipped by copying
+// those bytes, and a shell can be shipped only so.
 func DecodeRecords(recs [][]byte, keep *xmltree.Projection, roots []*xmltree.Node) (walked int64, bad int, err error) {
 	return decodeRecords(recs, nil, keep, roots)
 }
 
 // decodeRecords is DecodeRecords with DecodeBatch's borrowed tables.
 func decodeRecords(recs [][]byte, borrow []int, keep *xmltree.Projection, roots []*xmltree.Node) (walked int64, bad int, err error) {
-	if keep.Whole() {
+	if keep.Whole() && !(keep.Shells() && keep.Shipped()) {
 		keep = nil
 	}
-	d := decoder{keep: keep, borrow: borrow}
+	d := decoder{keep: keep, shells: keep.Shells(), borrow: borrow}
 	if borrow != nil {
 		if len(borrow) != len(recs) {
 			return 0, 0, fmt.Errorf("%d borrowed tables for %d records", len(borrow), len(recs))
@@ -308,7 +320,7 @@ func decodeRecords(recs [][]byte, borrow []int, keep *xmltree.Projection, roots 
 		walked += int64(len(rec))
 	}
 	walked -= d.skipped
-	d.build = true
+	d.build, d.ships = true, 0
 	d.slab = make([]xmltree.Node, d.nodes)
 	d.kids = make([]*xmltree.Node, d.nodes-len(recs)) // every kept node but the roots is a child
 	d.wp = len(d.kids)
@@ -360,6 +372,7 @@ type decoder struct {
 	// whose table bytes equal them reuses table.
 	tableRaw []byte
 	keep     *xmltree.Projection // the root element's projection; nil keeps everything
+	shells   bool                // keep is read WithShells
 	// ownTable is the table tableRaw holds the bytes of: the last one a
 	// record read as its own.
 	ownTable []string
@@ -378,6 +391,14 @@ type decoder struct {
 	// skipped.
 	nodes, textBytes int
 	skipped          int64
+
+	// ships counts the shipped elements met in the current pass;
+	// shellBits, then moreBits, hold pass 1's decision for each, whether
+	// it is built as a shell (walk): a decode of up to 8,192 of them
+	// allocates nothing for it.
+	ships     int
+	shellBits [128]uint64
+	moreBits  []uint64
 
 	// Pass 2 state. kids is used from both ends: completed children wait
 	// on a stack growing up from kids[0] (sp) until their parent
@@ -549,7 +570,8 @@ func (d *decoder) bytes() ([]byte, error) {
 // kept at all; the root is always kept under d.keep. Pass 1 validates and
 // counts what to keep; pass 2 builds it and returns the node, nil when the
 // projection drops it. Both passes skip a dropped element's extent and
-// walk a descended one's within it.
+// walk a descended one's within it; pass 2 skips any other element it
+// drops, which pass 1 validated.
 func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (*xmltree.Node, error) {
 	if depth > maxDecodeDepth {
 		return nil, fmt.Errorf("storage: tree deeper than %d", maxDecodeDepth)
@@ -573,7 +595,7 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 	switch kind {
 	case xmltree.TextNode:
 		raw, err := d.bytes()
-		if err != nil || !parentKept {
+		if err != nil || !parentKept || d.shell(parent) {
 			return nil, err
 		}
 		if !d.build {
@@ -585,7 +607,7 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 		d.text.Write(raw)
 		s := d.text.String()
 		n.Value = s[len(s)-len(raw):]
-		n.SetRecordRange(start, d.pos)
+		n.SetRecordRange(start, d.pos, false)
 		return n, nil
 	case xmltree.ElementNode, xmltree.AttributeNode:
 		ref, err := d.uvarint()
@@ -615,13 +637,39 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 				return nil, fmt.Errorf("storage: child count %d overruns its %d-byte extent", count, extent)
 			}
 		}
-		var keep *xmltree.Projection // attributes are always kept whole
+		var keep *xmltree.Projection // attributes are kept whole, but never by a shell
 		kept := parentKept
 		switch {
 		case depth == 0:
 			keep = d.keep
-		case kept && kind == xmltree.ElementNode:
+		case !kept:
+		case kind != xmltree.ElementNode:
+			kept = !d.shell(parent)
+		case d.shells:
+			keep, kept = parent.ShellChild(name)
+		default:
 			keep, kept = parent.Child(name)
+		}
+		// A shipped element is built as a shell unless it is smaller
+		// than its record's name table: then it is built whole, as a
+		// consumer encodes such a node from its tree rather than copy
+		// the table. Pass 1 walks it as a shell and measures it after
+		// (tentative), recording the outcome for pass 2.
+		shell, tentative, ship := false, false, d.ships
+		if kept && d.shell(keep) {
+			d.ships++
+			if d.build {
+				shell = *d.shellWord(ship)&(1<<(ship%64)) != 0
+			} else {
+				shell, tentative = true, true
+			}
+			if !shell {
+				keep = nil
+			}
+		}
+		if !kept && d.build && !hasExtent {
+			d.pos = d.skip(start)
+			return nil, nil
 		}
 		outer := len(d.buf) // restored by reslicing: the extent keeps the capacity
 		if hasExtent {
@@ -643,7 +691,8 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 				d.nodes++
 			}
 		}
-		top := d.sp
+		top, kidsAt := d.sp, d.pos
+		nodes, textBytes, skipped := d.nodes, d.textBytes, d.skipped
 		for i := uint64(0); i < count; i++ {
 			c, err := d.walk(keep, kept, depth+1)
 			if err != nil {
@@ -653,6 +702,20 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 				c.Parent = n
 				d.kids[d.sp] = c
 				d.sp++
+			}
+		}
+		if tentative {
+			if d.pos-start >= len(d.tableRaw) {
+				*d.shellWord(ship) |= 1 << (ship % 64)
+			} else {
+				// Too small for a shell: count it whole instead.
+				d.pos, d.nodes, d.textBytes, d.skipped = kidsAt, nodes, textBytes, skipped
+				shell, keep = false, nil
+				for i := uint64(0); i < count; i++ {
+					if _, err := d.walk(nil, true, depth+1); err != nil {
+						return nil, err
+					}
+				}
 			}
 		}
 		if hasExtent {
@@ -667,13 +730,64 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 			n.Children = d.kids[lo:d.wp:d.wp]
 			d.wp, d.sp = lo, top
 		}
-		if n != nil && keep == nil {
-			n.SetRecordRange(start, d.pos)
+		if n != nil && (keep == nil || shell) {
+			n.SetRecordRange(start, d.pos, shell)
 		}
 		return n, nil
 	default:
 		return nil, fmt.Errorf("storage: unknown node kind %d", b)
 	}
+}
+
+// shell reports whether an element projected by p is built as a shell,
+// unless it is too small (walk).
+func (d *decoder) shell(p *xmltree.Projection) bool {
+	return d.shells && p.Shipped()
+}
+
+// shellWord returns the word holding the decision bit of shipped element
+// i, growing moreBits past shellBits.
+func (d *decoder) shellWord(i int) *uint64 {
+	w := i / 64
+	if w < len(d.shellBits) {
+		return &d.shellBits[w]
+	}
+	w -= len(d.shellBits)
+	for len(d.moreBits) <= w {
+		d.moreBits = append(d.moreBits, 0)
+	}
+	return &d.moreBits[w]
+}
+
+// skip returns the offset at which the node at pos ends, reading only
+// what it must to find it: pass 2 passes so over a subtree it drops,
+// which pass 1 validated.
+func (d *decoder) skip(pos int) int {
+	b := d.buf[pos]
+	pos = skipUvarint(d.buf, pos+1) // the id
+	if xmltree.Kind(b) == xmltree.TextNode {
+		l, k := binary.Uvarint(d.buf[pos:])
+		return pos + k + int(l)
+	}
+	pos = skipUvarint(d.buf, pos) // the name ref
+	count, k := binary.Uvarint(d.buf[pos:])
+	pos += k
+	if d.v2 && b&extentFlag != 0 {
+		extent, k := binary.Uvarint(d.buf[pos:])
+		return pos + k + int(extent)
+	}
+	for ; count > 0; count-- {
+		pos = d.skip(pos)
+	}
+	return pos
+}
+
+// skipUvarint returns the offset after the uvarint at pos.
+func skipUvarint(buf []byte, pos int) int {
+	for buf[pos] >= 0x80 {
+		pos++
+	}
+	return pos + 1
 }
 
 // alloc hands out the next slab node (pass 2, document order).

@@ -199,6 +199,76 @@ func project(n *xmltree.Node, keep *xmltree.Projection) *xmltree.Node {
 	return cp
 }
 
+// shellProjection is projection(paths...) with the node at path ship
+// ("" for the root) shipped, read WithShells.
+func shellProjection(ship string, paths ...string) *xmltree.Projection {
+	p := projection(paths...)
+	t := p
+	if ship != "" {
+		for _, name := range strings.Split(ship, "/") {
+			t = t.Add(name)
+		}
+	}
+	t.Ship()
+	return p.WithShells()
+}
+
+// shellDiff compares got, decoded from rec under a projection read
+// WithShells (keep projects got), with whole, the same node decoded
+// whole: a shell must hold exactly the element children its trie names,
+// carry a record range at least as long as rec's name table, and that
+// range must decode to whole; a shipped node built whole must equal it;
+// any other node must hold its attributes and text and the element
+// children its trie names. It describes the first difference, or returns
+// "".
+func shellDiff(rec []byte, got, whole *xmltree.Node, keep *xmltree.Projection) string {
+	if got.Kind != whole.Kind || got.Name != whole.Name || got.Value != whole.Value || got.ID != whole.ID {
+		return fmt.Sprintf("node %s %q #%d vs %s %q #%d", got.Kind, got.Name, got.ID, whole.Kind, whole.Name, whole.ID)
+	}
+	if got.Partial() {
+		version, table, err := RecordHead(rec)
+		start, end, ok := got.RecordRange()
+		if err != nil || !ok || end-start < len(table) {
+			return fmt.Sprintf("shell %q #%d: range [%d,%d) of a record whose table is %d bytes (%v)", got.Name, got.ID, start, end, len(table), err)
+		}
+		alone, err := DecodeDocument("shell", append(append([]byte{version}, table...), rec[start:end]...))
+		if err != nil {
+			return fmt.Sprintf("shell %q #%d: its range: %v", got.Name, got.ID, err)
+		}
+		if d := treeDiff(alone.Root, whole); d != "" {
+			return fmt.Sprintf("shell %q #%d: its range decodes to another tree: %s", got.Name, got.ID, d)
+		}
+	} else if keep.Shipped() || keep == nil {
+		return treeDiff(got, whole)
+	}
+	i := 0
+	for _, c := range whole.Children {
+		sub := (*xmltree.Projection)(nil)
+		if c.Kind == xmltree.ElementNode {
+			var ok bool
+			if sub, ok = keep.ShellChild(c.Name); !ok {
+				continue
+			}
+		} else if got.Partial() {
+			continue
+		}
+		if i == len(got.Children) {
+			return fmt.Sprintf("node %q #%d: lacks child %q #%d", got.Name, got.ID, c.Name, c.ID)
+		}
+		if got.Children[i].Parent != got {
+			return fmt.Sprintf("node %q #%d: child %d has a wrong parent", got.Name, got.ID, i)
+		}
+		if d := shellDiff(rec, got.Children[i], c, sub); d != "" {
+			return d
+		}
+		i++
+	}
+	if i != len(got.Children) {
+		return fmt.Sprintf("node %q #%d: %d children, want %d", got.Name, got.ID, len(got.Children), i)
+	}
+	return ""
+}
+
 // treeDiff describes the first difference between two trees in kind,
 // name, value, ID, children or parent pointers, or returns "".
 func treeDiff(a, b *xmltree.Node) string {
@@ -230,6 +300,10 @@ func treeDiff(a, b *xmltree.Node) string {
 //   - a batch holding the record twice decodes like the record alone,
 //     whole (DecodeBatch) and under the projection (DecodeRecords), and
 //     walks no more than its bytes, all of them when whole;
+//   - under a projection read WithShells, a whole decode that succeeds
+//     implies a decode that succeeds and builds each shipped node as a
+//     shell whose range decodes to the whole node, or whole when it is
+//     smaller than the record's table (shellDiff);
 //
 // and a record that decodes must survive an encode/decode round trip
 // unchanged. The seed corpus (testdata/fuzz/FuzzDecodeDocument) holds
@@ -247,9 +321,27 @@ func FuzzDecodeDocument(f *testing.F) {
 		projection("PictureList/Picture/Name*", "Section"),
 		projection("a/b*", "c"),
 	}
+	shells := []*xmltree.Projection{
+		shellProjection("", "Code*"),
+		shellProjection("PictureList", "PictureList/Picture/Name*", "Section*"),
+		shellProjection("PictureList/Picture"),
+		shellProjection("a", "a/b*"),
+	}
 	same := func(a, b error) bool { return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error()) }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		whole, err := DecodeDocument("f", data)
+		for _, keep := range shells {
+			var root [1]*xmltree.Node
+			_, _, serr := DecodeRecords([][]byte{data}, keep, root[:])
+			switch {
+			case err == nil && serr != nil:
+				t.Fatalf("shells %s: whole decode succeeds, err=%v", keep, serr)
+			case err == nil:
+				if d := shellDiff(data, root[0], whole.Root, keep); d != "" {
+					t.Fatalf("shells %s: %s", keep, d)
+				}
+			}
+		}
 		for _, keep := range keeps {
 			got, perr := DecodeProjected("f", data, keep)
 			switch {
@@ -327,6 +419,85 @@ func pictureItem(n int) *xmltree.Document {
 	}
 	b.WriteString(`</PictureList></Item>`)
 	return doc("item", b.String())
+}
+
+// A shipped element is built as a shell holding only the element
+// children its trie names, its range the whole element; one smaller than
+// its record's name table is built whole; and the root can be a shell.
+func TestShellsHoldOnlyNamedChildren(t *testing.T) {
+	data, err := EncodeDocument(pictureItem(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := DecodeDocument("x", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		keep    *xmltree.Projection
+		at      string // the shipped child of the root, "" for the root
+		partial bool
+		want    string // the decoded tree, when pinned
+	}{
+		{shellProjection("PictureList", "PictureList/Picture/Name*", "Section*"), "PictureList", true, ""},
+		{shellProjection("", "Section*"), "", true, `<Item><Section>CD</Section></Item>`},
+		{shellProjection("Code", "Section*"), "Code", false, `<Item id="1"><Code>I000001</Code><Section>CD</Section></Item>`},
+	} {
+		var root [1]*xmltree.Node
+		if _, _, err := DecodeRecords([][]byte{data}, c.keep, root[:]); err != nil {
+			t.Fatalf("%s: %v", c.keep, err)
+		}
+		if d := shellDiff(data, root[0], whole.Root, c.keep); d != "" {
+			t.Fatalf("%s: %s", c.keep, d)
+		}
+		n := root[0]
+		if c.at != "" {
+			n = n.Child(c.at)
+		}
+		if n == nil || n.Partial() != c.partial {
+			t.Fatalf("%s: the shipped node %v, want partial=%v", c.keep, n, c.partial)
+		}
+		if c.want != "" {
+			if got := xmltree.NodeString(root[0]); got != c.want {
+				t.Fatalf("%s: decoded %s, want %s", c.keep, got, c.want)
+			}
+		}
+	}
+}
+
+// A decode records pass 1's shell decisions past the 8,192 its decoder
+// holds inline: a record of 9,000 shipped Items, every other one too
+// small for a shell, decodes each as pass 1 decided.
+func TestShellDecisionsPastInlineBits(t *testing.T) {
+	root := xmltree.NewElement("Items")
+	for i := 0; i < 9000; i++ {
+		item := xmltree.NewElement("Item", xmltree.NewElement("Section", xmltree.NewText("CD")))
+		if i%2 == 0 {
+			item.Append(xmltree.NewElement("Note", xmltree.NewText(strings.Repeat("n", 60))))
+		}
+		root.Append(item)
+	}
+	data, err := EncodeDocument(xmltree.NewDocument("items", root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := DecodeDocument("items", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := shellProjection("Item", "Item/Section*")
+	var got [1]*xmltree.Node
+	if _, _, err := DecodeRecords([][]byte{data}, keep, got[:]); err != nil {
+		t.Fatal(err)
+	}
+	if d := shellDiff(data, got[0], whole.Root, keep); d != "" {
+		t.Fatal(d)
+	}
+	for i, item := range got[0].Children {
+		if item.Partial() != (i%2 == 0) {
+			t.Fatalf("Item %d: partial=%v, want %v", i, item.Partial(), i%2 == 0)
+		}
+	}
 }
 
 // TestProjectedDecodeIndependentOfDroppedSubtrees is a cost-class gate: a

@@ -279,11 +279,13 @@ type Item struct {
 // version byte and name table and then the node's byte range (the frame's
 // copy of that table, its table entry), every later one whose record's
 // head equals an entry as an ItemRange borrowing it. A copy of a table
-// is made only for a node at least as large as the table; a smaller node
-// with no entry for its table, and every node without a held origin, is
-// encoded from its tree. One storage.Encoder writes those items of a
-// stream, straight into the payload, and the payload is reused from frame
-// to frame.
+// is made only for a node at least as large as the table, or for a shell
+// (xmltree.Node.Partial), which is always shipped from its record; a
+// smaller node with no entry for its table, and every node without a
+// held origin, is encoded from its tree. A shell without a held origin
+// fails the stream: its tree is not the node. One storage.Encoder writes
+// the encoded items of a stream, straight into the payload, and the
+// payload is reused from frame to frame.
 type itemWriter struct {
 	payload []byte
 	count   int
@@ -316,6 +318,9 @@ func (w *itemWriter) add(it xquery.Item) error {
 			return fmt.Errorf("wire: cannot encode a nil node")
 		}
 		if !w.addStored(v) {
+			if v.Partial() {
+				return fmt.Errorf("wire: internal error: the record of shell <%s> is no longer held", v.Name)
+			}
 			w.payload = append(w.payload, byte(ItemNode))
 			rec := len(w.payload)
 			w.payload = w.enc.Append(w.payload, v)
@@ -362,7 +367,7 @@ func (w *itemWriter) addStored(n *xmltree.Node) bool {
 			return true
 		}
 	}
-	if len(node) < len(table) {
+	if len(node) < len(table) && !n.Partial() {
 		return false
 	}
 	w.payload = append(w.payload, byte(ItemNode))

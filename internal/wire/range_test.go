@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -79,24 +80,30 @@ func v1DB(t *testing.T) *engine.DB {
 	return db
 }
 
-// frameKinds counts a frame's node items by form.
-type frameKinds struct{ encoded, copied, ranges int }
+// frameKinds counts a frame's node items by form, and the shells among
+// the nodes they were written from.
+type frameKinds struct{ encoded, copied, ranges, shells int }
 
 // streamFramed runs q on db as a node's stream does, cutting a frame
 // every batch items, and checks every frame's decoded items against the
-// items it was handed: a node must decode xmltree.Equal, IDs included, to
-// what encoding its tree (Encoder.Append) decodes to. It counts the
+// query's answer over whole trees (a run without Origins, so without
+// shells): a node must decode xmltree.Equal, IDs included, to what
+// encoding the whole tree (Encoder.Append) decodes to. It counts the
 // frames' node items by form: a copy is an ItemNode whose bytes differ
-// from what encoding its tree writes.
+// from what encoding the whole tree writes.
 func streamFramed(t *testing.T, db *engine.DB, q string, batch int) frameKinds {
 	t.Helper()
 	e, err := xquery.Parse(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	answer, err := db.QueryExpr(e)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var kinds frameKinds
 	w := itemWriter{origins: new(engine.Origins)}
-	var pending xquery.Seq // the items of the frame w holds
+	var pending xquery.Seq // the whole-tree answers of the items w holds
 	frame := func() {
 		items, err := parseItems(w.count, w.payload)
 		if err != nil {
@@ -135,12 +142,20 @@ func streamFramed(t *testing.T, db *engine.DB, q string, batch int) frameKinds {
 		pending = pending[:0]
 		w.reset()
 	}
+	streamed := 0
 	if _, err := db.StreamQueryExpr(e, w.origins, func(items xquery.Seq) error {
 		for _, it := range items {
 			if err := w.add(it); err != nil {
 				return err
 			}
-			if pending = append(pending, it); w.count == batch {
+			if streamed == len(answer) {
+				t.Fatalf("%s: streams more than the %d items of its answer", q, len(answer))
+			}
+			if n, ok := it.(*xmltree.Node); ok && n.Partial() {
+				kinds.shells++
+			}
+			pending = append(pending, answer[streamed])
+			if streamed++; w.count == batch {
 				frame()
 			}
 		}
@@ -149,6 +164,9 @@ func streamFramed(t *testing.T, db *engine.DB, q string, batch int) frameKinds {
 		t.Fatalf("%s: %v", q, err)
 	}
 	frame()
+	if streamed != len(answer) {
+		t.Fatalf("%s: streamed %d items, its answer has %d", q, streamed, len(answer))
+	}
 	return kinds
 }
 
@@ -173,11 +191,14 @@ func sameIDs(a, b *xmltree.Node) bool {
 }
 
 // Every node a stream ships from its record decodes to what encoding its
-// tree gives: whole Items and subtrees (with and without an extent),
-// attributes and text nodes, from version 2 and version 1 records, at
-// random frame sizes; and over a scan of more than one chunk whose
-// output is framed only after later chunks were read into the buffer
-// the earlier ones occupied, whose nodes must then not be read from it.
+// whole tree gives: whole Items and subtrees (with and without an
+// extent), shells, attributes and text nodes, from version 2 and version
+// 1 records, at random frame sizes; and over a scan of more than one
+// chunk whose output is framed only after later chunks were read into
+// the buffer the earlier ones occupied, whose nodes must then not be
+// read from it. A scan returning shells ships every one of them from its
+// record, in every chunk: the pipeline hands them on before the scan
+// drops their chunk.
 func TestStoredNodesShipAsTheirRecordBytes(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	db := storedDB(t, r, 150) // more than two 64-document chunks
@@ -198,6 +219,20 @@ func TestStoredNodesShipAsTheirRecordBytes(t *testing.T) {
 			total.encoded += k.encoded
 			total.copied += k.copied
 			total.ranges += k.ranges
+			total.shells += k.shells
+		}
+	}
+	for _, q := range []string{
+		`for $i in collection("c")/Item return $i`,
+		`for $i in collection("c")/Item where exists($i/Name) return $i`,
+		`for $i in collection("c")/Item where $i/Code != "I007" return $i/PictureList`,
+	} {
+		for _, batch := range []int{1, 7, 1000} {
+			// A shell cannot be encoded from its tree: a stream that
+			// frames one after losing its record fails.
+			if k := streamFramed(t, db, q, batch); k.shells == 0 || k.shells != k.encoded+k.copied+k.ranges {
+				t.Fatalf("%s, %d items a frame: node items %+v, want every one a shell", q, batch, k)
+			}
 		}
 	}
 	v1 := v1DB(t)
@@ -206,7 +241,7 @@ func TestStoredNodesShipAsTheirRecordBytes(t *testing.T) {
 		t.Errorf("%s over version 1 records: %+v, want a copy and ranges", q1, k)
 	}
 	t.Logf("node items: %+v", total)
-	if total.copied == 0 || total.ranges == 0 || total.encoded == 0 {
+	if total.copied == 0 || total.ranges == 0 || total.encoded == 0 || total.shells == 0 {
 		t.Fatalf("node items %+v: want every form exercised", total)
 	}
 }
@@ -284,7 +319,11 @@ func TestFramingStoredItemsCostsPerFrame(t *testing.T) {
 				t.Fatalf("%d Pictures: item %d has kind %d, want %d", pictures, i, it.Kind, want)
 			}
 		}
-		if enc, _ := EncodeSeq(seq[:1]); string(enc[0].Node) == string(parsed[0].Node) {
+		whole, err := db.QueryExpr(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc, _ := EncodeSeq(whole[:1]); string(enc[0].Node) == string(parsed[0].Node) {
 			t.Fatalf("%d Pictures: the first Item was encoded from its tree", pictures)
 		}
 	}
@@ -314,4 +353,88 @@ func TestRangeItemsBorrowOnlyAnEarlierTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The cost class of shells: a node streaming whole Items it filters on
+// one child builds each Item as a shell holding that child, so the bytes
+// its decode allocates per returned Item are the same whether an Item
+// has 3 or 30 other leaf children (none large enough to carry an
+// extent). Building the Items whole made them grow with the leaves. The
+// decode's bytes are read from the allocation profile, attributed to the
+// node's scan: the client decoding the same frames allocates the whole
+// Items.
+func TestShippedSubtreesAreNotBuilt(t *testing.T) {
+	const q = `for $i in collection("c")/Items/Item where $i/Section = "CD" return $i`
+	const items, runs = 32, 10
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	perItem := map[int]float64{}
+	for _, leaves := range []int{3, 30} {
+		root := xmltree.NewElement("Items")
+		for i := 0; i < items; i++ {
+			item := xmltree.NewElement("Item", xmltree.NewAttr("id", fmt.Sprint(i)),
+				xmltree.NewElement("Section", xmltree.NewText([]string{"CD", "DVD"}[i%2])))
+			for l := 0; l < leaves; l++ {
+				item.Append(xmltree.NewElement("Note", xmltree.NewText(strings.Repeat("n", 400))))
+			}
+			root.Append(item)
+		}
+		db, err := engine.Open(filepath.Join(t.TempDir(), "node.db"), engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		db.Store().CreateCollection("c")
+		if err := db.PutDocument("c", xmltree.NewDocument("store", root)); err != nil {
+			t.Fatal(err)
+		}
+		_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
+		c := dialStream(t, addr, ClientOptions{})
+		if got := mustQuery(t, c, q); len(got) != items/2 {
+			t.Fatalf("%d leaves: %d Items returned, want %d", leaves, len(got), items/2)
+		} else if n := got[0].(*xmltree.Node); len(n.Children) != 2+leaves {
+			t.Fatalf("%d leaves: an Item arrives with %d children, want %d", leaves, len(n.Children), 2+leaves)
+		}
+		before := scanDecodeBytes()
+		for r := 0; r < runs; r++ {
+			mustQuery(t, c, q)
+		}
+		perItem[leaves] = float64(scanDecodeBytes()-before) / (runs * items / 2)
+	}
+	t.Logf("node-side decode bytes per returned Item: %.0f at 3 leaves, %.0f at 30", perItem[3], perItem[30])
+	if perItem[30] > perItem[3] {
+		t.Fatalf("decoding an Item to ship costs %.0f bytes at 30 leaves, %.0f at 3: want no more", perItem[30], perItem[3])
+	}
+}
+
+// scanDecodeBytes sums the bytes the allocation profile attributes to
+// storage's decode under an engine scan; runtime.MemProfileRate must be 1
+// while they are allocated.
+func scanDecodeBytes() int64 {
+	runtime.GC() // publishes the profile up to here
+	var recs []runtime.MemProfileRecord
+	for n := 256; ; n *= 2 {
+		recs = make([]runtime.MemProfileRecord, n)
+		if got, ok := runtime.MemProfile(recs, true); ok {
+			recs = recs[:got]
+			break
+		}
+	}
+	var total int64
+	for _, r := range recs {
+		scan, decode := false, false
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			scan = scan || strings.HasSuffix(f.Function, "engine.(*DB).scanChunks")
+			decode = decode || strings.HasSuffix(f.Function, "storage.decodeRecords")
+			if !more {
+				break
+			}
+		}
+		if scan && decode {
+			total += r.AllocBytes
+		}
+	}
+	return total
 }

@@ -53,24 +53,31 @@ type NodeID uint32
 
 // Node is a single node of an XML data tree.
 type Node struct {
-	Kind     Kind
+	Kind Kind
+	// partial marks a shell: a node decoded from a stored record with
+	// only some of its children built (SetRecordRange). It sits in the
+	// padding between Kind and ID, so a Node stays 80 bytes.
+	partial  bool
 	ID       NodeID
 	Name     string // element or attribute name; empty for text nodes
 	Value    string // data value; set for text nodes only
 	Parent   *Node
 	Children []*Node
 	// recStart and recEnd are the byte range of the node's subtree in the
-	// stored record it was decoded from, set only when the decode built
-	// that subtree whole; recEnd is 0 otherwise. They sit where the
-	// fields above leave padding, so a Node stays 80 bytes. Clone does
-	// not copy them: a copy has no stored origin.
+	// stored record it was decoded from; recEnd is 0 when there is none.
+	// Clone copies partial but not the range: a copy has no stored
+	// origin.
 	recStart, recEnd uint32
 }
 
-// SetRecordRange records that n's subtree was decoded whole from bytes
-// [start,end) of a stored record, 0 ≤ start < end. A range that does not
-// fit 32 bits is not recorded.
-func (n *Node) SetRecordRange(start, end int) {
+// SetRecordRange records that n's subtree lies in bytes [start,end) of a
+// stored record, 0 ≤ start < end. The decoder sets it on every node it
+// builds whole, and on every shell: a node built with only the children
+// a query reads (partial), whose subtree exists in full only as those
+// bytes. A range that does not fit 32 bits is not recorded; a shell is
+// marked partial all the same.
+func (n *Node) SetRecordRange(start, end int, partial bool) {
+	n.partial = partial
 	if end <= math.MaxUint32 {
 		n.recStart, n.recEnd = uint32(start), uint32(end)
 	}
@@ -80,10 +87,17 @@ func (n *Node) SetRecordRange(start, end int) {
 // when n has none. The range means something only together with the
 // record it indexes, which the node does not know: whoever decoded the
 // tree does. Code that edits a decoded tree in place must not then ship
-// its nodes by their ranges.
+// its nodes by their ranges. For a shell (Partial) the bytes, not the
+// tree, are the node.
 func (n *Node) RecordRange() (start, end int, ok bool) {
 	return int(n.recStart), int(n.recEnd), n.recEnd != 0
 }
+
+// Partial reports whether n is a shell: its tree lacks children its
+// stored bytes hold, so those bytes, not the tree, are the node. A shell
+// must be shipped from its record (RecordRange) and never encoded or
+// serialized from its tree; a copy of it (Clone) is partial too.
+func (n *Node) Partial() bool { return n.partial }
 
 // NewElement returns a new element node with the given children attached.
 func NewElement(name string, children ...*Node) *Node {
@@ -238,9 +252,10 @@ func (n *Node) EachText(fn func(string) bool) bool {
 
 // Clone returns a deep copy of the subtree rooted at n. Node IDs are
 // preserved: a clone of a projected fragment can still be joined back to
-// the other fragments by ID (reconstruction rule, paper Section 3.3).
+// the other fragments by ID (reconstruction rule, paper Section 3.3). A
+// copy of a shell stays Partial, with no bytes to ship it from.
 func (n *Node) Clone() *Node {
-	cp := &Node{Kind: n.Kind, Name: n.Name, Value: n.Value, ID: n.ID}
+	cp := &Node{Kind: n.Kind, partial: n.partial, Name: n.Name, Value: n.Value, ID: n.ID}
 	if len(n.Children) > 0 {
 		cp.Children = make([]*Node, 0, len(n.Children))
 		for _, c := range n.Children {

@@ -2,7 +2,7 @@ package xmltree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -16,9 +16,21 @@ import (
 // names, each with that child's own trie; a node marked whole keeps its
 // entire subtree. The root element is always kept. The zero Projection
 // keeps just the root element with its attributes and text.
+//
+// A node marked shipped (Ship) is one a query returns to a consumer that
+// may ship it as its stored bytes, and otherwise reads only through the
+// children its trie names. It is whole to every reader, except that a
+// decoder reading the trie WithShells may build it as a shell
+// (Node.Partial): the element and the children its trie names, without
+// its text, attributes or other children.
 type Projection struct {
-	whole bool
-	kids  map[string]*Projection
+	name           string // the element p projects, below the root
+	whole, shipped bool
+	// shells marks a root handed out by WithShells.
+	shells bool
+	// kids are the children the trie names, in the order added: a
+	// query's trie has a handful, searched faster than a map's hash.
+	kids []*Projection
 }
 
 // Add returns the trie node of the element child name, creating it. Below
@@ -27,22 +39,54 @@ func (p *Projection) Add(name string) *Projection {
 	if p.whole {
 		return p
 	}
-	if p.kids == nil {
-		p.kids = map[string]*Projection{}
-	}
-	c := p.kids[name]
+	c := p.kid(name)
 	if c == nil {
-		c = &Projection{}
-		p.kids[name] = c
+		c = &Projection{name: name}
+		p.kids = append(p.kids, c)
 	}
 	return c
 }
 
+// kid returns the child the trie names name, nil when it names none.
+func (p *Projection) kid(name string) *Projection {
+	for _, c := range p.kids {
+		if c.name == name {
+			return c
+		}
+	}
+	return nil
+}
+
 // KeepWhole marks p's entire subtree kept.
 func (p *Projection) KeepWhole() {
-	p.whole = true
+	p.whole, p.shipped = true, false
 	p.kids = nil
 }
+
+// Ship marks p shipped: whole, but keeping the children its trie names
+// for a decoder that reads the trie WithShells. It reports whether p was
+// marked; a node already whole stays as it is.
+func (p *Projection) Ship() bool {
+	if p.whole {
+		return false
+	}
+	p.whole, p.shipped = true, true
+	return true
+}
+
+// Shipped reports whether p is marked shipped.
+func (p *Projection) Shipped() bool { return p != nil && p.shipped }
+
+// WithShells returns a copy of the root p, sharing its children, under
+// which a decoder builds every shipped node as a shell.
+func (p *Projection) WithShells() *Projection {
+	cp := *p
+	cp.shells = true
+	return &cp
+}
+
+// Shells reports whether p is a root WithShells handed out.
+func (p *Projection) Shells() bool { return p != nil && p.shells }
 
 // Whole reports whether p keeps its entire subtree (a nil Projection does).
 func (p *Projection) Whole() bool { return p == nil || p.whole }
@@ -51,14 +95,29 @@ func (p *Projection) Whole() bool { return p == nil || p.whole }
 // false when the child is dropped; otherwise sub is the child's
 // projection, nil when the child is kept whole.
 func (p *Projection) Child(name string) (sub *Projection, ok bool) {
-	if p.Whole() {
+	if p.Whole() { // inlined: a whole decode asks for every element
 		return nil, true
 	}
-	c := p.kids[name]
+	return p.child(name, false)
+}
+
+// ShellChild is Child in a trie read WithShells: a shipped p resolves
+// name through its own trie, and a shipped child comes back as itself.
+func (p *Projection) ShellChild(name string) (sub *Projection, ok bool) {
+	if p.Whole() && !p.Shipped() {
+		return nil, true
+	}
+	return p.child(name, true)
+}
+
+// child resolves name below p, which is not whole or, with shells, is
+// shipped.
+func (p *Projection) child(name string, shells bool) (*Projection, bool) {
+	c := p.kid(name)
 	if c == nil {
 		return nil, false
 	}
-	if c.whole {
+	if c.whole && !(shells && c.shipped) {
 		return nil, true
 	}
 	return c, true
@@ -66,27 +125,41 @@ func (p *Projection) Child(name string) (sub *Projection, ok bool) {
 
 // String renders the trie: children in name order, "*" marking a whole
 // subtree, e.g. "{Code*,Description*}". It is the trie's wire form;
-// ParseProjection reads it back.
+// ParseProjection reads it back. A root read WithShells renders each
+// shipped node as "^" and its own trie, e.g. "{Item^{Section*}}"; that
+// form stays local to the query that derived it, and ParseProjection
+// does not read it back.
 func (p *Projection) String() string {
-	if p.Whole() {
+	switch {
+	case p.Shells() && p.shipped:
+		return "^" + p.braces(true)
+	case p.Whole():
 		return "*"
 	}
-	names := make([]string, 0, len(p.kids))
-	for name := range p.kids {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	return p.braces(p.shells)
+}
+
+// braces renders p's children in braces.
+func (p *Projection) braces(shells bool) string {
+	kids := slices.Clone(p.kids)
+	slices.SortFunc(kids, func(a, b *Projection) int { return strings.Compare(a.name, b.name) })
 	var sb strings.Builder
 	sb.WriteByte('{')
-	for i, name := range names {
+	for i, c := range kids {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		sb.WriteString(name)
-		if c := p.kids[name]; c.whole {
+		sb.WriteString(c.name)
+		switch {
+		case shells && c.shipped:
+			sb.WriteByte('^')
+			if len(c.kids) > 0 {
+				sb.WriteString(c.braces(true))
+			}
+		case c.whole:
 			sb.WriteByte('*')
-		} else if len(c.kids) > 0 {
-			sb.WriteString(c.String())
+		case len(c.kids) > 0:
+			sb.WriteString(c.braces(shells))
 		}
 	}
 	sb.WriteByte('}')

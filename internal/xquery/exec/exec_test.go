@@ -140,19 +140,26 @@ func runProjected(t *testing.T, src *memSource, query string, prog *Program, wan
 	return proj
 }
 
-// keepInReads fails when the program's scan projection keeps an element
-// no read of the query's read set (xquery.ExtractReads) reaches: every
-// trie node's path must be a prefix of some read's path.
+// keepInReads fails when the program's scan projection, or the one it
+// hands a Shipper, keeps an element no read of the query's read set
+// (xquery.ExtractReads) reaches: every trie node's path must be a prefix
+// of some read's path. A shipped node adds no read of its own: below it
+// the trie holds only the children the query reads.
 func keepInReads(t *testing.T, query string, e xquery.Expr, prog *Program) {
 	t.Helper()
-	keep := prog.Keep()
-	if keep == nil {
-		return
+	keeps := []*xmltree.Projection{prog.Keep()}
+	if h := prog.pipe.shipHint; h != nil {
+		keeps = append(keeps, h.Keep)
 	}
 	reads := xquery.ExtractReads(e)
-	for _, path := range triePaths(keep.String()) {
-		if !onSomeRead(path, reads) {
-			t.Fatalf("%s: keep %s holds %v, which no read reaches (%+v)", query, keep, path, reads.Paths)
+	for _, keep := range keeps {
+		if keep == nil {
+			continue
+		}
+		for _, path := range triePaths(keep.String()) {
+			if !onSomeRead(path, reads) {
+				t.Fatalf("%s: keep %s holds %v, which no read reaches (%+v)", query, keep, path, reads.Paths)
+			}
 		}
 	}
 }
@@ -180,6 +187,7 @@ func triePaths(s string) [][]string {
 		case ',', '*':
 			flush()
 			name = ""
+		case '^': // a shipped node, whose own trie may follow
 		case '}':
 			flush()
 			name = ""
@@ -224,6 +232,83 @@ func keepOf(p *Program) string {
 		return "*"
 	}
 	return p.pipe.hint.Keep.String()
+}
+
+// shipSource is a projSource that is also a Shipper: it decodes each
+// document under the shipped projection, so returned nodes may be
+// shells, and holds only the record of the document it decoded last, as
+// a node's scan holds only its latest chunk. It flushes the pipeline
+// before it decodes the next document.
+type shipSource struct {
+	*projSource
+	held    []byte        // the record of the document decoded last
+	root    *xmltree.Node // its root
+	shipped int           // the scans ShipDocs served
+	shells  int           // the shells runShipped was handed
+}
+
+func (s *shipSource) ShipDocs(name string, h *xquery.Hint, fn func(*xmltree.Document) error, pending Flusher) error {
+	s.shipped++
+	for _, r := range s.recs[name] {
+		if err := pending.Flush(); err != nil {
+			return err
+		}
+		d, err := storage.DecodeProjected(r.name, r.data, h.Keep)
+		if err != nil {
+			return err
+		}
+		s.held, s.root = r.data, d.Root
+		if err := fn(d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runShipped streams a compiled program over src's stored records as a
+// node shipping its answers does (shipSource), and requires the
+// interpreter's result: a shell, while its record is held, must decode
+// from its record range to the interpreter's node, and every other node
+// must equal it as it is.
+func runShipped(t *testing.T, src *memSource, query string, prog *Program, want xquery.Seq) *shipSource {
+	t.Helper()
+	ship := &shipSource{projSource: newProjSource(t, src)}
+	var got xquery.Seq
+	_, err := prog.Stream(ship, func(items xquery.Seq) error {
+		for _, it := range items {
+			n, ok := it.(*xmltree.Node)
+			if !ok || !n.Partial() {
+				got = append(got, it)
+				continue
+			}
+			ship.shells++
+			start, end, ok := n.RecordRange()
+			if !ok || n.Root() != ship.root {
+				t.Fatalf("%s: a shell of %s reaches the consumer after its record was dropped", query, n.Name)
+			}
+			roots, err := storage.DecodeBatch([][]byte{ship.held, ship.held[start:end]}, []int{-1, 0})
+			if err != nil {
+				t.Fatalf("%s: the record range of a shell of %s: %v", query, n.Name, err)
+			}
+			got = append(got, roots[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s: shipped stream: %v", query, err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s:\ninterp  (%d): %s\nshipped (%d): %s", query, len(want), seqString(want), len(got), seqString(got))
+	}
+	for i := range want {
+		wn, wIsNode := want[i].(*xmltree.Node)
+		gn, gIsNode := got[i].(*xmltree.Node)
+		same := wIsNode == gIsNode && (wIsNode && wn.ID == gn.ID && xmltree.Equal(wn, gn) || !wIsNode && want[i] == got[i])
+		if !same {
+			t.Fatalf("%s: item %d: interpreter %s, shipped %s", query, i, xquery.ItemString(want[i]), xquery.ItemString(got[i]))
+		}
+	}
+	return ship
 }
 
 // itemsSource builds the store-catalog shape the Figure 7 workloads query.
@@ -336,6 +421,7 @@ func runBoth(t *testing.T, src *memSource, query string, mustCompile bool) {
 		t.Fatalf("%s: Stream mismatch: total=%d, items (%d): %s", query, total, len(streamed), seqString(streamed))
 	}
 	runProjected(t, src, query, prog, want, wantErr)
+	runShipped(t, src, query, prog, want)
 }
 
 // TestDifferentialFixed pins the compiled subset on hand-picked queries:
@@ -458,6 +544,44 @@ func TestCompileProjection(t *testing.T) {
 		}
 		if got := keepOf(prog); got != c.keep {
 			t.Errorf("%s: projection %s, want %s", c.query, got, c.keep)
+		}
+	}
+}
+
+// TestCompileShippedProjection pins the projection a Shipper scans
+// under: the return value shipped ("^") with the children the query
+// reads below it, and none ("") where no node is returned to ship, an
+// order by holds the tuples, or the return value is read whole anyway.
+// The scan projection every other Source gets (keepOf) stays as
+// TestCompileProjection pins it.
+func TestCompileShippedProjection(t *testing.T) {
+	cases := []struct{ query, ship string }{
+		{`for $i in collection("items")/Item return $i`, "^{}"},
+		{`for $i in collection("items")/Item where $i/Code = "I2" return $i`, "^{Code*}"},
+		{`for $i in collection("items")/Item where $i/Section = "CD" return $i/PictureList/Picture`, "{PictureList{Picture^},Section*}"},
+		{`for $i in collection("items")/Item, $p in $i/PictureList/Picture where $p/Name = "p1" return $i`, "^{PictureList{Picture{Name*}}}"},
+		{`collection("items")/Item[Section = "CD"]/Code`, "{Code^,Section*}"},
+		{`for $i in collection("items")/Item where $i/Code = "I2" return $i/Code`, ""},
+		{`for $i in collection("items")/Item order by $i/Code return $i`, ""},
+		{`count(for $i in collection("items")/Item return $i)`, ""},
+		{`for $i in collection("items")/Item return count($i/PictureList/Picture)`, ""},
+		{`for $i in collection("items")/Item return $i/Code/text()`, ""},
+	}
+	for _, c := range cases {
+		e, err := xquery.Parse(c.query)
+		if err != nil {
+			t.Fatalf("parse %s: %v", c.query, err)
+		}
+		prog, ok := Compile(e)
+		if !ok {
+			t.Fatalf("Compile declined %s", c.query)
+		}
+		got := ""
+		if h := prog.pipe.shipHint; h != nil {
+			got = h.Keep.String()
+		}
+		if got != c.ship {
+			t.Errorf("%s: shipped projection %q, want %q", c.query, got, c.ship)
 		}
 	}
 }
@@ -838,7 +962,7 @@ func TestDifferentialRandom(t *testing.T) {
 	if testing.Short() {
 		iters = 60
 	}
-	compiled, projected, subtreeTerms := 0, 0, 0
+	compiled, projected, shipped, shells, subtreeTerms := 0, 0, 0, 0, 0
 	for seed := 0; seed < iters; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		var docs []*xmltree.Document
@@ -870,6 +994,13 @@ func TestDifferentialRandom(t *testing.T) {
 		if runProjected(t, src, fmt.Sprintf("seed %d: %s", seed, query), prog, want, wantErr).projected > 0 {
 			projected++
 		}
+		if wantErr == nil {
+			ship := runShipped(t, src, fmt.Sprintf("seed %d: %s", seed, query), prog, want)
+			if ship.shipped > 0 {
+				shipped++
+			}
+			shells += ship.shells
+		}
 	}
 	// The generator must keep most shapes inside the compiled subset, and
 	// enough of those projected, or this test stops testing the executor
@@ -880,13 +1011,16 @@ func TestDifferentialRandom(t *testing.T) {
 	if projected*10 < compiled {
 		t.Fatalf("only %d/%d compiled queries projected", projected, compiled)
 	}
+	if shipped*10 < compiled || shells == 0 {
+		t.Fatalf("only %d/%d compiled queries shipped nodes, %d of them shells", shipped, compiled, shells)
+	}
 	// String terms over subtrees are the case the text-node matcher
 	// exists for; leaves alone would not test it.
 	if subtreeTerms*40 < iters {
 		t.Fatalf("only %d/%d generated queries apply a string term to a subtree", subtreeTerms, iters)
 	}
-	t.Logf("%d/%d queries compiled, %d of them projected, %d string terms over subtrees",
-		compiled, iters, projected, subtreeTerms)
+	t.Logf("%d/%d queries compiled, %d of them projected, %d shipped (%d shells), %d string terms over subtrees",
+		compiled, iters, projected, shipped, shells, subtreeTerms)
 }
 
 // TestAllocsScanFilterProject is the allocation-regression gate for the

@@ -160,6 +160,9 @@ type executor struct {
 	src   xquery.Source
 	yield func(xquery.Seq) error
 	eager bool // flush per document (decider folds)
+	// ship is set when the scan may build returned nodes as shells;
+	// shells, when one of them is in out.
+	ship, shells bool
 
 	row   []any // current partial tuple during binding
 	level int   // slots of row currently bound (for fallback vars)
@@ -220,7 +223,14 @@ func (p *pipeline) exec(src xquery.Source, yield func(xquery.Seq) error, eager b
 	}
 	x.wrapper = xmltree.Node{Kind: xmltree.ElementNode, Name: "#document", Children: make([]*xmltree.Node, 1)}
 	x.levelBufs = make([][]any, len(p.clauses))
-	if err := src.Docs(p.coll, p.hint, x.scanDoc); err != nil {
+	var err error
+	if s, ok := src.(Shipper); ok && p.shipHint != nil {
+		x.ship = true
+		err = s.ShipDocs(p.coll, p.shipHint, x.scanDoc, x)
+	} else {
+		err = src.Docs(p.coll, p.hint, x.scanDoc)
+	}
+	if err != nil {
 		return err
 	}
 	if err := x.processBatch(); err != nil {
@@ -576,8 +586,17 @@ func (x *executor) evalFallbackTerm(e xquery.Expr, keep []bool) error {
 
 // emitReturn projects one surviving tuple into the output buffer.
 func (x *executor) emitReturn(row []any) error {
+	from := len(x.out)
 	if err := x.emitValue(x.p.ret, row, &x.out); err != nil {
 		return err
+	}
+	if x.ship && !x.shells {
+		for _, it := range x.out[from:] {
+			if n, ok := it.(*xmltree.Node); ok && n.Partial() {
+				x.shells = true
+				break
+			}
+		}
 	}
 	if len(x.out) >= yieldChunk {
 		return x.flushOut()
@@ -642,8 +661,22 @@ func (x *executor) flushOut() error {
 		return nil
 	}
 	out := x.out
-	x.out = nil
+	x.out, x.shells = nil, false
 	return x.yield(out)
+}
+
+// Flush implements Flusher: it runs the pending tuples and, when the
+// output holds a shell, hands it on. A Shipper calls it before it drops
+// the records the shells' bytes are in. Output without a shell waits for
+// a full chunk as usual, so the call allocates nothing then.
+func (x *executor) Flush() error {
+	if err := x.processBatch(); err != nil {
+		return err
+	}
+	if !x.shells {
+		return nil
+	}
+	return x.flushOut()
 }
 
 // collectOrdered materializes one qualifying tuple with its sort keys.
