@@ -171,7 +171,7 @@ func run(configPath string, opts wire.ClientOptions, qopts queryOptions, args []
 			return err
 		}
 		for _, it := range res.Items {
-			if n, ok := it.(*xmltree.Node); ok {
+			if n, ok := xquery.NodeOf(it); ok {
 				fmt.Println(xmltree.NodeString(n))
 			} else {
 				fmt.Println(xquery.ItemString(it))

@@ -84,7 +84,7 @@ func main() {
 		}
 		fmt.Printf("\n%s\n  strategy=%s response=%v\n", q, res.Strategy, res.ResponseTime().Round(time.Microsecond))
 		for _, it := range res.Items {
-			if n, ok := it.(*partix.Node); ok {
+			if n, ok := partix.ItemNode(it); ok {
 				fmt.Printf("  %s\n", partix.NodeString(n))
 			} else {
 				fmt.Printf("  %s\n", partix.ItemString(it))

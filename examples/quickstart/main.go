@@ -87,7 +87,7 @@ func run(sys *partix.System, query string) {
 	}
 	fmt.Printf("\n%s\n  strategy=%s fragments=%v\n", query, res.Strategy, res.Fragments)
 	for _, it := range res.Items {
-		if n, ok := it.(*partix.Node); ok {
+		if n, ok := partix.ItemNode(it); ok {
 			fmt.Printf("  %s\n", partix.NodeString(n))
 		} else {
 			fmt.Printf("  %s\n", partix.ItemString(it))

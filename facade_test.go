@@ -74,7 +74,7 @@ func TestFacadePublishAndQuery(t *testing.T) {
 	if partix.ItemString(res.Items[0]) != "n0" {
 		t.Fatalf("first = %q", partix.ItemString(res.Items[0]))
 	}
-	node, ok := res.Items[0].(*partix.Node)
+	node, ok := partix.ItemNode(res.Items[0])
 	if !ok || partix.NodeString(node) != "<Name>n0</Name>" {
 		t.Fatalf("node = %v", res.Items[0])
 	}
@@ -165,6 +165,25 @@ func TestFacadeRemoteNode(t *testing.T) {
 	}
 	if partix.ItemString(res.Items[0]) != "4" {
 		t.Fatalf("count = %v", res.Items)
+	}
+	// Node answers arrive over TCP unbuilt: ItemNode builds them, and
+	// they print as XML, not as their string values.
+	res, err = sys.Query(`for $i in collection("items")/Item where $i/Section = "CD" return $i/Name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Items) != 2 {
+		t.Fatalf("items = %v", res.Items)
+	}
+	if _, built := res.Items[0].(*partix.Node); built {
+		t.Fatal("a node of a remote union arrived built")
+	}
+	node, ok := partix.ItemNode(res.Items[0])
+	if !ok || partix.NodeString(node) != "<Name>n0</Name>" {
+		t.Fatalf("node = %v", res.Items[0])
+	}
+	if again, _ := partix.ItemNode(res.Items[0]); again != node {
+		t.Fatal("a second ItemNode returns another tree")
 	}
 }
 

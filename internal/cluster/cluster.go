@@ -281,8 +281,11 @@ type SubResult struct {
 	// Elapsed is the site processing time, measured around the driver
 	// call; the coordinator's own sizing of the batches (SeqBytes) is
 	// excluded.
-	Elapsed     time.Duration
-	ResultBytes int // serialized size of the partial result
+	Elapsed time.Duration
+	// ResultBytes is the partial result's size (SeqBytes): serialized
+	// for what a LocalNode returns, the record bytes received for the
+	// node items of a wire client.
+	ResultBytes int
 	// FirstFrame is the time from sub-query start to its first result
 	// batch; zero for an empty result and for a fetch.
 	FirstFrame time.Duration
@@ -345,15 +348,21 @@ func (r *ExecResult) Then(next *ExecResult) {
 	r.Frames += next.Frames
 }
 
-// SeqBytes is the serialized size of a result sequence: XML text for
-// nodes, string form for atomic values. It is the payload size the
-// transmission model charges for.
+// SeqBytes is the size of a result sequence: XML text for nodes, string
+// form for atomic values, and for a node item a wire client received
+// (storage.DeferredNode) its record's length — the bytes the link carried
+// for it and the memory it holds — which costs nothing to read, where
+// serializing it would build its frame's trees. It is the payload size
+// the transmission model charges for.
 func SeqBytes(s xquery.Seq) int {
 	total := 0
 	for _, it := range s {
-		if n, ok := it.(*xmltree.Node); ok {
-			total += xmltree.NodeSerializedSize(n)
-		} else {
+		switch v := it.(type) {
+		case *xmltree.Node:
+			total += xmltree.NodeSerializedSize(v)
+		case *storage.DeferredNode:
+			total += v.Len()
+		default:
 			total += len(xquery.ItemString(it))
 		}
 	}

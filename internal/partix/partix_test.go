@@ -207,7 +207,7 @@ func TestHorizontalResultsMatchCentralized(t *testing.T) {
 func itemsAsStrings(items xquery.Seq) []string {
 	out := make([]string, len(items))
 	for i, it := range items {
-		if n, ok := it.(*xmltree.Node); ok {
+		if n, ok := xquery.NodeOf(it); ok {
 			out[i] = xmltree.NodeString(n)
 		} else {
 			out[i] = xquery.ItemString(it)

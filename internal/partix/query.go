@@ -41,6 +41,11 @@ const (
 // QueryResult is the outcome of a distributed query execution, carrying
 // the timing decomposition of the paper's methodology.
 type QueryResult struct {
+	// Items is the answer. A node item of a union that a wire client
+	// received is a storage.DeferredNode: checked, kept as its frame's
+	// bytes, and built, with its frame's other nodes, on the first
+	// xquery.NodeOf (partix.ItemNode). Every other node, and the node of
+	// a one-item answer, is an *xmltree.Node.
 	Items    xquery.Seq
 	Strategy Strategy
 	// Fragments actually queried or fetched.
@@ -60,8 +65,9 @@ type QueryResult struct {
 	FirstItemLatency time.Duration
 	// Frames is the total number of sub-query result batches received.
 	Frames int
-	// StreamedBytes is the serialized size of all sub-query partial
-	// results and fetched documents.
+	// StreamedBytes is the size of all sub-query partial results
+	// (SubResult.ResultBytes: record bytes for the node items of a
+	// remote node) and fetched documents.
 	StreamedBytes int
 	// TraceID identifies this query across the deployment when tracing
 	// is enabled; it is the tag the nodes saw in the wire header.

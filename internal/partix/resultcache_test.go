@@ -10,6 +10,7 @@ import (
 	"partix/internal/cluster"
 	"partix/internal/obs"
 	"partix/internal/xmltree"
+	"partix/internal/xquery"
 )
 
 // newCachedSystem is newTestSystem with the result cache enabled and
@@ -491,5 +492,55 @@ func TestPublishClearsResultCache(t *testing.T) {
 	}
 	if s.resultCache.len() != 0 {
 		t.Fatalf("publish left %d cached results", s.resultCache.len())
+	}
+}
+
+// Node items a wire client received are built on first use, once per
+// frame, whoever asks first: two goroutines building the items of one
+// query concurrently with those of a second query served the first one's
+// result-cache entry all get the same trees, with the right content, and
+// the race detector sees no conflict.
+func TestCachedReceivedNodesBuildOnce(t *testing.T) {
+	s, _ := newWireSystem(t, 3)
+	s.SetResultCacheBytes(1 << 20)
+	s.SetStatsTTL(0)
+	publishHorizontal(t, s, 24)
+	q := `for $i in collection("items")/Item where $i/Section != "Book" return $i`
+	first, err := s.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cached || !second.Cached || len(first.Items) != len(second.Items) || len(first.Items) < 2 {
+		t.Fatalf("cached=%v,%v with %d and %d items: want the repeat served from the cache",
+			first.Cached, second.Cached, len(first.Items), len(second.Items))
+	}
+	built := make([][]*xmltree.Node, 4)
+	var wg sync.WaitGroup
+	for g := range built {
+		items := []xquery.Seq{first.Items, second.Items}[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			built[g] = make([]*xmltree.Node, len(items))
+			for i, it := range items {
+				built[g][i], _ = xquery.NodeOf(it)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range first.Items {
+		n := built[0][i]
+		if n == nil || n.Name != "Item" || n.Child("Section").Text() == "Book" {
+			t.Fatalf("item %d builds to %v", i, n)
+		}
+		for g := 1; g < len(built); g++ {
+			if built[g][i] != n {
+				t.Fatalf("item %d: goroutine %d built another tree", i, g)
+			}
+		}
 	}
 }

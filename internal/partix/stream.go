@@ -112,7 +112,19 @@ func (p *queryPlan) composeItems(e xquery.Expr, b *cluster.BufferSink, subs []cl
 	case composeJoin:
 		return p.joinAndEval(e, subs)
 	}
-	return b.Concat(), nil
+	items := b.Concat()
+	// A union hands its node items over as they arrived — a remote
+	// node's unbuilt (storage.DeferredNode) — except the node of a
+	// one-item answer, a lookup, which is built here: its caller reads
+	// the one node it asked for, so deferring saves nothing, and a caller
+	// telling a one-node answer from an atomic one by its Go type
+	// (benchmark/oracle.go's scalarOf) sees a *xmltree.Node.
+	if len(items) == 1 {
+		if n, ok := xquery.NodeOf(items[0]); ok {
+			items[0] = n
+		}
+	}
+	return items, nil
 }
 
 // joinAndEval joins each collection's fetched documents back together —

@@ -50,7 +50,9 @@ import (
 // Pass 1 then validates the structure of every record and counts the
 // nodes and text bytes to keep; nothing whose size comes from a count in a
 // record is allocated before all of them have validated, so a hostile
-// child count costs no more than the bytes that carry it. Pass 2
+// child count costs no more than the bytes that carry it. Pass 1 is the
+// decoder's check and pass 2 its build: CheckBatch runs the check alone,
+// and its Batch runs the build when a node is first asked for. Pass 2
 // re-reads the validated bytes and fills one []xmltree.Node slab (document
 // order, record after record) and one []*xmltree.Node slab that holds
 // every node's children as a capped window kids[a:b:b], so Append on a
@@ -58,7 +60,9 @@ import (
 // another record's. A decode is a constant handful of allocations whatever
 // the node or record count: a record whose name table repeats the previous
 // record's shares its strings, and every other table is copied into one
-// names arena.
+// names arena — by pass 1 under a projection, which resolves names; by
+// pass 2 of a whole decode, whose pass 1 checks name references against
+// each table's entry count alone.
 //
 // DecodeProjected keeps only what an xmltree.Projection selects. A dropped
 // element with an extent is skipped in both passes, after checking that
@@ -245,7 +249,8 @@ func DecodeProjected(name string, data []byte, keep *xmltree.Projection) (*xmltr
 // node slab, one child-pointer slab and one text string: the same walk as
 // DecodeDocument, run over every record in each pass. A corrupt record
 // fails the batch with the error DecodeDocument reports for it under the
-// name "record i", i its position in recs.
+// name "record i", i its position in recs. It is CheckBatch and the
+// build its Batch runs on first use, done at once.
 //
 // borrow, when non-nil, lets a record borrow another's name table: with
 // borrow[i] = j ≥ 0, recs[i] is not a record but the bytes of one node of
@@ -254,11 +259,16 @@ func DecodeProjected(name string, data []byte, keep *xmltree.Projection) (*xmltr
 // record of its own (borrow[j] < 0). A borrowed table is decoded once,
 // however many nodes borrow it.
 func DecodeBatch(recs [][]byte, borrow []int) ([]*xmltree.Node, error) {
-	roots := make([]*xmltree.Node, len(recs))
-	if _, i, err := decodeRecords(recs, borrow, nil, roots); err != nil {
-		return nil, fmt.Errorf("storage: decode \"record %d\": %w", i, err)
+	var d decoder
+	if _, i, err := d.check(recs, borrow, nil); err != nil {
+		return nil, batchError(i, err)
 	}
-	return roots, nil
+	return d.build(recs, nil), nil
+}
+
+// batchError names the corrupt record of a batch.
+func batchError(i int, err error) error {
+	return fmt.Errorf("storage: decode \"record %d\": %w", i, err)
 }
 
 // RecordHead returns what a frame item copied out of rec begins with: its
@@ -290,15 +300,22 @@ func RecordHead(rec []byte) (version byte, table []byte, err error) {
 // (xmltree.Node's SetRecordRange): such a node can be shipped by copying
 // those bytes, and a shell can be shipped only so.
 func DecodeRecords(recs [][]byte, keep *xmltree.Projection, roots []*xmltree.Node) (walked int64, bad int, err error) {
-	return decodeRecords(recs, nil, keep, roots)
+	var d decoder
+	if walked, bad, err = d.check(recs, nil, keep); err != nil {
+		return 0, bad, err
+	}
+	d.build(recs, roots)
+	return walked, 0, nil
 }
 
-// decodeRecords is DecodeRecords with DecodeBatch's borrowed tables.
-func decodeRecords(recs [][]byte, borrow []int, keep *xmltree.Projection, roots []*xmltree.Node) (walked int64, bad int, err error) {
+// check is pass 1 over recs: checksums, structure, borrowed tables, and
+// the totals the build allocates by (nodes, text bytes, names). It
+// returns what DecodeRecords does.
+func (d *decoder) check(recs [][]byte, borrow []int, keep *xmltree.Projection) (walked int64, bad int, err error) {
 	if keep.Whole() && !(keep.Shells() && keep.Shipped()) {
 		keep = nil
 	}
-	d := decoder{keep: keep, shells: keep.Shells(), borrow: borrow}
+	d.keep, d.shells, d.borrow = keep, keep.Shells(), borrow
 	if borrow != nil {
 		if len(borrow) != len(recs) {
 			return 0, 0, fmt.Errorf("%d borrowed tables for %d records", len(borrow), len(recs))
@@ -306,7 +323,9 @@ func decodeRecords(recs [][]byte, borrow []int, keep *xmltree.Projection, roots 
 		d.lent = make([]lentTable, len(recs))
 	}
 	d.sizeTables(recs)
-	arena := d.arena
+	if keep != nil {
+		d.growNames() // a projection resolves names in pass 1
+	}
 	for i, rec := range recs {
 		if err := d.start(recs, i, true); err != nil {
 			return 0, i, err
@@ -319,18 +338,33 @@ func decodeRecords(recs [][]byte, borrow []int, keep *xmltree.Projection, roots 
 		}
 		walked += int64(len(rec))
 	}
-	walked -= d.skipped
-	d.build, d.ships = true, 0
+	return walked - d.skipped, 0, nil
+}
+
+// build is pass 2 over the records check accepted: it stores record i's
+// root into roots[i] and returns roots. A nil roots is allocated as the
+// top of the child-pointer slab, which no child window reaches.
+func (d *decoder) build(recs [][]byte, roots []*xmltree.Node) []*xmltree.Node {
+	d.building, d.ships = true, 0
 	d.slab = make([]xmltree.Node, d.nodes)
-	d.kids = make([]*xmltree.Node, d.nodes-len(recs)) // every kept node but the roots is a child
-	d.wp = len(d.kids)
+	kids := d.nodes - len(recs) // every kept node but the roots is a child
+	if roots == nil {
+		d.kids = make([]*xmltree.Node, d.nodes)
+		roots = d.kids[kids:d.nodes:d.nodes]
+	} else {
+		d.kids = make([]*xmltree.Node, kids)
+	}
+	d.wp = kids
 	d.text.Grow(d.textBytes)
-	d.arena, d.tableRaw = arena, nil // replay pass 1's tables
+	if d.all == nil {
+		d.growNames() // a whole decode's pass 1 left the names to pass 2
+	}
+	d.arena, d.tableRaw = d.all, nil // replay pass 1's tables
 	for i := range recs {
 		_ = d.start(recs, i, false)        // pass 1 validated these bytes
 		roots[i], _ = d.walk(nil, true, 0) // and these
 	}
-	return walked, 0, nil
+	return roots
 }
 
 // start opens record i at its root node, under its own name table or the
@@ -349,7 +383,7 @@ func (d *decoder) start(recs [][]byte, i int, verify bool) error {
 			return err
 		}
 		if d.lent != nil {
-			d.lent[i] = lentTable{table: d.table, v2: d.v2, ok: true}
+			d.lent[i] = lentTable{table: d.table, size: d.tableSize, v2: d.v2, ok: true}
 		}
 		return nil
 	}
@@ -357,17 +391,21 @@ func (d *decoder) start(recs [][]byte, i int, verify bool) error {
 		return fmt.Errorf("storage: borrows the table of record %d, which is not an earlier record of its own", j)
 	}
 	d.buf, d.pos = recs[i], 0
-	d.table, d.v2 = d.lent[j].table, d.lent[j].v2
+	d.table, d.tableSize, d.v2 = d.lent[j].table, d.lent[j].size, d.lent[j].v2
 	return nil
 }
 
 const maxDecodeDepth = 10000
 
 type decoder struct {
-	buf   []byte // the record being read, or the extent being walked; never the trailer
-	pos   int
-	v2    bool // the record is version 2: elements may carry extents
-	table []string
+	buf []byte // the record being read, or the extent being walked; never the trailer
+	pos int
+	v2  bool // the record is version 2: elements may carry extents
+	// table is the current name table, and tableSize its entry count: a
+	// whole decode's pass 1 checks name refs against tableSize alone and
+	// leaves table nil.
+	table     []string
+	tableSize int
 	// tableRaw is the current table's bytes, count included: a record
 	// whose table bytes equal them reuses table.
 	tableRaw []byte
@@ -383,14 +421,17 @@ type decoder struct {
 	lent   []lentTable
 
 	// The names arena: every distinct table's bytes, copied once, and
-	// the strings sliced from them (sizeTables sizes both).
+	// the strings sliced from them (growNames allocates both, all the
+	// strings; arena is what is left of them). The pass that fills it is
+	// pass 1 under a projection, which resolves names, and pass 2 of a
+	// whole decode, whose pass 1 only counts them.
 	names strings.Builder
+	all   []string
 	arena []string
 
-	// Pass 1 totals: what pass 2 builds, and the bytes of the subtrees
-	// skipped.
-	nodes, textBytes int
-	skipped          int64
+	counts
+	// skipped is the bytes of the subtrees pass 1 skipped.
+	skipped int64
 
 	// ships counts the shipped elements met in the current pass;
 	// shellBits, then moreBits, hold pass 1's decision for each, whether
@@ -405,21 +446,30 @@ type decoder struct {
 	// completes, then move into the parent's window, allocated downward
 	// from the top (wp). Every built node but the root is in exactly one
 	// of the two regions, so they never collide.
-	build  bool
-	slab   []xmltree.Node
-	next   int // next free slab slot
-	kids   []*xmltree.Node
-	sp, wp int
-	text   strings.Builder // kept text values, grown once to their total: never reallocated
+	building bool
+	slab     []xmltree.Node
+	next     int // next free slab slot
+	kids     []*xmltree.Node
+	sp, wp   int
+	text     strings.Builder // kept text values, grown once to their total: never reallocated
 }
 
-// lentTable is the name table and format version a record lends.
+// counts are pass 1's totals: what pass 2 allocates.
+type counts struct {
+	nodes, textBytes int
+	// tableBytes and tableEntries size the names arena.
+	tableBytes, tableEntries int
+}
+
+// lentTable is the name table (nil in a whole decode's pass 1), its entry
+// count and the format version a record lends.
 type lentTable struct {
 	table  []string
+	size   int
 	v2, ok bool
 }
 
-// sizeTables grows the names arena to hold every distinct name table of
+// sizeTables sizes the names arena to hold every distinct name table of
 // recs — distinct meaning its bytes differ from the previous record's —
 // so readTable fills it without reallocating: a batch's tables cost two
 // allocations, whatever the number of records. It stops at the first table
@@ -444,8 +494,14 @@ func (d *decoder) sizeTables(recs [][]byte) {
 		}
 		prev = raw
 	}
-	d.names.Grow(size)
-	d.arena = make([]string, entries)
+	d.tableBytes, d.tableEntries = size, entries
+}
+
+// growNames allocates the names arena sizeTables sized.
+func (d *decoder) growNames() {
+	d.names.Grow(d.tableBytes)
+	d.all = make([]string, d.tableEntries)
+	d.arena = d.all
 }
 
 // open starts reading rec at its name table. It checks the version byte
@@ -501,23 +557,28 @@ func (d *decoder) scanTable() ([]byte, uint64, error) {
 
 // readTable validates the record's name table and makes it d.table. A
 // table whose bytes equal the previous record's keeps its strings; any
-// other takes the next entries of the names arena — in pass 1 it copies
-// the table's bytes into the arena and slices them there, so names never
-// alias (and so never pin) the record itself; pass 2, replaying the same
-// records, finds them filled.
+// other takes the next entries of the names arena — the pass that fills
+// the arena copies the table's bytes into it and slices them there, so
+// names never alias (and so never pin) the record itself; pass 2 of a
+// projected decode, replaying the same records, finds them filled. A
+// whole decode's pass 1 takes no entries: it has no arena yet.
 func (d *decoder) readTable() error {
 	raw, count, err := d.scanTable()
 	if err != nil {
 		return err
 	}
+	d.tableSize = int(count)
 	if bytes.Equal(raw, d.tableRaw) {
 		d.table = d.ownTable
 		return nil
 	}
 	d.tableRaw = raw
+	if d.all == nil {
+		return nil
+	}
 	d.table, d.arena = d.arena[:count:count], d.arena[count:]
 	d.ownTable = d.table
-	if d.build {
+	if d.building && d.keep != nil {
 		return nil
 	}
 	d.names.Write(raw)
@@ -598,7 +659,7 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 		if err != nil || !parentKept || d.shell(parent) {
 			return nil, err
 		}
-		if !d.build {
+		if !d.building {
 			d.nodes++
 			d.textBytes += len(raw)
 			return nil, nil
@@ -614,10 +675,13 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 		if err != nil {
 			return nil, err
 		}
-		if ref >= uint64(len(d.table)) {
-			return nil, fmt.Errorf("storage: name ref %d outside table of %d", ref, len(d.table))
+		if ref >= uint64(d.tableSize) {
+			return nil, fmt.Errorf("storage: name ref %d outside table of %d", ref, d.tableSize)
 		}
-		name := d.table[ref]
+		var name string // resolved only where names are filled
+		if d.table != nil {
+			name = d.table[ref]
+		}
 		count, err := d.uvarint()
 		if err != nil {
 			return nil, err
@@ -658,7 +722,7 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 		shell, tentative, ship := false, false, d.ships
 		if kept && d.shell(keep) {
 			d.ships++
-			if d.build {
+			if d.building {
 				shell = *d.shellWord(ship)&(1<<(ship%64)) != 0
 			} else {
 				shell, tentative = true, true
@@ -667,7 +731,7 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 				keep = nil
 			}
 		}
-		if !kept && d.build && !hasExtent {
+		if !kept && d.building && !hasExtent {
 			d.pos = d.skip(start)
 			return nil, nil
 		}
@@ -675,7 +739,7 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 		if hasExtent {
 			if !kept {
 				d.pos += int(extent)
-				if !d.build {
+				if !d.building {
 					d.skipped += int64(d.pos - start)
 				}
 				return nil, nil
@@ -684,7 +748,7 @@ func (d *decoder) walk(parent *xmltree.Projection, parentKept bool, depth int) (
 		}
 		var n *xmltree.Node
 		if kept {
-			if d.build {
+			if d.building {
 				n = d.alloc(kind, id)
 				n.Name = name
 			} else {

@@ -596,9 +596,9 @@ func (c *Client) StoreDocument(collection string, doc *xmltree.Document) error {
 }
 
 // query is the one result exchange every query method goes through:
-// each received frame's payload is parsed once and its items decoded
+// each received frame's payload is parsed once and its node items checked
 // together (DecodeSeq), then handed to yield in arrival order, from the
-// calling goroutine. reset, when non-nil, lets a stream cut after
+// calling goroutine: a frame that fails the check fails the query here. reset, when non-nil, lets a stream cut after
 // delivery retry from scratch (see stream).
 func (c *Client) query(req *Request, yield func(xquery.Seq) error, reset func()) ([]obs.Span, error) {
 	req.Op = OpQueryStream
@@ -628,9 +628,10 @@ func (c *Client) query(req *Request, yield func(xquery.Seq) error, reset func())
 // the spans come back from the FrameEnd trailer; the frames before it
 // are the same either way. A stream cut after the first batch was
 // delivered is not retried — the caller owns what it already consumed.
-// Each batch is one frame: its nodes share one decoded slab, so a node
-// the caller keeps keeps its whole frame (at most the server's
-// MaxFrameBytes of records) alive.
+// Each batch is one frame: its node items are storage.DeferredNodes that
+// share the frame's payload until one is asked for its tree, then one
+// decoded slab, so a node the caller keeps keeps its whole frame (at most
+// the server's MaxFrameBytes of records) alive.
 func (c *Client) Query(query, tag string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error) {
 	return c.query(&Request{Query: query, TraceID: tag, Trace: trace}, yield, nil)
 }

@@ -1,8 +1,9 @@
 package wire
 
 // Coverage for the query frame codec: a frame's items travel as one
-// payload (Frame.Count, Frame.Payload), written by one per-stream encoder
-// and decoded into one slab, so its cost is per frame, not per item.
+// payload (Frame.Count, Frame.Payload), written by one per-stream encoder,
+// checked on arrival and built into one slab, so its cost is per frame,
+// not per item.
 
 import (
 	"bytes"
@@ -44,13 +45,14 @@ func storeItems(t *testing.T, n int) xquery.Seq {
 // TestFrameCodecAllocsPerFrame pins both ends of the query frame codec at
 // a constant number of allocations per frame, whatever its item count:
 // the node appends every item into one reused payload through one record
-// encoder, and the client parses the payload once and decodes every node
-// item into one slab. Both include gob, on a long-lived encoder and
-// decoder as a connection has. When each item was encoded, shipped and
-// decoded on its own, a frame of Item elements cost ≈6 allocations per
-// item to encode and ≈9 to decode (61 and 1,216 to encode 10 and 200;
-// 97 and 1,807 to decode them). The collector is off while counting: a
-// cycle set off by a multi-MB frame allocates objects of its own.
+// encoder, and the client parses the payload once, checks every node item
+// at once and, asked for a node, builds them all into one slab. Both
+// include gob, on a long-lived encoder and decoder as a connection has.
+// When each item was encoded, shipped and decoded on its own, a frame of
+// Item elements cost ≈6 allocations per item to encode and ≈9 to decode
+// (61 and 1,216 to encode 10 and 200; 97 and 1,807 to decode them). The
+// collector is off while counting: a cycle set off by a multi-MB frame
+// allocates objects of its own.
 func TestFrameCodecAllocsPerFrame(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const runs = 5 // AllocsPerRun adds one warm-up run
@@ -90,6 +92,9 @@ func TestFrameCodecAllocsPerFrame(t *testing.T) {
 			}
 			if len(seq) != n {
 				t.Fatalf("decoded %d items, want %d", len(seq), n)
+			}
+			if _, ok := xquery.NodeOf(seq[0]); !ok { // builds the frame's trees
+				t.Fatal("a frame of Items decodes to no node")
 			}
 		}
 		decodeFrame() // reads gob's type descriptors
@@ -270,11 +275,15 @@ func rangeSeeds(f testing.TB) []struct {
 }
 
 // FuzzFramePayload feeds arbitrary (Count, Payload) pairs to what a client
-// does with a query frame: parse the payload, then decode its node items
-// as one batch. It must never panic; what it allocates must be bounded by
-// the payload's length, never by the declared count; and every payload
-// that decodes must re-encode to items that decode and re-encode to the
-// same items again.
+// does with a query frame: parse the payload and check its node items on
+// arrival (DecodeSeq), then build them on first use. It must never panic;
+// a payload must pass the check exactly when decoding its node items at
+// once (storage.DecodeBatch) succeeds, with the same error when neither
+// does; every node that passed must build, without failing, to the tree
+// that decode gives, IDs included; what arrival and building allocate
+// together must be bounded by the payload's length, never by the
+// declared count; and every payload that passes must re-encode to items
+// that decode and re-encode to the same items again.
 func FuzzFramePayload(f *testing.F) {
 	for _, seq := range []xquery.Seq{
 		nil,
@@ -308,7 +317,11 @@ func FuzzFramePayload(f *testing.F) {
 			var items []Item
 			items, err = parseItems(count, payload)
 			if err == nil {
-				seq, err = DecodeSeq(items)
+				if seq, err = DecodeSeq(items); err == nil {
+					for _, it := range seq {
+						xquery.NodeOf(it)
+					}
+				}
 			}
 			runtime.ReadMemStats(&after)
 			got = min(got, after.TotalAlloc-before.TotalAlloc)
@@ -318,8 +331,29 @@ func FuzzFramePayload(f *testing.F) {
 		if limit := 128*uint64(len(payload)) + 1<<12; got > limit {
 			t.Fatalf("count %d, %d payload bytes: allocated %d bytes, bound is %d", count, len(payload), got, limit)
 		}
+		items, perr := parseItems(count, payload)
+		if perr != nil {
+			if err == nil || err.Error() != perr.Error() {
+				t.Fatalf("parse error %v, arrival error %v", perr, err)
+			}
+			return
+		}
+		eager, eerr := storage.DecodeBatch(nodeRecords(items))
+		if (err == nil) != (eerr == nil) || err != nil && err.Error() != eerr.Error() {
+			t.Fatalf("arrival error %v, eager decode error %v", err, eerr)
+		}
 		if err != nil {
 			return
+		}
+		for i, it := range seq {
+			n, ok := xquery.NodeOf(it)
+			if !ok {
+				continue
+			}
+			if want := eager[0]; n == nil || !xmltree.Equal(n, want) || !sameIDs(n, want) {
+				t.Fatalf("item %d builds to %s, the eager decode gives %s", i, nodeText(n), xmltree.NodeString(want))
+			}
+			eager = eager[1:]
 		}
 		once, err := EncodeSeq(seq)
 		if err != nil {

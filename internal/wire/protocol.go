@@ -40,9 +40,10 @@
 // and the node's byte range, every later one as its byte range alone,
 // which borrows that earlier item's name table (ItemRange). Any other
 // node is encoded from its tree by one record encoder per stream. The
-// client parses the payload once and decodes all of its node items into
-// one slab (DecodeSeq). Fetch frames ship stored records verbatim, one
-// []byte per document.
+// client parses the payload once and checks all of its node items on
+// arrival; it builds their trees, into one slab, only when a caller first
+// asks for a node (DecodeSeq). Fetch frames ship stored records verbatim,
+// one []byte per document.
 package wire
 
 import (
@@ -310,7 +311,8 @@ type tableEntry struct {
 // and a frame of nodes from many records does not compare each with all.
 const maxTableSearch = 8
 
-// add appends one evaluation result item.
+// add appends one evaluation result item. A deferred node item is
+// encoded from its tree.
 func (w *itemWriter) add(it xquery.Item) error {
 	switch v := it.(type) {
 	case *xmltree.Node:
@@ -327,6 +329,8 @@ func (w *itemWriter) add(it xquery.Item) error {
 			w.payload = storage.PrefixLength(w.payload, rec)
 		}
 		w.nodes++
+	case xquery.DeferredNode:
+		return w.add(v.Node())
 	case string:
 		w.payload = append(w.payload, byte(ItemString))
 		w.payload = binary.AppendUvarint(w.payload, uint64(len(v)))
@@ -457,12 +461,16 @@ func EncodeSeq(s xquery.Seq) ([]Item, error) {
 	return parseItems(w.count, w.payload)
 }
 
-// DecodeSeq converts wire items back to an evaluation result, decoding
-// every node item in one storage.DecodeBatch, an ItemRange under the name
-// table it borrows: the decoded nodes share one node slab, one
-// child-pointer slab and one text string, so keeping any one of them
-// keeps all of them (a frame's worth, at most MaxFrameBytes of records).
-// Nothing in the result aliases the items.
+// DecodeSeq converts wire items back to an evaluation result, checking
+// every node item at once: storage.CheckBatch, an ItemRange under the
+// name table it borrows. A node item that fails the check fails the
+// frame, with the error decoding it would give; one that passes comes
+// back as a storage.DeferredNode over its bytes, which alias the items
+// (a received frame's payload, fresh per frame). Its frame's trees are
+// built, together, when one of them is first asked for (xquery.NodeOf),
+// and never fail to build; until then a kept node item keeps its frame's
+// payload, after that its frame's trees (at most MaxFrameBytes of
+// records either way).
 func DecodeSeq(items []Item) (xquery.Seq, error) {
 	nodes, ranges := 0, 0
 	for _, it := range items {
@@ -477,32 +485,37 @@ func DecodeSeq(items []Item) (xquery.Seq, error) {
 			return nil, fmt.Errorf("wire: unknown item kind %d", it.Kind)
 		}
 	}
-	recs := make([][]byte, 0, nodes) // nothing to allocate for a frame of atomic values
-	var borrow []int
-	if ranges > 0 {
-		borrow = make([]int, 0, nodes)
-	}
-	for _, it := range items {
-		switch it.Kind {
-		case ItemNode:
-			recs = append(recs, it.Node)
-			if borrow != nil {
-				borrow = append(borrow, -1)
+	var batch *storage.Batch
+	if nodes > 0 {
+		recs := make([][]byte, 0, nodes)
+		var borrow []int
+		if ranges > 0 {
+			borrow = make([]int, 0, nodes)
+		}
+		for _, it := range items {
+			switch it.Kind {
+			case ItemNode:
+				recs = append(recs, it.Node)
+				if borrow != nil {
+					borrow = append(borrow, -1)
+				}
+			case ItemRange:
+				recs = append(recs, it.Node)
+				borrow = append(borrow, it.Table)
 			}
-		case ItemRange:
-			recs = append(recs, it.Node)
-			borrow = append(borrow, it.Table)
+		}
+		var err error
+		if batch, err = storage.CheckBatch(recs, borrow); err != nil {
+			return nil, err
 		}
 	}
-	roots, err := storage.DecodeBatch(recs, borrow)
-	if err != nil {
-		return nil, err
-	}
 	out := make(xquery.Seq, len(items))
+	node := 0
 	for i, it := range items {
 		switch it.Kind {
 		case ItemNode, ItemRange:
-			out[i], roots = roots[0], roots[1:]
+			out[i] = batch.Node(node)
+			node++
 		case ItemString:
 			out[i] = it.Str
 		case ItemNumber:

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,8 +135,8 @@ func streamFramed(t *testing.T, db *engine.DB, q string, batch int) frameKinds {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := ref[0].(*xmltree.Node)
-			if g, _ := got[i].(*xmltree.Node); g == nil || !xmltree.Equal(g, want) || !sameIDs(g, want) {
+			want, _ := xquery.NodeOf(ref[0])
+			if g, _ := xquery.NodeOf(got[i]); g == nil || !xmltree.Equal(g, want) || !sameIDs(g, want) {
 				t.Fatalf("%s: an item decodes to %s, encoding its tree gives %s", q, nodeText(g), xmltree.NodeString(want))
 			}
 		}
@@ -348,7 +349,7 @@ func TestRangeItemsBorrowOnlyAnEarlierTable(t *testing.T) {
 			t.Fatalf("seed %d: error %v, want valid=%v", i, err, valid)
 		}
 		if valid {
-			if n, _ := seq[1].(*xmltree.Node); n == nil || xmltree.NodeString(n) != "<Code>I7</Code>" {
+			if n, _ := xquery.NodeOf(seq[1]); n == nil || xmltree.NodeString(n) != "<Code>I7</Code>" {
 				t.Fatalf("seed %d: the range decodes to %v", i, seq[1])
 			}
 		}
@@ -392,14 +393,15 @@ func TestShippedSubtreesAreNotBuilt(t *testing.T) {
 		c := dialStream(t, addr, ClientOptions{})
 		if got := mustQuery(t, c, q); len(got) != items/2 {
 			t.Fatalf("%d leaves: %d Items returned, want %d", leaves, len(got), items/2)
-		} else if n := got[0].(*xmltree.Node); len(n.Children) != 2+leaves {
+		} else if n, _ := xquery.NodeOf(got[0]); len(n.Children) != 2+leaves {
 			t.Fatalf("%d leaves: an Item arrives with %d children, want %d", leaves, len(n.Children), 2+leaves)
 		}
-		before := scanDecodeBytes()
+		_, before := scanDecodeAllocs()
 		for r := 0; r < runs; r++ {
 			mustQuery(t, c, q)
 		}
-		perItem[leaves] = float64(scanDecodeBytes()-before) / (runs * items / 2)
+		_, after := scanDecodeAllocs()
+		perItem[leaves] = float64(after-before) / (runs * items / 2)
 	}
 	t.Logf("node-side decode bytes per returned Item: %.0f at 3 leaves, %.0f at 30", perItem[3], perItem[30])
 	if perItem[30] > perItem[3] {
@@ -407,10 +409,16 @@ func TestShippedSubtreesAreNotBuilt(t *testing.T) {
 	}
 }
 
-// scanDecodeBytes sums the bytes the allocation profile attributes to
-// storage's decode under an engine scan; runtime.MemProfileRate must be 1
-// while they are allocated.
-func scanDecodeBytes() int64 {
+// scanDecodeAllocs sums the allocations the memory profile attributes to
+// storage's decode under an engine scan.
+func scanDecodeAllocs() (objects, bytes int64) {
+	return profiledAllocs("engine.(*DB).scanChunks", "storage.DecodeRecords")
+}
+
+// profiledAllocs sums the allocations the memory profile attributes to
+// stacks that hold a function named by each of the suffixes;
+// runtime.MemProfileRate must be 1 while they are made.
+func profiledAllocs(suffixes ...string) (objects, bytes int64) {
 	runtime.GC() // publishes the profile up to here
 	var recs []runtime.MemProfileRecord
 	for n := 256; ; n *= 2 {
@@ -420,21 +428,20 @@ func scanDecodeBytes() int64 {
 			break
 		}
 	}
-	var total int64
 	for _, r := range recs {
-		scan, decode := false, false
+		matched := make([]bool, len(suffixes))
 		frames := runtime.CallersFrames(r.Stack())
-		for {
-			f, more := frames.Next()
-			scan = scan || strings.HasSuffix(f.Function, "engine.(*DB).scanChunks")
-			decode = decode || strings.HasSuffix(f.Function, "storage.decodeRecords")
-			if !more {
-				break
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			for i, suffix := range suffixes {
+				matched[i] = matched[i] || strings.HasSuffix(f.Function, suffix)
 			}
 		}
-		if scan && decode {
-			total += r.AllocBytes
+		if !slices.Contains(matched, false) {
+			objects += r.AllocObjects
+			bytes += r.AllocBytes
 		}
 	}
-	return total
+	return objects, bytes
 }

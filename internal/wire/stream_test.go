@@ -97,7 +97,7 @@ func fingerprint(t *testing.T, s xquery.Seq) []string {
 	t.Helper()
 	out := make([]string, len(s))
 	for i, it := range s {
-		if n, ok := it.(*xmltree.Node); ok {
+		if n, ok := xquery.NodeOf(it); ok {
 			out[i] = xmltree.SerializeString(&xmltree.Document{Name: "item", Root: n})
 		} else {
 			out[i] = fmt.Sprintf("%T:%s", it, xquery.ItemString(it))
@@ -225,7 +225,7 @@ func TestStreamQueryDeliversBatches(t *testing.T) {
 	}
 	for i, it := range got {
 		want := fmt.Sprintf("I%d", i)
-		if xquery.ItemString(it.(*xmltree.Node).Child("Code")) != want {
+		if n, _ := xquery.NodeOf(it); xquery.ItemString(n.Child("Code")) != want {
 			t.Fatalf("item %d out of order", i)
 		}
 	}

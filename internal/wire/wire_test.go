@@ -263,7 +263,7 @@ func TestRemoteQueryResultKinds(t *testing.T) {
 	if b, ok := items[2].(bool); !ok || !b {
 		t.Fatalf("item2 %v", items[2])
 	}
-	if n, ok := items[3].(*xmltree.Node); !ok || n.Text() != "I1" {
+	if n, ok := xquery.NodeOf(items[3]); !ok || n.Text() != "I1" {
 		t.Fatalf("item3 %v", items[3])
 	}
 }

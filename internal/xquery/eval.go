@@ -216,7 +216,7 @@ func (c *context) evalStep(cur Seq, st PathStep) (Seq, error) {
 	var out Seq
 	seen := make(map[*xmltree.Node]bool)
 	for _, it := range cur {
-		n, ok := it.(*xmltree.Node)
+		n, ok := NodeOf(it)
 		if !ok {
 			return nil, fmt.Errorf("xquery: path step /%s applied to atomic value %v", st.Name, it)
 		}
@@ -574,10 +574,9 @@ func (c *context) evalCtor(ct *ElementCtor) (*xmltree.Node, error) {
 			return nil, err
 		}
 		for _, it := range v {
-			switch x := it.(type) {
-			case *xmltree.Node:
-				el.Append(x.Clone())
-			default:
+			if n, ok := NodeOf(it); ok {
+				el.Append(n.Clone())
+			} else {
 				el.Append(xmltree.NewText(ItemString(it)))
 			}
 		}
@@ -587,11 +586,32 @@ func (c *context) evalCtor(ct *ElementCtor) (*xmltree.Node, error) {
 
 // --- value helpers ---
 
+// A DeferredNode is a node item whose tree is built on first use: a node
+// a wire client received, kept as its frame's bytes until asked for
+// (storage.DeferredNode). Node builds the tree on its first call and
+// returns the same one on every call.
+type DeferredNode interface{ Node() *xmltree.Node }
+
+// NodeOf returns the node an item is — the item itself, or a
+// DeferredNode's tree — and whether it is one. Whatever reads an item's
+// tree unwraps it here.
+func NodeOf(it Item) (*xmltree.Node, bool) {
+	switch x := it.(type) {
+	case *xmltree.Node:
+		return x, true
+	case DeferredNode:
+		return x.Node(), true
+	}
+	return nil, false
+}
+
 // ItemString atomizes one item to its string value.
 func ItemString(it Item) string {
 	switch x := it.(type) {
 	case *xmltree.Node:
 		return x.Text()
+	case DeferredNode:
+		return x.Node().Text()
 	case string:
 		return x
 	case float64:
@@ -644,7 +664,8 @@ func EffectiveBool(s Seq) (bool, error) {
 	if len(s) == 0 {
 		return false, nil
 	}
-	if _, isNode := s[0].(*xmltree.Node); isNode {
+	switch s[0].(type) {
+	case *xmltree.Node, DeferredNode: // a DeferredNode's tree is not built
 		return true, nil
 	}
 	if len(s) > 1 {

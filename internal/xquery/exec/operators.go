@@ -410,7 +410,7 @@ func (x *executor) slotWalk(slot int, rel []step) ([]*xmltree.Node, error) {
 // means "empty": rel was empty and the caller handles the raw item.
 func (x *executor) baseNode(row []any, slot int, rel []step) (*xmltree.Node, error) {
 	v := row[slot]
-	n, ok := v.(*xmltree.Node)
+	n, ok := xquery.NodeOf(v)
 	if !ok {
 		if len(rel) == 0 {
 			return nil, nil

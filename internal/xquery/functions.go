@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"partix/internal/xmltree"
 )
 
 // sliceString implements XPath substring semantics: 1-based start, byte
@@ -171,7 +169,7 @@ func (c *context) evalFunc(f *FuncCall) (Seq, error) {
 		if len(args[0]) == 0 {
 			return Seq{""}, nil
 		}
-		if n, ok := args[0][0].(*xmltree.Node); ok {
+		if n, ok := NodeOf(args[0][0]); ok {
 			return Seq{n.Name}, nil
 		}
 		return Seq{""}, nil

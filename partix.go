@@ -118,7 +118,9 @@ type (
 	NodeServerOptions = iwire.ServerOptions
 	// Seq is an XQuery result sequence.
 	Seq = ixquery.Seq
-	// Item is one result item: *Node, string, float64 or bool.
+	// Item is one result item: a node, string, float64 or bool. A node
+	// is a *Node, or, from a RemoteNode, a node kept as the bytes it
+	// arrived in until its tree is asked for; ItemNode reads either.
 	Item = ixquery.Item
 )
 
@@ -246,6 +248,11 @@ func NodeString(n *Node) string { return ixmltree.NodeString(n) }
 
 // ItemString atomizes a result item to its string value.
 func ItemString(it Item) string { return ixquery.ItemString(it) }
+
+// ItemNode returns the node a result item is, and whether it is one. A
+// node a RemoteNode returned has its tree built — with those of its frame
+// — on the first call; every call returns the same *Node.
+func ItemNode(it Item) (*Node, bool) { return ixquery.NodeOf(it) }
 
 // NewCollection builds a collection from documents.
 func NewCollection(name string, docs ...*Document) *Collection {

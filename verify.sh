@@ -41,8 +41,10 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # independent of its item count), framing stored nodes (allocations per
 # frame independent of the returned subtrees' size, no tree encoded),
 # shipping stored Items (node-side decode bytes per Item independent of
-# the leaves the query does not read) and the Node size the decoder's
-# record ranges and shell bit must not grow, the wire's
+# the leaves the query does not read), receiving stored Items (client
+# allocations and bytes per frame, and sizing per Item, independent of
+# the Items' size: no tree built until a caller asks for a node) and the
+# Node size the decoder's record ranges and shell bit must not grow, the wire's
 # message-limit reader,
 # serialization and its size count, a leaf's string value (no
 # allocation), the coordinator's per-query
@@ -50,7 +52,7 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # plan-cache hit with revalidation (no allocations)
 go test -timeout 5m -run 'TestAllocsScanFilterProject|TestStringTermAllocsIndependentOfSubtreeSize' ./internal/xquery/exec/
 go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs|TestProjectedDecodeIndependentOfDroppedSubtrees' ./internal/storage/
-go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestNodeSize|TestFrameCodecAllocsPerFrame|TestFramingStoredItemsCostsPerFrame|TestShippedSubtreesAreNotBuilt|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
+go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestNodeSize|TestFrameCodecAllocsPerFrame|TestFramingStoredItemsCostsPerFrame|TestShippedSubtreesAreNotBuilt|TestReceivedNodesAreNotBuilt|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
 
 # observability smoke test: a node started with -debug-addr must serve
 # valid Prometheus text carrying series from every instrumented layer,
