@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"partix/internal/cluster"
 	"partix/internal/engine"
 	"partix/internal/experiments"
 	"partix/internal/fragmentation"
@@ -355,9 +354,9 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	query := `count(collection("items")/Item)`
 
 	b.Run("local", func(b *testing.B) {
-		node := cluster.NewLocalNode("n", db)
+		node := wire.NewLocalNode("n", db)
 		for i := 0; i < b.N; i++ {
-			if _, err := node.ExecuteQuery(query); err != nil {
+			if _, err := node.Query(query, "", false, func(xquery.Seq) error { return nil }); err != nil {
 				b.Fatal(err)
 			}
 		}

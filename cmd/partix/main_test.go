@@ -220,7 +220,7 @@ func TestWritePlanShowsSemiJoinRounds(t *testing.T) {
 		}
 		t.Cleanup(func() { db.Close() })
 		name := fmt.Sprintf("n%d", i)
-		sys.AddNode(cluster.NewLocalNode(name, db))
+		sys.AddNode(wire.NewLocalNode(name, db))
 		placement[f.Name] = name
 	}
 	col := xbench.Generate(xbench.Config{Docs: 4, Seed: 1, Sections: 1, Paragraphs: 1})

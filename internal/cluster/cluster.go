@@ -1,14 +1,14 @@
 // Package cluster provides the node abstraction PartiX coordinates: the
 // Driver interface (the paper's "PartiX Driver", a uniform communication
-// interface between the middleware and XML DBMS nodes), an in-process
-// driver backed by the engine, and the evaluation methodology of the
-// paper's Section 5 — sub-queries timed per site, the response time taken
-// as the slowest site plus a transmission time computed from the result
-// size and the network speed.
+// interface between the middleware and XML DBMS nodes) and the evaluation
+// methodology of the paper's Section 5 — sub-queries timed per site, the
+// response time taken as the slowest site plus a transmission time
+// computed from the result size and the network speed. Both drivers, the
+// in-process one and the TCP client, live in package wire, beside the
+// frame format they share.
 package cluster
 
 import (
-	"fmt"
 	"time"
 
 	"partix/internal/engine"
@@ -36,8 +36,9 @@ type Driver interface {
 	// error reports; it costs the node nothing. With trace set the node
 	// also times its processing steps (parse, plan, execute, …) and
 	// returns them; the delivery itself is the same either way. The nodes
-	// of one batch may share their memory (a remote batch is decoded into
-	// one slab), so keeping one of them may keep its whole batch alive.
+	// of one batch may share their memory (a batch is one frame, its
+	// nodes decoded into one slab on first use), so keeping one of them
+	// may keep its whole batch alive.
 	Query(query, tag string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error)
 	// Fetch retrieves the documents of a collection spec selects, in
 	// document-name order, each cut down to spec.Keep, for the
@@ -93,134 +94,6 @@ type StatisticsProvider interface {
 // reported as unsupported by the aggregation.
 type TelemetryProvider interface {
 	Telemetry() (*obs.TelemetrySnapshot, error)
-}
-
-// LocalNode is an in-process driver backed by an engine.DB, used by the
-// simulated cluster and by tests.
-type LocalNode struct {
-	name string
-	db   *engine.DB
-}
-
-// NewLocalNode wraps db as a named node.
-func NewLocalNode(name string, db *engine.DB) *LocalNode {
-	return &LocalNode{name: name, db: db}
-}
-
-// Name implements Driver.
-func (n *LocalNode) Name() string { return n.name }
-
-// DB exposes the underlying engine (for stats in tests and benches).
-func (n *LocalNode) DB() *engine.DB { return n.db }
-
-// CreateCollection implements Driver.
-func (n *LocalNode) CreateCollection(name string) error {
-	return n.db.Store().CreateCollection(name)
-}
-
-// StoreDocument implements Driver.
-func (n *LocalNode) StoreDocument(collection string, doc *xmltree.Document) error {
-	return n.db.PutDocument(collection, doc)
-}
-
-// localStreamBatch is the batch granularity of LocalNode.Query,
-// matching the wire server's default frame size.
-const localStreamBatch = 256
-
-// Query implements Driver for in-process nodes. Results flow straight
-// from the engine's compiled operator pipeline in bounded chunks — the
-// node never materializes the full result, so peak memory stays flat
-// however large the sub-query's answer is. Queries outside the compiled
-// subset materialize through the interpreter and are then re-chunked,
-// preserving the same incremental composition path. A traced query
-// reports the steps a remote node does minus serialize — nothing crosses
-// a wire — so traces over mixed local/remote deployments stay uniform;
-// the time spent inside yield is the consumer's, not the node's, and is
-// left out of the execute step. The tag is unused: an in-process node
-// logs through the coordinator.
-func (n *LocalNode) Query(query, _ string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error) {
-	e, spans, err := engine.ParseTraced(query, trace)
-	if err != nil {
-		return nil, err
-	}
-	var yielding time.Duration
-	execStart := time.Now()
-	total, err := n.db.StreamQueryExpr(e, nil, func(items xquery.Seq) error {
-		start := time.Now()
-		defer func() { yielding += time.Since(start) }()
-		for len(items) > localStreamBatch {
-			if err := yield(items[:localStreamBatch:localStreamBatch]); err != nil {
-				return err
-			}
-			items = items[localStreamBatch:]
-		}
-		if len(items) > 0 {
-			return yield(items[:len(items):len(items)])
-		}
-		return nil
-	})
-	if err != nil || !trace {
-		return nil, err
-	}
-	return append(spans, obs.Span{
-		Name: "execute", Detail: fmt.Sprintf("items=%d", total), Duration: time.Since(execStart) - yielding,
-	}), nil
-}
-
-// ExecuteQuery accumulates Query's batches into one sequence, for
-// callers that want a node's whole answer at once.
-func (n *LocalNode) ExecuteQuery(query string) (xquery.Seq, error) {
-	var out xquery.Seq
-	_, err := n.Query(query, "", false, func(items xquery.Seq) error {
-		out = append(out, items...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Fetch implements Driver: each stored record the engine selects is
-// decoded straight under spec.Keep, in document-name order, from one
-// pinned snapshot.
-func (n *LocalNode) Fetch(collection string, spec FetchSpec) (*xmltree.Collection, error) {
-	col := xmltree.NewCollection(collection)
-	err := n.db.Fetch(collection, spec.Names, spec.Where, func(name string, raw []byte) error {
-		doc, err := storage.DecodeProjected(name, raw, spec.Keep)
-		if err != nil {
-			return err
-		}
-		col.Add(doc)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return col, nil
-}
-
-// CollectionStats implements Driver.
-func (n *LocalNode) CollectionStats(collection string) (storage.Stats, error) {
-	return n.db.CollectionStats(collection)
-}
-
-// CollectionStatistics implements StatisticsProvider.
-func (n *LocalNode) CollectionStatistics(collection string) (*engine.CollectionStatistics, error) {
-	return n.db.CollectionStatistics(collection)
-}
-
-// HasCollection implements Driver.
-func (n *LocalNode) HasCollection(collection string) bool {
-	return n.db.HasCollection(collection)
-}
-
-// Telemetry implements TelemetryProvider. Only fragment heat is
-// returned: an in-process node shares the coordinator's metric registry
-// (obs.Default), so returning a metric snapshot too would double-count
-// every series when the coordinator merges node telemetry with its own.
-func (n *LocalNode) Telemetry() (*obs.TelemetrySnapshot, error) {
-	return &obs.TelemetrySnapshot{Node: n.name, Heat: n.db.FragmentHeat()}, nil
 }
 
 // CostModel is the communication model of Section 5: transmission time is
@@ -282,9 +155,9 @@ type SubResult struct {
 	// call; the coordinator's own sizing of the batches (SeqBytes) is
 	// excluded.
 	Elapsed time.Duration
-	// ResultBytes is the partial result's size (SeqBytes): serialized
-	// for what a LocalNode returns, the record bytes received for the
-	// node items of a wire client.
+	// ResultBytes is the partial result's size (SeqBytes): the record
+	// bytes its node items arrived as, the string form of its atomic
+	// values.
 	ResultBytes int
 	// FirstFrame is the time from sub-query start to its first result
 	// batch; zero for an empty result and for a fetch.
@@ -348,12 +221,12 @@ func (r *ExecResult) Then(next *ExecResult) {
 	r.Frames += next.Frames
 }
 
-// SeqBytes is the size of a result sequence: XML text for nodes, string
-// form for atomic values, and for a node item a wire client received
-// (storage.DeferredNode) its record's length — the bytes the link carried
-// for it and the memory it holds — which costs nothing to read, where
-// serializing it would build its frame's trees. It is the payload size
-// the transmission model charges for.
+// SeqBytes is the size of a result sequence: for a node item a driver
+// received (storage.DeferredNode, what both drivers return) its record's
+// length — the bytes the frame carried for it and the memory it holds —
+// which costs nothing to read, where serializing it would build its
+// frame's trees; XML text for any other node; string form for atomic
+// values. It is the payload size the transmission model charges for.
 func SeqBytes(s xquery.Seq) int {
 	total := 0
 	for _, it := range s {

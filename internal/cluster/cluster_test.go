@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"fmt"
@@ -8,28 +8,30 @@ import (
 	"testing"
 	"time"
 
+	"partix/internal/cluster"
 	"partix/internal/engine"
 	"partix/internal/obs"
 	"partix/internal/storage"
+	"partix/internal/wire"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
 )
 
-func testNode(t *testing.T, name string) *LocalNode {
+func testNode(t *testing.T, name string) *wire.LocalNode {
 	t.Helper()
 	db, err := engine.Open(filepath.Join(t.TempDir(), name+".db"), engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	n := NewLocalNode(name, db)
+	n := wire.NewLocalNode(name, db)
 	if n.Name() != name || n.DB() != db {
 		t.Fatal("node accessors wrong")
 	}
 	return n
 }
 
-func loadDocs(t *testing.T, n *LocalNode, collection string, docs int) {
+func loadDocs(t *testing.T, n *wire.LocalNode, collection string, docs int) {
 	t.Helper()
 	if err := n.CreateCollection(collection); err != nil {
 		t.Fatal(err)
@@ -43,50 +45,15 @@ func loadDocs(t *testing.T, n *LocalNode, collection string, docs int) {
 	}
 }
 
-func TestLocalNodeDriverOperations(t *testing.T) {
-	n := testNode(t, "n0")
-	loadDocs(t, n, "c", 3)
-	if !n.HasCollection("c") || n.HasCollection("ghost") {
-		t.Fatal("HasCollection wrong")
-	}
-	items, err := n.ExecuteQuery(`count(collection("c")/Item)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xquery.ItemString(items[0]) != "3" {
-		t.Fatalf("count = %v", items)
-	}
-	col, err := n.Fetch("c", FetchSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.Len() != 3 || xmltree.SerializeString(col.Docs[1]) != "<Item><Code>I1</Code></Item>" {
-		t.Fatalf("fetched %d docs", col.Len())
-	}
-	// A projected fetch decodes each document under the trie: the zero
-	// projection keeps only the root element.
-	col, err = n.Fetch("c", FetchSpec{Keep: &xmltree.Projection{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.Len() != 3 || xmltree.SerializeString(col.Docs[1]) != "<Item/>" {
-		t.Fatalf("projected fetch: %d docs, %s", col.Len(), xmltree.SerializeString(col.Docs[1]))
-	}
-	st, err := n.CollectionStats("c")
-	if err != nil || st.Documents != 3 {
-		t.Fatalf("stats = %+v, %v", st, err)
-	}
-}
-
 func TestExecuteMeasuresSlowestSite(t *testing.T) {
 	n0, n1 := testNode(t, "n0"), testNode(t, "n1")
 	loadDocs(t, n0, "a", 2)
 	loadDocs(t, n1, "b", 50) // heavier site
-	sink := NewBufferSink(2)
-	res, err := Execute([]SubQuery{
+	sink := cluster.NewBufferSink(2)
+	res, err := cluster.Execute([]cluster.SubQuery{
 		{Fragment: "fa", Node: n0, Query: `collection("a")/Item/Code`},
 		{Fragment: "fb", Node: n1, Query: `collection("b")/Item/Code`},
-	}, NoNetwork, 1, sink)
+	}, cluster.NoNetwork, 1, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +70,7 @@ func TestExecuteMeasuresSlowestSite(t *testing.T) {
 		t.Fatalf("items = %d", got)
 	}
 	if res.TransmissionTime != 0 {
-		t.Fatal("NoNetwork charged transmission")
+		t.Fatal("cluster.NoNetwork charged transmission")
 	}
 	if res.ResponseTime() != res.ParallelTime {
 		t.Fatal("response time without network must equal parallel time")
@@ -113,17 +80,17 @@ func TestExecuteMeasuresSlowestSite(t *testing.T) {
 func TestExecuteChargesTransmission(t *testing.T) {
 	n := testNode(t, "n0")
 	loadDocs(t, n, "c", 5)
-	sink := NewBufferSink(1)
-	res, err := Execute([]SubQuery{
+	sink := cluster.NewBufferSink(1)
+	res, err := cluster.Execute([]cluster.SubQuery{
 		{Fragment: "f", Node: n, Query: `collection("c")/Item`},
-	}, GigabitEthernet, 1, sink)
+	}, cluster.GigabitEthernet, 1, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TransmissionTime <= 0 {
 		t.Fatal("no transmission charged")
 	}
-	wantBytes := SeqBytes(sink.Parts[0])
+	wantBytes := cluster.SeqBytes(sink.Parts[0])
 	if res.Sub[0].ResultBytes != wantBytes {
 		t.Fatalf("result bytes %d != %d", res.Sub[0].ResultBytes, wantBytes)
 	}
@@ -131,22 +98,22 @@ func TestExecuteChargesTransmission(t *testing.T) {
 
 func TestExecutePropagatesErrors(t *testing.T) {
 	n := testNode(t, "n0")
-	_, err := Execute([]SubQuery{
+	_, err := cluster.Execute([]cluster.SubQuery{
 		{Fragment: "f", Node: n, Query: `collection("ghost")/X`},
-	}, NoNetwork, 1, NewBufferSink(1))
+	}, cluster.NoNetwork, 1, cluster.NewBufferSink(1))
 	if err == nil {
 		t.Fatal("error not propagated")
 	}
 }
 
 func TestCostModel(t *testing.T) {
-	if GigabitEthernet.Transmission(125_000_000) != time.Second {
+	if cluster.GigabitEthernet.Transmission(125_000_000) != time.Second {
 		t.Fatal("gigabit speed wrong")
 	}
-	if NoNetwork.Transmission(1<<40) != 0 {
-		t.Fatal("NoNetwork not free")
+	if cluster.NoNetwork.Transmission(1<<40) != 0 {
+		t.Fatal("cluster.NoNetwork not free")
 	}
-	m := CostModel{BytesPerSecond: 1000, MessageLatency: time.Millisecond}
+	m := cluster.CostModel{BytesPerSecond: 1000, MessageLatency: time.Millisecond}
 	if m.Transmission(500) != 500*time.Millisecond {
 		t.Fatalf("transmission = %v", m.Transmission(500))
 	}
@@ -156,8 +123,8 @@ func TestSeqBytes(t *testing.T) {
 	node := xmltree.NewElement("a", xmltree.NewText("xy"))
 	seq := xquery.Seq{node, "str", 3.5, true}
 	want := len(xmltree.NodeString(node)) + len("str") + len("3.5") + len("true")
-	if got := SeqBytes(seq); got != want {
-		t.Fatalf("SeqBytes = %d, want %d", got, want)
+	if got := cluster.SeqBytes(seq); got != want {
+		t.Fatalf("cluster.SeqBytes = %d, want %d", got, want)
 	}
 }
 
@@ -173,7 +140,7 @@ func (d *countingDriver) Name() string                                  { return
 func (d *countingDriver) CreateCollection(string) error                 { return nil }
 func (d *countingDriver) HasCollection(string) bool                     { return true }
 func (d *countingDriver) StoreDocument(string, *xmltree.Document) error { return nil }
-func (d *countingDriver) Fetch(string, FetchSpec) (*xmltree.Collection, error) {
+func (d *countingDriver) Fetch(string, cluster.FetchSpec) (*xmltree.Collection, error) {
 	return xmltree.NewCollection("c"), nil
 }
 func (d *countingDriver) CollectionStats(string) (storage.Stats, error) {
@@ -195,12 +162,12 @@ func (d *countingDriver) Query(query, _ string, _ bool, yield func(xquery.Seq) e
 func TestExecuteBoundsInFlight(t *testing.T) {
 	const subQueries, limit = 100, 8
 	d := &countingDriver{name: "n"}
-	subs := make([]SubQuery, subQueries)
+	subs := make([]cluster.SubQuery, subQueries)
 	for i := range subs {
-		subs[i] = SubQuery{Fragment: fmt.Sprintf("f%d", i), Node: d, Query: fmt.Sprintf("q%03d", i)}
+		subs[i] = cluster.SubQuery{Fragment: fmt.Sprintf("f%d", i), Node: d, Query: fmt.Sprintf("q%03d", i)}
 	}
-	sink := NewBufferSink(subQueries)
-	res, err := Execute(subs, NoNetwork, limit, sink)
+	sink := cluster.NewBufferSink(subQueries)
+	res, err := cluster.Execute(subs, cluster.NoNetwork, limit, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +202,9 @@ func TestFailoverErrorNamesEveryNodeTried(t *testing.T) {
 	primary := &downDriver{countingDriver{name: "n0"}}
 	r1 := &downDriver{countingDriver{name: "n1"}}
 	r2 := &downDriver{countingDriver{name: "n2"}}
-	_, err := Execute([]SubQuery{{
-		Fragment: "f", Node: primary, Replicas: []Driver{r1, r2}, Query: "q",
-	}}, NoNetwork, 1, NewBufferSink(1))
+	_, err := cluster.Execute([]cluster.SubQuery{{
+		Fragment: "f", Node: primary, Replicas: []cluster.Driver{r1, r2}, Query: "q",
+	}}, cluster.NoNetwork, 1, cluster.NewBufferSink(1))
 	if err == nil {
 		t.Fatal("all-copies-down sub-query succeeded")
 	}
@@ -251,9 +218,9 @@ func TestFailoverErrorNamesEveryNodeTried(t *testing.T) {
 func TestFailoverReportsServingReplica(t *testing.T) {
 	primary := &downDriver{countingDriver{name: "n0"}}
 	replica := &countingDriver{name: "n1"}
-	res, err := Execute([]SubQuery{{
-		Fragment: "f", Node: primary, Replicas: []Driver{replica}, Query: "q",
-	}}, NoNetwork, 1, NewBufferSink(1))
+	res, err := cluster.Execute([]cluster.SubQuery{{
+		Fragment: "f", Node: primary, Replicas: []cluster.Driver{replica}, Query: "q",
+	}}, cluster.NoNetwork, 1, cluster.NewBufferSink(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +231,12 @@ func TestFailoverReportsServingReplica(t *testing.T) {
 
 func TestExecuteUnlimitedStillOrdered(t *testing.T) {
 	d := &countingDriver{name: "n"}
-	subs := make([]SubQuery, 20)
+	subs := make([]cluster.SubQuery, 20)
 	for i := range subs {
-		subs[i] = SubQuery{Fragment: fmt.Sprintf("f%d", i), Node: d, Query: fmt.Sprintf("q%02d", i)}
+		subs[i] = cluster.SubQuery{Fragment: fmt.Sprintf("f%d", i), Node: d, Query: fmt.Sprintf("q%02d", i)}
 	}
-	sink := NewBufferSink(len(subs))
-	if _, err := Execute(subs, NoNetwork, 0, sink); err != nil {
+	sink := cluster.NewBufferSink(len(subs))
+	if _, err := cluster.Execute(subs, cluster.NoNetwork, 0, sink); err != nil {
 		t.Fatal(err)
 	}
 	for i, part := range sink.Parts {

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"fmt"
@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"partix/internal/cluster"
 	"partix/internal/obs"
+	"partix/internal/wire"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
 )
@@ -42,22 +44,22 @@ func (r *recordSink) concat() xquery.Seq {
 // returns, in sub-query order, with frame accounting on top.
 func TestExecuteMatchesOracle(t *testing.T) {
 	n0, n1 := testNode(t, "n0"), testNode(t, "n1")
-	loadDocs(t, n0, "a", localStreamBatch+30)
+	loadDocs(t, n0, "a", 256+30) // past one frame of a node's default 256 items
 	loadDocs(t, n1, "b", 7)
-	subs := []SubQuery{
+	subs := []cluster.SubQuery{
 		{Fragment: "fa", Node: n0, Query: `collection("a")/Item/Code`},
 		{Fragment: "fb", Node: n1, Query: `collection("b")/Item/Code`},
 	}
 	oracle := make([]xquery.Seq, len(subs))
 	for i, sq := range subs {
 		var err error
-		if oracle[i], err = sq.Node.(*LocalNode).DB().Query(sq.Query); err != nil {
+		if oracle[i], err = sq.Node.(*wire.LocalNode).DB().Query(sq.Query); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, inflight := range []int{1, 2, 0} {
 		sink := &recordSink{parts: make([]xquery.Seq, len(subs))}
-		res, err := Execute(subs, NoNetwork, inflight, sink)
+		res, err := cluster.Execute(subs, cluster.NoNetwork, inflight, sink)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,8 +76,8 @@ func TestExecuteMatchesOracle(t *testing.T) {
 					t.Fatalf("inflight=%d sub %d item %d differs: %v vs %v", inflight, i, j, got[j], want[j])
 				}
 			}
-			if sub.ResultBytes != SeqBytes(want) {
-				t.Fatalf("inflight=%d sub %d ResultBytes = %d, want %d", inflight, i, sub.ResultBytes, SeqBytes(want))
+			if sub.ResultBytes != cluster.SeqBytes(got) {
+				t.Fatalf("inflight=%d sub %d ResultBytes = %d, want %d", inflight, i, sub.ResultBytes, cluster.SeqBytes(got))
 			}
 		}
 	}
@@ -91,7 +93,7 @@ func TestSizingStaysOutOfSiteClock(t *testing.T) {
 	}
 	d := &batchDriver{countingDriver: countingDriver{name: "n0"}, items: xquery.Seq{root}}
 	start := time.Now()
-	res, err := Execute([]SubQuery{{Fragment: "f", Node: d, Query: "q"}}, NoNetwork, 1, NewBufferSink(1))
+	res, err := cluster.Execute([]cluster.SubQuery{{Fragment: "f", Node: d, Query: "q"}}, cluster.NoNetwork, 1, cluster.NewBufferSink(1))
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +133,9 @@ func TestExecuteStreamEarlyStop(t *testing.T) {
 		return s
 	}
 	d0 := &batchDriver{countingDriver: countingDriver{name: "n0"}, items: mkItems(100)}
-	subs := []SubQuery{{Fragment: "f0", Node: d0, Query: "q0"}}
+	subs := []cluster.SubQuery{{Fragment: "f0", Node: d0, Query: "q0"}}
 	sink := &recordSink{parts: make([]xquery.Seq, 1), stopAt: 3}
-	res, err := Execute(subs, NoNetwork, 0, sink)
+	res, err := cluster.Execute(subs, cluster.NoNetwork, 0, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,17 +151,17 @@ func TestExecuteStreamEarlyStop(t *testing.T) {
 // once the sink has decided.
 func TestExecuteStreamStopSkipsQueued(t *testing.T) {
 	const n = 8
-	subs := make([]SubQuery, n)
+	subs := make([]cluster.SubQuery, n)
 	drivers := make([]*batchDriver, n)
 	for i := range subs {
 		drivers[i] = &batchDriver{
 			countingDriver: countingDriver{name: fmt.Sprintf("n%d", i)},
 			items:          xquery.Seq{true},
 		}
-		subs[i] = SubQuery{Fragment: fmt.Sprintf("f%d", i), Node: drivers[i], Query: "q"}
+		subs[i] = cluster.SubQuery{Fragment: fmt.Sprintf("f%d", i), Node: drivers[i], Query: "q"}
 	}
 	sink := &recordSink{parts: make([]xquery.Seq, n), stopAt: 1}
-	res, err := Execute(subs, NoNetwork, 1, sink)
+	res, err := cluster.Execute(subs, cluster.NoNetwork, 1, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +203,9 @@ func TestExecuteStreamFailoverResetsPartialDelivery(t *testing.T) {
 	items := xquery.Seq{"a", "b", "c", "d"}
 	primary := &failingStreamer{countingDriver: countingDriver{name: "n0"}, items: items, failAfter: 2}
 	replica := &batchDriver{countingDriver: countingDriver{name: "n1"}, items: items}
-	subs := []SubQuery{{Fragment: "f", Node: primary, Replicas: []Driver{replica}, Query: "q"}}
+	subs := []cluster.SubQuery{{Fragment: "f", Node: primary, Replicas: []cluster.Driver{replica}, Query: "q"}}
 	sink := &recordSink{parts: make([]xquery.Seq, 1)}
-	res, err := Execute(subs, NoNetwork, 0, sink)
+	res, err := cluster.Execute(subs, cluster.NoNetwork, 0, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +228,8 @@ func TestExecuteStreamFailoverResetsPartialDelivery(t *testing.T) {
 func TestExecuteStreamSinkErrorAborts(t *testing.T) {
 	primary := &batchDriver{countingDriver: countingDriver{name: "n0"}, items: xquery.Seq{"a"}}
 	replica := &batchDriver{countingDriver: countingDriver{name: "n1"}, items: xquery.Seq{"a"}}
-	subs := []SubQuery{{Fragment: "f", Node: primary, Replicas: []Driver{replica}, Query: "q"}}
-	_, err := Execute(subs, NoNetwork, 0, errorSink{})
+	subs := []cluster.SubQuery{{Fragment: "f", Node: primary, Replicas: []cluster.Driver{replica}, Query: "q"}}
+	_, err := cluster.Execute(subs, cluster.NoNetwork, 0, errorSink{})
 	if err == nil || err.Error() != "sink rejected" {
 		t.Fatalf("err = %v, want the sink's own error", err)
 	}
@@ -240,25 +242,3 @@ type errorSink struct{}
 
 func (errorSink) Batch(int, xquery.Seq) (bool, error) { return false, fmt.Errorf("sink rejected") }
 func (errorSink) Reset(int)                           {}
-
-// LocalNode streams natively in bounded batches.
-func TestLocalNodeStreams(t *testing.T) {
-	n := testNode(t, "n0")
-	loadDocs(t, n, "c", localStreamBatch+10)
-	var got xquery.Seq
-	batches := 0
-	_, err := n.Query(`collection("c")/Item/Code`, "", false, func(s xquery.Seq) error {
-		if len(s) > localStreamBatch {
-			t.Fatalf("batch of %d items exceeds %d", len(s), localStreamBatch)
-		}
-		batches++
-		got = append(got, s...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != localStreamBatch+10 || batches != 2 {
-		t.Fatalf("streamed %d items in %d batches", len(got), batches)
-	}
-}

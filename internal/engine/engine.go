@@ -473,10 +473,10 @@ func (db *DB) QueryExpr(e xquery.Expr) (xquery.Seq, error) {
 // and then yields once — correctness is unchanged, only the memory bound
 // is lost. Returns the total item count.
 //
-// With origins non-nil, the query's scans keep it up to date, so that
-// during yield it tells where each yielded node was decoded from, while
-// those bytes are still intact (Origins); it holds nothing once the
-// stream returns, so it can serve the caller's next stream.
+// The query's scans keep origins up to date, so that during yield it
+// tells where each yielded node was decoded from, while those bytes are
+// still intact (Origins); it holds nothing once the stream returns, so it
+// can serve the caller's next stream.
 func (db *DB) StreamQueryExpr(e xquery.Expr, origins *Origins, yield func(xquery.Seq) error) (int, error) {
 	db.stats.queries.Add(1)
 	obs.EngineQueries.Inc()
@@ -486,12 +486,9 @@ func (db *DB) StreamQueryExpr(e xquery.Expr, origins *Origins, yield func(xquery
 		obs.EngineQuerySeconds.Observe(elapsed.Seconds())
 		db.observeQueryHeat(e, elapsed)
 	}()
-	var src xquery.Source = db
-	if origins != nil {
-		origins.src = streamSource{DB: db, origins: origins}
-		src = &origins.src
-		defer origins.drop()
-	}
+	origins.src = streamSource{DB: db, origins: origins}
+	src := &origins.src
+	defer origins.drop()
 	if prog := db.compileQuery(e); prog != nil {
 		return prog.Stream(src, yield)
 	}

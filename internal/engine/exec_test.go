@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"partix/internal/storage"
 	"partix/internal/toxgene"
 	"partix/internal/workload"
 	"partix/internal/xmltree"
@@ -91,9 +92,12 @@ func TestStreamQueryExpr(t *testing.T) {
 	}
 	var got xquery.Seq
 	chunks := 0
-	total, err := db.StreamQueryExpr(e, nil, func(items xquery.Seq) error {
+	origins := new(Origins)
+	total, err := db.StreamQueryExpr(e, origins, func(items xquery.Seq) error {
 		chunks++
-		got = append(got, items...)
+		for _, it := range items {
+			got = append(got, storedValue(t, origins, it))
+		}
 		return nil
 	})
 	if err != nil {
@@ -105,6 +109,25 @@ func TestStreamQueryExpr(t *testing.T) {
 	if chunks < 2 {
 		t.Fatalf("600 items arrived in %d chunk(s); want bounded frames", chunks)
 	}
+}
+
+// storedValue is it, or for a shell (a node a stream built only in part)
+// the node its record's bytes hold, decoded while origins still holds them.
+func storedValue(t *testing.T, origins *Origins, it xquery.Item) xquery.Item {
+	t.Helper()
+	n, ok := it.(*xmltree.Node)
+	if !ok || !n.Partial() {
+		return it
+	}
+	version, table, node, ok := origins.Stored(n)
+	if !ok {
+		t.Fatalf("the record of shell <%s> is not held", n.Name)
+	}
+	roots, err := storage.DecodeBatch([][]byte{append(append([]byte{version}, table...), node...)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return roots[0]
 }
 
 func seqStrings(s xquery.Seq) []string {

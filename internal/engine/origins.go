@@ -106,8 +106,8 @@ func (o *Origins) hold(roots []*xmltree.Node, recs [][]byte) {
 	copy(o.recs[:], recs)
 }
 
-// streamSource is the xquery.Source a streaming query with Origins runs
-// over: the DB, whose decoding scans record their chunks in origins.
+// streamSource is the xquery.Source a streaming query runs over: the
+// DB, whose decoding scans record their chunks in origins.
 type streamSource struct {
 	*DB
 	origins *Origins

@@ -16,6 +16,7 @@ import (
 	"partix/internal/engine"
 	"partix/internal/fragmentation"
 	"partix/internal/partix"
+	"partix/internal/wire"
 	"partix/internal/workload"
 	"partix/internal/xmltree"
 )
@@ -28,8 +29,8 @@ type Measurement struct {
 	Compose      time.Duration
 	Strategy     partix.Strategy
 	Items        int
-	// Bytes is the serialized size of the partial results shipped to the
-	// coordinator (the "bytes on wire" of the cost model).
+	// Bytes is the size of the partial results shipped to the
+	// coordinator (the "bytes on wire" of the cost model, cluster.SeqBytes).
 	Bytes int
 	// FirstItem is the time until the first result item reached the
 	// coordinator; zero for empty results and whole-fragment fetches.
@@ -71,7 +72,7 @@ type Deployment struct {
 func (d *Deployment) EngineStats() engine.Stats {
 	var total engine.Stats
 	for _, name := range d.System.Nodes() {
-		if node, ok := d.System.Node(name).(*cluster.LocalNode); ok {
+		if node, ok := d.System.Node(name).(*wire.LocalNode); ok {
 			total.Add(node.DB().Stats())
 		}
 	}
@@ -149,7 +150,7 @@ func Deploy(label string, c *xmltree.Collection, scheme *fragmentation.Scheme,
 			return nil, err
 		}
 		d.cleanup = append(d.cleanup, db.Close)
-		d.System.AddNode(cluster.NewLocalNode(fmt.Sprintf("node%d", i), db))
+		d.System.AddNode(wire.NewLocalNode(fmt.Sprintf("node%d", i), db))
 	}
 
 	placement := map[string]string{"": "node0"}
@@ -201,8 +202,8 @@ func MeasureQuery(sys *partix.System, query string, repeats int) (Measurement, e
 	return m, nil
 }
 
-// resultBytes is the serialized size of the partial results (or whole
-// fragments) a query shipped.
+// resultBytes is the size of the partial results (or fetched documents)
+// a query shipped.
 func resultBytes(res *partix.QueryResult) int {
 	total := 0
 	for _, sub := range res.Sub {

@@ -9,6 +9,7 @@ import (
 	"partix/internal/cluster"
 	"partix/internal/engine"
 	"partix/internal/fragmentation"
+	"partix/internal/wire"
 	"partix/internal/xmlschema"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
@@ -24,7 +25,7 @@ func newTestSystem(t *testing.T, n int) *System {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.Close() })
-		s.AddNode(cluster.NewLocalNode(fmt.Sprintf("node%d", i), db))
+		s.AddNode(wire.NewLocalNode(fmt.Sprintf("node%d", i), db))
 	}
 	return s
 }

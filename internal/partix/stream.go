@@ -113,8 +113,8 @@ func (p *queryPlan) composeItems(e xquery.Expr, b *cluster.BufferSink, subs []cl
 		return p.joinAndEval(e, subs)
 	}
 	items := b.Concat()
-	// A union hands its node items over as they arrived — a remote
-	// node's unbuilt (storage.DeferredNode) — except the node of a
+	// A union hands its node items over as they arrived — unbuilt
+	// (storage.DeferredNode) — except the node of a
 	// one-item answer, a lookup, which is built here: its caller reads
 	// the one node it asked for, so deferring saves nothing, and a caller
 	// telling a one-node answer from an atomic one by its Go type

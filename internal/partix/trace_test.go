@@ -81,15 +81,15 @@ func TestTracedQueryAssemblesSpanTree(t *testing.T) {
 		if !strings.Contains(sq.Detail, "fragment="+st.Fragment) || !strings.Contains(sq.Detail, "node="+st.Node) {
 			t.Errorf("subquery span detail %q misses fragment/node of %+v", sq.Detail, st)
 		}
-		// Local nodes report parse/plan/execute; their sum is measured
-		// inside the driver call, so it cannot exceed the coordinator's
-		// outer measurement.
+		// Local nodes report parse/plan/execute/serialize, as remote ones
+		// do; their sum is measured inside the driver call, so it cannot
+		// exceed the coordinator's outer measurement.
 		names := make([]string, len(sq.Children))
 		for j, c := range sq.Children {
 			names[j] = c.Name
 		}
-		if fmt.Sprint(names) != "[parse plan execute]" {
-			t.Errorf("node spans of sub %d = %v, want [parse plan execute]", i, names)
+		if fmt.Sprint(names) != "[parse plan execute serialize]" {
+			t.Errorf("node spans of sub %d = %v, want [parse plan execute serialize]", i, names)
 		}
 		if sum := sq.Sum(); sum > st.Elapsed {
 			t.Errorf("node spans of sub %d sum to %v > elapsed %v", i, sum, st.Elapsed)

@@ -596,18 +596,14 @@ func (c *Client) StoreDocument(collection string, doc *xmltree.Document) error {
 }
 
 // query is the one result exchange every query method goes through:
-// each received frame's payload is parsed once and its node items checked
-// together (DecodeSeq), then handed to yield in arrival order, from the
-// calling goroutine: a frame that fails the check fails the query here. reset, when non-nil, lets a stream cut after
+// each received frame is decoded (decodeFrame), then handed to yield in
+// arrival order, from the calling goroutine: a frame that fails the check
+// fails the query here. reset, when non-nil, lets a stream cut after
 // delivery retry from scratch (see stream).
 func (c *Client) query(req *Request, yield func(xquery.Seq) error, reset func()) ([]obs.Span, error) {
 	req.Op = OpQueryStream
 	trailer, err := c.stream(req, func(f *Frame) error {
-		items, err := parseItems(f.Count, f.Payload)
-		if err != nil {
-			return err
-		}
-		seq, err := DecodeSeq(items)
+		seq, err := decodeFrame(f.Count, f.Payload)
 		if err != nil {
 			return err
 		}

@@ -8,11 +8,13 @@ package wire
 // sockets.
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,9 +302,14 @@ func TestPanickingRequestKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServerWith(db, nil, ServerOptions{})
+	var fetchPanics atomic.Int32
 	srv.hook = func(req *Request) {
 		if req.Op == OpQueryStream && req.Query == "boom" {
 			panic("injected evaluator panic")
+		}
+		if req.Op == OpFetchStream && req.Collection == "boom" {
+			fetchPanics.Add(1)
+			panic("injected fetch panic")
 		}
 	}
 	go srv.Serve(l)
@@ -322,6 +329,18 @@ func TestPanickingRequestKeepsServing(t *testing.T) {
 	mustCount(t, c, 3)
 	if st := c.Stats(); st.NodeErrors == 0 {
 		t.Fatalf("panic response not counted as node error: %+v", st)
+	}
+	// A panicking fetch is a node error on a connection that stays
+	// usable too, so the client neither retries it nor redials.
+	before := c.Stats()
+	var ne *NodeError
+	if _, ferr := c.FetchCollection("boom"); !errors.As(ferr, &ne) || !strings.Contains(ferr.Error(), "internal error") {
+		t.Fatalf("fetch panic not surfaced as a node error: %v", ferr)
+	}
+	mustCount(t, c, 3)
+	if st := c.Stats(); fetchPanics.Load() != 1 || st.Retries != before.Retries || st.Dials != before.Dials ||
+		st.TransportErrors != before.TransportErrors || st.NodeErrors != before.NodeErrors+1 {
+		t.Fatalf("fetch panic ran the hook %d times, stats %+v after %+v", fetchPanics.Load(), st, before)
 	}
 	// Fresh connections still work too: the process survived.
 	c2, err := Dial("n1", l.Addr().String(), time.Second)

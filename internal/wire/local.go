@@ -1,0 +1,128 @@
+package wire
+
+import (
+	"bytes"
+	"time"
+
+	"partix/internal/cluster"
+	"partix/internal/engine"
+	"partix/internal/obs"
+	"partix/internal/storage"
+	"partix/internal/xmltree"
+	"partix/internal/xquery"
+)
+
+// LocalNode is the in-process driver of the simulated cluster and tests:
+// a node Server minus the socket. A query runs the stream a remote node
+// runs (Server.stream) at the default frame sizes, and each frame goes to
+// the decode a Client runs on received frames (decodeFrame). So it
+// answers as over TCP: stored nodes come back as storage.DeferredNodes,
+// and a traced query reports the same steps.
+type LocalNode struct {
+	name string
+	srv  *Server
+}
+
+// NewLocalNode wraps db as a named node.
+func NewLocalNode(name string, db *engine.DB) *LocalNode {
+	return &LocalNode{name: name, srv: NewServerLogger(db, nil, ServerOptions{})}
+}
+
+// Name implements cluster.Driver.
+func (n *LocalNode) Name() string { return n.name }
+
+// DB exposes the underlying engine (for stats in tests and benches).
+func (n *LocalNode) DB() *engine.DB { return n.srv.db }
+
+// CreateCollection implements cluster.Driver.
+func (n *LocalNode) CreateCollection(name string) error {
+	return n.srv.db.Store().CreateCollection(name)
+}
+
+// StoreDocument implements cluster.Driver.
+func (n *LocalNode) StoreDocument(collection string, doc *xmltree.Document) error {
+	return n.srv.db.PutDocument(collection, doc)
+}
+
+// Query implements cluster.Driver: yield gets each non-empty frame, and a
+// traced query's spans come from the FrameEnd trailer. A frame's payload
+// is copied before it is decoded, as gob decodes a received one into fresh
+// memory: the stream reuses its buffer, and a batch's nodes alias theirs.
+// Each call has its own engine.Origins, as sub-queries run concurrently.
+// The serialize span leaves out the consumer's own time inside yield.
+func (n *LocalNode) Query(query, tag string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error) {
+	var spans []obs.Span
+	var consuming time.Duration // inside yield before FrameEnd, within serialize
+	req := &Request{Op: OpQueryStream, Query: query, TraceID: tag, Trace: trace}
+	failure, err := n.srv.stream(req, new(engine.Origins), func(f *Frame) error {
+		if f.Trailer != nil {
+			spans = f.Trailer.Spans
+		}
+		if f.Count == 0 {
+			return nil
+		}
+		seq, err := decodeFrame(f.Count, bytes.Clone(f.Payload))
+		if err != nil {
+			return err
+		}
+		if f.Kind != FrameEnd {
+			start := time.Now()
+			defer func() { consuming += time.Since(start) }()
+		}
+		return yield(seq)
+	})
+	if err == nil {
+		err = failure
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i := range spans {
+		if spans[i].Name == "serialize" {
+			spans[i].Duration -= consuming
+		}
+	}
+	return spans, nil
+}
+
+// Fetch implements cluster.Driver: each stored record the engine selects
+// is decoded straight under spec.Keep, in document-name order, from one
+// pinned snapshot.
+func (n *LocalNode) Fetch(collection string, spec cluster.FetchSpec) (*xmltree.Collection, error) {
+	col := xmltree.NewCollection(collection)
+	err := n.srv.db.Fetch(collection, spec.Names, spec.Where, func(name string, raw []byte) error {
+		doc, err := storage.DecodeProjected(name, raw, spec.Keep)
+		if err != nil {
+			return err
+		}
+		col.Add(doc)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return col, nil
+}
+
+// CollectionStats implements cluster.Driver.
+func (n *LocalNode) CollectionStats(collection string) (storage.Stats, error) {
+	return n.srv.db.CollectionStats(collection)
+}
+
+// CollectionStatistics implements cluster.StatisticsProvider.
+func (n *LocalNode) CollectionStatistics(collection string) (*engine.CollectionStatistics, error) {
+	return n.srv.db.CollectionStatistics(collection)
+}
+
+// HasCollection implements cluster.Driver.
+func (n *LocalNode) HasCollection(collection string) bool {
+	return n.srv.db.HasCollection(collection)
+}
+
+// Telemetry implements cluster.TelemetryProvider. Only fragment heat is
+// returned: an in-process node shares the coordinator's metric registry
+// (obs.Default), so returning a metric snapshot too would double-count
+// every series when the coordinator merges node telemetry with its own.
+func (n *LocalNode) Telemetry() (*obs.TelemetrySnapshot, error) {
+	return &obs.TelemetrySnapshot{Node: n.name, Heat: n.srv.db.FragmentHeat()}, nil
+}

@@ -1,10 +1,11 @@
 // Package wire implements the network protocol between the PartiX
-// middleware and remote DBMS nodes: gob messages over TCP, one exchange
-// at a time per connection. The remote driver (Client) implements
-// cluster.Driver over a small connection pool with per-operation
-// deadlines and automatic reconnect for retry-safe operations, so a
-// PartiX system can mix in-process and networked nodes freely and survive
-// transient link failures.
+// middleware and remote DBMS nodes — gob messages over TCP, one exchange
+// at a time per connection — and both node drivers. The remote one
+// (Client) implements cluster.Driver over a small connection pool with
+// per-operation deadlines and automatic reconnect for retry-safe
+// operations, surviving transient link failures. The in-process one
+// (LocalNode) is a Server minus the socket: its frames go straight to the
+// decode the Client runs on received ones.
 //
 // There is one protocol version and it is checked, not negotiated: every
 // Request announces ProtocolVersion and every Response echoes the
@@ -446,6 +447,16 @@ func parseItems(count int, payload []byte) ([]Item, error) {
 		return nil, fmt.Errorf("wire: %d bytes after the frame's %d items", len(payload)-pos, count)
 	}
 	return items, nil
+}
+
+// decodeFrame is the one decode of a received query frame (Client.query,
+// LocalNode.Query): parseItems, then DecodeSeq. The nodes alias payload.
+func decodeFrame(count int, payload []byte) (xquery.Seq, error) {
+	items, err := parseItems(count, payload)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeSeq(items)
 }
 
 // EncodeSeq converts an evaluation result into wire items: the stream's

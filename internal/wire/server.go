@@ -280,6 +280,7 @@ func (s *Server) handle(conn net.Conn) {
 	dec := gob.NewDecoder(newLimitReader(conn, s.opts.MaxMessageBytes))
 	enc := gob.NewEncoder(conn)
 	origins := new(engine.Origins) // one per connection: its streams run one at a time
+	send := func(f *Frame) error { return s.sendFrame(enc, conn, f) }
 	for {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
@@ -327,9 +328,15 @@ func (s *Server) handle(conn net.Conn) {
 			// Shed before any work. Only streams are gated, so the
 			// rejection travels as FrameErr and the connection stays
 			// usable — the client just saw a typed error.
-			err = s.sendFrame(enc, conn, &Frame{Kind: FrameErr, Err: overload, TraceID: req.TraceID})
+			err = send(&Frame{Kind: FrameErr, Err: overload, TraceID: req.TraceID})
 		case req.Op.streams():
-			err = s.serveStream(enc, conn, &req, origins)
+			// The op's failure ends the stream with FrameErr on a usable
+			// connection; an error from send is the transport's and drops it
+			// (a client abandons a stream by closing its connection).
+			var failure error
+			if failure, err = s.stream(&req, origins, send); failure != nil && err == nil {
+				err = send(&Frame{Kind: FrameErr, Err: failure.Error(), TraceID: req.TraceID})
+			}
 			release()
 		default:
 			resp := s.dispatch(&req)
@@ -364,134 +371,121 @@ func (s *Server) sendFrame(enc *gob.Encoder, conn net.Conn, f *Frame) error {
 	return nil
 }
 
-// serveStream answers OpQueryStream/OpFetchStream with a frame sequence.
-// Application failures terminate the stream with FrameErr (the
-// connection stays usable); a returned error is a transport failure and
-// drops the connection. A client that abandons the stream closes its
-// connection, which surfaces here as a frame write error — the node
-// stops producing frames nobody will read.
-func (s *Server) serveStream(enc *gob.Encoder, conn net.Conn, req *Request, origins *engine.Origins) error {
-	batch := s.opts.BatchItems
-	switch req.Op {
-	case OpQueryStream:
-		return s.streamQuery(enc, conn, req, batch, origins)
-	default:
-		return s.streamFetch(enc, conn, req, batch)
-	}
-}
+// sendFailure marks an error from send flowing back out through the op:
+// the stream ends there, with no FrameErr after it.
+type sendFailure struct{ err error }
 
-// transportFailure marks a frame-write error flowing back out through the
-// evaluator's yield path: the connection is gone, so the stream must be
-// dropped rather than answered with FrameErr.
-type transportFailure struct{ err error }
+func (f *sendFailure) Error() string { return f.err.Error() }
 
-func (t *transportFailure) Error() string { return t.err.Error() }
-
-// streamQuery evaluates the query and ships the result sequence as
-// bounded FrameItems batches, the last of them inside FrameEnd. Compiled
-// queries stream straight out of the engine's operator pipeline — items
-// are encoded and framed as the scan produces them, so the node never
-// materializes the full result; only queries outside the compiled subset
-// still materialize first. A failure after frames were already sent
-// terminates the stream with FrameErr, which clients surface as a node
-// error at whatever point it arrives. A traced request (req.Trace) runs
-// exactly the same way; the step timings taken here just travel home in
-// the FrameEnd trailer.
-func (s *Server) streamQuery(enc *gob.Encoder, conn net.Conn, req *Request, batch int, origins *engine.Origins) error {
-	// One payload and one record encoder for the whole stream: items are
-	// appended straight into the payload, which is reset once gob has
-	// written its frame out (Encode returns only then). Starting at 1 KiB
-	// spares a small answer the payload's growth from nothing.
-	w := itemWriter{payload: make([]byte, 0, 1<<10), origins: origins}
-	shipped := 0 // payload bytes in the frames sent so far
-	start := time.Now()
-	decodedBefore := s.decodedNow()
-	var expr xquery.Expr
-	var spans []obs.Span        // the node's processing steps, for req.Trace
-	var serialize time.Duration // time inside the yield callback: encoding and frame writes
-	total, err := func() (total int, err error) {
-		// A panic in the hook or evaluator is confined to this stream,
-		// mirroring dispatch: the client sees FrameErr, not a dead node.
+// stream is the node side of every result stream, whoever receives it (a
+// connection's handler, a LocalNode in process): it runs the op and hands
+// its frames to send in order, FrameEnd last. A panic in the op is
+// confined to the stream as its failure. It returns the op's failure, for
+// the caller to report, or the error send returned.
+func (s *Server) stream(req *Request, origins *engine.Origins, send func(*Frame) error) (failure, sendErr error) {
+	start, decodedBefore := time.Now(), s.decodedNow()
+	var q queryRun
+	end, err := func() (end *Frame, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				obs.WireServerPanics.Inc()
 				s.log.Log(obs.LevelError, "wire: panic serving stream",
-					"panic", r, "stack", string(debug.Stack()))
+					"op", req.Op, "panic", r, "stack", string(debug.Stack()))
 				err = fmt.Errorf("wire: internal error serving request: %v", r)
 			}
 		}()
 		if s.hook != nil {
 			s.hook(req)
 		}
-		if expr, spans, err = engine.ParseTraced(req.Query, req.Trace); err != nil {
-			return 0, err
+		if req.Op == OpFetchStream {
+			return s.streamFetch(req, send)
 		}
-		execStart := time.Now()
-		total, err = s.db.StreamQueryExpr(expr, w.origins, func(items xquery.Seq) error {
-			yieldStart := time.Now()
-			defer func() { serialize += time.Since(yieldStart) }()
-			for _, it := range items {
-				if err := w.add(it); err != nil {
-					return err
-				}
-				if w.count >= batch || len(w.payload) >= s.opts.MaxFrameBytes {
-					if ferr := s.sendFrame(enc, conn, &Frame{Kind: FrameItems, Count: w.count, Payload: w.payload}); ferr != nil {
-						return &transportFailure{err: ferr}
-					}
-					shipped += len(w.payload)
-					w.reset()
-				}
-			}
-			return nil
-		})
-		if req.Trace {
-			spans = append(spans,
-				obs.Span{Name: "execute", Detail: fmt.Sprintf("items=%d", total), Duration: time.Since(execStart) - serialize},
-				obs.Span{Name: "serialize", Duration: serialize})
-		}
-		return total, err
+		return s.streamQuery(req, origins, &q, send)
 	}()
+	if req.Op == OpQueryStream {
+		s.recordQuery(req, q.expr, time.Since(start), q.total, q.shipped, s.decodedDelta(decodedBefore), err)
+	}
 	if err == nil {
-		shipped += len(w.payload) // the FrameEnd batch
+		return nil, send(end)
 	}
-	s.recordQuery(req, expr, time.Since(start), total, shipped, s.decodedDelta(decodedBefore), err)
-	if err != nil {
-		var tf *transportFailure
-		if errors.As(err, &tf) {
-			return tf.err // peer gone; drop the connection, no FrameErr
-		}
-		return s.sendFrame(enc, conn, &Frame{Kind: FrameErr, Err: err.Error(), TraceID: req.TraceID})
+	var sf *sendFailure
+	if errors.As(err, &sf) {
+		return nil, sf.err
 	}
-	end := &Frame{Kind: FrameEnd, Count: w.count, Payload: w.payload, Total: total}
-	if req.Trace {
-		end.Trailer = &Trailer{Spans: spans}
-	}
-	return s.sendFrame(enc, conn, end)
+	return err, nil
 }
 
-// streamFetch ships the documents a fetch selects as bounded FrameDocs
-// batches, the last of them inside FrameEnd, reading them from the store a
-// chunk at a time (engine.DB.Fetch, which applies req.Names and req.Where)
-// so the node never materializes the whole collection either. With
-// req.Keep each record is decoded under the projection — which validates
-// every byte, as a whole decode does — and re-encoded; without it the
-// stored records ship as they are. A Keep or Where that does not parse
-// fails the stream with FrameErr and leaves the connection usable.
-func (s *Server) streamFetch(enc *gob.Encoder, conn net.Conn, req *Request, batch int) error {
-	if s.hook != nil {
-		s.hook(req)
+// queryRun is what a query stream tells the flight recorder (recordQuery).
+type queryRun struct {
+	expr           xquery.Expr
+	total, shipped int
+}
+
+// streamQuery evaluates the query and hands the result to send as bounded
+// FrameItems batches, returning the last batch as the FrameEnd. Compiled
+// queries stream straight out of the engine's operator pipeline, so the
+// node never materializes the full result; only queries outside the
+// compiled subset still do. A traced request (req.Trace) runs exactly the
+// same way; its step timings travel home in the FrameEnd trailer.
+func (s *Server) streamQuery(req *Request, origins *engine.Origins, q *queryRun, send func(*Frame) error) (*Frame, error) {
+	expr, spans, err := engine.ParseTraced(req.Query, req.Trace)
+	if err != nil {
+		return nil, err
 	}
+	q.expr = expr
+	// One payload and one record encoder for the whole stream, the payload
+	// reset once send returns (gob wrote it out, a LocalNode copied it);
+	// 1 KiB spares a small answer the payload's growth from nothing.
+	w := itemWriter{payload: make([]byte, 0, 1<<10), origins: origins}
+	var serialize time.Duration // time inside the yield callback: encoding and sending frames
+	execStart := time.Now()
+	q.total, err = s.db.StreamQueryExpr(expr, origins, func(items xquery.Seq) error {
+		yieldStart := time.Now()
+		defer func() { serialize += time.Since(yieldStart) }()
+		for _, it := range items {
+			if err := w.add(it); err != nil {
+				return err
+			}
+			if w.count >= s.opts.BatchItems || len(w.payload) >= s.opts.MaxFrameBytes {
+				if err := send(&Frame{Kind: FrameItems, Count: w.count, Payload: w.payload}); err != nil {
+					return &sendFailure{err: err}
+				}
+				q.shipped += len(w.payload)
+				w.reset()
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	q.shipped += len(w.payload)
+	end := &Frame{Kind: FrameEnd, Count: w.count, Payload: w.payload, Total: q.total}
+	if req.Trace {
+		end.Trailer = &Trailer{Spans: append(spans,
+			obs.Span{Name: "execute", Detail: fmt.Sprintf("items=%d", q.total), Duration: time.Since(execStart) - serialize},
+			obs.Span{Name: "serialize", Duration: serialize})}
+	}
+	return end, nil
+}
+
+// streamFetch hands the documents a fetch selects (engine.DB.Fetch, by
+// req.Names and req.Where, a chunk at a time) to send as bounded FrameDocs
+// batches, returning the last batch as the FrameEnd. With req.Keep each
+// record is decoded under the projection, which validates every byte as a
+// whole decode does, and re-encoded; without it records ship as stored.
+func (s *Server) streamFetch(req *Request, send func(*Frame) error) (*Frame, error) {
 	var keep *xmltree.Projection
 	if req.Keep != "" {
 		var err error
 		if keep, err = xmltree.ParseProjection(req.Keep); err != nil {
-			return s.sendFrame(enc, conn, &Frame{Kind: FrameErr, Err: err.Error(), TraceID: req.TraceID})
+			return nil, err
 		}
 	}
+	batch := s.opts.BatchItems
 	names := make([]string, 0, batch)
 	docs := make([][]byte, 0, batch)
 	bytes, total := 0, 0
-	var sendErr error
 	err := s.db.Fetch(req.Collection, req.Names, req.Where, func(name string, raw []byte) error {
 		if keep != nil {
 			doc, err := storage.DecodeProjected(name, raw, keep)
@@ -507,18 +501,17 @@ func (s *Server) streamFetch(enc *gob.Encoder, conn net.Conn, req *Request, batc
 		bytes += len(raw)
 		total++
 		if len(docs) >= batch || bytes >= s.opts.MaxFrameBytes {
-			sendErr = s.sendFrame(enc, conn, &Frame{Kind: FrameDocs, DocNames: names, Docs: docs})
+			if err := send(&Frame{Kind: FrameDocs, DocNames: names, Docs: docs}); err != nil {
+				return &sendFailure{err: err}
+			}
 			names, docs, bytes = names[:0], docs[:0], 0
 		}
-		return sendErr
+		return nil
 	})
-	if sendErr != nil {
-		return sendErr // transport failure: drop the connection
-	}
 	if err != nil {
-		return s.sendFrame(enc, conn, &Frame{Kind: FrameErr, Err: err.Error(), TraceID: req.TraceID})
+		return nil, err
 	}
-	return s.sendFrame(enc, conn, &Frame{Kind: FrameEnd, DocNames: names, Docs: docs, Total: total})
+	return &Frame{Kind: FrameEnd, DocNames: names, Docs: docs, Total: total}, nil
 }
 
 // dispatch serves one request. A panic anywhere below (a malformed query

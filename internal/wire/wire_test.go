@@ -166,7 +166,7 @@ func TestMalformedKeepAnswersFrameErr(t *testing.T) {
 func TestFetchSpecSelectsDocuments(t *testing.T) {
 	db := newNodeDB(t, 6)
 	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
-	drivers := []cluster.Driver{cluster.NewLocalNode("local", db), dialStream(t, addr, ClientOptions{})}
+	drivers := []cluster.Driver{NewLocalNode("local", db), dialStream(t, addr, ClientOptions{})}
 	const odd = `for $i in collection("c")/Item where $i/Code = "I3" or $i/Code = "I5" return $i`
 	cases := []struct {
 		name string

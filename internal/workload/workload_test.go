@@ -11,6 +11,7 @@ import (
 	"partix/internal/fragmentation"
 	"partix/internal/partix"
 	"partix/internal/toxgene"
+	"partix/internal/wire"
 	"partix/internal/xbench"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
@@ -94,7 +95,7 @@ func newSystem(t *testing.T, nodes int) *partix.System {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.Close() })
-		s.AddNode(cluster.NewLocalNode(fmt.Sprintf("node%d", i), db))
+		s.AddNode(wire.NewLocalNode(fmt.Sprintf("node%d", i), db))
 	}
 	return s
 }
@@ -102,7 +103,7 @@ func newSystem(t *testing.T, nodes int) *partix.System {
 func multiset(items xquery.Seq) []string {
 	out := make([]string, len(items))
 	for i, it := range items {
-		if n, ok := it.(*xmltree.Node); ok {
+		if n, ok := xquery.NodeOf(it); ok {
 			out[i] = xmltree.NodeString(n)
 		} else {
 			out[i] = xquery.ItemString(it)

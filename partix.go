@@ -103,8 +103,9 @@ type (
 	Engine = iengine.DB
 	// EngineOptions configure an engine.
 	EngineOptions = iengine.Options
-	// LocalNode is an in-process node driver.
-	LocalNode = icluster.LocalNode
+	// LocalNode is an in-process node driver: a NodeServer without the
+	// socket, whose query results arrive as a RemoteNode's do.
+	LocalNode = iwire.LocalNode
 	// RemoteNode is a TCP node driver.
 	RemoteNode = iwire.Client
 	// NodeClientOptions tune a remote driver's deadlines, reconnect
@@ -208,7 +209,7 @@ func OpenEngineWith(path string, opts EngineOptions) (*Engine, error) {
 }
 
 // NewLocalNode wraps an engine as an in-process node named name.
-func NewLocalNode(name string, db *Engine) *LocalNode { return icluster.NewLocalNode(name, db) }
+func NewLocalNode(name string, db *Engine) *LocalNode { return iwire.NewLocalNode(name, db) }
 
 // DialNode connects to a remote partixd node with default transport
 // options; timeout bounds the TCP connect.
