@@ -137,7 +137,7 @@ type Stats struct {
 	DocsDecoded   int64 // documents decoded (parsed) during queries
 	DocsPruned    int64 // documents skipped thanks to index hints
 	RangePruned   int64 // of DocsPruned, documents eliminated by value-index comparisons
-	IndexOnlyHits int64 // count()/exists() deciders answered from indexes alone
+	IndexOnlyHits int64 // count()/exists()/empty() folds decided from an exact candidate list, decoding nothing
 	BytesDecoded  int64 // record bytes the decoder walked during queries, skipped subtrees excluded
 }
 
@@ -551,13 +551,36 @@ type querySnapshot struct {
 	rangePruned int
 }
 
-// snapshotForQuery captures a querySnapshot without blocking on writers:
-// it reads the collection seqlock, takes a pinned store snapshot, computes
-// index candidates, and retries if a writer committed in between (the
-// index could then describe documents the snapshot does not hold, or miss
-// ones it does). After a few optimistic failures it serializes with the
-// writer lock, which bounds retries under a write storm.
+// snapshotForQuery captures a querySnapshot: the pinned snapshot and the
+// refs of the index candidates the hint leaves, both from one capture.
 func (db *DB) snapshotForQuery(collection string, hint *xquery.Hint) (querySnapshot, error) {
+	var q querySnapshot
+	_, err := db.capture(collection, func(snap *storage.CollectionSnapshot, ix *docIndex) {
+		q = querySnapshot{snap: snap, refs: snap.Refs}
+		if ix == nil || hint == nil || len(hint.Constraints) == 0 {
+			return
+		}
+		ids, constrained, rp, _ := ix.candidates(hint)
+		q.rangePruned = rp
+		if constrained {
+			names := ix.docNames(ids)
+			slices.Sort(names)
+			q.refs = selectRefs(snap.Refs, names)
+			q.pruned = len(snap.Refs) - len(q.refs)
+		}
+	})
+	return q, err
+}
+
+// capture hands read a consistent view of a collection without blocking
+// on writers: it reads the collection seqlock, takes a pinned store
+// snapshot, lets read consult it and the collection's index (nil with
+// indexes off), and retries if a writer committed in between (the index
+// could then describe documents the snapshot does not hold, or miss ones
+// it does). After a few optimistic failures it serializes with the writer
+// lock, which bounds retries under a write storm. It returns the snapshot
+// of the attempt that held, for the caller to close.
+func (db *DB) capture(collection string, read func(*storage.CollectionSnapshot, *docIndex)) (*storage.CollectionSnapshot, error) {
 	cs := db.colFor(collection)
 	for attempt := 0; ; attempt++ {
 		locked := attempt >= 3
@@ -578,33 +601,62 @@ func (db *DB) snapshotForQuery(collection string, hint *xquery.Hint) (querySnaps
 				cs.writeMu.Unlock()
 			}
 			if locked || stable {
-				return querySnapshot{}, err
+				return nil, err
 			}
 			continue // raced a create/drop: re-resolve
 		}
-		q := querySnapshot{snap: snap, refs: snap.Refs}
-		db.mu.RLock()
-		ix := db.idx[collection]
-		db.mu.RUnlock()
-		if hint != nil && len(hint.Constraints) > 0 && !db.opts.DisableIndexes && ix != nil {
-			ids, constrained, rp := ix.candidates(hint)
-			q.rangePruned = rp
-			if constrained {
-				names := ix.docNames(ids)
-				slices.Sort(names)
-				q.refs = selectRefs(snap.Refs, names)
-				q.pruned = len(snap.Refs) - len(q.refs)
-			}
+		var ix *docIndex
+		if !db.opts.DisableIndexes {
+			db.mu.RLock()
+			ix = db.idx[collection]
+			db.mu.RUnlock()
 		}
+		read(snap, ix)
 		if locked {
 			cs.writeMu.Unlock()
-			return q, nil
+			return snap, nil
 		}
 		if cs.seq.Load() == s1 {
-			return q, nil
+			return snap, nil
 		}
 		snap.Close() // a writer committed mid-capture; retry
 	}
+}
+
+// Decide implements xquery.Decider: the number of candidates the hint
+// leaves (with nodes, the nodes at its one path), when that list is exact.
+// It reads the capture a scan reads (capture), so it answers what a scan
+// of that snapshot would find, and it resolves no candidate to a ref.
+func (db *DB) Decide(collection string, hint *xquery.Hint, nodes bool) (int64, bool) {
+	if !hint.Complete || db.opts.DisableIndexes {
+		return 0, false
+	}
+	var n int64
+	var exact bool
+	snap, err := db.capture(collection, func(snap *storage.CollectionSnapshot, ix *docIndex) {
+		n, exact = 0, false
+		switch {
+		case ix == nil:
+		case nodes:
+			n, exact = ix.countNodes(hint)
+		default:
+			ids, constrained, _, ok := ix.candidates(hint)
+			n, exact = int64(len(ids)), ok
+			if !constrained {
+				n = int64(len(snap.Refs))
+			}
+		}
+	})
+	if err != nil {
+		return 0, false
+	}
+	snap.Close()
+	if !exact {
+		return 0, false
+	}
+	db.stats.indexOnlyHits.Add(1)
+	obs.EngineIndexOnly.Inc()
+	return n, true
 }
 
 // selectRefs picks the refs of the named documents out of a name-sorted
@@ -771,58 +823,6 @@ func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, mode s
 		}
 	}
 	return decoded, read, walked, nil
-}
-
-// probeIndex resolves the index a probe runs against, nil when probing is
-// unavailable (disabled, or unknown collection).
-func (db *DB) probeIndex(collection string) *docIndex {
-	if db.opts.DisableIndexes {
-		return nil
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.idx[collection]
-}
-
-// ProbeCount implements xquery.IndexProber: count()-shaped queries over
-// predicate-free collection-rooted paths are answered from the path
-// summary's node counts without decoding any document.
-func (db *DB) ProbeCount(p *xquery.PathProbe) (int64, bool) {
-	if p.Value != nil {
-		return 0, false // counting value-qualified nodes needs node-granular postings
-	}
-	ix := db.probeIndex(p.Collection)
-	if ix == nil {
-		return 0, false
-	}
-	ix.mu.Lock()
-	n := ix.countLocked(p.Steps)
-	ix.mu.Unlock()
-	db.noteIndexOnly()
-	return n, true
-}
-
-// ProbeExists implements xquery.IndexProber: exists()/empty()-shaped
-// queries are answered from the path summary and value index. A probe is
-// declined (ok=false) when an over-cap value at a matched path could hide
-// a match.
-func (db *DB) ProbeExists(p *xquery.PathProbe) (bool, bool) {
-	ix := db.probeIndex(p.Collection)
-	if ix == nil {
-		return false, false
-	}
-	ix.mu.Lock()
-	exists, ok := ix.existsLocked(p)
-	ix.mu.Unlock()
-	if ok {
-		db.noteIndexOnly()
-	}
-	return exists, ok
-}
-
-func (db *DB) noteIndexOnly() {
-	db.stats.indexOnlyHits.Add(1)
-	obs.EngineIndexOnly.Inc()
 }
 
 // Fetch streams the stored records of the documents a fetch selects to

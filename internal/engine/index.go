@@ -240,17 +240,21 @@ func (ix *docIndex) vocabulary() []string {
 // candidates evaluates the hint's conjunction against the indexes. It
 // returns the sorted IDs of the documents that may satisfy it, whether any
 // constraint was applied at all (constrained false means no pruning: every
-// document is a candidate, not none), and the number of documents
+// document is a candidate, not none), the number of documents
 // eliminated by value comparisons specifically (beyond the
-// token/element/path-existence pruning). The returned slice belongs to the
-// caller.
+// token/element/path-existence pruning), and whether the list is exact:
+// the documents satisfying every Path constraint, no more. A Path the
+// path summary and value index resolve exactly unless a compared path
+// holds an over-cap value (its overflow documents are kept as candidates
+// whatever their value); the other constraints of a conjunct are implied
+// by its Path. The returned slice belongs to the caller.
 //
 // Conjunctions intersect the smallest list first, galloping into much
 // longer ones; the unions a constraint needs (a substring's matching
 // tokens, the path keys a pattern matches, the value entries a comparison
 // selects) are merged from sorted postings. The cost follows the
 // candidates and the lists touched, not the collection.
-func (ix *docIndex) candidates(hint *xquery.Hint) ([]docID, bool, int) {
+func (ix *docIndex) candidates(hint *xquery.Hint) (ids []docID, constrained bool, rangePruned int, exact bool) {
 	// Substring constraints scan the whole vocabulary; do that outside the
 	// lock against the immutable vocab slice so a long scan never blocks
 	// writers. Only the token → posting lookups below need the lock.
@@ -302,10 +306,10 @@ func (ix *docIndex) candidates(hint *xquery.Hint) ([]docID, bool, int) {
 			lists = append(lists, unionSorted(ix.pathExistsLocked(c.Path.Steps)))
 		}
 	}
-	constrained := len(lists) > 0
+	constrained = len(lists) > 0
 	result := intersectAll(lists)
 	owned := len(lists) > 1
-	rangePruned := 0
+	overflow := false
 	for _, c := range hint.Constraints {
 		if c.Path == nil || c.Path.Op == xquery.CmpExists {
 			continue
@@ -313,7 +317,9 @@ func (ix *docIndex) candidates(hint *xquery.Hint) ([]docID, bool, int) {
 		if constrained && len(result) == 0 {
 			break // nothing left to eliminate
 		}
-		matches := unionSorted(ix.valueMatchesLocked(c.Path))
+		lists, over := ix.valueMatchesLocked(c.Path)
+		overflow = overflow || over
+		matches := unionSorted(lists)
 		if constrained {
 			base := len(result)
 			result = intersectSorted(result, matches)
@@ -325,13 +331,14 @@ func (ix *docIndex) candidates(hint *xquery.Hint) ([]docID, bool, int) {
 			constrained = true
 		}
 	}
+	exact = !overflow || len(result) == 0
 	if !constrained {
-		return nil, false, rangePruned
+		return nil, false, rangePruned, exact
 	}
 	if !owned {
 		result = slices.Clone(result)
 	}
-	return result, true, rangePruned
+	return result, true, rangePruned, exact
 }
 
 // docNames resolves candidate IDs to document names.

@@ -23,8 +23,8 @@ import (
 // exact operand the evaluator's atomicCompare sees. Values longer than
 // valueCap bytes are not stored; the doc instead lands on the path's
 // overflow list, which every comparison result includes — pruning stays a
-// sound superset, and index-only "false" answers are refused when an
-// overflow doc might hold a match.
+// sound superset, and such a list is not exact (candidates), so no
+// decider is answered from it.
 
 // valueCap bounds stored node values. Typical comparison operands (codes,
 // dates, prices) are far below it; whole-subtree concatenations of large
@@ -39,7 +39,7 @@ type pathComp struct {
 
 // pathPosting is the summary entry of one label path: the docs containing
 // it (sorted) and, parallel to ids, how many nodes each doc has at the
-// path — what makes count() probes answerable without decoding.
+// path — what answers a count of the nodes at a path without decoding.
 type pathPosting struct {
 	comps  []pathComp
 	ids    []docID
@@ -351,9 +351,10 @@ func matchFrom(steps []xquery.LabelStep, comps []pathComp, i, j int) bool {
 	st := steps[i]
 	if st.Descendant {
 		// Self-match: at the query root the context is the virtual
-		// #document wrapper, which only a "*" step matches (probe
-		// extraction rejects that ambiguity; for pruning, accepting it is
-		// sound — it can only widen the candidate set).
+		// #document wrapper, which only a "*" step matches (a fold whose
+		// binding may be the wrapper never asks for an exact answer; for
+		// pruning, accepting it is sound — it can only widen the
+		// candidate set).
 		if j == 0 {
 			if st.Name == "*" && !st.Attr && matchFrom(steps, comps, i+1, 0) {
 				return true
@@ -463,9 +464,8 @@ func (ix *docIndex) pathExistsLocked(steps []xquery.LabelStep) [][]docID {
 // that may contain a node at the constraint's path whose value satisfies
 // the comparison: the matching value entries' postings plus every overflow
 // list of the matched paths (their values were not indexed, so they might
-// match).
-func (ix *docIndex) valueMatchesLocked(pc *xquery.PathConstraint) [][]docID {
-	var lists [][]docID
+// match), and whether any of those overflow lists is non-empty.
+func (ix *docIndex) valueMatchesLocked(pc *xquery.PathConstraint) (lists [][]docID, overflow bool) {
 	for key, vl := range ix.values {
 		p := ix.paths[key]
 		if p == nil || !matchLabelPath(pc.Steps, p.comps) {
@@ -475,59 +475,36 @@ func (ix *docIndex) valueMatchesLocked(pc *xquery.PathConstraint) [][]docID {
 			lists = append(lists, e.ids)
 		})
 		lists = append(lists, vl.overflow)
+		overflow = overflow || len(vl.overflow) > 0
 	}
-	return lists
+	return lists, overflow
 }
 
-// countLocked answers a count probe: total nodes at paths matching the
-// pattern; empty pattern counts whole documents.
-func (ix *docIndex) countLocked(steps []xquery.LabelStep) int64 {
-	if len(steps) == 0 {
-		return int64(len(ix.ids))
-	}
-	var total int64
-	for _, p := range ix.paths {
-		if matchLabelPath(steps, p.comps) {
-			for _, c := range p.counts {
-				total += int64(c)
-			}
-		}
-	}
-	return total
-}
-
-// existsLocked answers an exists probe. ok=false means the indexes cannot
-// decide: a matched path has overflow values that might satisfy the
-// comparison.
-func (ix *docIndex) existsLocked(p *xquery.PathProbe) (exists, ok bool) {
-	if p.Value == nil {
-		if len(p.Steps) == 0 {
-			return len(ix.ids) > 0, true
-		}
-		for _, pp := range ix.paths {
-			if matchLabelPath(p.Steps, pp.comps) && len(pp.ids) > 0 {
-				return true, true
-			}
-		}
-		return false, true
-	}
-	overflowSeen := false
-	for key, vl := range ix.values {
-		pp := ix.paths[key]
-		if pp == nil || !matchLabelPath(p.Value.Steps, pp.comps) {
+// countNodes returns the number of nodes at the label path of the hint's
+// one Path constraint, an existence test, from the path summary's node
+// counts; ok is false for a hint with any other Path constraint.
+func (ix *docIndex) countNodes(hint *xquery.Hint) (n int64, ok bool) {
+	var path *xquery.PathConstraint
+	for _, c := range hint.Constraints {
+		if c.Path == nil {
 			continue
 		}
-		matched := false
-		vl.matchEntries(p.Value.Op, p.Value.Literal, func(*valueEntry) { matched = true })
-		if matched {
-			return true, true
+		if path != nil || c.Path.Op != xquery.CmpExists {
+			return 0, false
 		}
-		if len(vl.overflow) > 0 {
-			overflowSeen = true
+		path = c.Path
+	}
+	if path == nil {
+		return 0, false
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for _, p := range ix.paths {
+		if matchLabelPath(path.Steps, p.comps) {
+			for _, c := range p.counts {
+				n += int64(c)
+			}
 		}
 	}
-	if overflowSeen {
-		return false, false
-	}
-	return false, true
+	return n, true
 }

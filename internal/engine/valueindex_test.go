@@ -373,7 +373,7 @@ func TestIndexConcurrentMutationAndCandidates(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 600; i++ {
-			ids, _, _ := ix.candidates(hint)
+			ids, _, _, _ := ix.candidates(hint)
 			for j := 1; j < len(ids); j++ {
 				if ids[j-1] >= ids[j] {
 					t.Errorf("candidates not strictly sorted: %v", ids)
@@ -393,7 +393,7 @@ func TestIndexConcurrentMutationAndCandidates(t *testing.T) {
 			Op:    xquery.CmpLt, Literal: "100000",
 		}},
 	}}
-	ids, constrained, _ := ix.candidates(all)
+	ids, constrained, _, _ := ix.candidates(all)
 	ix.mu.Lock()
 	live := len(ix.ids)
 	ix.mu.Unlock()
@@ -405,7 +405,7 @@ func TestIndexConcurrentMutationAndCandidates(t *testing.T) {
 // candidateNames runs ix.candidates and returns the candidates' names; nil
 // when no constraint applied.
 func candidateNames(ix *docIndex, hint *xquery.Hint) map[string]bool {
-	ids, constrained, _ := ix.candidates(hint)
+	ids, constrained, _, _ := ix.candidates(hint)
 	if !constrained {
 		return nil
 	}

@@ -34,7 +34,7 @@ type QueryRecord struct {
 	PlanCached  bool             `json:"planCached,omitempty"`
 	Cached      bool             `json:"cached,omitempty"` // served from the result cache
 	Compiled    bool             `json:"compiled,omitempty"`
-	IndexOnly   bool             `json:"indexOnly,omitempty"`
+	IndexOnly   bool             `json:"indexOnly,omitempty"` // every node may decide its sub-query from its indexes (exec.Program.Decides)
 	Slow        bool             `json:"slow,omitempty"`
 	Error       string           `json:"error,omitempty"`
 	Fragments   []FragmentTiming `json:"fragments,omitempty"`

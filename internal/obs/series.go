@@ -18,7 +18,7 @@ var (
 	EngineRangePruned = Default.NewCounter("partix_engine_range_pruned_total",
 		"Documents eliminated by value-index (equality/range) constraints.")
 	EngineIndexOnly = Default.NewCounter("partix_engine_index_only_total",
-		"count()/exists() deciders answered from indexes without decoding documents.")
+		"count()/exists()/empty() folds decided from an exact index candidate list, decoding no document.")
 	EngineBytesDecoded = Default.NewCounter("partix_engine_decode_bytes_total",
 		"Stored record bytes the decoder walked; the subtrees a projected decode skips are not counted.")
 	EngineSnapshotRetries = Default.NewCounter("partix_engine_snapshot_retries_total",

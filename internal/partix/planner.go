@@ -8,6 +8,7 @@ import (
 	"partix/internal/fragmentation"
 	"partix/internal/obs"
 	"partix/internal/xquery"
+	"partix/internal/xquery/exec"
 )
 
 // Cost-based planning over fragment statistics.
@@ -37,7 +38,7 @@ import (
 type planEstimate struct {
 	docs      int64   // estimated documents contributing bindings; -1 unknown
 	cost      float64 // estimated bytes the sub-query touches; -1 unknown
-	indexOnly bool    // the sub-query is an index-only probe on the node
+	indexOnly bool    // the node may decide the sub-query from its indexes
 }
 
 // statsPlan accumulates what statistics-driven planning learned about one
@@ -310,10 +311,10 @@ func (s *System) orderReconstruct(sp *statsPlan, meta *CollectionMeta, frags []*
 	return out
 }
 
-// annotateIndexOnly marks sub-queries the node can answer from its
-// indexes alone (count/exists/empty over pred-free collection-rooted
-// paths — the engine's index-only probe shapes). Purely informational:
-// the node makes the actual probe decision; Explain surfaces it.
+// annotateIndexOnly marks sub-queries the node may answer from its
+// indexes alone: the count/exists/empty folds whose compiled program asks
+// the engine to decide them (exec.Program.Decides). Purely informational:
+// the node's indexes make the actual decision; Explain surfaces it.
 func annotateIndexOnly(sp *statsPlan, p *queryPlan) {
 	if sp == nil {
 		return
@@ -329,15 +330,9 @@ func annotateIndexOnly(sp *statsPlan, p *queryPlan) {
 }
 
 func subIndexOnly(e xquery.Expr) bool {
-	f, ok := e.(*xquery.FuncCall)
-	if !ok || len(f.Args) != 1 {
+	if _, fold := e.(*xquery.FuncCall); !fold {
 		return false
 	}
-	switch f.Name {
-	case "count":
-		return xquery.ExtractCountProbe(f.Args[0]) != nil
-	case "exists", "empty":
-		return xquery.ExtractExistsProbe(f.Args[0]) != nil
-	}
-	return false
+	prog, ok := exec.Compile(e)
+	return ok && prog.Decides()
 }

@@ -411,6 +411,42 @@ func TestExplainIndexOnlyAnnotation(t *testing.T) {
 	}
 }
 
+// The IndexOnly marker comes from the program the node compiles: an
+// HQ7-shaped count (a root binding with one equality term) is marked on
+// its step, HQ8's contains term is not, and both answer as counted.
+func TestExplainMarksDecidedCountsIndexOnly(t *testing.T) {
+	s := newTestSystem(t, 3)
+	publishHorizontal(t, s, 12)
+	for _, tc := range []struct {
+		query     string
+		indexOnly bool
+	}{
+		{`count(for $i in collection("items")/Item where $i/Section = "CD" return $i)`, true},
+		{`count(for $i in collection("items")/Item where contains($i/Description, "good") return $i)`, false},
+	} {
+		p, err := s.Explain(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range p.Steps {
+			if st.IndexOnly != tc.indexOnly {
+				t.Errorf("%s: step %s IndexOnly %v, want %v", tc.query, st.Fragment, st.IndexOnly, tc.indexOnly)
+			}
+		}
+		res, err := s.Query(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, err := s.Query(tc.query[len("count(") : len(tc.query)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Items) != 1 || xquery.ItemString(res.Items[0]) != fmt.Sprint(len(items.Items)) {
+			t.Errorf("%s = %v, want %d", tc.query, res.Items, len(items.Items))
+		}
+	}
+}
+
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false

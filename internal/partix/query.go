@@ -743,8 +743,10 @@ type PlanStep struct {
 	// fragment's statistics; -1 when no statistics were available.
 	EstDocs int64
 	EstCost float64
-	// IndexOnly marks a sub-query the node can answer from its indexes
-	// alone (a count/exists/empty probe shape).
+	// IndexOnly marks a sub-query the node may answer from its indexes
+	// alone: a count/exists/empty fold its compiled program asks the
+	// engine to decide from the candidate list (exec.Program.Decides);
+	// the node still declines when the list is not exact.
 	IndexOnly bool
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"sync"
 	"time"
 
 	"partix/internal/cluster"
@@ -21,6 +22,9 @@ import (
 type LocalNode struct {
 	name string
 	srv  *Server
+	// origins recycles the engine.Origins each sub-query streams through
+	// (a TCP connection keeps one for its streams the same way).
+	origins sync.Pool
 }
 
 // NewLocalNode wraps db as a named node.
@@ -48,13 +52,19 @@ func (n *LocalNode) StoreDocument(collection string, doc *xmltree.Document) erro
 // traced query's spans come from the FrameEnd trailer. A frame's payload
 // is copied before it is decoded, as gob decodes a received one into fresh
 // memory: the stream reuses its buffer, and a batch's nodes alias theirs.
-// Each call has its own engine.Origins, as sub-queries run concurrently.
+// Each call takes an engine.Origins of its own from the node's pool, as
+// sub-queries run concurrently, and puts it back once the stream is over:
+// the engine drops its records when the stream returns.
 // The serialize span leaves out the consumer's own time inside yield.
 func (n *LocalNode) Query(query, tag string, trace bool, yield func(xquery.Seq) error) ([]obs.Span, error) {
 	var spans []obs.Span
 	var consuming time.Duration // inside yield before FrameEnd, within serialize
 	req := &Request{Op: OpQueryStream, Query: query, TraceID: tag, Trace: trace}
-	failure, err := n.srv.stream(req, new(engine.Origins), func(f *Frame) error {
+	origins, _ := n.origins.Get().(*engine.Origins)
+	if origins == nil {
+		origins = new(engine.Origins)
+	}
+	failure, err := n.srv.stream(req, origins, func(f *Frame) error {
 		if f.Trailer != nil {
 			spans = f.Trailer.Spans
 		}
@@ -71,6 +81,7 @@ func (n *LocalNode) Query(query, tag string, trace bool, yield func(xquery.Seq) 
 		}
 		return yield(seq)
 	})
+	n.origins.Put(origins)
 	if err == nil {
 		err = failure
 	}

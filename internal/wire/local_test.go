@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"partix/internal/cluster"
@@ -209,4 +210,64 @@ func TestLocalPointQueryCostIndependentOfCollectionSize(t *testing.T) {
 		t.Fatalf("a point sub-query over 3000 docs costs %+v, over 300 docs %+v: want the same",
 			costs[3000], costs[300])
 	}
+}
+
+// Concurrent sub-queries on one LocalNode draw their engine.Origins from
+// its pool: each stream ships its stored Items from its own chunks'
+// records, whatever ran on the Origins before it (run it under -race).
+func TestLocalNodeConcurrentStreamsShareOriginsPool(t *testing.T) {
+	db, err := engine.Open(filepath.Join(t.TempDir(), "n.db"), engine.Options{WALNoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	c := xmltree.NewCollection("m")
+	for i := 0; i < 150; i++ {
+		c.Add(xmltree.MustParseString(fmt.Sprintf("m%03d", i),
+			fmt.Sprintf("<Item><Code>M%d</Code><Note>%s</Note></Item>", i, strings.Repeat("m", i%7))))
+	}
+	if err := db.LoadCollection(c); err != nil {
+		t.Fatal(err)
+	}
+	n := NewLocalNode("n", db)
+	queries := []string{
+		`for $d in collection("m")/Item return $d`,
+		`for $d in collection("m")/Item where $d/Note = "mmm" return $d`,
+		`count(collection("m")/Item)`,
+	}
+	answer := func(q string) (string, error) {
+		var b strings.Builder
+		_, err := n.Query(q, "", false, func(s xquery.Seq) error {
+			for _, it := range s {
+				if node, ok := xquery.NodeOf(it); ok {
+					b.WriteString(xmltree.NodeString(node))
+				} else {
+					b.WriteString(xquery.ItemString(it))
+				}
+			}
+			return nil
+		})
+		return b.String(), err
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		if want[i], err = answer(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 15; r++ {
+				i := (g + r) % len(queries)
+				if got, err := answer(queries[i]); err != nil || got != want[i] {
+					t.Errorf("%s: %v, answer differs from the sequential one: %v", queries[i], err, got != want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -30,6 +30,20 @@ type Source interface {
 	Doc(name string) (*xmltree.Document, error)
 }
 
+// Decider is the optional Source extension that answers a count(),
+// exists() or empty() fold from the candidate list its indexes select
+// for the fold's scan, without decoding a document. The compiled
+// program asks it only for folds whose result the list decides
+// (exec.Program.Decides).
+type Decider interface {
+	// Decide returns how many documents of the collection satisfy the
+	// hint's constraints, or with nodes set how many nodes lie at the
+	// label path of its one Path constraint. ok is false when the source
+	// cannot say exactly: its indexes are off, the hint is not Complete,
+	// or a compared value was too long to index.
+	Decide(collection string, hint *Hint, nodes bool) (n int64, ok bool)
+}
+
 // Eval compiles nothing further — it evaluates a parsed query against src.
 func Eval(e Expr, src Source) (Seq, error) {
 	ctx := &context{src: src, hints: ExtractScanHints(e), vars: map[string]Seq{}}

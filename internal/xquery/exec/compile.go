@@ -45,18 +45,30 @@ var foldNames = map[foldKind]string{
 	foldSum: "sum", foldAvg: "avg", foldMin: "min", foldMax: "max",
 }
 
-// Program is a compiled query: a streaming pipeline plus an optional fold
-// and the index-only probes the interpreter would have tried first.
+// Program is a compiled query: a streaming pipeline plus an optional fold,
+// and how a Decider source may answer that fold from its candidate list.
 type Program struct {
-	fold        foldKind
-	countProbe  *xquery.PathProbe // answers foldCount from indexes when the source can
-	existsProbe *xquery.PathProbe // answers foldExists/foldEmpty from indexes
-	pipe        *pipeline
+	fold foldKind
+	ask  askKind
+	pipe *pipeline
 }
+
+// askKind says what a decider fold asks an xquery.Decider for.
+type askKind uint8
+
+const (
+	askNone  askKind = iota // the fold scans
+	askDocs                 // the documents on the candidate list: one binding each, or any binding at all
+	askNodes                // the nodes at the binding path (a count with no term)
+)
 
 // Streams reports whether the program produces an item stream (no fold):
 // the result can be arbitrarily large and is worth delivering in frames.
 func (p *Program) Streams() bool { return p.fold == foldNone }
+
+// Decides reports whether the program is a count, exists or empty fold
+// that a Decider source may answer from its indexes alone.
+func (p *Program) Decides() bool { return p.ask != askNone }
 
 // Keep is the projection the program hands its scan (xquery.Hint.Keep):
 // the part of each document it reads, nil when it needs whole documents.
@@ -244,10 +256,7 @@ func (f *Filter) Match(src xquery.Source, matched func()) error {
 }
 
 // compileFold handles the aggregate/decider wrappers around a stream:
-// count, sum, avg, min, max, exists, empty. The index-only probes the
-// interpreter short-circuits with are extracted here and tried first at
-// run time, so the compiled path never decodes documents the interpreter
-// would have answered from the path summary.
+// count, sum, avg, min, max, exists, empty.
 func compileFold(f *xquery.FuncCall, hints xquery.Hints) (*Program, bool) {
 	if len(f.Args) != 1 {
 		return nil, false
@@ -276,14 +285,55 @@ func compileFold(f *xquery.FuncCall, hints xquery.Hints) (*Program, bool) {
 		return nil, false
 	}
 	pipe.project(fold)
-	p := &Program{fold: fold, pipe: pipe}
-	switch fold {
-	case foldCount:
-		p.countProbe = xquery.ExtractCountProbe(f.Args[0])
-	case foldExists, foldEmpty:
-		p.existsProbe = xquery.ExtractExistsProbe(f.Args[0])
+	return &Program{fold: fold, ask: pipe.decider(fold), pipe: pipe}, true
+}
+
+// decider says how a count, exists or empty fold over the pipeline may be
+// answered from the candidate list of its scan's hint. The pipeline must
+// yield its bindings themselves: one for clause or a collection-rooted
+// path, no let, order by, positional predicate or interpreted term, and
+// a binding that is never the document wrapper. The hint must be
+// Complete, so every term is one of its Path constraints; and the
+// constraints must not lose a correlation between the nodes they match:
+//
+//   - a root binding (one child step) has at most one binding per
+//     document, so a document is on the list exactly when its binding
+//     passes every term;
+//   - any other binding is decided with no term by its node count, and
+//     for exists/empty with one term over the binding itself (a step
+//     predicate of its last step, or a where term): a node the term's
+//     Path matches lies at or under a binding that passes it.
+func (p *pipeline) decider(fold foldKind) askKind {
+	if fold != foldCount && fold != foldExists && fold != foldEmpty {
+		return askNone
 	}
-	return p, true
+	if p.hint == nil || !p.hint.Complete || p.freshWrapper || len(p.clauses) > 0 ||
+		len(p.orderBy) > 0 || p.ret.kind != veSlot {
+		return askNone
+	}
+	terms := len(p.filter)
+	for _, ft := range p.filter {
+		if ft.native == nil {
+			return askNone
+		}
+	}
+	last := len(p.scanSteps) - 1
+	for i, st := range p.scanSteps {
+		for _, pr := range st.preds {
+			if pr.kind != predTerm || i < last {
+				return askNone
+			}
+			terms++
+		}
+	}
+	root := last == 0 && !p.scanSteps[0].descendant
+	switch {
+	case fold == foldCount && terms == 0:
+		return askNodes
+	case root, fold != foldCount && terms <= 1:
+		return askDocs
+	}
+	return askNone
 }
 
 // compileStream compiles an item-producing expression: a FLWOR whose

@@ -66,18 +66,20 @@ func (p *Program) Stream(src xquery.Source, yield func(xquery.Seq) error) (int, 
 }
 
 // runFold consumes the pipeline's item stream into a single aggregate or
-// decider item, mirroring the interpreter's evalFunc/aggregate exactly —
-// including trying the index-only probes first, so count/exists/empty
-// over probe-eligible shapes still decode zero documents.
+// decider item, mirroring the interpreter's evalFunc/aggregate exactly. A
+// decider fold first asks a Decider source (Decides), so one its indexes
+// answer decodes no document.
 func (p *Program) runFold(src xquery.Source) (xquery.Seq, error) {
-	prober, isProber := src.(xquery.IndexProber)
-	switch p.fold {
-	case foldCount:
-		if p.countProbe != nil && isProber {
-			if n, ok := prober.ProbeCount(p.countProbe); ok {
+	if d, ok := src.(xquery.Decider); ok && p.ask != askNone {
+		if n, ok := d.Decide(p.pipe.coll, p.pipe.hint, p.ask == askNodes); ok {
+			if p.fold == foldCount {
 				return xquery.Seq{float64(n)}, nil
 			}
+			return xquery.Seq{(n > 0) != (p.fold == foldEmpty)}, nil
 		}
+	}
+	switch p.fold {
+	case foldCount:
 		var n int64
 		err := p.pipe.run(src, func(items xquery.Seq) error {
 			n += int64(len(items))
@@ -88,14 +90,6 @@ func (p *Program) runFold(src xquery.Source) (xquery.Seq, error) {
 		}
 		return xquery.Seq{float64(n)}, nil
 	case foldExists, foldEmpty:
-		if p.existsProbe != nil && isProber {
-			if ex, ok := prober.ProbeExists(p.existsProbe); ok {
-				if p.fold == foldEmpty {
-					ex = !ex
-				}
-				return xquery.Seq{ex}, nil
-			}
-		}
 		found := false
 		err := p.pipe.runEager(src, func(items xquery.Seq) error {
 			if len(items) > 0 {

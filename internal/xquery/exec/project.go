@@ -70,7 +70,7 @@ func (p *pipeline) project(fold foldKind) {
 func (p *pipeline) withKeep(keep *xmltree.Projection) xquery.Hint {
 	h := xquery.Hint{Keep: keep}
 	if p.hint != nil {
-		h.Constraints = p.hint.Constraints
+		h.Constraints, h.Complete = p.hint.Constraints, p.hint.Complete
 	}
 	return h
 }

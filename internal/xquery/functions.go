@@ -32,11 +32,6 @@ func sliceString(s string, start, length int) string {
 func (c *context) evalFunc(f *FuncCall) (Seq, error) {
 	switch f.Name {
 	case "count":
-		if len(f.Args) == 1 {
-			if n, ok := c.probeCount(f.Args[0]); ok {
-				return Seq{float64(n)}, nil
-			}
-		}
 		args, err := c.evalArgs(f, 1)
 		if err != nil {
 			return nil, err
@@ -84,22 +79,12 @@ func (c *context) evalFunc(f *FuncCall) (Seq, error) {
 		}
 		return Seq{!b}, nil
 	case "empty":
-		if len(f.Args) == 1 {
-			if ex, ok := c.probeExists(f.Args[0]); ok {
-				return Seq{!ex}, nil
-			}
-		}
 		args, err := c.evalArgs(f, 1)
 		if err != nil {
 			return nil, err
 		}
 		return Seq{len(args[0]) == 0}, nil
 	case "exists":
-		if len(f.Args) == 1 {
-			if ex, ok := c.probeExists(f.Args[0]); ok {
-				return Seq{ex}, nil
-			}
-		}
 		args, err := c.evalArgs(f, 1)
 		if err != nil {
 			return nil, err

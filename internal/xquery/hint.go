@@ -10,10 +10,17 @@ import (
 // possibly contribute to a query's result. The engine evaluates hints
 // against its indexes to prune candidate documents before decoding them
 // (this is the "indexes … to speed up text search operations" behaviour
-// of eXist the paper relies on). Hints are always a NECESSARY condition,
-// never sufficient: surviving documents are still fully evaluated.
+// of eXist the paper relies on). Hints are always a NECESSARY condition;
+// they are also sufficient only where Complete says so.
 type Hint struct {
 	Constraints []Constraint
+	// Complete reports that every conjunct that may filter the scan's
+	// bindings became one of Constraints with a root-anchored Path, and
+	// that every binding path has a label path: the analysis dropped
+	// nothing. Whether the Paths then decide a fold is the compiled
+	// program's call (exec.Program.Decides), whether the indexes answer
+	// them exactly the engine's.
+	Complete bool
 	// Keep, when non-nil, is the part of each document the query reads
 	// (derived by the compiled executor from its plan). A Source may
 	// ignore it: handing out whole documents is always correct.
@@ -61,7 +68,7 @@ type ContainsConstraint struct {
 	Needle string
 }
 
-// CmpOp is the comparison a PathConstraint (or ValueProbe) carries.
+// CmpOp is the comparison a PathConstraint carries.
 type CmpOp uint8
 
 // Comparison operators of path constraints. CmpExists asserts the path
@@ -165,7 +172,9 @@ type Hints map[*CollectionCall]*Hint
 // literal (equality gives token and path constraints, <, <=, >, >= give
 // path constraints), calls contains(path, "literal") or tests a path's
 // existence. Terms under not(), or, !=, any other function, and paths
-// carrying step predicates of their own are ignored.
+// carrying step predicates of their own are ignored, and so make the
+// scans they may filter incomplete (Hint.Complete), as does a term or
+// binding path that yields no root-anchored Path (contains, text()).
 func ExtractScanHints(e Expr) Hints {
 	h := Hints{}
 	Walk(e, func(x Expr) {
@@ -229,14 +238,29 @@ func (h Hints) Collection(name string) *Hint {
 	return only
 }
 
-func (h Hints) add(scan *CollectionCall, c *Constraint) {
+// add records a constraint on a scan's hint (none with c nil), creating
+// the hint complete.
+func (h Hints) add(scan *CollectionCall, c *Constraint) *Hint {
 	hint := h[scan]
 	if hint == nil {
-		hint = &Hint{}
+		hint = &Hint{Complete: true}
 		h[scan] = hint
 	}
 	if c != nil {
 		hint.Constraints = append(hint.Constraints, *c)
+	}
+	return hint
+}
+
+// keep records c on the scan when there is one, and marks the scan's
+// hint incomplete unless c has a root-anchored Path: the analysis that
+// drops a conjunct, or keeps it only as a necessary condition, says so.
+func (h Hints) keep(scan *CollectionCall, c Constraint, ok bool) {
+	if ok {
+		h.add(scan, &c)
+	}
+	if !ok || c.Path == nil {
+		h.add(scan, nil).Complete = false
 	}
 }
 
@@ -261,9 +285,8 @@ func (a anchor) extend(steps []PathStep) anchor {
 // names and label path, and the conjuncts of each step predicate, whose
 // relative paths extend the path up to and including that step.
 func (h Hints) addPath(a anchor, steps []PathStep) {
-	if c, ok := existence(a.extend(steps), steps); ok {
-		h.add(a.scan, &c)
-	}
+	c, ok := existence(a.extend(steps), steps)
+	h.keep(a.scan, c, ok)
 	for si, st := range steps {
 		if len(st.Preds) == 0 {
 			continue
@@ -271,9 +294,8 @@ func (h Hints) addPath(a anchor, steps []PathStep) {
 		ctx := a.extend(steps[:si+1])
 		for _, p := range st.Preds {
 			Conjuncts(p, func(term Expr) {
-				if _, c, ok := constraintFromTerm(term, nil, &ctx); ok {
-					h.add(a.scan, &c)
-				}
+				_, c, ok := constraintFromTerm(term, nil, &ctx)
+				h.keep(a.scan, c, ok)
 			})
 		}
 	}
@@ -294,8 +316,16 @@ func (h Hints) addFLWOR(f *FLWOR) {
 		return
 	}
 	Conjuncts(f.Where, func(term Expr) {
-		if a, c, ok := constraintFromTerm(term, vars, nil); ok {
+		a, c, ok := constraintFromTerm(term, vars, nil)
+		if ok {
 			h.add(a.scan, &c)
+		}
+		if !ok || c.Path == nil {
+			// A term dropped, or kept without a Path, may filter the
+			// bindings of any scan the FLWOR binds.
+			for _, b := range vars {
+				h.add(b.scan, nil).Complete = false
+			}
 		}
 	})
 }

@@ -551,3 +551,45 @@ func docSatisfiesHint(d *xmltree.Document, h *Hint) bool {
 	}
 	return true
 }
+
+// TestExtractScanHintsComplete: a scan's hint is complete exactly when
+// every conjunct that may filter its bindings became a constraint with a
+// root-anchored Path, and its binding paths have one.
+func TestExtractScanHintsComplete(t *testing.T) {
+	for _, tc := range []struct {
+		query    string
+		complete bool
+	}{
+		{`collection("items")/Item`, true},
+		{`collection("items")/Item[Section = "CD"][@id < 5]/Code`, true},
+		{`for $i in collection("items")/Item where $i/Section = "CD" and exists($i/PictureList) return $i`, true},
+		{`for $i in collection("items")/Item, $p in $i/PictureList/Picture where $p/@n = 1 return $p`, true},
+		{`for $s in collection("items")/Item/Section where $s = "CD" return $s`, true},
+		// contains keeps a constraint, but no Path.
+		{`for $i in collection("items")/Item where contains($i/Description, "good") return $i`, false},
+		// Dropped: !=, or, not(), a path with a predicate, no literal.
+		{`collection("items")/Item[Section != "CD"]`, false},
+		{`for $i in collection("items")/Item where $i/Section = "CD" or $i/Section = "DVD" return $i`, false},
+		{`for $i in collection("items")/Item where not($i/PictureList) return $i`, false},
+		{`for $i in collection("items")/Item where $i/PictureList[Picture] return $i`, false},
+		{`collection("items")/Item[Section = Code]`, false},
+		{`collection("items")/Item[1]`, false},
+		// text() has no label: the binding path or the term yields no Path.
+		{`collection("items")/Item/text()`, false},
+		{`for $i in collection("items")/Item where $i/Section/text() = "CD" return $i`, false},
+		// A term over a let variable may filter the scan's bindings.
+		{`for $i in collection("items")/Item let $s := $i/Section where $s = "CD" return $i`, false},
+		// A nested binding's step predicates count like the scan's own.
+		{`for $i in collection("items")/Item, $p in $i/PictureList/Picture[@n != 1] return $p`, false},
+	} {
+		hints := ExtractScanHints(MustParse(tc.query))
+		if len(hints) != 1 {
+			t.Fatalf("%s: %d scans", tc.query, len(hints))
+		}
+		for _, h := range hints {
+			if h.Complete != tc.complete {
+				t.Errorf("%s: complete %v, want %v (%+v)", tc.query, h.Complete, tc.complete, h.Constraints)
+			}
+		}
+	}
+}
