@@ -78,13 +78,36 @@ type Pinger interface {
 
 // StatisticsProvider is an optional Driver extension for cost-based
 // planning: the node returns its index-derived statistics snapshot for a
-// collection (doc/byte counts, per-path cardinalities and value ranges,
-// and the mutation generation the snapshot describes). (nil, nil) means
+// collection (doc/byte counts, per-path cardinalities, value ranges and
+// membership, and the mutation generation the snapshot describes), and
+// reports every generation its collections move to, so a coordinator
+// knows when a snapshot it holds is no longer current. (nil, nil) means
 // the node cannot provide statistics — it runs with indexes disabled —
 // and the planner falls back to union-all planning.
 // A driver without this extension is treated the same way.
 type StatisticsProvider interface {
 	CollectionStatistics(collection string) (*engine.CollectionStatistics, error)
+	// Watch subscribes sink to the node's commits. It returns once the
+	// subscription is in place, having called sink.Up: every commit from
+	// then on reaches sink.Bump before the node acknowledges the write
+	// that made it. While the subscription is lost, between sink.Down and
+	// the next sink.Up, commits may go unreported. stop ends the
+	// subscription; closing the driver ends it too.
+	Watch(sink WatchSink) (stop func(), err error)
+}
+
+// WatchSink receives a StatisticsProvider's commit reports. Its methods
+// may be called from any goroutine, a committing writer's included, and
+// must not block.
+type WatchSink interface {
+	// Bump reports that a collection of the node reached a generation.
+	// Reports of one collection may arrive out of order.
+	Bump(collection string, generation uint64)
+	// Up reports that the subscription is (again) in place. Generations
+	// reported before it may belong to an earlier run of the node.
+	Up()
+	// Down reports that the subscription was lost.
+	Down()
 }
 
 // TelemetryProvider is an optional Driver extension for cluster-wide

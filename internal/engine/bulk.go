@@ -116,6 +116,7 @@ func (vl *valueList) bulkMerge(vals map[string][]docID) {
 		vl.entries = append(vl.entries, fresh...)
 		sort.Slice(vl.entries, func(i, j int) bool { return vl.entries[i].raw < vl.entries[j].raw })
 		vl.numDirty = true
+		vl.members.bits = nil // built whole by the next statistics snapshot
 	}
 }
 

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"partix/internal/xquery"
 )
 
@@ -8,8 +10,9 @@ import (
 // CollectionStatistics snapshot and uses it to prove fragments empty for a
 // query (skip them entirely), to estimate sub-query cardinalities, and to
 // order reconstruction joins. Everything here is derived from structures
-// PR 5 already maintains — the store's doc/byte counters, the path summary
-// and the typed value index — so producing a snapshot decodes nothing.
+// the indexes maintain anyway — the store's doc/byte counters, the path
+// summary, the typed value index and its membership filters — so producing
+// a snapshot decodes nothing.
 //
 // Soundness contract: the statistics describe the collection exactly as of
 // Generation. Complete=true additionally promises that Paths covers every
@@ -37,6 +40,11 @@ type PathStats struct {
 	MaxNum     float64
 	MinStr     string // raw string-value range over all indexed values
 	MaxStr     string // (valid when Distinct > 0)
+	// Members is a Bloom filter over the indexed values, keyed as the
+	// evaluator's = compares them (members.go; MayHold tests it). Only a
+	// path with Overflow == 0 and Distinct > 0 carries one, and a snapshot
+	// over its filter budget leaves out the largest first.
+	Members []byte
 }
 
 // CollectionStatistics is one node's statistics snapshot for one
@@ -101,19 +109,29 @@ func (db *DB) CollectionStatistics(collection string) (*CollectionStatistics, er
 				ps.MinStr = vl.entries[0].raw
 				ps.MaxStr = vl.entries[len(vl.entries)-1].raw
 			}
-			for _, e := range vl.entries {
-				if !e.isNum {
+			// One pass, not vl.numeric(): a snapshot follows every write a
+			// coordinator hears of, and re-sorting the numeric order after
+			// each new value would hold the index lock far longer.
+			for i := range vl.entries {
+				switch e := &vl.entries[i]; {
+				case !e.isNum:
 					ps.NonNumeric++
+				case e.num != e.num: // NaN: in no range
+				case !ps.HasNum:
+					ps.HasNum, ps.MinNum, ps.MaxNum = true, e.num, e.num
+				default:
+					ps.MinNum, ps.MaxNum = min(ps.MinNum, e.num), max(ps.MaxNum, e.num)
 				}
 			}
-			if ord := vl.numeric(); len(ord) > 0 {
-				ps.HasNum = true
-				ps.MinNum = vl.entries[ord[0]].num
-				ps.MaxNum = vl.entries[ord[len(ord)-1]].num
+			if ps.Overflow == 0 && ps.Distinct > 0 {
+				// A copy: the index keeps setting bits after the lock is
+				// released, and an in-process coordinator reads this one.
+				ps.Members = slices.Clone(vl.members.built(vl.entries))
 			}
 		}
 		cs.Paths[key] = ps
 	}
+	capMembers(cs.Paths)
 	return cs, nil
 }
 
@@ -121,5 +139,8 @@ func (db *DB) CollectionStatistics(collection string) (*CollectionStatistics, er
 // key encoding) matches a query path pattern. Exported for planners that
 // evaluate constraints against a CollectionStatistics snapshot.
 func PathKeyMatches(steps []xquery.LabelStep, key string) bool {
-	return matchLabelPath(steps, parsePathKey(key))
+	// Keys of real documents are a few components deep: parse them on the
+	// stack, so a planner matching every key of a snapshot allocates nothing.
+	var buf [16]pathComp
+	return matchLabelPath(steps, appendPathComps(buf[:0], key))
 }

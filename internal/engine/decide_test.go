@@ -101,8 +101,11 @@ func TestDeciderShapes(t *testing.T) {
 		{`exists(for $i in collection("items")/Item where exists($i/PictureList/Picture) return $i)`, true},
 		{`exists(for $s in collection("items")/Item/Section where $s = "CD" return $s)`, true},
 		{`empty(collection("items")/Item/PictureList/Picture[@n = 3])`, true},
-		// The binding may be the document wrapper.
-		{`count(collection("items"))`, false},
+		// A bare collection() binds one wrapper per document: the
+		// documents count it.
+		{`count(collection("items"))`, true},
+		{`exists(collection("items"))`, true},
+		// The binding may be the document wrapper, or a node under it.
 		{`count(collection("items")//*)`, false},
 		{`exists(collection("items")//*[Section = "CD"])`, false},
 		// The result is not the binding, or the pipeline does more than bind.

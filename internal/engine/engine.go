@@ -69,6 +69,11 @@ type DB struct {
 
 	stats liveStats
 	heat  heatState // per-collection workload heat, see heat.go
+
+	// subs are the OnCommit subscribers, replaced whole under subsMu so a
+	// commit reads them without a lock.
+	subsMu sync.Mutex
+	subs   atomic.Pointer[[]*commitSub]
 }
 
 // colState is one collection's write serialization and read-side seqlock.
@@ -287,8 +292,7 @@ func (db *DB) PutDocument(collection string, doc *xmltree.Document) error {
 	cs.seq.Add(1) // odd: mutation in progress
 	tok, err := db.store.CommitStaged(staged)
 	if err != nil {
-		cs.seq.Add(1)
-		cs.writeMu.Unlock()
+		db.commit(collection, cs)
 		db.store.AbortStaged(staged)
 		return err
 	}
@@ -296,8 +300,7 @@ func (db *DB) PutDocument(collection string, doc *xmltree.Document) error {
 	db.mu.Lock()
 	db.noteDocLocked(doc.Name, collection)
 	db.mu.Unlock()
-	cs.seq.Add(1) // even: new generation visible
-	cs.writeMu.Unlock()
+	db.commit(collection, cs) // even: new generation visible
 	return db.store.WaitDurable(tok)
 }
 
@@ -340,8 +343,7 @@ func (db *DB) LoadCollection(c *xmltree.Collection) error {
 	}
 	db.mu.Unlock()
 	ix.bulkAdd(stored)
-	cs.seq.Add(1)
-	cs.writeMu.Unlock()
+	db.commit(c.Name, cs)
 	// One group-commit fsync covers the whole load.
 	if err := db.store.WaitDurable(last); err != nil && putErr == nil {
 		putErr = err
@@ -358,8 +360,7 @@ func (db *DB) DeleteDocument(collection, name string) error {
 	cs.seq.Add(1)
 	tok, err := db.store.DeleteDocumentNoSync(collection, name)
 	if err != nil {
-		cs.seq.Add(1)
-		cs.writeMu.Unlock()
+		db.commit(collection, cs)
 		return err
 	}
 	db.mu.Lock()
@@ -369,8 +370,7 @@ func (db *DB) DeleteDocument(collection, name string) error {
 	if ix != nil {
 		ix.remove(name)
 	}
-	cs.seq.Add(1)
-	cs.writeMu.Unlock()
+	db.commit(collection, cs)
 	return db.store.WaitDurable(tok)
 }
 
@@ -381,8 +381,7 @@ func (db *DB) DropCollection(name string) error {
 	cs.seq.Add(1)
 	tok, err := db.store.DropCollectionNoSync(name)
 	if err != nil {
-		cs.seq.Add(1)
-		cs.writeMu.Unlock()
+		db.commit(name, cs)
 		return err
 	}
 	db.mu.Lock()
@@ -396,9 +395,63 @@ func (db *DB) DropCollection(name string) error {
 		}
 	}
 	db.mu.Unlock()
-	cs.seq.Add(1)
-	cs.writeMu.Unlock()
+	db.commit(name, cs)
 	return db.store.WaitDurable(tok)
+}
+
+// commit ends a mutation a writer began with cs.writeMu held and seq made
+// odd: seq goes even, publishing the new generation, the write lock is
+// released, and every commit subscriber hears the generation, before the
+// mutation returns to its caller. A failed mutation ends the same way: its
+// generation moved too.
+func (db *DB) commit(collection string, cs *colState) {
+	gen := cs.seq.Add(1) >> 1
+	cs.writeMu.Unlock()
+	if subs := db.subs.Load(); subs != nil {
+		for _, sub := range *subs {
+			sub.fn(collection, gen)
+		}
+	}
+}
+
+// commitSub is one OnCommit subscription.
+type commitSub struct {
+	fn func(collection string, generation uint64)
+}
+
+// OnCommit subscribes fn to every mutation's commit: it is called with the
+// collection and its new generation (see Generation) after the mutation is
+// visible to queries and before PutDocument, DeleteDocument,
+// LoadCollection or DropCollection returns, from the writer's goroutine,
+// without any engine lock held. Concurrent writers call it concurrently,
+// so a subscriber may see one collection's generations out of order; the
+// highest it has seen is current. The returned function cancels the
+// subscription.
+func (db *DB) OnCommit(fn func(collection string, generation uint64)) (cancel func()) {
+	sub := &commitSub{fn: fn}
+	db.subsMu.Lock()
+	defer db.subsMu.Unlock()
+	var subs []*commitSub
+	if old := db.subs.Load(); old != nil {
+		subs = append(subs, *old...)
+	}
+	subs = append(subs, sub)
+	db.subs.Store(&subs)
+	return func() {
+		db.subsMu.Lock()
+		defer db.subsMu.Unlock()
+		old := db.subs.Load()
+		if old == nil {
+			return
+		}
+		var rest []*commitSub
+		for _, s := range *old {
+			if s != sub {
+				rest = append(rest, s)
+			}
+		}
+		db.subs.Store(&rest)
+	}
 }
 
 // Collections lists collection names.

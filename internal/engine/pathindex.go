@@ -100,6 +100,7 @@ type valueList struct {
 	numOrder []int32
 	numDirty bool
 	overflow []docID // docs with an over-cap value at this path, sorted
+	members  members // membership filter over the entries' values (members.go)
 }
 
 // parseNum is the evaluator's numeric interpretation (xquery.ParseNumber),
@@ -125,6 +126,7 @@ func (vl *valueList) insert(raw string, id docID) {
 		copy(vl.entries[i+1:], vl.entries[i:])
 		vl.entries[i] = newValueEntry(raw)
 		vl.numDirty = true
+		vl.members.add(&vl.entries[i])
 	}
 	vl.entries[i].ids = insertSorted(vl.entries[i].ids, id)
 }
@@ -321,16 +323,23 @@ func textCapped(n *xmltree.Node) (string, bool) {
 // parsePathKey splits a stored key back into components ("/" join, "@"
 // attribute prefix).
 func parsePathKey(key string) []pathComp {
-	parts := strings.Split(key, "/")
-	comps := make([]pathComp, len(parts))
-	for i, p := range parts {
-		if strings.HasPrefix(p, "@") {
-			comps[i] = pathComp{name: p[1:], attr: true}
+	return appendPathComps(make([]pathComp, 0, strings.Count(key, "/")+1), key)
+}
+
+// appendPathComps appends the components of key to comps.
+func appendPathComps(comps []pathComp, key string) []pathComp {
+	for {
+		p, rest, more := strings.Cut(key, "/")
+		if name, attr := strings.CutPrefix(p, "@"); attr {
+			comps = append(comps, pathComp{name: name, attr: true})
 		} else {
-			comps[i] = pathComp{name: p}
+			comps = append(comps, pathComp{name: p})
 		}
+		if !more {
+			return comps
+		}
+		key = rest
 	}
-	return comps
 }
 
 // matchLabelPath reports whether a root-to-node label path matches a

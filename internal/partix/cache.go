@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"partix/internal/engine"
 	"partix/internal/obs"
 )
 
@@ -16,8 +17,17 @@ import (
 type genStamp struct {
 	node       string // node name
 	collection string // node-collection name (meta.NodeCollection)
+	epoch      uint64 // the node's watch epoch; 0 when the node keeps no statistics
 	gen        uint64 // snapshot generation; 0 when none was available
 	has        bool   // whether a snapshot was available at all
+}
+
+// of returns the stamp completed by the snapshot st (nil: none).
+func (gs genStamp) of(st *engine.CollectionStatistics) genStamp {
+	if st != nil {
+		gs.gen, gs.has = st.Generation, true
+	}
+	return gs
 }
 
 // stampSet is the metadata a cached entry depends on: the catalog
@@ -30,24 +40,12 @@ type stampSet struct {
 
 // stampsCurrent reports whether a stamped entry is still current: the
 // catalog must not have moved, and every stamped fragment must still
-// show the snapshot the entry saw — present or absent alike, at the same
-// generation. The check goes through the statistics cache, so an entry
-// is exactly as fresh as the statistics TTL: with a zero TTL a node-side
-// write invalidates it on the very next lookup.
+// show the snapshot the entry saw — present or absent alike — with no
+// generation reported past it by the node's watch (statsCache.current).
+// The check makes no round trip: a node-side write outdates the entry as
+// soon as the node's report of it arrives.
 func (s *System) stampsCurrent(ss stampSet) bool {
-	if ss.catalogVersion != s.catalog.Version() {
-		return false
-	}
-	for _, st := range ss.stamps {
-		cur := s.nodeStatistics(st.node, st.collection)
-		if (cur != nil) != st.has {
-			return false
-		}
-		if cur != nil && cur.Generation != st.gen {
-			return false
-		}
-	}
-	return true
+	return ss.catalogVersion == s.catalog.Version() && s.statsCache.current(ss.stamps)
 }
 
 // lru is a cost-budgeted least-recently-used cache keyed by string. Each

@@ -31,8 +31,12 @@ import (
 // against numeric values but falls back to string comparison against
 // non-numeric ones, so numeric-range exclusion also requires that the
 // fragment has no non-numeric and no unindexed (overflow) values at the
-// path. When any of that cannot be established the fragment is kept —
-// a skipped fragment must be *provably* empty, never just probably.
+// path. Equality also excludes a fragment whose membership filter for the
+// path says no value equals the literal (engine.PathStats.MayHold): a
+// Bloom filter has false positives, never false negatives, and keys a
+// value as = compares it, by its number when it parses as one. When any
+// of that cannot be established the fragment is kept — a skipped
+// fragment must be *provably* empty, never just probably.
 
 // planEstimate is the planner's guess for one fragment's contribution.
 type planEstimate struct {
@@ -63,14 +67,7 @@ func (s *System) newStatsPlan(hint *xquery.Hint) *statsPlan {
 }
 
 // stamp records the snapshot consulted for one fragment.
-func (sp *statsPlan) stamp(meta *CollectionMeta, fragment string, st *engine.CollectionStatistics) {
-	gs := genStamp{node: meta.Placement[fragment], collection: meta.NodeCollection(fragment)}
-	if st != nil {
-		gs.gen = st.Generation
-		gs.has = true
-	}
-	sp.stamps = append(sp.stamps, gs)
-}
+func (sp *statsPlan) stamp(gs genStamp) { sp.stamps = append(sp.stamps, gs) }
 
 // apply copies the accumulated planning facts onto the finished plan.
 func (sp *statsPlan) apply(p *queryPlan) *queryPlan {
@@ -86,8 +83,8 @@ func (sp *statsPlan) apply(p *queryPlan) *queryPlan {
 // query provably selects nothing there; when kept, the fragment's
 // estimate is recorded instead.
 func (s *System) skipFragment(sp *statsPlan, meta *CollectionMeta, f *fragmentation.Fragment) bool {
-	st := s.fragmentStatistics(meta, f.Name)
-	sp.stamp(meta, f.Name, st)
+	st, gs := s.fragmentStatistics(meta, f.Name)
+	sp.stamp(gs)
 	if fragmentProvablyEmpty(st, sp.hint) {
 		sp.skipped = append(sp.skipped, f.Name)
 		obs.CoordFragmentsSkipped.Inc()
@@ -164,7 +161,7 @@ func pathExcludes(ps engine.PathStats, op xquery.CmpOp, lit string) bool {
 		}
 		switch op {
 		case xquery.CmpEq:
-			return litNum < ps.MinNum || litNum > ps.MaxNum
+			return litNum < ps.MinNum || litNum > ps.MaxNum || !ps.MayHold(lit)
 		case xquery.CmpLt:
 			return ps.MinNum >= litNum
 		case xquery.CmpLe:
@@ -183,7 +180,7 @@ func pathExcludes(ps engine.PathStats, op xquery.CmpOp, lit string) bool {
 	// raw string range over all values bounds them.
 	switch op {
 	case xquery.CmpEq:
-		return lit < ps.MinStr || lit > ps.MaxStr
+		return lit < ps.MinStr || lit > ps.MaxStr || !ps.MayHold(lit)
 	case xquery.CmpLt:
 		return ps.MinStr >= lit
 	case xquery.CmpLe:
@@ -292,8 +289,8 @@ func (s *System) orderReconstruct(sp *statsPlan, meta *CollectionMeta, frags []*
 	}
 	arr := make([]sized, len(frags))
 	for i, f := range frags {
-		st := s.fragmentStatistics(meta, f.Name)
-		sp.stamp(meta, f.Name, st)
+		st, gs := s.fragmentStatistics(meta, f.Name)
+		sp.stamp(gs)
 		b := int64(math.MaxInt64)
 		if st != nil {
 			b = st.Bytes

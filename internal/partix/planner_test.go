@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"partix/internal/fragmentation"
 	"partix/internal/obs"
+	"partix/internal/wire"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
 )
@@ -176,6 +178,71 @@ func TestPlannerRandomizedEquivalence(t *testing.T) {
 			t.Fatalf("%s: planned %v != naive %v (skipped %v)", q, a, b, pr.SkippedFragments)
 		}
 	}
+
+	// Membership: equality on a high-cardinality code and on ids written
+	// as numbers in other forms ("1e2" is 100, "-0" is 0), NaN, strings,
+	// over-cap values, deletes and re-puts, all written on the nodes
+	// directly between the queries. Fragments skip only by what their
+	// filters prove absent.
+	long := strings.Repeat("L", 200) // over the index's value cap
+	ids := []string{"100", "1e2", "-0", "0", "NaN", "abc", "2.50", "7", long, "P001"}
+	codes := []string{"P000", "P005", "P011", "P023", "P010A", "W1", "W17", "1e2", "100", long}
+	written := map[string]bool{}
+	skips := 0
+	for i := 0; i < 200; i++ {
+		if rng.Intn(3) == 0 {
+			f := rng.Intn(4)
+			name := fmt.Sprintf("w%02d", rng.Intn(30))
+			coll := fmt.Sprintf("pitems::FS%d", f)
+			del := written[coll+name] && rng.Intn(2) == 0
+			for _, s := range []*System{planned, naive} {
+				node := s.Node(fmt.Sprintf("node%d", f)).(*wire.LocalNode)
+				if del {
+					if err := node.DB().DeleteDocument(coll, name); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				doc := xmltree.NewDocument(name, xmltree.NewElement("Item",
+					xmltree.NewAttr("id", ids[i%len(ids)]),
+					xmltree.NewElement("Code", xmltree.NewText(codes[(i/len(ids)+i)%len(codes)])),
+					xmltree.NewElement("Section", xmltree.NewText(fmt.Sprintf("S%d", f)))))
+				if err := node.StoreDocument(coll, doc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			written[coll+name] = !del
+			continue
+		}
+		var q string
+		if rng.Intn(2) == 0 {
+			lit := ids[rng.Intn(len(ids))]
+			if rng.Intn(2) == 0 {
+				q = fmt.Sprintf(`for $i in collection("pitems")/Item where $i/@id = "%s" return $i/Code`, lit)
+			} else {
+				q = fmt.Sprintf(`count(collection("pitems")/Item[@id = "%s"])`, lit)
+			}
+		} else {
+			q = fmt.Sprintf(`for $i in collection("pitems")/Item where $i/Code = "%s" return $i/@id`,
+				codes[rng.Intn(len(codes))])
+		}
+		pr, err := planned.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		nr, err := naive.Query(q)
+		if err != nil {
+			t.Fatalf("%s (naive): %v", q, err)
+		}
+		if a, b := itemStrings(pr.Items), itemStrings(nr.Items); !equalStrings(a, b) {
+			t.Fatalf("op %d: %s: planned %v != naive %v (skipped %v)", i, q, a, b, pr.SkippedFragments)
+		}
+		skips += len(pr.SkippedFragments)
+	}
+	if skips == 0 {
+		t.Fatal("no fragment was skipped: the membership arm tests nothing")
+	}
+	t.Logf("membership arm: %d fragments skipped", skips)
 }
 
 func TestPlanCacheHit(t *testing.T) {
@@ -251,7 +318,6 @@ func TestPlanCacheNormalizedKey(t *testing.T) {
 func TestPlanCacheInvalidationOnWrite(t *testing.T) {
 	s := newTestSystem(t, 4)
 	publishQuartile(t, s, 32)
-	s.SetStatsTTL(0) // refetch statistics per query: immediate invalidation
 	q := `for $i in collection("pitems")/Item where $i/@id < 4 return $i/Code`
 
 	if _, err := s.Query(q); err != nil {

@@ -231,11 +231,11 @@ func (s *System) resultStamps(version uint64, p *queryPlan) (stampSet, bool) {
 	copy(stamps, p.stamps)
 	for _, st := range p.steps {
 		coll := st.meta.NodeCollection(st.fragment)
-		cur := s.nodeStatistics(st.node, coll)
+		cur, gs := s.nodeStatistics(st.node, coll)
 		if cur == nil {
 			return stampSet{}, false
 		}
-		stamps = append(stamps, genStamp{node: st.node, collection: coll, gen: cur.Generation, has: true})
+		stamps = append(stamps, gs)
 	}
 	return stampSet{catalogVersion: version, stamps: stamps}, true
 }
@@ -484,8 +484,8 @@ func (s *System) plan(e xquery.Expr, hints xquery.Hints) (*queryPlan, error) {
 	if !meta.Fragmented() {
 		p := &queryPlan{strategy: StrategyCentralized, steps: []planStep{newStep(meta, "", e)}}
 		if sp := s.newStatsPlan(hint); sp != nil {
-			st := s.fragmentStatistics(meta, "")
-			sp.stamp(meta, "", st)
+			st, gs := s.fragmentStatistics(meta, "")
+			sp.stamp(gs)
 			sp.est[""] = estimateFragment(st, sp.hint)
 			sp.apply(p)
 			annotateIndexOnly(sp, p)

@@ -13,13 +13,11 @@ import (
 	"partix/internal/xquery"
 )
 
-// newCachedSystem is newTestSystem with the result cache enabled and
-// statistics refetched per query (immediate invalidation).
+// newCachedSystem is newTestSystem with the result cache enabled.
 func newCachedSystem(t *testing.T, nodes int, budget int64) *System {
 	t.Helper()
 	s := newTestSystem(t, nodes)
 	s.SetResultCacheBytes(budget)
-	s.SetStatsTTL(0)
 	return s
 }
 
@@ -250,7 +248,6 @@ func resultCacheDifferential(t *testing.T, concurrent bool, fx differentialFixtu
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.SetStatsTTL(0)
 	var frags []string
 	for _, f := range meta.Scheme.Fragments {
 		frags = append(frags, f.Name)
@@ -503,7 +500,6 @@ func TestPublishClearsResultCache(t *testing.T) {
 func TestCachedReceivedNodesBuildOnce(t *testing.T) {
 	s, _ := newWireSystem(t, 3)
 	s.SetResultCacheBytes(1 << 20)
-	s.SetStatsTTL(0)
 	publishHorizontal(t, s, 24)
 	q := `for $i in collection("items")/Item where $i/Section != "Book" return $i`
 	first, err := s.Query(q)

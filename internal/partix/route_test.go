@@ -144,7 +144,8 @@ func TestDecomposableShapes(t *testing.T) {
 
 // TestWorkloadStrategiesUnchanged: every internal/workload query is
 // decomposable, so the decomposability rule moves none of them off the
-// route it took before the rule existed.
+// route it took before the rule existed. HQ2 (an equality on Code) is
+// routed to the one fragment whose membership filter holds its code.
 func TestWorkloadStrategiesUnchanged(t *testing.T) {
 	hscheme, err := workload.HorizontalScheme("items", 4)
 	if err != nil {
@@ -160,7 +161,7 @@ func TestWorkloadStrategiesUnchanged(t *testing.T) {
 	}{
 		{"horizontal", toxgene.GenerateItems(toxgene.ItemsConfig{Docs: 40, Seed: 5}), hscheme,
 			fragmentation.FragModeSD, workload.Horizontal("items"),
-			"routed union routed union union routed routed aggregate"},
+			"routed routed routed union union routed routed aggregate"},
 		{"vertical", xbench.Generate(xbench.Config{Docs: 12, Seed: 5, Sections: 2, Paragraphs: 2}),
 			xbench.VerticalScheme("articles"), fragmentation.FragModeSD, workload.Vertical("articles"),
 			"routed routed routed reconstruct routed routed reconstruct reconstruct reconstruct routed"},

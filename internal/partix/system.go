@@ -133,15 +133,6 @@ func (s *System) PlannerStats() bool {
 	return s.plannerStats
 }
 
-// SetStatsTTL bounds how stale cached fragment statistics — and
-// therefore plans and cached results validated against them — may be
-// (default 30s). A zero or negative TTL refetches statistics on every
-// plan and revalidation, making node-side mutations visible immediately.
-func (s *System) SetStatsTTL(d time.Duration) {
-	s.statsCache.setTTL(d)
-	s.statsCache.clear()
-}
-
 // SetResultCacheBytes budgets the coordinator result cache: up to n
 // bytes of fully merged query results (accounted at their serialized
 // size) are kept and served on repeat queries with zero node round-trips
@@ -155,9 +146,9 @@ func (s *System) SetResultCacheBytes(n int64) {
 }
 
 // InvalidatePlans drops every cached plan, cached result and
-// fragment-statistics snapshot. Callers mutating node data behind the
-// coordinator's back (outside Publish) use it to make the changes
-// visible before the statistics TTL would.
+// fragment-statistics snapshot, so the next query plans from statistics
+// fetched afresh. Node-side writes need no call: each node reports its
+// commits to the coordinator, which outdates what they touched.
 func (s *System) InvalidatePlans() {
 	s.planCache.clear()
 	s.resultCache.clear()
@@ -173,7 +164,7 @@ func (s *System) Metrics() map[string]float64 {
 
 // NewSystem returns a system with the given communication cost model.
 // Statistics-driven planning and the plan cache (128 plans) are on by
-// default; see SetPlannerStats and SetStatsTTL.
+// default; see SetPlannerStats.
 func NewSystem(cost cluster.CostModel) *System {
 	return &System{
 		nodes:        map[string]cluster.Driver{},
@@ -182,18 +173,21 @@ func NewSystem(cost cluster.CostModel) *System {
 		logger:       obs.Nop(),
 		plannerStats: true,
 		planCache:    newPlanCache(),
-		statsCache:   newStatsCache(defaultStatsTTL),
+		statsCache:   newStatsCache(),
 		resultCache:  newResultCache(),
 		recorder:     obs.NewFlightRecorder(0),
 		profiler:     obs.NewWorkloadProfiler(0),
 	}
 }
 
-// AddNode registers a DBMS node.
+// AddNode registers a DBMS node. A node registered under the name of an
+// earlier one replaces it, and what the coordinator knew of the earlier
+// one's statistics is dropped.
 func (s *System) AddNode(d cluster.Driver) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.nodes[d.Name()] = d
+	s.mu.Unlock()
+	s.statsCache.forget(d.Name())
 }
 
 // Node returns the driver for a node name, or nil.
@@ -237,10 +231,12 @@ func (s *System) CheckNodes() map[string]error {
 	return out
 }
 
-// CloseNodes closes every driver holding external resources (remote
-// connections), joining any close errors. In-process drivers are left
-// untouched — their engine's lifecycle belongs to the caller.
+// CloseNodes ends the coordinator's statistics watches and closes every
+// driver holding external resources (remote connections), joining any
+// close errors. In-process drivers are left untouched — their engine's
+// lifecycle belongs to the caller.
 func (s *System) CloseNodes() error {
+	s.statsCache.forgetAll()
 	s.mu.RLock()
 	drivers := make([]cluster.Driver, 0, len(s.nodes))
 	for _, d := range s.nodes {
@@ -289,10 +285,12 @@ func (s *System) Publish(c *xmltree.Collection, scheme *fragmentation.Scheme, pl
 	}
 	// Registration bumped the catalog version, which already invalidates
 	// cached plans and cached results; the statistics snapshots of the
-	// touched nodes go stale too once documents land, so drop them when
-	// publishing ends (even a partial publish mutated node data). The
-	// result cache is cleared eagerly as well — its entries would only
-	// die lazily on their next revalidation otherwise.
+	// touched nodes go stale too once documents land, and over TCP the
+	// nodes' reports of those writes may still be in flight when Publish
+	// returns, so drop the snapshots when publishing ends (even a partial
+	// publish mutated node data). The result cache is cleared eagerly as
+	// well — its entries would only die lazily on their next revalidation
+	// otherwise.
 	defer func() {
 		s.statsCache.clear()
 		s.resultCache.clear()

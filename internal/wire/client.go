@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -218,9 +219,10 @@ type Client struct {
 	// for the duration of every round trip and while dialing.
 	slots chan struct{}
 
-	mu     sync.Mutex
-	closed bool
-	idle   []*poolConn
+	mu      sync.Mutex
+	closed  bool
+	idle    []*poolConn
+	watches map[*clientWatch]struct{}
 
 	dials, retries, transportErrs, nodeErrs atomic.Int64
 	streams, frames, streamCancels          atomic.Int64
@@ -270,8 +272,8 @@ func (c *Client) Stats() ClientStats {
 // idempotent.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return nil
 	}
 	c.closed = true
@@ -282,6 +284,12 @@ func (c *Client) Close() error {
 		}
 	}
 	c.idle = nil
+	watches := c.watches
+	c.watches = nil
+	c.mu.Unlock()
+	for w := range watches {
+		w.stop()
+	}
 	return err
 }
 
@@ -750,4 +758,146 @@ func (c *Client) HasCollection(collection string) bool {
 			"collection", collection, "node", c.name, "err", err)
 	}
 	return ok
+}
+
+// maxWatchBackoff caps the wait between two attempts to resubscribe a
+// lost watch.
+const maxWatchBackoff = time.Second
+
+// clientWatch is one OpWatch subscription: a connection outside the pool
+// and the goroutine reading it, which resubscribes after a loss until the
+// watch is stopped.
+type clientWatch struct {
+	c      *Client
+	sink   cluster.WatchSink
+	ctx    context.Context // cancelled by stop: ends a dial in progress
+	cancel context.CancelFunc
+	exited chan struct{} // closed when run returns
+	once   sync.Once
+	conn   net.Conn // the current connection; guarded by c.mu
+}
+
+// Watch implements cluster.StatisticsProvider over a connection of its
+// own. Bumps are handed to sink from the watch's goroutine, in arrival
+// order. A lost connection is reported (sink.Down) and redialed with
+// backoff; the new subscription is reported (sink.Up) before its first
+// bump. The returned stop, and Client.Close, end the watch and return
+// once its goroutine has exited.
+func (c *Client) Watch(sink cluster.WatchSink) (func(), error) {
+	w := &clientWatch{c: c, sink: sink, exited: make(chan struct{})}
+	w.ctx, w.cancel = context.WithCancel(context.Background())
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		w.cancel()
+		return nil, errClientClosed
+	}
+	if c.watches == nil {
+		c.watches = map[*clientWatch]struct{}{}
+	}
+	c.watches[w] = struct{}{}
+	c.mu.Unlock()
+	dec, err := w.subscribe()
+	if err != nil {
+		close(w.exited) // no goroutine to wait for
+		w.stop()
+		return nil, err
+	}
+	go w.run(dec)
+	return w.stop, nil
+}
+
+// subscribe dials, asks for the watch and waits for the node's first
+// frame, which says the node has subscribed; it reports sink.Up and
+// delivers that frame's bumps.
+func (w *clientWatch) subscribe() (*gob.Decoder, error) {
+	c := w.c
+	raw, err := (&net.Dialer{Timeout: c.opts.DialTimeout}).DialContext(w.ctx, "tcp", c.addr)
+	if err != nil {
+		return nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
+	}
+	c.dials.Add(1)
+	conn := &countingConn{Conn: raw, in: obs.WireClientBytesIn, out: obs.WireClientBytesOut}
+	c.mu.Lock()
+	if w.ctx.Err() != nil {
+		c.mu.Unlock()
+		conn.Close()
+		return nil, errClientClosed
+	}
+	w.conn = conn // from here on stop closes it
+	c.mu.Unlock()
+	req := &Request{Op: OpWatch}
+	c.stamp(req)
+	pc := &poolConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(newLimitReader(conn, c.opts.MaxMessageBytes))}
+	var f Frame
+	if err = pc.send(req, c.opts.DialTimeout); err == nil {
+		err = pc.recv(&f, c.opts.DialTimeout)
+	}
+	if err == nil && f.Kind != FrameBumps {
+		err = &ErrProtocolMismatch{Node: c.name}
+	}
+	if err == nil {
+		err = conn.SetDeadline(time.Time{})
+	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	w.sink.Up()
+	w.deliver(&f)
+	return pc.dec, nil
+}
+
+func (w *clientWatch) deliver(f *Frame) {
+	for _, b := range f.Bumps {
+		w.sink.Bump(b.Collection, b.Generation)
+	}
+}
+
+// run reads bumps until the connection fails, then reports the loss and
+// resubscribes, until the watch is stopped.
+func (w *clientWatch) run(dec *gob.Decoder) {
+	defer close(w.exited)
+	for {
+		for {
+			var f Frame
+			if dec.Decode(&f) != nil || f.Kind != FrameBumps {
+				break
+			}
+			w.deliver(&f)
+		}
+		w.c.mu.Lock()
+		w.conn.Close()
+		w.c.mu.Unlock()
+		if w.ctx.Err() != nil {
+			return
+		}
+		w.sink.Down()
+		for backoff := w.c.opts.RetryBackoff; ; backoff = min(2*backoff, maxWatchBackoff) {
+			select {
+			case <-w.ctx.Done():
+				return
+			case <-time.After(backoff):
+			}
+			var err error
+			if dec, err = w.subscribe(); err == nil {
+				break
+			}
+		}
+	}
+}
+
+// stop ends the watch: its connection is closed, its goroutine ends
+// without reporting the loss, and stop returns once it has.
+func (w *clientWatch) stop() {
+	w.once.Do(func() {
+		w.cancel()
+		w.c.mu.Lock()
+		if w.conn != nil {
+			w.conn.Close()
+		}
+		delete(w.c.watches, w)
+		w.c.mu.Unlock()
+	})
+	<-w.exited
 }

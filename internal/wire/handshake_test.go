@@ -16,15 +16,16 @@ import (
 )
 
 // An old client's request is answered with one version-mismatch Response
-// and the server hangs up. That covers a protocol-10 peer too, which
-// cannot parse the ItemRange items protocol 11 frames carry.
+// and the server hangs up. That covers a protocol-11 peer too, which
+// keys no membership filters and cannot watch commits, and a watch
+// request is rejected the same way.
 func TestOldClientRejectedByServer(t *testing.T) {
 	db := newNodeDB(t, 2)
 	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
-	if ProtocolVersion != 11 {
-		t.Fatalf("protocol version %d, want 11: frames carry ItemRange items", ProtocolVersion)
+	if ProtocolVersion != 12 {
+		t.Fatalf("protocol version %d, want 12: statistics carry membership filters", ProtocolVersion)
 	}
-	for _, op := range []Op{OpPing, OpQueryStream, OpFetchStream} {
+	for _, op := range []Op{OpPing, OpQueryStream, OpFetchStream, OpWatch} {
 		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)

@@ -125,6 +125,14 @@ func (n *LocalNode) CollectionStatistics(collection string) (*engine.CollectionS
 	return n.srv.db.CollectionStatistics(collection)
 }
 
+// Watch implements cluster.StatisticsProvider by subscribing sink to the
+// engine's commits directly: each bump reaches sink from the writer's
+// goroutine before the write returns, and the watch is never lost.
+func (n *LocalNode) Watch(sink cluster.WatchSink) (func(), error) {
+	sink.Up()
+	return n.srv.db.OnCommit(sink.Bump), nil
+}
+
 // HasCollection implements cluster.Driver.
 func (n *LocalNode) HasCollection(collection string) bool {
 	return n.srv.db.HasCollection(collection)

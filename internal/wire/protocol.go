@@ -16,7 +16,11 @@
 // pings, so the check has passed before the first user operation.
 //
 // Control operations (ping, create, store, stats, has-collection,
-// telemetry) are one Request answered by one Response. The two result
+// telemetry) are one Request answered by one Response. OpWatch turns a
+// connection of its own into a one-way stream of FrameBumps: the first
+// once the node has subscribed to its engine's commits, then one per
+// coalesced batch of commits, each on the wire before the write it reports
+// is acknowledged, until either peer closes the connection. The two result
 // operations, OpQueryStream and OpFetchStream, are one Request answered
 // by a frame sequence:
 //
@@ -65,8 +69,10 @@ import (
 // fallback to an older generation. Protocol 10 frames carry version 2
 // storage records (subtree extents and a checksum trailer), which a
 // protocol 9 peer cannot decode; protocol 11 frames carry ItemRange
-// items, which a protocol 10 peer cannot parse.
-const ProtocolVersion = 11
+// items, which a protocol 10 peer cannot parse; protocol 12 adds OpWatch
+// and the membership filters of the statistics snapshot, which a
+// coordinator must key exactly as the node does.
+const ProtocolVersion = 12
 
 // ErrProtocolMismatch reports a peer that speaks a different protocol
 // version, or answers a result request with something that is not a
@@ -102,6 +108,9 @@ const (
 	// OpTelemetry pulls the node's telemetry snapshot (metric series and
 	// per-fragment heat) for cluster-wide aggregation.
 	OpTelemetry
+	// OpWatch subscribes the connection to the node's commits; the answer
+	// is a FrameBumps stream that ends only with the connection.
+	OpWatch
 )
 
 // streams reports whether the operation is answered by a frame sequence
@@ -202,6 +211,8 @@ const (
 	FrameEnd
 	// FrameErr terminates a failed stream with the node's error.
 	FrameErr
+	// FrameBumps carries commit reports on an OpWatch connection.
+	FrameBumps
 )
 
 // Frame is one server → client message of a streamed result. A stream
@@ -225,6 +236,15 @@ type Frame struct {
 	TraceID string
 	// Trailer is set on the FrameEnd of a request that set Trace.
 	Trailer *Trailer
+	// Bumps are a FrameBumps' commit reports: the highest generation each
+	// collection reached since the previous frame.
+	Bumps []Bump
+}
+
+// Bump reports that a collection reached a mutation generation.
+type Bump struct {
+	Collection string
+	Generation uint64
 }
 
 // Trailer is the end-of-stream summary of a traced query.

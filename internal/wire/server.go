@@ -321,6 +321,10 @@ func (s *Server) handle(conn net.Conn) {
 			})
 			return
 		}
+		if req.Op == OpWatch {
+			s.serveWatch(conn, enc, dec)
+			return
+		}
 		var err error
 		release, overload := s.admit(&req)
 		switch {
@@ -369,6 +373,86 @@ func (s *Server) sendFrame(enc *gob.Encoder, conn net.Conn, f *Frame) error {
 	}
 	obs.WireServerFrames.Inc()
 	return nil
+}
+
+// watchWriteTimeout bounds one FrameBumps write. A coordinator that stops
+// reading its watch loses it (the connection is closed) instead of
+// stalling the node's writers; it then plans without this node's
+// statistics until it subscribes again.
+const watchWriteTimeout = 2 * time.Second
+
+// serveWatch serves an OpWatch connection: it subscribes to the engine's
+// commits, sends the first FrameBumps, and then only waits for the
+// connection to end, the peer closing it or Close setting a past read
+// deadline. The frames are written by the committing writers themselves
+// (watchConn.bump), so each is on the wire before its write is
+// acknowledged.
+func (s *Server) serveWatch(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) {
+	w := &watchConn{conn: conn, enc: enc, pending: map[string]uint64{}}
+	defer s.db.OnCommit(w.bump)()
+	if !w.flush(true) {
+		return
+	}
+	// The idle deadline does not apply to a watch, but Close's must: it is
+	// set after closed, so either it lands after this or closed is seen.
+	conn.SetReadDeadline(time.Time{})
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return
+	}
+	var req Request
+	dec.Decode(&req) // the peer sends nothing more
+}
+
+// watchConn coalesces one watch's commit reports: a writer records its
+// generation in pending and then flushes, and a flush sends everything
+// pending in one frame, so writers that commit while a frame is being
+// written share the next one.
+type watchConn struct {
+	conn net.Conn
+	enc  *gob.Encoder
+
+	sendMu sync.Mutex // held across a flush's write
+
+	mu      sync.Mutex
+	pending map[string]uint64
+}
+
+// bump is the engine's commit callback.
+func (w *watchConn) bump(collection string, gen uint64) {
+	w.mu.Lock()
+	if gen > w.pending[collection] {
+		w.pending[collection] = gen
+	}
+	w.mu.Unlock()
+	w.flush(false)
+}
+
+// flush sends what is pending, or, with always, a frame even when nothing
+// is. A failed write closes the connection. When flush returns, every
+// generation pending when it was called is on the wire or the connection
+// is closed.
+func (w *watchConn) flush(always bool) bool {
+	w.sendMu.Lock()
+	defer w.sendMu.Unlock()
+	w.mu.Lock()
+	var bumps []Bump
+	for c, g := range w.pending {
+		bumps = append(bumps, Bump{Collection: c, Generation: g})
+	}
+	clear(w.pending)
+	w.mu.Unlock()
+	if len(bumps) == 0 && !always {
+		return true
+	}
+	w.conn.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
+	if err := w.enc.Encode(&Frame{Kind: FrameBumps, Bumps: bumps}); err != nil {
+		w.conn.Close()
+		return false
+	}
+	return true
 }
 
 // sendFailure marks an error from send flowing back out through the op:

@@ -292,10 +292,13 @@ func compileFold(f *xquery.FuncCall, hints xquery.Hints) (*Program, bool) {
 // answered from the candidate list of its scan's hint. The pipeline must
 // yield its bindings themselves: one for clause or a collection-rooted
 // path, no let, order by, positional predicate or interpreted term, and
-// a binding that is never the document wrapper. The hint must be
-// Complete, so every term is one of its Path constraints; and the
-// constraints must not lose a correlation between the nodes they match:
+// a binding that is never the document wrapper, unless it is only ever
+// the wrapper. The hint must be Complete, so every term is one of its
+// Path constraints; and the constraints must not lose a correlation
+// between the nodes they match:
 //
+//   - a bare collection() binds each document's wrapper once, so with no
+//     term its unconstrained candidate count, the documents, decides it;
 //   - a root binding (one child step) has at most one binding per
 //     document, so a document is on the list exactly when its binding
 //     passes every term;
@@ -307,8 +310,14 @@ func (p *pipeline) decider(fold foldKind) askKind {
 	if fold != foldCount && fold != foldExists && fold != foldEmpty {
 		return askNone
 	}
-	if p.hint == nil || !p.hint.Complete || p.freshWrapper || len(p.clauses) > 0 ||
+	if p.hint == nil || !p.hint.Complete || len(p.clauses) > 0 ||
 		len(p.orderBy) > 0 || p.ret.kind != veSlot {
+		return askNone
+	}
+	if len(p.scanSteps) == 0 && len(p.filter) == 0 {
+		return askDocs
+	}
+	if p.freshWrapper {
 		return askNone
 	}
 	terms := len(p.filter)
