@@ -93,7 +93,6 @@ func main() {
 		maxMsg     = flag.Int64("max-message-bytes", 0, "reject node messages larger than this (0 = built-in default)")
 		trace      = flag.Bool("trace", false, "trace the query across the deployment and print the span tree")
 		slowQuery  = flag.Duration("slow-query", 0, "log queries slower than this threshold (0 = off)")
-		tenant     = flag.String("tenant", "", "tenant tag stamped on node requests for the nodes' quota accounting")
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -106,7 +105,6 @@ func main() {
 		MaxRetries:      *retries,
 		PoolSize:        *pool,
 		MaxMessageBytes: *maxMsg,
-		Tenant:          *tenant,
 	}
 	qopts := queryOptions{trace: *trace, slowQuery: *slowQuery}
 	if err := run(*configPath, opts, qopts, flag.Args()); err != nil {

@@ -1,16 +1,12 @@
 package main
 
 import (
-	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	facade "partix"
 	"partix/internal/cluster"
 	"partix/internal/engine"
 	"partix/internal/fragmentation"
@@ -243,51 +239,5 @@ func TestWritePlanShowsSemiJoinRounds(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("explain output lacks %q:\n%s", want, out.String())
 		}
-	}
-}
-
-// -tenant tags the CLI's node requests: against a node granting each
-// tenant one query, the tenant's second query is shed with
-// ErrOverloaded, naming the tenant.
-func TestTenantTagReachesNodeQuota(t *testing.T) {
-	db, err := engine.Open(filepath.Join(t.TempDir(), "n0.db"), engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := wire.NewServerWith(db, nil, wire.ServerOptions{TenantRate: 0.001, TenantBurst: 1})
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close() })
-
-	path := writeConfig(t, fmt.Sprintf(`{
-	  "collection": "items",
-	  "nodes": [{"name": "n0", "addr": %q}],
-	  "placement": {"": "n0"}
-	}`, l.Addr().String()))
-	dir := t.TempDir()
-	for i := 0; i < 3; i++ {
-		xml := fmt.Sprintf(`<Item><Code>I%d</Code><Section>CD</Section></Item>`, i)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("i%d.xml", i)), []byte(xml), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	opts := wire.ClientOptions{DialTimeout: time.Second, Tenant: "alice"}
-	if err := run(path, opts, queryOptions{}, []string{"publish", dir}); err != nil {
-		t.Fatal(err)
-	}
-	q := []string{"query", `for $i in collection("items")/Item return $i/Code`}
-	if err := run(path, opts, queryOptions{}, q); err != nil {
-		t.Fatalf("first query within the burst: %v", err)
-	}
-	err = run(path, opts, queryOptions{}, q)
-	if !errors.Is(err, facade.ErrOverloaded) {
-		t.Fatalf("second query not shed with ErrOverloaded: %v", err)
-	}
-	if !strings.Contains(err.Error(), `"alice"`) {
-		t.Fatalf("overload error does not name the tenant: %v", err)
 	}
 }

@@ -47,8 +47,6 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress request logging")
 
 		maxInflight = flag.Int("max-inflight", 0, "cap concurrently served query/fetch operations; excess is shed with an overloaded error (0 = unlimited)")
-		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant sustained query/fetch operations per second (0 = quotas off)")
-		tenantBurst = flag.Float64("tenant-burst", 0, "per-tenant instantaneous operation burst (defaults to 1 when -tenant-rate is set)")
 
 		recCap     = flag.Int("record-capacity", 0, "query flight recorder ring size (0 = built-in default)")
 		recSample  = flag.Int("record-sample", 1, "record 1 in N ordinary queries (slow and errored queries are always recorded)")
@@ -92,8 +90,6 @@ func main() {
 		Recorder:        recorder,
 		Profiler:        profiler,
 		MaxInflight:     *maxInflight,
-		TenantRate:      *tenantRate,
-		TenantBurst:     *tenantBurst,
 	})
 
 	if *debugAddr != "" {

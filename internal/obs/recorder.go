@@ -32,7 +32,6 @@ type QueryRecord struct {
 	DocsDecoded int64            `json:"docsDecoded,omitempty"`
 	DocsPruned  int64            `json:"docsPruned,omitempty"`
 	PlanCached  bool             `json:"planCached,omitempty"`
-	Cached      bool             `json:"cached,omitempty"` // served from the result cache
 	Compiled    bool             `json:"compiled,omitempty"`
 	IndexOnly   bool             `json:"indexOnly,omitempty"` // every node may decide its sub-query from its indexes (exec.Program.Decides)
 	Slow        bool             `json:"slow,omitempty"`

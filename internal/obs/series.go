@@ -113,18 +113,6 @@ var (
 	CoordStatsFetches = Default.NewCounter("partix_coord_stats_fetches_total",
 		"Fragment statistics fetches issued to nodes (statistics-cache misses).")
 
-	// serving tier: the coordinator result cache.
-	CoordResultCacheHits = Default.NewCounter("partix_coord_result_cache_hits_total",
-		"Queries answered from the result cache (zero node round-trips, zero plan work).")
-	CoordResultCacheMisses = Default.NewCounter("partix_coord_result_cache_misses_total",
-		"Result-cache lookups that fell through to distributed execution.")
-	CoordResultCacheEvictions = Default.NewCounter("partix_coord_result_cache_evictions_total",
-		"Cached results evicted by the LRU byte budget.")
-	CoordResultCacheInvalidations = Default.NewCounter("partix_coord_result_cache_invalidations_total",
-		"Cached results discarded as stale (catalog or generation change).")
-	CoordResultCacheBytes = Default.NewGauge("partix_coord_result_cache_bytes",
-		"Serialized bytes currently held by the result cache.")
-
 	// telemetry: the flight recorder, workload profiler, and
 	// cluster-wide aggregation pulls.
 	TelemetryRecords = Default.NewCounter("partix_telemetry_records_total",

@@ -13,8 +13,8 @@ import (
 	"partix/internal/xquery"
 )
 
-// queryItems runs q and checks its item count, the fragments it skipped,
-// and whether it was served from the plan or result cache.
+// queryItems runs q and checks its item count, reporting the fragments it
+// skipped and whether its plan was cached when the count is wrong.
 func queryItems(t *testing.T, s *System, q string, items int) *QueryResult {
 	t.Helper()
 	r, err := s.Query(q)
@@ -22,8 +22,8 @@ func queryItems(t *testing.T, s *System, q string, items int) *QueryResult {
 		t.Fatal(err)
 	}
 	if len(r.Items) != items {
-		t.Fatalf("%s: %d items (skipped %v, plan cached %v, result cached %v), want %d",
-			q, len(r.Items), r.SkippedFragments, r.PlanCached, r.Cached, items)
+		t.Fatalf("%s: %d items (skipped %v, plan cached %v), want %d",
+			q, len(r.Items), r.SkippedFragments, r.PlanCached, items)
 	}
 	return r
 }
@@ -40,58 +40,53 @@ func skipped(r *QueryResult, fragment string) bool {
 // TestNodeWriteVisibleWithoutInvalidate: a write made on a node behind the
 // coordinator's back — into a fragment the planner skips by its id range,
 // then by its code membership — and its delete are visible to the very
-// next query, from the plan cache and from the result cache, with no call
-// to InvalidatePlans: the node reports each commit before it returns.
+// next query, from a cached plan, with no call to InvalidatePlans: the
+// node reports each commit before it returns.
 func TestNodeWriteVisibleWithoutInvalidate(t *testing.T) {
-	for _, budget := range []int64{0, 1 << 20} {
-		t.Run(fmt.Sprintf("resultCache=%d", budget), func(t *testing.T) {
-			s := newTestSystem(t, 4)
-			s.SetResultCacheBytes(budget)
-			publishQuartile(t, s, 32) // FS1 holds ids 8..15, codes P008..P015
-			node1 := s.Node("node1")
-			db1 := node1.(*wire.LocalNode).DB()
+	s := newTestSystem(t, 4)
+	publishQuartile(t, s, 32) // FS1 holds ids 8..15, codes P008..P015
+	node1 := s.Node("node1")
+	db1 := node1.(*wire.LocalNode).DB()
 
-			byID := `for $i in collection("pitems")/Item where $i/@id < 4 return $i/Code`
-			queryItems(t, s, byID, 4)
-			if r := queryItems(t, s, byID, 4); !skipped(r, "FS1") || !r.PlanCached && !r.Cached {
-				t.Fatalf("repeat query: skipped %v, plan cached %v; want FS1 skipped from a cached entry", r.SkippedFragments, r.PlanCached)
-			}
-			err := node1.StoreDocument("pitems::FS1", xmltree.MustParseString("extra",
-				`<Item id="2"><Code>PX</Code><Section>S1</Section></Item>`))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r := queryItems(t, s, byID, 5); skipped(r, "FS1") || r.Cached {
-				t.Fatalf("after the write: skipped %v, result cached %v", r.SkippedFragments, r.Cached)
-			}
-			queryItems(t, s, byID, 5)
-			if err := db1.DeleteDocument("pitems::FS1", "extra"); err != nil {
-				t.Fatal(err)
-			}
-			queryItems(t, s, byID, 4)
-			queryItems(t, s, byID, 4)
-
-			// P010A sorts inside FS1's code range, so only membership skips it.
-			byCode := `for $i in collection("pitems")/Item where $i/Code = "P010A" return $i/@id`
-			queryItems(t, s, byCode, 0)
-			if r := queryItems(t, s, byCode, 0); len(r.SkippedFragments) != 4 {
-				t.Fatalf("absent code: skipped %v, want all four fragments", r.SkippedFragments)
-			}
-			err = node1.StoreDocument("pitems::FS1", xmltree.MustParseString("extra",
-				`<Item id="10"><Code>P010A</Code><Section>S1</Section></Item>`))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r := queryItems(t, s, byCode, 1); skipped(r, "FS1") || len(r.SkippedFragments) != 3 {
-				t.Fatalf("stored code: skipped %v, want FS0, FS2, FS3", r.SkippedFragments)
-			}
-			queryItems(t, s, byCode, 1)
-			if err := db1.DeleteDocument("pitems::FS1", "extra"); err != nil {
-				t.Fatal(err)
-			}
-			queryItems(t, s, byCode, 0)
-		})
+	byID := `for $i in collection("pitems")/Item where $i/@id < 4 return $i/Code`
+	queryItems(t, s, byID, 4)
+	if r := queryItems(t, s, byID, 4); !skipped(r, "FS1") || !r.PlanCached {
+		t.Fatalf("repeat query: skipped %v, plan cached %v; want FS1 skipped from a cached entry", r.SkippedFragments, r.PlanCached)
 	}
+	err := node1.StoreDocument("pitems::FS1", xmltree.MustParseString("extra",
+		`<Item id="2"><Code>PX</Code><Section>S1</Section></Item>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := queryItems(t, s, byID, 5); skipped(r, "FS1") {
+		t.Fatalf("after the write: skipped %v", r.SkippedFragments)
+	}
+	queryItems(t, s, byID, 5)
+	if err := db1.DeleteDocument("pitems::FS1", "extra"); err != nil {
+		t.Fatal(err)
+	}
+	queryItems(t, s, byID, 4)
+	queryItems(t, s, byID, 4)
+
+	// P010A sorts inside FS1's code range, so only membership skips it.
+	byCode := `for $i in collection("pitems")/Item where $i/Code = "P010A" return $i/@id`
+	queryItems(t, s, byCode, 0)
+	if r := queryItems(t, s, byCode, 0); len(r.SkippedFragments) != 4 {
+		t.Fatalf("absent code: skipped %v, want all four fragments", r.SkippedFragments)
+	}
+	err = node1.StoreDocument("pitems::FS1", xmltree.MustParseString("extra",
+		`<Item id="10"><Code>P010A</Code><Section>S1</Section></Item>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := queryItems(t, s, byCode, 1); skipped(r, "FS1") || len(r.SkippedFragments) != 3 {
+		t.Fatalf("stored code: skipped %v, want FS0, FS2, FS3", r.SkippedFragments)
+	}
+	queryItems(t, s, byCode, 1)
+	if err := db1.DeleteDocument("pitems::FS1", "extra"); err != nil {
+		t.Fatal(err)
+	}
+	queryItems(t, s, byCode, 0)
 }
 
 // watchSwitch is an in-process node whose statistics watch a test can cut
@@ -131,11 +126,10 @@ func (n *watchSwitch) setCut(cut bool) {
 // TestWatchDownKeepsEveryFragment: while a node's watch is down, writes to
 // it go unreported, so the coordinator must not trust what it knows of the
 // node: every answer stays right, none of the node's fragments is skipped
-// and no cached plan or result is served. Once the watch is back, skipping
-// and caching resume.
+// and no cached plan is served. Once the watch is back, skipping and plan
+// caching resume.
 func TestWatchDownKeepsEveryFragment(t *testing.T) {
 	s := NewSystem(cluster.GigabitEthernet)
-	s.SetResultCacheBytes(1 << 20)
 	var node1 *watchSwitch
 	for i := 0; i < 4; i++ {
 		db, err := engine.Open(fmt.Sprintf("%s/n%d.db", t.TempDir(), i), engine.Options{})
@@ -154,8 +148,8 @@ func TestWatchDownKeepsEveryFragment(t *testing.T) {
 	publishQuartile(t, s, 32)
 	q := `for $i in collection("pitems")/Item where $i/@id < 4 return $i/Code`
 	queryItems(t, s, q, 4)
-	if r := queryItems(t, s, q, 4); !r.Cached || !skipped(r, "FS1") {
-		t.Fatalf("repeat query: result cached %v, skipped %v", r.Cached, r.SkippedFragments)
+	if r := queryItems(t, s, q, 4); !r.PlanCached || !skipped(r, "FS1") {
+		t.Fatalf("repeat query: plan cached %v, skipped %v", r.PlanCached, r.SkippedFragments)
 	}
 
 	node1.setCut(true)
@@ -176,21 +170,21 @@ func TestWatchDownKeepsEveryFragment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Cached || r.PlanCached || skipped(r, "FS1") {
-			t.Fatalf("watch down: result cached %v, plan cached %v, skipped %v", r.Cached, r.PlanCached, r.SkippedFragments)
+		if r.PlanCached || skipped(r, "FS1") {
+			t.Fatalf("watch down: plan cached %v, skipped %v", r.PlanCached, r.SkippedFragments)
 		}
 	}
 	wg.Wait()
 	for k := 0; k < 2; k++ {
-		if r := queryItems(t, s, q, 12); r.Cached || r.PlanCached || skipped(r, "FS1") || !skipped(r, "FS2") {
-			t.Fatalf("watch down: result cached %v, plan cached %v, skipped %v", r.Cached, r.PlanCached, r.SkippedFragments)
+		if r := queryItems(t, s, q, 12); r.PlanCached || skipped(r, "FS1") || !skipped(r, "FS2") {
+			t.Fatalf("watch down: plan cached %v, skipped %v", r.PlanCached, r.SkippedFragments)
 		}
 	}
 
 	node1.setCut(false)
 	queryItems(t, s, q, 12)
-	if r := queryItems(t, s, q, 12); !r.Cached {
-		t.Fatal("no cache hit once the watch is back")
+	if r := queryItems(t, s, q, 12); !r.PlanCached {
+		t.Fatal("no plan-cache hit once the watch is back")
 	}
 	absent := `for $i in collection("pitems")/Item where $i/Code = "P010A" return $i`
 	queryItems(t, s, absent, 0)
@@ -240,13 +234,12 @@ func TestColdPlanAllocsIndependentOfCollectionSize(t *testing.T) {
 // TestConcurrentWritesKeepPointQueriesRight: over TCP nodes, point
 // queries run from several goroutines while a writer stores documents
 // into every fragment behind the coordinator's back, so bumps evict
-// statistics and outdate cached plans and results under the readers. No
+// statistics and outdate cached plans under the readers. No
 // answer about the published documents changes, and every written code
 // becomes visible once its bump is delivered.
 func TestConcurrentWritesKeepPointQueriesRight(t *testing.T) {
 	s, _ := newWireSystem(t, 4)
 	s.SetConcurrent(true)
-	s.SetResultCacheBytes(1 << 20)
 	publishQuartile(t, s, 32)
 	byCode := `for $i in collection("pitems")/Item where $i/Code = "%s" return $i/@id`
 	var wg sync.WaitGroup

@@ -1,6 +1,10 @@
 package partix
 
 import (
+	"container/list"
+	"sync"
+
+	"partix/internal/engine"
 	"partix/internal/obs"
 	"partix/internal/xquery"
 )
@@ -16,9 +20,9 @@ import (
 // depend only on the catalog version — planning is then a pure function
 // of the query and the catalog.
 
-// defaultPlanCacheCap bounds the cache (each plan costs 1); at ~a few KB
-// per compiled plan this keeps a busy coordinator's cache well under a MB.
-const defaultPlanCacheCap = 128
+// planCacheCap bounds the cache; at ~a few KB per compiled plan this
+// keeps a busy coordinator's cache well under a MB.
+const planCacheCap = 128
 
 // planEntry is one cached compiled plan. Entries and the plans inside
 // them are shared and read-only after insertion.
@@ -29,5 +33,118 @@ type planEntry struct {
 }
 
 func newPlanCache() *lru[*planEntry] {
-	return newLRU[*planEntry](defaultPlanCacheCap, obs.CoordPlanCacheEvictions, nil)
+	return newLRU[*planEntry](planCacheCap, obs.CoordPlanCacheEvictions)
+}
+
+// genStamp records the statistics snapshot an entry saw for one fragment.
+type genStamp struct {
+	node       string // node name
+	collection string // node-collection name (meta.NodeCollection)
+	epoch      uint64 // the node's watch epoch; 0 when the node keeps no statistics
+	gen        uint64 // snapshot generation; 0 when none was available
+	has        bool   // whether a snapshot was available at all
+}
+
+// of returns the stamp completed by the snapshot st (nil: none).
+func (gs genStamp) of(st *engine.CollectionStatistics) genStamp {
+	if st != nil {
+		gs.gen, gs.has = st.Generation, true
+	}
+	return gs
+}
+
+// stampSet is the metadata a cached plan depends on: the catalog version
+// and one generation stamp per fragment whose statistics went into it.
+type stampSet struct {
+	catalogVersion uint64
+	stamps         []genStamp
+}
+
+// stampsCurrent reports whether a stamped entry is still current: the
+// catalog must not have moved, and every stamped fragment must still
+// show the snapshot the entry saw — present or absent alike — with no
+// generation reported past it by the node's watch (statsCache.current).
+// The check makes no round trip: a node-side write outdates the entry as
+// soon as the node's report of it arrives.
+func (s *System) stampsCurrent(ss stampSet) bool {
+	return ss.catalogVersion == s.catalog.Version() && s.statsCache.current(ss.stamps)
+}
+
+// lru is a least-recently-used cache keyed by string holding at most
+// capacity entries; a put past it evicts from the cold end. Values are
+// shared with every reader and must not be mutated after put.
+type lru[V any] struct {
+	mu        sync.Mutex
+	capacity  int
+	ll        *list.List
+	entries   map[string]*list.Element
+	evictions *obs.Counter // counts entries displaced by the cap
+}
+
+type lruEntry[V any] struct {
+	key string
+	val V
+}
+
+func newLRU[V any](capacity int, evictions *obs.Counter) *lru[V] {
+	return &lru[V]{capacity: capacity, ll: list.New(), entries: map[string]*list.Element{}, evictions: evictions}
+}
+
+// get returns the value for key, promoting it to most recently used.
+func (c *lru[V]) get(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el := c.entries[key]
+	if el == nil {
+		var zero V
+		return zero, false
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).val, true
+}
+
+// put inserts or replaces the value for key, evicting the least recently
+// used entry when the cache is over capacity.
+func (c *lru[V]) put(key string, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el := c.entries[key]; el != nil {
+		el.Value.(*lruEntry[V]).val = val
+		c.ll.MoveToFront(el)
+		return
+	}
+	c.entries[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
+	if c.ll.Len() > c.capacity {
+		c.dropLocked(c.ll.Back())
+		c.evictions.Inc()
+	}
+}
+
+func (c *lru[V]) dropLocked(el *list.Element) {
+	delete(c.entries, c.ll.Remove(el).(*lruEntry[V]).key)
+}
+
+// remove drops one entry (a lookup found it stale).
+func (c *lru[V]) remove(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el := c.entries[key]; el != nil {
+		c.dropLocked(el)
+	}
+}
+
+// clear drops every entry. Not counted as evictions: nothing was
+// displaced by the cap.
+func (c *lru[V]) clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ll.Init()
+	clear(c.entries)
+}
+
+// len reports the number of held entries.
+func (c *lru[V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"partix/internal/cluster"
 	"partix/internal/fragmentation"
 	"partix/internal/obs"
 	"partix/internal/wire"
@@ -377,19 +378,19 @@ func TestPlanCacheInvalidationOnRegister(t *testing.T) {
 	}
 }
 
-// The plan cache is the shared LRU core at cost 1 per plan: past the
-// budget the least recently used plan falls out and the eviction counts.
+// The plan cache's LRU: past its capacity the least recently used plan
+// falls out and the eviction counts.
 func TestPlanCacheLRUEviction(t *testing.T) {
-	c := newLRU[int](2, obs.CoordPlanCacheEvictions, nil)
+	c := newLRU[int](2, obs.CoordPlanCacheEvictions)
 	evBefore := obs.CoordPlanCacheEvictions.Value()
-	c.put("q0", 0, 1)
-	c.put("q1", 1, 1)
+	c.put("q0", 0)
+	c.put("q1", 1)
 	if _, ok := c.get("q0"); !ok { // q0 is now the most recent; q1 the victim
 		t.Fatal("q0 missing")
 	}
-	c.put("q2", 2, 1)
-	if c.len() != 2 || c.used() != 2 {
-		t.Fatalf("len=%d used=%d, want 2/2", c.len(), c.used())
+	c.put("q2", 2)
+	if c.len() != 2 {
+		t.Fatalf("len=%d, want 2", c.len())
 	}
 	if got := obs.CoordPlanCacheEvictions.Value() - evBefore; got != 1 {
 		t.Fatalf("evictions counted = %d, want 1", got)
@@ -402,15 +403,143 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 			t.Fatalf("%s evicted instead of the LRU entry", k)
 		}
 	}
-	// Replacing a key keeps one entry and its cost counted once.
-	c.put("q2", 22, 1)
-	if v, _ := c.get("q2"); v != 22 || c.len() != 2 || c.used() != 2 {
-		t.Fatalf("replace: v=%d len=%d used=%d", v, c.len(), c.used())
+	// Replacing a key keeps one entry and evicts nothing.
+	c.put("q2", 22)
+	if v, _ := c.get("q2"); v != 22 || c.len() != 2 || obs.CoordPlanCacheEvictions.Value()-evBefore != 1 {
+		t.Fatalf("replace: v=%d len=%d", v, c.len())
 	}
 	// clear drops everything without counting evictions.
 	c.clear()
-	if c.len() != 0 || c.used() != 0 || obs.CoordPlanCacheEvictions.Value()-evBefore != 1 {
-		t.Fatalf("clear: len=%d used=%d", c.len(), c.used())
+	if c.len() != 0 || obs.CoordPlanCacheEvictions.Value()-evBefore != 1 {
+		t.Fatalf("clear: len=%d", c.len())
+	}
+}
+
+// TestPlanCacheRandomizedReadWriteDifferential interleaves randomized
+// node-direct fragment writes with the query mix and requires every answer
+// the plan cache serves to equal a freshly planned one. Here fragments are
+// pruned only by their fragmentation predicates, which do not depend on
+// the data.
+func TestPlanCacheRandomizedReadWriteDifferential(t *testing.T) {
+	sections := map[string]string{"Fcd": "CD", "Fdvd": "DVD", "Frest": "Book"}
+	fx := differentialFixture{
+		nodes:      3,
+		collection: "items",
+		publish:    func(t *testing.T, s *System) { publishHorizontal(t, s, 24) },
+		queries: func(rng *rand.Rand) string {
+			return []string{
+				`for $i in collection("items")/Item where $i/Section = "CD" return $i/Code`,
+				`for $i in collection("items")/Item where contains($i/Description, "good") return $i/Code`,
+				`collection("items")/Item/Code`,
+				`for $i in collection("items")/Item where $i/Section = "DVD" return $i`,
+			}[rng.Intn(4)]
+		},
+		write: func(rng *rand.Rand, frag string, op int) string {
+			return fmt.Sprintf(`<Item id="%d"><Code>W%04d</Code><Description>a good write</Description><Section>%s</Section></Item>`,
+				1000+op, op, sections[frag])
+		},
+	}
+	for _, concurrent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("concurrent=%t", concurrent), func(t *testing.T) {
+			planCacheDifferential(t, concurrent, fx)
+		})
+	}
+}
+
+// TestPlanCacheStatisticsSkippingDifferential is the differential over
+// the quartile fixture, where statistics skip the fragments holding no
+// low ids: the writes put low-id documents into every fragment, skipped
+// ones included, so a cached plan that still skips a fragment a write
+// made relevant is caught.
+func TestPlanCacheStatisticsSkippingDifferential(t *testing.T) {
+	fx := differentialFixture{
+		nodes:      4,
+		collection: "pitems",
+		publish:    func(t *testing.T, s *System) { publishQuartile(t, s, 32) },
+		queries: func(rng *rand.Rand) string {
+			op := []string{"<", "="}[rng.Intn(2)]
+			return fmt.Sprintf(`for $i in collection("pitems")/Item where $i/@id %s %d return $i/Code`, op, 1+rng.Intn(4))
+		},
+		write: func(rng *rand.Rand, frag string, op int) string {
+			return fmt.Sprintf(`<Item id="%d"><Code>W%04d</Code><Section>S%s</Section></Item>`,
+				rng.Intn(4), op, frag[len("FS"):])
+		},
+	}
+	for _, concurrent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("concurrent=%t", concurrent), func(t *testing.T) {
+			planCacheDifferential(t, concurrent, fx)
+		})
+	}
+}
+
+// differentialFixture is one collection the plan-cache differential runs
+// over: how to publish it, how to draw a query, and the document a write
+// stores into a fragment.
+type differentialFixture struct {
+	nodes      int
+	collection string
+	publish    func(t *testing.T, s *System)
+	queries    func(rng *rand.Rand) string
+	write      func(rng *rand.Rand, frag string, op int) string
+}
+
+// planCacheDifferential runs the fixture's queries between writes stored
+// straight into the fragments' nodes, behind the coordinator's back. The
+// system under test answers through Query and its plan cache; the
+// reference, a second coordinator over the same node engines, plans every
+// query afresh through QueryExpr. Every answer must be the reference's,
+// whether the sub-queries run one at a time or concurrently.
+func planCacheDifferential(t *testing.T, concurrent bool, fx differentialFixture) {
+	s := newTestSystem(t, fx.nodes)
+	s.SetConcurrent(concurrent)
+	fx.publish(t, s)
+	ref := NewSystem(cluster.GigabitEthernet)
+	for _, name := range s.Nodes() {
+		ref.AddNode(s.Node(name))
+	}
+	meta := s.Catalog().Lookup(fx.collection)
+	err := ref.Catalog().Register(&CollectionMeta{
+		Name: fx.collection, Scheme: meta.Scheme, Placement: meta.Placement, Mode: meta.Mode,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frags []string
+	for _, f := range meta.Scheme.Fragments {
+		frags = append(frags, f.Name)
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	hits0 := obs.CoordPlanCacheHits.Value()
+	for op := 0; op < 120; op++ {
+		if rng.Intn(4) == 0 { // ~25% writes
+			frag := frags[rng.Intn(len(frags))]
+			doc := xmltree.MustParseString(fmt.Sprintf("w%04d", op), fx.write(rng, frag, op))
+			if err := s.Node(meta.Placement[frag]).StoreDocument(meta.NodeCollection(frag), doc); err != nil {
+				t.Fatalf("op %d write: %v", op, err)
+			}
+			continue
+		}
+		q := fx.queries(rng)
+		got, err := s.Query(q)
+		if err != nil {
+			t.Fatalf("op %d plan-cached system: %v", op, err)
+		}
+		e, err := xquery.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.QueryExpr(e)
+		if err != nil {
+			t.Fatalf("op %d reference: %v", op, err)
+		}
+		if fmt.Sprint(itemStrings(got.Items)) != fmt.Sprint(itemStrings(want.Items)) {
+			t.Fatalf("op %d: stale plan served (plan cached=%t, skipped %v)\nquery: %s\ngot:  %v\nwant: %v",
+				op, got.PlanCached, got.SkippedFragments, q, itemStrings(got.Items), itemStrings(want.Items))
+		}
+	}
+	if obs.CoordPlanCacheHits.Value() == hits0 {
+		t.Fatal("the plan cache never served a hit — the differential proved nothing")
 	}
 }
 

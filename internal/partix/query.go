@@ -84,12 +84,6 @@ type QueryResult struct {
 	PlanTime time.Duration
 	// PlanCached marks a query answered with a cached plan.
 	PlanCached bool
-	// Cached marks a result served from the coordinator result cache:
-	// zero node round-trips, zero plan work. Sub, Trace and the timing
-	// decomposition are empty — nothing was executed; PlanTime carries
-	// the lookup + revalidation cost, TraceID is freshly minted so the
-	// hit still correlates with its flight-recorder entry.
-	Cached bool
 	// SkippedFragments lists fragments the planner proved empty for this
 	// query from their statistics and never contacted.
 	SkippedFragments []string
@@ -125,148 +119,16 @@ func (r *QueryResult) ResponseTime() time.Duration {
 // query text: a repeat of the same query (modulo whitespace, comments and
 // quoting style) skips parsing and planning entirely, as long as the
 // catalog version and the fragment-statistics generations the plan was
-// built from still hold. When the result cache is enabled
-// (SetResultCacheBytes), a repeat whose touched generations also still
-// hold skips execution too and is answered from memory.
+// built from still hold. Every query is executed over the fragments.
 func (s *System) Query(q string) (*QueryResult, error) {
 	planStart := time.Now()
 	norm := xquery.NormalizeQueryText(q)
-	if res, ok := s.cachedResult(norm, planStart); ok {
-		return res, nil
-	}
-	if s.resultCache.enabled() {
-		// Singleflight: concurrent misses on one key run one upstream
-		// execution. The leader executes and populates; followers wait,
-		// re-check the cache, and only execute themselves if the leader
-		// failed or its result was uncacheable.
-		fl, leader := s.resultCache.beginFlight(norm)
-		if leader {
-			defer s.resultCache.endFlight(norm)
-		} else {
-			<-fl.done
-			if res, ok := s.cachedResult(norm, planStart); ok {
-				return res, nil
-			}
-		}
-	}
-	// The catalog version is read before plan resolution: a registration
-	// racing with the execution leaves the cached result stamped with the
-	// older version, so the next lookup discards it — stale in the safe
-	// direction, exactly like the plan cache.
-	version := s.catalog.Version()
 	e, p, cached, err := s.cachedPlan(norm, q)
 	if err != nil {
 		s.recordPlanFailure(nil, norm, time.Since(planStart), err)
 		return nil, err
 	}
-	// Generation stamps are captured before the sub-queries run: a write
-	// landing during execution bumps the node's generation past the
-	// stamp, so the entry dies on its first revalidation instead of
-	// serving a half-updated result as current.
-	var stamps stampSet
-	cacheable := s.resultCache.enabled()
-	if cacheable {
-		stamps, cacheable = s.resultStamps(version, p)
-	}
-	res, err := s.run(e, p, time.Since(planStart), cached, norm)
-	if err != nil {
-		return nil, err
-	}
-	if cacheable {
-		s.maybeCacheResult(norm, stamps, e, p, res)
-	}
-	return res, nil
-}
-
-// cachedResult answers a query from the result cache when a still-valid
-// entry exists. A hit re-executes nothing: the stored merged items are
-// returned with a fresh trace ID and the Cached marker, no replayed
-// Sub/Trace spans, and only the lookup + revalidation time as PlanTime.
-// Tracing bypasses the cache — a traced query exists to be executed.
-func (s *System) cachedResult(norm string, planStart time.Time) (*QueryResult, bool) {
-	rc := s.resultCache
-	if !rc.enabled() || s.Tracing() {
-		return nil, false
-	}
-	entry, ok := rc.get(norm)
-	if ok && !s.stampsCurrent(entry.stampSet) {
-		rc.remove(norm)
-		obs.CoordResultCacheInvalidations.Inc()
-		ok = false
-	}
-	if !ok {
-		obs.CoordResultCacheMisses.Inc()
-		return nil, false
-	}
-	obs.CoordResultCacheHits.Inc()
-	elapsed := time.Since(planStart)
-	res := &QueryResult{
-		Items:            entry.items,
-		Strategy:         entry.strategy,
-		Fragments:        entry.fragments,
-		SkippedFragments: entry.skipped,
-		Cached:           true,
-		TraceID:          obs.NewTraceID(),
-		PlanTime:         elapsed,
-	}
-	obs.CoordQueries.Inc()
-	obs.CoordQuerySeconds.Observe(elapsed.Seconds())
-	s.recordCachedHit(entry, norm, res.TraceID, elapsed)
-	return res, true
-}
-
-// resultStamps stamps a result about to be computed: the plan's stamps —
-// every fragment whose statistics the planner consulted, the ones it
-// skipped included — plus the current generation of every fragment the
-// plan contacts or fetches. The second return is false when any stamped
-// fragment provides no statistics: without a generation to watch, a
-// mutation there would be invisible, so the result must not be cached.
-func (s *System) resultStamps(version uint64, p *queryPlan) (stampSet, bool) {
-	for _, st := range p.stamps {
-		if !st.has {
-			return stampSet{}, false
-		}
-	}
-	stamps := make([]genStamp, len(p.stamps), len(p.stamps)+len(p.steps))
-	copy(stamps, p.stamps)
-	for _, st := range p.steps {
-		coll := st.meta.NodeCollection(st.fragment)
-		cur, gs := s.nodeStatistics(st.node, coll)
-		if cur == nil {
-			return stampSet{}, false
-		}
-		stamps = append(stamps, gs)
-	}
-	return stampSet{catalogVersion: version, stamps: stamps}, true
-}
-
-// maybeCacheResult populates the result cache after a successful
-// execution, if the result is eligible: not an exists/empty decider
-// (already index-only fast and size-trivial — not worth a slot), not
-// traced, and the accounted size within the per-entry cap of
-// budget/resultEntryFraction — the bound on what the cache may retain of
-// any one answer. Eligibility is a property of the result, never of the
-// route that produced it.
-func (s *System) maybeCacheResult(norm string, stamps stampSet, e xquery.Expr, p *queryPlan, res *QueryResult) {
-	if res.Trace != nil {
-		return
-	}
-	if f, ok := e.(*xquery.FuncCall); ok && (f.Name == "exists" || f.Name == "empty") {
-		return
-	}
-	rc := s.resultCache
-	bytes := resultEntryBytes(norm, res.Items)
-	if bytes > rc.budget()/resultEntryFraction {
-		return
-	}
-	rc.put(norm, &resultEntry{
-		stampSet:  stamps,
-		items:     res.Items,
-		strategy:  res.Strategy,
-		fragments: res.Fragments,
-		skipped:   res.SkippedFragments,
-		work:      p.work,
-	}, bytes)
+	return s.run(e, p, time.Since(planStart), cached, norm)
 }
 
 // QueryExpr executes a parsed query: it is planned first (strategy
@@ -310,7 +172,7 @@ func (s *System) cachedPlan(norm, raw string) (xquery.Expr, *queryPlan, bool, er
 	if err != nil {
 		return nil, nil, false, err
 	}
-	s.planCache.put(norm, &planEntry{stampSet: stampSet{catalogVersion: version, stamps: p.stamps}, expr: e, plan: p}, 1)
+	s.planCache.put(norm, &planEntry{stampSet: stampSet{catalogVersion: version, stamps: p.stamps}, expr: e, plan: p})
 	return e, p, false, nil
 }
 
@@ -418,8 +280,7 @@ type queryPlan struct {
 	// skipped lists fragments statistics proved empty for this query.
 	skipped []string
 	// stamps records the statistics snapshots planning consulted; the
-	// plan cache revalidates them before reusing the plan, and a cached
-	// result of the plan carries them too.
+	// plan cache revalidates them before reusing the plan.
 	stamps []genStamp
 	// est holds the planner's per-fragment estimates for Explain.
 	est map[string]planEstimate

@@ -16,8 +16,8 @@ import (
 // highest generation the watch has reported per collection. A report past
 // a cached snapshot's generation evicts it, and a fetched snapshot older
 // than the recorded generation is never cached, so a fetch racing a write
-// cannot leave a stale snapshot behind. Plan- and result-cache entries
-// are validated against the recorded generations (stampsCurrent) with no
+// cannot leave a stale snapshot behind. Plan-cache entries are
+// validated against the recorded generations (stampsCurrent) with no
 // round trip.
 //
 // While a node's watch is down its statistics are absent: the planner
@@ -186,13 +186,14 @@ func (sc *statsCache) current(stamps []genStamp) bool {
 	return true
 }
 
-// nodeStatistics resolves one node's statistics for a node-collection
-// through the cache, with the stamp a plan or result built on them
-// records. Unknown nodes, drivers without the StatisticsProvider
+// fragmentStatistics resolves the statistics of the node-collection
+// holding one fragment through the cache, with the stamp a plan built on
+// them records. Unknown nodes, drivers without the StatisticsProvider
 // extension, nodes without indexes, a node whose watch is down, fetch
 // errors and a snapshot a report has already outdated all yield nil — the
 // planner treats all of them as "no statistics" and keeps the fragment.
-func (s *System) nodeStatistics(nodeName, collection string) (*engine.CollectionStatistics, genStamp) {
+func (s *System) fragmentStatistics(meta *CollectionMeta, fragment string) (*engine.CollectionStatistics, genStamp) {
+	nodeName, collection := meta.Placement[fragment], meta.NodeCollection(fragment)
 	gs := genStamp{node: nodeName, collection: collection}
 	sp, ok := s.Node(nodeName).(cluster.StatisticsProvider)
 	if !ok {
@@ -228,9 +229,4 @@ func (s *System) nodeStatistics(nodeName, collection string) (*engine.Collection
 	}
 	ns.stats[collection] = st
 	return st, gs.of(st)
-}
-
-// fragmentStatistics is nodeStatistics addressed by catalog metadata.
-func (s *System) fragmentStatistics(meta *CollectionMeta, fragment string) (*engine.CollectionStatistics, genStamp) {
-	return s.nodeStatistics(meta.Placement[fragment], meta.NodeCollection(fragment))
 }

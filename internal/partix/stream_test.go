@@ -3,7 +3,11 @@ package partix
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
+
+	"partix/internal/xmltree"
+	"partix/internal/xquery"
 )
 
 // streamedPair builds two identical fragmented deployments, one in the
@@ -178,5 +182,51 @@ func TestStreamedFailoverNoDoubleDelivery(t *testing.T) {
 	}
 	if fmt.Sprint(itemsAsStrings(got.Items)) != fmt.Sprint(want) {
 		t.Fatalf("failover union differs:\nstreamed: %v\nhealthy:  %v", itemsAsStrings(got.Items), want)
+	}
+}
+
+// Node items a wire client received are built on first use, once per
+// frame, whoever asks first: two goroutines building the items of one
+// TCP result concurrently, beside two more building a second query's,
+// each get the same trees as their result's other builder, with the
+// right content, and the race detector sees no conflict.
+func TestReceivedNodesBuildOnce(t *testing.T) {
+	s, _ := newWireSystem(t, 3)
+	publishHorizontal(t, s, 24)
+	q := `for $i in collection("items")/Item where $i/Section != "Book" return $i`
+	results := make([]*QueryResult, 2)
+	for r := range results {
+		res, err := s.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[r] = res
+	}
+	if len(results[0].Items) < 2 || len(results[1].Items) != len(results[0].Items) {
+		t.Fatalf("%d and %d items, want the same answer of at least 2", len(results[0].Items), len(results[1].Items))
+	}
+	built := make([][]*xmltree.Node, 4)
+	var wg sync.WaitGroup
+	for g := range built {
+		items := results[g%2].Items
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			built[g] = make([]*xmltree.Node, len(items))
+			for i, it := range items {
+				built[g][i], _ = xquery.NodeOf(it)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range built {
+		for i, n := range built[g] {
+			if n == nil || n.Name != "Item" || n.Child("Section").Text() == "Book" {
+				t.Fatalf("goroutine %d: item %d builds to %v", g, i, n)
+			}
+			if other := built[(g+2)%4][i]; other != n {
+				t.Fatalf("item %d of result %d: two goroutines built two trees", i, g%2)
+			}
+		}
 	}
 }

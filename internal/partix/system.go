@@ -27,9 +27,8 @@ type System struct {
 	logger       obs.Logger
 	plannerStats bool
 
-	planCache   *lru[*planEntry]
-	statsCache  *statsCache
-	resultCache *resultCache
+	planCache  *lru[*planEntry]
+	statsCache *statsCache
 
 	// recorder and profiler are created once and never replaced; every
 	// query feeds them.
@@ -59,8 +58,7 @@ func (s *System) Concurrent() bool {
 // steps and returns them with the last frame of its answer, and the
 // result carries the assembled span tree. A traced query executes exactly
 // as an untraced one does — same plan, same sub-query route, same
-// frames — it only skips the result cache, since it exists to be
-// executed.
+// frames.
 func (s *System) SetTracing(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -120,9 +118,6 @@ func (s *System) SetPlannerStats(on bool) {
 	s.mu.Unlock()
 	if changed {
 		s.planCache.clear()
-		// Cached results embed the previous mode's strategy and skipped
-		// fragments, so they go too.
-		s.resultCache.clear()
 	}
 }
 
@@ -133,25 +128,12 @@ func (s *System) PlannerStats() bool {
 	return s.plannerStats
 }
 
-// SetResultCacheBytes budgets the coordinator result cache: up to n
-// bytes of fully merged query results (accounted at their serialized
-// size) are kept and served on repeat queries with zero node round-trips
-// and zero plan work, revalidated through the fragment-statistics
-// generations the planner consulted and the execution contacted. A single result may use at most
-// 1/16 of the budget; larger ones execute normally but are never cached.
-// Zero (the default) disables the cache — the paper's measured
-// methodology re-executes every repeat.
-func (s *System) SetResultCacheBytes(n int64) {
-	s.resultCache.setBudget(n)
-}
-
-// InvalidatePlans drops every cached plan, cached result and
-// fragment-statistics snapshot, so the next query plans from statistics
-// fetched afresh. Node-side writes need no call: each node reports its
-// commits to the coordinator, which outdates what they touched.
+// InvalidatePlans drops every cached plan and fragment-statistics
+// snapshot, so the next query plans from statistics fetched afresh.
+// Node-side writes need no call: each node reports its commits to the
+// coordinator, which outdates what they touched.
 func (s *System) InvalidatePlans() {
 	s.planCache.clear()
-	s.resultCache.clear()
 	s.statsCache.clear()
 }
 
@@ -174,7 +156,6 @@ func NewSystem(cost cluster.CostModel) *System {
 		plannerStats: true,
 		planCache:    newPlanCache(),
 		statsCache:   newStatsCache(),
-		resultCache:  newResultCache(),
 		recorder:     obs.NewFlightRecorder(0),
 		profiler:     obs.NewWorkloadProfiler(0),
 	}
@@ -284,17 +265,12 @@ func (s *System) Publish(c *xmltree.Collection, scheme *fragmentation.Scheme, pl
 		return err
 	}
 	// Registration bumped the catalog version, which already invalidates
-	// cached plans and cached results; the statistics snapshots of the
-	// touched nodes go stale too once documents land, and over TCP the
-	// nodes' reports of those writes may still be in flight when Publish
-	// returns, so drop the snapshots when publishing ends (even a partial
-	// publish mutated node data). The result cache is cleared eagerly as
-	// well — its entries would only die lazily on their next revalidation
-	// otherwise.
-	defer func() {
-		s.statsCache.clear()
-		s.resultCache.clear()
-	}()
+	// cached plans; the statistics snapshots of the touched nodes go stale
+	// too once documents land, and over TCP the nodes' reports of those
+	// writes may still be in flight when Publish returns, so drop the
+	// snapshots when publishing ends (even a partial publish mutated node
+	// data).
+	defer s.statsCache.clear()
 	for frag, nodeName := range placement {
 		if s.Node(nodeName) == nil {
 			return fmt.Errorf("partix: placement of %q references unknown node %q", frag, nodeName)

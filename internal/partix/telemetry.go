@@ -88,35 +88,6 @@ func (s *System) recordQuery(p *queryPlan, e xquery.Expr,
 	obs.TelemetryRecords.Inc()
 }
 
-// recordCachedHit feeds a result-cache hit into the profiler and flight
-// recorder. The profiler sees the query's workload keys (stored on the
-// entry at populate time) so mined profiles still reflect cache-served
-// traffic; fragment heat is NOT observed — a hit touches no fragment.
-// The flight record carries cached=true, no fragment timings and no
-// spans: replaying the original execution's measurements would describe
-// work that never happened.
-func (s *System) recordCachedHit(entry *resultEntry, norm, tag string, elapsed time.Duration) {
-	rec := s.recorder
-	for coll, wk := range entry.work {
-		s.profiler.ObserveQuery(coll, wk.Paths, wk.Predicates)
-	}
-	if !rec.ShouldRecord(elapsed, false) {
-		obs.TelemetrySampledOut.Inc()
-		return
-	}
-	rec.Record(&obs.QueryRecord{
-		UnixNano:   time.Now().UnixNano(),
-		TraceID:    tag,
-		Query:      norm,
-		Strategy:   string(entry.strategy),
-		DurationNs: int64(elapsed),
-		Items:      len(entry.items),
-		Cached:     true,
-		Slow:       rec.IsSlow(elapsed),
-	})
-	obs.TelemetryRecords.Inc()
-}
-
 // recordPlanFailure routes a query that died before producing a plan —
 // parse error, unknown collection, planner rejection — into the flight
 // recorder, tagged like any other query so the record joins with log

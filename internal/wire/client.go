@@ -46,10 +46,6 @@ type ClientOptions struct {
 	// — never an unbounded allocation — and its connection is dropped.
 	// 0 means DefaultMaxMessageBytes (64 MiB).
 	MaxMessageBytes int64
-	// Tenant tags every request with a tenant identity for server-side
-	// admission control: nodes running per-tenant quotas debit this
-	// tenant's token bucket. Empty (the default) leaves requests untagged.
-	Tenant string
 	// Logger receives transport events (reconnects, swallowed
 	// HasCollection failures) as leveled key=value records. nil
 	// disables logging; wrap a *log.Logger with obs.FromStd to keep an
@@ -114,8 +110,8 @@ type NodeError struct {
 	Msg     string
 	TraceID string
 	// Overloaded marks a request the node's admission control shed rather
-	// than failed: the node is healthy but at capacity, or the tenant's
-	// quota ran dry. Callers match it with errors.Is(err, ErrNodeOverloaded).
+	// than failed: the node is healthy but at capacity. Callers match it
+	// with errors.Is(err, ErrNodeOverloaded).
 	Overloaded bool
 }
 
@@ -132,9 +128,8 @@ func (e *NodeError) Is(target error) bool {
 }
 
 // ErrNodeOverloaded is the sentinel for NodeErrors raised by server-side
-// admission control (node at capacity or tenant quota exhausted). Such
-// errors are never retried by the client — re-offering load to an
-// overloaded node is exactly wrong.
+// admission control (node at capacity). Such errors are never retried by
+// the client — re-offering load to an overloaded node is exactly wrong.
 var ErrNodeOverloaded = errors.New("wire: node overloaded")
 
 // overloadedPrefix is how a server marks a shed request in the error
@@ -360,10 +355,9 @@ func (c *Client) discard(pc *poolConn) {
 }
 
 // stamp fills in what every request carries: the protocol version the
-// server checks and the client's tenant tag.
+// server checks.
 func (c *Client) stamp(req *Request) {
 	req.Proto = ProtocolVersion
-	req.Tenant = c.opts.Tenant
 }
 
 // permanent reports whether err must not be retried on a fresh

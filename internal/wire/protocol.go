@@ -154,9 +154,6 @@ type Request struct {
 	// WantStatistics asks OpStats to also return the planner statistics
 	// snapshot (Response.Statistics).
 	WantStatistics bool
-	// Tenant is the client-supplied tenant tag the server's admission
-	// control debits quotas against; empty when the client is untagged.
-	Tenant string
 	// Keep is the projection an OpFetchStream cuts every document down to
 	// (xmltree.Projection's String form); empty ships the stored records
 	// as they are. A node that ignores it ships whole documents — a

@@ -57,14 +57,6 @@ type ServerOptions struct {
 	// matching ErrNodeOverloaded and never retry it). Mutations and
 	// control operations are not gated. 0 disables the cap.
 	MaxInflight int
-	// TenantRate and TenantBurst install a token-bucket quota per tenant
-	// tag (Request.Tenant): each tenant may issue
-	// TenantBurst query/fetch operations instantly and TenantRate per
-	// second sustained; beyond that requests are rejected with an
-	// overloaded error. TenantRate <= 0 disables quotas. Untagged
-	// requests share one bucket.
-	TenantRate  float64
-	TenantBurst float64
 }
 
 func (o ServerOptions) withDefaults() ServerOptions {
@@ -89,14 +81,13 @@ type Server struct {
 	opts ServerOptions
 
 	// hook is a test seam invoked before each dispatch; fault-injection
-	// tests use it to simulate evaluator panics and slow requests.
+	// tests use it to simulate evaluator panics and slow requests, and
+	// admission tests to keep an admitted stream in its slot.
 	hook func(*Request)
 
-	// admission state: the inflight count for MaxInflight and the lazily
-	// refilled per-tenant token buckets for TenantRate/TenantBurst.
+	// admission state: the inflight count for MaxInflight.
 	admitMu  sync.Mutex
 	inflight int
-	buckets  map[string]*serverBucket
 
 	handlers sync.WaitGroup
 
@@ -126,13 +117,7 @@ func NewServerLogger(db *engine.DB, logger obs.Logger, opts ServerOptions) *Serv
 		logger = obs.Nop()
 	}
 	return &Server{db: db, log: logger, opts: opts.withDefaults(),
-		conns: map[net.Conn]struct{}{}, buckets: map[string]*serverBucket{}}
-}
-
-// serverBucket is one tenant's token bucket.
-type serverBucket struct {
-	tokens float64
-	last   time.Time
+		conns: map[net.Conn]struct{}{}}
 }
 
 // admit applies the node's admission policy to one request, returning
@@ -143,45 +128,20 @@ type serverBucket struct {
 // health probe or a write whose outcome the client cannot verify helps
 // nobody.
 func (s *Server) admit(req *Request) (func(), string) {
-	if !req.Op.streams() || (s.opts.MaxInflight <= 0 && s.opts.TenantRate <= 0) {
+	if !req.Op.streams() || s.opts.MaxInflight <= 0 {
 		return func() {}, ""
 	}
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
-	if rate := s.opts.TenantRate; rate > 0 {
-		burst := s.opts.TenantBurst
-		if burst < 1 {
-			burst = 1
-		}
-		now := time.Now()
-		b := s.buckets[req.Tenant]
-		if b == nil {
-			b = &serverBucket{tokens: burst, last: now}
-			s.buckets[req.Tenant] = b
-		} else {
-			b.tokens += now.Sub(b.last).Seconds() * rate
-			if b.tokens > burst {
-				b.tokens = burst
-			}
-			b.last = now
-		}
-		if b.tokens < 1 {
-			return nil, overloadedPrefix + fmt.Sprintf("quota exhausted for tenant %q", req.Tenant)
-		}
-		b.tokens--
+	if s.inflight >= s.opts.MaxInflight {
+		return nil, overloadedPrefix + fmt.Sprintf("node at capacity (%d operations in flight)", s.inflight)
 	}
-	if s.opts.MaxInflight > 0 {
-		if s.inflight >= s.opts.MaxInflight {
-			return nil, overloadedPrefix + fmt.Sprintf("node at capacity (%d operations in flight)", s.inflight)
-		}
-		s.inflight++
-		return func() {
-			s.admitMu.Lock()
-			s.inflight--
-			s.admitMu.Unlock()
-		}, ""
-	}
-	return func() {}, ""
+	s.inflight++
+	return func() {
+		s.admitMu.Lock()
+		s.inflight--
+		s.admitMu.Unlock()
+	}, ""
 }
 
 // Serve accepts connections until the listener is closed. It blocks.

@@ -146,10 +146,9 @@ const (
 )
 
 // ErrOverloaded matches a query a node shed rather than served: its
-// in-flight cap was reached or the tenant's token-bucket quota ran dry
-// (partixd -max-inflight / -tenant-rate). The coordinator tries every
-// replica of a fragment first, so System.Query returns it (wrapped) only
-// once every copy refused or failed. Match with errors.Is.
+// in-flight cap was reached (partixd -max-inflight). The coordinator
+// tries every replica of a fragment first, so System.Query returns it
+// (wrapped) only once every copy refused or failed. Match with errors.Is.
 var ErrOverloaded = iwire.ErrNodeOverloaded
 
 // NopLogger returns the default do-nothing logger.

@@ -3,8 +3,8 @@
 # formatting, vet (the go vet gate below), build, the full test suite,
 # and the race detector over the packages with real concurrency (snapshot
 # reads against writers, WAL crash recovery, bounded sub-query execution,
-# coordinator caches, wire transport and node admission, telemetry
-# sinks).
+# the coordinator's plan and statistics caches, wire transport and node
+# admission, telemetry sinks).
 # Test runs carry a timeout so a hung network test fails fast instead of
 # wedging CI.
 set -eux
@@ -25,8 +25,10 @@ go test -race -timeout 5m ./internal/obs/... ./internal/storage/... ./internal/e
 # (writes visible without InvalidatePlans, a cut watch keeps every
 # fragment, point queries beside a writer over TCP, a TCP watch reports
 # writes, resubscribes after a loss and ends with Close, a LocalNode
-# watch reports before the write returns)
-go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragment|TestFetchStepsHonourInflightLimit|TestReconstructionFailover|TestMultiCollectionFetchFailsOverToReplica|TestSemiJoinMatchesCentralized|TestSemiJoinRoundTwoFailsOverToReplica|TestNodeOverloadIsErrOverloaded|TestOverloadedPrimaryFailsOverToReplica|TestNodeWriteVisibleWithoutInvalidate|TestWatchDownKeepsEveryFragment|TestConcurrentWritesKeepPointQueriesRight|TestWatchReportsWrites|TestWatchResubscribesAfterLoss|TestWatchEndsWithClose|TestLocalNodeWatchIsSynchronous' ./internal/partix/ ./internal/wire/
+# watch reports before the write returns), and the two plan-cache
+# read/write differentials, the one test of stale cached plans under
+# concurrent node-direct writes
+go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragment|TestFetchStepsHonourInflightLimit|TestReconstructionFailover|TestMultiCollectionFetchFailsOverToReplica|TestSemiJoinMatchesCentralized|TestSemiJoinRoundTwoFailsOverToReplica|TestNodeOverloadIsErrOverloaded|TestOverloadedPrimaryFailsOverToReplica|TestNodeWriteVisibleWithoutInvalidate|TestWatchDownKeepsEveryFragment|TestConcurrentWritesKeepPointQueriesRight|TestWatchReportsWrites|TestWatchResubscribesAfterLoss|TestWatchEndsWithClose|TestLocalNodeWatchIsSynchronous|TestPlanCacheRandomizedReadWriteDifferential|TestPlanCacheStatisticsSkippingDifferential' ./internal/partix/ ./internal/wire/
 # the benchmark is a nested module (partix/benchmark) that compiles
 # against internal/ through a replace directive, so ./... above does not
 # reach it: vet it and run its 5 s smoke test, or an internal/ signature
