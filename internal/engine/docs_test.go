@@ -166,8 +166,9 @@ func TestDocsCorruptRecordInChunk(t *testing.T) {
 }
 
 // corruptRecord overwrites the version byte of a stored document's record
-// in the store file at path with an unsupported version, 9. A record page
-// starts with an 8-byte next-page link and a 2-byte used count.
+// in the store file at path with an unsupported version, 9. The record is
+// a small one, a slot of a packed page: its first byte is at its ref's
+// offset in that page.
 func corruptRecord(t *testing.T, st *storage.Store, path, collection, name string) {
 	t.Helper()
 	snap, err := st.SnapshotCollection(collection)
@@ -179,12 +180,16 @@ func corruptRecord(t *testing.T, st *storage.Store, path, collection, name strin
 	if i < 0 {
 		t.Fatalf("no document %q in %q", name, collection)
 	}
+	ref := snap.Refs[i]
+	if ref.Off == 0 {
+		t.Fatalf("record of %q is chained, not packed", name)
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.WriteAt([]byte{9}, snap.Refs[i].Page*storage.PageSize+8+2); err != nil {
+	if _, err := f.WriteAt([]byte{9}, ref.Page*storage.PageSize+ref.Off); err != nil {
 		t.Fatal(err)
 	}
 }

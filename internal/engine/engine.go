@@ -817,14 +817,15 @@ const (
 // documents of refs with their records, a chunk at a time, and reports how
 // many documents and record bytes it read, and how many of those bytes
 // the decoder walked: a projected decode skips the subtrees it drops. The
-// per-chunk scratch lives on the stack. Under scanDecode the read buffer
-// is reused: it grows at most once per chunk, to the chunk's summed record
-// size plus the page of headroom that lets AppendRef read pages straight
-// into it, so a scan with one huge candidate costs what reading and
-// decoding it alone costs. The other modes read every chunk into a buffer
-// of its own. origins, when non-nil, is released (flushing the pipeline
-// that may hold shells) before the buffer is overwritten and holds each
-// chunk once it has decoded.
+// per-chunk scratch lives on the stack. A chunk is one AppendRef call,
+// which reads the records that sit back to back in a packed page with one
+// read. Under scanDecode the read buffer is reused: it grows at most once
+// per chunk, to the chunk's summed record size plus the page of headroom
+// that lets AppendRef read chained pages straight into it, so a scan with
+// one huge candidate costs what reading and decoding it alone costs. The
+// other modes read every chunk into a buffer of its own. origins, when
+// non-nil, is released (flushing the pipeline that may hold shells) before
+// the buffer is overwritten and holds each chunk once it has decoded.
 func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, mode scanMode, origins *Origins, fn func(*xmltree.Document, []byte) error) (decoded, read, walked int64, err error) {
 	var (
 		buf   []byte
@@ -848,12 +849,13 @@ func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, mode s
 				return decoded, read, walked, err
 			}
 		}
-		for i, ref := range chunk {
-			start := len(buf)
-			if buf, err = db.store.AppendRef(buf, ref); err != nil {
-				return decoded, read, walked, err
-			}
-			recs[i] = buf[start:] // valid even if the append moved buf: the old array keeps these bytes
+		if buf, err = db.store.AppendRef(buf, chunk...); err != nil {
+			return decoded, read, walked, err
+		}
+		for i, start := 0, 0; i < n; i++ {
+			end := start + int(chunk[i].Size)
+			recs[i] = buf[start:end]
+			start = end
 		}
 		if mode != scanRaw {
 			w, i, err := storage.DecodeRecords(recs[:n], keep, roots[:n])

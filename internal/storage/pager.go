@@ -1,24 +1,42 @@
 // Package storage implements the persistent document store each PartiX
-// node runs on: a paged single-file store with a free list, chained-page
-// records, a collection catalog and a compact binary tree encoding that
-// preserves node IDs (vertical fragments are joined back by ID, so the
-// store must not lose them the way a plain XML serialization would).
+// node runs on: a paged single-file store with a free list, records in
+// chained or packed pages, a collection catalog and a compact binary tree
+// encoding that preserves node IDs (vertical fragments are joined back by
+// ID, so the store must not lose them the way a plain XML serialization
+// would).
 //
 // The layout is deliberately simple and classical:
 //
-//	page 0            header (magic, version, page count, free list,
-//	                  catalog record pointer)
+//	page 0            header (magic, page count, free list, catalog
+//	                  record pointer)
 //	page 1..n         record pages, each [next int64][used uint16][data]
 //
-// A record (an encoded document, or the catalog itself) occupies a chain
-// of pages. Deleting a record parks its pages on a pending-free list; they
-// rejoin the on-disk free list only at the next checkpoint, and only once
-// no snapshot reader pinned before the delete is still active. That
-// discipline is what makes both crash recovery and MVCC reads work: a
-// page reachable from the last checkpointed catalog, or from any pinned
-// snapshot, is never rewritten. Mutating operations are serialized by a
-// store-level mutex; durability is write-ahead logging with group-commit
-// fsync (wal.go), with the catalog persisted by checkpoints.
+// A record of more than packMax bytes (an encoded document, a metadata
+// record, the catalog itself) occupies a chain of pages of its own. A
+// smaller document record is a slot in a packed page: records appended
+// back to back after the page header (next 0, used packedMark), each
+// located by its catalog entry's page, byte offset and size, so one
+// 400-byte Item costs its 400 bytes rather than a 4 KB page. packMax is
+// half a page's payload: every small record fits, and a page closed
+// because the next record does not fit wastes at most packMax bytes. It is
+// a constant, not an option, because the reader never needs it (an entry's
+// offset says packed or chained) and no workload wants another value.
+//
+// Freeing is deferred. A replaced, deleted or dropped chain is parked on a
+// pending-free list; a packed page is parked once its last live slot dies
+// (the store counts live slots per page, in memory, from the catalog).
+// Parked pages rejoin the on-disk free list only at the next checkpoint,
+// and only once no snapshot reader pinned before the freeing operation is
+// still active. Writes obey one byte-wise rule: no byte of a record that
+// the last checkpointed catalog or a pinned snapshot can reach is ever
+// rewritten. A chain goes to pages nothing reaches; a packed record goes
+// only into the unused tail of the one open packed page, and every
+// checkpoint retires that page, so a page holding checkpointed records is
+// never written again until it is freed. That discipline is what makes
+// both crash recovery and MVCC reads work. Mutating operations are
+// serialized by a store-level mutex; durability is write-ahead logging
+// with group-commit fsync (wal.go), with the catalog persisted by
+// checkpoints.
 package storage
 
 import (
@@ -26,6 +44,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,10 +55,22 @@ import (
 const PageSize = 4096
 
 const (
-	magic          = "PTXSTOR1"
+	// magic marks a store whose catalog may hold packed entries; a binary
+	// that knows only chained records refuses it instead of misreading
+	// them. magicChained is the older, chained-only layout, which opens
+	// and reads unchanged (its entries all have offset 0).
+	magic          = "PTXSTOR2"
+	magicChained   = "PTXSTOR1"
 	headerSize     = 8 + 8 + 8 + 8 // magic, pageCount, freeHead, catalogPage
 	pageHeaderSize = 8 + 2         // next page id, used bytes
 	pagePayload    = PageSize - pageHeaderSize
+
+	// packMax is the largest record stored in a packed page (see the
+	// package comment).
+	packMax = pagePayload / 2
+	// packedMark is a packed page's used field: more than any chained
+	// page's, so a packed page walked as a chain fails as corrupt.
+	packedMark = 0xFFFF
 )
 
 // pagePool recycles page-sized scratch buffers across record reads and
@@ -110,7 +141,7 @@ func (p *pager) readHeader() error {
 	if _, err := io.ReadFull(io.NewSectionReader(p.f, 0, PageSize), buf); err != nil {
 		return fmt.Errorf("storage: read header: %w", err)
 	}
-	if string(buf[:8]) != magic {
+	if m := string(buf[:8]); m != magic && m != magicChained {
 		return fmt.Errorf("storage: bad magic %q (not a partix store)", buf[:8])
 	}
 	p.pageCount.Store(int64(binary.LittleEndian.Uint64(buf[8:])))
@@ -249,6 +280,15 @@ func (p *pager) writeRecordPages(pages []int64, data []byte) error {
 	return nil
 }
 
+// writeAt writes a record into the room allocLocked reserved for it: the
+// packed slot at byte off of pages[0], or the chain pages when off is 0.
+func (p *pager) writeAt(pages []int64, off int64, data []byte) error {
+	if off != 0 {
+		return p.writeSlot(pages[0], off, data)
+	}
+	return p.writeRecordPages(pages, data)
+}
+
 // writeRecord stores data in a fresh chain of pages and returns the id of
 // the first page (allocation and writes under one caller-held lock; used
 // for the rare catalog write, where staging buys nothing).
@@ -263,13 +303,100 @@ func (p *pager) writeRecord(data []byte) (int64, error) {
 	return pages[0], nil
 }
 
+// writeSlot writes a packed record at byte off of page id. The first
+// slot of a page writes the page header with it, in one write; a later
+// slot writes its own bytes only, into the page's unused tail. No lock is
+// needed: the slot is the caller's until it commits it.
+func (p *pager) writeSlot(id, off int64, data []byte) error {
+	if id < 1 {
+		return fmt.Errorf("storage: write to reserved page %d", id)
+	}
+	if off < pageHeaderSize || int64(len(data)) > PageSize-off {
+		return fmt.Errorf("storage: slot of %d bytes at offset %d outside page %d", len(data), off, id)
+	}
+	if p.failWrite != nil {
+		if err := p.failWrite(id); err != nil {
+			return err
+		}
+	}
+	at, out := id*PageSize+off, data
+	if off == pageHeaderSize {
+		bufp := pagePool.Get().(*[]byte)
+		defer pagePool.Put(bufp)
+		buf := *bufp
+		binary.LittleEndian.PutUint64(buf, 0)
+		binary.LittleEndian.PutUint16(buf[8:], packedMark)
+		at, out = id*PageSize, append(buf[:pageHeaderSize], data...)
+	}
+	if _, err := p.f.WriteAt(out, at); err != nil {
+		return fmt.Errorf("storage: write page %d: %w", id, err)
+	}
+	obs.StoragePagesWritten.Inc()
+	obs.StorageBytesWritten.Add(int64(len(out)))
+	return nil
+}
+
+// appendSlots appends the size bytes at byte off of packed page id to out
+// with one read (one slot, or a run of slots that sit back to back), and
+// returns the extended buffer, which grows only when out's spare capacity
+// is short of size. The range must lie within the page's payload.
+func (p *pager) appendSlots(out []byte, id, off, size int64) ([]byte, error) {
+	if err := p.checkSlot(id, off, size); err != nil {
+		return nil, err
+	}
+	out = slices.Grow(out, int(size))
+	dst := out[len(out) : len(out)+int(size)]
+	if _, err := p.f.ReadAt(dst, id*PageSize+off); err != nil {
+		return nil, fmt.Errorf("storage: read page %d: %w", id, err)
+	}
+	obs.StoragePagesRead.Inc()
+	obs.StorageBytesRead.Add(size)
+	return out[:len(out)+int(size)], nil
+}
+
+// checkSlot returns an error unless size bytes at byte off of page id lie
+// within the payload of a page of the store.
+func (p *pager) checkSlot(id, off, size int64) error {
+	if count := p.pageCount.Load(); id < 1 || id >= count {
+		return fmt.Errorf("storage: read of page %d outside store (pages: %d)", id, count)
+	}
+	if off < pageHeaderSize || size <= 0 || size > PageSize-off {
+		return fmt.Errorf("storage: slot of %d bytes at offset %d outside page %d", size, off, id)
+	}
+	return nil
+}
+
+// chainLimit is how many pages a walk from a chain's first page may visit:
+// as many as size bytes fill when size is known (non-zero), else every
+// page of the store. A walk past it has met a cycle, or a link corruption
+// made, and stops with an error instead of looping.
+func (p *pager) chainLimit(size int64) int64 {
+	if size > 0 {
+		return (size + pagePayload - 1) / pagePayload
+	}
+	return p.pageCount.Load()
+}
+
+// checkChainSize returns an error unless size is a length a chain of the
+// store could hold (0 = unknown), so a corrupt size neither sizes a buffer
+// nor bounds a walk.
+func (p *pager) checkChainSize(first, size int64) error {
+	if size < 0 || size > p.pageCount.Load()*pagePayload {
+		return fmt.Errorf("storage: record chain at page %d cannot hold %d bytes", first, size)
+	}
+	return nil
+}
+
 // chainPages walks a record chain and returns every page id in it.
 func (p *pager) chainPages(first int64) ([]int64, error) {
 	bufp := pagePool.Get().(*[]byte)
 	defer pagePool.Put(bufp)
 	var pages []int64
-	id := first
-	for id != 0 {
+	limit := p.chainLimit(0)
+	for id := first; id != 0; {
+		if int64(len(pages)) == limit {
+			return nil, fmt.Errorf("storage: record chain at page %d runs past %d pages", first, limit)
+		}
 		next, _, err := p.readPageHeaderInto(id, *bufp)
 		if err != nil {
 			return nil, err
@@ -280,11 +407,18 @@ func (p *pager) chainPages(first int64) ([]int64, error) {
 	return pages, nil
 }
 
-// readRecordSized loads a full record chain into an output buffer
-// presized for the expected record length (the catalog knows every
-// document's encoded size, so the hot read path never regrows).
-func (p *pager) readRecordSized(first int64, size int) ([]byte, error) {
-	return p.appendChain(make([]byte, 0, size), first)
+// readRecord loads a record into a buffer of its own: the chain starting
+// at page when off is 0, else the packed slot at byte off of page. size is
+// the record's length, or 0 for a chain whose length is unknown (the
+// catalog record).
+func (p *pager) readRecord(page, off, size int64) ([]byte, error) {
+	if off != 0 {
+		return p.appendSlots(nil, page, off, size)
+	}
+	if err := p.checkChainSize(page, size); err != nil {
+		return nil, err
+	}
+	return p.appendChain(make([]byte, 0, size), page, size)
 }
 
 // appendChain appends a record chain's bytes to out and returns the
@@ -293,7 +427,12 @@ func (p *pager) readRecordSized(first int64, size int) ([]byte, error) {
 // header, and into a pooled page otherwise: out never regrows when its
 // spare capacity holds the record, and a caller that leaves one page of
 // headroom beyond the record's size reads it without touching the pool.
-func (p *pager) appendChain(out []byte, first int64) ([]byte, error) {
+// size is the record's length, or 0 when unknown; a chain of another
+// length, or one that walks past chainLimit(size) pages, is an error.
+func (p *pager) appendChain(out []byte, first, size int64) ([]byte, error) {
+	if err := p.checkChainSize(first, size); err != nil {
+		return nil, err
+	}
 	var pooled *[]byte
 	defer func() {
 		if pooled != nil {
@@ -301,8 +440,11 @@ func (p *pager) appendChain(out []byte, first int64) ([]byte, error) {
 		}
 	}()
 	start := len(out)
-	id := first
-	for id != 0 {
+	limit := p.chainLimit(size)
+	for id, n := first, int64(0); id != 0; n++ {
+		if n == limit {
+			return nil, fmt.Errorf("storage: record chain at page %d runs past %d pages", first, limit)
+		}
 		page := out[len(out):cap(out)]
 		if len(page) < PageSize {
 			if pooled == nil {
@@ -317,8 +459,11 @@ func (p *pager) appendChain(out []byte, first int64) ([]byte, error) {
 		out = append(out, page[pageHeaderSize:pageHeaderSize+used]...)
 		id = next
 	}
-	if len(out) == start {
+	switch got := int64(len(out) - start); {
+	case got == 0:
 		return nil, fmt.Errorf("storage: empty record chain at page %d", first)
+	case size > 0 && got != size:
+		return nil, fmt.Errorf("storage: record chain at page %d holds %d bytes, want %d", first, got, size)
 	}
 	return out, nil
 }

@@ -21,9 +21,10 @@ import (
 // with errors.Is instead of treating every error as absence.
 var ErrNotFound = errors.New("not found")
 
-// docEntry locates one stored document.
+// docEntry locates one stored record.
 type docEntry struct {
-	Page int64 // first page of the record chain
+	Page int64 // first page of the record chain, or the packed page
+	Off  int64 // byte offset of a packed record in Page; 0 = a chain
 	Size int64 // encoded size in bytes
 }
 
@@ -60,12 +61,12 @@ type Options struct {
 // checkpoint when Options.CheckpointBytes is zero.
 const defaultCheckpointBytes = 8 << 20
 
-// pendingFree is a record chain freed by a committed operation. Its pages
-// return to the free list at the first checkpoint where no active read
-// pin predates the freeing operation (pins taken later can no longer
-// reach the chain through any snapshot).
+// pendingFree is a record chain, or a packed page whose last slot died,
+// freed by a committed operation. Its pages return to the free list at the
+// first checkpoint where no active read pin predates the freeing operation
+// (pins taken later can no longer reach them through any snapshot).
 type pendingFree struct {
-	seq   uint64 // mutation sequence of the op that freed the chain; 0 = never visible
+	seq   uint64 // mutation sequence of the op that freed the pages; 0 = never visible
 	pages []int64
 }
 
@@ -86,6 +87,22 @@ type Store struct {
 	// to an active snapshot.
 	mutSeq  uint64
 	pending []pendingFree
+
+	// slots counts the live slots of each packed page: cataloged records
+	// and staged ones not yet committed or aborted. A page is parked on
+	// pending when its count drops to zero, unless it is the open page,
+	// the one page new packed records are appended to (0 = none); it then
+	// waits for its retirement (retireOpenLocked). openEnd is the open
+	// page's first unused byte. Guarded by mu, rebuilt from the catalog at
+	// open.
+	slots   map[int64]int
+	open    int64
+	openEnd int64
+
+	// totals holds each collection's document count and encoded bytes,
+	// kept current with its catalog entries (CollectionStats). Guarded by
+	// mu, rebuilt from the catalog at open.
+	totals map[string]Stats
 
 	// refs holds each collection's documents as a name-sorted []DocRef,
 	// shared read-only by every snapshot taken until the collection's next
@@ -133,7 +150,7 @@ func OpenWith(path string, opts Options) (*Store, error) {
 		pins: map[uint64]int{},
 	}
 	if p.catalog != 0 {
-		data, err := p.readRecordSized(p.catalog, 0)
+		data, err := p.readRecord(p.catalog, 0, 0)
 		if err != nil {
 			p.close()
 			return nil, fmt.Errorf("storage: load catalog: %w", err)
@@ -143,6 +160,7 @@ func OpenWith(path string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("storage: decode catalog: %w", err)
 		}
 	}
+	s.countCatalog()
 	if opts.DisableWAL {
 		return s, nil
 	}
@@ -161,6 +179,24 @@ func OpenWith(path string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// countCatalog rebuilds the live-slot counts and the collection totals
+// from the catalog. An entry whose slot does not lie within a page of the
+// store is not counted: reading it fails, and freeing it leaks its page
+// rather than freeing a page it does not own.
+func (s *Store) countCatalog() {
+	s.slots, s.totals = map[int64]int{}, map[string]Stats{}
+	for c, docs := range s.cat.Collections {
+		st := Stats{Documents: len(docs)}
+		for _, e := range docs {
+			st.Bytes += e.Size
+			if e.Off != 0 && s.pager.checkSlot(e.Page, e.Off, e.Size) == nil {
+				s.slots[e.Page]++
+			}
+		}
+		s.totals[c] = st
+	}
 }
 
 // recover replays logged operations on top of the checkpointed catalog.
@@ -187,16 +223,21 @@ func (s *Store) recover(records []walRecord) error {
 }
 
 // rebuildFreeList re-derives the free list as every page not reachable
-// from the catalog (documents, metadata, the catalog record itself). This
-// also reclaims pages leaked by a crash between a checkpoint's log
-// truncation and its free-list maintenance.
+// from the catalog (documents, metadata, the catalog record itself): a
+// chain's pages, walked, and a packed entry's one page, marked without a
+// walk. This also reclaims pages leaked by a crash between a checkpoint's
+// log truncation and its free-list maintenance, and the tail a crashed
+// process appended to its open packed page, which no store reopens.
 func (s *Store) rebuildFreeList() error {
 	count := s.pager.pageCount.Load()
 	reachable := make([]bool, count)
-	mark := func(first int64) error {
-		pages, err := s.pager.chainPages(first)
-		if err != nil {
-			return err
+	mark := func(e docEntry) error {
+		pages := []int64{e.Page}
+		if e.Off == 0 {
+			var err error
+			if pages, err = s.pager.chainPages(e.Page); err != nil {
+				return err
+			}
 		}
 		for _, id := range pages {
 			if id < 1 || id >= count {
@@ -208,18 +249,18 @@ func (s *Store) rebuildFreeList() error {
 	}
 	for _, docs := range s.cat.Collections {
 		for _, e := range docs {
-			if err := mark(e.Page); err != nil {
+			if err := mark(e); err != nil {
 				return err
 			}
 		}
 	}
 	for _, e := range s.cat.Meta {
-		if err := mark(e.Page); err != nil {
+		if err := mark(e); err != nil {
 			return err
 		}
 	}
 	if s.pager.catalog != 0 {
-		if err := mark(s.pager.catalog); err != nil {
+		if err := mark(docEntry{Page: s.pager.catalog}); err != nil {
 			return err
 		}
 	}
@@ -244,39 +285,22 @@ func (s *Store) applyWAL(rec walRecord) error {
 	delete(s.refs, rec.Collection)
 	switch rec.Op {
 	case walOpPut:
-		old, had := s.cat.Collections[rec.Collection][rec.Doc]
-		page, err := s.pager.writeRecord(rec.Data)
+		pages, off, err := s.allocLocked(len(rec.Data))
 		if err != nil {
 			return err
 		}
-		docs := s.cat.Collections[rec.Collection]
-		if docs == nil {
-			docs = map[string]docEntry{}
-			s.cat.Collections[rec.Collection] = docs
+		if err := s.pager.writeAt(pages, off, rec.Data); err != nil {
+			return err
 		}
-		docs[rec.Doc] = docEntry{Page: page, Size: int64(len(rec.Data))}
-		s.mutSeq++
-		if had {
-			s.deferFreeChainLocked(old.Page)
-		}
+		s.putEntryLocked(rec.Collection, rec.Doc, docEntry{Page: pages[0], Off: off, Size: int64(len(rec.Data))})
 	case walOpDelete:
-		e, ok := s.cat.Collections[rec.Collection][rec.Doc]
-		if !ok {
-			return nil
+		if _, ok := s.cat.Collections[rec.Collection][rec.Doc]; ok {
+			s.deleteEntryLocked(rec.Collection, rec.Doc)
 		}
-		delete(s.cat.Collections[rec.Collection], rec.Doc)
-		s.mutSeq++
-		s.deferFreeChainLocked(e.Page)
 	case walOpDrop:
-		docs, ok := s.cat.Collections[rec.Collection]
-		if !ok {
-			return nil
+		if _, ok := s.cat.Collections[rec.Collection]; ok {
+			s.dropLocked(rec.Collection)
 		}
-		for _, e := range docs {
-			s.deferFreeChainLocked(e.Page)
-		}
-		delete(s.cat.Collections, rec.Collection)
-		s.mutSeq++
 	case walOpCreate:
 		if s.cat.Collections[rec.Collection] == nil {
 			s.cat.Collections[rec.Collection] = map[string]docEntry{}
@@ -285,7 +309,7 @@ func (s *Store) applyWAL(rec walRecord) error {
 		if old, ok := s.cat.Meta[rec.Doc]; ok {
 			delete(s.cat.Meta, rec.Doc)
 			s.mutSeq++
-			s.deferFreeChainLocked(old.Page)
+			s.releaseLocked(old)
 		}
 		if len(rec.Data) == 0 {
 			return nil
@@ -312,16 +336,132 @@ func (s *Store) applyWAL(rec walRecord) error {
 // be rebuilt.
 func (s *Store) RecoveredMutations() int { return s.recovered }
 
-// deferFreeChainLocked parks a record chain on the pending-free list,
-// tagged with the current mutation sequence. Callers hold s.mu. A chain
-// whose headers cannot be walked is leaked rather than corrupting the
-// free list; recovery's reachability rebuild reclaims it eventually.
-func (s *Store) deferFreeChainLocked(first int64) {
-	pages, err := s.pager.chainPages(first)
+// releaseLocked gives up a record that a committed operation removed from
+// the catalog, tagged with the current mutation sequence: a chain is
+// parked on the pending-free list whole, a packed record gives up its
+// slot. Callers hold s.mu. A chain whose headers cannot be walked, or a
+// slot outside its page (which countCatalog did not count), is leaked
+// rather than corrupting the free list; recovery's reachability rebuild
+// reclaims it eventually.
+func (s *Store) releaseLocked(e docEntry) {
+	if e.Off != 0 {
+		if s.pager.checkSlot(e.Page, e.Off, e.Size) == nil {
+			s.releaseSlotLocked(e.Page)
+		}
+		return
+	}
+	pages, err := s.pager.chainPages(e.Page)
 	if err != nil {
 		return
 	}
 	s.pending = append(s.pending, pendingFree{seq: s.mutSeq, pages: pages})
+}
+
+// releaseSlotLocked gives up one slot of a packed page and parks the page
+// once its last slot is gone, unless it is the open page. The page is
+// tagged with the current mutation sequence, which no earlier death of
+// one of its slots exceeds, so no pin that could read any of them lets it
+// drain. A page without a count is leaked.
+func (s *Store) releaseSlotLocked(page int64) {
+	n, ok := s.slots[page]
+	if !ok {
+		return
+	}
+	if n > 1 {
+		s.slots[page] = n - 1
+		return
+	}
+	delete(s.slots, page)
+	if page != s.open {
+		s.pending = append(s.pending, pendingFree{seq: s.mutSeq, pages: []int64{page}})
+	}
+}
+
+// allocLocked reserves room for a record of size bytes: a slot at the end
+// of the open packed page when the record is small, opening a fresh packed
+// page when the open one has no room left, and a chain of pages otherwise.
+// off is the slot's byte offset in pages[0], or 0 for a chain. Callers
+// hold s.mu; the room is theirs until they commit it or give it back.
+func (s *Store) allocLocked(size int) (pages []int64, off int64, err error) {
+	if size == 0 || size > packMax {
+		pages, err := s.pager.allocRecordPages(size)
+		return pages, 0, err
+	}
+	if s.open == 0 || int64(size) > PageSize-s.openEnd {
+		s.retireOpenLocked()
+		id, err := s.pager.allocPage()
+		if err != nil {
+			return nil, 0, err
+		}
+		s.open, s.openEnd = id, pageHeaderSize
+	}
+	off = s.openEnd
+	s.openEnd += int64(size)
+	s.slots[s.open]++
+	return []int64{s.open}, off, nil
+}
+
+// retireOpenLocked closes the open packed page to further appends,
+// parking it if none of its slots is live. Every checkpoint retires it, so
+// the page the checkpointed catalog reaches is never appended to again.
+func (s *Store) retireOpenLocked() {
+	if s.open != 0 && s.slots[s.open] == 0 {
+		s.pending = append(s.pending, pendingFree{seq: s.mutSeq, pages: []int64{s.open}})
+	}
+	s.open, s.openEnd = 0, 0
+}
+
+// putEntryLocked points a document at e, creating its collection if
+// needed, and releases the record it replaces. It keeps the collection's
+// totals and drops its shared refs. Callers hold s.mu.
+func (s *Store) putEntryLocked(collection, name string, e docEntry) {
+	docs := s.cat.Collections[collection]
+	if docs == nil {
+		docs = map[string]docEntry{}
+		s.cat.Collections[collection] = docs
+	}
+	old, had := docs[name]
+	docs[name] = e
+	st := s.totals[collection]
+	if had {
+		st.Bytes -= old.Size
+	} else {
+		st.Documents++
+	}
+	st.Bytes += e.Size
+	s.totals[collection] = st
+	delete(s.refs, collection)
+	s.mutSeq++
+	if had {
+		s.releaseLocked(old)
+	}
+}
+
+// deleteEntryLocked removes a cataloged document and releases its record.
+// Callers hold s.mu.
+func (s *Store) deleteEntryLocked(collection, name string) {
+	e := s.cat.Collections[collection][name]
+	delete(s.cat.Collections[collection], name)
+	st := s.totals[collection]
+	st.Documents--
+	st.Bytes -= e.Size
+	s.totals[collection] = st
+	delete(s.refs, collection)
+	s.mutSeq++
+	s.releaseLocked(e)
+}
+
+// dropLocked removes an existing collection and releases its records.
+// Callers hold s.mu.
+func (s *Store) dropLocked(collection string) {
+	docs := s.cat.Collections[collection]
+	delete(s.cat.Collections, collection)
+	delete(s.totals, collection)
+	delete(s.refs, collection)
+	s.mutSeq++
+	for _, e := range docs {
+		s.releaseLocked(e)
+	}
 }
 
 // acquirePinLocked registers a read pin at the current mutation sequence.
@@ -501,6 +641,7 @@ func (s *Store) Checkpoint() error {
 // checkpointLocked is the core checkpoint sequence. Callers hold s.mu and
 // s.ckptMu. Order matters for crash safety:
 //
+//  0. retire the open packed page (retireOpenLocked);
 //  1. write the new catalog record into fresh pages (old one untouched);
 //  2. fsync — catalog record and any residual page writes are durable;
 //  3. point the header at the new catalog and fsync again — the switch;
@@ -512,6 +653,7 @@ func (s *Store) Checkpoint() error {
 // idempotent); pages freed in 5 were unreachable from the new catalog
 // already, so a crash there at worst leaks until the next recovery GC.
 func (s *Store) checkpointLocked() error {
+	s.retireOpenLocked()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&s.cat); err != nil {
 		return fmt.Errorf("storage: encode catalog: %w", err)
@@ -638,8 +780,7 @@ func (s *Store) DropCollection(name string) error {
 // the returned token lets the caller group the fsync.
 func (s *Store) DropCollectionNoSync(name string) (CommitToken, error) {
 	s.mu.Lock()
-	docs, ok := s.cat.Collections[name]
-	if !ok {
+	if _, ok := s.cat.Collections[name]; !ok {
 		s.mu.Unlock()
 		return CommitToken{}, fmt.Errorf("storage: collection %q does not exist", name)
 	}
@@ -648,44 +789,40 @@ func (s *Store) DropCollectionNoSync(name string) (CommitToken, error) {
 		s.mu.Unlock()
 		return CommitToken{}, err
 	}
-	delete(s.cat.Collections, name)
-	delete(s.refs, name)
-	s.mutSeq++
-	for _, e := range docs {
-		s.deferFreeChainLocked(e.Page)
-	}
+	s.dropLocked(name)
 	s.mu.Unlock()
 	s.maybeCheckpoint()
 	return tok, nil
 }
 
-// StagedDoc is a document whose record pages are written but not yet
-// visible: CommitStaged publishes it, AbortStaged recycles the pages.
-// Staging happens outside the store's critical section, so concurrent
-// writers overlap their page I/O and commit is an in-memory operation
-// plus one log append.
+// StagedDoc is a document whose record is written but not yet visible:
+// CommitStaged publishes it, AbortStaged gives its room back. Staging
+// happens outside the store's critical section, so concurrent writers
+// overlap their page I/O and commit is an in-memory operation plus one log
+// append.
 type StagedDoc struct {
 	collection string
 	name       string
 	data       []byte
-	pages      []int64
+	pages      []int64 // the chain, or the packed page
+	off        int64   // the packed slot's offset in pages[0]; 0 = a chain
 }
 
-// StageDocument encodes doc and writes its record into freshly allocated
-// pages without publishing it.
+// StageDocument encodes doc and writes its record, into a packed slot or
+// a fresh chain (allocLocked), without publishing it.
 func (s *Store) StageDocument(collection string, doc *xmltree.Document) (*StagedDoc, error) {
 	data, err := EncodeDocument(doc)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	pages, err := s.pager.allocRecordPages(len(data))
+	pages, off, err := s.allocLocked(len(data))
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	st := &StagedDoc{collection: collection, name: doc.Name, data: data, pages: pages}
-	if err := s.pager.writeRecordPages(pages, data); err != nil {
+	st := &StagedDoc{collection: collection, name: doc.Name, data: data, pages: pages, off: off}
+	if err := s.pager.writeAt(pages, off, data); err != nil {
 		s.AbortStaged(st)
 		return nil, err
 	}
@@ -693,8 +830,8 @@ func (s *Store) StageDocument(collection string, doc *xmltree.Document) (*Staged
 }
 
 // CommitStaged publishes a staged document: the write-ahead record is
-// appended first, then the catalog entry flips to the new chain and any
-// replaced chain is parked for deferred recycling — so an error at any
+// appended first, then the catalog entry flips to the new record and any
+// replaced one is released for deferred recycling — so an error at any
 // point leaves the previous version fully intact and readable.
 func (s *Store) CommitStaged(st *StagedDoc) (CommitToken, error) {
 	s.mu.Lock()
@@ -705,32 +842,26 @@ func (s *Store) CommitStaged(st *StagedDoc) (CommitToken, error) {
 		s.mu.Unlock()
 		return CommitToken{}, err
 	}
-	docs := s.cat.Collections[st.collection]
-	if docs == nil {
-		docs = map[string]docEntry{}
-		s.cat.Collections[st.collection] = docs
-	}
-	old, had := docs[st.name]
-	docs[st.name] = docEntry{Page: st.pages[0], Size: int64(len(st.data))}
-	delete(s.refs, st.collection)
-	s.mutSeq++
-	if had {
-		s.deferFreeChainLocked(old.Page)
-	}
+	s.putEntryLocked(st.collection, st.name, docEntry{Page: st.pages[0], Off: st.off, Size: int64(len(st.data))})
 	s.mu.Unlock()
 	s.maybeCheckpoint()
 	return tok, nil
 }
 
-// AbortStaged returns a staged document's pages to the allocator. The
-// pages were never visible to any reader, so they are immediately
-// drainable (seq 0).
+// AbortStaged gives a staged document's room back. A chain was never
+// visible to any reader, so its pages are immediately drainable (seq 0); a
+// packed slot is given up like a dead one (releaseSlotLocked), since other
+// slots of its page may have been visible.
 func (s *Store) AbortStaged(st *StagedDoc) {
 	if st == nil || len(st.pages) == 0 {
 		return
 	}
 	s.mu.Lock()
-	s.pending = append(s.pending, pendingFree{seq: 0, pages: st.pages})
+	if st.off != 0 {
+		s.releaseSlotLocked(st.pages[0])
+	} else {
+		s.pending = append(s.pending, pendingFree{seq: 0, pages: st.pages})
+	}
 	st.pages = nil
 	s.mu.Unlock()
 }
@@ -775,7 +906,7 @@ func (s *Store) GetDocumentRaw(collection, name string) ([]byte, error) {
 	pin := s.acquirePinLocked()
 	s.mu.RUnlock()
 	defer pin.Close()
-	return s.pager.readRecordSized(e.Page, int(e.Size))
+	return s.pager.readRecord(e.Page, e.Off, e.Size)
 }
 
 func (s *Store) lookupLocked(collection, name string) (docEntry, error) {
@@ -790,10 +921,13 @@ func (s *Store) lookupLocked(collection, name string) (docEntry, error) {
 	return e, nil
 }
 
-// DocRef locates one document inside a snapshot.
+// DocRef locates one document inside a snapshot: its record is the chain
+// starting at Page when Off is 0, else the Size bytes at byte Off of the
+// packed page Page.
 type DocRef struct {
 	Name string
 	Page int64
+	Off  int64
 	Size int64
 }
 
@@ -849,7 +983,7 @@ func (s *Store) sortedRefsLocked(name string) ([]DocRef, error) {
 	}
 	refs := make([]DocRef, 0, len(docs))
 	for dn, e := range docs {
-		refs = append(refs, DocRef{Name: dn, Page: e.Page, Size: e.Size})
+		refs = append(refs, DocRef{Name: dn, Page: e.Page, Off: e.Off, Size: e.Size})
 	}
 	slices.SortFunc(refs, func(a, b DocRef) int { return strings.Compare(a.Name, b.Name) })
 	s.refs[name] = refs
@@ -857,20 +991,42 @@ func (s *Store) sortedRefsLocked(name string) ([]DocRef, error) {
 }
 
 // ReadRef reads a snapshot document's encoded bytes into a buffer of its
-// own: AppendRef's one-record case. Valid only while the snapshot it came
-// from is open.
+// own. Valid only while the snapshot it came from is open.
 func (s *Store) ReadRef(ref DocRef) ([]byte, error) {
-	return s.pager.readRecordSized(ref.Page, int(ref.Size))
+	return s.pager.readRecord(ref.Page, ref.Off, ref.Size)
 }
 
-// AppendRef appends a snapshot document's encoded bytes to buf and returns
-// the extended buffer, which never regrows when buf's spare capacity holds
-// ref.Size bytes; with PageSize bytes of capacity to spare beyond those,
-// the pages are read straight into buf, with no scratch page. Valid only
-// while the snapshot the ref came from is open (the pin keeps the chain
-// stable); no store lock is taken.
-func (s *Store) AppendRef(buf []byte, ref DocRef) ([]byte, error) {
-	return s.pager.appendChain(buf, ref.Page)
+// AppendRef appends the encoded bytes of snapshot documents to buf, each
+// record exactly its ref's Size bytes, in refs order, and returns the
+// extended buffer. A packed record is read straight into buf, and a run of
+// refs whose records sit back to back in one packed page is read with one
+// read. buf never regrows when its spare capacity holds the records; with
+// PageSize bytes of capacity to spare beyond those, chained pages are read
+// straight into buf too, with no scratch page. Valid only while the
+// snapshot the refs came from is open (the pin keeps their pages stable);
+// no store lock is taken.
+func (s *Store) AppendRef(buf []byte, refs ...DocRef) ([]byte, error) {
+	var err error
+	for len(refs) > 0 {
+		r := refs[0]
+		if r.Off == 0 {
+			if buf, err = s.pager.appendChain(buf, r.Page, r.Size); err != nil {
+				return nil, err
+			}
+			refs = refs[1:]
+			continue
+		}
+		n, size := 1, r.Size
+		for n < len(refs) && refs[n].Off != 0 && refs[n].Page == r.Page && refs[n].Off == r.Off+size && refs[n].Size > 0 {
+			size += refs[n].Size
+			n++
+		}
+		if buf, err = s.pager.appendSlots(buf, r.Page, r.Off, size); err != nil {
+			return nil, err
+		}
+		refs = refs[n:]
+	}
+	return buf, nil
 }
 
 // DeleteDocument removes a document, durably.
@@ -886,8 +1042,7 @@ func (s *Store) DeleteDocument(collection, name string) error {
 // the returned token lets the caller group the fsync.
 func (s *Store) DeleteDocumentNoSync(collection, name string) (CommitToken, error) {
 	s.mu.Lock()
-	e, err := s.lookupLocked(collection, name)
-	if err != nil {
+	if _, err := s.lookupLocked(collection, name); err != nil {
 		s.mu.Unlock()
 		return CommitToken{}, err
 	}
@@ -896,10 +1051,7 @@ func (s *Store) DeleteDocumentNoSync(collection, name string) (CommitToken, erro
 		s.mu.Unlock()
 		return CommitToken{}, err
 	}
-	delete(s.cat.Collections[collection], name)
-	delete(s.refs, collection)
-	s.mutSeq++
-	s.deferFreeChainLocked(e.Page)
+	s.deleteEntryLocked(collection, name)
 	s.mu.Unlock()
 	s.maybeCheckpoint()
 	return tok, nil
@@ -947,19 +1099,15 @@ type Stats struct {
 	Bytes     int64
 }
 
-// CollectionStats returns size statistics for a collection.
+// CollectionStats returns size statistics for a collection, in O(1): the
+// totals are kept current with the catalog.
 func (s *Store) CollectionStats(collection string) (Stats, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	docs, ok := s.cat.Collections[collection]
-	if !ok {
+	if _, ok := s.cat.Collections[collection]; !ok {
 		return Stats{}, fmt.Errorf("storage: collection %q does not exist", collection)
 	}
-	st := Stats{Documents: len(docs)}
-	for _, e := range docs {
-		st.Bytes += e.Size
-	}
-	return st, nil
+	return s.totals[collection], nil
 }
 
 // PutMeta stores (or replaces) a named metadata record — opaque bytes the
@@ -992,7 +1140,7 @@ func (s *Store) PutMeta(key string, data []byte) error {
 		old := s.cat.Meta[key]
 		delete(s.cat.Meta, key)
 		s.mutSeq++
-		s.deferFreeChainLocked(old.Page)
+		s.releaseLocked(old)
 	}
 	if len(data) > 0 {
 		if s.cat.Meta == nil {
@@ -1017,7 +1165,7 @@ func (s *Store) GetMeta(key string) (data []byte, ok bool, err error) {
 	pin := s.acquirePinLocked()
 	s.mu.RUnlock()
 	defer pin.Close()
-	data, err = s.pager.readRecordSized(e.Page, int(e.Size))
+	data, err = s.pager.readRecord(e.Page, e.Off, e.Size)
 	if err != nil {
 		return nil, false, err
 	}

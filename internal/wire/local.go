@@ -80,7 +80,7 @@ func (n *LocalNode) Query(query, tag string, trace bool, yield func(xquery.Seq) 
 			defer func() { consuming += time.Since(start) }()
 		}
 		return yield(seq)
-	})
+	}, nil)
 	n.origins.Put(origins)
 	if err == nil {
 		err = failure

@@ -77,24 +77,18 @@ func (n *tcpNode) hold(t *testing.T) (release func()) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { holder.Close() })
-	var done chan error
-	for entered := false; !entered; {
-		done = make(chan error, 1)
-		go func() {
-			_, err := holder.ExecuteQuery(holdQuery)
-			done <- err
-		}()
-		select {
-		case <-n.entered:
-			entered = true
-		case err := <-done:
-			// A node frees a stream's slot just after sending its last
-			// frame, so the slot of a query that has just returned may
-			// still be taken: try again.
-			if !errors.Is(err, partix.ErrOverloaded) {
-				t.Fatalf("holding query: %v", err)
-			}
-		}
+	// A node frees a stream's slot before it sends the stream's last
+	// frame, so the slot of a query that has returned is free: one attempt
+	// takes it.
+	done := make(chan error, 1)
+	go func() {
+		_, err := holder.ExecuteQuery(holdQuery)
+		done <- err
+	}()
+	select {
+	case <-n.entered:
+	case err := <-done:
+		t.Fatalf("holding query: %v", err)
 	}
 	release = sync.OnceFunc(func() {
 		close(n.unblock)
@@ -249,4 +243,67 @@ func TestOverloadedPrimaryFailsOverToReplica(t *testing.T) {
 	if len(res.Sub) != 1 || res.Sub[0].Node != "node2" {
 		t.Fatalf("sub-queries = %+v, want one answered by node2", res.Sub)
 	}
+}
+
+// A one-slot node frees a stream's slot before the stream's last frame,
+// so queries sent back to back, each after the whole answer to the one
+// before it was read, are never shed, even when they alternate between two
+// connections. The node's connections pause after every write, which
+// holds a handler that releases its slot only after sending FrameEnd in
+// that slot while the next query arrives on the other connection.
+func TestOneSlotNodeServesBackToBackQueries(t *testing.T) {
+	db, err := partix.OpenEngine(filepath.Join(t.TempDir(), "node0.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	doc, err := partix.ParseDocument("I1", `<Item><Code>I1</Code></Item>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.PutDocument("items::Fcd", doc); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := wire.NewServerWith(db, nil, oneSlot)
+	go srv.Serve(pausingListener{l})
+	t.Cleanup(func() { srv.Close() })
+	var clients [2]*wire.Client
+	for i := range clients {
+		if clients[i], err = wire.DialWith(fmt.Sprintf("c%d", i), l.Addr().String(), wire.ClientOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { clients[i].Close() })
+	}
+	for i := 0; i < 40; i++ {
+		items, err := clients[i%2].ExecuteQuery(`collection("items::Fcd")/Item/Code`)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if len(items) != 1 {
+			t.Fatalf("query %d: %d items, want 1", i, len(items))
+		}
+	}
+}
+
+// pausingListener hands out connections that pause after every write.
+type pausingListener struct{ net.Listener }
+
+func (l pausingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return pausingConn{c}, nil
+}
+
+type pausingConn struct{ net.Conn }
+
+func (c pausingConn) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	time.Sleep(2 * time.Millisecond)
+	return n, err
 }

@@ -297,11 +297,12 @@ func (s *Server) handle(conn net.Conn) {
 			// The op's failure ends the stream with FrameErr on a usable
 			// connection; an error from send is the transport's and drops it
 			// (a client abandons a stream by closing its connection).
+			// The slot is released before the terminal frame goes out, so
+			// a client that has read the whole answer never finds it taken.
 			var failure error
-			if failure, err = s.stream(&req, origins, send); failure != nil && err == nil {
+			if failure, err = s.stream(&req, origins, send, release); failure != nil && err == nil {
 				err = send(&Frame{Kind: FrameErr, Err: failure.Error(), TraceID: req.TraceID})
 			}
-			release()
 		default:
 			resp := s.dispatch(&req)
 			resp.Proto = ProtocolVersion
@@ -424,9 +425,11 @@ func (f *sendFailure) Error() string { return f.err.Error() }
 // stream is the node side of every result stream, whoever receives it (a
 // connection's handler, a LocalNode in process): it runs the op and hands
 // its frames to send in order, FrameEnd last. A panic in the op is
-// confined to the stream as its failure. It returns the op's failure, for
-// the caller to report, or the error send returned.
-func (s *Server) stream(req *Request, origins *engine.Origins, send func(*Frame) error) (failure, sendErr error) {
+// confined to the stream as its failure. done, when non-nil, is called
+// once the op has finished, before FrameEnd is sent and before stream
+// returns a failure for the caller to send as FrameErr. It returns the
+// op's failure, for the caller to report, or the error send returned.
+func (s *Server) stream(req *Request, origins *engine.Origins, send func(*Frame) error, done func()) (failure, sendErr error) {
 	start, decodedBefore := time.Now(), s.decodedNow()
 	var q queryRun
 	end, err := func() (end *Frame, err error) {
@@ -448,6 +451,9 @@ func (s *Server) stream(req *Request, origins *engine.Origins, send func(*Frame)
 	}()
 	if req.Op == OpQueryStream {
 		s.recordQuery(req, q.expr, time.Since(start), q.total, q.shipped, s.decodedDelta(decodedBefore), err)
+	}
+	if done != nil {
+		done()
 	}
 	if err == nil {
 		return nil, send(end)

@@ -319,15 +319,18 @@ func TestCorruptRecordFailsQueryWithFrameErr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	page := snap.Refs[2].Page
+	ref := snap.Refs[2]
 	snap.Close()
+	if ref.Off == 0 {
+		t.Fatal("record of d02 is chained, not packed")
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The record of d02 starts after its page's 8-byte next-page link and
-	// 2-byte used count; version 9 is unsupported.
-	if _, err := f.WriteAt([]byte{9}, page*storage.PageSize+8+2); err != nil {
+	// The record of d02, a slot of a packed page, starts at its ref's
+	// offset in that page; version 9 is unsupported.
+	if _, err := f.WriteAt([]byte{9}, ref.Page*storage.PageSize+ref.Off); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

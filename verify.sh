@@ -19,8 +19,9 @@ go test -race -timeout 5m ./internal/obs/... ./internal/storage/... ./internal/e
 # a plan's fetches run on goroutines like its sub-queries: the
 # composition shape table, the fetch in-flight limit, the two fetch
 # failover tests, the semi-join differential, the semi-join round-2
-# failover and the two node-shedding tests (shed = ErrOverloaded, shed
-# primary fails over), repeated under the race detector; so are the
+# failover and the three node-shedding tests (shed = ErrOverloaded, shed
+# primary fails over, back-to-back queries on a one-slot node never
+# shed), repeated under the race detector; so are the
 # statistics watches, whose reports arrive on goroutines of their own
 # (writes visible without InvalidatePlans, a cut watch keeps every
 # fragment, point queries beside a writer over TCP, a TCP watch reports
@@ -28,7 +29,7 @@ go test -race -timeout 5m ./internal/obs/... ./internal/storage/... ./internal/e
 # watch reports before the write returns), and the two plan-cache
 # read/write differentials, the one test of stale cached plans under
 # concurrent node-direct writes
-go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragment|TestFetchStepsHonourInflightLimit|TestReconstructionFailover|TestMultiCollectionFetchFailsOverToReplica|TestSemiJoinMatchesCentralized|TestSemiJoinRoundTwoFailsOverToReplica|TestNodeOverloadIsErrOverloaded|TestOverloadedPrimaryFailsOverToReplica|TestNodeWriteVisibleWithoutInvalidate|TestWatchDownKeepsEveryFragment|TestConcurrentWritesKeepPointQueriesRight|TestWatchReportsWrites|TestWatchResubscribesAfterLoss|TestWatchEndsWithClose|TestLocalNodeWatchIsSynchronous|TestPlanCacheRandomizedReadWriteDifferential|TestPlanCacheStatisticsSkippingDifferential' ./internal/partix/ ./internal/wire/
+go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragment|TestFetchStepsHonourInflightLimit|TestReconstructionFailover|TestMultiCollectionFetchFailsOverToReplica|TestSemiJoinMatchesCentralized|TestSemiJoinRoundTwoFailsOverToReplica|TestNodeOverloadIsErrOverloaded|TestOverloadedPrimaryFailsOverToReplica|TestOneSlotNodeServesBackToBackQueries|TestNodeWriteVisibleWithoutInvalidate|TestWatchDownKeepsEveryFragment|TestConcurrentWritesKeepPointQueriesRight|TestWatchReportsWrites|TestWatchResubscribesAfterLoss|TestWatchEndsWithClose|TestLocalNodeWatchIsSynchronous|TestPlanCacheRandomizedReadWriteDifferential|TestPlanCacheStatisticsSkippingDifferential' ./internal/partix/ ./internal/wire/
 # the benchmark is a nested module (partix/benchmark) that compiles
 # against internal/ through a replace directive, so ./... above does not
 # reach it: vet it and run its 5 s smoke test, or an internal/ signature
@@ -43,8 +44,10 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # candidate, a point query's candidate selection (bytes per call
 # independent of the collection's size), a count decided from its
 # candidate list (no document decoded, bytes per query independent of
-# the collection's size), a reconstruction
-# query (allocations independent of the nodes per fetched document), a
+# the collection's size), small records sharing pages (store file bytes
+# per Item within 1.25 times its encoded record at 300 and 3,000 Items),
+# a reconstruction query (allocations independent of the nodes per
+# fetched document), a
 # semi-join's body fetch (bytes independent of the collection's size at a
 # fixed answer), a query frame's codec and a batch decode (allocations per frame
 # independent of its item count), framing stored nodes (allocations per
@@ -66,7 +69,7 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # snapshot (its membership filters within the per-snapshot byte budget
 # at ten times the size)
 go test -timeout 5m -run 'TestAllocsScanFilterProject|TestStringTermAllocsIndependentOfSubtreeSize' ./internal/xquery/exec/
-go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs|TestProjectedDecodeIndependentOfDroppedSubtrees' ./internal/storage/
+go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs|TestProjectedDecodeIndependentOfDroppedSubtrees|TestSmallRecordsSharePages' ./internal/storage/
 go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestDeciderCostIndependentOfCollectionSize|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestNodeSize|TestFrameCodecAllocsPerFrame|TestFramingStoredItemsCostsPerFrame|TestShippedSubtreesAreNotBuilt|TestReceivedNodesAreNotBuilt|TestLocalPointQueryCostIndependentOfCollectionSize|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs|TestColdPlanAllocsIndependentOfCollectionSize|TestStatisticsSnapshotBytesBounded' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
 
 # observability smoke test: a node started with -debug-addr must serve
