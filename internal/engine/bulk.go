@@ -13,8 +13,10 @@ import (
 // delete-all-then-reload feeds descending IDs and every insert shifts the
 // whole list). The batch path is O((n+k)·log) per touched list instead.
 // Duplicate names within the batch keep the last version, matching the
-// sequential put-by-put outcome.
-func (ix *docIndex) bulkAdd(docs []*xmltree.Document) {
+// sequential put-by-put outcome. A name the index already holds is
+// replaced: old maps it to what its held version contributed (dropLocked;
+// a name old lacks is swept).
+func (ix *docIndex) bulkAdd(docs []*xmltree.Document, old map[string]*docPrep) {
 	if len(docs) == 0 {
 		return
 	}
@@ -33,7 +35,7 @@ func (ix *docIndex) bulkAdd(docs []*xmltree.Document) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, p := range preps {
-		ix.removeLocked(p.name) // replace semantics; also frees the batch from duplicate IDs
+		ix.dropLocked(p.name, old[p.name])
 	}
 	aggTok := map[string][]docID{}
 	aggEl := map[string][]docID{}
@@ -45,18 +47,14 @@ func (ix *docIndex) bulkAdd(docs []*xmltree.Document) {
 		id := ix.intern(p.name)
 		for _, tok := range p.tokens {
 			aggTok[tok] = append(aggTok[tok], id)
-			ix.docTokens[id] = append(ix.docTokens[id], tok)
 		}
 		for _, name := range p.elements {
 			aggEl[name] = append(aggEl[name], id)
-			ix.docElements[id] = append(ix.docElements[id], name)
 		}
-		refs := make([]docPathRef, 0, len(p.contrib.counts))
 		for key, count := range p.contrib.counts {
 			aggPathIDs[key] = append(aggPathIDs[key], id)
 			aggPathCounts[key] = append(aggPathCounts[key], count)
-			ref := docPathRef{path: key, values: p.contrib.values[key], overflow: p.contrib.overflow[key]}
-			for _, raw := range ref.values {
+			for _, raw := range p.contrib.values[key] {
 				vals := aggVals[key]
 				if vals == nil {
 					vals = map[string][]docID{}
@@ -64,12 +62,10 @@ func (ix *docIndex) bulkAdd(docs []*xmltree.Document) {
 				}
 				vals[raw] = append(vals[raw], id)
 			}
-			if ref.overflow {
+			if p.contrib.overflow[key] {
 				aggOver[key] = append(aggOver[key], id)
 			}
-			refs = append(refs, ref)
 		}
-		ix.docPaths[id] = refs
 	}
 	for tok, ids := range aggTok {
 		if _, known := ix.postings[tok]; !known {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,10 +61,9 @@ type DB struct {
 	opts  Options
 	store *storage.Store
 
-	mu      sync.RWMutex
-	idx     map[string]*docIndex       // collection → indexes
-	cols    map[string]*colState       // collection → write lock + seqlock
-	docCols map[string]map[string]bool // doc name → collections holding it
+	mu   sync.RWMutex
+	idx  map[string]*docIndex // collection → indexes
+	cols map[string]*colState // collection → write lock + seqlock
 
 	stats liveStats
 	heat  heatState // per-collection workload heat, see heat.go
@@ -174,21 +172,7 @@ func Open(path string, opts Options) (*DB, error) {
 	db := &DB{
 		opts: opts, store: st,
 		idx: map[string]*docIndex{}, cols: map[string]*colState{},
-		docCols: map[string]map[string]bool{},
-		heat:    heatState{cols: map[string]*colHeat{}},
-	}
-	// The doc → collection map is rebuilt from the catalog on every open
-	// (names only, no document decoding).
-	for _, col := range st.Collections() {
-		names, err := st.Documents(col)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		db.cols[col] = &colState{}
-		for _, name := range names {
-			db.noteDocLocked(name, col)
-		}
+		heat: heatState{cols: map[string]*colHeat{}},
 	}
 	// A persisted index snapshot is trustworthy only after a clean
 	// shutdown: when the store replayed WAL records at open, the catalog is
@@ -212,11 +196,11 @@ func Open(path string, opts Options) (*DB, error) {
 			}
 			batch = append(batch, doc)
 			if len(batch) == rebuildBatch {
-				ix.bulkAdd(batch)
+				ix.bulkAdd(batch, nil)
 				batch = batch[:0]
 			}
 		}
-		ix.bulkAdd(batch)
+		ix.bulkAdd(batch, nil)
 		db.idx[col] = ix
 	}
 	return db, nil
@@ -225,29 +209,6 @@ func Open(path string, opts Options) (*DB, error) {
 // rebuildBatch bounds how many decoded documents a rebuild scan holds in
 // memory between bulkAdd calls.
 const rebuildBatch = 256
-
-// noteDocLocked records that a collection holds a document. Callers hold
-// db.mu (or, during Open, exclusive access).
-func (db *DB) noteDocLocked(name, collection string) {
-	cols := db.docCols[name]
-	if cols == nil {
-		cols = map[string]bool{}
-		db.docCols[name] = cols
-	}
-	cols[collection] = true
-}
-
-// dropDocLocked removes one doc → collection record.
-func (db *DB) dropDocLocked(name, collection string) {
-	cols := db.docCols[name]
-	if cols == nil {
-		return
-	}
-	delete(cols, collection)
-	if len(cols) == 0 {
-		delete(db.docCols, name)
-	}
-}
 
 // Close persists the index snapshot and closes the store.
 func (db *DB) Close() error {
@@ -273,13 +234,15 @@ func (db *DB) Store() *storage.Store { return db.store }
 // PutDocument stores and indexes a document, durably at return.
 //
 // Encoding, page writes and index-contribution extraction all happen
-// outside the collection's write lock; under it the commit is one WAL
-// append plus in-memory catalog and index updates — and because both
-// commits happen under the same lock, the index always describes the
-// version the WAL order made current (concurrent Puts of one document can
-// no longer commit store and index in opposite orders). The group-commit
-// fsync is awaited after the lock is released, so it stalls neither other
-// writers nor snapshot readers.
+// outside the collection's write lock. Under it, a replaced version's
+// contribution is read back from its stored record (storedPrep) while seq
+// is still even, so readers do not wait on that decode; the commit proper
+// is one WAL append plus in-memory catalog and index updates — and
+// because both commits happen under the same lock, the index always
+// describes the version the WAL order made current (concurrent Puts of one
+// document can no longer commit store and index in opposite orders). The
+// group-commit fsync is awaited after the lock is released, so it stalls
+// neither other writers nor snapshot readers.
 func (db *DB) PutDocument(collection string, doc *xmltree.Document) error {
 	prep := prepDoc(doc)
 	staged, err := db.store.StageDocument(collection, doc)
@@ -289,6 +252,7 @@ func (db *DB) PutDocument(collection string, doc *xmltree.Document) error {
 	ix := db.indexFor(collection)
 	cs := db.colFor(collection)
 	cs.writeMu.Lock()
+	old := db.storedPrep(ix, collection, doc.Name)
 	cs.seq.Add(1) // odd: mutation in progress
 	tok, err := db.store.CommitStaged(staged)
 	if err != nil {
@@ -296,10 +260,7 @@ func (db *DB) PutDocument(collection string, doc *xmltree.Document) error {
 		db.store.AbortStaged(staged)
 		return err
 	}
-	ix.replacePrep(prep)
-	db.mu.Lock()
-	db.noteDocLocked(doc.Name, collection)
-	db.mu.Unlock()
+	ix.replace(old, prep)
 	db.commit(collection, cs) // even: new generation visible
 	return db.store.WaitDurable(tok)
 }
@@ -310,7 +271,8 @@ func (db *DB) PutDocument(collection string, doc *xmltree.Document) error {
 // the batch path: one lock acquisition and one sort per touched posting
 // list, instead of a per-document sorted insert. On a store error the
 // documents already stored are still indexed before the error returns, so
-// index and store never disagree.
+// index and store never disagree. The documents it replaces are read back
+// first, as PutDocument reads back the one it replaces.
 func (db *DB) LoadCollection(c *xmltree.Collection) error {
 	if err := db.store.CreateCollection(c.Name); err != nil {
 		return err
@@ -318,6 +280,12 @@ func (db *DB) LoadCollection(c *xmltree.Collection) error {
 	ix := db.indexFor(c.Name)
 	cs := db.colFor(c.Name)
 	cs.writeMu.Lock()
+	old := map[string]*docPrep{}
+	for _, d := range c.Docs {
+		if p := db.storedPrep(ix, c.Name, d.Name); p != nil {
+			old[d.Name] = p
+		}
+	}
 	cs.seq.Add(1)
 	stored := make([]*xmltree.Document, 0, len(c.Docs))
 	var putErr error
@@ -337,12 +305,7 @@ func (db *DB) LoadCollection(c *xmltree.Collection) error {
 		last = tok
 		stored = append(stored, d)
 	}
-	db.mu.Lock()
-	for _, d := range stored {
-		db.noteDocLocked(d.Name, c.Name)
-	}
-	db.mu.Unlock()
-	ix.bulkAdd(stored)
+	ix.bulkAdd(stored, old)
 	db.commit(c.Name, cs)
 	// One group-commit fsync covers the whole load.
 	if err := db.store.WaitDurable(last); err != nil && putErr == nil {
@@ -357,18 +320,21 @@ func (db *DB) LoadCollection(c *xmltree.Collection) error {
 func (db *DB) DeleteDocument(collection, name string) error {
 	cs := db.colFor(collection)
 	cs.writeMu.Lock()
+	db.mu.RLock()
+	ix := db.idx[collection]
+	db.mu.RUnlock()
+	var old *docPrep
+	if ix != nil {
+		old = db.storedPrep(ix, collection, name)
+	}
 	cs.seq.Add(1)
 	tok, err := db.store.DeleteDocumentNoSync(collection, name)
 	if err != nil {
 		db.commit(collection, cs)
 		return err
 	}
-	db.mu.Lock()
-	db.dropDocLocked(name, collection)
-	ix := db.idx[collection]
-	db.mu.Unlock()
 	if ix != nil {
-		ix.remove(name)
+		ix.remove(name, old)
 	}
 	db.commit(collection, cs)
 	return db.store.WaitDurable(tok)
@@ -386,17 +352,28 @@ func (db *DB) DropCollection(name string) error {
 	}
 	db.mu.Lock()
 	delete(db.idx, name)
-	for doc, cols := range db.docCols {
-		if cols[name] {
-			delete(cols, name)
-			if len(cols) == 0 {
-				delete(db.docCols, doc)
-			}
-		}
-	}
 	db.mu.Unlock()
 	db.commit(name, cs)
 	return db.store.WaitDurable(tok)
+}
+
+// storedPrep returns what the version of collection/name that ix holds
+// contributed to it: prepDoc of its stored record, the prepDoc its put ran.
+// It is nil when ix holds no such document, and nil too when the record
+// cannot be read or decoded, which makes the index sweep for it instead
+// (docIndex.dropLocked). Callers hold the collection's writeMu, so the
+// version cannot change before their mutation commits, and call it before
+// seq goes odd: readers do not wait on the decode.
+func (db *DB) storedPrep(ix *docIndex, collection, name string) *docPrep {
+	if !ix.holds(name) {
+		return nil
+	}
+	doc, err := db.store.GetDocument(collection, name)
+	if err != nil {
+		return nil
+	}
+	p := prepDoc(doc)
+	return &p
 }
 
 // commit ends a mutation a writer began with cs.writeMu held and seq made
@@ -941,20 +918,12 @@ func (s *fetchSource) Doc(name string) (*xmltree.Document, error) {
 	return nil, fmt.Errorf("engine: fetch filter cannot read doc(%q)", name)
 }
 
-// Doc implements xquery.Source for doc("name"): the document is located
-// through the doc → collection map instead of probing every collection,
-// and a real store error surfaces instead of reading as "not found". When
-// several collections hold the name, the lexicographically first wins
-// (the order the old collection scan observed).
+// Doc implements xquery.Source for doc("name"): the store's collections
+// are tried in sorted order, so when several hold the name the
+// lexicographically first wins, and a real store error surfaces instead
+// of reading as "not found".
 func (db *DB) Doc(name string) (*xmltree.Document, error) {
-	db.mu.RLock()
-	cols := make([]string, 0, len(db.docCols[name]))
-	for col := range db.docCols[name] {
-		cols = append(cols, col)
-	}
-	db.mu.RUnlock()
-	sort.Strings(cols)
-	for _, col := range cols {
+	for _, col := range db.store.Collections() {
 		d, err := db.store.GetDocument(col, name)
 		if err == nil {
 			return d, nil
@@ -962,7 +931,7 @@ func (db *DB) Doc(name string) (*xmltree.Document, error) {
 		if !errors.Is(err, storage.ErrNotFound) {
 			return nil, fmt.Errorf("engine: doc %q: %w", name, err)
 		}
-		// Raced with a concurrent delete; try the remaining collections.
+		// Not in this collection, or it was dropped since the listing.
 	}
 	return nil, fmt.Errorf("engine: document %q not found in any collection", name)
 }

@@ -26,9 +26,12 @@ type docID uint32
 //   - a typed value index: label path → sorted node values → postings,
 //     answering equality and range constraints by binary search.
 //
-// The reverse maps (docID → what the doc contributed) make remove
-// proportional to the document's own vocabulary instead of the whole
-// index's.
+// The index keeps no record of what each document contributed. A delete
+// or replace undoes the old version's entries from its stored record: the
+// engine decodes it and runs the prepDoc the put ran (DB.storedPrep), so
+// remove costs the document's own vocabulary and the index's memory
+// follows its postings alone. A document whose record cannot be read is
+// swept from every list instead.
 //
 // All methods lock ix.mu, so an index is safe for concurrent readers and
 // writers regardless of which engine lock the caller holds; the engine's
@@ -43,27 +46,20 @@ type docIndex struct {
 	postings map[string][]docID // token → sorted docIDs
 	elements map[string][]docID // element name → sorted docIDs
 
-	docTokens   map[docID][]string // reverse: tokens a doc contributed
-	docElements map[docID][]string // reverse: element names a doc contributed
-
 	vocab []string // sorted tokens; rebuilt lazily, immutable once built
 	dirty bool
 
-	paths    map[string]*pathPosting // label path key → docs + node counts
-	values   map[string]*valueList   // label path key → value index
-	docPaths map[docID][]docPathRef  // reverse: paths/values a doc contributed
+	paths  map[string]*pathPosting // label path key → docs + node counts
+	values map[string]*valueList   // label path key → value index
 }
 
 func newDocIndex() *docIndex {
 	return &docIndex{
-		ids:         map[string]docID{},
-		postings:    map[string][]docID{},
-		elements:    map[string][]docID{},
-		docTokens:   map[docID][]string{},
-		docElements: map[docID][]string{},
-		paths:       map[string]*pathPosting{},
-		values:      map[string]*valueList{},
-		docPaths:    map[docID][]docPathRef{},
+		ids:      map[string]docID{},
+		postings: map[string][]docID{},
+		elements: map[string][]docID{},
+		paths:    map[string]*pathPosting{},
+		values:   map[string]*valueList{},
 	}
 }
 
@@ -149,26 +145,21 @@ func prepDoc(doc *xmltree.Document) docPrep {
 	return p
 }
 
-func (ix *docIndex) add(doc *xmltree.Document) {
-	p := prepDoc(doc)
+// holds reports whether the index holds a document of that name.
+func (ix *docIndex) holds(name string) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.addPrepLocked(p)
+	_, ok := ix.ids[name]
+	return ok
 }
 
-// replace removes any previous version of doc and adds the new one under
-// a single lock acquisition.
-func (ix *docIndex) replace(doc *xmltree.Document) {
-	ix.replacePrep(prepDoc(doc))
-}
-
-// replacePrep is replace with the document's contribution precomputed by
-// the caller (outside every lock): the critical section is pure map and
-// posting-list maintenance.
-func (ix *docIndex) replacePrep(p docPrep) {
+// replace drops name's old version (see dropLocked) and adds p, whose
+// contribution the caller computed outside every lock, under a single lock
+// acquisition: the critical section is pure map and posting-list upkeep.
+func (ix *docIndex) replace(old *docPrep, p docPrep) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.removeLocked(p.name)
+	ix.dropLocked(p.name, old)
 	ix.addPrepLocked(p)
 }
 
@@ -179,47 +170,93 @@ func (ix *docIndex) addPrepLocked(p docPrep) {
 			ix.dirty = true
 		}
 		ix.postings[tok] = insertSorted(ix.postings[tok], id)
-		ix.docTokens[id] = append(ix.docTokens[id], tok)
 	}
 	for _, name := range p.elements {
 		ix.elements[name] = insertSorted(ix.elements[name], id)
-		ix.docElements[id] = append(ix.docElements[id], name)
 	}
 	ix.addPathsLocked(id, p.contrib)
 }
 
-func (ix *docIndex) remove(docName string) {
+// remove drops one document (see dropLocked).
+func (ix *docIndex) remove(name string, old *docPrep) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.removeLocked(docName)
+	ix.dropLocked(name, old)
 }
 
-func (ix *docIndex) removeLocked(docName string) {
-	id, ok := ix.ids[docName]
+// dropLocked frees name's docID after undoing exactly what old — prepDoc
+// of the version the index holds — contributed. With old nil, because
+// the stored record could not be read, the contribution is recovered by
+// sweeping every list for the docID first, so a corrupt document can
+// still be deleted or replaced.
+func (ix *docIndex) dropLocked(name string, old *docPrep) {
+	id, ok := ix.ids[name]
 	if !ok {
 		return
 	}
-	for _, tok := range ix.docTokens[id] {
-		if list := removeSorted(ix.postings[tok], id); len(list) == 0 {
-			delete(ix.postings, tok)
+	if old == nil {
+		old = ix.sweepLocked(id)
+	}
+	for _, tok := range old.tokens {
+		if removeKeyed(ix.postings, tok, id) {
 			ix.dirty = true
-		} else {
-			ix.postings[tok] = list
 		}
 	}
-	for _, name := range ix.docElements[id] {
-		if list := removeSorted(ix.elements[name], id); len(list) == 0 {
-			delete(ix.elements, name)
-		} else {
-			ix.elements[name] = list
-		}
+	for _, el := range old.elements {
+		removeKeyed(ix.elements, el, id)
 	}
-	ix.removePathsLocked(id)
-	delete(ix.docTokens, id)
-	delete(ix.docElements, id)
-	delete(ix.ids, docName)
+	ix.removePathsLocked(id, old.contrib)
+	delete(ix.ids, name)
 	ix.names[id] = ""
 	ix.free = append(ix.free, id)
+}
+
+// removeKeyed removes id from the posting list at key, deleting the key
+// once its list is empty, and reports whether it did.
+func removeKeyed(lists map[string][]docID, key string, id docID) bool {
+	if list := removeSorted(lists[key], id); len(list) > 0 {
+		lists[key] = list
+		return false
+	}
+	delete(lists, key)
+	return true
+}
+
+// sweepLocked recovers what id contributed by searching every list of the
+// index for it: the error path of dropLocked, O(index) where undoing a
+// decoded record is O(document).
+func (ix *docIndex) sweepLocked(id docID) *docPrep {
+	has := func(list []docID) bool {
+		_, found := slices.BinarySearch(list, id)
+		return found
+	}
+	p := &docPrep{contrib: newDocContrib()}
+	for tok, list := range ix.postings {
+		if has(list) {
+			p.tokens = append(p.tokens, tok)
+		}
+	}
+	for name, list := range ix.elements {
+		if has(list) {
+			p.elements = append(p.elements, name)
+		}
+	}
+	for key, pp := range ix.paths {
+		if i, found := slices.BinarySearch(pp.ids, id); found {
+			p.contrib.counts[key] = pp.counts[i]
+		}
+	}
+	for key, vl := range ix.values {
+		for _, e := range vl.entries {
+			if has(e.ids) {
+				p.contrib.values[key] = append(p.contrib.values[key], e.raw)
+			}
+		}
+		if has(vl.overflow) {
+			p.contrib.overflow[key] = true
+		}
+	}
+	return p
 }
 
 // vocabulary returns the sorted token list. Callers hold ix.mu, but the

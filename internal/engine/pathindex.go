@@ -252,23 +252,19 @@ type docContrib struct {
 	overflow map[string]bool     // path keys with an over-cap value
 }
 
-// docPathRef is the reverse-map record making path removal proportional
-// to the document's own paths.
-type docPathRef struct {
-	path     string
-	values   []string
-	overflow bool
+func newDocContrib() *docContrib {
+	return &docContrib{
+		counts:   map[string]uint32{},
+		values:   map[string][]string{},
+		overflow: map[string]bool{},
+	}
 }
 
 // collectDocPaths walks a document and records, per label path, the node
 // count and the distinct node values (the node's XPath string value,
 // capped at valueCap).
 func collectDocPaths(doc *xmltree.Document) *docContrib {
-	c := &docContrib{
-		counts:   map[string]uint32{},
-		values:   map[string][]string{},
-		overflow: map[string]bool{},
-	}
+	c := newDocContrib()
 	var visit func(n *xmltree.Node, key string)
 	visit = func(n *xmltree.Node, key string) {
 		c.counts[key]++
@@ -409,50 +405,45 @@ func (ix *docIndex) valuesOrCreate(key string) *valueList {
 }
 
 func (ix *docIndex) addPathsLocked(id docID, c *docContrib) {
-	refs := make([]docPathRef, 0, len(c.counts))
 	for key, count := range c.counts {
 		ix.pathOrCreate(key).insert(id, count)
-		ref := docPathRef{path: key, values: c.values[key], overflow: c.overflow[key]}
-		if len(ref.values) > 0 || ref.overflow {
-			vl := ix.valuesOrCreate(key)
-			for _, raw := range ref.values {
-				vl.insert(raw, id)
-			}
-			if ref.overflow {
-				vl.overflow = insertSorted(vl.overflow, id)
-			}
-		}
-		refs = append(refs, ref)
-	}
-	ix.docPaths[id] = refs
-}
-
-func (ix *docIndex) removePathsLocked(id docID) {
-	for _, ref := range ix.docPaths[id] {
-		if p := ix.paths[ref.path]; p != nil {
-			p.remove(id)
-			if len(p.ids) == 0 {
-				delete(ix.paths, ref.path)
-			}
-		}
-		if len(ref.values) == 0 && !ref.overflow {
+		values, over := c.values[key], c.overflow[key]
+		if len(values) == 0 && !over {
 			continue
 		}
-		vl := ix.values[ref.path]
+		vl := ix.valuesOrCreate(key)
+		for _, raw := range values {
+			vl.insert(raw, id)
+		}
+		if over {
+			vl.overflow = insertSorted(vl.overflow, id)
+		}
+	}
+}
+
+// removePathsLocked undoes what addPathsLocked added for c.
+func (ix *docIndex) removePathsLocked(id docID, c *docContrib) {
+	for key := range c.counts {
+		if p := ix.paths[key]; p != nil {
+			p.remove(id)
+			if len(p.ids) == 0 {
+				delete(ix.paths, key)
+			}
+		}
+		vl := ix.values[key]
 		if vl == nil {
 			continue
 		}
-		for _, raw := range ref.values {
+		for _, raw := range c.values[key] {
 			vl.remove(raw, id)
 		}
-		if ref.overflow {
+		if c.overflow[key] {
 			vl.overflow = removeSorted(vl.overflow, id)
 		}
 		if vl.empty() {
-			delete(ix.values, ref.path)
+			delete(ix.values, key)
 		}
 	}
-	delete(ix.docPaths, id)
 }
 
 // --- queries (callers hold ix.mu) ---

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/gob"
+	"slices"
 	"sort"
 )
 
@@ -168,8 +169,8 @@ func decodeIndexSnapshot(data []byte) (map[string]indexSnapshotV3, error) {
 }
 
 // indexFromSnapshot rebuilds one collection's index from its record,
-// rejecting a record without paths and any reference to a doc the name
-// table does not hold.
+// rejecting a record without paths, any reference to a doc the name table
+// does not hold, and any value or overflow entry for a doc its path lacks.
 func indexFromSnapshot(s indexSnapshotV3) (*docIndex, bool) {
 	if !s.PathsBuilt {
 		return nil, false
@@ -193,43 +194,18 @@ func indexFromSnapshot(s indexSnapshotV3) (*docIndex, bool) {
 		}
 		return ids, true
 	}
-	restore := func(src map[string][]uint32, dst map[string][]docID, reverse map[docID][]string) bool {
+	restore := func(src map[string][]uint32, dst map[string][]docID) bool {
 		for key, list := range src {
 			ids, ok := checkIDs(list)
 			if !ok {
 				return false
 			}
-			for _, id := range ids {
-				reverse[id] = append(reverse[id], key)
-			}
 			dst[key] = ids
 		}
 		return true
 	}
-	if !restore(s.Postings, ix.postings, ix.docTokens) || !restore(s.Elements, ix.elements, ix.docElements) {
+	if !restore(s.Postings, ix.postings) || !restore(s.Elements, ix.elements) {
 		return nil, false
-	}
-	// refs[id][key] accumulates each doc's reverse record while the three
-	// path maps are decoded.
-	refs := map[docID]map[string]*docPathRef{}
-	ref := func(id docID, key string, create bool) *docPathRef {
-		m := refs[id]
-		if m == nil {
-			if !create {
-				return nil
-			}
-			m = map[string]*docPathRef{}
-			refs[id] = m
-		}
-		r := m[key]
-		if r == nil {
-			if !create {
-				return nil
-			}
-			r = &docPathRef{path: key}
-			m[key] = r
-		}
-		return r
 	}
 	for key, docs := range s.PathDocs {
 		counts := s.PathCounts[key]
@@ -243,65 +219,48 @@ func indexFromSnapshot(s indexSnapshotV3) (*docIndex, bool) {
 		p := &pathPosting{comps: parsePathKey(key), ids: ids, counts: append([]uint32(nil), counts...)}
 		p.sortByID() // defensive: stored sorted, but sortedness is an invariant
 		ix.paths[key] = p
-		for _, id := range ids {
-			ref(id, key, true)
+	}
+	// onPath checks a value or overflow list against the path summary: a
+	// list at a path the summary does not know, or naming a doc the path
+	// lacks, is corrupt.
+	onPath := func(key string, list []uint32) ([]docID, bool) {
+		p := ix.paths[key]
+		ids, ok := checkIDs(list)
+		if p == nil || !ok {
+			return nil, false
 		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			if _, found := slices.BinarySearch(p.ids, id); !found {
+				return nil, false
+			}
+		}
+		return ids, true
 	}
 	for key, vs := range s.Values {
-		if _, known := s.PathDocs[key]; !known {
-			return nil, false // values at a path the summary does not know
+		if ix.paths[key] == nil {
+			return nil, false
 		}
 		vl := &valueList{entries: make([]valueEntry, 0, len(vs))}
 		for _, v := range vs {
-			ids, ok := checkIDs(v.Docs)
+			ids, ok := onPath(key, v.Docs)
 			if !ok {
 				return nil, false
 			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 			e := newValueEntry(v.Value)
 			e.ids = ids
 			vl.entries = append(vl.entries, e)
-			for _, id := range ids {
-				r := ref(id, key, false)
-				if r == nil {
-					return nil, false // a value for a doc the path summary lacks
-				}
-				r.values = append(r.values, v.Value)
-			}
 		}
 		sort.Slice(vl.entries, func(i, j int) bool { return vl.entries[i].raw < vl.entries[j].raw })
 		vl.numDirty = true
 		ix.values[key] = vl
 	}
 	for key, docs := range s.Overflow {
-		if _, known := s.PathDocs[key]; !known {
-			return nil, false
-		}
-		ids, ok := checkIDs(docs)
+		ids, ok := onPath(key, docs)
 		if !ok {
 			return nil, false
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		vl := ix.values[key]
-		if vl == nil {
-			vl = &valueList{}
-			ix.values[key] = vl
-		}
-		vl.overflow = ids
-		for _, id := range ids {
-			r := ref(id, key, false)
-			if r == nil {
-				return nil, false
-			}
-			r.overflow = true
-		}
-	}
-	for id, m := range refs {
-		list := make([]docPathRef, 0, len(m))
-		for _, r := range m {
-			list = append(list, *r)
-		}
-		ix.docPaths[id] = list
+		ix.valuesOrCreate(key).overflow = ids
 	}
 	return ix, true
 }

@@ -113,19 +113,6 @@ func docIDsInTable(ix *docIndex) error {
 		}
 		return nil
 	}
-	var keys []docID
-	for id := range ix.docTokens {
-		keys = append(keys, id)
-	}
-	for id := range ix.docElements {
-		keys = append(keys, id)
-	}
-	for id := range ix.docPaths {
-		keys = append(keys, id)
-	}
-	if err := check("a reverse map", keys); err != nil {
-		return err
-	}
 	for tok, ids := range ix.postings {
 		if err := check("token "+tok, ids); err != nil {
 			return err

@@ -337,7 +337,8 @@ func TestValueOverflowStaysSound(t *testing.T) {
 // TestIndexConcurrentMutationAndCandidates drives adds, removes, bulk
 // loads and candidate evaluation (substring + range constraints) against
 // one index from several goroutines; run under -race it checks the
-// locking discipline, including the lock-free vocabulary scan.
+// locking discipline, including the lock-free vocabulary scan. Each
+// writer keeps the versions it put, as the store would, to undo them.
 func TestIndexConcurrentMutationAndCandidates(t *testing.T) {
 	ix := newDocIndex()
 	hint := &xquery.Hint{Constraints: []xquery.Constraint{
@@ -356,15 +357,26 @@ func TestIndexConcurrentMutationAndCandidates(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			held := map[string]*docPrep{}
+			put := func(d *xmltree.Document) {
+				p := prepDoc(d)
+				held[d.Name] = &p
+			}
 			for i := 0; i < 300; i++ {
 				name := fmt.Sprintf("w%d-d%d", w, i%8)
 				switch i % 5 {
 				case 0:
-					ix.remove(name)
+					ix.remove(name, held[name])
+					delete(held, name)
 				case 1:
-					ix.bulkAdd([]*xmltree.Document{mkDoc(name, i), mkDoc(name+"x", i+1)})
+					docs := []*xmltree.Document{mkDoc(name, i), mkDoc(name+"x", i+1)}
+					ix.bulkAdd(docs, held)
+					put(docs[0])
+					put(docs[1])
 				default:
-					ix.replace(mkDoc(name, i))
+					d := mkDoc(name, i)
+					ix.replace(held[name], prepDoc(d))
+					put(d)
 				}
 			}
 		}(w)
@@ -465,11 +477,15 @@ func BenchmarkIndexReload(b *testing.B) {
 		docs[i] = xmltree.MustParseString(fmt.Sprintf("d%d", i), fmt.Sprintf(
 			`<Item id="%d"><Code>c%d</Code><Description>%s</Description></Item>`, i, i, desc))
 	}
+	preps := make([]docPrep, n)
+	for i, d := range docs {
+		preps[i] = prepDoc(d)
+	}
 	prime := func() *docIndex {
 		ix := newDocIndex()
-		ix.bulkAdd(docs)
-		for _, d := range docs {
-			ix.remove(d.Name)
+		ix.bulkAdd(docs, nil)
+		for i := range preps {
+			ix.remove(preps[i].name, &preps[i])
 		}
 		return ix
 	}
@@ -479,7 +495,7 @@ func BenchmarkIndexReload(b *testing.B) {
 			ix := prime()
 			b.StartTimer()
 			for _, d := range docs {
-				ix.add(d)
+				ix.replace(nil, prepDoc(d))
 			}
 		}
 	})
@@ -488,7 +504,7 @@ func BenchmarkIndexReload(b *testing.B) {
 			b.StopTimer()
 			ix := prime()
 			b.StartTimer()
-			ix.bulkAdd(docs)
+			ix.bulkAdd(docs, nil)
 		}
 	})
 }

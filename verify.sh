@@ -46,6 +46,8 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # candidate list (no document decoded, bytes per query independent of
 # the collection's size), small records sharing pages (store file bytes
 # per Item within 1.25 times its encoded record at 300 and 3,000 Items),
+# an indexed document (retained heap per small Item bounded at 300 and
+# 3,000 Items: no per-document copy of its index entries),
 # a reconstruction query (allocations independent of the nodes per
 # fetched document), a
 # semi-join's body fetch (bytes independent of the collection's size at a
@@ -70,7 +72,7 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # at ten times the size)
 go test -timeout 5m -run 'TestAllocsScanFilterProject|TestStringTermAllocsIndependentOfSubtreeSize' ./internal/xquery/exec/
 go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs|TestProjectedDecodeIndependentOfDroppedSubtrees|TestSmallRecordsSharePages' ./internal/storage/
-go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestCandidateSelectionSizeIndependent|TestDeciderCostIndependentOfCollectionSize|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestNodeSize|TestFrameCodecAllocsPerFrame|TestFramingStoredItemsCostsPerFrame|TestShippedSubtreesAreNotBuilt|TestReceivedNodesAreNotBuilt|TestLocalPointQueryCostIndependentOfCollectionSize|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs|TestColdPlanAllocsIndependentOfCollectionSize|TestStatisticsSnapshotBytesBounded' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
+go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestRetainedHeapPerIndexedDocument|TestCandidateSelectionSizeIndependent|TestDeciderCostIndependentOfCollectionSize|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestNodeSize|TestFrameCodecAllocsPerFrame|TestFramingStoredItemsCostsPerFrame|TestShippedSubtreesAreNotBuilt|TestReceivedNodesAreNotBuilt|TestLocalPointQueryCostIndependentOfCollectionSize|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs|TestColdPlanAllocsIndependentOfCollectionSize|TestStatisticsSnapshotBytesBounded' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
 
 # observability smoke test: a node started with -debug-addr must serve
 # valid Prometheus text carrying series from every instrumented layer,
