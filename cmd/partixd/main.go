@@ -37,7 +37,6 @@ func main() {
 		addr      = flag.String("addr", ":7001", "listen address")
 		dbPath    = flag.String("db", "partixd.db", "path of the node's store file")
 		noIndexes = flag.Bool("disable-indexes", false, "disable index-assisted candidate pruning")
-		noWAL     = flag.Bool("no-wal", false, "disable the write-ahead log (commits are durable only at checkpoints)")
 		noFsync   = flag.Bool("wal-nofsync", false, "keep the WAL but skip fsync at commit (crash may lose the tail)")
 		ckptBytes = flag.Int64("checkpoint-bytes", 0, "checkpoint when the WAL exceeds this size (0 = built-in default, <0 = only on demand)")
 		idle      = flag.Duration("idle-timeout", 5*time.Minute, "close connections idle for this long (0 = never)")
@@ -63,7 +62,6 @@ func main() {
 
 	db, err := engine.Open(*dbPath, engine.Options{
 		DisableIndexes:  *noIndexes,
-		DisableWAL:      *noWAL,
 		WALNoFsync:      *noFsync,
 		CheckpointBytes: *ckptBytes,
 	})
@@ -103,9 +101,6 @@ func main() {
 			// serving — the same liveness a wire ping would establish.
 			_ = db.Stats()
 			ws := db.WALStatus()
-			if !ws.Enabled {
-				return nil
-			}
 			if *maxWALLag > 0 && ws.SizeBytes > *maxWALLag {
 				return fmt.Errorf("wal: %d bytes since last checkpoint (limit %d)", ws.SizeBytes, *maxWALLag)
 			}
@@ -119,17 +114,14 @@ func main() {
 		healthDetail := func() map[string]string {
 			ws := db.WALStatus()
 			detail := map[string]string{
-				"wal_enabled": fmt.Sprintf("%t", ws.Enabled),
+				"wal_enabled":                "true",
+				"wal_bytes_since_checkpoint": fmt.Sprintf("%d", ws.SizeBytes),
+				"wal_last_seq":               fmt.Sprintf("%d", ws.LastSeq),
+				"wal_synced_seq":             fmt.Sprintf("%d", ws.SyncedSeq),
+				"wal_fsync_age_seconds":      "never",
 			}
-			if ws.Enabled {
-				detail["wal_bytes_since_checkpoint"] = fmt.Sprintf("%d", ws.SizeBytes)
-				detail["wal_last_seq"] = fmt.Sprintf("%d", ws.LastSeq)
-				detail["wal_synced_seq"] = fmt.Sprintf("%d", ws.SyncedSeq)
-				if ws.LastFsync.IsZero() {
-					detail["wal_fsync_age_seconds"] = "never"
-				} else {
-					detail["wal_fsync_age_seconds"] = fmt.Sprintf("%.3f", time.Since(ws.LastFsync).Seconds())
-				}
+			if !ws.LastFsync.IsZero() {
+				detail["wal_fsync_age_seconds"] = fmt.Sprintf("%.3f", time.Since(ws.LastFsync).Seconds())
 			}
 			return detail
 		}

@@ -38,7 +38,6 @@ func (ix *docIndex) bulkAdd(docs []*xmltree.Document, old map[string]*docPrep) {
 		ix.dropLocked(p.name, old[p.name])
 	}
 	aggTok := map[string][]docID{}
-	aggEl := map[string][]docID{}
 	aggPathIDs := map[string][]docID{}
 	aggPathCounts := map[string][]uint32{}
 	aggVals := map[string]map[string][]docID{}
@@ -47,9 +46,6 @@ func (ix *docIndex) bulkAdd(docs []*xmltree.Document, old map[string]*docPrep) {
 		id := ix.intern(p.name)
 		for _, tok := range p.tokens {
 			aggTok[tok] = append(aggTok[tok], id)
-		}
-		for _, name := range p.elements {
-			aggEl[name] = append(aggEl[name], id)
 		}
 		for key, count := range p.contrib.counts {
 			aggPathIDs[key] = append(aggPathIDs[key], id)
@@ -72,9 +68,6 @@ func (ix *docIndex) bulkAdd(docs []*xmltree.Document, old map[string]*docPrep) {
 			ix.dirty = true
 		}
 		ix.postings[tok] = mergeSortedIDs(ix.postings[tok], ids)
-	}
-	for name, ids := range aggEl {
-		ix.elements[name] = mergeSortedIDs(ix.elements[name], ids)
 	}
 	for key, ids := range aggPathIDs {
 		p := ix.pathOrCreate(key)

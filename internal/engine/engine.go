@@ -42,10 +42,6 @@ type Options struct {
 	// against.
 	DisableIndexes bool
 
-	// DisableWAL turns the store's write-ahead log off: mutations become
-	// durable only at Sync/Close, as in the original engine.
-	DisableWAL bool
-
 	// WALNoFsync keeps the log but skips the commit-time fsync, trading
 	// crash durability for write latency (benchmarks, bulk loads).
 	WALNoFsync bool
@@ -162,7 +158,6 @@ func (s *Stats) Add(o Stats) {
 // stored documents.
 func Open(path string, opts Options) (*DB, error) {
 	st, err := storage.OpenWith(path, storage.Options{
-		DisableWAL:      opts.DisableWAL,
 		NoFsync:         opts.WALNoFsync,
 		CheckpointBytes: opts.CheckpointBytes,
 	})

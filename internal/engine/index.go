@@ -18,11 +18,11 @@ type docID uint32
 // docIndex holds one collection's indexes:
 //
 //   - an inverted text index (token → sorted posting list, with a sorted
-//     vocabulary for substring constraints) and a structural index
-//     (element name → sorted posting list) — tokenization matches
+//     vocabulary for substring constraints) — tokenization matches
 //     xquery.Tokenize, which is what makes hints sound;
-//   - a DataGuide-style path summary: every distinct root-to-node label
-//     path → the docs containing it, with per-doc node counts (pathindex.go);
+//   - a DataGuide-style path summary, the one structural index: every
+//     distinct root-to-node label path → the docs containing it, with
+//     per-doc node counts (pathindex.go);
 //   - a typed value index: label path → sorted node values → postings,
 //     answering equality and range constraints by binary search.
 //
@@ -44,7 +44,6 @@ type docIndex struct {
 	free  []docID          // recycled slots, reused before growing names
 
 	postings map[string][]docID // token → sorted docIDs
-	elements map[string][]docID // element name → sorted docIDs
 
 	vocab []string // sorted tokens; rebuilt lazily, immutable once built
 	dirty bool
@@ -57,7 +56,6 @@ func newDocIndex() *docIndex {
 	return &docIndex{
 		ids:      map[string]docID{},
 		postings: map[string][]docID{},
-		elements: map[string][]docID{},
 		paths:    map[string]*pathPosting{},
 		values:   map[string]*valueList{},
 	}
@@ -106,31 +104,24 @@ func removeSorted(list []docID, id docID) []docID {
 // docPrep is everything a document contributes to the indexes, computed
 // outside any lock.
 type docPrep struct {
-	name     string
-	tokens   []string
-	elements []string
-	contrib  *docContrib
+	name    string
+	tokens  []string
+	contrib *docContrib
 }
 
-// prepDoc clones every token and element name it keeps: the index outlives
-// the document, and a decoded document's strings alias one per-document
-// string (Tokenize returns already-lower-case tokens unchanged), so an
-// uncloned token would pin all of its document's text. The membership test
-// comes first because assigning an existing string key replaces the key.
+// prepDoc clones every token it keeps: the index outlives the document,
+// and a decoded document's strings alias one per-document string
+// (Tokenize returns already-lower-case tokens unchanged), so an uncloned
+// token would pin all of its document's text. The membership test comes
+// first because assigning an existing string key replaces the key.
 func prepDoc(doc *xmltree.Document) docPrep {
 	tokens := map[string]bool{}
-	elements := map[string]bool{}
 	doc.Root.Walk(func(n *xmltree.Node) bool {
-		switch n.Kind {
-		case xmltree.TextNode:
+		if n.Kind == xmltree.TextNode {
 			for _, tok := range xquery.Tokenize(n.Value) {
 				if !tokens[tok] {
 					tokens[strings.Clone(tok)] = true
 				}
-			}
-		case xmltree.ElementNode:
-			if !elements[n.Name] {
-				elements[strings.Clone(n.Name)] = true
 			}
 		}
 		return true
@@ -138,9 +129,6 @@ func prepDoc(doc *xmltree.Document) docPrep {
 	p := docPrep{name: doc.Name, contrib: collectDocPaths(doc)}
 	for tok := range tokens {
 		p.tokens = append(p.tokens, tok)
-	}
-	for name := range elements {
-		p.elements = append(p.elements, name)
 	}
 	return p
 }
@@ -171,9 +159,6 @@ func (ix *docIndex) addPrepLocked(p docPrep) {
 		}
 		ix.postings[tok] = insertSorted(ix.postings[tok], id)
 	}
-	for _, name := range p.elements {
-		ix.elements[name] = insertSorted(ix.elements[name], id)
-	}
 	ix.addPathsLocked(id, p.contrib)
 }
 
@@ -198,28 +183,17 @@ func (ix *docIndex) dropLocked(name string, old *docPrep) {
 		old = ix.sweepLocked(id)
 	}
 	for _, tok := range old.tokens {
-		if removeKeyed(ix.postings, tok, id) {
+		if list := removeSorted(ix.postings[tok], id); len(list) > 0 {
+			ix.postings[tok] = list
+		} else {
+			delete(ix.postings, tok)
 			ix.dirty = true
 		}
-	}
-	for _, el := range old.elements {
-		removeKeyed(ix.elements, el, id)
 	}
 	ix.removePathsLocked(id, old.contrib)
 	delete(ix.ids, name)
 	ix.names[id] = ""
 	ix.free = append(ix.free, id)
-}
-
-// removeKeyed removes id from the posting list at key, deleting the key
-// once its list is empty, and reports whether it did.
-func removeKeyed(lists map[string][]docID, key string, id docID) bool {
-	if list := removeSorted(lists[key], id); len(list) > 0 {
-		lists[key] = list
-		return false
-	}
-	delete(lists, key)
-	return true
 }
 
 // sweepLocked recovers what id contributed by searching every list of the
@@ -234,11 +208,6 @@ func (ix *docIndex) sweepLocked(id docID) *docPrep {
 	for tok, list := range ix.postings {
 		if has(list) {
 			p.tokens = append(p.tokens, tok)
-		}
-	}
-	for name, list := range ix.elements {
-		if has(list) {
-			p.elements = append(p.elements, name)
 		}
 	}
 	for key, pp := range ix.paths {
@@ -279,7 +248,7 @@ func (ix *docIndex) vocabulary() []string {
 // constraint was applied at all (constrained false means no pruning: every
 // document is a candidate, not none), the number of documents
 // eliminated by value comparisons specifically (beyond the
-// token/element/path-existence pruning), and whether the list is exact:
+// token/path-existence pruning), and whether the list is exact:
 // the documents satisfying every Path constraint, no more. A Path the
 // path summary and value index resolve exactly unless a compared path
 // holds an over-cap value (its overflow documents are kept as candidates
@@ -328,9 +297,6 @@ func (ix *docIndex) candidates(hint *xquery.Hint) (ids []docID, constrained bool
 	for _, c := range hint.Constraints {
 		for _, tok := range c.Tokens {
 			lists = append(lists, ix.postings[tok])
-		}
-		for _, name := range c.Elements {
-			lists = append(lists, ix.elements[name])
 		}
 		if c.Substring != "" {
 			var union [][]docID

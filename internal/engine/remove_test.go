@@ -20,7 +20,6 @@ import (
 type indexByName struct {
 	docs     []string
 	postings map[string][]string            // token → names
-	elements map[string][]string            // element name → names
 	paths    map[string]map[string]uint32   // path key → name → node count
 	values   map[string]map[string][]string // path key → value → names
 	overflow map[string][]string            // path key → names
@@ -49,16 +48,12 @@ func byName(t *testing.T, ix *docIndex) indexByName {
 	r := indexByName{
 		docs:     sortedKeys(ix.ids),
 		postings: map[string][]string{},
-		elements: map[string][]string{},
 		paths:    map[string]map[string]uint32{},
 		values:   map[string]map[string][]string{},
 		overflow: map[string][]string{},
 	}
 	for tok, ids := range ix.postings {
 		r.postings[tok] = names("token "+tok, ids)
-	}
-	for name, ids := range ix.elements {
-		r.elements[name] = names("element "+name, ids)
 	}
 	for key, p := range ix.paths {
 		names("path "+key, p.ids)
@@ -142,7 +137,6 @@ func checkFreshBuild(t *testing.T, db *DB, collection string, put map[string]*xm
 	}
 	for _, diff := range []string{
 		mapDiff("token", got.postings, want.postings),
-		mapDiff("element", got.elements, want.elements),
 		mapDiff("path", got.paths, want.paths),
 		mapDiff("values at", got.values, want.values),
 		mapDiff("overflow at", got.overflow, want.overflow),
@@ -173,7 +167,6 @@ func prepDiff(a, b docPrep) string {
 	}
 	for _, diff := range []string{
 		mapDiff("token", set(a.tokens), set(b.tokens)),
-		mapDiff("element", set(a.elements), set(b.elements)),
 		mapDiff("path count", a.contrib.counts, b.contrib.counts),
 		mapDiff("values at", sorted(a.contrib.values), sorted(b.contrib.values)),
 		mapDiff("overflow at", a.contrib.overflow, b.contrib.overflow),
@@ -225,7 +218,7 @@ func TestIndexEqualsFreshBuildAfterMutations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.PutMeta(indexMetaKeyV3, nil); err != nil {
+			if err := st.PutMeta(indexMetaKeyV4, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.Close(); err != nil {

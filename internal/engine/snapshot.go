@@ -13,46 +13,47 @@ import (
 // describes exactly the cataloged documents — a crash between syncs loses
 // the un-synced documents and their index entries together.
 //
-// Only the v3 record loads: the interned doc-name table, the token and
-// element posting lists, the path summary and the value index. Anything
-// else — no v3 record, one that fails to decode or to validate, one whose
-// path half was never built, or one not covering every cataloged
-// collection — triggers the rebuild scan, so loading never errors. Older
-// engines wrote v1 (doc-name lists) and v2 (docID lists without paths)
-// records under their own keys; nothing reads those keys, and every save
-// deletes them so upgraded stores drop the dead records.
+// Only the v4 record loads: the interned doc-name table, the token
+// posting lists, the path summary and the value index. Anything else — no
+// v4 record, one that fails to decode or to validate, one whose path half
+// is missing, or one not covering every cataloged collection — triggers
+// the rebuild scan, so loading never errors. Older engines wrote v1
+// (doc-name lists), v2 (docID lists without paths) and v3 (v4 plus
+// element-name postings) records under their own keys; nothing reads
+// those keys, and every save deletes them so upgraded stores drop the dead
+// records. The v3 key is not reused: an older engine, which answers
+// element constraints from element postings, would load a record written
+// under it with none and find no document for any of them.
 
 const (
 	indexMetaKeyV1 = "engine:index:v1"
 	indexMetaKeyV2 = "engine:index:v2"
 	indexMetaKeyV3 = "engine:index:v3"
+	indexMetaKeyV4 = "engine:index:v4"
 )
 
-// indexSnapshotV3 is the serialized form of one collection's indexes: the
-// doc-name table ("" marks a recycled docID slot), token and element
-// posting lists of table offsets, the path summary (per label path: sorted
-// doc list + parallel node counts) and the value index (per label path:
-// values with their doc lists, plus over-cap overflow docs).
-type indexSnapshotV3 struct {
+// indexSnapshotV4 is the serialized form of one collection's indexes: the
+// doc-name table ("" marks a recycled docID slot), token posting lists of
+// table offsets, the path summary (per label path: sorted doc list +
+// parallel node counts) and the value index (per label path: values with
+// their doc lists, plus over-cap overflow docs).
+type indexSnapshotV4 struct {
 	Docs     []string
 	Postings map[string][]uint32
-	Elements map[string][]uint32
 
-	// PathsBuilt is true in every record this engine writes. An older
-	// engine that loaded a v1/v2 record and never built the path half
-	// wrote false with empty path maps. The field must stay decoded and
-	// such a record rejected: dropped from the struct, gob would ignore it
-	// and the index would load with empty path maps that prune every path
-	// query.
+	// PathsBuilt is true in every record this engine writes. The field
+	// must stay decoded and a record without it rejected: otherwise a
+	// record missing its path half would load with empty path maps that
+	// prune every path query.
 	PathsBuilt bool
 	PathDocs   map[string][]uint32
 	PathCounts map[string][]uint32
-	Values     map[string][]valueSnapV3
+	Values     map[string][]valueSnapV4
 	Overflow   map[string][]uint32
 }
 
-// valueSnapV3 is one distinct value at a path with its doc list.
-type valueSnapV3 struct {
+// valueSnapV4 is one distinct value at a path with its doc list.
+type valueSnapV4 struct {
 	Value string
 	Docs  []uint32
 }
@@ -65,7 +66,7 @@ func (db *DB) saveIndexSnapshot() error {
 	}
 	db.mu.RUnlock()
 
-	snap := make(map[string]indexSnapshotV3, len(indexes))
+	snap := make(map[string]indexSnapshotV4, len(indexes))
 	for col, ix := range indexes {
 		snap[col] = ix.snapshot()
 	}
@@ -73,44 +74,42 @@ func (db *DB) saveIndexSnapshot() error {
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		return err
 	}
-	if err := db.store.PutMeta(indexMetaKeyV3, buf.Bytes()); err != nil {
+	if err := db.store.PutMeta(indexMetaKeyV4, buf.Bytes()); err != nil {
 		return err
 	}
 	// Drop the dead older records an upgraded store may still carry.
-	if err := db.store.PutMeta(indexMetaKeyV2, nil); err != nil {
-		return err
+	for _, key := range []string{indexMetaKeyV3, indexMetaKeyV2, indexMetaKeyV1} {
+		if err := db.store.PutMeta(key, nil); err != nil {
+			return err
+		}
 	}
-	return db.store.PutMeta(indexMetaKeyV1, nil)
+	return nil
 }
 
 // snapshot captures one index's serializable state under its lock.
-func (ix *docIndex) snapshot() indexSnapshotV3 {
+func (ix *docIndex) snapshot() indexSnapshotV4 {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	s := indexSnapshotV3{
+	s := indexSnapshotV4{
 		Docs:       append([]string(nil), ix.names...),
 		Postings:   make(map[string][]uint32, len(ix.postings)),
-		Elements:   make(map[string][]uint32, len(ix.elements)),
 		PathsBuilt: true,
 		PathDocs:   make(map[string][]uint32, len(ix.paths)),
 		PathCounts: make(map[string][]uint32, len(ix.paths)),
-		Values:     make(map[string][]valueSnapV3, len(ix.values)),
+		Values:     make(map[string][]valueSnapV4, len(ix.values)),
 		Overflow:   map[string][]uint32{},
 	}
 	for tok, list := range ix.postings {
 		s.Postings[tok] = idsToUint32(list)
-	}
-	for name, list := range ix.elements {
-		s.Elements[name] = idsToUint32(list)
 	}
 	for key, p := range ix.paths {
 		s.PathDocs[key] = idsToUint32(p.ids)
 		s.PathCounts[key] = append([]uint32(nil), p.counts...)
 	}
 	for key, vl := range ix.values {
-		vs := make([]valueSnapV3, 0, len(vl.entries))
+		vs := make([]valueSnapV4, 0, len(vl.entries))
 		for _, e := range vl.entries {
-			vs = append(vs, valueSnapV3{Value: e.raw, Docs: idsToUint32(e.ids)})
+			vs = append(vs, valueSnapV4{Value: e.raw, Docs: idsToUint32(e.ids)})
 		}
 		if len(vs) > 0 {
 			s.Values[key] = vs
@@ -122,11 +121,11 @@ func (ix *docIndex) snapshot() indexSnapshotV3 {
 	return s
 }
 
-// loadIndexSnapshot restores the indexes from the persisted v3 record; it
+// loadIndexSnapshot restores the indexes from the persisted v4 record; it
 // reports false (leaving db.idx empty) when there is none or it cannot be
 // used, in which case the caller rebuilds by scanning.
 func (db *DB) loadIndexSnapshot() bool {
-	data, ok, err := db.store.GetMeta(indexMetaKeyV3)
+	data, ok, err := db.store.GetMeta(indexMetaKeyV4)
 	if err != nil || !ok {
 		return false
 	}
@@ -160,10 +159,10 @@ func (db *DB) loadIndexSnapshot() bool {
 	return true
 }
 
-// decodeIndexSnapshot decodes the v3 record's bytes: one snapshot per
+// decodeIndexSnapshot decodes the v4 record's bytes: one snapshot per
 // collection.
-func decodeIndexSnapshot(data []byte) (map[string]indexSnapshotV3, error) {
-	var snap map[string]indexSnapshotV3
+func decodeIndexSnapshot(data []byte) (map[string]indexSnapshotV4, error) {
+	var snap map[string]indexSnapshotV4
 	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap)
 	return snap, err
 }
@@ -171,7 +170,7 @@ func decodeIndexSnapshot(data []byte) (map[string]indexSnapshotV3, error) {
 // indexFromSnapshot rebuilds one collection's index from its record,
 // rejecting a record without paths, any reference to a doc the name table
 // does not hold, and any value or overflow entry for a doc its path lacks.
-func indexFromSnapshot(s indexSnapshotV3) (*docIndex, bool) {
+func indexFromSnapshot(s indexSnapshotV4) (*docIndex, bool) {
 	if !s.PathsBuilt {
 		return nil, false
 	}
@@ -194,18 +193,12 @@ func indexFromSnapshot(s indexSnapshotV3) (*docIndex, bool) {
 		}
 		return ids, true
 	}
-	restore := func(src map[string][]uint32, dst map[string][]docID) bool {
-		for key, list := range src {
-			ids, ok := checkIDs(list)
-			if !ok {
-				return false
-			}
-			dst[key] = ids
+	for tok, list := range s.Postings {
+		ids, ok := checkIDs(list)
+		if !ok {
+			return nil, false
 		}
-		return true
-	}
-	if !restore(s.Postings, ix.postings) || !restore(s.Elements, ix.elements) {
-		return nil, false
+		ix.postings[tok] = ids
 	}
 	for key, docs := range s.PathDocs {
 		counts := s.PathCounts[key]

@@ -14,7 +14,7 @@ import (
 // decoding: the gob decode loadIndexSnapshot runs and indexFromSnapshot.
 // Neither may panic, and an index rebuilt from an accepted record
 // references no docID outside its name table or in a recycled slot. The
-// seeds are a valid v3 record, its truncations, and records whose lists
+// seeds are a valid v4 record, its truncations, and records whose lists
 // name a docID past the table or a recycled one.
 func FuzzIndexSnapshot(f *testing.F) {
 	valid := validIndexSnapshot(f)
@@ -22,17 +22,16 @@ func FuzzIndexSnapshot(f *testing.F) {
 	for _, n := range []int{1, len(valid) / 3, len(valid) / 2, len(valid) - 1} {
 		f.Add(valid[:n])
 	}
-	for _, bad := range []indexSnapshotV3{
+	for _, bad := range []indexSnapshotV4{
 		{Docs: []string{"d0"}, Postings: map[string][]uint32{"good": {7}}, PathsBuilt: true},
-		{Docs: []string{"d0", ""}, Elements: map[string][]uint32{"Item": {1}}, PathsBuilt: true},
 		{Docs: []string{"d0"}, PathsBuilt: true, PathDocs: map[string][]uint32{"/Item": {0, 3}}, PathCounts: map[string][]uint32{"/Item": {1, 1}}},
 		{Docs: []string{"d0"}, PathsBuilt: true, PathDocs: map[string][]uint32{"/Item": {0}}, PathCounts: map[string][]uint32{"/Item": {1}},
-			Values: map[string][]valueSnapV3{"/Item": {{Value: "x", Docs: []uint32{1 << 31}}}}},
+			Values: map[string][]valueSnapV4{"/Item": {{Value: "x", Docs: []uint32{1 << 31}}}}},
 		{Docs: []string{"d0"}, PathsBuilt: true, PathDocs: map[string][]uint32{"/Item": {0}}, PathCounts: map[string][]uint32{"/Item": {1}},
 			Overflow: map[string][]uint32{"/Item": {2}}},
 	} {
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(map[string]indexSnapshotV3{"items": bad}); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(map[string]indexSnapshotV4{"items": bad}); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -72,7 +71,7 @@ func TestValidIndexSnapshotSeedLoads(t *testing.T) {
 	}
 }
 
-// validIndexSnapshot is the v3 record a node holding a few Items, one of
+// validIndexSnapshot is the v4 record a node holding a few Items, one of
 // them deleted (a recycled docID slot), saves.
 func validIndexSnapshot(tb testing.TB) []byte {
 	tb.Helper()
@@ -95,9 +94,9 @@ func validIndexSnapshot(tb testing.TB) []byte {
 	if err := db.saveIndexSnapshot(); err != nil {
 		tb.Fatal(err)
 	}
-	data, ok, err := db.store.GetMeta(indexMetaKeyV3)
+	data, ok, err := db.store.GetMeta(indexMetaKeyV4)
 	if err != nil || !ok {
-		tb.Fatalf("no v3 record saved (%v)", err)
+		tb.Fatalf("no v4 record saved (%v)", err)
 	}
 	return data
 }
@@ -115,11 +114,6 @@ func docIDsInTable(ix *docIndex) error {
 	}
 	for tok, ids := range ix.postings {
 		if err := check("token "+tok, ids); err != nil {
-			return err
-		}
-	}
-	for name, ids := range ix.elements {
-		if err := check("element "+name, ids); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"partix/internal/storage"
@@ -132,47 +133,101 @@ func TestSnapshotRoundTripAfterDelete(t *testing.T) {
 	}
 }
 
-// oldFormatCases are stores whose index record is not a usable v3 record:
+// oldFormatCases are stores whose index record is not a usable v4 record:
 // only a v1-key record, only a v2-key record (nothing reads those keys any
-// more, so their payload is arbitrary), a v3 record whose path half was
-// never built — PathsBuilt=false with empty path maps, as an engine that
-// loaded a pre-v3 record wrote it — and no record at all, as a store left
-// by a crash before its first Close. The PathsBuilt=false record is
-// doctored further — i3, the only Book item, is missing from every
-// posting — so loading it instead of rebuilding would show.
+// more, so their payload is arbitrary), only a v3-key record as the engine
+// that kept element postings wrote it, with or without its path half (the
+// latter as that engine wrote it after loading a pre-v3 record), a v4
+// record whose path half is missing, and no record at all, as a store left
+// by a crash before its first Close. The v3 and v4 records are doctored
+// further — i3, the only Book item, is missing from every token posting —
+// so loading one instead of rebuilding would show.
 var oldFormatCases = []struct {
 	name string
-	meta func(t *testing.T, live indexSnapshotV3) map[string][]byte
+	meta func(t *testing.T, live indexSnapshotV4) map[string][]byte
 }{
-	{"v1 record only", func(*testing.T, indexSnapshotV3) map[string][]byte {
-		return map[string][]byte{indexMetaKeyV1: []byte("an old v1 record"), indexMetaKeyV3: nil}
+	{"v1 record only", func(*testing.T, indexSnapshotV4) map[string][]byte {
+		return map[string][]byte{indexMetaKeyV1: []byte("an old v1 record"), indexMetaKeyV4: nil}
 	}},
-	{"v2 record only", func(*testing.T, indexSnapshotV3) map[string][]byte {
-		return map[string][]byte{indexMetaKeyV2: []byte("an old v2 record"), indexMetaKeyV3: nil}
+	{"v2 record only", func(*testing.T, indexSnapshotV4) map[string][]byte {
+		return map[string][]byte{indexMetaKeyV2: []byte("an old v2 record"), indexMetaKeyV4: nil}
 	}},
-	{"v3 record without paths", func(t *testing.T, live indexSnapshotV3) map[string][]byte {
-		i3 := uint32(slices.Index(live.Docs, "i3"))
-		for _, lists := range []map[string][]uint32{live.Postings, live.Elements} {
-			for key, list := range lists {
-				lists[key] = slices.DeleteFunc(list, func(id uint32) bool { return id == i3 })
-			}
-		}
-		live.PathsBuilt = false
-		live.PathDocs, live.PathCounts, live.Values, live.Overflow = nil, nil, nil, nil
+	{"v3 record only", func(t *testing.T, live indexSnapshotV4) map[string][]byte {
+		return map[string][]byte{indexMetaKeyV3: v3Record(t, withoutI3(live)), indexMetaKeyV4: nil}
+	}},
+	{"v3 record without paths", func(t *testing.T, live indexSnapshotV4) map[string][]byte {
+		return map[string][]byte{indexMetaKeyV3: v3Record(t, withoutPaths(withoutI3(live))), indexMetaKeyV4: nil}
+	}},
+	{"v4 record without paths", func(t *testing.T, live indexSnapshotV4) map[string][]byte {
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(map[string]indexSnapshotV3{"items": live}); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(map[string]indexSnapshotV4{"items": withoutPaths(withoutI3(live))}); err != nil {
 			t.Fatal(err)
 		}
-		return map[string][]byte{indexMetaKeyV3: buf.Bytes()}
+		return map[string][]byte{indexMetaKeyV4: buf.Bytes()}
 	}},
-	{"no record", func(*testing.T, indexSnapshotV3) map[string][]byte {
-		return map[string][]byte{indexMetaKeyV3: nil}
+	{"no record", func(*testing.T, indexSnapshotV4) map[string][]byte {
+		return map[string][]byte{indexMetaKeyV4: nil}
 	}},
+}
+
+// withoutI3 drops i3 from every token posting of s.
+func withoutI3(s indexSnapshotV4) indexSnapshotV4 {
+	i3 := uint32(slices.Index(s.Docs, "i3"))
+	for tok, list := range s.Postings {
+		s.Postings[tok] = slices.DeleteFunc(list, func(id uint32) bool { return id == i3 })
+	}
+	return s
+}
+
+// withoutPaths empties the path half of s.
+func withoutPaths(s indexSnapshotV4) indexSnapshotV4 {
+	s.PathsBuilt = false
+	s.PathDocs, s.PathCounts, s.Values, s.Overflow = nil, nil, nil, nil
+	return s
+}
+
+// indexSnapshotV3 is the record engines that kept element postings wrote
+// under the v3 key: the v4 record plus Elements, element name → docIDs.
+type indexSnapshotV3 struct {
+	Docs       []string
+	Postings   map[string][]uint32
+	Elements   map[string][]uint32
+	PathsBuilt bool
+	PathDocs   map[string][]uint32
+	PathCounts map[string][]uint32
+	Values     map[string][]valueSnapV4
+	Overflow   map[string][]uint32
+}
+
+// v3Record encodes s as the items collection's v3 record, its element
+// postings derived from its path keys (an element's name is the last
+// component of each key naming it).
+func v3Record(t *testing.T, s indexSnapshotV4) []byte {
+	t.Helper()
+	elements := map[string][]uint32{}
+	for key, docs := range s.PathDocs {
+		if name := key[strings.LastIndex(key, "/")+1:]; !strings.HasPrefix(name, "@") {
+			elements[name] = append(elements[name], docs...)
+		}
+	}
+	for name, docs := range elements {
+		slices.Sort(docs)
+		elements[name] = slices.Compact(docs)
+	}
+	v3 := indexSnapshotV3{
+		Docs: s.Docs, Postings: s.Postings, Elements: elements, PathsBuilt: s.PathsBuilt,
+		PathDocs: s.PathDocs, PathCounts: s.PathCounts, Values: s.Values, Overflow: s.Overflow,
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(map[string]indexSnapshotV3{"items": v3}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // oldFormatStore writes the items collection to a new store, then replaces
 // its index records with meta's, and returns the store's path.
-func oldFormatStore(t *testing.T, meta func(*testing.T, indexSnapshotV3) map[string][]byte) string {
+func oldFormatStore(t *testing.T, meta func(*testing.T, indexSnapshotV4) map[string][]byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "old.db")
 	db, err := Open(path, Options{})
@@ -215,7 +270,7 @@ func queryStrings(t *testing.T, db *DB, q string) []string {
 
 // TestOldSnapshotFormatsRebuild: each of oldFormatCases opens by the
 // rebuild scan. It must answer the range query and an index-only count()
-// correctly from its first query, find i3, then write a v3 record at Close
+// correctly from its first query, find i3, then write a v4 record at Close
 // and drop the old keys.
 func TestOldSnapshotFormatsRebuild(t *testing.T) {
 	for _, tc := range oldFormatCases {
@@ -251,28 +306,28 @@ func TestOldSnapshotFormatsRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			for _, key := range []string{indexMetaKeyV1, indexMetaKeyV2} {
+			for _, key := range []string{indexMetaKeyV1, indexMetaKeyV2, indexMetaKeyV3} {
 				if _, ok, _ := st.GetMeta(key); ok {
 					t.Fatalf("%s record survived the close", key)
 				}
 			}
-			data, ok, err := st.GetMeta(indexMetaKeyV3)
+			data, ok, err := st.GetMeta(indexMetaKeyV4)
 			if err != nil || !ok {
-				t.Fatalf("no v3 record written on close: %v", err)
+				t.Fatalf("no v4 record written on close: %v", err)
 			}
-			var snap map[string]indexSnapshotV3
+			var snap map[string]indexSnapshotV4
 			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
 				t.Fatal(err)
 			}
 			if s := snap["items"]; !s.PathsBuilt || len(s.PathDocs) == 0 {
-				t.Fatalf("the v3 record written on close has no paths (PathsBuilt=%v, %d paths)", s.PathsBuilt, len(s.PathDocs))
+				t.Fatalf("the v4 record written on close has no paths (PathsBuilt=%v, %d paths)", s.PathsBuilt, len(s.PathDocs))
 			}
 		})
 	}
 }
 
 // TestOldFormatUpgradeSurvivesReopen: mutations made on an index rebuilt
-// from one of oldFormatCases, before any query, reach the v3 record written
+// from one of oldFormatCases, before any query, reach the v4 record written
 // at Close; that record is one the loader accepts, and the store reopened
 // from it answers index-only count() with no decodes and prunes range
 // queries to their candidates.
@@ -300,23 +355,23 @@ func TestOldFormatUpgradeSurvivesReopen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, ok, err := st.GetMeta(indexMetaKeyV3)
+			data, ok, err := st.GetMeta(indexMetaKeyV4)
 			if err != nil || !ok {
-				t.Fatalf("no v3 record written on close: %v", err)
+				t.Fatalf("no v4 record written on close: %v", err)
 			}
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			var snap map[string]indexSnapshotV3
+			var snap map[string]indexSnapshotV4
 			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
 				t.Fatal(err)
 			}
 			s := snap["items"]
 			if !slices.Contains(s.Docs, "i9") || slices.Contains(s.Docs, "i1") {
-				t.Fatalf("v3 record docs = %q, want i9 and not i1", s.Docs)
+				t.Fatalf("v4 record docs = %q, want i9 and not i1", s.Docs)
 			}
 			if _, ok := indexFromSnapshot(s); !ok {
-				t.Fatal("the loader rejects the v3 record written on close")
+				t.Fatal("the loader rejects the v4 record written on close")
 			}
 
 			db2, err := Open(path, Options{})
@@ -360,7 +415,7 @@ func TestCorruptSnapshotFallsBackToRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{indexMetaKeyV1, indexMetaKeyV2, indexMetaKeyV3} {
+	for _, key := range []string{indexMetaKeyV1, indexMetaKeyV2, indexMetaKeyV3, indexMetaKeyV4} {
 		if err := st.PutMeta(key, []byte("not gob at all")); err != nil {
 			t.Fatal(err)
 		}

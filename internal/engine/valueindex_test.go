@@ -241,6 +241,14 @@ func TestValueIndexEquivalence(t *testing.T) {
 		`for $i in collection("items")/* return $i/Code`,
 		`exists(collection("items")/Item/NoSuchChild)`,
 		`for $i in collection("items")/Item where $i/@id < "not a number" return $i/Code`,
+		// text()-path existence: the Path names the text's element, a
+		// necessary condition only.
+		`collection("items")/Item/Name/text()`,
+		`count(collection("items")/Item/Description/text())`,
+		`collection("items")//Section/text()`,
+		`exists(collection("items")/Item/NoSuchChild/text())`,
+		`for $i in collection("items")/* where exists($i/Section/text()) return $i/Code`,
+		`for $i in collection("items")/Item where $i/PictureList/Picture/text() and $i/Section = "CD" return $i/Code`,
 	)
 	check := func(round string) {
 		for _, q := range queries {

@@ -38,12 +38,6 @@ type catalog struct {
 
 // Options configure a store's durability behaviour.
 type Options struct {
-	// DisableWAL turns the write-ahead log off entirely: mutations are
-	// in-memory-catalog-only until Sync/Close, as in the original engine.
-	// The write-new-then-free-old discipline still applies, so a failed
-	// write never corrupts the previous state.
-	DisableWAL bool
-
 	// NoFsync appends WAL records without fsyncing them at commit.
 	// Recovery still replays whatever reached the disk (torn tails are
 	// truncated), but an acknowledged commit may be lost on a crash.
@@ -80,7 +74,7 @@ type Store struct {
 	cat   catalog
 	path  string
 	opts  Options
-	wal   *wal // nil when Options.DisableWAL
+	wal   *wal
 
 	// mutSeq counts committed catalog mutations; read pins capture it so
 	// the pending-free drain knows which freed chains are still visible
@@ -131,8 +125,8 @@ func Open(path string) (*Store, error) {
 }
 
 // OpenWith opens (creating if needed) a store at path. When the
-// write-ahead log is enabled and holds records — the previous process
-// crashed after acknowledged commits — they are replayed on top of the
+// write-ahead log holds records — the previous process crashed after
+// acknowledged commits — they are replayed on top of the
 // last checkpointed catalog and a fresh checkpoint is taken, so the store
 // comes up with every acknowledged commit and a truncated log.
 func OpenWith(path string, opts Options) (*Store, error) {
@@ -161,9 +155,6 @@ func OpenWith(path string, opts Options) (*Store, error) {
 		}
 	}
 	s.countCatalog()
-	if opts.DisableWAL {
-		return s, nil
-	}
 	w, records, err := openWAL(path+".wal", opts.NoFsync)
 	if err != nil {
 		p.close()
@@ -560,10 +551,8 @@ func (s *Store) Close() error {
 		firstErr = err
 	}
 	s.mu.Unlock()
-	if s.wal != nil {
-		if err := s.wal.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if err := s.wal.close(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	if err := s.pager.close(); err != nil && firstErr == nil {
 		firstErr = err
@@ -586,9 +575,8 @@ func (s *Store) Sync() error {
 // WALStatus reports the write-ahead log's durability lag for health
 // checks: bytes accumulated since the last checkpoint truncated the
 // log, the highest appended and fsynced sequences, and when the last
-// fsync happened. A zero-value status means the WAL is disabled.
+// fsync happened.
 type WALStatus struct {
-	Enabled   bool
 	NoFsync   bool
 	SizeBytes int64  // log bytes since the last checkpoint (framing included)
 	LastSeq   uint64 // sequence of the last appended record
@@ -598,16 +586,12 @@ type WALStatus struct {
 
 // WALStatus returns the current write-ahead log durability lag.
 func (s *Store) WALStatus() WALStatus {
-	if s.wal == nil {
-		return WALStatus{}
-	}
 	size, last, synced, lastSync := s.wal.status()
 	size -= walHeaderSize
 	if size < 0 {
 		size = 0
 	}
 	return WALStatus{
-		Enabled:   true,
 		NoFsync:   s.opts.NoFsync,
 		SizeBytes: size,
 		LastSeq:   last,
@@ -628,7 +612,7 @@ func (s *Store) Checkpoint() error {
 	// Flush the bulk of the page writes before taking the store lock so
 	// writers and readers are blocked only for the catalog write and the
 	// small delta fsync below.
-	if !s.opts.DisableWAL && !s.opts.NoFsync {
+	if !s.opts.NoFsync {
 		if err := s.pager.fsync(); err != nil {
 			return err
 		}
@@ -663,28 +647,23 @@ func (s *Store) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	var coveredSeq uint64
-	if s.wal != nil {
-		coveredSeq = s.wal.lastSeq()
-		if !s.opts.NoFsync {
-			if err := s.pager.fsync(); err != nil {
-				return err
-			}
+	coveredSeq := s.wal.lastSeq()
+	if !s.opts.NoFsync {
+		if err := s.pager.fsync(); err != nil {
+			return err
 		}
 	}
 	s.pager.catalog = id
 	if err := s.pager.writeHeader(); err != nil {
 		return err
 	}
-	if s.wal != nil {
-		if !s.opts.NoFsync {
-			if err := s.pager.fsync(); err != nil {
-				return err
-			}
-		}
-		if err := s.wal.reset(coveredSeq); err != nil {
+	if !s.opts.NoFsync {
+		if err := s.pager.fsync(); err != nil {
 			return err
 		}
+	}
+	if err := s.wal.reset(coveredSeq); err != nil {
+		return err
 	}
 	if oldCatalog != 0 {
 		// The catalog record is read only at Open; no pin can reference
@@ -700,7 +679,7 @@ func (s *Store) checkpointLocked() error {
 // maybeCheckpoint starts a background checkpoint when the WAL has grown
 // past the configured threshold. At most one is queued at a time.
 func (s *Store) maybeCheckpoint() {
-	if s.wal == nil || s.opts.CheckpointBytes <= 0 {
+	if s.opts.CheckpointBytes <= 0 {
 		return
 	}
 	if s.wal.sizeNow() < s.opts.CheckpointBytes {
@@ -739,11 +718,8 @@ func (s *Store) CreateCollection(name string) error {
 }
 
 // logLocked appends a WAL record (no fsync) under s.mu, returning the
-// commit token WaitDurable redeems. A zero token means the WAL is off.
+// commit token WaitDurable redeems.
 func (s *Store) logLocked(rec walRecord) (CommitToken, error) {
-	if s.wal == nil {
-		return CommitToken{}, nil
-	}
 	seq, err := s.wal.append(rec)
 	if err != nil {
 		return CommitToken{}, err
@@ -758,12 +734,9 @@ type CommitToken struct {
 }
 
 // WaitDurable blocks until the mutation behind tok is fsynced, batching
-// into the group commit. A zero token (WAL off, or NoFsync) returns
+// into the group commit. A zero token, or a store with NoFsync, returns
 // immediately.
 func (s *Store) WaitDurable(tok CommitToken) error {
-	if s.wal == nil || tok.seq == 0 {
-		return nil
-	}
 	return s.wal.commit(tok.seq)
 }
 
@@ -868,7 +841,7 @@ func (s *Store) AbortStaged(st *StagedDoc) {
 
 // PutDocument stores (or replaces) a document in a collection, creating
 // the collection if needed. The document is durable when PutDocument
-// returns (unless the store runs with NoFsync or DisableWAL).
+// returns (unless the store runs with NoFsync).
 func (s *Store) PutDocument(collection string, doc *xmltree.Document) error {
 	st, err := s.StageDocument(collection, doc)
 	if err != nil {

@@ -39,19 +39,15 @@ type Constraint struct {
 	// alphanumeric literal; a substring match within a text always lands
 	// inside a single token then).
 	Substring string
-	// Elements non-empty: the document must contain an element with every
-	// listed name (derived from scan-rooted and binding paths and positive
-	// existence tests — a document lacking the element yields no nodes or
-	// bindings and so no output). This is the structural-index
-	// counterpart of eXist's "indexes … to speed up path expressions
-	// evaluation".
-	Elements []string
 	// Path non-nil: the document must contain a node whose root-to-node
 	// label path matches Path.Steps and — for the comparison ops — whose
 	// string value compares true against Path.Literal under the
 	// evaluator's general-comparison semantics. Derived from scan-rooted
-	// and binding paths (CmpExists) and from equality/range terms;
-	// evaluated against the engine's path summary and typed value index.
+	// and binding paths and positive existence tests (CmpExists: a
+	// document lacking the path yields no nodes or bindings and so no
+	// output) and from equality/range terms; evaluated against the
+	// engine's path summary — the counterpart of eXist's "indexes … to
+	// speed up path expressions evaluation" — and typed value index.
 	Path *PathConstraint
 	// Contains non-nil: the document must contain a node at
 	// Contains.Steps whose string value contains Contains.Needle (case
@@ -174,7 +170,8 @@ type Hints map[*CollectionCall]*Hint
 // existence. Terms under not(), or, !=, any other function, and paths
 // carrying step predicates of their own are ignored, and so make the
 // scans they may filter incomplete (Hint.Complete), as does a term or
-// binding path that yields no root-anchored Path (contains, text()).
+// binding path that yields no root-anchored Path (contains) or whose
+// Path names a text()'s element rather than the text.
 func ExtractScanHints(e Expr) Hints {
 	h := Hints{}
 	Walk(e, func(x Expr) {
@@ -252,14 +249,15 @@ func (h Hints) add(scan *CollectionCall, c *Constraint) *Hint {
 	return hint
 }
 
-// keep records c on the scan when there is one, and marks the scan's
-// hint incomplete unless c has a root-anchored Path: the analysis that
-// drops a conjunct, or keeps it only as a necessary condition, says so.
-func (h Hints) keep(scan *CollectionCall, c Constraint, ok bool) {
+// keep records c on the scan when there is one (ok), and marks the
+// scan's hint incomplete unless c has a root-anchored Path over an anchor
+// labelled at every step (a.ok): the analysis that drops a conjunct, or
+// keeps it only as a necessary condition, says so.
+func (h Hints) keep(scan *CollectionCall, a anchor, c Constraint, ok bool) {
 	if ok {
 		h.add(scan, &c)
 	}
-	if !ok || c.Path == nil {
+	if !ok || c.Path == nil || !a.ok {
 		h.add(scan, nil).Complete = false
 	}
 }
@@ -281,12 +279,13 @@ func (a anchor) extend(steps []PathStep) anchor {
 	return anchor{scan: a.scan, steps: ls, ok: a.ok && ok}
 }
 
-// addPath records what a path from a requires of a's scan: its element
-// names and label path, and the conjuncts of each step predicate, whose
-// relative paths extend the path up to and including that step.
+// addPath records what a path from a requires of a's scan: its label
+// path, and the conjuncts of each step predicate, whose relative paths
+// extend the path up to and including that step.
 func (h Hints) addPath(a anchor, steps []PathStep) {
-	c, ok := existence(a.extend(steps), steps)
-	h.keep(a.scan, c, ok)
+	end := a.extend(steps)
+	c, ok := existence(end)
+	h.keep(a.scan, end, c, ok)
 	for si, st := range steps {
 		if len(st.Preds) == 0 {
 			continue
@@ -294,8 +293,8 @@ func (h Hints) addPath(a anchor, steps []PathStep) {
 		ctx := a.extend(steps[:si+1])
 		for _, p := range st.Preds {
 			Conjuncts(p, func(term Expr) {
-				_, c, ok := constraintFromTerm(term, nil, &ctx)
-				h.keep(a.scan, c, ok)
+				ta, c, ok := constraintFromTerm(term, nil, &ctx)
+				h.keep(a.scan, ta, c, ok)
 			})
 		}
 	}
@@ -320,9 +319,9 @@ func (h Hints) addFLWOR(f *FLWOR) {
 		if ok {
 			h.add(a.scan, &c)
 		}
-		if !ok || c.Path == nil {
-			// A term dropped, or kept without a Path, may filter the
-			// bindings of any scan the FLWOR binds.
+		if !ok || c.Path == nil || !a.ok {
+			// A term dropped, or kept without a Path over its whole
+			// anchor, may filter the bindings of any scan the FLWOR binds.
 			for _, b := range vars {
 				h.add(b.scan, nil).Complete = false
 			}
@@ -463,8 +462,8 @@ func constraintFromTerm(term Expr, vars map[string]anchor, ctx *anchor) (anchor,
 	return a, c, len(c.Tokens) > 0 || c.Substring != "" || c.Path != nil || c.Contains != nil
 }
 
-// existenceTerm derives a required-elements (and required-path)
-// constraint from a positive existence test over a path.
+// existenceTerm derives a required-path constraint from a positive
+// existence test over a path.
 func existenceTerm(e Expr, vars map[string]anchor, ctx *anchor) (anchor, Constraint, bool) {
 	pe, ok := e.(*PathExpr)
 	if !ok {
@@ -474,30 +473,18 @@ func existenceTerm(e Expr, vars map[string]anchor, ctx *anchor) (anchor, Constra
 	if !ok {
 		return a, Constraint{}, false
 	}
-	c, ok := existence(a, pe.Steps)
+	c, ok := existence(a)
 	return a, c, ok
 }
 
-// existence is what a path with the given steps, ending at a, needs to
-// select anything: the element names of its steps and a's label path.
-func existence(a anchor, steps []PathStep) (Constraint, bool) {
-	c := Constraint{Elements: stepElements(steps)}
-	if a.ok && len(a.steps) > 0 {
-		c.Path = &PathConstraint{Steps: a.steps, Op: CmpExists}
+// existence is what a path ending at a needs to select anything: a node
+// at a's label path. With a not ok (a text() step) that path names the
+// text's element, still a necessary condition but not the path's own.
+func existence(a anchor) (Constraint, bool) {
+	if len(a.steps) == 0 {
+		return Constraint{}, false
 	}
-	return c, len(c.Elements) > 0 || c.Path != nil
-}
-
-// stepElements returns the concrete element names a path requires.
-func stepElements(steps []PathStep) []string {
-	var out []string
-	for _, st := range steps {
-		if st.Attr || st.Text || st.Name == "*" || st.Name == "" {
-			continue
-		}
-		out = append(out, st.Name)
-	}
-	return out
+	return Constraint{Path: &PathConstraint{Steps: a.steps, Op: CmpExists}}, true
 }
 
 // toLabelSteps converts location steps to a label-path pattern. Step

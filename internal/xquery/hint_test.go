@@ -2,6 +2,7 @@ package xquery
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,15 +98,9 @@ func TestExtractScanHintsNestedBinding(t *testing.T) {
 	if len(pcs) != 1 || pcs[0].Op != CmpEq || !reflect.DeepEqual(pcs[0].Steps, want) {
 		t.Fatalf("path constraints = %+v", pcs)
 	}
-	var elems [][]string
-	for _, c := range h.Constraints {
-		if len(c.Elements) > 0 {
-			elems = append(elems, c.Elements)
-		}
-	}
-	wantElems := [][]string{{"Item"}, {"PictureList"}, {"Picture"}}
-	if !reflect.DeepEqual(elems, wantElems) {
-		t.Fatalf("element constraints = %v, want %v", elems, wantElems)
+	wantExists := []string{"/Item", "/Item/PictureList", "/Item/PictureList/Picture"}
+	if got := existsPaths(h); !reflect.DeepEqual(got, wantExists) {
+		t.Fatalf("exists constraints = %v, want %v", got, wantExists)
 	}
 }
 
@@ -240,7 +235,18 @@ func TestExtractHintsMultiTokenEquality(t *testing.T) {
 	}
 }
 
-func TestExtractHintsElements(t *testing.T) {
+// existsPaths lists a hint's CmpExists Paths, formatted, in order.
+func existsPaths(h *Hint) []string {
+	var out []string
+	for _, c := range h.Constraints {
+		if c.Path != nil && c.Path.Op == CmpExists {
+			out = append(out, FormatLabelSteps(c.Path.Steps))
+		}
+	}
+	return out
+}
+
+func TestExtractHintsExistsPaths(t *testing.T) {
 	e := MustParse(`for $i in collection("items")/Item
 	  where exists($i/PictureList/Picture) and $i/Section = "CD"
 	  return $i/Code`)
@@ -248,41 +254,24 @@ func TestExtractHintsElements(t *testing.T) {
 	if h == nil {
 		t.Fatal("no hints")
 	}
-	var els [][]string
-	for _, c := range h.Constraints {
-		if len(c.Elements) > 0 {
-			els = append(els, c.Elements)
-		}
-	}
-	// Binding requires Item; the exists() requires PictureList/Picture.
-	if len(els) != 2 {
-		t.Fatalf("element constraints = %v", els)
-	}
-	if !reflect.DeepEqual(els[0], []string{"Item"}) {
-		t.Fatalf("binding elements = %v", els[0])
-	}
-	if !reflect.DeepEqual(els[1], []string{"PictureList", "Picture"}) {
-		t.Fatalf("exists elements = %v", els[1])
+	// Binding requires Item; the exists() requires Item/PictureList/Picture.
+	want := []string{"/Item", "/Item/PictureList/Picture"}
+	if got := existsPaths(h); !reflect.DeepEqual(got, want) {
+		t.Fatalf("exists constraints = %v, want %v", got, want)
 	}
 }
 
 func TestExtractHintsBareExistenceTerm(t *testing.T) {
 	e := MustParse(`for $i in collection("items")/Item where $i/PictureList return $i/Code`)
 	h := ExtractHints(e)["items"]
-	found := false
-	for _, c := range h.Constraints {
-		if reflect.DeepEqual(c.Elements, []string{"PictureList"}) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("bare existence term not extracted: %+v", h.Constraints)
+	if got := existsPaths(h); !slices.Contains(got, "/Item/PictureList") {
+		t.Fatalf("bare existence term not extracted: %v", got)
 	}
 }
 
-func TestExtractHintsElementsSkipUnsafe(t *testing.T) {
+func TestExtractHintsExistsSkipUnsafe(t *testing.T) {
 	queries := []string{
-		// Negated existence must not require the element.
+		// Negated existence must not require the path.
 		`for $i in collection("items")/Item where not(exists($i/PictureList)) return $i`,
 		// Disjunction of existence tests is not conjunctive.
 		`for $i in collection("items")/Item where $i/PictureList or $i/PricesHistory return $i`,
@@ -292,12 +281,25 @@ func TestExtractHintsElementsSkipUnsafe(t *testing.T) {
 		if h == nil {
 			continue
 		}
-		for _, c := range h.Constraints {
-			for _, el := range c.Elements {
-				if el == "PictureList" || el == "PricesHistory" {
-					t.Errorf("%s: unsafe element constraint %v", q, c.Elements)
-				}
-			}
+		if got := existsPaths(h); !reflect.DeepEqual(got, []string{"/Item"}) {
+			t.Errorf("%s: exists constraints %v, want only the binding's /Item", q, got)
+		}
+	}
+}
+
+// A text() step leaves the path summary its element's path: a necessary
+// condition, but not the path's own, so the hint stays incomplete.
+func TestExtractHintsTextStepKeepsElementPath(t *testing.T) {
+	hints := ExtractScanHints(MustParse(`collection("items")/Item/Name/text()`))
+	if len(hints) != 1 {
+		t.Fatalf("%d scans", len(hints))
+	}
+	for _, h := range hints {
+		if got := existsPaths(h); !reflect.DeepEqual(got, []string{"/Item/Name"}) {
+			t.Fatalf("exists constraints = %v, want [/Item/Name]", got)
+		}
+		if h.Complete {
+			t.Fatal("a text() path's hint is complete")
 		}
 	}
 }
@@ -511,24 +513,15 @@ func (p *pruningSource) Docs(name string, hint *Hint, fn func(*xmltree.Document)
 
 func docSatisfiesHint(d *xmltree.Document, h *Hint) bool {
 	tokens := map[string]bool{}
-	elements := map[string]bool{}
 	d.Root.Walk(func(n *xmltree.Node) bool {
-		switch n.Kind {
-		case xmltree.TextNode:
+		if n.Kind == xmltree.TextNode {
 			for _, tok := range Tokenize(n.Value) {
 				tokens[tok] = true
 			}
-		case xmltree.ElementNode:
-			elements[n.Name] = true
 		}
 		return true
 	})
 	for _, c := range h.Constraints {
-		for _, el := range c.Elements {
-			if !elements[el] {
-				return false
-			}
-		}
 		if len(c.Tokens) > 0 {
 			for _, tok := range c.Tokens {
 				if !tokens[tok] {
@@ -574,7 +567,8 @@ func TestExtractScanHintsComplete(t *testing.T) {
 		{`for $i in collection("items")/Item where $i/PictureList[Picture] return $i`, false},
 		{`collection("items")/Item[Section = Code]`, false},
 		{`collection("items")/Item[1]`, false},
-		// text() has no label: the binding path or the term yields no Path.
+		// text() has no label: the binding path's Path names the text's
+		// element, the comparison yields no Path.
 		{`collection("items")/Item/text()`, false},
 		{`for $i in collection("items")/Item where $i/Section/text() = "CD" return $i`, false},
 		// A term over a let variable may filter the scan's bindings.
