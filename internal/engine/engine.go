@@ -26,11 +26,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"partix/internal/lru"
 	"partix/internal/obs"
 	"partix/internal/storage"
 	"partix/internal/xmltree"
 	"partix/internal/xquery"
-	"partix/internal/xquery/exec"
 )
 
 // Options configure a DB.
@@ -61,8 +61,9 @@ type DB struct {
 	idx  map[string]*docIndex // collection → indexes
 	cols map[string]*colState // collection → write lock + seqlock
 
-	stats liveStats
-	heat  heatState // per-collection workload heat, see heat.go
+	stats    liveStats
+	heat     heatState                // per-collection workload heat, see heat.go
+	prepared *lru.Cache[prepKey, any] // prepared texts, see prepare.go
 
 	// subs are the OnCommit subscribers, replaced whole under subsMu so a
 	// commit reads them without a lock.
@@ -167,7 +168,8 @@ func Open(path string, opts Options) (*DB, error) {
 	db := &DB{
 		opts: opts, store: st,
 		idx: map[string]*docIndex{}, cols: map[string]*colState{},
-		heat: heatState{cols: map[string]*colHeat{}},
+		heat:     heatState{cols: map[string]*colHeat{}},
+		prepared: newPrepareCache(),
 	}
 	// A persisted index snapshot is trustworthy only after a clean
 	// shutdown: when the store replayed WAL records at open, the catalog is
@@ -444,54 +446,43 @@ func (db *DB) WALStatus() storage.WALStatus {
 	return db.store.WALStatus()
 }
 
-// Query parses and executes an XQuery expression.
+// Query prepares (Prepare) and executes an XQuery expression.
 func (db *DB) Query(query string) (xquery.Seq, error) {
-	e, err := xquery.Parse(query)
+	p, err := db.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	return db.QueryExpr(e)
-}
-
-// ParseTraced parses a sub-query. With trace set it also returns the
-// first two processing steps a node reports for a traced sub-query:
-// parse (query text → AST) and plan (index-hint extraction — the
-// node-local planning the engine repeats inside evaluation).
-func ParseTraced(query string, trace bool) (xquery.Expr, []obs.Span, error) {
-	start := time.Now()
-	e, err := xquery.Parse(query)
-	if err != nil || !trace {
-		return e, nil, err
-	}
-	parsed := time.Now()
-	hints := xquery.ExtractScanHints(e)
-	return e, []obs.Span{
-		{Name: "parse", Duration: parsed.Sub(start)},
-		{Name: "plan", Detail: fmt.Sprintf("hints=%d", len(hints)), Duration: time.Since(parsed)},
-	}, nil
+	return db.runPrepared(p)
 }
 
 // QueryExpr executes a parsed query: through the compiled vectorized
 // pipeline when the query is inside the compiled subset, through the
 // tree-walking interpreter otherwise. Both paths produce identical results.
 func (db *DB) QueryExpr(e xquery.Expr) (xquery.Seq, error) {
-	db.stats.queries.Add(1)
-	obs.EngineQueries.Inc()
+	return db.runPrepared(newPrepared(e, ""))
+}
+
+func (db *DB) runPrepared(p *Prepared) (xquery.Seq, error) {
+	db.countQuery(p)
 	start := time.Now()
 	var seq xquery.Seq
 	var err error
-	if prog := db.compileQuery(e); prog != nil {
-		seq, err = prog.Run(db)
+	if p.prog != nil {
+		seq, err = p.prog.Run(db)
 	} else {
-		seq, err = xquery.Eval(e, db)
+		seq, err = xquery.Eval(p.Expr, db)
 	}
-	elapsed := time.Since(start)
-	obs.EngineQuerySeconds.Observe(elapsed.Seconds())
-	db.observeQueryHeat(e, elapsed)
+	db.observeQuery(p, time.Since(start))
 	return seq, err
 }
 
-// StreamQueryExpr executes a parsed query delivering result items to
+// StreamQueryExpr is StreamPrepared of a query that was parsed
+// elsewhere, prepared for this run only.
+func (db *DB) StreamQueryExpr(e xquery.Expr, origins *Origins, yield func(xquery.Seq) error) (int, error) {
+	return db.StreamPrepared(newPrepared(e, ""), origins, yield)
+}
+
+// StreamPrepared executes a prepared query delivering result items to
 // yield in bounded chunks, so peak memory stays flat however large the
 // result is. Each yielded Seq is owned by the consumer. Queries outside
 // the compiled subset fall back to the interpreter, which materializes
@@ -502,22 +493,17 @@ func (db *DB) QueryExpr(e xquery.Expr) (xquery.Seq, error) {
 // tells where each yielded node was decoded from, while those bytes are
 // still intact (Origins); it holds nothing once the stream returns, so it
 // can serve the caller's next stream.
-func (db *DB) StreamQueryExpr(e xquery.Expr, origins *Origins, yield func(xquery.Seq) error) (int, error) {
-	db.stats.queries.Add(1)
-	obs.EngineQueries.Inc()
+func (db *DB) StreamPrepared(p *Prepared, origins *Origins, yield func(xquery.Seq) error) (int, error) {
+	db.countQuery(p)
 	start := time.Now()
-	defer func() {
-		elapsed := time.Since(start)
-		obs.EngineQuerySeconds.Observe(elapsed.Seconds())
-		db.observeQueryHeat(e, elapsed)
-	}()
+	defer func() { db.observeQuery(p, time.Since(start)) }()
 	origins.src = streamSource{DB: db, origins: origins}
 	src := &origins.src
 	defer origins.drop()
-	if prog := db.compileQuery(e); prog != nil {
-		return prog.Stream(src, yield)
+	if p.prog != nil {
+		return p.prog.Stream(src, yield)
 	}
-	seq, err := xquery.Eval(e, src)
+	seq, err := xquery.Eval(p.Expr, src)
 	if err != nil {
 		return 0, err
 	}
@@ -529,16 +515,21 @@ func (db *DB) StreamQueryExpr(e xquery.Expr, origins *Origins, yield func(xquery
 	return len(seq), nil
 }
 
-// compileQuery compiles e for the vectorized executor, or returns nil
-// for the interpreter path (shape outside the compiled subset).
-func (db *DB) compileQuery(e xquery.Expr) *exec.Program {
-	prog, ok := exec.Compile(e)
-	if !ok {
-		return nil
+// countQuery counts a query run, and whether the compiled pipeline runs
+// it: every run counts, cached program or not.
+func (db *DB) countQuery(p *Prepared) {
+	db.stats.queries.Add(1)
+	obs.EngineQueries.Inc()
+	if p.prog != nil {
+		db.stats.compiled.Add(1)
+		obs.EngineCompiledQueries.Inc()
 	}
-	db.stats.compiled.Add(1)
-	obs.EngineCompiledQueries.Inc()
-	return prog
+}
+
+// observeQuery records a finished run's latency and heat.
+func (db *DB) observeQuery(p *Prepared, elapsed time.Duration) {
+	obs.EngineQuerySeconds.Observe(elapsed.Seconds())
+	db.observeQueryHeat(p.collections, elapsed)
 }
 
 // Stats returns a snapshot of the engine counters. Each field is read
@@ -875,13 +866,9 @@ func (db *DB) Fetch(collection string, names []string, where string, fn func(nam
 			return fn(d.Name, raw)
 		})
 	}
-	e, err := xquery.Parse(where)
+	filter, err := db.fetchFilter(collection, where)
 	if err != nil {
-		return fmt.Errorf("engine: fetch filter: %w", err)
-	}
-	filter, ok := exec.CompileFilter(e)
-	if !ok || filter.Collection() != collection || len(xquery.CollectionNames(e)) != 1 {
-		return fmt.Errorf("engine: fetch filter %q is not a compiled for-where over collection %q", where, collection)
+		return err
 	}
 	src := &fetchSource{db: db, names: names, fn: fn}
 	return filter.Match(src, func() { src.matched = true })

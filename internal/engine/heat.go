@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"partix/internal/obs"
-	"partix/internal/xquery"
 )
 
 // Per-collection heat counters feed the workload profiler's fragment
@@ -52,12 +51,12 @@ func (h *heatState) forCollection(collection string) *colHeat {
 
 // observeQueryHeat bumps the query and latency counters of every
 // collection a query touches.
-func (db *DB) observeQueryHeat(e xquery.Expr, elapsed time.Duration) {
+func (db *DB) observeQueryHeat(collections []string, elapsed time.Duration) {
 	if !obs.Enabled() {
 		return
 	}
 	bucket := obs.ObserveLatencyBucket(elapsed)
-	for _, name := range xquery.CollectionNames(e) {
+	for _, name := range collections {
 		c := db.heat.forCollection(name)
 		c.queries.Add(1)
 		c.latencyMu.Lock()

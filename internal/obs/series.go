@@ -108,6 +108,12 @@ var (
 		"Cached plans evicted by the LRU capacity cap.")
 	CoordPlanCacheInvalidations = Default.NewCounter("partix_coord_plan_cache_invalidations_total",
 		"Cached plans discarded as stale (catalog or generation change).")
+	EnginePrepareHits = Default.NewCounter("partix_engine_prepare_cache_hits_total",
+		"Node sub-query, fetch-filter and projection texts found prepared (parse and compile skipped).")
+	EnginePrepareMisses = Default.NewCounter("partix_engine_prepare_cache_misses_total",
+		"Node sub-query, fetch-filter and projection texts that had to be parsed and compiled.")
+	EnginePrepareEvictions = Default.NewCounter("partix_engine_prepare_cache_evictions_total",
+		"Prepared texts evicted by the LRU capacity cap.")
 	CoordFragmentsSkipped = Default.NewCounter("partix_coord_fragments_skipped_total",
 		"Fragments proven empty by statistics and skipped by the planner.")
 	CoordStatsFetches = Default.NewCounter("partix_coord_stats_fetches_total",

@@ -1,10 +1,8 @@
 package partix
 
 import (
-	"container/list"
-	"sync"
-
 	"partix/internal/engine"
+	"partix/internal/lru"
 	"partix/internal/obs"
 	"partix/internal/xquery"
 )
@@ -32,8 +30,8 @@ type planEntry struct {
 	plan *queryPlan
 }
 
-func newPlanCache() *lru[*planEntry] {
-	return newLRU[*planEntry](planCacheCap, obs.CoordPlanCacheEvictions)
+func newPlanCache() *lru.Cache[string, *planEntry] {
+	return lru.New[string, *planEntry](planCacheCap, obs.CoordPlanCacheEvictions)
 }
 
 // genStamp records the statistics snapshot an entry saw for one fragment.
@@ -68,83 +66,4 @@ type stampSet struct {
 // soon as the node's report of it arrives.
 func (s *System) stampsCurrent(ss stampSet) bool {
 	return ss.catalogVersion == s.catalog.Version() && s.statsCache.current(ss.stamps)
-}
-
-// lru is a least-recently-used cache keyed by string holding at most
-// capacity entries; a put past it evicts from the cold end. Values are
-// shared with every reader and must not be mutated after put.
-type lru[V any] struct {
-	mu        sync.Mutex
-	capacity  int
-	ll        *list.List
-	entries   map[string]*list.Element
-	evictions *obs.Counter // counts entries displaced by the cap
-}
-
-type lruEntry[V any] struct {
-	key string
-	val V
-}
-
-func newLRU[V any](capacity int, evictions *obs.Counter) *lru[V] {
-	return &lru[V]{capacity: capacity, ll: list.New(), entries: map[string]*list.Element{}, evictions: evictions}
-}
-
-// get returns the value for key, promoting it to most recently used.
-func (c *lru[V]) get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el := c.entries[key]
-	if el == nil {
-		var zero V
-		return zero, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry[V]).val, true
-}
-
-// put inserts or replaces the value for key, evicting the least recently
-// used entry when the cache is over capacity.
-func (c *lru[V]) put(key string, val V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el := c.entries[key]; el != nil {
-		el.Value.(*lruEntry[V]).val = val
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
-	if c.ll.Len() > c.capacity {
-		c.dropLocked(c.ll.Back())
-		c.evictions.Inc()
-	}
-}
-
-func (c *lru[V]) dropLocked(el *list.Element) {
-	delete(c.entries, c.ll.Remove(el).(*lruEntry[V]).key)
-}
-
-// remove drops one entry (a lookup found it stale).
-func (c *lru[V]) remove(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el := c.entries[key]; el != nil {
-		c.dropLocked(el)
-	}
-}
-
-// clear drops every entry. Not counted as evictions: nothing was
-// displaced by the cap.
-func (c *lru[V]) clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.entries)
-}
-
-// len reports the number of held entries.
-func (c *lru[V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

@@ -149,7 +149,7 @@ func TestPlanCacheConcurrentColdBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := itemStrings(ref.Items)
-	if s.planCache.len() != 0 {
+	if s.planCache.Len() != 0 {
 		t.Fatal("QueryExpr filled the plan cache")
 	}
 
@@ -180,7 +180,7 @@ func TestPlanCacheConcurrentColdBurst(t *testing.T) {
 	if dh+dm != burst || dm == 0 {
 		t.Fatalf("burst moved hits by %d and misses by %d, want %d lookups with at least one miss", dh, dm, burst)
 	}
-	if n := s.planCache.len(); n != 1 {
+	if n := s.planCache.Len(); n != 1 {
 		t.Fatalf("plan cache holds %d entries, want 1", n)
 	}
 	if r := queryItems(t, s, q, len(want)); !r.PlanCached {
@@ -202,11 +202,11 @@ func TestInvalidatePlansEmptiesPlanCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.planCache.len(); n != 2 {
+	if n := s.planCache.Len(); n != 2 {
 		t.Fatalf("plan cache holds %d entries, want 2", n)
 	}
 	s.InvalidatePlans()
-	if n := s.planCache.len(); n != 0 {
+	if n := s.planCache.Len(); n != 0 {
 		t.Fatalf("InvalidatePlans left %d entries", n)
 	}
 	inv := obs.CoordPlanCacheInvalidations.Value()
@@ -247,7 +247,7 @@ func TestUnstampedPlanSurvivesNodeWrite(t *testing.T) {
 	}
 
 	s.SetPlannerStats(true)
-	if n := s.planCache.len(); n != 0 {
+	if n := s.planCache.Len(); n != 0 {
 		t.Fatalf("switching statistics on left %d cached plans", n)
 	}
 	r := queryItems(t, s, q, 5)
@@ -277,7 +277,7 @@ func TestPlanCacheCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.planCache.len(); got != planCacheCap {
+	if got := s.planCache.Len(); got != planCacheCap {
 		t.Fatalf("plan cache holds %d entries, want %d", got, planCacheCap)
 	}
 	if got := obs.CoordPlanCacheEvictions.Value() - ev; got != n-planCacheCap {

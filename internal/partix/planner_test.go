@@ -9,6 +9,7 @@ import (
 
 	"partix/internal/cluster"
 	"partix/internal/fragmentation"
+	"partix/internal/lru"
 	"partix/internal/obs"
 	"partix/internal/wire"
 	"partix/internal/xmltree"
@@ -274,7 +275,7 @@ func TestPlanCacheHit(t *testing.T) {
 	if a, b := itemStrings(r1.Items), itemStrings(r2.Items); !equalStrings(a, b) {
 		t.Fatalf("cached plan changed the answer: %v vs %v", a, b)
 	}
-	if s.planCache.len() == 0 {
+	if s.planCache.Len() == 0 {
 		t.Fatal("cache empty after hits")
 	}
 }
@@ -381,37 +382,37 @@ func TestPlanCacheInvalidationOnRegister(t *testing.T) {
 // The plan cache's LRU: past its capacity the least recently used plan
 // falls out and the eviction counts.
 func TestPlanCacheLRUEviction(t *testing.T) {
-	c := newLRU[int](2, obs.CoordPlanCacheEvictions)
+	c := lru.New[string, int](2, obs.CoordPlanCacheEvictions)
 	evBefore := obs.CoordPlanCacheEvictions.Value()
-	c.put("q0", 0)
-	c.put("q1", 1)
-	if _, ok := c.get("q0"); !ok { // q0 is now the most recent; q1 the victim
+	c.Put("q0", 0)
+	c.Put("q1", 1)
+	if _, ok := c.Get("q0"); !ok { // q0 is now the most recent; q1 the victim
 		t.Fatal("q0 missing")
 	}
-	c.put("q2", 2)
-	if c.len() != 2 {
-		t.Fatalf("len=%d, want 2", c.len())
+	c.Put("q2", 2)
+	if c.Len() != 2 {
+		t.Fatalf("len=%d, want 2", c.Len())
 	}
 	if got := obs.CoordPlanCacheEvictions.Value() - evBefore; got != 1 {
 		t.Fatalf("evictions counted = %d, want 1", got)
 	}
-	if _, ok := c.get("q1"); ok {
+	if _, ok := c.Get("q1"); ok {
 		t.Fatal("least recently used entry survived")
 	}
 	for _, k := range []string{"q0", "q2"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.Get(k); !ok {
 			t.Fatalf("%s evicted instead of the LRU entry", k)
 		}
 	}
 	// Replacing a key keeps one entry and evicts nothing.
-	c.put("q2", 22)
-	if v, _ := c.get("q2"); v != 22 || c.len() != 2 || obs.CoordPlanCacheEvictions.Value()-evBefore != 1 {
-		t.Fatalf("replace: v=%d len=%d", v, c.len())
+	c.Put("q2", 22)
+	if v, _ := c.Get("q2"); v != 22 || c.Len() != 2 || obs.CoordPlanCacheEvictions.Value()-evBefore != 1 {
+		t.Fatalf("replace: v=%d len=%d", v, c.Len())
 	}
 	// clear drops everything without counting evictions.
-	c.clear()
-	if c.len() != 0 || obs.CoordPlanCacheEvictions.Value()-evBefore != 1 {
-		t.Fatalf("clear: len=%d", c.len())
+	c.Clear()
+	if c.Len() != 0 || obs.CoordPlanCacheEvictions.Value()-evBefore != 1 {
+		t.Fatalf("clear: len=%d", c.Len())
 	}
 }
 

@@ -151,12 +151,12 @@ func (s *System) QueryExpr(e xquery.Expr) (*QueryResult, error) {
 // one falls through to parse + plan, and the fresh plan is cached for
 // the next request.
 func (s *System) cachedPlan(norm, raw string) (xquery.Expr, *queryPlan, bool, error) {
-	if entry, ok := s.planCache.get(norm); ok {
+	if entry, ok := s.planCache.Get(norm); ok {
 		if s.stampsCurrent(entry.stampSet) {
 			obs.CoordPlanCacheHits.Inc()
 			return entry.expr, entry.plan, true, nil
 		}
-		s.planCache.remove(norm)
+		s.planCache.Remove(norm)
 		obs.CoordPlanCacheInvalidations.Inc()
 	}
 	obs.CoordPlanCacheMisses.Inc()
@@ -172,7 +172,7 @@ func (s *System) cachedPlan(norm, raw string) (xquery.Expr, *queryPlan, bool, er
 	if err != nil {
 		return nil, nil, false, err
 	}
-	s.planCache.put(norm, &planEntry{stampSet: stampSet{catalogVersion: version, stamps: p.stamps}, expr: e, plan: p})
+	s.planCache.Put(norm, &planEntry{stampSet: stampSet{catalogVersion: version, stamps: p.stamps}, expr: e, plan: p})
 	return e, p, false, nil
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"partix/internal/cluster"
 	"partix/internal/fragmentation"
+	"partix/internal/lru"
 	"partix/internal/obs"
 	"partix/internal/xmltree"
 )
@@ -27,7 +28,7 @@ type System struct {
 	logger       obs.Logger
 	plannerStats bool
 
-	planCache  *lru[*planEntry]
+	planCache  *lru.Cache[string, *planEntry]
 	statsCache *statsCache
 
 	// recorder and profiler are created once and never replaced; every
@@ -117,7 +118,7 @@ func (s *System) SetPlannerStats(on bool) {
 	s.plannerStats = on
 	s.mu.Unlock()
 	if changed {
-		s.planCache.clear()
+		s.planCache.Clear()
 	}
 }
 
@@ -133,7 +134,7 @@ func (s *System) PlannerStats() bool {
 // Node-side writes need no call: each node reports its commits to the
 // coordinator, which outdates what they touched.
 func (s *System) InvalidatePlans() {
-	s.planCache.clear()
+	s.planCache.Clear()
 	s.statsCache.clear()
 }
 

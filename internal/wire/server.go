@@ -450,7 +450,7 @@ func (s *Server) stream(req *Request, origins *engine.Origins, send func(*Frame)
 		return s.streamQuery(req, origins, &q, send)
 	}()
 	if req.Op == OpQueryStream {
-		s.recordQuery(req, q.expr, time.Since(start), q.total, q.shipped, s.decodedDelta(decodedBefore), err)
+		s.recordQuery(req, q.prep, time.Since(start), q.total, q.shipped, s.decodedDelta(decodedBefore), err)
 	}
 	if done != nil {
 		done()
@@ -467,7 +467,7 @@ func (s *Server) stream(req *Request, origins *engine.Origins, send func(*Frame)
 
 // queryRun is what a query stream tells the flight recorder (recordQuery).
 type queryRun struct {
-	expr           xquery.Expr
+	prep           *engine.Prepared // nil: the text did not parse
 	total, shipped int
 }
 
@@ -476,20 +476,22 @@ type queryRun struct {
 // queries stream straight out of the engine's operator pipeline, so the
 // node never materializes the full result; only queries outside the
 // compiled subset still do. A traced request (req.Trace) runs exactly the
-// same way; its step timings travel home in the FrameEnd trailer.
+// same way; its step timings travel home in the FrameEnd trailer. The
+// text is prepared through the engine's cache (engine.DB.Prepare), so a
+// repeated sub-query is parsed and compiled once.
 func (s *Server) streamQuery(req *Request, origins *engine.Origins, q *queryRun, send func(*Frame) error) (*Frame, error) {
-	expr, spans, err := engine.ParseTraced(req.Query, req.Trace)
+	prep, spans, err := s.db.PrepareTraced(req.Query, req.Trace)
 	if err != nil {
 		return nil, err
 	}
-	q.expr = expr
+	q.prep = prep
 	// One payload and one record encoder for the whole stream, the payload
 	// reset once send returns (gob wrote it out, a LocalNode copied it);
 	// 1 KiB spares a small answer the payload's growth from nothing.
 	w := itemWriter{payload: make([]byte, 0, 1<<10), origins: origins}
 	var serialize time.Duration // time inside the yield callback: encoding and sending frames
 	execStart := time.Now()
-	q.total, err = s.db.StreamQueryExpr(expr, origins, func(items xquery.Seq) error {
+	q.total, err = s.db.StreamPrepared(prep, origins, func(items xquery.Seq) error {
 		yieldStart := time.Now()
 		defer func() { serialize += time.Since(yieldStart) }()
 		for _, it := range items {
@@ -524,11 +526,13 @@ func (s *Server) streamQuery(req *Request, origins *engine.Origins, q *queryRun,
 // batches, returning the last batch as the FrameEnd. With req.Keep each
 // record is decoded under the projection, which validates every byte as a
 // whole decode does, and re-encoded; without it records ship as stored.
+// The projection, like the where filter, is parsed once per distinct text
+// (engine.DB.Projection).
 func (s *Server) streamFetch(req *Request, send func(*Frame) error) (*Frame, error) {
 	var keep *xmltree.Projection
 	if req.Keep != "" {
 		var err error
-		if keep, err = xmltree.ParseProjection(req.Keep); err != nil {
+		if keep, err = s.db.Projection(req.Keep); err != nil {
 			return nil, err
 		}
 	}
@@ -647,11 +651,11 @@ func (s *Server) decodedDelta(before int64) int64 {
 }
 
 // recordQuery publishes one served query into the node's flight
-// recorder and workload profiler, when the server has them. expr may be
-// nil (parse failures).
-func (s *Server) recordQuery(req *Request, expr xquery.Expr, elapsed time.Duration, items, bytes int, decoded int64, qerr error) {
-	if s.opts.Profiler != nil && expr != nil {
-		for coll, k := range xquery.ExtractWorkloadKeys(expr) {
+// recorder and workload profiler, when the server has them, from what
+// its prepared entry holds. prep is nil when the text did not parse.
+func (s *Server) recordQuery(req *Request, prep *engine.Prepared, elapsed time.Duration, items, bytes int, decoded int64, qerr error) {
+	if s.opts.Profiler != nil && prep != nil {
+		for coll, k := range prep.Keys {
 			s.opts.Profiler.ObserveQuery(coll, k.Paths, k.Predicates)
 		}
 	}
@@ -664,10 +668,16 @@ func (s *Server) recordQuery(req *Request, expr xquery.Expr, elapsed time.Durati
 		obs.TelemetrySampledOut.Inc()
 		return
 	}
+	var norm string
+	if prep != nil {
+		norm = prep.Normalized
+	} else {
+		norm = xquery.NormalizeQueryText(req.Query)
+	}
 	rec := &obs.QueryRecord{
 		UnixNano:    time.Now().UnixNano(),
 		TraceID:     req.TraceID,
-		Query:       xquery.NormalizeQueryText(req.Query),
+		Query:       norm,
 		DurationNs:  int64(elapsed),
 		Items:       items,
 		Bytes:       bytes,

@@ -22,12 +22,22 @@ func ParseNumber(s string) (float64, bool) {
 	if s == "" {
 		return 0, false
 	}
-	// ParseFloat allocates its error; screen out values that cannot open a
-	// float (words, paths, codes) so the vectorized comparison loop stays
-	// allocation-free on non-numeric columns. Every string ParseFloat
-	// accepts starts with a digit, sign, dot, or an Inf/NaN spelling.
-	if c := s[0]; (c < '0' || c > '9') && c != '+' && c != '-' && c != '.' &&
-		c != 'N' && c != 'n' && c != 'I' && c != 'i' {
+	// ParseFloat allocates its error; screen out values that cannot be a
+	// float (words, paths, codes such as "I000011") so the comparison
+	// loops, the index and the statistics stay allocation-free on
+	// non-numeric values. Every string ParseFloat accepts is, after an
+	// optional sign, a digit or a dot first, or exactly "inf", "infinity"
+	// or (unsigned) "nan" in any case.
+	rest := s
+	if c := rest[0]; c == '+' || c == '-' {
+		rest = rest[1:]
+	}
+	if rest == "" {
+		return 0, false
+	}
+	if c := rest[0]; (c < '0' || c > '9') && c != '.' &&
+		!strings.EqualFold(rest, "inf") && !strings.EqualFold(rest, "infinity") &&
+		(len(rest) < len(s) || !strings.EqualFold(rest, "nan")) {
 		return 0, false
 	}
 	f, err := strconv.ParseFloat(s, 64)

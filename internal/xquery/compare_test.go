@@ -1,6 +1,10 @@
 package xquery
 
 import (
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"partix/internal/xmltree"
@@ -93,6 +97,78 @@ func TestParseNumber(t *testing.T) {
 	// NaN parses as numeric; its value is unequal to itself by IEEE rules.
 	if num, isNum := ParseNumber("NaN"); !isNum || num == num {
 		t.Errorf("ParseNumber(NaN) = (%v, %v), want a numeric NaN", num, isNum)
+	}
+}
+
+// parseFloatOracle is the rule ParseNumber implements without its
+// screen: ParseFloat of the space-trimmed string.
+func parseFloatOracle(s string) (float64, bool) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
+}
+
+// ParseNumber's screen turns away only what ParseFloat would refuse: on
+// signs, the Inf and NaN spellings in every case, whitespace, hex and
+// underscores, and on randomized strings over the characters a float can
+// hold, it agrees with ParseFloat of the trimmed string.
+func TestParseNumberAgreesWithParseFloat(t *testing.T) {
+	cases := []string{
+		"inf", "Inf", "INF", "+inf", "-Inf", "infinity", "-INFINITY", "+Infinity",
+		"nan", "NaN", "NAN", "+nan", "-NaN", "infin", "infinite", "Infinite", "infinityx",
+		"nano", "na", "in", "i", "n", "N", "I", "+", "-", "+-1", "-+1", "++1", ".", "-.", "+.5",
+		".e1", "1e", "1e5", "1E-5", "0x1p-2", "0X1.8P1", "-0x1p0", "0x", "0x1", "1_000",
+		"0x_1p0", "1__0", "_1", " inf ", "\tnan\n", "I000011", "i1", "N/A", "x", "Infx",
+		"1.5", "00012", "1e400", "-1e400", "4.9e-324",
+	}
+	check := func(s string) {
+		t.Helper()
+		got, gotOK := ParseNumber(s)
+		want, wantOK := parseFloatOracle(s)
+		if gotOK != wantOK || (gotOK && got != want && !(math.IsNaN(got) && math.IsNaN(want))) {
+			t.Fatalf("ParseNumber(%q) = (%v, %v), ParseFloat says (%v, %v)", s, got, gotOK, want, wantOK)
+		}
+	}
+	for _, s := range cases {
+		check(s)
+	}
+	const alphabet = "+-.0123456789eEpPxX_ infINFaAnNtyTY\t"
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		b := make([]byte, 1+r.Intn(9))
+		for j := range b {
+			b[j] = alphabet[r.Intn(len(alphabet))]
+		}
+		check(string(b))
+	}
+	// Case variants of every spelling, signed and unsigned.
+	for _, word := range []string{"inf", "infinity", "nan"} {
+		for mask := 0; mask < 1<<len(word); mask++ {
+			w := []byte(word)
+			for j := range w {
+				if mask&(1<<j) != 0 {
+					w[j] -= 'a' - 'A'
+				}
+			}
+			for _, sign := range []string{"", "+", "-"} {
+				check(sign + string(w))
+			}
+		}
+	}
+}
+
+// A string that opens with a letter but spells no Inf or NaN is turned
+// away without calling ParseFloat, whose error allocates: Item codes are
+// such strings, and the index, statistics and executors parse them on
+// every query.
+func TestParseNumberNonNumericAllocatesNothing(t *testing.T) {
+	for _, s := range []string{"I000011", "Infinite", "nano"} {
+		if n := testing.AllocsPerRun(100, func() { ParseNumber(s) }); n != 0 {
+			t.Errorf("ParseNumber(%q) allocates %v times, want 0", s, n)
+		}
 	}
 }
 

@@ -28,9 +28,12 @@ go test -race -timeout 5m ./internal/obs/... ./internal/storage/... ./internal/e
 # writes, resubscribes after a loss and ends with Close, a LocalNode
 # watch reports before the write returns), and the two plan-cache
 # read/write differentials, the one test of stale cached plans under
-# concurrent node-direct writes; and the size-triggered checkpoint test,
-# whose background checkpoint goroutine races live writers
-go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragment|TestFetchStepsHonourInflightLimit|TestReconstructionFailover|TestMultiCollectionFetchFailsOverToReplica|TestSemiJoinMatchesCentralized|TestSemiJoinRoundTwoFailsOverToReplica|TestNodeOverloadIsErrOverloaded|TestOverloadedPrimaryFailsOverToReplica|TestOneSlotNodeServesBackToBackQueries|TestNodeWriteVisibleWithoutInvalidate|TestWatchDownKeepsEveryFragment|TestConcurrentWritesKeepPointQueriesRight|TestWatchReportsWrites|TestWatchResubscribesAfterLoss|TestWatchEndsWithClose|TestLocalNodeWatchIsSynchronous|TestPlanCacheRandomizedReadWriteDifferential|TestPlanCacheStatisticsSkippingDifferential|TestSizeTriggeredCheckpointKeepsAcknowledgedPuts' ./internal/partix/ ./internal/wire/ ./internal/storage/
+# concurrent node-direct writes; the size-triggered checkpoint test,
+# whose background checkpoint goroutine races live writers; and the
+# prepared-query differential (TestPreparedQueriesDifferentialUnderWrites:
+# sub-queries on a LocalNode and a TCP node share cached programs that
+# are evicted mid-run while node-direct puts and deletes land)
+go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragment|TestFetchStepsHonourInflightLimit|TestReconstructionFailover|TestMultiCollectionFetchFailsOverToReplica|TestSemiJoinMatchesCentralized|TestSemiJoinRoundTwoFailsOverToReplica|TestNodeOverloadIsErrOverloaded|TestOverloadedPrimaryFailsOverToReplica|TestOneSlotNodeServesBackToBackQueries|TestNodeWriteVisibleWithoutInvalidate|TestWatchDownKeepsEveryFragment|TestConcurrentWritesKeepPointQueriesRight|TestWatchReportsWrites|TestWatchResubscribesAfterLoss|TestWatchEndsWithClose|TestLocalNodeWatchIsSynchronous|TestPlanCacheRandomizedReadWriteDifferential|TestPlanCacheStatisticsSkippingDifferential|TestSizeTriggeredCheckpointKeepsAcknowledgedPuts|TestPreparedQueriesDifferentialUnderWrites' ./internal/partix/ ./internal/wire/ ./internal/storage/
 # the benchmark is a nested module (partix/benchmark) that compiles
 # against internal/ through a replace directive, so ./... above does not
 # reach it: vet it and run its 5 s smoke test, or an internal/ signature
@@ -61,7 +64,11 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # the Items' size: no tree built until a caller asks for a node) and the
 # Node size the decoder's record ranges and shell bit must not grow, a
 # point sub-query on one in-process node (allocations and bytes per
-# sub-query independent of the collection's size), the wire's
+# sub-query independent of the collection's size), a repeated point
+# sub-query on a node with a flight recorder and a workload profiler
+# (parsed once, a repeat at most 0.6 times its first run's allocations,
+# observations as per-query analysis gives them), a non-numeric value's
+# numeric test (no allocation), the wire's
 # message-limit reader,
 # serialization and its size count, a leaf's string value (no
 # allocation), the coordinator's per-query
@@ -73,7 +80,7 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # at ten times the size)
 go test -timeout 5m -run 'TestAllocsScanFilterProject|TestStringTermAllocsIndependentOfSubtreeSize' ./internal/xquery/exec/
 go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs|TestProjectedDecodeIndependentOfDroppedSubtrees|TestSmallRecordsSharePages' ./internal/storage/
-go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestRetainedHeapPerIndexedDocument|TestCandidateSelectionSizeIndependent|TestDeciderCostIndependentOfCollectionSize|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestNodeSize|TestFrameCodecAllocsPerFrame|TestFramingStoredItemsCostsPerFrame|TestShippedSubtreesAreNotBuilt|TestReceivedNodesAreNotBuilt|TestLocalPointQueryCostIndependentOfCollectionSize|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs|TestColdPlanAllocsIndependentOfCollectionSize|TestStatisticsSnapshotBytesBounded' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/
+go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestRetainedHeapPerIndexedDocument|TestCandidateSelectionSizeIndependent|TestDeciderCostIndependentOfCollectionSize|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestNodeSize|TestFrameCodecAllocsPerFrame|TestFramingStoredItemsCostsPerFrame|TestShippedSubtreesAreNotBuilt|TestReceivedNodesAreNotBuilt|TestLocalPointQueryCostIndependentOfCollectionSize|TestRepeatedSubQueryIsPreparedOnce|TestParseNumberNonNumericAllocatesNothing|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs|TestColdPlanAllocsIndependentOfCollectionSize|TestStatisticsSnapshotBytesBounded' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/ ./internal/xquery/
 
 # observability smoke test: a node started with -debug-addr must serve
 # valid Prometheus text carrying series from every instrumented layer,
