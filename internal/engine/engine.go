@@ -499,7 +499,7 @@ func (db *DB) StreamPrepared(p *Prepared, origins *Origins, yield func(xquery.Se
 	defer func() { db.observeQuery(p, time.Since(start)) }()
 	origins.src = streamSource{DB: db, origins: origins}
 	src := &origins.src
-	defer origins.drop()
+	defer origins.end()
 	if p.prog != nil {
 		return p.prog.Stream(src, yield)
 	}
@@ -780,21 +780,28 @@ const (
 // documents of refs with their records, a chunk at a time, and reports how
 // many documents and record bytes it read, and how many of those bytes
 // the decoder walked: a projected decode skips the subtrees it drops. The
-// per-chunk scratch lives on the stack. A chunk is one AppendRef call,
+// per-chunk scratch lives on the stack. A chunk is one ReadRefs call,
 // which reads the records that sit back to back in a packed page with one
-// read. Under scanDecode the read buffer is reused: it grows at most once
-// per chunk, to the chunk's summed record size plus the page of headroom
-// that lets AppendRef read chained pages straight into it, so a scan with
-// one huge candidate costs what reading and decoding it alone costs. The
-// other modes read every chunk into a buffer of its own. origins, when
-// non-nil, is released (flushing the pipeline that may hold shells) before
-// the buffer is overwritten and holds each chunk once it has decoded.
+// read, whatever their name order, and a chain on consecutive pages with
+// one read. Under scanDecode the read buffer is reused: it grows at most
+// once per chunk, to the chunk's storage.ReadSpan (its records with their
+// chains' pages whole), so a scan with one huge candidate costs what
+// reading and decoding it alone costs. Given origins, a scanDecode scan
+// takes its buffer from origins and hands it back when it ends, so the
+// buffer outlives the query on its connection (Origins.buf). The other
+// modes read every chunk into a buffer of its own. origins, when non-nil,
+// is released (flushing the pipeline that may hold shells) before the
+// buffer is overwritten and holds each chunk once it has decoded.
 func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, mode scanMode, origins *Origins, fn func(*xmltree.Document, []byte) error) (decoded, read, walked int64, err error) {
 	var (
 		buf   []byte
 		recs  [maxChunkDocs][]byte
 		roots [maxChunkDocs]*xmltree.Node
 	)
+	if mode == scanDecode && origins != nil {
+		buf = origins.takeBuffer()
+		defer func() { origins.keepBuffer(buf) }()
+	}
 	for limit := 1; len(refs) > 0; limit = min(2*limit, maxChunkDocs) {
 		n, size := 1, refs[0].Size
 		for n < min(limit, len(refs)) && size+refs[n].Size <= maxChunkBytes {
@@ -803,22 +810,16 @@ func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, mode s
 		}
 		chunk := refs[:n]
 		refs = refs[n:]
-		if need := int(size) + storage.PageSize; mode != scanDecode || cap(buf) < need {
+		if need := storage.ReadSpan(chunk); mode != scanDecode || cap(buf) < need {
 			buf = make([]byte, 0, need)
 		}
-		buf = buf[:0]
 		if origins != nil {
 			if err := origins.release(); err != nil {
 				return decoded, read, walked, err
 			}
 		}
-		if buf, err = db.store.AppendRef(buf, chunk...); err != nil {
+		if buf, err = db.store.ReadRefs(buf[:0], chunk, recs[:n]); err != nil {
 			return decoded, read, walked, err
-		}
-		for i, start := 0, 0; i < n; i++ {
-			end := start + int(chunk[i].Size)
-			recs[i] = buf[start:end]
-			start = end
 		}
 		if mode != scanRaw {
 			w, i, err := storage.DecodeRecords(recs[:n], keep, roots[:n])

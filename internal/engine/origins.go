@@ -27,8 +27,17 @@ import (
 //
 // Holding the latest chunk keeps its records (at most maxChunkBytes, or
 // one larger record) alive until the stream ends, beside the slabs of the
-// trees decoded from them; the stream drops them when it returns. The
-// zero value is ready to use, and one Origins serves one stream at a
+// trees decoded from them; the stream drops them when it returns.
+//
+// Origins also owns the read buffer of its streams' decoding scans (buf),
+// so a connection, which keeps one Origins for its streams, reads every
+// query's records into the same memory. The buffer is kept only up to
+// maxKeptBuffer bytes. Reusing it is safe because no decoded string
+// aliases a record (storage's retention rule) and a scan releases Origins
+// before it overwrites the buffer. Under the race detector the stream's
+// end overwrites the kept buffer with poison bytes, so a reference that
+// escaped the stream reads poison rather than another query's records.
+// The zero value is ready to use, and one Origins serves one stream at a
 // time.
 type Origins struct {
 	n     int
@@ -36,6 +45,8 @@ type Origins struct {
 	recs  [maxChunkDocs][]byte
 	// heads caches each record's head (RecordHead), parsed on first use.
 	heads [maxChunkDocs]recordHead
+	// buf is the kept read buffer; a scan holding it leaves it nil.
+	buf []byte
 	// src is the source the stream runs over, kept here so handing it
 	// out allocates nothing.
 	src streamSource
@@ -97,6 +108,36 @@ func (o *Origins) release() error {
 	}
 	o.drop()
 	return nil
+}
+
+// maxKeptBuffer is the largest read buffer Origins keeps: a full chunk,
+// maxChunkBytes of records, read as whole pages, with an eighth more to
+// spare for its pages' headers and its chains' unused last-page tails. A
+// buffer grown for one larger record is dropped.
+const maxKeptBuffer = maxChunkBytes + maxChunkBytes/8
+
+// takeBuffer hands the kept read buffer to a scan, which gives it back
+// (keepBuffer) when it ends; a scan nested inside it finds none and reads
+// into a buffer of its own.
+func (o *Origins) takeBuffer() []byte {
+	buf := o.buf
+	o.buf = nil
+	return buf
+}
+
+// keepBuffer keeps a scan's read buffer for the next one, unless it is
+// larger than maxKeptBuffer.
+func (o *Origins) keepBuffer(buf []byte) {
+	if cap(buf) <= maxKeptBuffer {
+		o.buf = buf[:0]
+	}
+}
+
+// end forgets every record when the stream returns, and poisons the kept
+// buffer in race-detector builds.
+func (o *Origins) end() {
+	o.drop()
+	poison(o.buf[:cap(o.buf)])
 }
 
 // hold makes a freshly decoded chunk the records Origins holds.

@@ -73,9 +73,10 @@ const (
 	packedMark = 0xFFFF
 )
 
-// pagePool recycles page-sized scratch buffers across record reads and
-// writes; the query hot path reads one page buffer per chained page, so
-// pooling removes a 4 KB allocation per page per document fetched.
+// pagePool recycles page-sized scratch buffers for page writes, the
+// header reads of allocation and chain walks. A known-size record on
+// consecutive pages is read whole into its caller's buffer (appendRun),
+// so the query hot path takes none.
 var pagePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, PageSize)
@@ -226,6 +227,11 @@ func (p *pager) readPageHeaderInto(id int64, buf []byte) (next int64, used int, 
 	if err := p.readPageInto(id, buf); err != nil {
 		return 0, 0, err
 	}
+	return pageHeader(id, buf)
+}
+
+// pageHeader parses the header at the front of page id's bytes in buf.
+func pageHeader(id int64, buf []byte) (next int64, used int, err error) {
 	next = int64(binary.LittleEndian.Uint64(buf))
 	used = int(binary.LittleEndian.Uint16(buf[8:]))
 	if used > pagePayload {
@@ -407,10 +413,22 @@ func (p *pager) chainPages(first int64) ([]int64, error) {
 	return pages, nil
 }
 
-// readRecord loads a record into a buffer of its own: the chain starting
-// at page when off is 0, else the packed slot at byte off of page. size is
-// the record's length, or 0 for a chain whose length is unknown (the
-// catalog record).
+// readSpan is the buffer room reading a record takes: a packed slot its
+// size, a chain of known size its pages whole (appendRun reads them with
+// their headers), a chain of unknown size none (the walk grows the buffer
+// as it goes).
+func readSpan(off, size int64) int64 {
+	if off != 0 || size <= 0 {
+		return max(size, 0)
+	}
+	return (size + pagePayload - 1) / pagePayload * PageSize
+}
+
+// readRecord loads a record into a buffer of its own, sized for its
+// readSpan so the read never regrows it: the chain starting at page when
+// off is 0, else the packed slot at byte off of page. size is the
+// record's length, or 0 for a chain whose length is unknown (the catalog
+// record).
 func (p *pager) readRecord(page, off, size int64) ([]byte, error) {
 	if off != 0 {
 		return p.appendSlots(nil, page, off, size)
@@ -418,46 +436,44 @@ func (p *pager) readRecord(page, off, size int64) ([]byte, error) {
 	if err := p.checkChainSize(page, size); err != nil {
 		return nil, err
 	}
-	return p.appendChain(make([]byte, 0, size), page, size)
+	return p.appendChain(make([]byte, 0, readSpan(off, size)), page, size)
 }
 
 // appendChain appends a record chain's bytes to out and returns the
-// extended buffer. Each page is read straight into out's spare capacity
-// when a whole page fits there, its payload then moved down over its
-// header, and into a pooled page otherwise: out never regrows when its
-// spare capacity holds the record, and a caller that leaves one page of
-// headroom beyond the record's size reads it without touching the pool.
-// size is the record's length, or 0 when unknown; a chain of another
-// length, or one that walks past chainLimit(size) pages, is an error.
+// extended buffer. A chain of known size is read from its first page with
+// one ReadAt (appendRun), which takes every page while the chain runs on
+// consecutive pages; the rest of the chain, and a chain of unknown size,
+// is walked a page at a time through a pooled page. out never regrows
+// when its spare capacity holds the record's readSpan. size is the
+// record's length, or 0 when unknown; a chain of another length, or one
+// that walks past chainLimit(size) pages, is an error.
 func (p *pager) appendChain(out []byte, first, size int64) ([]byte, error) {
 	if err := p.checkChainSize(first, size); err != nil {
 		return nil, err
 	}
-	var pooled *[]byte
-	defer func() {
-		if pooled != nil {
-			pagePool.Put(pooled)
-		}
-	}()
 	start := len(out)
 	limit := p.chainLimit(size)
-	for id, n := first, int64(0); id != 0; n++ {
-		if n == limit {
-			return nil, fmt.Errorf("storage: record chain at page %d runs past %d pages", first, limit)
-		}
-		page := out[len(out):cap(out)]
-		if len(page) < PageSize {
-			if pooled == nil {
-				pooled = pagePool.Get().(*[]byte)
-			}
-			page = *pooled
-		}
-		next, used, err := p.readPageHeaderInto(id, page[:PageSize])
-		if err != nil {
+	id, n := first, int64(0)
+	if size > 0 {
+		var err error
+		if out, id, n, err = p.appendRun(out, first, limit); err != nil {
 			return nil, err
 		}
-		out = append(out, page[pageHeaderSize:pageHeaderSize+used]...)
-		id = next
+	}
+	if id != 0 {
+		bufp := pagePool.Get().(*[]byte)
+		defer pagePool.Put(bufp)
+		for page := *bufp; id != 0; n++ {
+			if n == limit {
+				return nil, fmt.Errorf("storage: record chain at page %d runs past %d pages", first, limit)
+			}
+			next, used, err := p.readPageHeaderInto(id, page)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, page[pageHeaderSize:pageHeaderSize+used]...)
+			id = next
+		}
 	}
 	switch got := int64(len(out) - start); {
 	case got == 0:
@@ -466,6 +482,43 @@ func (p *pager) appendChain(out []byte, first, size int64) ([]byte, error) {
 		return nil, fmt.Errorf("storage: record chain at page %d holds %d bytes, want %d", first, got, size)
 	}
 	return out, nil
+}
+
+// appendRun reads up to pages pages from page first on, none past the
+// store's last page, with one ReadAt into out's spare capacity (grown if
+// short), and appends the payload of those that begin first's chain: each
+// header is checked as the walk checks it (pageHeader), and the run goes
+// on while a page's next names the page after it. It returns the extended
+// buffer, the page the chain goes on at (0 once it has ended) and how
+// many of its pages the run took. A read cut short by the file's end (a
+// page allocated but not yet written lies past it) takes the whole pages
+// it got, and the walk reads on from there.
+func (p *pager) appendRun(out []byte, first, pages int64) ([]byte, int64, int64, error) {
+	pages = min(pages, p.pageCount.Load()-first)
+	if first < 1 || pages < 1 {
+		return out, first, 0, nil
+	}
+	out = slices.Grow(out, int(pages*PageSize))
+	span := out[len(out) : len(out)+int(pages*PageSize)]
+	got, err := p.f.ReadAt(span, first*PageSize)
+	if err != nil && err != io.EOF {
+		return nil, 0, 0, fmt.Errorf("storage: read page %d: %w", first, err)
+	}
+	obs.StoragePagesRead.Inc()
+	obs.StorageBytesRead.Add(int64(got))
+	w, whole := len(out), int64(got/PageSize)
+	for i := int64(0); i < whole; i++ {
+		id, page := first+i, span[i*PageSize:(i+1)*PageSize]
+		next, used, err := pageHeader(id, page)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		w += copy(out[w:w+used], page[pageHeaderSize:pageHeaderSize+used])
+		if next != id+1 {
+			return out[:w], next, i + 1, nil
+		}
+	}
+	return out[:w], first + whole, whole, nil
 }
 
 func (p *pager) sync() error {

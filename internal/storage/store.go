@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -971,35 +972,109 @@ func (s *Store) ReadRef(ref DocRef) ([]byte, error) {
 
 // AppendRef appends the encoded bytes of snapshot documents to buf, each
 // record exactly its ref's Size bytes, in refs order, and returns the
-// extended buffer. A packed record is read straight into buf, and a run of
-// refs whose records sit back to back in one packed page is read with one
-// read. buf never regrows when its spare capacity holds the records; with
-// PageSize bytes of capacity to spare beyond those, chained pages are read
-// straight into buf too, with no scratch page. Valid only while the
-// snapshot the refs came from is open (the pin keeps their pages stable);
-// no store lock is taken.
+// extended buffer. The records are read as ReadRefs reads them, into a
+// buffer of their own, and copied. Valid only while the snapshot the refs
+// came from is open.
 func (s *Store) AppendRef(buf []byte, refs ...DocRef) ([]byte, error) {
-	var err error
-	for len(refs) > 0 {
-		r := refs[0]
-		if r.Off == 0 {
-			if buf, err = s.pager.appendChain(buf, r.Page, r.Size); err != nil {
-				return nil, err
-			}
-			refs = refs[1:]
-			continue
-		}
-		n, size := 1, r.Size
-		for n < len(refs) && refs[n].Off != 0 && refs[n].Page == r.Page && refs[n].Off == r.Off+size && refs[n].Size > 0 {
-			size += refs[n].Size
-			n++
-		}
-		if buf, err = s.pager.appendSlots(buf, r.Page, r.Off, size); err != nil {
-			return nil, err
-		}
-		refs = refs[n:]
+	recs := make([][]byte, len(refs))
+	if _, err := s.ReadRefs(nil, refs, recs); err != nil {
+		return nil, err
+	}
+	for _, rec := range recs {
+		buf = append(buf, rec...)
 	}
 	return buf, nil
+}
+
+// ReadSpan is the buffer room ReadRefs takes to read refs: a packed
+// record's size, and a chained record's pages whole.
+func ReadSpan(refs []DocRef) int {
+	n := int64(0)
+	for _, r := range refs {
+		n += readSpan(r.Off, r.Size)
+	}
+	return int(n)
+}
+
+// stackRefs is how many refs ReadRefs orders with scratch on the stack:
+// an engine scan's chunk at most.
+const stackRefs = 64
+
+// ReadRefs appends the encoded bytes of snapshot documents to buf and
+// sets recs[i] to refs[i]'s record, exactly its Size bytes. It orders the
+// refs by their place in the store file (page, then offset), so refs
+// whose packed records sit back to back in one page are read with one
+// read whatever their order in refs; a chained record whose pages are
+// consecutive is one read too. The reads go in the refs order of the
+// first record each serves, so a bad ref fails the call only after the
+// reads the refs before it need. buf never regrows when its spare
+// capacity holds ReadSpan(refs) bytes. The records are valid only while
+// the snapshot the refs came from is open (the pin keeps their pages
+// stable); no store lock is taken.
+func (s *Store) ReadRefs(buf []byte, refs []DocRef, recs [][]byte) ([]byte, error) {
+	var (
+		orderStack [stackRefs]int32
+		startStack [stackRefs]int
+		order      = orderStack[:0]
+		starts     = startStack[:0]
+	)
+	if len(refs) > stackRefs {
+		order, starts = make([]int32, 0, len(refs)), make([]int, 0, len(refs))
+	}
+	for i := range refs {
+		order = append(order, int32(i))
+		starts = append(starts, -1)
+	}
+	// order: refs by file position (page, then offset), ties by index.
+	byPlace := func(a, b int32) int {
+		ra, rb := &refs[a], &refs[b]
+		return cmp.Or(cmp.Compare(ra.Page, rb.Page), cmp.Compare(ra.Off, rb.Off), cmp.Compare(a, b))
+	}
+	slices.SortFunc(order, byPlace)
+	for i, r := range refs {
+		if starts[i] >= 0 {
+			continue
+		}
+		// The run holding ref i: its neighbours in file order whose
+		// records touch.
+		k, _ := slices.BinarySearchFunc(order, int32(i), byPlace)
+		lo, hi := k, k+1
+		for lo > 0 && adjacentSlots(refs[order[lo-1]], refs[order[lo]]) {
+			lo--
+		}
+		for hi < len(order) && adjacentSlots(refs[order[hi-1]], refs[order[hi]]) {
+			hi++
+		}
+		run, at := order[lo:hi], len(buf)
+		var err error
+		if r.Off == 0 {
+			buf, err = s.pager.appendChain(buf, r.Page, r.Size)
+		} else {
+			first, size := refs[run[0]], int64(0)
+			for _, j := range run {
+				size += refs[j].Size
+			}
+			buf, err = s.pager.appendSlots(buf, first.Page, first.Off, size)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, j := range run {
+			starts[j] = at
+			at += int(refs[j].Size)
+		}
+	}
+	for i, r := range refs {
+		recs[i] = buf[starts[i] : starts[i]+int(r.Size)]
+	}
+	return buf, nil
+}
+
+// adjacentSlots reports whether b's packed record starts where a's ends,
+// within one page.
+func adjacentSlots(a, b DocRef) bool {
+	return a.Off != 0 && a.Page == b.Page && a.Size > 0 && b.Size > 0 &&
+		b.Off == a.Off+a.Size && b.Off+b.Size <= PageSize
 }
 
 // DeleteDocument removes a document, durably.

@@ -32,7 +32,11 @@ go test -race -timeout 5m ./internal/obs/... ./internal/storage/... ./internal/e
 # whose background checkpoint goroutine races live writers; and the
 # prepared-query differential (TestPreparedQueriesDifferentialUnderWrites:
 # sub-queries on a LocalNode and a TCP node share cached programs that
-# are evicted mid-run while node-direct puts and deletes land)
+# are evicted mid-run while node-direct puts and deletes land). Under
+# -race a stream's end poisons the read buffer its connection keeps
+# (engine.Origins), so these differentials also fail on a record
+# reference that escapes its stream (TestOriginsPoisonsHeldRecord, in
+# the run above, checks the poison)
 go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragment|TestFetchStepsHonourInflightLimit|TestReconstructionFailover|TestMultiCollectionFetchFailsOverToReplica|TestSemiJoinMatchesCentralized|TestSemiJoinRoundTwoFailsOverToReplica|TestNodeOverloadIsErrOverloaded|TestOverloadedPrimaryFailsOverToReplica|TestOneSlotNodeServesBackToBackQueries|TestNodeWriteVisibleWithoutInvalidate|TestWatchDownKeepsEveryFragment|TestConcurrentWritesKeepPointQueriesRight|TestWatchReportsWrites|TestWatchResubscribesAfterLoss|TestWatchEndsWithClose|TestLocalNodeWatchIsSynchronous|TestPlanCacheRandomizedReadWriteDifferential|TestPlanCacheStatisticsSkippingDifferential|TestSizeTriggeredCheckpointKeepsAcknowledgedPuts|TestPreparedQueriesDifferentialUnderWrites' ./internal/partix/ ./internal/wire/ ./internal/storage/
 # the benchmark is a nested module (partix/benchmark) that compiles
 # against internal/ through a replace directive, so ./... above does not
@@ -43,7 +47,12 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # cost-class gates, run without -race (which would inflate the alloc
 # counts): the hot scan→filter→project loop, a string term over a large
 # element (allocations and bytes per candidate independent of the
-# subtree's size), the slab-building record decoder, a projected decode
+# subtree's size), the slab-building record decoder, a record on
+# consecutive pages (one read call at 1 and at 20 pages, and one
+# allocation for a record read into a buffer of its own), a repeated
+# large-record scan on one Origins (bytes per query independent of the
+# record's size after its first run: the connection keeps the read
+# buffer), a projected decode
 # (bytes walked and allocations independent of the subtrees it drops), a Docs scan per
 # candidate, a point query's candidate selection (bytes per call
 # independent of the collection's size), a count decided from its
@@ -79,8 +88,8 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # snapshot (its membership filters within the per-snapshot byte budget
 # at ten times the size)
 go test -timeout 5m -run 'TestAllocsScanFilterProject|TestStringTermAllocsIndependentOfSubtreeSize' ./internal/xquery/exec/
-go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs|TestProjectedDecodeIndependentOfDroppedSubtrees|TestSmallRecordsSharePages' ./internal/storage/
-go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestRetainedHeapPerIndexedDocument|TestCandidateSelectionSizeIndependent|TestDeciderCostIndependentOfCollectionSize|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestNodeSize|TestFrameCodecAllocsPerFrame|TestFramingStoredItemsCostsPerFrame|TestShippedSubtreesAreNotBuilt|TestReceivedNodesAreNotBuilt|TestLocalPointQueryCostIndependentOfCollectionSize|TestRepeatedSubQueryIsPreparedOnce|TestParseNumberNonNumericAllocatesNothing|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs|TestColdPlanAllocsIndependentOfCollectionSize|TestStatisticsSnapshotBytesBounded' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/ ./internal/xquery/
+go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs|TestProjectedDecodeIndependentOfDroppedSubtrees|TestSmallRecordsSharePages|TestContiguousChainIsOneRead' ./internal/storage/
+go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestRepeatedScanOnOriginsAllocsIndependentOfRecordSize|TestRetainedHeapPerIndexedDocument|TestCandidateSelectionSizeIndependent|TestDeciderCostIndependentOfCollectionSize|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestNodeSize|TestFrameCodecAllocsPerFrame|TestFramingStoredItemsCostsPerFrame|TestShippedSubtreesAreNotBuilt|TestReceivedNodesAreNotBuilt|TestLocalPointQueryCostIndependentOfCollectionSize|TestRepeatedSubQueryIsPreparedOnce|TestParseNumberNonNumericAllocatesNothing|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs|TestColdPlanAllocsIndependentOfCollectionSize|TestStatisticsSnapshotBytesBounded' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/ ./internal/xquery/
 
 # observability smoke test: a node started with -debug-addr must serve
 # valid Prometheus text carrying series from every instrumented layer,
