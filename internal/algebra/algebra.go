@@ -25,16 +25,50 @@ import (
 	"sort"
 
 	"partix/internal/xmltree"
-	"partix/internal/xpath"
+	"partix/internal/xquery"
 )
+
+// Holds reports whether the definition predicate pred
+// (xquery.ParseDefinition) is true of the tree rooted at root, with a
+// document node over root as the context node: the document for a
+// selection σ, a repeating child for the σ of a hybrid fragment. A
+// definition evaluates without error; an expression outside that
+// language that fails to evaluate panics.
+func Holds(pred xquery.Expr, root *xmltree.Node) bool {
+	v, err := xquery.EvalWith(pred, nil, nil, xquery.DocNode(&xmltree.Document{Root: root}))
+	if err == nil {
+		var ok bool
+		if ok, err = xquery.EffectiveBool(v); err == nil {
+			return ok
+		}
+	}
+	panic(fmt.Sprintf("algebra: predicate %s: %v", xquery.FormatDefinition(pred), err))
+}
+
+// SelectPath returns the nodes the definition path p selects in doc, in
+// document order, with the document node as the context node.
+func SelectPath(p *xquery.PathExpr, doc *xmltree.Document) []*xmltree.Node {
+	if doc == nil || doc.Root == nil {
+		return nil
+	}
+	v, err := xquery.EvalWith(p, nil, nil, xquery.DocNode(doc))
+	if err != nil {
+		panic(fmt.Sprintf("algebra: path %s: %v", xquery.FormatDefinition(p), err))
+	}
+	out := make([]*xmltree.Node, len(v))
+	for i, it := range v {
+		out[i] = it.(*xmltree.Node)
+	}
+	return out
+}
 
 // Select returns the documents of c satisfying pred, as deep copies: a
 // fragment is an independent collection (paper Definition 2). The result
 // collection is named name.
-func Select(name string, c *xmltree.Collection, pred xpath.Predicate) *xmltree.Collection {
+func Select(name string, c *xmltree.Collection, pred xquery.Expr) *xmltree.Collection {
 	out := xmltree.NewCollection(name)
 	for _, d := range c.Docs {
-		if pred.Eval(d) {
+		if Holds(pred, d.Root) {
 			out.Add(d.Clone())
 		}
 	}
@@ -45,8 +79,8 @@ func Select(name string, c *xmltree.Collection, pred xpath.Predicate) *xmltree.C
 // document, or nil when P selects nothing (the document contributes no
 // instance to this fragment). The result keeps the original document name
 // and original node IDs.
-func Project(doc *xmltree.Document, p *xpath.Path, prune []*xpath.Path) *xmltree.Document {
-	selected := p.Select(doc)
+func Project(doc *xmltree.Document, p *xquery.PathExpr, prune []*xquery.PathExpr) *xmltree.Document {
+	selected := SelectPath(p, doc)
 	if len(selected) == 0 {
 		return nil
 	}
@@ -73,13 +107,13 @@ func Project(doc *xmltree.Document, p *xpath.Path, prune []*xpath.Path) *xmltree
 
 // pruneSet returns the set of nodes removed by the prune criterion: every
 // node in a subtree rooted at a node selected by some path in prune.
-func pruneSet(doc *xmltree.Document, prune []*xpath.Path) map[*xmltree.Node]bool {
+func pruneSet(doc *xmltree.Document, prune []*xquery.PathExpr) map[*xmltree.Node]bool {
 	if len(prune) == 0 {
 		return nil
 	}
 	set := make(map[*xmltree.Node]bool)
 	for _, g := range prune {
-		for _, n := range g.Select(doc) {
+		for _, n := range SelectPath(g, doc) {
 			n.Walk(func(d *xmltree.Node) bool { set[d] = true; return true })
 		}
 	}
@@ -148,7 +182,7 @@ func buildSpineNode(n *xmltree.Node, needed map[*xmltree.Node]bool, copies map[*
 }
 
 // ProjectCollection applies π(P, Γ) to every document of c.
-func ProjectCollection(name string, c *xmltree.Collection, p *xpath.Path, prune []*xpath.Path) *xmltree.Collection {
+func ProjectCollection(name string, c *xmltree.Collection, p *xquery.PathExpr, prune []*xquery.PathExpr) *xmltree.Collection {
 	out := xmltree.NewCollection(name)
 	for _, d := range c.Docs {
 		if pd := Project(d, p, prune); pd != nil {
@@ -163,14 +197,14 @@ func ProjectCollection(name string, c *xmltree.Collection, p *xpath.Path, prune 
 // kept only if they satisfy pred (evaluated with the child as root, so a
 // predicate written /Item/Section = "CD" filters Item children). The
 // document is modified in place and returned; it is nil-safe.
-func FilterChildren(doc *xmltree.Document, anchor *xpath.Path, pred xpath.Predicate) *xmltree.Document {
+func FilterChildren(doc *xmltree.Document, anchor *xquery.PathExpr, pred xquery.Expr) *xmltree.Document {
 	if doc == nil {
 		return nil
 	}
-	for _, parent := range anchor.Select(doc) {
+	for _, parent := range SelectPath(anchor, doc) {
 		kept := parent.Children[:0]
 		for _, c := range parent.Children {
-			if c.Kind != xmltree.ElementNode || pred.EvalNode(c) {
+			if c.Kind != xmltree.ElementNode || Holds(pred, c) {
 				kept = append(kept, c)
 			} else {
 				c.Parent = nil
@@ -306,7 +340,7 @@ func Join(name string, frags ...*xmltree.Collection) (*xmltree.Collection, error
 // horizontal sub-fragments of a hybrid design all carry it — so only the
 // subtrees of its element children that satisfy pred are owned. Spine
 // ancestors are never owned.
-func OwnedIDs(doc *xmltree.Document, p *xpath.Path, prune []*xpath.Path, pred xpath.Predicate) map[xmltree.NodeID]bool {
+func OwnedIDs(doc *xmltree.Document, p *xquery.PathExpr, prune []*xquery.PathExpr, pred xquery.Expr) map[xmltree.NodeID]bool {
 	owned := make(map[xmltree.NodeID]bool)
 	pruned := pruneSet(doc, prune)
 	own := func(root *xmltree.Node) {
@@ -318,7 +352,7 @@ func OwnedIDs(doc *xmltree.Document, p *xpath.Path, prune []*xpath.Path, pred xp
 			return true
 		})
 	}
-	for _, sel := range p.Select(doc) {
+	for _, sel := range SelectPath(p, doc) {
 		if pruned[sel] {
 			continue
 		}
@@ -327,7 +361,7 @@ func OwnedIDs(doc *xmltree.Document, p *xpath.Path, prune []*xpath.Path, pred xp
 			continue
 		}
 		for _, c := range sel.Children {
-			if c.Kind == xmltree.ElementNode && pred.EvalNode(c) {
+			if c.Kind == xmltree.ElementNode && Holds(pred, c) {
 				own(c)
 			}
 		}

@@ -4,8 +4,13 @@ import (
 	"testing"
 
 	"partix/internal/xmltree"
-	"partix/internal/xpath"
+	"partix/internal/xquery"
 )
+
+// mustPath parses a definition path.
+func mustPath(text string) *xquery.PathExpr {
+	return xquery.MustParseDefinition(text).(*xquery.PathExpr)
+}
 
 func itemsCollection() *xmltree.Collection {
 	mk := func(name, code, section, desc string, pics bool) *xmltree.Document {
@@ -42,7 +47,7 @@ func storeDoc() *xmltree.Document {
 
 func TestSelectHorizontal(t *testing.T) {
 	c := itemsCollection()
-	cd := Select("cd", c, xpath.MustParsePredicate(`/Item/Section = "CD"`))
+	cd := Select("cd", c, xquery.MustParseDefinition(`/Item/Section = "CD"`))
 	if cd.Len() != 2 || cd.Doc("i1") == nil || cd.Doc("i3") == nil {
 		t.Fatalf("CD fragment: %d docs", cd.Len())
 	}
@@ -55,9 +60,9 @@ func TestSelectHorizontal(t *testing.T) {
 
 func TestSelectComplementPartition(t *testing.T) {
 	c := itemsCollection()
-	pred := xpath.MustParsePredicate(`contains(//Description, "good")`)
+	pred := xquery.MustParseDefinition(`contains(//Description, "good")`)
 	f1 := Select("good", c, pred)
-	f2 := Select("rest", c, &xpath.Not{Inner: pred})
+	f2 := Select("rest", c, &xquery.FuncCall{Name: "not", Args: []xquery.Expr{pred}})
 	if f1.Len()+f2.Len() != c.Len() {
 		t.Fatalf("partition sizes %d+%d != %d", f1.Len(), f2.Len(), c.Len())
 	}
@@ -72,8 +77,8 @@ func TestSelectComplementPartition(t *testing.T) {
 
 func TestUnionDetectsOverlap(t *testing.T) {
 	c := itemsCollection()
-	all := Select("all", c, xpath.True{})
-	cd := Select("cd", c, xpath.MustParsePredicate(`/Item/Section = "CD"`))
+	all := Select("all", c, &xquery.FuncCall{Name: "true"})
+	cd := Select("cd", c, xquery.MustParseDefinition(`/Item/Section = "CD"`))
 	if _, err := Union("x", all, cd); err == nil {
 		t.Fatal("overlapping fragments accepted by Union")
 	}
@@ -81,7 +86,7 @@ func TestUnionDetectsOverlap(t *testing.T) {
 
 func TestProjectSubtree(t *testing.T) {
 	c := itemsCollection()
-	pics := ProjectCollection("pics", c, xpath.MustParsePath("/Item/PictureList"), nil)
+	pics := ProjectCollection("pics", c, mustPath("/Item/PictureList"), nil)
 	// Only i1 and i4 have pictures.
 	if pics.Len() != 2 || pics.Doc("i1") == nil || pics.Doc("i4") == nil {
 		t.Fatalf("pics fragment: %d docs", pics.Len())
@@ -102,8 +107,8 @@ func TestProjectSubtree(t *testing.T) {
 func TestProjectWithPrune(t *testing.T) {
 	c := itemsCollection()
 	noPics := ProjectCollection("nopics", c,
-		xpath.MustParsePath("/Item"),
-		[]*xpath.Path{xpath.MustParsePath("/Item/PictureList")})
+		mustPath("/Item"),
+		[]*xquery.PathExpr{mustPath("/Item/PictureList")})
 	if noPics.Len() != 4 {
 		t.Fatalf("pruned fragment: %d docs, want all 4", noPics.Len())
 	}
@@ -119,18 +124,18 @@ func TestProjectWithPrune(t *testing.T) {
 
 func TestProjectNothingSelected(t *testing.T) {
 	doc := xmltree.MustParseString("d", "<Item><Code>c</Code></Item>")
-	if Project(doc, xpath.MustParsePath("/Item/PictureList"), nil) != nil {
+	if Project(doc, mustPath("/Item/PictureList"), nil) != nil {
 		t.Fatal("projection of absent path should be nil")
 	}
 	// Pruning away the selected node itself leaves nothing.
-	if Project(doc, xpath.MustParsePath("/Item/Code"), []*xpath.Path{xpath.MustParsePath("/Item/Code")}) != nil {
+	if Project(doc, mustPath("/Item/Code"), []*xquery.PathExpr{mustPath("/Item/Code")}) != nil {
 		t.Fatal("fully pruned projection should be nil")
 	}
 }
 
 func TestProjectSpineKeepsAttributes(t *testing.T) {
 	doc := xmltree.MustParseString("a", `<article id="a1"><prolog><title>t</title></prolog><body><p>x</p></body></article>`)
-	prolog := Project(doc, xpath.MustParsePath("/article/prolog"), nil)
+	prolog := Project(doc, mustPath("/article/prolog"), nil)
 	if prolog.Root.Name != "article" {
 		t.Fatalf("root = %q", prolog.Root.Name)
 	}
@@ -147,9 +152,9 @@ func TestProjectSpineKeepsAttributes(t *testing.T) {
 
 func TestProjectPreservesIDs(t *testing.T) {
 	doc := storeDoc()
-	orig := xpath.MustParsePath("/Store/Items").Select(doc)[0]
-	frag := Project(doc, xpath.MustParsePath("/Store/Items"), nil)
-	got := xpath.MustParsePath("/Store/Items").Select(frag)[0]
+	orig := SelectPath(mustPath("/Store/Items"), doc)[0]
+	frag := Project(doc, mustPath("/Store/Items"), nil)
+	got := SelectPath(mustPath("/Store/Items"), frag)[0]
 	if got.ID != orig.ID {
 		t.Fatalf("Items ID %d != original %d", got.ID, orig.ID)
 	}
@@ -162,9 +167,9 @@ func TestVerticalJoinReconstructs(t *testing.T) {
 	doc := storeDoc()
 	c := xmltree.NewCollection("store", doc)
 
-	f1 := ProjectCollection("f1", c, xpath.MustParsePath("/Store"),
-		[]*xpath.Path{xpath.MustParsePath("/Store/Items")})
-	f2 := ProjectCollection("f2", c, xpath.MustParsePath("/Store/Items"), nil)
+	f1 := ProjectCollection("f1", c, mustPath("/Store"),
+		[]*xquery.PathExpr{mustPath("/Store/Items")})
+	f2 := ProjectCollection("f2", c, mustPath("/Store/Items"), nil)
 
 	re, err := Join("store", f1, f2)
 	if err != nil {
@@ -182,7 +187,7 @@ func TestThreeWayVerticalJoin(t *testing.T) {
 	c := xmltree.NewCollection("articles", doc)
 	var frags []*xmltree.Collection
 	for _, p := range []string{"/article/prolog", "/article/body", "/article/epilog"} {
-		frags = append(frags, ProjectCollection(p, c, xpath.MustParsePath(p), nil))
+		frags = append(frags, ProjectCollection(p, c, mustPath(p), nil))
 	}
 	re, err := Join("articles", frags...)
 	if err != nil {
@@ -199,14 +204,14 @@ func TestThreeWayVerticalJoin(t *testing.T) {
 func TestJoinTakesOwnership(t *testing.T) {
 	doc := storeDoc()
 	c := xmltree.NewCollection("store", doc)
-	itemsPath := xpath.MustParsePath("/Store/Items")
+	itemsPath := mustPath("/Store/Items")
 	fragments := func() []*xmltree.Collection {
 		out := []*xmltree.Collection{
-			ProjectCollection("f4", c, xpath.MustParsePath("/Store"), []*xpath.Path{itemsPath}),
+			ProjectCollection("f4", c, mustPath("/Store"), []*xquery.PathExpr{itemsPath}),
 		}
 		for _, pred := range []string{`/Item/Section = "CD"`, `/Item/Section != "CD"`} {
 			out = append(out, xmltree.NewCollection(pred,
-				FilterChildren(Project(doc, itemsPath, nil), itemsPath, xpath.MustParsePredicate(pred))))
+				FilterChildren(Project(doc, itemsPath, nil), itemsPath, xquery.MustParseDefinition(pred))))
 		}
 		return out
 	}
@@ -261,10 +266,10 @@ func TestMergeByIDErrors(t *testing.T) {
 
 func TestFilterChildrenHybrid(t *testing.T) {
 	doc := storeDoc()
-	frag := Project(doc, xpath.MustParsePath("/Store/Items"), nil)
-	FilterChildren(frag, xpath.MustParsePath("/Store/Items"),
-		xpath.MustParsePredicate(`/Item/Section = "CD"`))
-	items := xpath.MustParsePath("/Store/Items/Item").Select(frag)
+	frag := Project(doc, mustPath("/Store/Items"), nil)
+	FilterChildren(frag, mustPath("/Store/Items"),
+		xquery.MustParseDefinition(`/Item/Section = "CD"`))
+	items := SelectPath(mustPath("/Store/Items/Item"), frag)
 	if len(items) != 2 {
 		t.Fatalf("filtered items = %d, want 2", len(items))
 	}
@@ -283,14 +288,14 @@ func TestHybridPartitionJoinReconstructs(t *testing.T) {
 	// split Items horizontally by Section into three fragments.
 	doc := storeDoc()
 	c := xmltree.NewCollection("store", doc)
-	itemsPath := xpath.MustParsePath("/Store/Items")
+	itemsPath := mustPath("/Store/Items")
 
-	f4 := ProjectCollection("f4", c, xpath.MustParsePath("/Store"), []*xpath.Path{itemsPath})
+	f4 := ProjectCollection("f4", c, mustPath("/Store"), []*xquery.PathExpr{itemsPath})
 	mkHoriz := func(name, pred string) *xmltree.Collection {
 		out := xmltree.NewCollection(name)
 		for _, d := range c.Docs {
 			pd := Project(d, itemsPath, nil)
-			pd = FilterChildren(pd, itemsPath, xpath.MustParsePredicate(pred))
+			pd = FilterChildren(pd, itemsPath, xquery.MustParseDefinition(pred))
 			if pd != nil {
 				out.Add(pd)
 			}
@@ -312,9 +317,9 @@ func TestHybridPartitionJoinReconstructs(t *testing.T) {
 
 func TestOwnedIDsVertical(t *testing.T) {
 	doc := storeDoc()
-	itemsPath := xpath.MustParsePath("/Store/Items")
+	itemsPath := mustPath("/Store/Items")
 	ownedF2 := OwnedIDs(doc, itemsPath, nil, nil)
-	ownedF1 := OwnedIDs(doc, xpath.MustParsePath("/Store"), []*xpath.Path{itemsPath}, nil)
+	ownedF1 := OwnedIDs(doc, mustPath("/Store"), []*xquery.PathExpr{itemsPath}, nil)
 
 	// Disjoint and together covering everything.
 	for id := range ownedF1 {
@@ -330,9 +335,9 @@ func TestOwnedIDsVertical(t *testing.T) {
 
 func TestOwnedIDsHybridExcludesAnchor(t *testing.T) {
 	doc := storeDoc()
-	itemsPath := xpath.MustParsePath("/Store/Items")
-	itemsNode := itemsPath.Select(doc)[0]
-	owned := OwnedIDs(doc, itemsPath, nil, xpath.MustParsePredicate(`/Item/Section = "CD"`))
+	itemsPath := mustPath("/Store/Items")
+	itemsNode := SelectPath(itemsPath, doc)[0]
+	owned := OwnedIDs(doc, itemsPath, nil, xquery.MustParseDefinition(`/Item/Section = "CD"`))
 	if owned[itemsNode.ID] {
 		t.Fatal("hybrid fragment owns its anchor node")
 	}
@@ -358,8 +363,8 @@ func TestOwnedIDsHybridExcludesAnchor(t *testing.T) {
 
 func TestOwnedIDsSkipsPrunedSelection(t *testing.T) {
 	doc := storeDoc()
-	p := xpath.MustParsePath("/Store/Items")
-	owned := OwnedIDs(doc, p, []*xpath.Path{p}, nil)
+	p := mustPath("/Store/Items")
+	owned := OwnedIDs(doc, p, []*xquery.PathExpr{p}, nil)
 	if len(owned) != 0 {
 		t.Fatalf("pruned selection owns %d nodes", len(owned))
 	}

@@ -23,9 +23,9 @@ import (
 	"fmt"
 	"sort"
 
+	"partix/internal/algebra"
 	"partix/internal/fragmentation"
 	"partix/internal/xmltree"
-	"partix/internal/xpath"
 	"partix/internal/xquery"
 )
 
@@ -70,7 +70,7 @@ func (o HorizontalOptions) withDefaults() HorizontalOptions {
 // vector.
 type group struct {
 	vector string
-	preds  []xpath.Predicate // the min-term conjunction
+	preds  []xquery.Expr // the min-term conjunction
 	docs   int
 }
 
@@ -92,7 +92,7 @@ func ProposeHorizontal(c *xmltree.Collection, queries []WorkloadQuery, opts Hori
 	for _, d := range c.Docs {
 		key := make([]byte, len(preds))
 		for i, p := range preds {
-			if p.Eval(d) {
+			if algebra.Holds(p, d.Root) {
 				key[i] = '1'
 			} else {
 				key[i] = '0'
@@ -147,15 +147,15 @@ func ProposeHorizontal(c *xmltree.Collection, queries []WorkloadQuery, opts Hori
 	// The observed min-terms may not cover future documents: add the
 	// catch-all complement (¬m1 ∧ … is equivalent to ¬(m1 ∨ …)) to the
 	// smallest fragment, keeping the design complete by construction.
-	var seen []xpath.Predicate
+	var seen []xquery.Expr
 	for _, g := range ordered {
 		seen = append(seen, andOf(g.preds))
 	}
-	catchAll := &xpath.Not{Inner: orOf(seen)}
+	catchAll := notOf(orOf(seen))
 
 	scheme := &fragmentation.Scheme{Collection: c.Name}
 	for i, bucket := range buckets {
-		var terms []xpath.Predicate
+		var terms []xquery.Expr
 		for _, g := range bucket {
 			terms = append(terms, andOf(g.preds))
 		}
@@ -207,8 +207,8 @@ func commonPrefix(a, b string) int {
 
 // minterm builds the conjunction for a satisfaction vector: p_i when
 // vector[i] is '1', not(p_i) otherwise.
-func minterm(preds []xpath.Predicate, vector string) []xpath.Predicate {
-	out := make([]xpath.Predicate, len(preds))
+func minterm(preds []xquery.Expr, vector string) []xquery.Expr {
+	out := make([]xquery.Expr, len(preds))
 	for i, p := range preds {
 		if vector[i] == '1' {
 			out[i] = p
@@ -222,39 +222,52 @@ func minterm(preds []xpath.Predicate, vector string) []xpath.Predicate {
 // negate builds the complement of a simple predicate, using the
 // comparison complement where possible so the output stays analyzable by
 // the query service's pruning.
-func negate(p xpath.Predicate) xpath.Predicate {
-	if cmp, ok := p.(*xpath.Comparison); ok {
-		return &xpath.Comparison{Path: cmp.Path, Op: cmp.Op.Negate(), Value: cmp.Value}
+func negate(p xquery.Expr) xquery.Expr {
+	if cmp, ok := p.(*xquery.Binary); ok {
+		if op, ok := complement[cmp.Op]; ok {
+			return &xquery.Binary{Op: op, Left: cmp.Left, Right: cmp.Right}
+		}
 	}
-	return &xpath.Not{Inner: p}
+	return notOf(p)
 }
 
-func andOf(terms []xpath.Predicate) xpath.Predicate {
-	if len(terms) == 1 {
-		return terms[0]
-	}
-	return &xpath.And{Terms: terms}
+// complement maps each comparison operator to the one true exactly when
+// it is false on a single value (Figure 2(a): F2CD selects Section != "CD").
+var complement = map[xquery.BinaryOp]xquery.BinaryOp{
+	xquery.OpEq: xquery.OpNe, xquery.OpNe: xquery.OpEq,
+	xquery.OpLt: xquery.OpGe, xquery.OpGe: xquery.OpLt,
+	xquery.OpGt: xquery.OpLe, xquery.OpLe: xquery.OpGt,
 }
 
-func orOf(terms []xpath.Predicate) xpath.Predicate {
-	if len(terms) == 1 {
-		return terms[0]
+func notOf(p xquery.Expr) xquery.Expr {
+	return &xquery.FuncCall{Name: "not", Args: []xquery.Expr{p}}
+}
+
+func andOf(terms []xquery.Expr) xquery.Expr { return chain(xquery.OpAnd, terms) }
+
+func orOf(terms []xquery.Expr) xquery.Expr { return chain(xquery.OpOr, terms) }
+
+// chain joins one or more terms with op, left to right.
+func chain(op xquery.BinaryOp, terms []xquery.Expr) xquery.Expr {
+	out := terms[0]
+	for _, t := range terms[1:] {
+		out = &xquery.Binary{Op: op, Left: out, Right: t}
 	}
-	return &xpath.Or{Terms: terms}
+	return out
 }
 
 // relevantPredicates extracts the workload's simple predicates over the
 // collection, most frequent first.
-func relevantPredicates(collection string, queries []WorkloadQuery, limit int) []xpath.Predicate {
+func relevantPredicates(collection string, queries []WorkloadQuery, limit int) []xquery.Expr {
 	counts := map[string]int{}
-	byKey := map[string]xpath.Predicate{}
+	byKey := map[string]xquery.Expr{}
 	for _, wq := range queries {
 		e, err := xquery.Parse(wq.Text)
 		if err != nil {
 			continue
 		}
 		for _, p := range simplePredicates(e, collection) {
-			key := p.String()
+			key := xquery.FormatDefinition(p)
 			counts[key] += wq.weight()
 			byKey[key] = p
 		}
@@ -272,7 +285,7 @@ func relevantPredicates(collection string, queries []WorkloadQuery, limit int) [
 	if len(keys) > limit {
 		keys = keys[:limit]
 	}
-	out := make([]xpath.Predicate, len(keys))
+	out := make([]xquery.Expr, len(keys))
 	for i, k := range keys {
 		out[i] = byKey[k]
 	}

@@ -5,10 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"partix/internal/algebra"
 	"partix/internal/toxgene"
 	"partix/internal/workload"
 	"partix/internal/xbench"
 	"partix/internal/xmltree"
+	"partix/internal/xquery"
 )
 
 func itemsWorkload() []WorkloadQuery {
@@ -51,7 +53,7 @@ func TestProposeHorizontalCompleteForUnseenDocs(t *testing.T) {
 		`<Item><Code>ZZ</Code><Name>n</Name><Description>unseen words entirely</Description><Section>Antiques</Section></Item>`)
 	owners := 0
 	for _, f := range scheme.Fragments {
-		if f.Predicate.Eval(odd) {
+		if algebra.Holds(f.Predicate, odd.Root) {
 			owners++
 		}
 	}
@@ -70,7 +72,7 @@ func TestProposeHorizontalUsesWorkloadPredicates(t *testing.T) {
 	// predicate must mention it.
 	found := false
 	for _, f := range scheme.Fragments {
-		if strings.Contains(f.Predicate.String(), `/Item/Section = "CD"`) {
+		if strings.Contains(xquery.FormatDefinition(f.Predicate), `/Item/Section = "CD"`) {
 			found = true
 		}
 	}
@@ -113,7 +115,7 @@ func TestProposeVerticalIsCorrect(t *testing.T) {
 	}
 	// The anchor fragment owns /article with prunes.
 	anchor := advice.Scheme.Fragments[0]
-	if anchor.Path.String() != "/article" || len(anchor.Prune) == 0 {
+	if xquery.FormatDefinition(anchor.Path) != "/article" || len(anchor.Prune) == 0 {
 		t.Fatalf("anchor = %s", anchor)
 	}
 	for _, f := range advice.Scheme.Fragments {
@@ -171,7 +173,7 @@ func TestProposeVerticalExcludesRepeatableChildren(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range advice.Scheme.Fragments {
-		if strings.Contains(f.Path.String(), "rep") {
+		if strings.Contains(xquery.FormatDefinition(f.Path), "rep") {
 			t.Fatalf("repeatable child became a fragment path: %s", f)
 		}
 	}

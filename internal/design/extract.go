@@ -1,9 +1,6 @@
 package design
 
 import (
-	"strings"
-
-	"partix/internal/xpath"
 	"partix/internal/xquery"
 )
 
@@ -12,8 +9,8 @@ import (
 // xquery.ExtractScanHints — into document-level simple predicates:
 // equalities with string literals and contains() text searches, over
 // paths with no wildcard, // or attribute step.
-func simplePredicates(e xquery.Expr, collection string) []xpath.Predicate {
-	var out []xpath.Predicate
+func simplePredicates(e xquery.Expr, collection string) []xquery.Expr {
+	var out []xquery.Expr
 	for scan, h := range xquery.ExtractScanHints(e) {
 		if scan.Name != collection {
 			continue
@@ -21,12 +18,13 @@ func simplePredicates(e xquery.Expr, collection string) []xpath.Predicate {
 		for _, c := range h.Constraints {
 			if c.Path != nil && c.Path.Op == xquery.CmpEq && !c.Path.Numeric {
 				if p := plainPath(c.Path.Steps); p != nil {
-					out = append(out, &xpath.Comparison{Path: p, Op: xpath.OpEq, Value: c.Path.Literal})
+					out = append(out, &xquery.Binary{Op: xquery.OpEq, Left: p, Right: &xquery.StringLit{Value: c.Path.Literal}})
 				}
 			}
 			if c.Contains != nil {
 				if p := plainPath(c.Contains.Steps); p != nil {
-					out = append(out, &xpath.Contains{Path: p, Needle: c.Contains.Needle})
+					out = append(out, &xquery.FuncCall{Name: "contains",
+						Args: []xquery.Expr{p, &xquery.StringLit{Value: c.Contains.Needle}}})
 				}
 			}
 		}
@@ -36,14 +34,14 @@ func simplePredicates(e xquery.Expr, collection string) []xpath.Predicate {
 
 // plainPath is /label/label/… for a label path with no wildcard, // or
 // attribute step; nil otherwise.
-func plainPath(steps []xquery.LabelStep) *xpath.Path {
+func plainPath(steps []xquery.LabelStep) *xquery.PathExpr {
 	labels, ok := xquery.PlainLabels(steps)
 	if !ok {
 		return nil
 	}
-	p, err := xpath.ParsePath("/" + strings.Join(labels, "/"))
-	if err != nil {
-		return nil
+	p := &xquery.PathExpr{Steps: make([]xquery.PathStep, len(labels))}
+	for i, l := range labels {
+		p.Steps[i].Name = l
 	}
 	return p
 }

@@ -86,7 +86,7 @@ func (s *Scheme) CheckCompleteness(c *xmltree.Collection) error {
 
 func (s *Scheme) coveredByAny(d *xmltree.Document) bool {
 	for _, f := range s.Fragments {
-		if f.Predicate.Eval(d) {
+		if algebra.Holds(f.Predicate, d.Root) {
 			return true
 		}
 	}
@@ -103,7 +103,7 @@ func (s *Scheme) CheckDisjointness(c *xmltree.Collection) error {
 		for _, d := range c.Docs {
 			var owner string
 			for _, f := range s.Fragments {
-				if f.Predicate.Eval(d) {
+				if algebra.Holds(f.Predicate, d.Root) {
 					if owner != "" {
 						return fmt.Errorf("disjointness: document %q in fragments %q and %q", d.Name, owner, f.Name)
 					}

@@ -15,7 +15,7 @@ import (
 
 	"partix/internal/algebra"
 	"partix/internal/xmltree"
-	"partix/internal/xpath"
+	"partix/internal/xquery"
 )
 
 // Kind classifies a fragment per Definition 1: γ is a selection
@@ -49,26 +49,60 @@ func (k Kind) String() string {
 
 // Fragment is one fragment definition F := ⟨C, γ⟩. The collection C is
 // named by the enclosing Scheme; γ is given by Kind and the operator
-// fields it uses.
+// fields it uses. μ, P and Γ are written in the simple-predicate language
+// of xquery.ParseDefinition.
 type Fragment struct {
 	Name string
 	Kind Kind
 
 	// Predicate is μ: the document selection (Horizontal) or the filter on
 	// the projection's repeating children (Hybrid). Nil for Vertical.
-	Predicate xpath.Predicate
+	Predicate xquery.Expr
 
 	// Path is P: the projection path (Vertical, Hybrid). Nil for Horizontal.
-	Path *xpath.Path
+	Path *xquery.PathExpr
 
 	// Prune is Γ: subtrees excluded from the projection. Every path must
 	// have P as a prefix (Definition 3).
-	Prune []*xpath.Path
+	Prune []*xquery.PathExpr
+
+	// Labels is the label path (labelPath) of P, nil for a horizontal
+	// fragment, which holds whole documents; PruneLabels is that of each
+	// Γ path, in Prune order. The New* constructors compute both.
+	Labels      []string
+	PruneLabels [][]string
+}
+
+// labelPath is the element labels a definition path steps through up to
+// any attribute step, "*" for a wildcard; the axis of each step is not
+// part of it.
+func labelPath(p *xquery.PathExpr) []string {
+	out := make([]string, 0, len(p.Steps))
+	for _, st := range p.Steps {
+		if st.Attr {
+			break
+		}
+		out = append(out, st.Name)
+	}
+	return out
+}
+
+// parsePath parses a definition that must be a path.
+func parsePath(text string) (*xquery.PathExpr, error) {
+	e, err := xquery.ParseDefinition(text)
+	if err != nil {
+		return nil, err
+	}
+	p, ok := e.(*xquery.PathExpr)
+	if !ok {
+		return nil, fmt.Errorf("fragmentation: %s is not a path", xquery.FormatDefinition(e))
+	}
+	return p, nil
 }
 
 // NewHorizontal builds a horizontal fragment from a predicate expression.
 func NewHorizontal(name, predicate string) (*Fragment, error) {
-	p, err := xpath.ParsePredicate(predicate)
+	p, err := xquery.ParseDefinition(predicate)
 	if err != nil {
 		return nil, fmt.Errorf("fragment %s: %w", name, err)
 	}
@@ -77,17 +111,18 @@ func NewHorizontal(name, predicate string) (*Fragment, error) {
 
 // NewVertical builds a vertical fragment from a path and prune expressions.
 func NewVertical(name, path string, prune ...string) (*Fragment, error) {
-	p, err := xpath.ParsePath(path)
+	p, err := parsePath(path)
 	if err != nil {
 		return nil, fmt.Errorf("fragment %s: %w", name, err)
 	}
-	f := &Fragment{Name: name, Kind: Vertical, Path: p}
+	f := &Fragment{Name: name, Kind: Vertical, Path: p, Labels: labelPath(p)}
 	for _, g := range prune {
-		gp, err := xpath.ParsePath(g)
+		gp, err := parsePath(g)
 		if err != nil {
 			return nil, fmt.Errorf("fragment %s: prune: %w", name, err)
 		}
 		f.Prune = append(f.Prune, gp)
+		f.PruneLabels = append(f.PruneLabels, labelPath(gp))
 	}
 	return f, nil
 }
@@ -99,7 +134,7 @@ func NewHybrid(name, path string, prune []string, predicate string) (*Fragment, 
 		return nil, err
 	}
 	f.Kind = Hybrid
-	pred, err := xpath.ParsePredicate(predicate)
+	pred, err := xquery.ParseDefinition(predicate)
 	if err != nil {
 		return nil, fmt.Errorf("fragment %s: %w", name, err)
 	}
@@ -138,21 +173,22 @@ func MustHybrid(name, path string, prune []string, predicate string) *Fragment {
 func (f *Fragment) String() string {
 	switch f.Kind {
 	case Horizontal:
-		return fmt.Sprintf("%s := ⟨C, σ[%s]⟩", f.Name, f.Predicate)
+		return fmt.Sprintf("%s := ⟨C, σ[%s]⟩", f.Name, xquery.FormatDefinition(f.Predicate))
 	case Vertical:
-		return fmt.Sprintf("%s := ⟨C, π[%s, %s]⟩", f.Name, f.Path, pruneString(f.Prune))
+		return fmt.Sprintf("%s := ⟨C, π[%s, %s]⟩", f.Name, xquery.FormatDefinition(f.Path), pruneString(f.Prune))
 	default:
-		return fmt.Sprintf("%s := ⟨C, π[%s, %s] • σ[%s]⟩", f.Name, f.Path, pruneString(f.Prune), f.Predicate)
+		return fmt.Sprintf("%s := ⟨C, π[%s, %s] • σ[%s]⟩", f.Name, xquery.FormatDefinition(f.Path), pruneString(f.Prune),
+			xquery.FormatDefinition(f.Predicate))
 	}
 }
 
-func pruneString(prune []*xpath.Path) string {
+func pruneString(prune []*xquery.PathExpr) string {
 	s := "{"
 	for i, p := range prune {
 		if i > 0 {
 			s += ", "
 		}
-		s += p.String()
+		s += xquery.FormatDefinition(p)
 	}
 	return s + "}"
 }
@@ -209,7 +245,7 @@ func (f *Fragment) ApplyMode(c *xmltree.Collection, mode MaterializeMode) (*xmlt
 			}
 			// FragModeMD: explode every surviving repeating child into its
 			// own document named after the source document and child ID.
-			for _, anchor := range f.Path.Select(pd) {
+			for _, anchor := range algebra.SelectPath(f.Path, pd) {
 				for _, child := range anchor.ElementChildren() {
 					cc := child.Clone()
 					cc.Parent = nil

@@ -301,7 +301,7 @@ func TestSchemaCardinalityCheck(t *testing.T) {
 	for _, f := range rejects {
 		s := &Scheme{Collection: "Citems", Schema: schema, RootType: "Item", Fragments: []*Fragment{f}}
 		if err := s.Validate(); err == nil {
-			t.Errorf("%s: accepted", f.Path)
+			t.Errorf("%s: accepted", f)
 		}
 	}
 

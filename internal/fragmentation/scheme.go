@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"partix/internal/xmlschema"
-	"partix/internal/xpath"
+	"partix/internal/xquery"
 )
 
 // Scheme is a full fragmentation design Φ := {F1, …, Fn} of one collection.
@@ -113,8 +113,9 @@ func (s *Scheme) validateFragment(f *Fragment) error {
 			return fmt.Errorf("fragment %s: vertical fragment must not have a predicate", f.Name)
 		}
 		for _, g := range f.Prune {
-			if !f.Path.Prefix(g) {
-				return fmt.Errorf("fragment %s: prune path %s does not extend fragment path %s", f.Name, g, f.Path)
+			if !pathPrefix(f.Path, g) {
+				return fmt.Errorf("fragment %s: prune path %s does not extend fragment path %s",
+					f.Name, xquery.FormatDefinition(g), xquery.FormatDefinition(f.Path))
 			}
 		}
 		if s.Schema != nil {
@@ -139,35 +140,50 @@ func (s *Scheme) checkPathCardinality(f *Fragment) error {
 	if t == nil {
 		return fmt.Errorf("fragment %s: unknown root type %q", f.Name, s.RootType)
 	}
-	steps := f.Path.Steps
+	steps, path := f.Path.Steps, xquery.FormatDefinition(f.Path)
 	if len(steps) == 0 {
 		return fmt.Errorf("fragment %s: empty fragment path", f.Name)
 	}
-	if steps[0].Axis == xpath.Descendant || steps[0].Name == "*" {
-		return fmt.Errorf("fragment %s: fragment path %s cannot start with // or *", f.Name, f.Path)
+	if steps[0].Descendant || steps[0].Name == "*" {
+		return fmt.Errorf("fragment %s: fragment path %s cannot start with // or *", f.Name, path)
 	}
 	if steps[0].Name != t.ElementName() {
-		return fmt.Errorf("fragment %s: path %s does not start at collection root %q", f.Name, f.Path, t.ElementName())
+		return fmt.Errorf("fragment %s: path %s does not start at collection root %q", f.Name, path, t.ElementName())
 	}
 	for _, st := range steps[1:] {
-		if st.Axis == xpath.Descendant {
-			return fmt.Errorf("fragment %s: descendant axis in fragment path %s cannot be bounded statically", f.Name, f.Path)
+		if st.Descendant {
+			return fmt.Errorf("fragment %s: descendant axis in fragment path %s cannot be bounded statically", f.Name, path)
 		}
 		if st.Name == "*" {
-			return fmt.Errorf("fragment %s: wildcard step in fragment path %s", f.Name, f.Path)
+			return fmt.Errorf("fragment %s: wildcard step in fragment path %s", f.Name, path)
 		}
 		if st.Attr {
-			return fmt.Errorf("fragment %s: fragment path %s must select elements, not attributes", f.Name, f.Path)
+			return fmt.Errorf("fragment %s: fragment path %s must select elements, not attributes", f.Name, path)
 		}
 		p := t.Child(st.Name)
 		if p == nil {
-			return fmt.Errorf("fragment %s: schema type %q has no child %q (path %s)", f.Name, t.Name, st.Name, f.Path)
+			return fmt.Errorf("fragment %s: schema type %q has no child %q (path %s)", f.Name, t.Name, st.Name, path)
 		}
-		if p.Occurs.MayRepeat() && st.Pos == 0 {
+		if p.Occurs.MayRepeat() && xquery.Position(st) == 0 {
 			return fmt.Errorf("fragment %s: step %q in %s may occur %s times; fix a position with [i] (Definition 3)",
-				f.Name, st.Name, f.Path, p.Occurs)
+				f.Name, st.Name, path, p.Occurs)
 		}
 		t = p.Type
 	}
 	return nil
+}
+
+// pathPrefix reports whether every step of p equals the corresponding
+// leading step of q: same axis, node test and position.
+func pathPrefix(p, q *xquery.PathExpr) bool {
+	if len(p.Steps) > len(q.Steps) {
+		return false
+	}
+	for i, s := range p.Steps {
+		o := q.Steps[i]
+		if s.Descendant != o.Descendant || s.Name != o.Name || s.Attr != o.Attr || xquery.Position(s) != xquery.Position(o) {
+			return false
+		}
+	}
+	return true
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"partix/internal/fragmentation"
-	"partix/internal/xpath"
 	"partix/internal/xquery"
 )
 
@@ -23,20 +22,6 @@ func labelsPrefix(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-func pathLabels(p *xpath.Path) []string {
-	if p == nil {
-		return nil // a horizontal fragment: whole documents
-	}
-	out := make([]string, 0, len(p.Steps))
-	for _, st := range p.Steps {
-		if st.Attr {
-			break
-		}
-		out = append(out, st.Name)
-	}
-	return out
 }
 
 // readLabels is the label view of a root-anchored path the fragment
@@ -69,9 +54,9 @@ func touchesFragment(f *fragmentation.Fragment, r xquery.Read) bool {
 	if len(q) == 0 && attr == "" && !r.Existence {
 		return true // whole documents
 	}
-	p := pathLabels(f.Path)
-	for _, g := range f.Prune {
-		if labelsPrefix(pathLabels(g), q) {
+	p := f.Labels
+	for _, g := range f.PruneLabels {
+		if labelsPrefix(g, q) {
 			return false // the query path lives in a pruned subtree
 		}
 	}
@@ -93,7 +78,7 @@ func touchesFragment(f *fragmentation.Fragment, r xquery.Read) bool {
 // collection (documents where the projection selects nothing are absent
 // from the fragment, and their bindings would be lost).
 func ancestorExistenceOf(reads []xquery.Read, collection string, f *fragmentation.Fragment) bool {
-	p := pathLabels(f.Path)
+	p := f.Labels
 	for _, r := range reads {
 		if r.Scan.Name != collection || !r.Existence {
 			continue
@@ -116,35 +101,32 @@ func ancestorExistenceOf(reads []xquery.Read, collection string, f *fragmentatio
 // absBase is prepended to the fragment predicate's paths: for a hybrid
 // fragment π(P) • σ(μ) the predicate is evaluated on P's children, so its
 // absolute path is P's labels plus the predicate path's labels.
-func contradictsPredicate(pred xpath.Predicate, absBase []string, hint *xquery.Hint) bool {
+func contradictsPredicate(pred xquery.Expr, absBase []string, hint *xquery.Hint) bool {
 	if hint == nil {
 		return false
 	}
 	switch p := pred.(type) {
-	case *xpath.And:
-		for _, t := range p.Terms {
-			if contradictsPredicate(t, absBase, hint) {
-				return true
-			}
+	case *xquery.Binary:
+		switch p.Op {
+		case xquery.OpAnd:
+			return contradictsPredicate(p.Left, absBase, hint) || contradictsPredicate(p.Right, absBase, hint)
+		case xquery.OpOr:
+			// A disjunction is unsatisfiable only if every branch is.
+			return contradictsPredicate(p.Left, absBase, hint) && contradictsPredicate(p.Right, absBase, hint)
 		}
-		return false
-	case *xpath.Or:
-		// A disjunction is unsatisfiable only if every branch is.
-		if len(p.Terms) == 0 {
+		if p.Op != xquery.OpEq && p.Op != xquery.OpNe {
 			return false
 		}
-		for _, t := range p.Terms {
-			if !contradictsPredicate(t, absBase, hint) {
-				return false
-			}
-		}
-		return true
-	case *xpath.Comparison:
-		fp, ok := plainPredicatePath(absBase, p.Path)
-		if !ok || (p.Op != xpath.OpEq && p.Op != xpath.OpNe) {
+		path, ok := p.Left.(*xquery.PathExpr)
+		lit, isLit := p.Right.(*xquery.StringLit)
+		if !ok || !isLit {
 			return false
 		}
-		v := xquery.PrepOperand(p.Value)
+		fp, ok := plainPredicatePath(absBase, path)
+		if !ok {
+			return false
+		}
+		v := xquery.PrepOperand(lit.Value)
 		for _, c := range hint.Constraints {
 			if c.Path == nil || c.Path.Op != xquery.CmpEq || !labelsEqual(fp, c.Path.Steps) {
 				continue
@@ -156,26 +138,34 @@ func contradictsPredicate(pred xpath.Predicate, absBase []string, hint *xquery.H
 			// it = V contradicts a literal unequal to V, one needing != V a
 			// literal equal to V.
 			eq := xquery.CompareOperands(xquery.OpEq, v, xquery.PrepOperand(c.Path.Literal))
-			if eq == (p.Op == xpath.OpNe) {
+			if eq == (p.Op == xquery.OpNe) {
 				return true
 			}
 		}
 		return false
-	case *xpath.Not:
+	case *xquery.FuncCall:
 		// not(contains(path, s)): contradicted by a query constraint
 		// contains(path, s') when s' contains s (any text with s' also
 		// has s).
-		inner, ok := p.Inner.(*xpath.Contains)
-		if !ok {
+		if p.Name != "not" || len(p.Args) != 1 {
 			return false
 		}
-		fp, ok := plainPredicatePath(absBase, inner.Path)
+		inner, ok := p.Args[0].(*xquery.FuncCall)
+		if !ok || inner.Name != "contains" || len(inner.Args) != 2 {
+			return false
+		}
+		path, ok := inner.Args[0].(*xquery.PathExpr)
+		needle, isLit := inner.Args[1].(*xquery.StringLit)
+		if !ok || !isLit {
+			return false
+		}
+		fp, ok := plainPredicatePath(absBase, path)
 		if !ok {
 			return false
 		}
 		for _, c := range hint.Constraints {
 			if c.Contains != nil && labelsEqual(fp, c.Contains.Steps) &&
-				strings.Contains(c.Contains.Needle, inner.Needle) {
+				strings.Contains(c.Contains.Needle, needle.Value) {
 				return true
 			}
 		}
@@ -188,10 +178,10 @@ func contradictsPredicate(pred xpath.Predicate, absBase []string, hint *xquery.H
 // plainPredicatePath is the absolute element labels of a fragment
 // predicate's path, when neither absBase nor the path has a wildcard, //
 // or attribute step.
-func plainPredicatePath(absBase []string, p *xpath.Path) ([]string, bool) {
+func plainPredicatePath(absBase []string, p *xquery.PathExpr) ([]string, bool) {
 	out := append([]string(nil), absBase...)
 	for _, st := range p.Steps {
-		if st.Axis != xpath.Child || st.Attr {
+		if st.Descendant || st.Attr {
 			return nil, false
 		}
 		out = append(out, st.Name)

@@ -428,7 +428,7 @@ func (s *System) joinPlan(e xquery.Expr, meta *CollectionMeta, sp *statsPlan, fr
 // subtree under the replicated spine — it selects exactly the part of f
 // the query reads.
 func fetchProjection(keep *xmltree.Projection, f *fragmentation.Fragment) *xmltree.Projection {
-	labels := pathLabels(f.Path)
+	labels := f.Labels
 	if len(labels) > 0 {
 		labels = labels[1:] // the trie is rooted at the root element
 	}
@@ -519,7 +519,7 @@ func (s *System) planVertical(e xquery.Expr, meta *CollectionMeta, reads xquery.
 	if decomposes && unionable(meta, reads, touched) {
 		var kept []*fragmentation.Fragment
 		for _, f := range touched {
-			if !contradictsPredicate(f.Predicate, pathLabels(f.Path), hint) {
+			if !contradictsPredicate(f.Predicate, f.Labels, hint) {
 				kept = append(kept, f)
 			}
 		}
@@ -688,7 +688,7 @@ func unionable(meta *CollectionMeta, reads xquery.Reads, touched []*fragmentatio
 		if f.Kind != fragmentation.Hybrid {
 			return false
 		}
-		p := pathLabels(f.Path)
+		p := f.Labels
 		if base == nil {
 			base = p
 		} else if !sameLabels(base, p) {
@@ -717,7 +717,7 @@ func stripLabels(meta *CollectionMeta, f *fragmentation.Fragment) []string {
 	if f.Kind != fragmentation.Hybrid || meta.Mode != fragmentation.FragModeMD {
 		return nil
 	}
-	return pathLabels(f.Path)
+	return f.Labels
 }
 
 // holdsAllDocuments reports whether every document of the collection is

@@ -155,14 +155,13 @@ func deciderOf(c xquery.Expr, v string, meta *CollectionMeta, reads xquery.Reads
 // clear of its prune paths: neither inside one nor above one (a value read
 // there would miss the pruned content), and without a // step.
 func ownsPaths(f *fragmentation.Fragment, reads []xquery.Read) bool {
-	base := pathLabels(f.Path)
+	base := f.Labels
 	for _, r := range reads {
 		q, _, descendant := readLabels(r.Steps)
 		if descendant || !labelsPrefix(base, q) {
 			return false
 		}
-		for _, g := range f.Prune {
-			pl := pathLabels(g)
+		for _, pl := range f.PruneLabels {
 			if labelsPrefix(pl, q) || labelsPrefix(q, pl) {
 				return false
 			}

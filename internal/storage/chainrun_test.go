@@ -186,7 +186,10 @@ func TestHostileChainRunsFallBackToWalk(t *testing.T) {
 					_, err := s.ReadRefs(make([]byte, 0, ReadSpan([]DocRef{ref})), []DocRef{ref}, recs)
 					return recs[0], err
 				},
-				func() ([]byte, error) { return s.AppendRef(nil, ref) },
+				func() ([]byte, error) {
+					_, err := s.ReadRefs(nil, []DocRef{ref}, recs)
+					return recs[0], err
+				},
 			} {
 				got, err := read()
 				switch {

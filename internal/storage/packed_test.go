@@ -188,10 +188,10 @@ func TestSmallRecordsArePacked(t *testing.T) {
 	}()})
 }
 
-// AppendRef reads refs whose records sit back to back in one packed page
+// ReadRefs reads refs whose records sit back to back in one packed page
 // with one read of exactly their bytes, and each record is its ref's Size
 // bytes of the result.
-func TestAppendRefReadsAdjacentSlotsOnce(t *testing.T) {
+func TestReadRefsReadsAdjacentSlotsOnce(t *testing.T) {
 	s, _ := tempStore(t)
 	for i := 0; i < 5; i++ {
 		if err := s.PutDocument("items", doc(fmt.Sprintf("d%d", i), smallXML(i))); err != nil {
@@ -219,10 +219,11 @@ func TestAppendRefReadsAdjacentSlotsOnce(t *testing.T) {
 		{[]DocRef{snap.Refs[0], snap.Refs[2]}, 2},
 	} {
 		pages, read := obs.StoragePagesRead.Value(), obs.StorageBytesRead.Value()
-		got, err := s.AppendRef(nil, tc.refs...)
-		if err != nil {
+		recs := make([][]byte, len(tc.refs))
+		if _, err := s.ReadRefs(nil, tc.refs, recs); err != nil {
 			t.Fatal(err)
 		}
+		got := bytes.Join(recs, nil)
 		if d := obs.StoragePagesRead.Value() - pages; d != tc.reads {
 			t.Fatalf("%d refs took %d reads, want %d", len(tc.refs), d, tc.reads)
 		}
@@ -230,7 +231,7 @@ func TestAppendRefReadsAdjacentSlotsOnce(t *testing.T) {
 			t.Fatalf("read %d bytes for %d bytes of records", d, len(got))
 		}
 		if len(tc.refs) == len(snap.Refs) && !bytes.Equal(got, want) {
-			t.Fatal("AppendRef of the run differs from the records read one by one")
+			t.Fatal("ReadRefs of the run differs from the records read one by one")
 		}
 	}
 }
@@ -258,8 +259,8 @@ func TestChainWalkStopsOnCycle(t *testing.T) {
 	if _, err := s.pager.chainPages(id); err == nil {
 		t.Fatal("walk of a self-linked chain succeeded")
 	}
-	if _, err := s.AppendRef(make([]byte, 0, 2*PageSize), DocRef{Name: "d", Page: id, Size: 300}); err == nil {
-		t.Fatal("AppendRef of a self-linked chain succeeded")
+	if _, err := s.ReadRefs(make([]byte, 0, 2*PageSize), []DocRef{{Name: "d", Page: id, Size: 300}}, make([][]byte, 1)); err == nil {
+		t.Fatal("ReadRefs of a self-linked chain succeeded")
 	}
 	s.mu.Lock()
 	s.cat.Collections["c"] = map[string]docEntry{"d": {Page: id, Size: 300}}
@@ -308,13 +309,13 @@ func TestHostilePackedEntriesFail(t *testing.T) {
 			if _, err := s.ReadRef(ref); err == nil {
 				t.Fatalf("ReadRef of %+v succeeded", e)
 			}
-			if _, err := s.AppendRef(nil, good, ref); err == nil {
-				t.Fatalf("AppendRef of %+v succeeded", e)
+			if _, err := s.ReadRefs(nil, []DocRef{good, ref}, make([][]byte, 2)); err == nil {
+				t.Fatalf("ReadRefs of %+v succeeded", e)
 			}
 			if _, err := s.GetDocumentRaw("items", name); err == nil {
 				t.Fatalf("read of cataloged %+v succeeded", e)
 			}
-			// AppendRef read the good record, and nothing else was read.
+			// ReadRefs read the good record, and nothing else was read.
 			if dp, db := obs.StoragePagesRead.Value()-pages, obs.StorageBytesRead.Value()-read; dp != 1 || db != good.Size {
 				t.Fatalf("reads of %+v moved %d pages, %d bytes", e, dp, db)
 			}

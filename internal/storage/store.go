@@ -970,22 +970,6 @@ func (s *Store) ReadRef(ref DocRef) ([]byte, error) {
 	return s.pager.readRecord(ref.Page, ref.Off, ref.Size)
 }
 
-// AppendRef appends the encoded bytes of snapshot documents to buf, each
-// record exactly its ref's Size bytes, in refs order, and returns the
-// extended buffer. The records are read as ReadRefs reads them, into a
-// buffer of their own, and copied. Valid only while the snapshot the refs
-// came from is open.
-func (s *Store) AppendRef(buf []byte, refs ...DocRef) ([]byte, error) {
-	recs := make([][]byte, len(refs))
-	if _, err := s.ReadRefs(nil, refs, recs); err != nil {
-		return nil, err
-	}
-	for _, rec := range recs {
-		buf = append(buf, rec...)
-	}
-	return buf, nil
-}
-
 // ReadSpan is the buffer room ReadRefs takes to read refs: a packed
 // record's size, and a chained record's pages whole.
 func ReadSpan(refs []DocRef) int {

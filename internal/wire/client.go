@@ -667,31 +667,45 @@ func (c *Client) FetchCollection(collection string) (*xmltree.Collection, error)
 // of an empty name list ships nothing and needs no request.
 func (c *Client) Fetch(collection string, spec cluster.FetchSpec) (*xmltree.Collection, error) {
 	col := xmltree.NewCollection(collection)
-	if spec.Names != nil && len(spec.Names) == 0 {
+	req := fetchRequest(collection, spec)
+	if req == nil {
 		return col, nil
 	}
-	req := &Request{Op: OpFetchStream, Collection: collection, Where: spec.Where, Names: spec.Names}
-	if !spec.Keep.Whole() {
-		req.Keep = spec.Keep.String()
-	}
-	deliver := func(f *Frame) error {
-		if len(f.DocNames) != len(f.Docs) {
-			return fmt.Errorf("wire: frame carries %d names for %d documents", len(f.DocNames), len(f.Docs))
-		}
-		for i, raw := range f.Docs {
-			doc, err := storage.DecodeDocument(f.DocNames[i], raw)
-			if err != nil {
-				return err
-			}
-			col.Add(doc)
-		}
-		return nil
-	}
+	deliver := func(f *Frame) error { return decodeDocs(col, f) }
 	reset := func() { col = xmltree.NewCollection(collection) }
 	if _, err := c.stream(req, deliver, reset); err != nil {
 		return nil, err
 	}
 	return col, nil
+}
+
+// fetchRequest is the OpFetchStream request of a fetch, or nil for a
+// fetch of an empty name list, which ships nothing.
+func fetchRequest(collection string, spec cluster.FetchSpec) *Request {
+	if spec.Names != nil && len(spec.Names) == 0 {
+		return nil
+	}
+	req := &Request{Op: OpFetchStream, Collection: collection, Where: spec.Where, Names: spec.Names}
+	if !spec.Keep.Whole() {
+		req.Keep = spec.Keep.String()
+	}
+	return req
+}
+
+// decodeDocs is the one decode of a received fetch frame (Client.Fetch,
+// LocalNode.Fetch): each document into col.
+func decodeDocs(col *xmltree.Collection, f *Frame) error {
+	if len(f.DocNames) != len(f.Docs) {
+		return fmt.Errorf("wire: frame carries %d names for %d documents", len(f.DocNames), len(f.Docs))
+	}
+	for i, raw := range f.Docs {
+		doc, err := storage.DecodeDocument(f.DocNames[i], raw)
+		if err != nil {
+			return err
+		}
+		col.Add(doc)
+	}
+	return nil
 }
 
 // CollectionStats implements cluster.Driver.

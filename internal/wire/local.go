@@ -96,19 +96,20 @@ func (n *LocalNode) Query(query, tag string, trace bool, yield func(xquery.Seq) 
 	return spans, nil
 }
 
-// Fetch implements cluster.Driver: each stored record the engine selects
-// is decoded straight under spec.Keep, in document-name order, from one
-// pinned snapshot.
+// Fetch implements cluster.Driver: it runs the fetch stream a remote node
+// runs (Server.stream with the OpFetchStream request a Client sends), and
+// each frame goes to the decode a Client runs on received frames
+// (decodeDocs).
 func (n *LocalNode) Fetch(collection string, spec cluster.FetchSpec) (*xmltree.Collection, error) {
 	col := xmltree.NewCollection(collection)
-	err := n.srv.db.Fetch(collection, spec.Names, spec.Where, func(name string, raw []byte) error {
-		doc, err := storage.DecodeProjected(name, raw, spec.Keep)
-		if err != nil {
-			return err
-		}
-		col.Add(doc)
-		return nil
-	})
+	req := fetchRequest(collection, spec)
+	if req == nil {
+		return col, nil
+	}
+	failure, err := n.srv.stream(req, nil, func(f *Frame) error { return decodeDocs(col, f) }, nil)
+	if err == nil {
+		err = failure
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,11 @@ import (
 
 // Parse compiles an XQuery expression.
 func Parse(query string) (Expr, error) {
-	p := &parser{lex: newLexer(query)}
+	return (&parser{lex: newLexer(query)}).parseAll()
+}
+
+// parseAll parses an expression that must take up the whole input.
+func (p *parser) parseAll() (Expr, error) {
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -35,6 +39,10 @@ func MustParse(query string) Expr {
 
 type parser struct {
 	lex *lexer
+	// numText is non-nil while parsing a fragment definition
+	// (ParseDefinition), which also reads rooted paths: it maps each
+	// numeric literal to its source text.
+	numText map[*NumberLit]string
 }
 
 func (p *parser) errf(t token, format string, args ...any) error {
@@ -564,7 +572,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, p.errf(t, "bad number %q", t.text)
 		}
-		return &NumberLit{Value: v}, nil
+		lit := &NumberLit{Value: v}
+		if p.numText != nil {
+			p.numText[lit] = t.text
+		}
+		return lit, nil
 	case tokMinus:
 		inner, err := p.parsePath()
 		if err != nil {
@@ -592,7 +604,16 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case tokLt:
 		return p.parseElementCtor(t)
 	case tokSlash, tokDSlash:
-		return nil, p.errf(t, "rooted paths need an explicit doc() or collection() source")
+		if p.numText == nil {
+			return nil, p.errf(t, "rooted paths need an explicit doc() or collection() source")
+		}
+		// A definition's rooted path starts at the context node.
+		p.lex.setPos(t.pos)
+		steps, err := p.parseSteps()
+		if err != nil {
+			return nil, err
+		}
+		return &PathExpr{Steps: steps}, nil
 	case tokName:
 		nt, err := p.lex.peek()
 		if err != nil {

@@ -15,13 +15,14 @@
 //
 //   - xmltree, xmlschema: the XML data model and schema of the paper's
 //     Section 3.1;
-//   - xpath: path expressions and simple predicates;
 //   - algebra: the TLC-style operators fragments are defined with;
 //   - fragmentation: fragment definitions and the correctness rules
 //     (completeness, disjointness, reconstruction) of Section 3.3;
 //   - storage, engine: the sequential XML DBMS each node runs (the role
 //     eXist plays in the paper);
-//   - xquery: the XQuery subset processor;
+//   - xquery: the XQuery subset processor, whose parser and interpreter
+//     also read and evaluate the path expressions and simple predicates
+//     fragments are defined with;
 //   - partix: the middleware (catalogs, data publisher, distributed query
 //     service);
 //   - cluster, wire: node drivers, the cost model of Section 5, and the
