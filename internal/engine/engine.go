@@ -856,7 +856,10 @@ func (db *DB) scanChunks(refs []storage.DocRef, keep *xmltree.Projection, mode s
 // read once, by that scan.
 // Like Docs it reads one pinned snapshot, so a write that lands mid-fetch
 // neither fails the fetch nor mixes generations into it. A record stays
-// valid after fn returns; fn returning an error stops the iteration.
+// valid after fn returns (every chunk is read into a buffer of its own),
+// so a caller may collect a frame's worth of records and copy or decode
+// them together, as the wire's fetch stream does; fn returning an error
+// stops the iteration.
 func (db *DB) Fetch(collection string, names []string, where string, fn func(name string, raw []byte) error) error {
 	if names != nil && !slices.IsSorted(names) {
 		names = slices.Clone(names)

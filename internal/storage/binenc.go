@@ -248,9 +248,9 @@ func DecodeProjected(name string, data []byte, keep *xmltree.Projection) (*xmltr
 // DecodeBatch parses many records at once into whole trees that share one
 // node slab, one child-pointer slab and one text string: the same walk as
 // DecodeDocument, run over every record in each pass. A corrupt record
-// fails the batch with the error DecodeDocument reports for it under the
-// name "record i", i its position in recs. It is CheckBatch and the
-// build its Batch runs on first use, done at once.
+// fails the batch with a *RecordError: the error DecodeDocument reports
+// for it under the name "record i", i its position in recs. It is
+// CheckBatch and the build its Batch runs on first use, done at once.
 //
 // borrow, when non-nil, lets a record borrow another's name table: with
 // borrow[i] = j ≥ 0, recs[i] is not a record but the bytes of one node of
@@ -267,9 +267,23 @@ func DecodeBatch(recs [][]byte, borrow []int) ([]*xmltree.Node, error) {
 }
 
 // batchError names the corrupt record of a batch.
-func batchError(i int, err error) error {
-	return fmt.Errorf("storage: decode \"record %d\": %w", i, err)
+func batchError(i int, err error) error { return &RecordError{Index: i, Err: err} }
+
+// A RecordError is a batch decode's failure (DecodeBatch, CheckBatch): the
+// position of the first corrupt record among those given, and that
+// record's error. It reads as DecodeDocument's error under the name
+// "record i"; a caller that knows the record's document reports it under
+// that document's name instead.
+type RecordError struct {
+	Index int
+	Err   error
 }
+
+func (e *RecordError) Error() string {
+	return fmt.Sprintf("storage: decode \"record %d\": %v", e.Index, e.Err)
+}
+
+func (e *RecordError) Unwrap() error { return e.Err }
 
 // RecordHead returns what a frame item copied out of rec begins with: its
 // version byte as an unsealed record carries it, and its name table (the

@@ -490,7 +490,7 @@ func (c *Client) streamOnce(req *Request, deliver func(*Frame) error) (int, *Tra
 		switch f.Kind {
 		case FrameItems, FrameDocs, FrameEnd:
 			end := f.Kind == FrameEnd
-			n := f.Count + len(f.Docs)
+			n := f.Count
 			total += n
 			if end && f.Total != total {
 				c.discard(pc)
@@ -671,7 +671,7 @@ func (c *Client) Fetch(collection string, spec cluster.FetchSpec) (*xmltree.Coll
 	if req == nil {
 		return col, nil
 	}
-	deliver := func(f *Frame) error { return decodeDocs(col, f) }
+	deliver := func(f *Frame) error { return decodeDocs(col, f.Count, f.Payload) }
 	reset := func() { col = xmltree.NewCollection(collection) }
 	if _, err := c.stream(req, deliver, reset); err != nil {
 		return nil, err
@@ -685,27 +685,14 @@ func fetchRequest(collection string, spec cluster.FetchSpec) *Request {
 	if spec.Names != nil && len(spec.Names) == 0 {
 		return nil
 	}
-	req := &Request{Op: OpFetchStream, Collection: collection, Where: spec.Where, Names: spec.Names}
+	req := &Request{Op: OpFetchStream, Collection: collection, Where: spec.Where}
+	if spec.Names != nil {
+		req.Names = packNames(spec.Names)
+	}
 	if !spec.Keep.Whole() {
 		req.Keep = spec.Keep.String()
 	}
 	return req
-}
-
-// decodeDocs is the one decode of a received fetch frame (Client.Fetch,
-// LocalNode.Fetch): each document into col.
-func decodeDocs(col *xmltree.Collection, f *Frame) error {
-	if len(f.DocNames) != len(f.Docs) {
-		return fmt.Errorf("wire: frame carries %d names for %d documents", len(f.DocNames), len(f.Docs))
-	}
-	for i, raw := range f.Docs {
-		doc, err := storage.DecodeDocument(f.DocNames[i], raw)
-		if err != nil {
-			return err
-		}
-		col.Add(doc)
-	}
-	return nil
 }
 
 // CollectionStats implements cluster.Driver.

@@ -22,9 +22,11 @@ const fuzzMaxMessage = 1 << 16
 // than the message limit, and must not allocate in proportion to a length
 // the peer merely declared. The seed corpus (testdata/fuzz/FuzzFrameDecode)
 // holds an empty end frame, an items frame followed by an end frame whose
-// payload carries the final batch and a span trailer, a FrameErr, a
-// truncated length header and an oversize declared length. What a client
-// then does with a frame's payload is FuzzFramePayload's.
+// payload carries the final batch and a span trailer, a FrameErr, a fetch
+// frame of three documents followed by its end frame, a truncated length
+// header and an oversize declared length. What a client then does with a
+// frame's payload is FuzzFramePayload's (query frames) and
+// FuzzFetchFrame's (fetch frames).
 func FuzzFrameDecode(f *testing.F) {
 	// One decoded element costs at most this many bytes of memory per byte
 	// of message, before slice growth; anything past it follows a declared
@@ -58,12 +60,6 @@ func FuzzFrameDecode(f *testing.F) {
 // framePayload sums the variable-size content of a frame.
 func framePayload(f *Frame) int {
 	n := len(f.Err) + len(f.TraceID) + len(f.Payload)
-	for i := range f.Docs {
-		n += len(f.Docs[i])
-	}
-	for _, name := range f.DocNames {
-		n += len(name)
-	}
 	if f.Trailer != nil {
 		for _, s := range f.Trailer.Spans {
 			n += len(s.Name) + len(s.Detail)

@@ -16,14 +16,14 @@ import (
 )
 
 // An old client's request is answered with one version-mismatch Response
-// and the server hangs up. That covers a protocol-11 peer too, which
-// keys no membership filters and cannot watch commits, and a watch
-// request is rejected the same way.
+// and the server hangs up. That covers a protocol-12 peer too, which
+// ships a fetch frame's documents one by one and sends a fetch's names
+// unpacked, and a watch request is rejected the same way.
 func TestOldClientRejectedByServer(t *testing.T) {
 	db := newNodeDB(t, 2)
 	_, addr := startServerOn(t, db, "127.0.0.1:0", ServerOptions{})
-	if ProtocolVersion != 12 {
-		t.Fatalf("protocol version %d, want 12: statistics carry membership filters", ProtocolVersion)
+	if ProtocolVersion != 13 {
+		t.Fatalf("protocol version %d, want 13: fetch frames carry one payload", ProtocolVersion)
 	}
 	for _, op := range []Op{OpPing, OpQueryStream, OpFetchStream, OpWatch} {
 		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)

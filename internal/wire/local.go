@@ -106,7 +106,7 @@ func (n *LocalNode) Fetch(collection string, spec cluster.FetchSpec) (*xmltree.C
 	if req == nil {
 		return col, nil
 	}
-	failure, err := n.srv.stream(req, nil, func(f *Frame) error { return decodeDocs(col, f) }, nil)
+	failure, err := n.srv.stream(req, nil, func(f *Frame) error { return decodeDocs(col, f.Count, f.Payload) }, nil)
 	if err == nil {
 		err = failure
 	}

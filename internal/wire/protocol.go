@@ -47,15 +47,27 @@
 // node is encoded from its tree by one record encoder per stream. The
 // client parses the payload once and checks all of its node items on
 // arrival; it builds their trees, into one slab, only when a caller first
-// asks for a node (DecodeSeq). Fetch frames ship stored records verbatim,
-// one []byte per document.
+// asks for a node (DecodeSeq).
+//
+// A fetch frame is built the same way: Count documents in one Payload,
+// their names and then their records (docWriter gives the form). Without
+// Request.Keep a record leaves as it is stored, checksum trailer included;
+// with it the node decodes the frame's records under the projection in one
+// pass and writes each kept tree with the stream's one record encoder,
+// unsealed like a query frame's items. The receiver parses the payload
+// once and builds every record of the frame with one storage.DecodeBatch
+// into one slab (decodeDocs), so a fetched document, like a built query
+// node, keeps its whole frame's trees alive.
 package wire
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"partix/internal/engine"
 	"partix/internal/obs"
@@ -71,8 +83,11 @@ import (
 // protocol 9 peer cannot decode; protocol 11 frames carry ItemRange
 // items, which a protocol 10 peer cannot parse; protocol 12 adds OpWatch
 // and the membership filters of the statistics snapshot, which a
-// coordinator must key exactly as the node does.
-const ProtocolVersion = 12
+// coordinator must key exactly as the node does; protocol 13 ships a fetch
+// frame as one Payload in place of one name and one []byte per document,
+// and packs Request.Names into one string: a protocol 12 peer would read
+// such a frame as empty and such a request as a fetch of every document.
+const ProtocolVersion = 13
 
 // ErrProtocolMismatch reports a peer that speaks a different protocol
 // version, or answers a result request with something that is not a
@@ -167,10 +182,12 @@ type Request struct {
 	// coordinator then joins as matches, so it is part of protocol 9.
 	Where string
 	// Names, when non-empty, restricts an OpFetchStream to the named
-	// documents; names the collection lacks are skipped. gob sends an
-	// empty list as none, so the client answers a fetch of no names
-	// itself, without a request.
-	Names []string
+	// documents; names the collection lacks are skipped. The list travels
+	// packed (packNames: each name's uvarint length, then its bytes), so
+	// the node splits it without an allocation per name. Empty means every
+	// document: the client answers a fetch of no names itself, without a
+	// request.
+	Names string
 }
 
 // Response is the server → client answer to a control operation.
@@ -218,14 +235,14 @@ const (
 // is a transport error, never a truncated-but-successful result.
 type Frame struct {
 	Kind FrameKind
-	// Count and Payload carry a query frame's result items (FrameItems,
-	// and FrameEnd of an OpQueryStream): Count items back to back, in the
-	// form itemWriter documents.
-	Count    int
-	Payload  []byte
-	DocNames []string
-	Docs     [][]byte
-	Err      string
+	// Count and Payload carry a frame's batch: a query frame's result
+	// items (FrameItems, and FrameEnd of an OpQueryStream), Count items
+	// back to back in the form itemWriter documents, or a fetch frame's
+	// documents (FrameDocs, and FrameEnd of an OpFetchStream), Count
+	// names and records in the form docWriter documents.
+	Count   int
+	Payload []byte
+	Err     string
 	// Total is the stream's full item/doc count, set on FrameEnd.
 	Total int
 	// TraceID echoes the request's correlation tag on FrameErr, so a
@@ -553,4 +570,241 @@ func DecodeSeq(items []Item) (xquery.Seq, error) {
 		}
 	}
 	return out, nil
+}
+
+// docWriter collects a fetch frame's documents as engine.DB.Fetch hands
+// them over, keeping each record as it is (Fetch keeps it valid after its
+// callback), and writes them into one payload when the frame is sent
+// (frame):
+//
+//	uvarint the size of the names that follow
+//	per document, its name's uvarint length and bytes
+//	per document, its record's uvarint length and bytes
+//
+// Without keep a record is copied verbatim, into a payload sized once per
+// frame from the collected records' lengths; with it every record of the
+// frame is decoded under keep by one storage.DecodeRecords, and each root
+// is written by the stream's one storage.Encoder. The payload is reused
+// from frame to frame: its receiver keeps nothing that aliases it
+// (decodeDocs).
+type docWriter struct {
+	keep *xmltree.Projection
+	// batch and maxBytes bound a frame: its documents, and the bytes of
+	// its collected records.
+	batch, maxBytes int
+	docs            []fetchedDoc
+	bytes           int // of the collected records
+	total           int // documents collected by the stream
+	payload         []byte
+	enc             storage.Encoder
+	// inline holds the documents of a stream of up to len(inline), which
+	// then cost no allocation of their own: most semi-join fetches ship a
+	// document or two.
+	inline [4]fetchedDoc
+}
+
+// fetchedDoc is one collected document.
+type fetchedDoc struct {
+	name string
+	rec  []byte
+}
+
+// add collects one document's record and reports whether its frame is
+// full.
+func (w *docWriter) add(name string, rec []byte) bool {
+	if w.docs == nil {
+		w.docs = w.inline[:0]
+	}
+	if len(w.docs) == cap(w.docs) { // inline is full: make room for a frame
+		w.docs = append(make([]fetchedDoc, 0, max(w.batch, 2*len(w.docs))), w.docs...)
+	}
+	w.docs = append(w.docs, fetchedDoc{name, rec})
+	w.bytes += len(rec)
+	w.total++
+	return len(w.docs) >= w.batch || w.bytes >= w.maxBytes
+}
+
+// frame writes the collected documents into the payload, as a frame of
+// the given kind, and empties the collection. A frame of no documents has
+// an empty payload. The frame's payload is valid until the next call.
+func (w *docWriter) frame(kind FrameKind) (*Frame, error) {
+	n := len(w.docs)
+	if n == 0 {
+		return &Frame{Kind: kind}, nil
+	}
+	names, size := 0, 0
+	for _, d := range w.docs {
+		names += uvarintLen(len(d.name)) + len(d.name)
+		size += uvarintLen(len(d.rec)) + len(d.rec)
+	}
+	if w.keep != nil {
+		// What a projection keeps is known only once it is encoded, and
+		// the records overstate it many times over (a body cut down to
+		// its spine): the kept records grow the payload as they go in.
+		size = 1 << 10
+	}
+	w.payload = slices.Grow(w.payload[:0], uvarintLen(names)+names+size)
+	w.payload = binary.AppendUvarint(w.payload, uint64(names))
+	for _, d := range w.docs {
+		w.payload = binary.AppendUvarint(w.payload, uint64(len(d.name)))
+		w.payload = append(w.payload, d.name...)
+	}
+	if w.keep == nil {
+		for _, d := range w.docs {
+			w.payload = binary.AppendUvarint(w.payload, uint64(len(d.rec)))
+			w.payload = append(w.payload, d.rec...)
+		}
+	} else if err := w.appendKept(); err != nil {
+		return nil, err
+	}
+	clear(w.docs) // the engine's read buffers go with the frame
+	w.docs, w.bytes = w.docs[:0], 0
+	return &Frame{Kind: kind, Count: n, Payload: w.payload}, nil
+}
+
+// appendKept decodes the collected records under keep, together, and
+// appends each kept tree's record to the payload.
+func (w *docWriter) appendKept() error {
+	var recsInline [16][]byte
+	var rootsInline [16]*xmltree.Node
+	recs, roots := recsInline[:0], rootsInline[:]
+	if n := len(w.docs); n > len(roots) {
+		recs, roots = make([][]byte, 0, n), make([]*xmltree.Node, n)
+	}
+	for _, d := range w.docs {
+		recs = append(recs, d.rec)
+	}
+	if _, bad, err := storage.DecodeRecords(recs, w.keep, roots); err != nil {
+		return fmt.Errorf("storage: decode %q: %w", w.docs[bad].name, err)
+	}
+	for _, root := range roots[:len(recs)] {
+		rec := len(w.payload)
+		w.payload = w.enc.Append(w.payload, root)
+		w.payload = storage.PrefixLength(w.payload, rec)
+	}
+	return nil
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x int) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// decodeDocs is the one decode of a received fetch frame (Client.Fetch,
+// LocalNode.Fetch): it parses the payload once, copies the names into one
+// string and builds every record with one storage.DecodeBatch, into one
+// []xmltree.Document whose documents it adds to col. Nothing aliases the
+// payload; a fetched tree shares its frame's slabs, so a document the
+// caller keeps keeps its frame's trees (at most MaxFrameBytes of records)
+// alive. A frame whose payload does not parse, or whose record does not
+// decode, fails with nothing added to col; a corrupt record's error names
+// its document, as storage.DecodeDocument does. A frame of no documents
+// has an empty payload.
+func decodeDocs(col *xmltree.Collection, count int, payload []byte) error {
+	if count == 0 && len(payload) == 0 {
+		return nil
+	}
+	// Every document takes at least two bytes: its name's length and its
+	// record's.
+	if count < 0 || count > len(payload)/2 {
+		return fmt.Errorf("wire: fetch frame declares %d documents in %d payload bytes", count, len(payload))
+	}
+	size, pos := binary.Uvarint(payload)
+	if pos <= 0 || size > uint64(len(payload)-pos) {
+		return fmt.Errorf("wire: fetch frame's names overrun its payload")
+	}
+	block := payload[pos : pos+int(size)]
+	pos += int(size)
+	docs := make([]xmltree.Document, count)
+	names := string(block)
+	at := 0
+	for i := range docs {
+		l, k := binary.Uvarint(block[at:])
+		if k <= 0 || l > uint64(len(block)-at-k) {
+			return fmt.Errorf("wire: fetch frame's names end after %d of %d", i, count)
+		}
+		at += k
+		docs[i].Name = names[at : at+int(l)]
+		at += int(l)
+	}
+	if at != len(block) {
+		return fmt.Errorf("wire: %d bytes after the fetch frame's %d names", len(block)-at, count)
+	}
+	var inline [16][]byte
+	recs := inline[:0]
+	if count > len(inline) {
+		recs = make([][]byte, 0, count)
+	}
+	for i := range count {
+		l, k := binary.Uvarint(payload[pos:])
+		if k <= 0 || l > uint64(len(payload)-pos-k) {
+			return fmt.Errorf("wire: fetch frame's record %d overruns its payload", i)
+		}
+		pos += k
+		recs = append(recs, payload[pos:pos+int(l):pos+int(l)])
+		pos += int(l)
+	}
+	if pos != len(payload) {
+		return fmt.Errorf("wire: %d bytes after the fetch frame's %d records", len(payload)-pos, count)
+	}
+	roots, err := storage.DecodeBatch(recs, nil)
+	if err != nil {
+		var bad *storage.RecordError
+		if errors.As(err, &bad) {
+			return fmt.Errorf("storage: decode %q: %w", docs[bad.Index].Name, bad.Err)
+		}
+		return err
+	}
+	col.Docs = slices.Grow(col.Docs, count)
+	for i := range docs {
+		docs[i].Root = roots[i]
+		col.Add(&docs[i])
+	}
+	return nil
+}
+
+// packNames is Request.Names' form of a name list: each name's uvarint
+// length, then its bytes.
+func packNames(names []string) string {
+	size := 0
+	for _, name := range names {
+		size += uvarintLen(len(name)) + len(name)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var l [binary.MaxVarintLen64]byte
+	for _, name := range names {
+		b.Write(l[:binary.PutUvarint(l[:], uint64(len(name)))])
+		b.WriteString(name)
+	}
+	return b.String()
+}
+
+// splitNames unpacks Request.Names into one []string whose names alias
+// packed; "" gives nil, every document.
+func splitNames(packed string) ([]string, error) {
+	if packed == "" {
+		return nil, nil
+	}
+	count := 0
+	for pos := 0; pos < len(packed); count++ {
+		l, k := binary.Uvarint([]byte(packed[pos:])) // no copy: the bytes are only read
+		if k <= 0 || l > uint64(len(packed)-pos-k) {
+			return nil, fmt.Errorf("wire: packed document names overrun after %d names", count)
+		}
+		pos += k + int(l)
+	}
+	names := make([]string, count)
+	pos := 0
+	for i := range names {
+		l, k := binary.Uvarint([]byte(packed[pos:]))
+		pos += k
+		names[i] = packed[pos : pos+int(l)]
+		pos += int(l)
+	}
+	return names, nil
 }

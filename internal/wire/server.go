@@ -14,7 +14,6 @@ import (
 	"partix/internal/engine"
 	"partix/internal/obs"
 	"partix/internal/storage"
-	"partix/internal/xmltree"
 	"partix/internal/xquery"
 )
 
@@ -84,6 +83,9 @@ type Server struct {
 	// tests use it to simulate evaluator panics and slow requests, and
 	// admission tests to keep an admitted stream in its slot.
 	hook func(*Request)
+	// tamper is a test seam invoked on every frame of a result stream
+	// before it is sent; corruption tests flip payload bytes with it.
+	tamper func(*Frame)
 
 	// admission state: the inflight count for MaxInflight.
 	admitMu  sync.Mutex
@@ -431,6 +433,13 @@ func (f *sendFailure) Error() string { return f.err.Error() }
 // op's failure, for the caller to report, or the error send returned.
 func (s *Server) stream(req *Request, origins *engine.Origins, send func(*Frame) error, done func()) (failure, sendErr error) {
 	start, decodedBefore := time.Now(), s.decodedNow()
+	if tamper := s.tamper; tamper != nil {
+		sendFrame := send
+		send = func(f *Frame) error {
+			tamper(f)
+			return sendFrame(f)
+		}
+	}
 	var q queryRun
 	end, err := func() (end *Frame, err error) {
 		defer func() {
@@ -523,49 +532,46 @@ func (s *Server) streamQuery(req *Request, origins *engine.Origins, q *queryRun,
 
 // streamFetch hands the documents a fetch selects (engine.DB.Fetch, by
 // req.Names and req.Where, a chunk at a time) to send as bounded FrameDocs
-// batches, returning the last batch as the FrameEnd. With req.Keep each
-// record is decoded under the projection, which validates every byte as a
-// whole decode does, and re-encoded; without it records ship as stored.
-// The projection, like the where filter, is parsed once per distinct text
+// batches, returning the last batch as the FrameEnd. A frame's records are
+// kept as Fetch hands them over and written into the frame's one payload
+// when it is sent (docWriter): verbatim, or, with req.Keep, decoded under
+// the projection together — which validates every byte as a whole decode
+// does — and re-encoded by the stream's one record encoder. The
+// projection, like the where filter, is parsed once per distinct text
 // (engine.DB.Projection).
 func (s *Server) streamFetch(req *Request, send func(*Frame) error) (*Frame, error) {
-	var keep *xmltree.Projection
+	names, err := splitNames(req.Names)
+	if err != nil {
+		return nil, err
+	}
+	w := &docWriter{batch: s.opts.BatchItems, maxBytes: s.opts.MaxFrameBytes}
 	if req.Keep != "" {
-		var err error
-		if keep, err = s.db.Projection(req.Keep); err != nil {
+		if w.keep, err = s.db.Projection(req.Keep); err != nil {
 			return nil, err
 		}
 	}
-	batch := s.opts.BatchItems
-	names := make([]string, 0, batch)
-	docs := make([][]byte, 0, batch)
-	bytes, total := 0, 0
-	err := s.db.Fetch(req.Collection, req.Names, req.Where, func(name string, raw []byte) error {
-		if keep != nil {
-			doc, err := storage.DecodeProjected(name, raw, keep)
-			if err != nil {
-				return err
-			}
-			if raw, err = storage.EncodeDocument(doc); err != nil {
-				return err
-			}
+	err = s.db.Fetch(req.Collection, names, req.Where, func(name string, raw []byte) error {
+		if !w.add(name, raw) {
+			return nil
 		}
-		names = append(names, name)
-		docs = append(docs, raw)
-		bytes += len(raw)
-		total++
-		if len(docs) >= batch || bytes >= s.opts.MaxFrameBytes {
-			if err := send(&Frame{Kind: FrameDocs, DocNames: names, Docs: docs}); err != nil {
-				return &sendFailure{err: err}
-			}
-			names, docs, bytes = names[:0], docs[:0], 0
+		f, err := w.frame(FrameDocs)
+		if err != nil {
+			return err
+		}
+		if err := send(f); err != nil {
+			return &sendFailure{err: err}
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Frame{Kind: FrameEnd, DocNames: names, Docs: docs, Total: total}, nil
+	end, err := w.frame(FrameEnd)
+	if err != nil {
+		return nil, err
+	}
+	end.Total = w.total
+	return end, nil
 }
 
 // dispatch serves one request. A panic anywhere below (a malformed query

@@ -72,6 +72,8 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # allocations and bytes per frame, and sizing per Item, independent of
 # the Items' size: no tree built until a caller asks for a node) and the
 # Node size the decoder's record ranges and shell bit must not grow, a
+# fetch frame (allocations, node and receiver together, independent of
+# its document count, whole and projected, in process and over TCP), a
 # point sub-query on one in-process node (allocations and bytes per
 # sub-query independent of the collection's size), a repeated point
 # sub-query on a node with a flight recorder and a workload profiler
@@ -89,7 +91,7 @@ go test -race -count=3 -timeout 5m -run 'TestNonDecomposableShapesJoinEveryFragm
 # at ten times the size)
 go test -timeout 5m -run 'TestAllocsScanFilterProject|TestStringTermAllocsIndependentOfSubtreeSize' ./internal/xquery/exec/
 go test -timeout 5m -run 'TestDecodeAllocs|TestDecodeBatchAllocs|TestProjectedDecodeIndependentOfDroppedSubtrees|TestSmallRecordsSharePages|TestContiguousChainIsOneRead' ./internal/storage/
-go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestRepeatedScanOnOriginsAllocsIndependentOfRecordSize|TestRetainedHeapPerIndexedDocument|TestCandidateSelectionSizeIndependent|TestDeciderCostIndependentOfCollectionSize|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestNodeSize|TestFrameCodecAllocsPerFrame|TestFramingStoredItemsCostsPerFrame|TestShippedSubtreesAreNotBuilt|TestReceivedNodesAreNotBuilt|TestLocalPointQueryCostIndependentOfCollectionSize|TestRepeatedSubQueryIsPreparedOnce|TestParseNumberNonNumericAllocatesNothing|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs|TestColdPlanAllocsIndependentOfCollectionSize|TestStatisticsSnapshotBytesBounded' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/ ./internal/xquery/
+go test -timeout 5m -run 'TestDocsAllocsPerCandidate|TestRepeatedScanOnOriginsAllocsIndependentOfRecordSize|TestRetainedHeapPerIndexedDocument|TestCandidateSelectionSizeIndependent|TestDeciderCostIndependentOfCollectionSize|TestReconstructAllocsIndependentOfDocumentSize|TestSemiJoinBytesIndependentOfCollectionSize|TestSerializeAllocs|TestSerializedSizeMatchesString|TestTextLeafAllocs|TestNodeSize|TestFrameCodecAllocsPerFrame|TestFramingStoredItemsCostsPerFrame|TestShippedSubtreesAreNotBuilt|TestReceivedNodesAreNotBuilt|TestFetchAllocsPerFrame|TestLocalPointQueryCostIndependentOfCollectionSize|TestRepeatedSubQueryIsPreparedOnce|TestParseNumberNonNumericAllocatesNothing|TestLimitReaderSmallMessagesAllocateNothing|TestTelemetryAllocsPerQuery|TestPlanCacheHitAllocs|TestColdPlanAllocsIndependentOfCollectionSize|TestStatisticsSnapshotBytesBounded' ./internal/engine/ ./internal/partix/ ./internal/xmltree/ ./internal/wire/ ./internal/obs/ ./internal/xquery/
 
 # observability smoke test: a node started with -debug-addr must serve
 # valid Prometheus text carrying series from every instrumented layer,
